@@ -18,6 +18,7 @@
 #include <limits>
 
 #include "bench/bench_common.h"
+#include "maxent/decomposed.h"
 
 namespace {
 
@@ -92,7 +93,8 @@ int main(int argc, char** argv) {
 
     const double speedup =
         b.solver.seconds > 0 ? a.solver.seconds / b.solver.seconds : 0.0;
-    const double diff = MaxAbsDiff(a.solver.p, b.solver.p);
+    const double diff = MaxAbsDiff(pme::maxent::MaterializeJoint(a.solver),
+                                   pme::maxent::MaterializeJoint(b.solver));
     const auto& stats = b.decomposition;
     const std::string histogram =
         SizeHistogram(stats.coupled_component_variables);

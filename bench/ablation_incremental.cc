@@ -26,6 +26,7 @@
 #include <limits>
 
 #include "bench/bench_common.h"
+#include "maxent/decomposed.h"
 #include "maxent/solution_cache.h"
 
 namespace {
@@ -103,9 +104,12 @@ int main(int argc, char** argv) {
             ? static_cast<double>(toggle_cold.solver.iterations) /
                   static_cast<double>(warm.solver.iterations)
             : 0.0;
-    const double parity_exact = MaxAbsDiff(cold.solver.p, exact.solver.p);
+    const double parity_exact =
+        MaxAbsDiff(pme::maxent::MaterializeJoint(cold.solver),
+                   pme::maxent::MaterializeJoint(exact.solver));
     const double parity_warm =
-        MaxAbsDiff(toggle_cold.solver.p, warm.solver.p);
+        MaxAbsDiff(pme::maxent::MaterializeJoint(toggle_cold.solver),
+                   pme::maxent::MaterializeJoint(warm.solver));
     const size_t blocks =
         cold.decomposition.num_coupled_components;
 

@@ -179,7 +179,10 @@ double Histogram::Snapshot::Quantile(double q) const {
               ? 1.0
               : (rank - static_cast<double>(seen - in_bucket)) /
                     static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::min(std::max(into, 0.0), 1.0);
+      // The observed extremes bound every quantile: a bucket wider than
+      // the data it holds must not report values nothing took.
+      const double v = lo + (hi - lo) * std::min(std::max(into, 0.0), 1.0);
+      return std::min(std::max(v, min), max);
     }
   }
   return max;

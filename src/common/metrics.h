@@ -85,7 +85,8 @@ class Histogram {
     /// one extra trailing entry — the overflow bucket.
     std::vector<double> bounds;
     std::vector<uint64_t> counts;
-    /// Bucket-interpolated quantile estimate (q in [0,1]).
+    /// Bucket-interpolated quantile estimate (q in [0,1]), clamped to the
+    /// observed [min, max].
     double Quantile(double q) const;
   };
   Snapshot TakeSnapshot() const;

@@ -1,7 +1,10 @@
 #include "constraints/bk_compiler.h"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 
 namespace pme::constraints {
 namespace {
@@ -10,9 +13,46 @@ constexpr double kZeroTol = 1e-12;
 
 }  // namespace
 
+QiPostings QiPostings::Build(const data::TupleEncoder& encoder) {
+  QiPostings out;
+  out.positions_.resize(encoder.attrs().size());
+  for (uint32_t q = 0; q < encoder.size(); ++q) {
+    const std::vector<uint32_t>& tuple = encoder.Decode(q);
+    for (size_t pos = 0; pos < out.positions_.size(); ++pos) {
+      std::vector<uint32_t>& offsets = out.positions_[pos].offsets;
+      if (tuple[pos] + 2 > offsets.size()) offsets.resize(tuple[pos] + 2, 0);
+      ++offsets[tuple[pos] + 1];
+    }
+  }
+  std::vector<std::vector<uint32_t>> cursors;
+  for (Position& p : out.positions_) {
+    for (size_t v = 1; v < p.offsets.size(); ++v) {
+      p.offsets[v] += p.offsets[v - 1];
+    }
+    p.ids.resize(encoder.size());
+    cursors.emplace_back(p.offsets.begin(), p.offsets.end());
+  }
+  for (uint32_t q = 0; q < encoder.size(); ++q) {
+    const std::vector<uint32_t>& tuple = encoder.Decode(q);
+    for (size_t pos = 0; pos < out.positions_.size(); ++pos) {
+      out.positions_[pos].ids[cursors[pos][tuple[pos]]++] = q;
+    }
+  }
+  return out;
+}
+
+std::pair<const uint32_t*, const uint32_t*> QiPostings::Find(
+    size_t position, uint32_t value) const {
+  const Position& p = positions_[position];
+  if (static_cast<size_t>(value) + 1 >= p.offsets.size()) {
+    return {nullptr, nullptr};
+  }
+  return {p.ids.data() + p.offsets[value], p.ids.data() + p.offsets[value + 1]};
+}
+
 Result<std::vector<uint32_t>> MatchQiInstances(
     const knowledge::ConditionalStatement& stmt,
-    const data::TupleEncoder& qi_encoder) {
+    const data::TupleEncoder& qi_encoder, const QiPostings& qi_postings) {
   if (stmt.attrs.size() != stmt.values.size()) {
     return Status::InvalidArgument(
         "statement attrs/values arity mismatch");
@@ -30,16 +70,29 @@ Result<std::vector<uint32_t>> MatchQiInstances(
     positions[i] = static_cast<size_t>(it - enc_attrs.begin());
   }
   std::vector<uint32_t> matches;
-  for (uint32_t q = 0; q < qi_encoder.size(); ++q) {
-    const auto& tuple = qi_encoder.Decode(q);
-    bool match = true;
-    for (size_t i = 0; i < positions.size(); ++i) {
-      if (tuple[positions[i]] != stmt.values[i]) {
-        match = false;
-        break;
-      }
+  if (positions.empty()) {  // an empty Qv matches every tuple
+    matches.resize(qi_encoder.size());
+    std::iota(matches.begin(), matches.end(), 0u);
+    return matches;
+  }
+  // Intersect the posting lists, shortest first.
+  std::vector<std::pair<const uint32_t*, const uint32_t*>> lists;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    lists.push_back(qi_postings.Find(positions[i], stmt.values[i]));
+  }
+  std::sort(lists.begin(), lists.end(), [](const auto& a, const auto& b) {
+    return a.second - a.first < b.second - b.first;
+  });
+  matches.assign(lists[0].first, lists[0].second);
+  for (size_t k = 1; k < lists.size(); ++k) {
+    const uint32_t* it = lists[k].first;
+    size_t kept = 0;
+    for (const uint32_t q : matches) {
+      it = std::lower_bound(it, lists[k].second, q);
+      if (it == lists[k].second) break;
+      if (*it == q) matches[kept++] = q;
     }
-    if (match) matches.push_back(q);
+    matches.resize(kept);
   }
   return matches;
 }
@@ -47,8 +100,9 @@ Result<std::vector<uint32_t>> MatchQiInstances(
 Result<CompiledKnowledge> CompileKnowledge(
     const knowledge::KnowledgeBase& kb,
     const anonymize::BucketizedTable& table, const TermIndex& index,
-    const data::TupleEncoder* qi_encoder) {
+    const data::TupleEncoder* qi_encoder, const QiPostings* qi_postings) {
   CompiledKnowledge out;
+  std::optional<QiPostings> local_postings;
   size_t stmt_no = 0;
   for (const auto& stmt : kb.conditionals()) {
     ++stmt_no;
@@ -72,7 +126,12 @@ Result<CompiledKnowledge> CompileKnowledge(
             "statement " + std::to_string(stmt_no) +
             " is in dataset mode but no QI encoder was provided");
       }
-      PME_ASSIGN_OR_RETURN(qi_ids, MatchQiInstances(stmt, *qi_encoder));
+      if (qi_postings == nullptr) {
+        local_postings = QiPostings::Build(*qi_encoder);
+        qi_postings = &*local_postings;
+      }
+      PME_ASSIGN_OR_RETURN(qi_ids,
+                           MatchQiInstances(stmt, *qi_encoder, *qi_postings));
     }
 
     // P(Qv) from the published table.
@@ -96,9 +155,9 @@ Result<CompiledKnowledge> CompileKnowledge(
     for (uint32_t q : qi_ids) {
       for (uint32_t b : table.BucketsWithQi(q)) {
         for (uint32_t s : sa_set) {
-          auto var = index.VariableId(q, s, b);
-          if (!var.ok()) continue;  // Zero-invariant: structurally zero
-          c.vars.push_back(var.value());
+          const auto var = index.FindVariable(q, s, b);
+          if (!var.has_value()) continue;  // Zero-invariant: structurally 0
+          c.vars.push_back(*var);
           c.coefs.push_back(1.0);
         }
       }

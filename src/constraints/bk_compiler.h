@@ -4,6 +4,8 @@
 #ifndef PME_CONSTRAINTS_BK_COMPILER_H_
 #define PME_CONSTRAINTS_BK_COMPILER_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
@@ -23,6 +25,26 @@ struct CompiledKnowledge {
   size_t num_vacuous = 0;
 };
 
+/// Posting lists over the interned QI tuples of a TupleEncoder: for each
+/// tuple position and attribute value, the ascending ids of the tuples
+/// carrying that value. Values are dictionary codes, so each position's
+/// offset table is dense in the value.
+class QiPostings {
+ public:
+  static QiPostings Build(const data::TupleEncoder& encoder);
+
+  /// Tuple ids with `value` at `position`, ascending, as [begin, end).
+  std::pair<const uint32_t*, const uint32_t*> Find(size_t position,
+                                                   uint32_t value) const;
+
+ private:
+  struct Position {
+    std::vector<uint32_t> offsets;  // value -> start in ids; max value + 2
+    std::vector<uint32_t> ids;
+  };
+  std::vector<Position> positions_;
+};
+
 /// Compiles distribution knowledge (Section 4.1) into ME constraints.
 ///
 /// A statement P(S-set | Qv) = c expands, per the paper's derivation, to
@@ -39,6 +61,8 @@ struct CompiledKnowledge {
 ///
 /// `qi_encoder` maps raw attribute subsets to QI instances; it may be null
 /// when every statement is in abstract mode (worked examples).
+/// `qi_postings`, when non-null, must be QiPostings::Build(*qi_encoder)
+/// (a table artifact keeps one); otherwise it is built on first use.
 ///
 /// Inequality statements (Section 4.5) compile to kLe/kGe rows unchanged.
 /// Individual statements are NOT handled here — they need the expanded
@@ -49,13 +73,16 @@ struct CompiledKnowledge {
 Result<CompiledKnowledge> CompileKnowledge(
     const knowledge::KnowledgeBase& kb,
     const anonymize::BucketizedTable& table, const TermIndex& index,
-    const data::TupleEncoder* qi_encoder = nullptr);
+    const data::TupleEncoder* qi_encoder = nullptr,
+    const QiPostings* qi_postings = nullptr);
 
-/// Resolves the QI instances matching a dataset-mode statement's Qv.
-/// Exposed for tests and diagnostics.
+/// Resolves the QI instances matching a dataset-mode statement's Qv, in
+/// ascending order, by intersecting the posting lists of the statement's
+/// (attribute, value) pairs, shortest first.
 Result<std::vector<uint32_t>> MatchQiInstances(
     const knowledge::ConditionalStatement& stmt,
-    const data::TupleEncoder& qi_encoder);
+    const data::TupleEncoder& qi_encoder, const QiPostings& qi_postings);
+
 
 }  // namespace pme::constraints
 

@@ -1,42 +1,9 @@
 #include "constraints/component_analysis.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 namespace pme::constraints {
-namespace {
-
-/// Minimal union-find with path halving and union by size.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n), size_(n, 1) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-
-  uint32_t Find(uint32_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];  // path halving
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void Union(uint32_t a, uint32_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
-  }
-
- private:
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> size_;
-};
-
-}  // namespace
 
 ComponentAnalysis ComponentAnalysis::Build(const TermIndex& index,
                                            const ConstraintSystem& system) {
@@ -86,69 +53,35 @@ ComponentAnalysis ComponentAnalysis::Build(const TermIndex& index,
   return out;
 }
 
-ComponentAnalysis ComponentAnalysis::Extend(
-    const ComponentAnalysis& base, const TermIndex& index,
-    const std::vector<LinearConstraint>& extra) {
-  const size_t num_buckets = index.num_buckets();
-  const size_t num_base = base.num_components();
-  // Union-find over *base components*: the base already merged every
-  // bucket inside a component, so only component-level merges remain.
-  UnionFind uf(num_base);
-  std::vector<bool> touched(num_base, false);
-  for (size_t k = 0; k < num_base; ++k) {
-    touched[k] = base.components()[k].coupled;
-  }
-  for (const auto& c : extra) {
-    const bool is_knowledge = c.source != ConstraintSource::kQiInvariant &&
-                              c.source != ConstraintSource::kSaInvariant;
-    int64_t first_comp = -1;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      const uint32_t k = base.ComponentOf(index.TermOf(c.vars[i]).bucket);
-      if (is_knowledge) touched[k] = true;
-      if (first_comp < 0) {
-        first_comp = k;
-      } else {
-        uf.Union(static_cast<uint32_t>(first_comp), k);
-      }
-    }
-  }
-
-  ComponentAnalysis out;
-  out.bucket_component_.assign(num_buckets, 0);
-  // Renumber by first appearance in bucket order — identical to Build's
-  // numbering because a merged component's smallest bucket decides both.
-  std::vector<int64_t> root_to_id(num_base, -1);
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    const uint32_t base_comp = base.ComponentOf(b);
-    const uint32_t root = uf.Find(base_comp);
-    if (root_to_id[root] < 0) {
-      root_to_id[root] = static_cast<int64_t>(out.components_.size());
-      out.components_.emplace_back();
-    }
-    const auto id = static_cast<uint32_t>(root_to_id[root]);
-    out.bucket_component_[b] = id;
-    Component& comp = out.components_[id];
-    comp.buckets.push_back(b);
-    const auto [first, last] = index.BucketRange(b);
-    comp.num_variables += last - first;
-    comp.coupled = comp.coupled || touched[base_comp];
-  }
-  for (const Component& comp : out.components_) {
-    if (comp.coupled) ++out.num_coupled_;
-  }
-  return out;
-}
-
 Hash128 ConstraintRowSignature(const LinearConstraint& constraint) {
+  Hasher128 h;
+  h.Update(std::string_view("pme.row.v1"));
+  h.Update(static_cast<int>(constraint.rel));
+  h.Update(constraint.rhs);
+  // Rows that are already canonical — strictly ascending variables, no
+  // zero coefficients, as every invariant row is — hash in place.
+  const auto& vars = constraint.vars;
+  const auto& coefs = constraint.coefs;
+  bool canonical = true;
+  for (size_t i = 0; i < vars.size() && canonical; ++i) {
+    canonical = coefs[i] != 0.0 && (i == 0 || vars[i - 1] < vars[i]);
+  }
+  if (canonical) {
+    h.Update(static_cast<uint64_t>(vars.size()));
+    for (size_t i = 0; i < vars.size(); ++i) {
+      h.Update(vars[i]);
+      h.Update(coefs[i]);
+    }
+    return h.Finish();
+  }
   // Canonical support: zero coefficients dropped, duplicates summed,
   // sorted by variable id — the row's content independent of the order
   // its terms were emitted in.
   std::vector<std::pair<uint32_t, double>> support;
-  support.reserve(constraint.vars.size());
-  for (size_t i = 0; i < constraint.vars.size(); ++i) {
-    if (constraint.coefs[i] == 0.0) continue;
-    support.emplace_back(constraint.vars[i], constraint.coefs[i]);
+  support.reserve(vars.size());
+  for (size_t i = 0; i < vars.size(); ++i) {
+    if (coefs[i] == 0.0) continue;
+    support.emplace_back(vars[i], coefs[i]);
   }
   std::sort(support.begin(), support.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -162,81 +95,12 @@ Hash128 ConstraintRowSignature(const LinearConstraint& constraint) {
   }
   support.resize(w);
 
-  Hasher128 h;
-  h.Update(std::string_view("pme.row.v1"));
-  h.Update(static_cast<int>(constraint.rel));
-  h.Update(constraint.rhs);
   h.Update(static_cast<uint64_t>(support.size()));
   for (const auto& [var, coef] : support) {
     h.Update(var);
     h.Update(coef);
   }
   return h.Finish();
-}
-
-ComponentSignatures ComputeComponentSignatures(
-    const TermIndex& index, const ConstraintSystem& system,
-    const ComponentAnalysis& analysis) {
-  // Dense coupled-block numbering, mirroring SolveDecomposed.
-  std::vector<int64_t> block_of_component(analysis.num_components(), -1);
-  size_t num_blocks = 0;
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    if (analysis.components()[k].coupled) {
-      block_of_component[k] = static_cast<int64_t>(num_blocks++);
-    }
-  }
-
-  ComponentSignatures out;
-  out.rows_hash.resize(num_blocks);
-  out.vars_hash.resize(num_blocks);
-
-  // Variable-structure digest per block: index-shape guard + the
-  // component's buckets with their materialized variable counts.
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    const int64_t block = block_of_component[k];
-    if (block < 0) continue;
-    const auto& comp = analysis.components()[k];
-    Hasher128 h;
-    h.Update(std::string_view("pme.vars.v1"));
-    h.Update(static_cast<uint64_t>(index.num_variables()));
-    h.Update(static_cast<uint64_t>(index.num_buckets()));
-    h.Update(static_cast<uint64_t>(comp.buckets.size()));
-    for (uint32_t b : comp.buckets) {
-      const auto [first, last] = index.BucketRange(b);
-      h.Update(b);
-      h.Update(static_cast<uint64_t>(last - first));
-    }
-    out.vars_hash[static_cast<size_t>(block)] = h.Finish();
-  }
-
-  // Route every constraint row to its block (same rule as the solver:
-  // the first supported variable decides) and collect row signatures.
-  std::vector<std::vector<Hash128>> row_sigs(num_blocks);
-  for (const auto& c : system.constraints()) {
-    int64_t block = -1;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      block = block_of_component[analysis.ComponentOf(
-          index.TermOf(c.vars[i]).bucket)];
-      break;
-    }
-    if (block < 0) continue;  // empty support or uncoupled component
-    row_sigs[static_cast<size_t>(block)].push_back(ConstraintRowSignature(c));
-  }
-
-  // Exact digest: the structure digest plus the sorted multiset of row
-  // signatures (sorted so the digest is independent of row order, which
-  // the solution is too).
-  for (size_t blk = 0; blk < num_blocks; ++blk) {
-    std::sort(row_sigs[blk].begin(), row_sigs[blk].end());
-    Hasher128 h;
-    h.Update(std::string_view("pme.rows.v1"));
-    h.Update(out.vars_hash[blk]);
-    h.Update(static_cast<uint64_t>(row_sigs[blk].size()));
-    for (const Hash128& sig : row_sigs[blk]) h.Update(sig);
-    out.rows_hash[blk] = h.Finish();
-  }
-  return out;
 }
 
 }  // namespace pme::constraints

@@ -5,6 +5,8 @@
 #define PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
 
 #include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -12,6 +14,35 @@
 #include "constraints/term_index.h"
 
 namespace pme::constraints {
+
+/// Minimal union-find with path halving and union by size.
+class UnionFind {
+ public:
+  explicit UnionFind(size_t n) : parent_(n), size_(n, 1) {
+    std::iota(parent_.begin(), parent_.end(), 0u);
+  }
+
+  uint32_t Find(uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  }
+
+  void Union(uint32_t a, uint32_t b) {
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return;
+    if (size_[a] < size_[b]) std::swap(a, b);
+    parent_[b] = a;
+    size_[a] += size_[b];
+  }
+
+ private:
+  std::vector<uint32_t> parent_;
+  std::vector<uint32_t> size_;
+};
 
 /// Connected-component analysis of the bucket coupling graph.
 ///
@@ -48,18 +79,6 @@ class ComponentAnalysis {
   static ComponentAnalysis Build(const TermIndex& index,
                                  const ConstraintSystem& system);
 
-  /// Extends a prebuilt partition with additional constraint rows:
-  /// unions the base components joined by each row's support and marks
-  /// the touched components coupled (by the same invariant/knowledge
-  /// rule Build applies). Produces exactly what Build would over the
-  /// concatenation of the constraints behind `base` and `extra` — same
-  /// deterministic numbering by smallest bucket id — but only scans
-  /// `extra`: the per-request path reuses a table artifact's
-  /// invariants-only partition and pays for the knowledge rows alone.
-  static ComponentAnalysis Extend(const ComponentAnalysis& base,
-                                  const TermIndex& index,
-                                  const std::vector<LinearConstraint>& extra);
-
   const std::vector<Component>& components() const { return components_; }
   size_t num_components() const { return components_.size(); }
 
@@ -84,32 +103,6 @@ class ComponentAnalysis {
 /// digest is stable across runs and platforms (see common/hash.h), which
 /// is what lets a solution cached in one process serve another.
 Hash128 ConstraintRowSignature(const LinearConstraint& constraint);
-
-/// Per-coupled-component content digests, indexed by the *dense coupled
-/// block numbering* SolveDecomposed uses (components in id order,
-/// skipping uncoupled ones). Two digests per block:
-///
-///  - `vars_hash` identifies the component's variable structure only:
-///    its bucket ids and per-bucket variable counts, plus an index-shape
-///    guard (total variables/buckets). Equal vars_hash ⇒ the block's
-///    column selection — and therefore its posterior-slice layout and
-///    the meaning of a cached dual — is identical.
-///  - `rows_hash` extends vars_hash with the sorted multiset of row
-///    signatures of every constraint routed to the block (content
-///    including bounds). Equal rows_hash ⇒ byte-identical subproblem,
-///    so a cached solution can be scattered without re-solving.
-///
-/// The warm-start near-miss of the solution cache is exactly
-/// "vars_hash equal, rows_hash different": same variables, edited
-/// constraint rows.
-struct ComponentSignatures {
-  std::vector<Hash128> rows_hash;
-  std::vector<Hash128> vars_hash;
-};
-
-ComponentSignatures ComputeComponentSignatures(const TermIndex& index,
-                                               const ConstraintSystem& system,
-                                               const ComponentAnalysis& analysis);
 
 }  // namespace pme::constraints
 

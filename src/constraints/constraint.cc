@@ -21,8 +21,7 @@ const char* ConstraintSourceToString(ConstraintSource source) {
   return "unknown";
 }
 
-double LinearConstraint::Violation(const std::vector<double>& p) const {
-  const double lhs = Evaluate(p);
+double LinearConstraint::ViolationAt(double lhs) const {
   switch (rel) {
     case Relation::kEq:
       return std::fabs(lhs - rhs);

@@ -46,7 +46,13 @@ struct LinearConstraint {
   /// Signed violation: 0 when satisfied (within `tol`); for kEq the
   /// absolute residual, for inequalities the amount by which the bound is
   /// exceeded.
-  double Violation(const std::vector<double>& p) const;
+  double Violation(const std::vector<double>& p) const {
+    return ViolationAt(Evaluate(p));
+  }
+
+  /// Violation of the row when its left-hand side evaluates to `lhs` —
+  /// for callers that evaluate the row over a slice of the variables.
+  double ViolationAt(double lhs) const;
 };
 
 }  // namespace pme::constraints

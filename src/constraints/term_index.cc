@@ -56,16 +56,24 @@ Result<uint32_t> TermIndex::VariableId(uint32_t q, uint32_t s,
   if (b >= bucket_qi_.size()) {
     return Status::InvalidArgument("bucket index out of range");
   }
+  const std::optional<uint32_t> var = FindVariable(q, s, b);
+  if (var.has_value()) return *var;
+  const auto& qis = bucket_qi_[b];
+  return Status::NotFound(
+      std::binary_search(qis.begin(), qis.end(), q)
+          ? "P(q,s,b) is a Zero-invariant: s not in bucket"
+          : "P(q,s,b) is a Zero-invariant: q not in bucket");
+}
+
+std::optional<uint32_t> TermIndex::FindVariable(uint32_t q, uint32_t s,
+                                                uint32_t b) const {
+  if (b >= bucket_qi_.size()) return std::nullopt;
   const auto& qis = bucket_qi_[b];
   const auto& sas = bucket_sa_[b];
   auto qit = std::lower_bound(qis.begin(), qis.end(), q);
-  if (qit == qis.end() || *qit != q) {
-    return Status::NotFound("P(q,s,b) is a Zero-invariant: q not in bucket");
-  }
+  if (qit == qis.end() || *qit != q) return std::nullopt;
   auto sit = std::lower_bound(sas.begin(), sas.end(), s);
-  if (sit == sas.end() || *sit != s) {
-    return Status::NotFound("P(q,s,b) is a Zero-invariant: s not in bucket");
-  }
+  if (sit == sas.end() || *sit != s) return std::nullopt;
   const size_t qi_rank = static_cast<size_t>(qit - qis.begin());
   const size_t sa_rank = static_cast<size_t>(sit - sas.begin());
   return bucket_offsets_[b] +

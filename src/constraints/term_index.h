@@ -5,6 +5,7 @@
 #define PME_CONSTRAINTS_TERM_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,11 @@ class TermIndex {
   /// The variable id of P(q, s, b); kNotFound when the term is a
   /// Zero-invariant (not materialized).
   Result<uint32_t> VariableId(uint32_t q, uint32_t s, uint32_t b) const;
+
+  /// VariableId without the error status: nullopt for a Zero-invariant
+  /// or an out-of-range bucket. For hot loops that probe many terms.
+  std::optional<uint32_t> FindVariable(uint32_t q, uint32_t s,
+                                       uint32_t b) const;
 
   /// True iff P(q, s, b) is a Zero-invariant (q or s absent from b).
   bool IsZeroInvariant(uint32_t q, uint32_t s, uint32_t b) const;

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
-#include "constraints/component_analysis.h"
 #include "constraints/system.h"
+#include "maxent/block_plan.h"
+#include "maxent/decomposed.h"
 #include "maxent/problem.h"
 
 namespace pme::core {
@@ -36,25 +38,16 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
 
   trace::TraceSpan session_span("session_run", "session");
 
-  std::optional<constraints::CompiledKnowledge> compiled_holder;
+  constraints::CompiledKnowledge compiled;
   {
     trace::TraceSpan compile_span("compile", "session");
     PME_ASSIGN_OR_RETURN(
-        auto compiled_local,
-        constraints::CompileKnowledge(kb, artifact.table(), index,
-                                      artifact.qi_encoder()));
+        compiled, constraints::CompileKnowledge(kb, artifact.table(), index,
+                                                artifact.qi_encoder(),
+                                                &artifact.qi_postings()));
     compile_span.AddArg("constraints",
-                        static_cast<double>(compiled_local.constraints.size()));
-    compiled_holder.emplace(std::move(compiled_local));
+                        static_cast<double>(compiled.constraints.size()));
   }
-  auto& compiled = *compiled_holder;
-  const size_t num_bk = compiled.constraints.size();
-
-  // One union-find pass over the knowledge rows alone — the artifact's
-  // invariants-only partition already absorbed the table side.
-  const constraints::ComponentAnalysis components =
-      constraints::ComponentAnalysis::Extend(artifact.base_components(),
-                                             index, compiled.constraints);
 
   AnalysisOptions run_options = options;
   // Per-artifact cache namespace, unless the caller already chose one.
@@ -62,68 +55,39 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
     run_options.solver_options.cache_namespace = artifact.content_hash();
   }
 
+  // The plan couples only the buckets the knowledge rows touch and pulls
+  // just their invariant rows from the artifact; every other bucket
+  // stays at the Theorem-5 closed form.
+  maxent::BlockPlan plan;
+  bool decomposed = false;
+  {
+    trace::TraceSpan plan_span("plan", "session");
+    plan = maxent::BlockPlan::Build(
+        index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
+        compiled.constraints,
+        run_options.solver_options.monolithic_fallback_fraction);
+    decomposed = run_options.use_decomposition && !plan.monolithic();
+    if (decomposed) plan.ConsultCache(run_options.solver_options);
+    plan_span.AddArg("blocks", static_cast<double>(plan.blocks().size()));
+  }
+
   Analysis analysis;
   analysis.num_invariant_constraints = artifact.invariants().size();
-  analysis.num_background_constraints = num_bk;
+  analysis.num_background_constraints = compiled.constraints.size();
   analysis.num_vacuous_statements = compiled.num_vacuous;
-
-  // The decomposed solve only ever *uses* invariant rows of
-  // knowledge-coupled buckets: rows of uncoupled buckets are satisfied
-  // exactly by the Theorem-5 closed form and skipped during block
-  // routing. So the per-request system carries just that coupled slice
-  // plus the knowledge rows — O(request), not O(table) — which leaves
-  // the solution identical (and the per-block cache keys identical: the
-  // same rows route to the same blocks). Two cases still need the full
-  // row set: the monolithic paths (use_decomposition off, or one coupled
-  // component dominating past monolithic_fallback_fraction), which build
-  // one problem from the *whole* system.
-  size_t largest_coupled = 0;
-  for (const auto& comp : components.components()) {
-    if (comp.coupled) {
-      largest_coupled = std::max(largest_coupled, comp.num_variables);
-    }
-  }
-  const size_t total_vars = index.num_variables();
-  const bool wants_monolithic =
-      !run_options.use_decomposition ||
-      (total_vars > 0 &&
-       static_cast<double>(largest_coupled) >
-           run_options.solver_options.monolithic_fallback_fraction *
-               static_cast<double>(total_vars));
-
-  constraints::ConstraintSystem system(index.num_variables());
-  if (wants_monolithic) {
-    // Full system, matching Analyze's historical row order: invariant
-    // rows, then knowledge rows.
-    system.AddAll(artifact.invariants());
-  } else {
-    const auto& invariants = artifact.invariants();
-    const auto& row_bucket = artifact.invariant_row_bucket();
-    for (size_t i = 0; i < invariants.size(); ++i) {
-      const uint32_t bucket = row_bucket[i];
-      if (bucket == UINT32_MAX ||
-          components.components()[components.ComponentOf(bucket)].coupled) {
-        system.Add(invariants[i]);
-      }
-    }
-  }
-  system.AddAll(std::move(compiled.constraints));
-
-  analysis.decomposition =
-      maxent::AnalyzeDecomposition(index, system, &components);
+  analysis.decomposition = maxent::AnalyzeDecomposition(plan);
 
   {
     trace::TraceSpan solve_span("solve", "session");
-    if (run_options.use_decomposition) {
-      run_options.solver_options.closed_form_prior =
-          &artifact.closed_form_prior();
-      run_options.solver_options.closed_form_prior_entropy =
-          artifact.closed_form_prior_entropy();
+    if (decomposed) {
       PME_ASSIGN_OR_RETURN(
           analysis.solver,
-          maxent::SolveDecomposed(artifact.table(), index, system,
-                                  run_options.solver,
-                                  run_options.solver_options, &components));
+          maxent::SolveDecomposed(
+              plan,
+              std::shared_ptr<const std::vector<double>>(
+                  artifact_, &artifact.closed_form_prior()),
+              artifact.closed_form_prior_entropy(), run_options.solver,
+              run_options.solver_options));
       // Per-block solve effort, aligned with the decomposition census's
       // block numbering (component_outcomes are emitted in block-id order).
       for (const auto& outcome : analysis.solver.component_outcomes) {
@@ -133,57 +97,65 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
             outcome.seconds);
       }
     } else {
-      PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
-      PME_ASSIGN_OR_RETURN(
-          analysis.solver,
-          maxent::Solve(problem, run_options.solver,
-                        run_options.solver_options));
+      // The monolithic paths solve one problem over the whole system, in
+      // Analyze's historical row order: invariant rows, then knowledge.
+      constraints::ConstraintSystem system(index.num_variables());
+      system.AddAll(artifact.invariants());
+      system.AddAll(std::move(compiled.constraints));
+      if (run_options.use_decomposition) {
+        PME_ASSIGN_OR_RETURN(
+            analysis.solver,
+            maxent::SolveMonolithic(system, run_options.solver,
+                                    run_options.solver_options));
+      } else {
+        PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
+        PME_ASSIGN_OR_RETURN(
+            analysis.solver,
+            maxent::Solve(problem, run_options.solver,
+                          run_options.solver_options));
+      }
     }
     solve_span.AddArg("iterations",
                       static_cast<double>(analysis.solver.iterations));
-    solve_span.AddArg("components",
-                      static_cast<double>(analysis.decomposition.num_components));
+    solve_span.AddArg(
+        "components",
+        static_cast<double>(analysis.decomposition.num_components));
   }
 
-  // Evaluation. On the reduced decomposed path the solve leaves every
-  // variable outside the knowledge-coupled buckets at the precomputed
-  // prior, so only the touched q rows of the posterior (and their per-q
-  // evaluation slices) can differ from the artifact's cached prior
-  // evaluation — recompute exactly those and re-aggregate. RecomputeRow
-  // and the aggregations replay the full rebuild's arithmetic, so both
-  // paths agree bit for bit. The monolithic paths may move any
-  // coordinate and evaluate from scratch.
+  // Evaluation. A decomposed solve moves only the coupled buckets off the
+  // prior, so only the posterior rows of their QI instances can differ
+  // from the artifact's prior posterior: the posterior is an overlay of
+  // exactly those rows, and the evaluation re-derives just their slices
+  // before one fold over q. RecomputeRow and the fold replay the full
+  // rebuild's arithmetic, so both paths agree bit for bit. The
+  // monolithic paths may move any coordinate and evaluate from scratch.
   trace::TraceSpan evaluate_span("evaluate", "session");
-  if (run_options.use_decomposition && !wants_monolithic) {
-    analysis.posterior = artifact.prior_posterior();
-    PerQEvaluation eval = artifact.prior_evaluation();
-    const auto& bucket_var_begin = artifact.bucket_var_begin();
-    const auto& q_offsets = artifact.q_var_offsets();
-    const auto& q_vars = artifact.q_vars();
-    std::vector<uint8_t> touched(artifact.table().num_qi_values(), 0);
-    std::vector<uint32_t> touched_qs;
-    for (const auto& comp : components.components()) {
-      if (!comp.coupled) continue;
-      for (const uint32_t bucket : comp.buckets) {
-        for (uint32_t var = bucket_var_begin[bucket];
-             var < bucket_var_begin[bucket + 1]; ++var) {
-          const uint32_t q = index.TermOf(var).qi;
-          if (!touched[q]) {
-            touched[q] = 1;
-            touched_qs.push_back(q);
-          }
-        }
+  if (decomposed) {
+    std::vector<uint32_t> touched;
+    for (const maxent::PlanBlock& block : plan.blocks()) {
+      for (const uint32_t b : block.buckets) {
+        const auto& qs = index.BucketQiList(b);
+        touched.insert(touched.end(), qs.begin(), qs.end());
       }
     }
-    for (const uint32_t q : touched_qs) {
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    evaluate_span.AddArg("touched_rows", static_cast<double>(touched.size()));
+    analysis.posterior = PosteriorTable::Overlay(
+        std::shared_ptr<const PosteriorTable>(artifact_,
+                                              &artifact.prior_posterior()),
+        std::move(touched));
+    const auto& q_offsets = artifact.q_var_offsets();
+    const auto& q_vars = artifact.q_vars();
+    const maxent::JointView joint(plan, analysis.solver);
+    for (const uint32_t q : analysis.posterior.overridden_rows()) {
       analysis.posterior.RecomputeRow(q, q_vars.data() + q_offsets[q],
                                       q_offsets[q + 1] - q_offsets[q], index,
-                                      analysis.solver.p);
-      ReevaluateQ(artifact.ground_truth(), analysis.posterior, q, &eval);
+                                      joint);
     }
-    analysis.estimation_accuracy =
-        AccuracyFromPerQ(artifact.ground_truth(), eval);
-    analysis.metrics = MetricsFromPerQ(analysis.posterior, eval);
+    EvaluateOverlay(artifact.ground_truth(), analysis.posterior,
+                    artifact.prior_evaluation(),
+                    &analysis.estimation_accuracy, &analysis.metrics);
   } else {
     analysis.posterior = PosteriorTable::FromSolution(artifact.table(), index,
                                                       analysis.solver.p);

@@ -58,22 +58,20 @@ PosteriorTable PosteriorTable::GroundTruth(
   return t;
 }
 
-void PosteriorTable::RecomputeRow(uint32_t q, const uint32_t* vars, size_t n,
-                                  const constraints::TermIndex& index,
-                                  const std::vector<double>& p) {
-  double* row = rows_.data() + static_cast<size_t>(q) * num_sa_;
-  std::fill(row, row + num_sa_, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    row[index.TermOf(vars[i]).sa] += p[vars[i]];
-  }
-  const double pq = prob_q_[q];
-  if (pq <= 0.0) return;
-  for (uint32_t s = 0; s < num_sa_; ++s) row[s] /= pq;
+PosteriorTable PosteriorTable::Overlay(
+    std::shared_ptr<const PosteriorTable> base, std::vector<uint32_t> qs) {
+  PosteriorTable t;
+  t.num_qi_ = base->num_qi_;
+  t.num_sa_ = base->num_sa_;
+  t.rows_.resize(qs.size() * t.num_sa_);
+  t.overridden_ = std::move(qs);
+  t.base_ = std::move(base);
+  return t;
 }
 
 std::vector<double> PosteriorTable::Row(uint32_t q) const {
-  return std::vector<double>(rows_.begin() + q * num_sa_,
-                             rows_.begin() + (q + 1) * num_sa_);
+  const double* row = RowData(q);
+  return std::vector<double>(row, row + num_sa_);
 }
 
 double EstimationAccuracy(const PosteriorTable& truth,
@@ -105,18 +103,30 @@ PrivacyMetrics ComputePrivacyMetrics(const PosteriorTable& posterior) {
   return metrics;
 }
 
-void ReevaluateQ(const PosteriorTable& truth, const PosteriorTable& estimate,
-                 uint32_t q, PerQEvaluation* eval) {
+namespace {
+
+/// One q's evaluation slice: KL against the truth, best guess, effective
+/// candidates.
+struct RowEvaluation {
+  double kl;
+  double best_guess;
+  double effective_candidates;
+};
+
+RowEvaluation EvaluateRow(const PosteriorTable& truth,
+                          const PosteriorTable& estimate, uint32_t q) {
   const uint32_t num_sa = truth.num_sa();
-  eval->kl[q] = truth.ProbQ(q) <= 0.0
-                    ? 0.0
-                    : KlDivergence(truth.RowData(q), estimate.RowData(q),
-                                   num_sa);
   const double* row = estimate.RowData(q);
-  eval->best_guess[q] = *std::max_element(row, row + num_sa);
-  eval->effective_candidates[q] =
-      std::exp(kernels::NegXLogXSum({row, num_sa}));
+  RowEvaluation e;
+  e.kl = truth.ProbQ(q) <= 0.0
+             ? 0.0
+             : KlDivergence(truth.RowData(q), row, num_sa);
+  e.best_guess = *std::max_element(row, row + num_sa);
+  e.effective_candidates = std::exp(kernels::NegXLogXSum({row, num_sa}));
+  return e;
 }
+
+}  // namespace
 
 PerQEvaluation EvaluatePerQ(const PosteriorTable& truth,
                             const PosteriorTable& estimate) {
@@ -125,34 +135,45 @@ PerQEvaluation EvaluatePerQ(const PosteriorTable& truth,
   eval.best_guess.resize(truth.num_qi());
   eval.effective_candidates.resize(truth.num_qi());
   for (uint32_t q = 0; q < truth.num_qi(); ++q) {
-    ReevaluateQ(truth, estimate, q, &eval);
+    const RowEvaluation e = EvaluateRow(truth, estimate, q);
+    eval.kl[q] = e.kl;
+    eval.best_guess[q] = e.best_guess;
+    eval.effective_candidates[q] = e.effective_candidates;
   }
   return eval;
 }
 
-double AccuracyFromPerQ(const PosteriorTable& truth,
-                        const PerQEvaluation& eval) {
-  double accuracy = 0.0;
-  for (uint32_t q = 0; q < truth.num_qi(); ++q) {
-    const double pq = truth.ProbQ(q);
-    if (pq <= 0.0) continue;
-    accuracy += pq * eval.kl[q];
+void EvaluateOverlay(const PosteriorTable& truth,
+                     const PosteriorTable& estimate,
+                     const PerQEvaluation& base_eval, double* accuracy,
+                     PrivacyMetrics* metrics) {
+  const std::vector<uint32_t>& overridden = estimate.overridden_rows();
+  std::vector<RowEvaluation> changed;
+  changed.reserve(overridden.size());
+  for (const uint32_t q : overridden) {
+    changed.push_back(EvaluateRow(truth, estimate, q));
   }
-  return accuracy;
-}
-
-PrivacyMetrics MetricsFromPerQ(const PosteriorTable& estimate,
-                               const PerQEvaluation& eval) {
-  PrivacyMetrics metrics;
-  metrics.min_effective_candidates = std::numeric_limits<double>::max();
+  // One fold over q with the accumulation order of EstimationAccuracy and
+  // ComputePrivacyMetrics.
+  *accuracy = 0.0;
+  *metrics = PrivacyMetrics();
+  metrics->min_effective_candidates = std::numeric_limits<double>::max();
+  size_t k = 0;
   for (uint32_t q = 0; q < estimate.num_qi(); ++q) {
-    const double best = eval.best_guess[q];
-    metrics.max_disclosure = std::max(metrics.max_disclosure, best);
-    metrics.expected_best_guess += estimate.ProbQ(q) * best;
-    metrics.min_effective_candidates = std::min(
-        metrics.min_effective_candidates, eval.effective_candidates[q]);
+    RowEvaluation e;
+    if (k < overridden.size() && overridden[k] == q) {
+      e = changed[k++];
+    } else {
+      e = {base_eval.kl[q], base_eval.best_guess[q],
+           base_eval.effective_candidates[q]};
+    }
+    const double pq = truth.ProbQ(q);
+    if (pq > 0.0) *accuracy += pq * e.kl;
+    metrics->max_disclosure = std::max(metrics->max_disclosure, e.best_guess);
+    metrics->expected_best_guess += estimate.ProbQ(q) * e.best_guess;
+    metrics->min_effective_candidates =
+        std::min(metrics->min_effective_candidates, e.effective_candidates);
   }
-  return metrics;
 }
 
 }  // namespace pme::core

@@ -4,7 +4,9 @@
 #ifndef PME_CORE_POSTERIOR_H_
 #define PME_CORE_POSTERIOR_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
@@ -15,6 +17,12 @@ namespace pme::core {
 /// The adversary's posterior P*(SA | QI): the end product of
 /// Privacy-MaxEnt and the input to every privacy metric (Section 3.1:
 /// P(S|Q) = Σ_B P(Q,S,B) / P(Q)).
+///
+/// Either dense (one row per QI instance) or an overlay: a shared dense
+/// base with a few rows replaced. A request whose knowledge moves only
+/// some buckets off the closed-form prior overrides just the rows of
+/// those buckets' QI instances and reads every other row through to the
+/// prior posterior — the read API is the same for both.
 class PosteriorTable {
  public:
   /// Derives P*(s | q) from a MaxEnt joint solution `p` over `index`.
@@ -26,13 +34,17 @@ class PosteriorTable {
   /// (evaluation only — an adversary cannot compute this).
   static PosteriorTable GroundTruth(const anonymize::BucketizedTable& table);
 
+  /// An overlay of the dense `base` (kept alive by the overlay) that
+  /// replaces rows `qs` (strictly ascending); each must then be set
+  /// through RecomputeRow.
+  static PosteriorTable Overlay(std::shared_ptr<const PosteriorTable> base,
+                                std::vector<uint32_t> qs);
+
   uint32_t num_qi() const { return num_qi_; }
   uint32_t num_sa() const { return num_sa_; }
 
   /// P*(s | q).
-  double Conditional(uint32_t q, uint32_t s) const {
-    return rows_[q * num_sa_ + s];
-  }
+  double Conditional(uint32_t q, uint32_t s) const { return RowData(q)[s]; }
 
   /// The conditional distribution over all SA instances for one q.
   std::vector<double> Row(uint32_t q) const;
@@ -40,26 +52,64 @@ class PosteriorTable {
   /// Borrowed view of Row(q) (num_sa() doubles) — the hot evaluation
   /// loops (accuracy, metrics) read every row and must not allocate one
   /// copy per q.
-  const double* RowData(uint32_t q) const { return rows_.data() + q * num_sa_; }
+  const double* RowData(uint32_t q) const {
+    if (base_ == nullptr) {
+      return rows_.data() + static_cast<size_t>(q) * num_sa_;
+    }
+    const size_t slot = Slot(q);
+    return slot < overridden_.size() ? rows_.data() + slot * num_sa_
+                                     : base_->RowData(q);
+  }
 
   /// The q-marginal P(q) used for weighting.
-  double ProbQ(uint32_t q) const { return prob_q_[q]; }
+  double ProbQ(uint32_t q) const {
+    return base_ == nullptr ? prob_q_[q] : base_->ProbQ(q);
+  }
 
-  /// Recomputes row q in place from a full joint solution: `vars` are
-  /// exactly q's variable ids in ascending order (the artifact's per-q
-  /// index). Identical arithmetic to FromSolution for that row —
-  /// accumulate contributions in var order, then divide by P(q) — so an
-  /// incremental re-evaluation that recomputes only the knowledge-
-  /// touched rows reproduces the full rebuild bit for bit.
+  /// The rows an overlay replaces, ascending; empty for a dense table.
+  const std::vector<uint32_t>& overridden_rows() const { return overridden_; }
+
+  /// Recomputes row q in place from a joint solution readable as `p[var]`
+  /// (a full vector, or a maxent::JointView): `vars` are exactly q's
+  /// variable ids in ascending order (the artifact's per-q index).
+  /// Identical arithmetic to FromSolution for that row — accumulate
+  /// contributions in var order, then divide by P(q) — so recomputing
+  /// only the knowledge-touched rows reproduces the full rebuild bit for
+  /// bit. On an overlay, q must be one of overridden_rows().
+  template <typename Joint>
   void RecomputeRow(uint32_t q, const uint32_t* vars, size_t n,
-                    const constraints::TermIndex& index,
-                    const std::vector<double>& p);
+                    const constraints::TermIndex& index, const Joint& p) {
+    double* row = MutableRow(q);
+    std::fill(row, row + num_sa_, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      row[index.TermOf(vars[i]).sa] += p[vars[i]];
+    }
+    const double pq = ProbQ(q);
+    if (pq <= 0.0) return;
+    for (uint32_t s = 0; s < num_sa_; ++s) row[s] /= pq;
+  }
 
  private:
+  double* MutableRow(uint32_t q) {
+    return rows_.data() + (base_ == nullptr ? q : Slot(q)) * num_sa_;
+  }
+
+  /// Overlay slot of q, or overridden_.size() when q reads the base.
+  size_t Slot(uint32_t q) const {
+    const auto it =
+        std::lower_bound(overridden_.begin(), overridden_.end(), q);
+    return it != overridden_.end() && *it == q
+               ? static_cast<size_t>(it - overridden_.begin())
+               : overridden_.size();
+  }
+
   uint32_t num_qi_ = 0;
   uint32_t num_sa_ = 0;
-  std::vector<double> rows_;    // row-major num_qi x num_sa
-  std::vector<double> prob_q_;  // P(q)
+  // Dense: row-major num_qi x num_sa. Overlay: one row per overridden q.
+  std::vector<double> rows_;
+  std::vector<double> prob_q_;  // P(q); dense only
+  std::shared_ptr<const PosteriorTable> base_;
+  std::vector<uint32_t> overridden_;
 };
 
 /// The paper's evaluation measure (Section 7.1): the weighted
@@ -90,11 +140,7 @@ struct PrivacyMetrics {
 
 PrivacyMetrics ComputePrivacyMetrics(const PosteriorTable& posterior);
 
-/// Per-q slices of the two evaluations above, cached so a request that
-/// perturbs only a few posterior rows (the artifact-serving path: only
-/// knowledge-coupled buckets move off the prior) re-derives just those
-/// entries and re-aggregates — O(touched rows + num_qi) instead of a
-/// log/exp pass over every cell.
+/// Per-q slices of the two evaluations above.
 struct PerQEvaluation {
   std::vector<double> kl;  ///< KL(truth_q ‖ estimate_q); 0 where P(q)=0
   std::vector<double> best_guess;             ///< max_s P*(s | q)
@@ -106,18 +152,16 @@ struct PerQEvaluation {
 PerQEvaluation EvaluatePerQ(const PosteriorTable& truth,
                             const PosteriorTable& estimate);
 
-/// Re-derives one q's slice after its estimate row changed.
-void ReevaluateQ(const PosteriorTable& truth, const PosteriorTable& estimate,
-                 uint32_t q, PerQEvaluation* eval);
-
-/// Aggregations over the per-q slices. Iteration order and floating-
-/// point operation order match the full EstimationAccuracy /
-/// ComputePrivacyMetrics loops, so (full evaluation, aggregate) and the
-/// direct computation agree bit for bit.
-double AccuracyFromPerQ(const PosteriorTable& truth,
-                        const PerQEvaluation& eval);
-PrivacyMetrics MetricsFromPerQ(const PosteriorTable& estimate,
-                               const PerQEvaluation& eval);
+/// EstimationAccuracy and ComputePrivacyMetrics of an overlay `estimate`
+/// whose base evaluates to `base_eval` (EvaluatePerQ against `truth`):
+/// re-derives the slices of the overridden rows only, then folds once
+/// over q in the order the full evaluations use — so both results equal
+/// theirs on the dense table bit for bit, at O(overridden rows + num_qi)
+/// instead of a log/exp pass over every cell.
+void EvaluateOverlay(const PosteriorTable& truth,
+                     const PosteriorTable& estimate,
+                     const PerQEvaluation& base_eval, double* accuracy,
+                     PrivacyMetrics* metrics);
 
 }  // namespace pme::core
 

@@ -114,10 +114,11 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
   std::vector<Risk> risks;
   size_t certain_links = 0;
   for (uint32_t q = 0; q < analysis.posterior.num_qi(); ++q) {
+    const double* row = analysis.posterior.RowData(q);
     double best = 0.0;
     uint32_t best_s = 0;
     for (uint32_t s = 0; s < analysis.posterior.num_sa(); ++s) {
-      const double p = analysis.posterior.Conditional(q, s);
+      const double p = row[s];
       if (p >= options.disclosure_threshold) ++certain_links;
       if (p > best) {
         best = p;
@@ -149,9 +150,10 @@ std::string PosteriorToCsv(const anonymize::BucketizedTable& table,
   std::ostringstream out;
   out << "qi,sa,posterior\n";
   for (uint32_t q = 0; q < analysis.posterior.num_qi(); ++q) {
+    const double* row = analysis.posterior.RowData(q);
     for (uint32_t s = 0; s < analysis.posterior.num_sa(); ++s) {
       out << table.QiName(q) << "," << table.SaName(s) << ","
-          << FormatDouble(analysis.posterior.Conditional(q, s)) << "\n";
+          << FormatDouble(row[s]) << "\n";
     }
   }
   return out.str();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/math_util.h"
-#include "constraints/system.h"
 #include "maxent/closed_form.h"
 
 namespace pme::core {
@@ -52,22 +51,12 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
       constraints::TermIndex::Build(*artifact->table_, options.threads);
   artifact->invariants_ = constraints::GenerateInvariants(
       *artifact->table_, artifact->index_, options.invariant_options);
-  // Invariants-only partition (trivially one uncoupled component per
-  // bucket — invariants never span buckets); built through the same
-  // code path as a full analysis so the numbering invariants match.
-  {
-    constraints::ConstraintSystem system(artifact->index_.num_variables());
-    system.AddAll(artifact->invariants_);
-    artifact->base_components_ =
-        constraints::ComponentAnalysis::Build(artifact->index_, system);
-  }
-  // Row-to-bucket routing (invariant rows never span buckets), so
-  // sessions can gather only the knowledge-coupled slice per request.
-  artifact->invariant_row_bucket_.reserve(artifact->invariants_.size());
-  for (const auto& row : artifact->invariants_) {
-    artifact->invariant_row_bucket_.push_back(
-        row.vars.empty() ? UINT32_MAX
-                         : artifact->index_.TermOf(row.vars[0]).bucket);
+  PME_ASSIGN_OR_RETURN(artifact->invariant_rows_by_bucket_,
+                       maxent::BucketRowIndex::Build(artifact->index_,
+                                                     artifact->invariants_));
+  if (artifact->qi_encoder_ != nullptr) {
+    artifact->qi_postings_ =
+        constraints::QiPostings::Build(*artifact->qi_encoder_);
   }
   artifact->ground_truth_ = PosteriorTable::GroundTruth(*artifact->table_);
   artifact->closed_form_prior_ =
@@ -77,29 +66,18 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
       *artifact->table_, artifact->index_, artifact->closed_form_prior_);
   artifact->prior_evaluation_ =
       EvaluatePerQ(artifact->ground_truth_, artifact->prior_posterior_);
-  // Bucket-major variable ranges and the per-q CSR: the row-level
-  // addressing the incremental re-evaluation needs.
+  // The per-q CSR over variables: the row-level addressing the overlay
+  // evaluation needs.
   {
     const constraints::TermIndex& index = artifact->index_;
     const uint32_t num_vars = index.num_variables();
-    const uint32_t num_buckets = artifact->table_->num_buckets();
     const uint32_t num_qi = artifact->table_->num_qi_values();
-    std::vector<uint32_t> bucket_count(num_buckets, 0);
-    std::vector<uint32_t> q_count(num_qi, 0);
-    for (uint32_t var = 0; var < num_vars; ++var) {
-      const auto& term = index.TermOf(var);
-      ++bucket_count[term.bucket];
-      ++q_count[term.qi];
-    }
-    artifact->bucket_var_begin_.assign(num_buckets + 1, 0);
-    for (uint32_t b = 0; b < num_buckets; ++b) {
-      artifact->bucket_var_begin_[b + 1] =
-          artifact->bucket_var_begin_[b] + bucket_count[b];
-    }
     artifact->q_var_offsets_.assign(num_qi + 1, 0);
+    for (uint32_t var = 0; var < num_vars; ++var) {
+      ++artifact->q_var_offsets_[index.TermOf(var).qi + 1];
+    }
     for (uint32_t q = 0; q < num_qi; ++q) {
-      artifact->q_var_offsets_[q + 1] = artifact->q_var_offsets_[q] +
-                                        q_count[q];
+      artifact->q_var_offsets_[q + 1] += artifact->q_var_offsets_[q];
     }
     artifact->q_vars_.resize(num_vars);
     std::vector<uint32_t> cursor(artifact->q_var_offsets_.begin(),

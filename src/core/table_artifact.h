@@ -10,11 +10,12 @@
 #include "anonymize/bucketized_table.h"
 #include "common/hash.h"
 #include "common/status.h"
-#include "constraints/component_analysis.h"
+#include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "data/dataset.h"
+#include "maxent/block_plan.h"
 
 namespace pme::core {
 
@@ -36,10 +37,12 @@ struct TableArtifactOptions {
 ///   - the published BucketizedTable (and its QI tuple encoder, when the
 ///     table came from a concrete dataset),
 ///   - the TermIndex materializing the variable space,
-///   - the compiled invariant constraint rows (Section 5),
-///   - the invariants-only ComponentAnalysis (trivially one uncoupled
-///     component per bucket — invariants never couple buckets — which
-///     AnalysisSession extends with each request's knowledge rows),
+///   - the compiled invariant constraint rows (Section 5), indexed by
+///     the one bucket each row lives in,
+///   - posting lists over the interned QI tuples, for matching a
+///     statement's Qv without scanning every tuple,
+///   - the Theorem-5 closed-form prior, its posterior and their per-q
+///     evaluation, which every request overlays with its coupled blocks,
 ///   - a content hash, used as the SolutionCache namespace so one cache
 ///     can serve many artifacts without cross-table collisions.
 ///
@@ -71,24 +74,19 @@ class TableArtifact {
   const std::vector<constraints::LinearConstraint>& invariants() const {
     return invariants_;
   }
-  /// Invariants-only partition; extend with a request's knowledge rows
-  /// via constraints::ComponentAnalysis::Extend.
-  const constraints::ComponentAnalysis& base_components() const {
-    return base_components_;
+  /// Invariant rows by bucket (invariant rows never span buckets): a
+  /// request gathers the rows of its coupled buckets from here.
+  const maxent::BucketRowIndex& invariant_rows_by_bucket() const {
+    return invariant_rows_by_bucket_;
   }
-  /// Bucket of each invariant row (aligned with invariants()); invariant
-  /// rows never span buckets, so a session can gather just the rows of
-  /// knowledge-coupled buckets instead of copying the whole table side
-  /// per request. UINT32_MAX for a (degenerate) row with no support.
-  const std::vector<uint32_t>& invariant_row_bucket() const {
-    return invariant_row_bucket_;
-  }
+  /// Posting lists over qi_encoder()'s tuples; empty without an encoder.
+  const constraints::QiPostings& qi_postings() const { return qi_postings_; }
   /// Precomputed per-bucket empirical conditional P(S | Q) — knowledge-
   /// independent, so requests share one copy instead of rebuilding it.
   const PosteriorTable& ground_truth() const { return ground_truth_; }
   /// Precomputed Theorem-5 closed-form joint (the no-knowledge MaxEnt
-  /// solution); sessions hand it to SolveDecomposed so each request
-  /// copies instead of re-deriving it.
+  /// solution). A request's decomposed solve returns only its coupled
+  /// blocks' values; every other variable reads through to this.
   const std::vector<double>& closed_form_prior() const {
     return closed_form_prior_;
   }
@@ -99,15 +97,10 @@ class TableArtifact {
   }
   /// Posterior P*(S | Q) of the closed-form prior, plus its per-q
   /// evaluation slices against ground_truth(). A request whose solve
-  /// moved only the knowledge-coupled buckets off the prior re-derives
-  /// just those rows (see AnalysisSession).
+  /// moved only the knowledge-coupled buckets off the prior overlays
+  /// just those rows on these (see AnalysisSession).
   const PosteriorTable& prior_posterior() const { return prior_posterior_; }
   const PerQEvaluation& prior_evaluation() const { return prior_evaluation_; }
-  /// Variable-id range [bucket_var_begin()[b], bucket_var_begin()[b+1])
-  /// of bucket b — TermIndex numbers variables bucket-major.
-  const std::vector<uint32_t>& bucket_var_begin() const {
-    return bucket_var_begin_;
-  }
   /// CSR over q: ascending variable ids of QI value q are
   /// q_vars()[q_var_offsets()[q] ... q_var_offsets()[q+1]).
   const std::vector<uint32_t>& q_var_offsets() const {
@@ -130,14 +123,13 @@ class TableArtifact {
   std::shared_ptr<const data::TupleEncoder> qi_encoder_;
   constraints::TermIndex index_;
   std::vector<constraints::LinearConstraint> invariants_;
-  constraints::ComponentAnalysis base_components_;
-  std::vector<uint32_t> invariant_row_bucket_;
+  maxent::BucketRowIndex invariant_rows_by_bucket_;
+  constraints::QiPostings qi_postings_;
   PosteriorTable ground_truth_;
   std::vector<double> closed_form_prior_;
   double closed_form_prior_entropy_ = 0.0;
   PosteriorTable prior_posterior_;
   PerQEvaluation prior_evaluation_;
-  std::vector<uint32_t> bucket_var_begin_;
   std::vector<uint32_t> q_var_offsets_;
   std::vector<uint32_t> q_vars_;
   TableArtifactOptions options_;

@@ -13,10 +13,14 @@ Result<SparseMatrix> SparseMatrix::BuildCsr(size_t rows, size_t cols,
       return Status::InvalidArgument("triplet index out of bounds");
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  // Callers that append rows with ascending columns (block assembly)
+  // skip the sort.
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  if (!std::is_sorted(triplets.begin(), triplets.end(), before)) {
+    std::sort(triplets.begin(), triplets.end(), before);
+  }
 
   SparseMatrix m;
   m.rows_ = rows;
@@ -204,78 +208,6 @@ std::vector<std::vector<double>> SparseMatrix::ToDense() const {
     }
   }
   return dense;
-}
-
-Result<SparseMatrix> SparseMatrix::Submatrix(
-    const std::vector<uint32_t>& row_ids,
-    const std::vector<uint32_t>& col_ids) const {
-  // Direct CSR construction: the source rows already carry unique column
-  // indices, so the slice needs no triplet staging, no dedupe pass, and
-  // no global sort — only a per-row ordering fix when the requested
-  // column permutation is non-monotonic. All scratch and the result's
-  // CSR arrays come from the ambient arena inside a block-solve scope.
-  ScratchVector<int64_t> col_map(cols_, -1);
-  for (size_t j = 0; j < col_ids.size(); ++j) {
-    if (col_ids[j] >= cols_) {
-      return Status::InvalidArgument("submatrix column out of bounds");
-    }
-    col_map[col_ids[j]] = static_cast<int64_t>(j);
-  }
-  for (const uint32_t r : row_ids) {
-    if (r >= rows_) {
-      return Status::InvalidArgument("submatrix row out of bounds");
-    }
-  }
-
-  SparseMatrix m;
-  m.rows_ = row_ids.size();
-  m.cols_ = col_ids.size();
-  m.row_offsets_.assign(row_ids.size() + 1, 0);
-
-  size_t nnz = 0;
-  for (size_t i = 0; i < row_ids.size(); ++i) {
-    const uint32_t r = row_ids[i];
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      if (col_map[col_indices_[k]] >= 0) ++nnz;
-    }
-    m.row_offsets_[i + 1] = nnz;
-  }
-
-  m.col_indices_.resize(nnz);
-  m.values_.resize(nnz);
-  for (size_t i = 0; i < row_ids.size(); ++i) {
-    const uint32_t r = row_ids[i];
-    const size_t begin = m.row_offsets_[i];
-    size_t out = begin;
-    bool sorted = true;
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const int64_t c = col_map[col_indices_[k]];
-      if (c < 0) continue;
-      if (out > begin && m.col_indices_[out - 1] > static_cast<uint32_t>(c)) {
-        sorted = false;
-      }
-      m.col_indices_[out] = static_cast<uint32_t>(c);
-      m.values_[out] = values_[k];
-      ++out;
-    }
-    if (!sorted) {
-      // Rare (the permutation reordered this row): rows are short, so an
-      // insertion sort over the paired arrays beats staging pair objects.
-      for (size_t a = begin + 1; a < out; ++a) {
-        const uint32_t ca = m.col_indices_[a];
-        const double va = m.values_[a];
-        size_t b = a;
-        while (b > begin && m.col_indices_[b - 1] > ca) {
-          m.col_indices_[b] = m.col_indices_[b - 1];
-          m.values_[b] = m.values_[b - 1];
-          --b;
-        }
-        m.col_indices_[b] = ca;
-        m.values_[b] = va;
-      }
-    }
-  }
-  return m;
 }
 
 size_t SparseMatrixBuilder::BeginRow() {

@@ -77,12 +77,6 @@ class SparseMatrix {
   /// Dense copy (testing / small-problem Newton solver).
   std::vector<std::vector<double>> ToDense() const;
 
-  /// Extracts a submatrix containing the given rows and columns, in the
-  /// given order. Indices must be in range and (for columns) the mapping
-  /// is positional: new column j corresponds to `col_ids[j]`.
-  Result<SparseMatrix> Submatrix(const std::vector<uint32_t>& row_ids,
-                                 const std::vector<uint32_t>& col_ids) const;
-
   /// CSR internals, exposed read-only for kernels that fuse operations
   /// (e.g. the dual objective computes exp(A^T lambda) in one pass).
   const ScratchVector<size_t>& row_offsets() const { return row_offsets_; }
@@ -99,7 +93,7 @@ class SparseMatrix {
   size_t rows_ = 0;
   size_t cols_ = 0;
   // Arena-aware storage: a matrix assembled inside an ArenaScope (the
-  // per-block Submatrix slices and presolve-reduced systems of
+  // per-block problems and presolve-reduced systems of
   // SolveDecomposed) bump-allocates and must not outlive its scope; one
   // built outside any scope is an ordinary heap matrix.
   ScratchVector<size_t> row_offsets_;    // size rows_+1

@@ -1,0 +1,330 @@
+#include "maxent/block_plan.h"
+
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+
+#include "constraints/component_analysis.h"
+
+namespace pme::maxent {
+
+using constraints::ConstraintSource;
+using constraints::LinearConstraint;
+using constraints::Relation;
+
+namespace {
+
+bool IsInvariant(const LinearConstraint& c) {
+  return c.source == ConstraintSource::kQiInvariant ||
+         c.source == ConstraintSource::kSaInvariant;
+}
+
+/// The cache key of one block: its content digest plus the solve knobs
+/// that change the answer (tolerance, presolve). Two analyses asking for
+/// different precision must not serve each other's solutions.
+Hash128 MakeExactKey(const Hash128& rows_hash, const SolverOptions& options) {
+  Hasher128 h;
+  h.Update(std::string_view("pme.cachekey.v2"));
+  h.Update(options.cache_namespace);
+  h.Update(rows_hash);
+  h.Update(options.tolerance);
+  h.Update(static_cast<uint64_t>(options.presolve ? 1 : 0));
+  return h.Finish();
+}
+
+/// The structure (warm-start) key of one block: its variable digest
+/// under the caller's cache namespace, so two artifacts sharing one
+/// cache keep disjoint warm-start spaces too.
+Hash128 MakeVarsKey(const Hash128& vars_hash, const SolverOptions& options) {
+  Hasher128 h;
+  h.Update(std::string_view("pme.varskey.v1"));
+  h.Update(options.cache_namespace);
+  h.Update(vars_hash);
+  return h.Finish();
+}
+
+/// Builds a warm-start vector in the block's original stacked row space
+/// from a cached entry: rows are matched by content signature (equality
+/// and inequality rows separately — their multipliers live in different
+/// sign regimes); unmatched rows — the toggled/edited statements — start
+/// at 0. Returns an empty vector when nothing matched (a zero vector is
+/// the cold start; passing it would only pretend to be warm).
+std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
+                                   const PlanBlock& block) {
+  std::unordered_map<Hash128, double, Hash128Hasher> eq_lambda;
+  std::unordered_map<Hash128, double, Hash128Hasher> ineq_lambda;
+  if (cached.lambda_full.size() !=
+      cached.eq_row_sigs.size() + cached.ineq_row_sigs.size()) {
+    return {};
+  }
+  for (size_t j = 0; j < cached.eq_row_sigs.size(); ++j) {
+    eq_lambda.emplace(cached.eq_row_sigs[j], cached.lambda_full[j]);
+  }
+  for (size_t j = 0; j < cached.ineq_row_sigs.size(); ++j) {
+    ineq_lambda.emplace(cached.ineq_row_sigs[j],
+                        cached.lambda_full[cached.eq_row_sigs.size() + j]);
+  }
+  std::vector<double> warm(block.eq_rows.size() + block.ineq_rows.size(),
+                           0.0);
+  size_t matched = 0;
+  for (size_t j = 0; j < block.eq_row_sigs.size(); ++j) {
+    auto it = eq_lambda.find(block.eq_row_sigs[j]);
+    if (it != eq_lambda.end()) {
+      warm[j] = it->second;
+      ++matched;
+    }
+  }
+  for (size_t j = 0; j < block.ineq_row_sigs.size(); ++j) {
+    auto it = ineq_lambda.find(block.ineq_row_sigs[j]);
+    if (it != ineq_lambda.end()) {
+      warm[block.eq_rows.size() + j] = it->second;
+      ++matched;
+    }
+  }
+  if (matched == 0) return {};
+  return warm;
+}
+
+}  // namespace
+
+Result<BucketRowIndex> BucketRowIndex::Build(
+    const constraints::TermIndex& index,
+    const std::vector<LinearConstraint>& rows) {
+  BucketRowIndex out;
+  out.offsets.assign(index.num_buckets() + 1, 0);
+  int64_t previous = 0;
+  for (const LinearConstraint& c : rows) {
+    int64_t bucket = -1;
+    std::pair<uint32_t, uint32_t> range;  // the bucket's variables
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      if (bucket < 0) {
+        bucket = index.TermOf(c.vars[i]).bucket;
+        range = index.BucketRange(static_cast<uint32_t>(bucket));
+      } else if (c.vars[i] < range.first || c.vars[i] >= range.second) {
+        return Status::InvalidArgument("table row '" + c.label +
+                                       "' spans more than one bucket");
+      }
+    }
+    if (bucket < 0) {
+      return Status::InvalidArgument("table row '" + c.label +
+                                     "' has no supported variable");
+    }
+    if (bucket < previous) {
+      return Status::InvalidArgument("table row '" + c.label +
+                                     "' is out of bucket order");
+    }
+    previous = bucket;
+    ++out.offsets[static_cast<size_t>(bucket) + 1];
+  }
+  for (size_t b = 0; b < index.num_buckets(); ++b) {
+    out.offsets[b + 1] += out.offsets[b];
+  }
+  return out;
+}
+
+BlockPlan BlockPlan::Build(
+    const constraints::TermIndex& index,
+    const std::vector<LinearConstraint>* table_rows,
+    const BucketRowIndex* bucket_rows,
+    const std::vector<LinearConstraint>& request_rows,
+    double monolithic_fraction) {
+  BlockPlan plan;
+  plan.index_ = &index;
+
+  // The buckets the request rows touch, ascending; local id = position.
+  std::vector<uint32_t> touched;
+  for (const LinearConstraint& c : request_rows) {
+    uint32_t last = UINT32_MAX;
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      const uint32_t b = index.TermOf(c.vars[i]).bucket;
+      if (b != last) touched.push_back(last = b);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const auto local_of = [&](uint32_t bucket) {
+    return static_cast<uint32_t>(
+        std::lower_bound(touched.begin(), touched.end(), bucket) -
+        touched.begin());
+  };
+
+  // Union every bucket a row supports into one component. Rows beyond
+  // the structural invariants (knowledge, but also ad-hoc rows)
+  // invalidate the closed form for their component.
+  constraints::UnionFind uf(touched.size());
+  std::vector<uint8_t> coupled(touched.size(), 0);
+  for (const LinearConstraint& c : request_rows) {
+    const bool knowledge = !IsInvariant(c);
+    int64_t first = -1;
+    uint32_t last_bucket = UINT32_MAX;
+    uint32_t last_local = 0;
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      const uint32_t b = index.TermOf(c.vars[i]).bucket;
+      if (b != last_bucket) {
+        last_bucket = b;
+        last_local = local_of(b);
+      }
+      if (knowledge) coupled[last_local] = 1;
+      if (first < 0) {
+        first = last_local;
+      } else {
+        uf.Union(static_cast<uint32_t>(first), last_local);
+      }
+    }
+  }
+
+  // Blocks open at the first (smallest) bucket of each coupled component.
+  std::vector<uint8_t> root_coupled(touched.size(), 0);
+  for (uint32_t l = 0; l < touched.size(); ++l) {
+    if (coupled[l]) root_coupled[uf.Find(l)] = 1;
+  }
+  std::vector<uint32_t> block_of_root(touched.size(), UINT32_MAX);
+  std::vector<size_t> block_vars;
+  size_t touched_components = 0;
+  for (uint32_t l = 0; l < touched.size(); ++l) {
+    const uint32_t root = uf.Find(l);
+    if (root == l) ++touched_components;
+    if (!root_coupled[root]) continue;
+    if (block_of_root[root] == UINT32_MAX) {
+      block_of_root[root] = static_cast<uint32_t>(plan.blocks_.size());
+      plan.blocks_.emplace_back();
+      block_vars.push_back(0);
+    }
+    plan.blocks_[block_of_root[root]].buckets.push_back(touched[l]);
+    const auto [first, last] = index.BucketRange(touched[l]);
+    block_vars[block_of_root[root]] += last - first;
+  }
+  plan.num_components_ =
+      index.num_buckets() - touched.size() + touched_components;
+  const size_t largest =
+      block_vars.empty() ? 0
+                         : *std::max_element(block_vars.begin(),
+                                             block_vars.end());
+  const size_t total = index.num_variables();
+  plan.monolithic_ = total > 0 && static_cast<double>(largest) >
+                                      monolithic_fraction *
+                                          static_cast<double>(total);
+  if (plan.monolithic_) return plan;
+
+  // Columns: each block's bucket ranges, concatenated.
+  for (uint32_t l = 0; l < touched.size(); ++l) {
+    const uint32_t block_id = block_of_root[uf.Find(l)];
+    if (block_id == UINT32_MAX) continue;
+    PlanBlock& block = plan.blocks_[block_id];
+    plan.coupled_buckets_.push_back(touched[l]);
+    plan.coupled_block_.push_back(block_id);
+    plan.coupled_col_.push_back(static_cast<uint32_t>(block.cols.size()));
+    const auto [first, last] = index.BucketRange(touched[l]);
+    for (uint32_t v = first; v < last; ++v) block.cols.push_back(v);
+  }
+
+  // Table rows of each block's buckets, in table order (ascending
+  // buckets hold ascending rows).
+  if (table_rows != nullptr) {
+    for (PlanBlock& block : plan.blocks_) {
+      for (const uint32_t b : block.buckets) {
+        for (uint32_t r = bucket_rows->offsets[b];
+             r < bucket_rows->offsets[b + 1]; ++r) {
+          const LinearConstraint& c = (*table_rows)[r];
+          (c.rel == Relation::kEq ? block.eq_rows : block.ineq_rows)
+              .push_back(&c);
+        }
+      }
+    }
+  }
+  // Request rows join the block of their first supported variable.
+  for (const LinearConstraint& c : request_rows) {
+    const auto it = std::find_if(c.coefs.begin(), c.coefs.end(),
+                                 [](double v) { return v != 0.0; });
+    if (it == c.coefs.end()) {
+      plan.unsupported_rows_.push_back(&c);
+      continue;
+    }
+    const uint32_t var = c.vars[static_cast<size_t>(it - c.coefs.begin())];
+    const uint32_t root = uf.Find(local_of(index.TermOf(var).bucket));
+    if (block_of_root[root] == UINT32_MAX) continue;  // closed form exact
+    PlanBlock& block = plan.blocks_[block_of_root[root]];
+    (c.rel == Relation::kEq ? block.eq_rows : block.ineq_rows).push_back(&c);
+  }
+  return plan;
+}
+
+void BlockPlan::ConsultCache(const SolverOptions& options) {
+  SolutionCache* const cache = options.solution_cache;
+  if (cache == nullptr || options.cache_mode == CacheMode::kOff ||
+      monolithic_) {
+    return;
+  }
+  cache_enabled_ = true;
+  std::vector<Hash128> sorted;
+  for (PlanBlock& block : blocks_) {
+    block.eq_row_sigs.reserve(block.eq_rows.size());
+    for (const LinearConstraint* c : block.eq_rows) {
+      block.eq_row_sigs.push_back(constraints::ConstraintRowSignature(*c));
+    }
+    block.ineq_row_sigs.reserve(block.ineq_rows.size());
+    for (const LinearConstraint* c : block.ineq_rows) {
+      block.ineq_row_sigs.push_back(constraints::ConstraintRowSignature(*c));
+    }
+
+    Hasher128 vars;
+    vars.Update(std::string_view("pme.vars.v1"));
+    vars.Update(static_cast<uint64_t>(index_->num_variables()));
+    vars.Update(static_cast<uint64_t>(index_->num_buckets()));
+    vars.Update(static_cast<uint64_t>(block.buckets.size()));
+    for (const uint32_t b : block.buckets) {
+      const auto [first, last] = index_->BucketRange(b);
+      vars.Update(b);
+      vars.Update(static_cast<uint64_t>(last - first));
+    }
+    block.vars_hash = vars.Finish();
+
+    // Sorted so the digest is independent of row order, which the
+    // solution is too.
+    sorted.assign(block.eq_row_sigs.begin(), block.eq_row_sigs.end());
+    sorted.insert(sorted.end(), block.ineq_row_sigs.begin(),
+                  block.ineq_row_sigs.end());
+    std::sort(sorted.begin(), sorted.end());
+    Hasher128 rows;
+    rows.Update(std::string_view("pme.rows.v1"));
+    rows.Update(block.vars_hash);
+    rows.Update(static_cast<uint64_t>(sorted.size()));
+    for (const Hash128& sig : sorted) rows.Update(sig);
+    block.rows_hash = rows.Finish();
+
+    block.exact_key = MakeExactKey(block.rows_hash, options);
+    block.vars_key = MakeVarsKey(block.vars_hash, options);
+    auto hit = cache->FindExact(block.exact_key);
+    if (hit != nullptr && hit->p.size() == block.cols.size()) {
+      block.cached = std::move(hit);
+      ++cache_exact_hits_;
+      continue;
+    }
+    ++cache_misses_;
+    if (options.cache_mode == CacheMode::kWarm) {
+      auto warm = cache->FindWarm(block.vars_key);
+      if (warm != nullptr) {
+        block.warm_start = BuildWarmStart(*warm, block);
+        if (!block.warm_start.empty()) ++cache_warm_hits_;
+      }
+    }
+  }
+}
+
+bool BlockPlan::LocateBucket(uint32_t bucket, uint32_t* block,
+                             uint32_t* col) const {
+  const auto it = std::lower_bound(coupled_buckets_.begin(),
+                                   coupled_buckets_.end(), bucket);
+  if (it == coupled_buckets_.end() || *it != bucket) return false;
+  const size_t k = static_cast<size_t>(it - coupled_buckets_.begin());
+  *block = coupled_block_[k];
+  *col = coupled_col_[k];
+  return true;
+}
+
+}  // namespace pme::maxent

@@ -2,130 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
-#include "common/hash.h"
 #include "common/math_util.h"
 #include "common/metrics.h"
-#include "common/vec_math.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "common/vec_math.h"
 #include "maxent/closed_form.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
 
 namespace pme::maxent {
 
-using constraints::ComponentAnalysis;
-
-DecompositionStats AnalyzeDecomposition(
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
-    const constraints::ComponentAnalysis* precomputed) {
-  DecompositionStats stats;
-  stats.total_variables = index.num_variables();
-  std::optional<ComponentAnalysis> local;
-  if (precomputed == nullptr) local = ComponentAnalysis::Build(index, system);
-  const ComponentAnalysis& analysis = precomputed ? *precomputed : *local;
-  stats.num_components = analysis.num_components();
-  stats.num_coupled_components = analysis.num_coupled();
-  for (const auto& comp : analysis.components()) {
-    if (comp.coupled) {
-      stats.relevant_buckets += comp.buckets.size();
-      stats.relevant_variables += comp.num_variables;
-      stats.coupled_component_variables.push_back(comp.num_variables);
-    } else {
-      stats.irrelevant_buckets += comp.buckets.size();
-    }
-  }
-  return stats;
-}
+using constraints::LinearConstraint;
+using constraints::Relation;
 
 namespace {
-
-/// The row/column selection of one coupled component's block.
-struct BlockSelection {
-  std::vector<uint32_t> cols;       // full-space variable ids, ascending
-  std::vector<uint32_t> eq_rows;    // rows of the full eq matrix
-  std::vector<uint32_t> ineq_rows;  // rows of the full ineq matrix
-  // Per-row content signatures aligned with eq_rows / ineq_rows; only
-  // collected when a solution cache is consulted.
-  std::vector<Hash128> eq_row_sigs;
-  std::vector<Hash128> ineq_row_sigs;
-};
-
-/// The cache key of one block: its content digest plus the solve knobs
-/// that change the answer (tolerance, presolve). Two analyses asking for
-/// different precision must not serve each other's solutions.
-Hash128 MakeExactKey(const Hash128& rows_hash, const SolverOptions& options) {
-  Hasher128 h;
-  h.Update(std::string_view("pme.cachekey.v2"));
-  h.Update(options.cache_namespace);
-  h.Update(rows_hash);
-  h.Update(options.tolerance);
-  h.Update(static_cast<uint64_t>(options.presolve ? 1 : 0));
-  return h.Finish();
-}
-
-/// The structure (warm-start) key of one block: its variable digest
-/// under the caller's cache namespace, so two artifacts sharing one
-/// cache keep disjoint warm-start spaces too.
-Hash128 MakeVarsKey(const Hash128& vars_hash, const SolverOptions& options) {
-  Hasher128 h;
-  h.Update(std::string_view("pme.varskey.v1"));
-  h.Update(options.cache_namespace);
-  h.Update(vars_hash);
-  return h.Finish();
-}
-
-/// Builds a warm-start vector in the block's original stacked row space
-/// from a cached entry: rows are matched by content signature (equality
-/// and inequality rows separately — their multipliers live in different
-/// sign regimes); unmatched rows — the toggled/edited statements — start
-/// at 0. Returns an empty vector when nothing matched (a zero vector is
-/// the cold start; passing it would only pretend to be warm).
-std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
-                                   const BlockSelection& sel) {
-  std::unordered_map<Hash128, double, Hash128Hasher> eq_lambda;
-  std::unordered_map<Hash128, double, Hash128Hasher> ineq_lambda;
-  if (cached.lambda_full.size() !=
-      cached.eq_row_sigs.size() + cached.ineq_row_sigs.size()) {
-    return {};
-  }
-  for (size_t j = 0; j < cached.eq_row_sigs.size(); ++j) {
-    eq_lambda.emplace(cached.eq_row_sigs[j], cached.lambda_full[j]);
-  }
-  for (size_t j = 0; j < cached.ineq_row_sigs.size(); ++j) {
-    ineq_lambda.emplace(cached.ineq_row_sigs[j],
-                        cached.lambda_full[cached.eq_row_sigs.size() + j]);
-  }
-  std::vector<double> warm(sel.eq_rows.size() + sel.ineq_rows.size(), 0.0);
-  size_t matched = 0;
-  for (size_t j = 0; j < sel.eq_row_sigs.size(); ++j) {
-    auto it = eq_lambda.find(sel.eq_row_sigs[j]);
-    if (it != eq_lambda.end()) {
-      warm[j] = it->second;
-      ++matched;
-    }
-  }
-  for (size_t j = 0; j < sel.ineq_row_sigs.size(); ++j) {
-    auto it = ineq_lambda.find(sel.ineq_row_sigs[j]);
-    if (it != ineq_lambda.end()) {
-      warm[sel.eq_rows.size() + j] = it->second;
-      ++matched;
-    }
-  }
-  if (matched == 0) return {};
-  return warm;
-}
 
 /// Process-wide solve.* metrics, mirroring the per-run SolverResult
 /// census so the `stats` verb can report fallback-ladder outcomes
@@ -165,187 +66,210 @@ SolveMetrics& GetSolveMetrics() {
   return m;
 }
 
+/// Appends `rows` to a block matrix in the block's local columns, in the
+/// matrix form ConstraintSystem::ToMatrices gives them (kGe rows negated
+/// into kLe form). Entries are appended with ascending columns, so the
+/// builder keeps them in place; zero coefficients are left out, as the
+/// CSR build drops them anyway.
+Status AppendRows(const BlockPlan& plan,
+                  const std::vector<const LinearConstraint*>& rows,
+                  linalg::SparseMatrixBuilder* matrix,
+                  ScratchVector<double>* rhs) {
+  ScratchVector<std::pair<uint32_t, double>> entries;
+  uint32_t bucket = UINT32_MAX;
+  uint32_t block = 0;
+  uint32_t col = 0;
+  uint32_t first = 0;
+  for (const LinearConstraint* c : rows) {
+    const double sign = c->rel == Relation::kGe ? -1.0 : 1.0;
+    entries.clear();
+    for (size_t i = 0; i < c->vars.size(); ++i) {
+      if (c->coefs[i] == 0.0) continue;
+      const uint32_t var = c->vars[i];
+      const uint32_t b = plan.index().TermOf(var).bucket;
+      if (b != bucket) {
+        bucket = b;
+        plan.LocateBucket(b, &block, &col);
+        first = plan.index().BucketRange(b).first;
+      }
+      entries.emplace_back(col + (var - first), sign * c->coefs[i]);
+    }
+    const auto by_col = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
+      std::stable_sort(entries.begin(), entries.end(), by_col);
+    }
+    matrix->BeginRow();
+    for (const auto& [local, value] : entries) {
+      PME_RETURN_IF_ERROR(matrix->Add(local, value));
+    }
+    rhs->push_back(sign * c->rhs);
+  }
+  return Status::Ok();
+}
+
+/// The MaxEntProblem of one block, built from its own rows: the same
+/// rows and columns, in the same order, as the block's slice of the
+/// whole system's matrix form.
+Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
+                                    const PlanBlock& block) {
+  MaxEntProblem sub;
+  sub.num_vars = block.cols.size();
+  linalg::SparseMatrixBuilder eq(sub.num_vars);
+  linalg::SparseMatrixBuilder ineq(sub.num_vars);
+  PME_RETURN_IF_ERROR(AppendRows(plan, block.eq_rows, &eq, &sub.eq_rhs));
+  PME_RETURN_IF_ERROR(
+      AppendRows(plan, block.ineq_rows, &ineq, &sub.ineq_rhs));
+  PME_ASSIGN_OR_RETURN(sub.eq, eq.Build());
+  PME_ASSIGN_OR_RETURN(sub.ineq, ineq.Build());
+  return sub;
+}
+
+double RowViolation(const LinearConstraint& c, const JointView& joint) {
+  double lhs = 0.0;
+  for (size_t i = 0; i < c.vars.size(); ++i) {
+    lhs += c.coefs[i] * joint[c.vars[i]];
+  }
+  return c.ViolationAt(lhs);
+}
+
 }  // namespace
+
+void JointView::Seek(uint32_t bucket) const {
+  bucket_ = bucket;
+  first_ = plan_.index().BucketRange(bucket).first;
+  uint32_t block = 0;
+  uint32_t col = 0;
+  data_ = plan_.LocateBucket(bucket, &block, &col)
+              ? result_.blocks[block].p.data() + col
+              : result_.prior->data() + first_;
+}
+
+std::vector<double> MaterializeJoint(const SolverResult& result) {
+  if (result.prior == nullptr) return result.p;
+  std::vector<double> p = *result.prior;
+  for (const SolverResult::BlockSlice& slice : result.blocks) {
+    for (size_t j = 0; j < slice.cols.size(); ++j) {
+      p[slice.cols[j]] = slice.p[j];
+    }
+  }
+  return p;
+}
+
+DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
+  DecompositionStats stats;
+  stats.total_variables = plan.index().num_variables();
+  stats.num_components = plan.num_components();
+  stats.num_coupled_components = plan.blocks().size();
+  for (const PlanBlock& block : plan.blocks()) {
+    size_t variables = 0;
+    for (const uint32_t b : block.buckets) {
+      const auto [first, last] = plan.index().BucketRange(b);
+      variables += last - first;
+    }
+    stats.relevant_buckets += block.buckets.size();
+    stats.relevant_variables += variables;
+    stats.coupled_component_variables.push_back(variables);
+  }
+  stats.irrelevant_buckets = plan.num_buckets() - stats.relevant_buckets;
+  return stats;
+}
+
+DecompositionStats AnalyzeDecomposition(
+    const constraints::TermIndex& index,
+    const constraints::ConstraintSystem& system) {
+  return AnalyzeDecomposition(BlockPlan::Build(
+      index, system, std::numeric_limits<double>::infinity()));
+}
+
+Result<SolverResult> SolveMonolithic(
+    const constraints::ConstraintSystem& system, SolverKind kind,
+    const SolverOptions& options) {
+  trace::TraceSpan solve_span("solve_decomposed", "solve");
+  GetSolveMetrics().runs->Add();
+  PME_ASSIGN_OR_RETURN(MaxEntProblem whole, BuildProblem(system));
+  SolverResult mono;
+  if (options.fallback) {
+    PME_ASSIGN_OR_RETURN(mono, SolveWithFallback(whole, kind, options));
+  } else {
+    PME_ASSIGN_OR_RETURN(mono, Solve(whole, kind, options));
+  }
+  mono.used_monolithic_fallback = true;
+  GetSolveMetrics().monolithic_fallbacks->Add();
+  solve_span.AddArg("monolithic", 1.0);
+  return mono;
+}
 
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system, SolverKind kind,
-    const SolverOptions& options,
-    const constraints::ComponentAnalysis* precomputed) {
+    const SolverOptions& options) {
+  Timer timer;
+  BlockPlan plan;
+  {
+    trace::TraceSpan plan_span("plan", "solve");
+    plan = BlockPlan::Build(index, system,
+                            options.monolithic_fallback_fraction);
+    plan.ConsultCache(options);
+  }
+  if (plan.monolithic()) return SolveMonolithic(system, kind, options);
+  auto prior = std::make_shared<const std::vector<double>>(
+      ClosedFormNoKnowledge(table, index));
+  const double prior_entropy = Entropy(*prior);
+  PME_ASSIGN_OR_RETURN(
+      SolverResult result,
+      SolveDecomposed(plan, std::move(prior), prior_entropy, kind, options));
+  result.p = MaterializeJoint(result);
+  result.blocks.clear();
+  result.prior.reset();
+  result.seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+Result<SolverResult> SolveDecomposed(
+    const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
+    double prior_entropy, SolverKind kind, const SolverOptions& options) {
   Timer timer;
   trace::TraceSpan solve_span("solve_decomposed", "solve");
   GetSolveMetrics().runs->Add();
-  std::optional<ComponentAnalysis> local_analysis;
-  if (precomputed == nullptr) {
-    local_analysis = ComponentAnalysis::Build(index, system);
-  }
-  const ComponentAnalysis& analysis =
-      precomputed ? *precomputed : *local_analysis;
-
-  // Monolithic fallback: when one coupled component dominates the
-  // variable space there is nothing to decompose — the closed form would
-  // cover almost nothing and the Submatrix slice would copy almost
-  // everything. Solving the original system directly skips that 10-40%
-  // overhead.
-  {
-    size_t largest_coupled = 0;
-    for (const auto& comp : analysis.components()) {
-      if (comp.coupled) {
-        largest_coupled = std::max(largest_coupled, comp.num_variables);
-      }
-    }
-    const size_t total = index.num_variables();
-    if (total > 0 &&
-        static_cast<double>(largest_coupled) >
-            options.monolithic_fallback_fraction * static_cast<double>(total)) {
-      PME_ASSIGN_OR_RETURN(MaxEntProblem whole, BuildProblem(system));
-      SolverResult mono;
-      if (options.fallback) {
-        PME_ASSIGN_OR_RETURN(mono, SolveWithFallback(whole, kind, options));
-      } else {
-        PME_ASSIGN_OR_RETURN(mono, Solve(whole, kind, options));
-      }
-      mono.used_monolithic_fallback = true;
-      GetSolveMetrics().monolithic_fallbacks->Add();
-      solve_span.AddArg("monolithic", 1.0);
-      return mono;
-    }
-  }
-
   SolverResult result;
   result.kind = kind;
   result.converged = true;
+  result.prior = std::move(prior);
+  const std::vector<PlanBlock>& blocks = plan.blocks();
 
-  // Closed form everywhere first (exact for uncoupled components by
-  // Theorem 5); the block solves overwrite the coupled ranges. A caller
-  // that precomputed the prior (the artifact-serving path) hands it in
-  // through the options — a copy instead of an O(table) re-derivation.
-  const bool prior_provided =
-      options.closed_form_prior != nullptr &&
-      options.closed_form_prior->size() == index.num_variables();
-  if (prior_provided) {
-    result.p = *options.closed_form_prior;
-  } else {
-    result.p = ClosedFormNoKnowledge(table, index);
-  }
-  // With a precomputed prior entropy, the final entropy is derived by
-  // adjusting only the coordinates the block solves overwrite.
-  const bool incremental_entropy =
-      prior_provided && std::isfinite(options.closed_form_prior_entropy);
-
-  // Dense numbering of the coupled components.
-  std::vector<int64_t> block_of_component(analysis.num_components(), -1);
-  std::vector<BlockSelection> blocks;
-  blocks.reserve(analysis.num_coupled());
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    const auto& comp = analysis.components()[k];
-    if (!comp.coupled) continue;
-    block_of_component[k] = static_cast<int64_t>(blocks.size());
-    BlockSelection block;
-    block.cols.reserve(comp.num_variables);
-    for (uint32_t b : comp.buckets) {
-      const auto [first, last] = index.BucketRange(b);
-      for (uint32_t v = first; v < last; ++v) block.cols.push_back(v);
+  // Worst violation of `rows` at the result's joint (every block slice
+  // in place).
+  const auto max_violation = [&](const std::vector<const LinearConstraint*>&
+                                     rows) {
+    const JointView joint(plan, result);
+    double worst = 0.0;
+    for (const LinearConstraint* c : rows) {
+      worst = std::max(worst, RowViolation(*c, joint));
     }
-    blocks.push_back(std::move(block));
-  }
+    return worst;
+  };
 
   if (blocks.empty()) {
-    result.entropy = incremental_entropy
-                         ? options.closed_form_prior_entropy
-                         : Entropy(result.p);
-    result.max_violation = system.MaxViolation(result.p);
+    result.entropy = prior_entropy;
+    result.max_violation = max_violation(plan.unsupported_rows());
     result.seconds = timer.ElapsedSeconds();
     return result;
   }
-
-  SolutionCache* const cache = options.solution_cache;
-  const bool cache_on =
-      cache != nullptr && options.cache_mode != CacheMode::kOff;
-  result.cache_enabled = cache_on;
-
-  // Assemble the full constraint matrices once, then slice each block out
-  // with Submatrix. Row numbering must mirror ToMatrices: equality rows in
-  // constraint order, inequality rows (kLe, and kGe negated) likewise.
-  PME_ASSIGN_OR_RETURN(MaxEntProblem full, BuildProblem(system));
-  {
-    uint32_t eq_row = 0, ineq_row = 0;
-    for (const auto& c : system.constraints()) {
-      const bool is_eq = c.rel == knowledge::Relation::kEq;
-      const uint32_t row = is_eq ? eq_row++ : ineq_row++;
-      int64_t block = -1;
-      for (size_t i = 0; i < c.vars.size(); ++i) {
-        if (c.coefs[i] == 0.0) continue;
-        // Union-find put every bucket a constraint touches into one
-        // component, so the first supported variable decides the block.
-        block = block_of_component[analysis.ComponentOf(
-            index.TermOf(c.vars[i]).bucket)];
-        break;
-      }
-      if (block < 0) {
-        // Either an empty row (check it is vacuously satisfiable) or a
-        // constraint on an uncoupled component — which is an invariant by
-        // construction, satisfied exactly by the closed form.
-        const double rhs = is_eq ? full.eq_rhs[row] : full.ineq_rhs[row];
-        const bool empty_support =
-            c.vars.empty() ||
-            std::all_of(c.coefs.begin(), c.coefs.end(),
-                        [](double v) { return v == 0.0; });
-        if (empty_support &&
-            (is_eq ? std::fabs(rhs) > 1e-12 : rhs < -1e-12)) {
-          return Status::Infeasible("constraint '" + c.label +
-                                    "' has empty support and nonzero bound");
-        }
-        continue;
-      }
-      auto& sel = blocks[static_cast<size_t>(block)];
-      if (is_eq) {
-        sel.eq_rows.push_back(row);
-        if (cache_on) {
-          sel.eq_row_sigs.push_back(constraints::ConstraintRowSignature(c));
-        }
-      } else {
-        sel.ineq_rows.push_back(row);
-        if (cache_on) {
-          sel.ineq_row_sigs.push_back(constraints::ConstraintRowSignature(c));
-        }
-      }
+  // A row with no support is vacuously satisfied or flatly infeasible.
+  for (const LinearConstraint* c : plan.unsupported_rows()) {
+    const double rhs = c->rel == Relation::kGe ? -c->rhs : c->rhs;
+    if (c->rel == Relation::kEq ? std::fabs(rhs) > 1e-12 : rhs < -1e-12) {
+      return Status::Infeasible("constraint '" + c->label +
+                                "' has empty support and nonzero bound");
     }
   }
-
-  // Solution-cache pre-pass: serial, in block-id order, so the census
-  // (hits/misses) is identical for any thread count. An exact hit (same
-  // rows digest) skips the block's solve entirely; under kWarm a
-  // structure-only hit (same variable set, edited rows) yields a warm
-  // dual matched row-by-row by content signature.
-  std::vector<std::shared_ptr<const CachedComponentSolution>> exact_hits(
-      blocks.size());
-  std::vector<std::vector<double>> warm_vectors(blocks.size());
-  std::vector<Hash128> exact_keys(blocks.size());
-  std::vector<Hash128> vars_keys(blocks.size());
-  if (cache_on) {
-    const constraints::ComponentSignatures sigs =
-        constraints::ComputeComponentSignatures(index, system, analysis);
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      exact_keys[i] = MakeExactKey(sigs.rows_hash[i], options);
-      vars_keys[i] = MakeVarsKey(sigs.vars_hash[i], options);
-      auto hit = cache->FindExact(exact_keys[i]);
-      if (hit != nullptr && hit->p.size() == blocks[i].cols.size()) {
-        exact_hits[i] = std::move(hit);
-        ++result.cache_exact_hits;
-        continue;
-      }
-      ++result.cache_misses;
-      if (options.cache_mode == CacheMode::kWarm) {
-        auto warm = cache->FindWarm(vars_keys[i]);
-        if (warm != nullptr) {
-          warm_vectors[i] = BuildWarmStart(*warm, blocks[i]);
-          if (!warm_vectors[i].empty()) ++result.cache_warm_hits;
-        }
-      }
-    }
-  }
+  result.cache_enabled = plan.cache_enabled();
+  result.cache_exact_hits = plan.cache_exact_hits();
+  result.cache_warm_hits = plan.cache_warm_hits();
+  result.cache_misses = plan.cache_misses();
 
   // Per-component wall-time budgets: each coupled block gets a share of
   // the remaining deadline proportional to its variable count. Blocks
@@ -353,11 +277,10 @@ Result<SolverResult> SolveDecomposed(
   // serial run the shares are relative to each block's own start, with
   // the request deadline as the hard cap either way.
   size_t total_block_vars = 0;
-  for (size_t i = 0; i < blocks.size(); ++i) {
+  for (const PlanBlock& block : blocks) {
     // Blocks answered from the cache consume no solve time; the deadline
     // budget is shared among the blocks that actually run.
-    if (exact_hits[i] != nullptr) continue;
-    total_block_vars += blocks[i].cols.size();
+    if (block.cached == nullptr) total_block_vars += block.cols.size();
   }
   const double remaining_at_start = options.deadline.RemainingSeconds();
   std::vector<double> budget_seconds(blocks.size(), 0.0);
@@ -369,8 +292,8 @@ Result<SolverResult> SolveDecomposed(
   }
 
   // Solve every block independently — in parallel when asked to. Each
-  // task only writes its own slot, and the scatter below runs after the
-  // barrier in block order, so the assembly is deterministic for any
+  // task only writes its own slot, and the aggregation below runs after
+  // the barrier in block order, so the result is deterministic for any
   // thread count.
   std::vector<std::optional<Result<SolverResult>>> block_results(
       blocks.size());
@@ -382,9 +305,9 @@ Result<SolverResult> SolveDecomposed(
   // worker-thread block spans into the request's timeline.
   const uint64_t request_trace_id = trace::CurrentTraceId();
   const std::function<void(size_t)> block_task = [&](size_t i) {
-        if (exact_hits[i] != nullptr) return;  // answered from the cache
+        if (blocks[i].cached != nullptr) return;  // answered from the cache
         trace::TraceIdScope trace_scope(request_trace_id);
-        // One arena scope per block task: the Submatrix slices, presolve
+        // One arena scope per block task: the block problem, presolve
         // scratch and dual workspace below all bump-allocate from this
         // worker's thread-local arena and are released wholesale here.
         // The SolverResult stored into block_results escapes by design —
@@ -393,11 +316,11 @@ Result<SolverResult> SolveDecomposed(
         trace::TraceSpan block_span("solve_block", "solve");
         block_span.AddArg("block", static_cast<double>(i));
         Timer block_timer;
-        const BlockSelection& sel = blocks[i];
-        block_span.AddArg("vars", static_cast<double>(sel.cols.size()));
+        const PlanBlock& block = blocks[i];
+        block_span.AddArg("vars", static_cast<double>(block.cols.size()));
         SolverOptions block_options = options;
-        if (!warm_vectors[i].empty()) {
-          block_options.warm_start_original = &warm_vectors[i];
+        if (!block.warm_start.empty()) {
+          block_options.warm_start_original = &block.warm_start;
         }
         if (!options.deadline.is_infinite()) {
           block_options.deadline = Deadline::Earlier(
@@ -417,16 +340,9 @@ Result<SolverResult> SolveDecomposed(
         }
         auto solve_block = [&]() -> Result<SolverResult> {
           MaxEntProblem sub;
-          sub.num_vars = sel.cols.size();
-          PME_ASSIGN_OR_RETURN(sub.eq,
-                               full.eq.Submatrix(sel.eq_rows, sel.cols));
-          PME_ASSIGN_OR_RETURN(sub.ineq,
-                               full.ineq.Submatrix(sel.ineq_rows, sel.cols));
-          sub.eq_rhs.reserve(sel.eq_rows.size());
-          for (uint32_t r : sel.eq_rows) sub.eq_rhs.push_back(full.eq_rhs[r]);
-          sub.ineq_rhs.reserve(sel.ineq_rows.size());
-          for (uint32_t r : sel.ineq_rows) {
-            sub.ineq_rhs.push_back(full.ineq_rhs[r]);
+          {
+            trace::TraceSpan assemble_span("assemble", "solve");
+            PME_ASSIGN_OR_RETURN(sub, AssembleBlock(plan, block));
           }
           if (options.fallback) {
             return SolveWithFallback(sub, kind, block_options,
@@ -446,130 +362,123 @@ Result<SolverResult> SolveDecomposed(
           ? options.pool->RunBatch(blocks.size(), block_task)
           : ThreadPool::ParallelFor(threads, blocks.size(), block_task);
 
-  // Aggregate. With the fallback ladder on, a component whose every rung
-  // failed keeps its closed-form no-knowledge prior (already in
-  // result.p) and is flagged — one bad component must degrade its own
-  // answer, never the whole analysis. With fallback off, the historical
-  // fail-fast contract stands: the first component error propagates.
+  // Aggregate, in block order. Each block keeps the cached solution, its
+  // solve's answer, its best finite iterate, or — with the fallback
+  // ladder on, when every rung failed — the closed-form prior, flagged:
+  // one bad component must degrade its own answer, never the whole
+  // analysis. With fallback off, the historical fail-fast contract
+  // stands: the first component error propagates.
+  result.blocks.resize(blocks.size());
   result.component_outcomes.reserve(blocks.size());
+  std::vector<double> block_violation(blocks.size(), 0.0);
+  std::vector<double> prior_slice;
+  double entropy = prior_entropy;
   for (size_t i = 0; i < blocks.size(); ++i) {
+    const PlanBlock& block = blocks[i];
+    SolverResult::BlockSlice& slice = result.blocks[i];
+    slice.cols = block.cols;
     ComponentOutcome outcome;
     outcome.block = static_cast<uint32_t>(i);
-    outcome.num_variables = blocks[i].cols.size();
+    outcome.num_variables = block.cols.size();
     outcome.attempts = block_attempts[i];
     outcome.solver = kind;
     outcome.seconds = block_seconds[i];
 
-    if (exact_hits[i] != nullptr) {
-      // Scatter the cached posterior slice; no solve ran, so this block
-      // contributes zero iterations (the bench's speedup measurement)
-      // while its dual value and convergence flag still count toward the
-      // aggregate exactly as the original solve's did.
-      const CachedComponentSolution& cached = *exact_hits[i];
-      const auto& cols = blocks[i].cols;
-      for (size_t j = 0; j < cols.size(); ++j) {
-        result.p[cols[j]] = cached.p[j];
-      }
+    prior_slice.resize(block.cols.size());
+    for (size_t j = 0; j < block.cols.size(); ++j) {
+      prior_slice[j] = (*result.prior)[block.cols[j]];
+    }
+
+    if (block.cached != nullptr) {
+      // No solve ran, so this block contributes zero iterations (the
+      // bench's speedup measurement) while its dual value and convergence
+      // flag still count toward the aggregate exactly as the original
+      // solve's did.
+      const CachedComponentSolution& cached = *block.cached;
+      slice.p = cached.p;
+      block_violation[i] = cached.max_violation;
       result.dual_value += cached.dual_value;
       result.presolve_fixed += cached.presolve_fixed;
       result.converged = result.converged && cached.converged;
-      outcome.status = StatusCode::kOk;
       outcome.cache = CacheOutcome::kExactHit;
       ++result.components_solved;
-      result.component_outcomes.push_back(outcome);
-      continue;
-    }
-    if (!warm_vectors[i].empty()) outcome.cache = CacheOutcome::kWarmStart;
-
-    Status block_error = Status::Ok();
-    const SolverResult* sub = nullptr;
-    if (!block_results[i].has_value()) {
-      // The task never stored a result: it threw (and was contained by
-      // the pool). pool_status carries the first exception message.
-      block_error = pool_status.ok()
-                        ? Status::Internal("block task produced no result")
-                        : pool_status;
-    } else if (!block_results[i]->ok()) {
-      block_error = block_results[i]->status();
     } else {
-      sub = &block_results[i]->value();
-    }
-    if (sub != nullptr) outcome.iterations = sub->iterations;
-
-    if (!options.fallback) {
-      if (!block_error.ok()) return block_error;
-      const auto& cols = blocks[i].cols;
-      for (size_t j = 0; j < cols.size(); ++j) result.p[cols[j]] = sub->p[j];
-      result.iterations += sub->iterations;
-      result.dual_value += sub->dual_value;
-      result.presolve_fixed += sub->presolve_fixed;
-      result.converged = result.converged && sub->converged;
-      if (result.termination == StatusCode::kOk) {
-        result.termination = sub->termination;
-      }
-      outcome.status = sub->termination;
-      outcome.solver = sub->kind;
-      ++result.components_solved;
-      result.component_outcomes.push_back(outcome);
-      continue;
-    }
-
-    const bool usable = sub != nullptr && IsAcceptable(*sub, options);
-    if (usable) {
-      const auto& cols = blocks[i].cols;
-      for (size_t j = 0; j < cols.size(); ++j) result.p[cols[j]] = sub->p[j];
-      result.iterations += sub->iterations;
-      result.dual_value += sub->dual_value;
-      result.presolve_fixed += sub->presolve_fixed;
-      result.converged = result.converged && sub->converged;
-      outcome.solver = sub->kind;
-      outcome.status = sub->termination;
-      outcome.degraded = sub->degraded;
-      if (sub->degraded) {
-        ++result.components_degraded;
+      if (!block.warm_start.empty()) outcome.cache = CacheOutcome::kWarmStart;
+      Status block_error = Status::Ok();
+      const SolverResult* sub = nullptr;
+      if (!block_results[i].has_value()) {
+        // The task never stored a result: it threw (and was contained by
+        // the pool). pool_status carries the first exception message.
+        block_error = pool_status.ok()
+                          ? Status::Internal("block task produced no result")
+                          : pool_status;
+      } else if (!block_results[i]->ok()) {
+        block_error = block_results[i]->status();
       } else {
-        ++result.components_solved;
+        sub = &block_results[i]->value();
       }
-    } else if (sub != nullptr && sub->iterations > 0 &&
-               sub->termination != StatusCode::kNumericalError &&
-               std::isfinite(sub->max_violation)) {
-      // Unacceptable but finite, with real progress made: a
-      // hard-to-converge or interrupted block keeps its best-so-far
-      // iterate — same contract the pre-fallback solver had for
-      // non-converged blocks — rather than throwing the work away. A
-      // block that never got to iterate (budget spent up front) falls
-      // through to the prior instead: its untouched start point is worse
-      // than the closed form.
-      const auto& cols = blocks[i].cols;
-      for (size_t j = 0; j < cols.size(); ++j) result.p[cols[j]] = sub->p[j];
-      result.iterations += sub->iterations;
-      outcome.solver = sub->kind;
-      outcome.status = sub->termination == StatusCode::kOk
-                           ? StatusCode::kNotConverged
-                           : sub->termination;
-      outcome.degraded = true;
-      ++result.components_degraded;
-      result.converged = false;
-    } else {
-      // Degrade to the closed-form prior already sitting in result.p.
-      outcome.degraded = true;
-      outcome.used_prior = true;
+      if (!options.fallback && !block_error.ok()) return block_error;
       if (sub != nullptr) {
+        outcome.iterations = sub->iterations;
         outcome.solver = sub->kind;
-        outcome.status = sub->termination == StatusCode::kOk
-                             ? StatusCode::kNotConverged
-                             : sub->termination;
         result.iterations += sub->iterations;
-        ++result.components_degraded;
-      } else {
-        outcome.status = block_error.code();
-        ++result.components_failed;
       }
-      result.converged = false;
+      const bool accepted =
+          sub != nullptr && (!options.fallback || IsAcceptable(*sub, options));
+      // Unacceptable but finite, with real progress made: a hard-to-
+      // converge or interrupted block keeps its best-so-far iterate
+      // rather than throwing the work away. A block that never got to
+      // iterate (budget spent up front) falls through to the prior: its
+      // untouched start point is worse than the closed form.
+      const bool kept_iterate =
+          !accepted && sub != nullptr && sub->iterations > 0 &&
+          sub->termination != StatusCode::kNumericalError &&
+          std::isfinite(sub->max_violation);
+      slice.p = accepted || kept_iterate ? sub->p : prior_slice;
+      if (accepted) {
+        result.dual_value += sub->dual_value;
+        result.presolve_fixed += sub->presolve_fixed;
+        result.converged = result.converged && sub->converged;
+        if (result.termination == StatusCode::kOk) {
+          result.termination = sub->termination;
+        }
+        outcome.status = sub->termination;
+        outcome.degraded = sub->degraded;
+        ++(sub->degraded ? result.components_degraded
+                         : result.components_solved);
+      } else {
+        outcome.degraded = true;
+        outcome.used_prior = !kept_iterate;
+        result.converged = false;
+        if (sub != nullptr) {
+          outcome.status = sub->termination == StatusCode::kOk
+                               ? StatusCode::kNotConverged
+                               : sub->termination;
+          ++result.components_degraded;
+        } else {
+          outcome.status = block_error.code();
+          ++result.components_failed;
+        }
+      }
     }
     result.component_outcomes.push_back(outcome);
+    // -Σ p ln p, starting from the prior's entropy and swapping in the
+    // block's contribution (blocks never overlap).
+    entropy += kernels::NegXLogXSum(kernels::ConstSpan(slice.p)) -
+               kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
   }
   if (!options.fallback && !pool_status.ok()) return pool_status;
+
+  // Per-block violations; an exact hit's rows are those it was solved
+  // with, so the cached value stands.
+  result.max_violation = max_violation(plan.unsupported_rows());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (blocks[i].cached == nullptr) {
+      block_violation[i] = std::max(max_violation(blocks[i].eq_rows),
+                                    max_violation(blocks[i].ineq_rows));
+    }
+    result.max_violation = std::max(result.max_violation, block_violation[i]);
+  }
 
   {
     SolveMetrics& sm = GetSolveMetrics();
@@ -577,13 +486,10 @@ Result<SolverResult> SolveDecomposed(
     sm.components_degraded->Add(result.components_degraded);
     sm.components_failed->Add(result.components_failed);
     for (size_t i = 0; i < blocks.size(); ++i) {
-      if (exact_hits[i] != nullptr) continue;  // no solve ran
+      if (blocks[i].cached != nullptr) continue;  // no solve ran
       sm.block_seconds->Observe(block_seconds[i]);
-    }
-    for (const ComponentOutcome& outcome : result.component_outcomes) {
-      if (outcome.cache == CacheOutcome::kExactHit) continue;
       sm.block_iterations->Observe(
-          static_cast<double>(outcome.iterations));
+          static_cast<double>(result.component_outcomes[i].iterations));
     }
     solve_span.AddArg("blocks", static_cast<double>(blocks.size()));
   }
@@ -591,9 +497,10 @@ Result<SolverResult> SolveDecomposed(
   // Publish freshly solved, acceptable block solutions — serially and in
   // block-id order, so insertions (and therefore evictions and the whole
   // cache census) are identical for any --threads value.
-  if (cache_on) {
+  if (result.cache_enabled) {
+    SolutionCache* const cache = options.solution_cache;
     for (size_t i = 0; i < blocks.size(); ++i) {
-      if (exact_hits[i] != nullptr) continue;
+      if (blocks[i].cached != nullptr) continue;
       if (!block_results[i].has_value() || !block_results[i]->ok()) continue;
       const SolverResult& sub = block_results[i]->value();
       if (!IsAcceptable(sub, options)) continue;
@@ -603,10 +510,11 @@ Result<SolverResult> SolveDecomposed(
       entry.eq_row_sigs = blocks[i].eq_row_sigs;
       entry.ineq_row_sigs = blocks[i].ineq_row_sigs;
       entry.dual_value = sub.dual_value;
+      entry.max_violation = block_violation[i];
       entry.iterations = sub.iterations;
       entry.presolve_fixed = sub.presolve_fixed;
       entry.converged = sub.converged;
-      cache->Insert(exact_keys[i], vars_keys[i], std::move(entry));
+      cache->Insert(blocks[i].exact_key, blocks[i].vars_key, std::move(entry));
     }
     const SolutionCacheStats stats = cache->Stats();
     result.cache_entries = stats.entries;
@@ -627,31 +535,7 @@ Result<SolverResult> SolveDecomposed(
     result.termination = StatusCode::kDeadlineExceeded;
   }
 
-  if (incremental_entropy) {
-    // -sum p ln p, starting from the prior's entropy and swapping in the
-    // coupled coordinates' contributions (blocks never overlap).
-    double entropy = options.closed_form_prior_entropy;
-    const std::vector<double>& prior = *options.closed_form_prior;
-    // Gather each block's prior/posterior slices into reused contiguous
-    // buffers so both -Σ x ln x reductions run as single batched kernel
-    // passes instead of per-coordinate scalar XLogX calls.
-    std::vector<double> prior_slice;
-    std::vector<double> post_slice;
-    for (const auto& block : blocks) {
-      prior_slice.resize(block.cols.size());
-      post_slice.resize(block.cols.size());
-      for (size_t j = 0; j < block.cols.size(); ++j) {
-        prior_slice[j] = prior[block.cols[j]];
-        post_slice[j] = result.p[block.cols[j]];
-      }
-      entropy += kernels::NegXLogXSum(kernels::ConstSpan(post_slice)) -
-                 kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
-    }
-    result.entropy = entropy;
-  } else {
-    result.entropy = Entropy(result.p);
-  }
-  result.max_violation = system.MaxViolation(result.p);
+  result.entropy = entropy;
   result.seconds = timer.ElapsedSeconds();
   return result;
 }

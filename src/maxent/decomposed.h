@@ -4,11 +4,15 @@
 #ifndef PME_MAXENT_DECOMPOSED_H_
 #define PME_MAXENT_DECOMPOSED_H_
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "anonymize/bucketized_table.h"
 #include "common/status.h"
-#include "constraints/component_analysis.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "maxent/block_plan.h"
 #include "maxent/solver.h"
 
 namespace pme::maxent {
@@ -16,11 +20,11 @@ namespace pme::maxent {
 /// The Section 5.5 optimization, taken one step further: buckets
 /// *irrelevant* to the background knowledge (Definition 5.6) keep the
 /// Theorem-5 closed form (Lemma 2), and the *relevant* set is split into
-/// independent connected components (constraints::ComponentAnalysis) —
-/// the constraint matrix is block-diagonal across components, so each
-/// block is solved as its own, much smaller dual problem. Blocks run in
-/// parallel when `options.threads > 1`; the result is identical for any
-/// thread count (per-block solves are deterministic and scatter into
+/// independent connected components (maxent::BlockPlan) — the constraint
+/// matrix is block-diagonal across components, so each block is solved
+/// as its own, much smaller dual problem. Blocks run in parallel when
+/// `options.threads > 1` or on `options.pool`; the result is identical
+/// for any thread count (per-block solves are deterministic and land in
 /// disjoint variable ranges).
 ///
 /// Equivalent to `Solve` on the full system (Proposition 1; the dual
@@ -29,9 +33,9 @@ namespace pme::maxent {
 /// buckets this is the difference between one O(n) dual and many O(n_k)
 /// duals — seconds vs minutes.
 ///
-/// The returned SolverResult's `p` covers the full variable space;
-/// `iterations` sums the block solves and `seconds` is the wall time of
-/// the whole decomposed pipeline.
+/// This overload plans `system` itself, solves over a freshly derived
+/// closed form, and returns the full joint in `p`. When one block
+/// dominates (BlockPlan::monolithic) it runs SolveMonolithic instead.
 ///
 /// Failure semantics: with `options.fallback` on (the default), each
 /// block runs the SolveWithFallback ladder under a wall-time budget
@@ -47,20 +51,61 @@ namespace pme::maxent {
 /// token fired, kDeadlineExceeded when the request deadline is spent.
 /// With `fallback` off, the historical fail-fast contract stands: the
 /// first block error propagates as the call's Status.
-/// `precomputed`, when non-null, is the ComponentAnalysis of `system`
-/// over `index` (typically ComponentAnalysis::Extend of a table
-/// artifact's invariants-only base) and must match what
-/// ComponentAnalysis::Build(index, system) would produce; the solve
-/// then skips its own union-find pass. Not owned; must outlive the
-/// call. Scheduling: `options.pool`, when set, hosts the block tasks
-/// (shared-pool serving); otherwise a private pool of `options.threads`
-/// workers is spun per call.
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system,
-    SolverKind kind = SolverKind::kLbfgs, const SolverOptions& options = {},
-    const constraints::ComponentAnalysis* precomputed = nullptr);
+    SolverKind kind = SolverKind::kLbfgs, const SolverOptions& options = {});
+
+/// The request path: solves the blocks of a non-monolithic `plan` (its
+/// cache already consulted) over `prior` — the table's Theorem-5 closed
+/// form, with pme::Entropy `prior_entropy`. The result is an overlay: `p`
+/// stays empty, `blocks` holds each block's (cols, p) slice and `prior`
+/// shares the prior; entropy and max violation are derived per block.
+/// Work scales with the coupled blocks, not with the table. `plan` and
+/// the rows it points to must outlive the call.
+Result<SolverResult> SolveDecomposed(
+    const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
+    double prior_entropy, SolverKind kind, const SolverOptions& options);
+
+/// The monolithic fallback of the decomposed solve: one problem over the
+/// whole `system`, flagged `used_monolithic_fallback`. Used when one
+/// coupled block covers more than options.monolithic_fallback_fraction of
+/// the variables — the decomposition would copy almost everything for
+/// no block-level parallelism.
+Result<SolverResult> SolveMonolithic(
+    const constraints::ConstraintSystem& system, SolverKind kind,
+    const SolverOptions& options);
+
+/// The full joint of `result`: `p` itself, or the prior with the block
+/// slices written over it. For reports, exports and tests — the request
+/// path reads the overlay through JointView instead.
+std::vector<double> MaterializeJoint(const SolverResult& result);
+
+/// Random access to the joint of an overlay result planned by `plan`,
+/// without materializing it. Caches the last bucket looked up, so reads
+/// grouped by bucket (bucket-major variable order) cost one search per
+/// bucket. Not thread-safe: one view per thread.
+class JointView {
+ public:
+  JointView(const BlockPlan& plan, const SolverResult& result)
+      : plan_(plan), result_(result) {}
+
+  double operator[](uint32_t var) const {
+    const uint32_t bucket = plan_.index().TermOf(var).bucket;
+    if (bucket != bucket_) Seek(bucket);
+    return data_[var - first_];
+  }
+
+ private:
+  void Seek(uint32_t bucket) const;
+
+  const BlockPlan& plan_;
+  const SolverResult& result_;
+  mutable uint32_t bucket_ = UINT32_MAX;
+  mutable const double* data_ = nullptr;  // the bucket's first variable
+  mutable uint32_t first_ = 0;            // its variable id
+};
 
 /// Statistics of the decomposition (for the ablation bench).
 struct DecompositionStats {
@@ -82,12 +127,13 @@ struct DecompositionStats {
   std::vector<double> coupled_component_seconds;
 };
 
-/// `precomputed` as in SolveDecomposed: a caller that already holds the
-/// ComponentAnalysis of (index, system) passes it to skip the pass.
+/// The census of a plan, by arithmetic over its blocks.
+DecompositionStats AnalyzeDecomposition(const BlockPlan& plan);
+
+/// The census of `system` over `index` (plans it first).
 DecompositionStats AnalyzeDecomposition(
     const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
-    const constraints::ComponentAnalysis* precomputed = nullptr);
+    const constraints::ConstraintSystem& system);
 
 }  // namespace pme::maxent
 

@@ -38,6 +38,9 @@ struct CachedComponentSolution {
   std::vector<Hash128> eq_row_sigs;
   std::vector<Hash128> ineq_row_sigs;
   double dual_value = 0.0;
+  /// Worst violation of the block's rows at `p`: the rows are fixed by
+  /// the exact key, so an exact hit reuses it instead of re-evaluating.
+  double max_violation = 0.0;
   size_t iterations = 0;     ///< iterations the original solve spent
   size_t presolve_fixed = 0;
   bool converged = true;

@@ -4,7 +4,8 @@
 #ifndef PME_MAXENT_SOLVER_H_
 #define PME_MAXENT_SOLVER_H_
 
-#include <limits>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,8 +110,8 @@ struct SolverOptions {
   ThreadPool* pool = nullptr;
   /// SolveDecomposed falls back to the monolithic Solve when the largest
   /// knowledge-coupled component covers more than this fraction of all
-  /// variables: the decomposition would pay the full-matrix build plus a
-  /// near-full Submatrix copy (measured 10-40% overhead in the K >= 256
+  /// variables: assembling that block would copy nearly the whole
+  /// constraint matrix (measured 10-40% overhead in the K >= 256
   /// ablation) for no block-level parallelism. Set above 1.0 to always
   /// decompose.
   double monolithic_fallback_fraction = 0.8;
@@ -141,21 +142,6 @@ struct SolverOptions {
   /// entry is non-finite, or `warm_start` is also set (the reduced-space
   /// start is more specific and wins). Not owned; must outlive Solve.
   const std::vector<double>* warm_start_original = nullptr;
-  /// Optional precomputed Theorem-5 prior for SolveDecomposed: must be
-  /// exactly ClosedFormNoKnowledge(table, index) of the table/index the
-  /// solve runs over (the artifact-serving path precomputes it once per
-  /// table). When set and correctly sized, the solve copies it instead
-  /// of re-deriving the closed form per call — byte-identical result,
-  /// O(table) work saved on every request. Not owned; must outlive the
-  /// call. Ignored by the monolithic Solve.
-  const std::vector<double>* closed_form_prior = nullptr;
-  /// Entropy of `closed_form_prior` (as computed by pme::Entropy), when
-  /// the caller precomputed it. Lets SolveDecomposed derive the result
-  /// entropy by adjusting only the coupled-block coordinates instead of
-  /// an O(variables) log pass. NaN (the default) disables the shortcut;
-  /// ignored unless `closed_form_prior` is set and used.
-  double closed_form_prior_entropy =
-      std::numeric_limits<double>::quiet_NaN();
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
   /// regardless of `cache_mode`. The monolithic path (Solve, or the
@@ -226,8 +212,21 @@ struct ComponentOutcome {
 /// Outcome of a MaxEnt solve.
 struct SolverResult {
   /// The maximum-entropy joint distribution over the *full* variable
-  /// space (fixed variables restored).
+  /// space (fixed variables restored). Empty for a decomposed solve over
+  /// a shared prior, whose joint is `prior` overlaid with `blocks`
+  /// (maxent::MaterializeJoint expands it).
   std::vector<double> p;
+  /// One coupled block's answer: its variables (ascending ids) and their
+  /// values.
+  struct BlockSlice {
+    std::vector<uint32_t> cols;
+    std::vector<double> p;
+  };
+  /// Overlay results only: every coupled block's slice, in block order.
+  /// Every variable outside them keeps its `prior` value.
+  std::vector<BlockSlice> blocks;
+  /// Overlay results only: the Theorem-5 closed form the blocks overlay.
+  std::shared_ptr<const std::vector<double>> prior;
   /// Dual iterations actually performed.
   size_t iterations = 0;
   /// Final dual objective value (reduced problem).

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "anonymize/bucketized_table.h"
 #include "constraints/assignment.h"
@@ -292,9 +295,75 @@ TEST(BkCompilerTest, MatchQiInstancesForMale) {
   knowledge::ConditionalStatement stmt;
   stmt.attrs = {gender};
   stmt.values = {male};
-  auto matches = MatchQiInstances(stmt, bz.qi_encoder).ValueOrDie();
+  auto matches = MatchQiInstances(stmt, bz.qi_encoder,
+                                  QiPostings::Build(bz.qi_encoder))
+                     .ValueOrDie();
   std::sort(matches.begin(), matches.end());
   EXPECT_EQ(matches, (std::vector<uint32_t>{kQ1, kQ3, kQ6}));
+}
+
+// The linear scan the posting lists replace: decode every interned tuple
+// and keep those matching every (attribute, value) pair of the statement.
+std::vector<uint32_t> ScanQiInstances(
+    const knowledge::ConditionalStatement& stmt,
+    const data::TupleEncoder& encoder) {
+  std::vector<uint32_t> matches;
+  for (uint32_t q = 0; q < encoder.size(); ++q) {
+    const auto& tuple = encoder.Decode(q);
+    bool match = true;
+    for (size_t i = 0; i < stmt.attrs.size() && match; ++i) {
+      const auto pos = std::find(encoder.attrs().begin(),
+                                 encoder.attrs().end(), stmt.attrs[i]) -
+                       encoder.attrs().begin();
+      match = tuple[static_cast<size_t>(pos)] == stmt.values[i];
+    }
+    if (match) matches.push_back(q);
+  }
+  return matches;
+}
+
+TEST(BkCompilerTest, IndexedMatchEqualsLinearScan) {
+  // Four QI attributes (dataset columns 1, 3, 4, 6) with small value
+  // ranges, so multi-attribute statements match a few tuples each.
+  data::TupleEncoder encoder({1, 3, 4, 6});
+  std::mt19937 rng(7);
+  for (int i = 0; i < 400; ++i) {
+    encoder.EncodeCodes({static_cast<uint32_t>(rng() % 5),
+                         static_cast<uint32_t>(rng() % 3),
+                         static_cast<uint32_t>(rng() % 7),
+                         static_cast<uint32_t>(rng() % 4)});
+  }
+  const QiPostings postings = QiPostings::Build(encoder);
+  const std::vector<size_t> qi_attrs = {1, 3, 4, 6};
+  for (int trial = 0; trial < 300; ++trial) {
+    knowledge::ConditionalStatement stmt;
+    std::vector<size_t> attrs = qi_attrs;
+    std::shuffle(attrs.begin(), attrs.end(), rng);
+    attrs.resize(1 + rng() % 3);
+    for (const size_t attr : attrs) {
+      stmt.attrs.push_back(attr);
+      // Codes up to 8 include values no tuple carries.
+      stmt.values.push_back(static_cast<uint32_t>(rng() % 9));
+    }
+    const auto indexed = MatchQiInstances(stmt, encoder, postings);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    EXPECT_EQ(indexed.value(), ScanQiInstances(stmt, encoder))
+        << "trial " << trial;
+  }
+
+  knowledge::ConditionalStatement absent;
+  absent.attrs = {1, 4};
+  absent.values = {2, 40};
+  EXPECT_TRUE(MatchQiInstances(absent, encoder, postings).value().empty());
+
+  knowledge::ConditionalStatement not_qi;
+  not_qi.attrs = {3, 5};
+  not_qi.values = {0, 0};
+  const auto error = MatchQiInstances(not_qi, encoder, postings);
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(error.status().message().find("not a quasi-identifier"),
+            std::string::npos);
 }
 
 TEST(BkCompilerTest, AbstractSection55Example) {

@@ -17,6 +17,7 @@
 #include "core/experiment.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+#include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
@@ -228,7 +229,9 @@ TEST_F(IncrementalPipelineTest, ExactRerunSkipsEverySolve) {
             cold.decomposition.num_coupled_components);
   EXPECT_EQ(rerun.solver.cache_misses, 0u);
   EXPECT_EQ(rerun.solver.iterations, 0u);
-  EXPECT_EQ(MaxAbsDiff(cold.solver.p, rerun.solver.p), 0.0);
+  EXPECT_EQ(MaxAbsDiff(maxent::MaterializeJoint(cold.solver),
+                       maxent::MaterializeJoint(rerun.solver)),
+            0.0);
   EXPECT_TRUE(rerun.solver.cache_enabled);
   for (const auto& outcome : rerun.solver.component_outcomes) {
     EXPECT_EQ(outcome.cache, maxent::CacheOutcome::kExactHit);
@@ -277,7 +280,9 @@ TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
       EXPECT_GE(warm.solver.cache_exact_hits +
                     warm.solver.cache_warm_hits, 1u)
           << label << " threads=" << threads;
-      EXPECT_LE(MaxAbsDiff(warm.solver.p, cold.solver.p), 1e-8)
+      EXPECT_LE(MaxAbsDiff(maxent::MaterializeJoint(warm.solver),
+                           maxent::MaterializeJoint(cold.solver)),
+                1e-8)
           << label << " threads=" << threads;
       double worst_posterior = 0.0;
       for (uint32_t q = 0; q < warm.posterior.num_qi(); ++q) {
@@ -317,13 +322,17 @@ TEST_F(IncrementalPipelineTest, KnowledgeToggleSequenceStaysConsistent) {
   auto dropped_cold = AnalyzeWithRules(*pipeline_, with_last_dropped,
                                        CacheOptions(&fresh, 1))
                           .ValueOrDie();
-  EXPECT_LE(MaxAbsDiff(dropped.solver.p, dropped_cold.solver.p), 1e-8);
+  EXPECT_LE(MaxAbsDiff(maxent::MaterializeJoint(dropped.solver),
+                       maxent::MaterializeJoint(dropped_cold.solver)),
+            1e-8);
   // Toggling back restores the original component keys: all exact hits,
   // and the first round's posterior, exactly.
   EXPECT_EQ(restored.solver.cache_exact_hits,
             first.decomposition.num_coupled_components);
   EXPECT_EQ(restored.solver.iterations, 0u);
-  EXPECT_EQ(MaxAbsDiff(restored.solver.p, first.solver.p), 0.0);
+  EXPECT_EQ(MaxAbsDiff(maxent::MaterializeJoint(restored.solver),
+                       maxent::MaterializeJoint(first.solver)),
+            0.0);
 }
 
 TEST_F(IncrementalPipelineTest, CacheCensusIsDeterministicAcrossThreads) {
@@ -439,7 +448,7 @@ TEST(IncrementalRobustnessTest, CachedReanalysisSurvivesTheFailpointMatrix) {
       EXPECT_FALSE(analysis.status().message().empty());
       continue;
     }
-    for (double v : analysis.value().solver.p) {
+    for (double v : maxent::MaterializeJoint(analysis.value().solver)) {
       EXPECT_TRUE(std::isfinite(v)) << "round " << round;
     }
   }
@@ -470,9 +479,11 @@ TEST(IncrementalRobustnessTest, EvictRaceFailpointForcesFullEviction) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_GE(stats.evictions, stats.insertions);
   // Both runs solved cold and deterministically: identical posteriors.
-  ASSERT_EQ(first.solver.p.size(), second.solver.p.size());
-  for (size_t i = 0; i < first.solver.p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first.solver.p[i], second.solver.p[i]);
+  const std::vector<double> first_p = maxent::MaterializeJoint(first.solver);
+  const std::vector<double> second_p = maxent::MaterializeJoint(second.solver);
+  ASSERT_EQ(first_p.size(), second_p.size());
+  for (size_t i = 0; i < first_p.size(); ++i) {
+    EXPECT_DOUBLE_EQ(first_p[i], second_p[i]);
   }
 }
 

@@ -87,18 +87,6 @@ TEST(SparseMatrixTest, RandomizedAgreementWithDense) {
   }
 }
 
-TEST(SparseMatrixTest, SubmatrixSelectsAndReorders) {
-  SparseMatrix m = SparseMatrix::FromDense(
-      {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}, {7.0, 8.0, 9.0}});
-  auto sub = m.Submatrix({2, 0}, {1, 2}).ValueOrDie();
-  EXPECT_EQ(sub.rows(), 2u);
-  EXPECT_EQ(sub.cols(), 2u);
-  EXPECT_DOUBLE_EQ(sub.At(0, 0), 8.0);
-  EXPECT_DOUBLE_EQ(sub.At(0, 1), 9.0);
-  EXPECT_DOUBLE_EQ(sub.At(1, 0), 2.0);
-  EXPECT_DOUBLE_EQ(sub.At(1, 1), 3.0);
-}
-
 TEST(SparseMatrixBuilderTest, BuildsRowsIncrementally) {
   SparseMatrixBuilder builder(4);
   builder.BeginRow();

@@ -175,6 +175,35 @@ TEST(MetricsHistogramTest, QuantileInterpolatesInsideBucket) {
   EXPECT_DOUBLE_EQ(empty.TakeSnapshot().Quantile(0.5), 0.0);
 }
 
+TEST(MetricsHistogramTest, QuantileStaysWithinObservedRange) {
+  // One populated bucket: [8, 16) holds every observation, all 14. The
+  // interpolated estimate would say 12 at the median — below anything
+  // observed; every quantile must stay within [min, max].
+  HistogramOptions doubling;
+  doubling.lowest = 1.0;
+  doubling.growth = 2.0;
+  doubling.num_buckets = 8;
+  Histogram& single =
+      Registry::Global().GetHistogram("test.quantile_single", doubling);
+  for (int i = 0; i < 10; ++i) single.Observe(14.0);
+  const Histogram::Snapshot snap = single.TakeSnapshot();
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    EXPECT_DOUBLE_EQ(snap.Quantile(q), 14.0) << "q=" << q;
+  }
+
+  // The first bucket, [0, lowest): observations between 0.6 and 0.8.
+  Histogram& first =
+      Registry::Global().GetHistogram("test.quantile_first", doubling);
+  for (const double v : {0.6, 0.7, 0.8}) first.Observe(v);
+  const Histogram::Snapshot low = first.TakeSnapshot();
+  EXPECT_EQ(low.counts[0], 3u);
+  EXPECT_DOUBLE_EQ(low.Quantile(0.0), 0.6);
+  EXPECT_DOUBLE_EQ(low.Quantile(1.0), 0.8);
+  const double median = low.Quantile(0.5);
+  EXPECT_GE(median, 0.6);
+  EXPECT_LE(median, 0.8);
+}
+
 TEST(MetricsHistogramTest, SnapshotUnderConcurrentLoad) {
   Histogram& hist =
       Registry::Global().GetHistogram("test.under_load", SmallOptions());

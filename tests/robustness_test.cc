@@ -605,7 +605,7 @@ TEST(EndToEndRobustnessTest, AnalysisNeverCrashesUnderTheFailpointMatrix) {
       EXPECT_TRUE(std::isfinite(posterior.Conditional(q, s)));
     }
   }
-  for (double v : analysis.value().solver.p) {
+  for (double v : maxent::MaterializeJoint(analysis.value().solver)) {
     EXPECT_TRUE(std::isfinite(v));
   }
 }

@@ -10,11 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "constraints/bk_compiler.h"
@@ -24,6 +29,8 @@
 #include "core/experiment.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
+#include "maxent/block_plan.h"
+#include "maxent/decomposed.h"
 #include "maxent/solution_cache.h"
 
 namespace pme::core {
@@ -228,43 +235,159 @@ TEST_F(SessionTest, ContentHashCoversInvariantOptions) {
   EXPECT_NE(a->content_hash(), b->content_hash());
 }
 
-// ComponentAnalysis::Extend — the session's one-pass merge of knowledge
-// rows into the artifact's invariants-only partition — must agree with a
-// from-scratch Build over the concatenated system.
-TEST_F(SessionTest, ExtendMatchesBuildOnConcatenatedSystem) {
-  const auto artifact = BuildArtifact();
-  const knowledge::KnowledgeBase kb = RuleKb(15, 15);
-  auto compiled = constraints::CompileKnowledge(
-                      kb, artifact->table(), artifact->index(),
-                      artifact->qi_encoder())
-                      .ValueOrDie();
+// The reference the block plan must reproduce: ComponentAnalysis::Build
+// over the whole concatenated system, every row routed to the block of
+// its first supported variable (in matrix-form order: equality rows,
+// then inequality rows), and each block's variable and row digests
+// computed straight from that routing.
+struct ReferenceBlock {
+  std::vector<uint32_t> buckets;
+  size_t num_variables = 0;
+  std::vector<const constraints::LinearConstraint*> eq_rows;
+  std::vector<const constraints::LinearConstraint*> ineq_rows;
+  Hash128 vars_hash;
+  Hash128 rows_hash;
+};
 
-  const constraints::ComponentAnalysis extended =
-      constraints::ComponentAnalysis::Extend(artifact->base_components(),
-                                             artifact->index(),
-                                             compiled.constraints);
-
-  constraints::ConstraintSystem full(artifact->index().num_variables());
-  full.AddAll(artifact->invariants());
-  full.AddAll(std::move(compiled.constraints));
-  const constraints::ComponentAnalysis rebuilt =
-      constraints::ComponentAnalysis::Build(artifact->index(), full);
-
-  ASSERT_EQ(extended.num_components(), rebuilt.num_components());
-  EXPECT_EQ(extended.num_coupled(), rebuilt.num_coupled());
-  const size_t num_buckets = artifact->table().num_buckets();
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    EXPECT_EQ(extended.ComponentOf(b), rebuilt.ComponentOf(b)) << "bucket "
-                                                               << b;
+std::vector<ReferenceBlock> ReferencePlan(
+    const constraints::TermIndex& index,
+    const constraints::ConstraintSystem& system,
+    const constraints::ComponentAnalysis& analysis) {
+  std::vector<int64_t> block_of(analysis.num_components(), -1);
+  std::vector<ReferenceBlock> blocks;
+  for (size_t k = 0; k < analysis.num_components(); ++k) {
+    const auto& comp = analysis.components()[k];
+    if (!comp.coupled) continue;
+    block_of[k] = static_cast<int64_t>(blocks.size());
+    ReferenceBlock block;
+    block.buckets = comp.buckets;
+    block.num_variables = comp.num_variables;
+    Hasher128 h;
+    h.Update(std::string_view("pme.vars.v1"));
+    h.Update(static_cast<uint64_t>(index.num_variables()));
+    h.Update(static_cast<uint64_t>(index.num_buckets()));
+    h.Update(static_cast<uint64_t>(comp.buckets.size()));
+    for (uint32_t b : comp.buckets) {
+      const auto [first, last] = index.BucketRange(b);
+      h.Update(b);
+      h.Update(static_cast<uint64_t>(last - first));
+    }
+    block.vars_hash = h.Finish();
+    blocks.push_back(std::move(block));
   }
-  for (size_t c = 0; c < extended.num_components(); ++c) {
-    EXPECT_EQ(extended.components()[c].buckets, rebuilt.components()[c].buckets)
-        << "component " << c;
-    EXPECT_EQ(extended.components()[c].coupled, rebuilt.components()[c].coupled)
-        << "component " << c;
-    EXPECT_EQ(extended.components()[c].num_variables,
-              rebuilt.components()[c].num_variables)
-        << "component " << c;
+  std::vector<std::vector<Hash128>> sigs(blocks.size());
+  for (const auto& c : system.constraints()) {
+    int64_t block = -1;
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      block = block_of[analysis.ComponentOf(index.TermOf(c.vars[i]).bucket)];
+      break;
+    }
+    if (block < 0) continue;
+    ReferenceBlock& ref = blocks[static_cast<size_t>(block)];
+    (c.rel == knowledge::Relation::kEq ? ref.eq_rows : ref.ineq_rows)
+        .push_back(&c);
+    sigs[static_cast<size_t>(block)].push_back(
+        constraints::ConstraintRowSignature(c));
+  }
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    std::sort(sigs[i].begin(), sigs[i].end());
+    Hasher128 h;
+    h.Update(std::string_view("pme.rows.v1"));
+    h.Update(blocks[i].vars_hash);
+    h.Update(static_cast<uint64_t>(sigs[i].size()));
+    for (const Hash128& sig : sigs[i]) h.Update(sig);
+    blocks[i].rows_hash = h.Finish();
+  }
+  return blocks;
+}
+
+void ExpectSameRows(
+    const std::vector<const constraints::LinearConstraint*>& plan,
+    const std::vector<const constraints::LinearConstraint*>& reference) {
+  ASSERT_EQ(plan.size(), reference.size());
+  for (size_t r = 0; r < plan.size(); ++r) {
+    EXPECT_EQ(plan[r]->label, reference[r]->label) << "row " << r;
+    EXPECT_EQ(constraints::ConstraintRowSignature(*plan[r]),
+              constraints::ConstraintRowSignature(*reference[r]))
+        << "row " << r;
+  }
+}
+
+// The block plan — union-find over the knowledge rows' buckets alone,
+// invariant rows pulled from the artifact's bucket index — must match the
+// whole-system partition and routing: same blocks in the same order,
+// same coupled buckets, same per-block rows in the same order, same cache
+// digests, same census. Random knowledge, with some statements turned
+// into inequalities so both row kinds route.
+TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
+  const auto artifact = BuildArtifact();
+  const constraints::TermIndex& index = artifact->index();
+  std::mt19937 rng(20260801);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<knowledge::AssociationRule> rules = pipeline_->rules;
+    std::shuffle(rules.begin(), rules.end(), rng);
+    rules.resize(std::min<size_t>(rules.size(), 1 + rng() % 30));
+    knowledge::KnowledgeBase drawn;
+    drawn.AddRules(rules);
+    knowledge::KnowledgeBase kb;
+    for (auto stmt : drawn.conditionals()) {
+      const uint32_t pick = rng() % 4;
+      if (pick == 1) stmt.rel = knowledge::Relation::kLe;
+      if (pick == 2) stmt.rel = knowledge::Relation::kGe;
+      kb.Add(std::move(stmt));
+    }
+    const auto compiled =
+        constraints::CompileKnowledge(kb, artifact->table(), index,
+                                      artifact->qi_encoder())
+            .ValueOrDie();
+
+    maxent::BlockPlan plan = maxent::BlockPlan::Build(
+        index, &artifact->invariants(), &artifact->invariant_rows_by_bucket(),
+        compiled.constraints, /*monolithic_fraction=*/2.0);
+    maxent::SolutionCache cache;
+    maxent::SolverOptions options;
+    options.solution_cache = &cache;
+    plan.ConsultCache(options);
+
+    constraints::ConstraintSystem full(index.num_variables());
+    full.AddAll(artifact->invariants());
+    full.AddAll(compiled.constraints);
+    const auto analysis = constraints::ComponentAnalysis::Build(index, full);
+    const std::vector<ReferenceBlock> reference =
+        ReferencePlan(index, full, analysis);
+
+    EXPECT_EQ(plan.num_components(), analysis.num_components());
+    ASSERT_EQ(plan.blocks().size(), reference.size());
+    ASSERT_EQ(plan.blocks().size(), analysis.num_coupled());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      SCOPED_TRACE("block " + std::to_string(i));
+      const maxent::PlanBlock& block = plan.blocks()[i];
+      EXPECT_EQ(block.buckets, reference[i].buckets);
+      EXPECT_EQ(block.cols.size(), reference[i].num_variables);
+      ExpectSameRows(block.eq_rows, reference[i].eq_rows);
+      ExpectSameRows(block.ineq_rows, reference[i].ineq_rows);
+      EXPECT_EQ(block.vars_hash, reference[i].vars_hash);
+      EXPECT_EQ(block.rows_hash, reference[i].rows_hash);
+    }
+    EXPECT_EQ(plan.cache_misses(), reference.size());
+
+    const maxent::DecompositionStats census =
+        maxent::AnalyzeDecomposition(plan);
+    size_t relevant_buckets = 0;
+    size_t relevant_variables = 0;
+    for (const auto& comp : analysis.components()) {
+      if (!comp.coupled) continue;
+      relevant_buckets += comp.buckets.size();
+      relevant_variables += comp.num_variables;
+    }
+    EXPECT_EQ(census.num_components, analysis.num_components());
+    EXPECT_EQ(census.num_coupled_components, analysis.num_coupled());
+    EXPECT_EQ(census.relevant_buckets, relevant_buckets);
+    EXPECT_EQ(census.relevant_variables, relevant_variables);
+    EXPECT_EQ(census.irrelevant_buckets,
+              index.num_buckets() - relevant_buckets);
   }
 }
 
@@ -282,20 +405,29 @@ TEST_F(SessionTest, KnowledgeFreeRunMatchesLegacy) {
   EXPECT_EQ(via_session.decomposition.num_coupled_components, 0u);
 }
 
-// The session's incremental evaluation — prior posterior copied from the
-// artifact with only the knowledge-touched q rows recomputed, per-q
-// metric slices re-aggregated — must reproduce a from-scratch rebuild of
-// posterior, accuracy, and metrics off the same joint solution exactly
-// (the touched rows replay the identical arithmetic; untouched rows are
+// The session's overlay evaluation — the artifact's prior posterior with
+// only the knowledge-touched q rows recomputed, their per-q metric slices
+// folded in — must reproduce a from-scratch rebuild of posterior,
+// accuracy, and metrics off the same (materialized) joint exactly (the
+// touched rows replay the identical arithmetic; untouched rows are
 // untouched by construction).
 TEST_F(SessionTest, IncrementalEvaluationMatchesFullRebuild) {
   const knowledge::KnowledgeBase kb = RuleKb(10, 6);
   const auto artifact = BuildArtifact();
   const auto analysis = AnalysisSession(artifact).Run(kb).ValueOrDie();
+  const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
 
-  const PosteriorTable full = PosteriorTable::FromSolution(
-      artifact->table(), artifact->index(), analysis.solver.p);
-  EXPECT_EQ(MaxPosteriorDiff(full, analysis.posterior), 0.0);
+  const PosteriorTable full =
+      PosteriorTable::FromSolution(artifact->table(), artifact->index(), joint);
+  ASSERT_EQ(full.num_qi(), analysis.posterior.num_qi());
+  ASSERT_EQ(full.num_sa(), analysis.posterior.num_sa());
+  for (uint32_t q = 0; q < full.num_qi(); ++q) {
+    EXPECT_EQ(full.ProbQ(q), analysis.posterior.ProbQ(q)) << "q " << q;
+    for (uint32_t s = 0; s < full.num_sa(); ++s) {
+      EXPECT_EQ(full.Conditional(q, s), analysis.posterior.Conditional(q, s))
+          << "q " << q << " s " << s;
+    }
+  }
   EXPECT_EQ(EstimationAccuracy(artifact->ground_truth(), full),
             analysis.estimation_accuracy);
   const PrivacyMetrics metrics = ComputePrivacyMetrics(full);
@@ -305,7 +437,42 @@ TEST_F(SessionTest, IncrementalEvaluationMatchesFullRebuild) {
             analysis.metrics.min_effective_candidates);
   // The incremental entropy shortcut must stay within rounding noise of
   // the full -Σ p ln p pass.
-  EXPECT_NEAR(analysis.solver.entropy, Entropy(analysis.solver.p), 1e-9);
+  EXPECT_NEAR(analysis.solver.entropy, Entropy(joint), 1e-9);
+}
+
+// The overlay contract: a decomposed run carries no full joint and no
+// dense posterior — only its coupled blocks' slices and the posterior
+// rows of their buckets' QI instances, over the artifact's prior.
+TEST_F(SessionTest, DecomposedRunHoldsOnlyTouchedRowsAndBlockSlices) {
+  const knowledge::KnowledgeBase kb = RuleKb(4, 4);
+  const auto artifact = BuildArtifact();
+  const auto analysis = AnalysisSession(artifact).Run(kb).ValueOrDie();
+  ASSERT_FALSE(analysis.solver.used_monolithic_fallback);
+  ASSERT_GT(analysis.decomposition.num_coupled_components, 0u);
+
+  const maxent::SolverResult& solver = analysis.solver;
+  EXPECT_TRUE(solver.p.empty());
+  EXPECT_EQ(solver.prior.get(), &artifact->closed_form_prior());
+  ASSERT_EQ(solver.blocks.size(),
+            analysis.decomposition.num_coupled_components);
+  std::vector<uint32_t> touched;
+  size_t slice_variables = 0;
+  for (const auto& slice : solver.blocks) {
+    ASSERT_EQ(slice.cols.size(), slice.p.size());
+    slice_variables += slice.cols.size();
+    for (const uint32_t var : slice.cols) {
+      touched.push_back(artifact->index().TermOf(var).qi);
+    }
+  }
+  EXPECT_EQ(slice_variables, analysis.decomposition.relevant_variables);
+  EXPECT_LT(slice_variables, artifact->index().num_variables());
+
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  EXPECT_EQ(analysis.posterior.overridden_rows(), touched);
+  EXPECT_LT(touched.size(), analysis.posterior.num_qi());
+  EXPECT_EQ(maxent::MaterializeJoint(solver).size(),
+            artifact->index().num_variables());
 }
 
 }  // namespace
