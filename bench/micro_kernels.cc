@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -21,7 +19,6 @@
 
 #include "anonymize/anatomy.h"
 #include "anonymize/bucketized_table.h"
-#include "common/arena.h"
 #include "common/prng.h"
 #include "common/vec_math.h"
 #include "constraints/bk_compiler.h"
@@ -32,7 +29,6 @@
 #include "data/adult_synth.h"
 #include "knowledge/miner.h"
 #include "maxent/closed_form.h"
-#include "maxent/decomposed.h"
 #include "maxent/dual.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
@@ -75,18 +71,13 @@ void BM_AnatomyPartition(benchmark::State& state) {
 BENCHMARK(BM_AnatomyPartition)->Arg(1000)->Arg(10000);
 
 void BM_TermIndexBuild(benchmark::State& state) {
-  // range(1) = worker threads for the sharded build (1 = serial).
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
-  const size_t threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    auto index = pme::constraints::TermIndex::Build(bz.table, threads);
+    auto index = pme::constraints::TermIndex::Build(bz.table);
     benchmark::DoNotOptimize(index.num_variables());
   }
 }
-BENCHMARK(BM_TermIndexBuild)
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({10000, 4});
+BENCHMARK(BM_TermIndexBuild)->Arg(1000)->Arg(10000);
 
 void BM_InvariantGeneration(benchmark::State& state) {
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
@@ -329,51 +320,6 @@ BENCHMARK(BM_EvaluatePerQ)
     ->Args({10000, 1})
     ->Args({10000, 2});
 
-void BM_SolveDecomposedArena(benchmark::State& state) {
-  // The block-decomposed solve with the per-block scratch arena on (1)
-  // vs off (0): the off rows are the heap-allocation A/B control. The
-  // arena.* census for both rows lands in the JSON metrics snapshot.
-  auto bz = MakeBucketization(2000);
-  auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  pme::knowledge::KnowledgeBase kb;
-  pme::Prng prng(5);
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t q = static_cast<uint32_t>(
-        prng.NextBounded(bz.table.num_qi_values()));
-    const uint32_t s = static_cast<uint32_t>(
-        prng.NextBounded(bz.table.num_sa_values()));
-    kb.Add(pme::knowledge::AbstractConditional(
-        q, {s}, bz.table.TrueConditional(q, s)));
-  }
-  auto compiled =
-      pme::constraints::CompileKnowledge(kb, bz.table, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-  pme::Arena::SetEnabled(state.range(0) != 0);
-  auto& registry = pme::metrics::Registry::Global();
-  const uint64_t arena_before = registry.GetCounter("arena.allocs").Value();
-  const uint64_t heap_before =
-      registry.GetCounter("arena.heap_fallback_allocs").Value();
-  for (auto _ : state) {
-    auto result =
-        pme::maxent::SolveDecomposed(bz.table, index, system).ValueOrDie();
-    benchmark::DoNotOptimize(result.iterations);
-  }
-  // Per-solve allocation census for this arm alone (the global arena.*
-  // counters in the metrics snapshot mix both A/B arms): with the arena
-  // on, heap_fallback_allocs_per_solve must read ~0.
-  const double solves = static_cast<double>(std::max<int64_t>(
-      state.iterations(), 1));
-  state.counters["arena_allocs_per_solve"] = static_cast<double>(
-      registry.GetCounter("arena.allocs").Value() - arena_before) / solves;
-  state.counters["heap_fallback_allocs_per_solve"] = static_cast<double>(
-      registry.GetCounter("arena.heap_fallback_allocs").Value() -
-      heap_before) / solves;
-  pme::Arena::SetEnabled(true);
-}
-BENCHMARK(BM_SolveDecomposedArena)->Arg(0)->Arg(1);
-
 void BM_DualEvaluateSimd(benchmark::State& state) {
   // End-to-end dual evaluation (CSR transpose product, fused exp-sum,
   // fused gradient pass) under both dispatch modes.
@@ -510,8 +456,7 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 void WriteJson(const std::string& path,
                const std::vector<CapturingReporter::Row>& rows) {
   pme::bench::JsonWriter json(path, "micro_kernels");
-  // The host's active ISA tier plus the process metrics snapshot (which
-  // carries the arena.* allocation census the arena A/B rows explain).
+  // The host's active ISA tier plus the process metrics snapshot.
   json.Field("simd", std::string(pme::kernels::SimdModeName()));
   json.Field("avx2_supported", static_cast<size_t>(
                                    pme::kernels::Avx2Supported() ? 1 : 0));

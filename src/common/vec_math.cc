@@ -1007,8 +1007,6 @@ SimdMode ParseSimdMode(const std::string& value) {
 
 const char* SimdModeName() { return g_active->isa; }
 
-const char* ActiveIsa() { return g_active->isa; }
-
 bool SimdActive() { return g_active != &kScalarTable; }
 
 bool Avx2Supported() { return CpuHasAvx2(); }

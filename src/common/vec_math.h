@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace pme::kernels {
@@ -21,30 +20,22 @@ struct Span {
 
   Span() = default;
   Span(double* d, size_t n) : data(d), size(n) {}
-  /// Implicit from any contiguous double container (std::vector,
-  /// ScratchVector) so call sites stay terse across allocator types.
-  template <typename C,
-            typename = std::enable_if_t<std::is_same_v<
-                decltype(std::declval<C&>().data()), double*>>>
-  Span(C& v) : data(v.data()), size(v.size()) {}  // NOLINT
+  Span(std::vector<double>& v) : data(v.data()), size(v.size()) {}  // NOLINT
 
   double& operator[](size_t i) const { return data[i]; }
   double* begin() const { return data; }
   double* end() const { return data + size; }
 };
 
-/// Non-owning read-only view; implicitly constructible from Span and any
-/// contiguous double container so call sites stay terse.
+/// Non-owning read-only view; implicitly constructible from Span and
+/// std::vector so call sites stay terse.
 struct ConstSpan {
   const double* data = nullptr;
   size_t size = 0;
 
   ConstSpan() = default;
   ConstSpan(const double* d, size_t n) : data(d), size(n) {}
-  template <typename C,
-            typename = std::enable_if_t<std::is_convertible_v<
-                decltype(std::declval<const C&>().data()), const double*>>>
-  ConstSpan(const C& v)  // NOLINT
+  ConstSpan(const std::vector<double>& v)  // NOLINT
       : data(v.data()), size(v.size()) {}
   ConstSpan(Span s) : data(s.data), size(s.size) {}  // NOLINT
 
@@ -80,9 +71,6 @@ SimdMode ParseSimdMode(const std::string& value);
 /// "avx512", "avx2+fma" or "scalar". This reflects what actually runs —
 /// a pinned-but-unsupported mode reports the table it fell back to.
 const char* SimdModeName();
-
-/// Legacy alias for SimdModeName().
-const char* ActiveIsa();
 
 /// True when a vectorized (non-scalar) dispatch table is active.
 bool SimdActive();

@@ -2,26 +2,18 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
-
 namespace pme::constraints {
 
-TermIndex TermIndex::Build(const anonymize::BucketizedTable& table,
-                           size_t threads) {
+TermIndex TermIndex::Build(const anonymize::BucketizedTable& table) {
   TermIndex index;
   const size_t m = table.num_buckets();
   index.bucket_qi_.resize(m);
   index.bucket_sa_.resize(m);
   index.bucket_offsets_.assign(m + 1, 0);
 
-  // Phase 1 (parallel): per-bucket distinct instance lists. Each bucket
-  // writes only its own slots; bucket_offsets_[b + 1] temporarily holds
-  // the bucket's term count.
-  // The shard tasks below touch only std containers and never throw in
-  // practice; the ParallelFor statuses exist for callers whose tasks can
-  // fail (the decomposed solver) and are vacuous here.
-  const size_t workers = ThreadPool::ResolveThreads(threads);
-  (void)ThreadPool::ParallelFor(workers, m, [&](size_t b) {
+  // Per-bucket distinct instance lists, with bucket offsets by prefix
+  // sum over the term counts.
+  for (size_t b = 0; b < m; ++b) {
     auto& qis = index.bucket_qi_[b];
     auto& sas = index.bucket_sa_[b];
     for (const auto& [q, cnt] : table.BucketQiCounts(b)) qis.push_back(q);
@@ -30,24 +22,19 @@ TermIndex TermIndex::Build(const anonymize::BucketizedTable& table,
     std::sort(qis.begin(), qis.end());
     std::sort(sas.begin(), sas.end());
     index.bucket_offsets_[b + 1] =
+        index.bucket_offsets_[b] +
         static_cast<uint32_t>(qis.size() * sas.size());
-  });
-
-  // Phase 2 (serial): counts -> offsets by prefix sum.
-  for (size_t b = 0; b < m; ++b) {
-    index.bucket_offsets_[b + 1] += index.bucket_offsets_[b];
   }
 
-  // Phase 3 (parallel): materialize terms into disjoint slices.
-  index.terms_.resize(index.bucket_offsets_[m]);
-  (void)ThreadPool::ParallelFor(workers, m, [&](size_t b) {
-    size_t k = index.bucket_offsets_[b];
+  // Materialize the terms, sized exactly up front.
+  index.terms_.reserve(index.bucket_offsets_[m]);
+  for (size_t b = 0; b < m; ++b) {
     for (uint32_t q : index.bucket_qi_[b]) {
       for (uint32_t s : index.bucket_sa_[b]) {
-        index.terms_[k++] = Term{q, s, static_cast<uint32_t>(b)};
+        index.terms_.push_back(Term{q, s, static_cast<uint32_t>(b)});
       }
     }
-  });
+  }
   return index;
 }
 

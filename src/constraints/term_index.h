@@ -4,6 +4,7 @@
 #ifndef PME_CONSTRAINTS_TERM_INDEX_H_
 #define PME_CONSTRAINTS_TERM_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -43,14 +44,13 @@ struct Term {
 class TermIndex {
  public:
   /// Builds the index for `table` (which must outlive the index).
-  ///
-  /// With `threads > 1` (or 0 = hardware concurrency) construction is
-  /// sharded across common::ThreadPool: the per-bucket distinct lists
-  /// are built in parallel, bucket offsets follow by prefix sum, and the
-  /// term array is filled in parallel into disjoint slices. The result
-  /// is byte-identical to the serial build for any thread count.
+  static TermIndex Build(const anonymize::BucketizedTable& table);
+  /// Same as Build(table); the thread count is ignored. Kept only because
+  /// the pipeline benchmark still passes one.
   static TermIndex Build(const anonymize::BucketizedTable& table,
-                         size_t threads = 1);
+                         size_t /*threads*/) {
+    return Build(table);
+  }
 
   /// Number of materialized variables.
   size_t num_variables() const { return terms_.size(); }

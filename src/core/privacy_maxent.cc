@@ -15,9 +15,6 @@ Result<Analysis> Analyze(const anonymize::BucketizedTable& table,
   // hold the artifact and skip this per-call rebuild.
   TableArtifactOptions artifact_options;
   artifact_options.invariant_options = options.invariant_options;
-  // Index construction is sharded across the solver's pool so the front
-  // of every analysis scales with --threads, not just the solve.
-  artifact_options.threads = options.solver_options.threads;
   PME_ASSIGN_OR_RETURN(
       auto artifact,
       TableArtifact::BuildBorrowed(table, qi_encoder, artifact_options));

@@ -14,8 +14,8 @@ namespace {
 /// Digest of everything that determines the artifact's compiled rows:
 /// the abstract records (the published view plus ground-truth bindings
 /// derive from exactly these), the instance-space dimensions, and the
-/// invariant options. Deliberately independent of build threads, label
-/// strings, and any in-memory layout.
+/// invariant options. Deliberately independent of label strings and any
+/// in-memory layout.
 Hash128 ComputeContentHash(const anonymize::BucketizedTable& table,
                            const TableArtifactOptions& options) {
   Hasher128 h;
@@ -47,8 +47,7 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
   artifact->table_ = std::move(table);
   artifact->qi_encoder_ = std::move(qi_encoder);
   artifact->options_ = options;
-  artifact->index_ =
-      constraints::TermIndex::Build(*artifact->table_, options.threads);
+  artifact->index_ = constraints::TermIndex::Build(*artifact->table_);
   artifact->invariants_ = constraints::GenerateInvariants(
       *artifact->table_, artifact->index_, options.invariant_options);
   PME_ASSIGN_OR_RETURN(artifact->invariant_rows_by_bucket_,

@@ -24,9 +24,8 @@ namespace pme::core {
 /// knobs (solver, deadline, cache mode) live in AnalysisOptions.
 struct TableArtifactOptions {
   constraints::InvariantOptions invariant_options;
-  /// Worker threads for the parallel TermIndex build (0 = hardware
-  /// concurrency). The artifact — content hash included — is
-  /// byte-identical for any value.
+  /// Ignored: the artifact build is serial. Kept only because the
+  /// pipeline benchmark still sets it.
   size_t threads = 1;
 };
 

@@ -5,9 +5,8 @@
 
 namespace pme::linalg {
 
-template <typename TripletVec>
 Result<SparseMatrix> SparseMatrix::BuildCsr(size_t rows, size_t cols,
-                                            TripletVec& triplets) {
+                                            std::vector<Triplet>& triplets) {
   for (const Triplet& t : triplets) {
     if (t.row >= rows || t.col >= cols) {
       return Status::InvalidArgument("triplet index out of bounds");
@@ -197,17 +196,6 @@ double SparseMatrix::At(size_t row, size_t col) const {
     if (col_indices_[k] == col) return values_[k];
   }
   return 0.0;
-}
-
-std::vector<std::vector<double>> SparseMatrix::ToDense() const {
-  std::vector<std::vector<double>> dense(rows_,
-                                         std::vector<double>(cols_, 0.0));
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      dense[r][col_indices_[k]] = values_[k];
-    }
-  }
-  return dense;
 }
 
 size_t SparseMatrixBuilder::BeginRow() {

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/math_util.h"
@@ -74,8 +73,8 @@ SolveMetrics& GetSolveMetrics() {
 Status AppendRows(const BlockPlan& plan,
                   const std::vector<const LinearConstraint*>& rows,
                   linalg::SparseMatrixBuilder* matrix,
-                  ScratchVector<double>* rhs) {
-  ScratchVector<std::pair<uint32_t, double>> entries;
+                  std::vector<double>* rhs) {
+  std::vector<std::pair<uint32_t, double>> entries;
   uint32_t bucket = UINT32_MAX;
   uint32_t block = 0;
   uint32_t col = 0;
@@ -307,12 +306,6 @@ Result<SolverResult> SolveDecomposed(
   const std::function<void(size_t)> block_task = [&](size_t i) {
         if (blocks[i].cached != nullptr) return;  // answered from the cache
         trace::TraceIdScope trace_scope(request_trace_id);
-        // One arena scope per block task: the block problem, presolve
-        // scratch and dual workspace below all bump-allocate from this
-        // worker's thread-local arena and are released wholesale here.
-        // The SolverResult stored into block_results escapes by design —
-        // its payload vectors use the plain heap allocator.
-        ArenaScope arena_scope;
         trace::TraceSpan block_span("solve_block", "solve");
         block_span.AddArg("block", static_cast<double>(i));
         Timer block_timer;

@@ -1,6 +1,7 @@
 #include "maxent/dual.h"
 
 #include <cassert>
+#include <utility>
 
 #include "common/vec_math.h"
 
@@ -17,9 +18,7 @@ double DualFunction::Evaluate(const std::vector<double>& lambda,
                               std::vector<double>* p) const {
   DualWorkspace ws;
   const double value = EvaluateInto(lambda, grad, &ws);
-  // ws.p may be arena-backed inside a scope, so copy rather than swap —
-  // this convenience wrapper is off the hot path.
-  if (p != nullptr) p->assign(ws.p.begin(), ws.p.end());
+  if (p != nullptr) *p = std::move(ws.p);
   return value;
 }
 

@@ -11,9 +11,9 @@ Result<MaxEntProblem> BuildProblem(
   MaxEntProblem p;
   p.num_vars = system.num_variables();
   p.eq = std::move(matrices.eq);
-  p.eq_rhs.assign(matrices.eq_rhs.begin(), matrices.eq_rhs.end());
+  p.eq_rhs = std::move(matrices.eq_rhs);
   p.ineq = std::move(matrices.ineq);
-  p.ineq_rhs.assign(matrices.ineq_rhs.begin(), matrices.ineq_rhs.end());
+  p.ineq_rhs = std::move(matrices.ineq_rhs);
   return p;
 }
 
@@ -29,46 +29,47 @@ std::vector<double> PresolvedProblem::Restore(
 
 namespace {
 
-struct WorkRow {
-  // Presolve scratch: inside a block-solve ArenaScope these arrays come
-  // from the pool worker's arena.
-  ScratchVector<uint32_t> vars;
-  ScratchVector<double> coefs;
+/// One constraint row of the presolve working copy: a slice of the flat
+/// `vars`/`coefs` arrays. Substitution shrinks `len` inside the slice.
+struct FlatRow {
+  size_t begin = 0;
+  size_t len = 0;
   double rhs = 0.0;
-  bool is_eq = true;
   bool active = true;
 };
 
-ScratchVector<WorkRow> ExtractRows(const linalg::SparseMatrix& m,
-                                   kernels::ConstSpan rhs, bool is_eq) {
-  ScratchVector<WorkRow> rows(m.rows());
+/// Appends a copy of `m`'s rows to the flat working arrays.
+void AppendRows(const linalg::SparseMatrix& m, const std::vector<double>& rhs,
+                std::vector<uint32_t>* vars, std::vector<double>* coefs,
+                std::vector<FlatRow>* rows) {
+  const size_t base = vars->size();
+  vars->insert(vars->end(), m.col_indices().begin(), m.col_indices().end());
+  coefs->insert(coefs->end(), m.values().begin(), m.values().end());
   const auto& offsets = m.row_offsets();
-  const auto& cols = m.col_indices();
-  const auto& values = m.values();
   for (size_t r = 0; r < m.rows(); ++r) {
-    WorkRow& row = rows[r];
-    row.rhs = rhs[r];
-    row.is_eq = is_eq;
-    for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-      row.vars.push_back(cols[k]);
-      row.coefs.push_back(values[k]);
-    }
+    rows->push_back(
+        {base + offsets[r], offsets[r + 1] - offsets[r], rhs[r], true});
   }
-  return rows;
 }
 
 }  // namespace
 
 Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
-  ScratchVector<WorkRow> rows = ExtractRows(problem.eq, problem.eq_rhs, true);
-  {
-    auto ineq_rows = ExtractRows(problem.ineq, problem.ineq_rhs, false);
-    rows.insert(rows.end(), std::make_move_iterator(ineq_rows.begin()),
-                std::make_move_iterator(ineq_rows.end()));
-  }
+  // Eq rows first, then ineq rows, each in original order: row r is an
+  // equality iff r < num_eq.
+  const size_t num_eq = problem.eq.rows();
+  const size_t nnz = problem.eq.nnz() + problem.ineq.nnz();
+  std::vector<uint32_t> vars;
+  std::vector<double> coefs;
+  std::vector<FlatRow> rows;
+  vars.reserve(nnz);
+  coefs.reserve(nnz);
+  rows.reserve(problem.num_constraints());
+  AppendRows(problem.eq, problem.eq_rhs, &vars, &coefs, &rows);
+  AppendRows(problem.ineq, problem.ineq_rhs, &vars, &coefs, &rows);
 
-  ScratchVector<char> is_fixed(problem.num_vars, 0);
-  ScratchVector<double> fixed_value(problem.num_vars, 0.0);
+  std::vector<char> is_fixed(problem.num_vars, 0);
+  std::vector<double> fixed_value(problem.num_vars, 0.0);
 
   auto fix = [&](uint32_t var, double value) {
     is_fixed[var] = 1;
@@ -78,25 +79,28 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (WorkRow& row : rows) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      FlatRow& row = rows[r];
       if (!row.active) continue;
+      const bool is_eq = r < num_eq;
+      uint32_t* const rv = vars.data() + row.begin;
+      double* const rc = coefs.data() + row.begin;
       // Substitute fixed variables and drop zero coefficients.
       size_t w = 0;
-      for (size_t i = 0; i < row.vars.size(); ++i) {
-        if (row.coefs[i] == 0.0) continue;
-        if (is_fixed[row.vars[i]]) {
-          row.rhs -= row.coefs[i] * fixed_value[row.vars[i]];
+      for (size_t i = 0; i < row.len; ++i) {
+        if (rc[i] == 0.0) continue;
+        if (is_fixed[rv[i]]) {
+          row.rhs -= rc[i] * fixed_value[rv[i]];
           continue;
         }
-        row.vars[w] = row.vars[i];
-        row.coefs[w] = row.coefs[i];
+        rv[w] = rv[i];
+        rc[w] = rc[i];
         ++w;
       }
-      row.vars.resize(w);
-      row.coefs.resize(w);
+      row.len = w;
 
-      if (row.vars.empty()) {
-        if (row.is_eq ? std::fabs(row.rhs) > tol : row.rhs < -tol) {
+      if (w == 0) {
+        if (is_eq ? std::fabs(row.rhs) > tol : row.rhs < -tol) {
           return Status::Infeasible(
               "presolve: constraint reduced to an unsatisfiable constant");
         }
@@ -106,26 +110,24 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
       }
 
       const bool all_pos =
-          std::all_of(row.coefs.begin(), row.coefs.end(),
-                      [](double c) { return c > 0.0; });
+          std::all_of(rc, rc + w, [](double c) { return c > 0.0; });
       const bool all_neg =
-          std::all_of(row.coefs.begin(), row.coefs.end(),
-                      [](double c) { return c < 0.0; });
+          std::all_of(rc, rc + w, [](double c) { return c < 0.0; });
 
-      if (row.is_eq) {
+      if (is_eq) {
         if (std::fabs(row.rhs) <= tol && (all_pos || all_neg)) {
           // Zero forcing: a signed combination of nonnegative variables
           // equal to zero pins every variable to zero.
-          for (uint32_t v : row.vars) fix(v, 0.0);
+          for (size_t i = 0; i < w; ++i) fix(rv[i], 0.0);
           row.active = false;
           changed = true;
-        } else if (row.vars.size() == 1) {
-          const double value = row.rhs / row.coefs[0];
+        } else if (w == 1) {
+          const double value = row.rhs / rc[0];
           if (value < -tol) {
             return Status::Infeasible(
                 "presolve: a probability term is forced negative");
           }
-          fix(row.vars[0], value);
+          fix(rv[0], value);
           row.active = false;
           changed = true;
         }
@@ -138,7 +140,7 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
                 "terms");
           }
           if (row.rhs <= tol) {
-            for (uint32_t v : row.vars) fix(v, 0.0);
+            for (size_t i = 0; i < w; ++i) fix(rv[i], 0.0);
             row.active = false;
             changed = true;
           }
@@ -150,7 +152,7 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   // Renumber surviving variables.
   PresolvedProblem out;
   out.var_map.assign(problem.num_vars, -1);
-  out.fixed_values.assign(fixed_value.begin(), fixed_value.end());
+  out.fixed_values = std::move(fixed_value);
   size_t next = 0;
   for (size_t v = 0; v < problem.num_vars; ++v) {
     if (is_fixed[v]) {
@@ -160,30 +162,29 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
     }
   }
 
-  // Rebuild surviving rows. `rows` holds the eq rows first then the
-  // ineq rows, each in original order, so the row maps fall out of the
-  // same pass that emits the reduced matrices.
-  out.eq_row_map.assign(problem.eq.rows(), -1);
+  // Rebuild surviving rows, renumbering each slice's columns in place.
+  // Rows are in original order, so the row maps fall out of the same
+  // pass that emits the reduced matrices.
+  out.eq_row_map.assign(num_eq, -1);
   out.ineq_row_map.assign(problem.ineq.rows(), -1);
   linalg::SparseMatrixBuilder eq_builder(next);
   linalg::SparseMatrixBuilder ineq_builder(next);
   for (size_t r = 0; r < rows.size(); ++r) {
-    const WorkRow& row = rows[r];
+    const FlatRow& row = rows[r];
     if (!row.active) continue;
-    ScratchVector<uint32_t> vars(row.vars.size());
-    for (size_t i = 0; i < row.vars.size(); ++i) {
-      vars[i] = static_cast<uint32_t>(out.var_map[row.vars[i]]);
+    uint32_t* const rv = vars.data() + row.begin;
+    const double* const rc = coefs.data() + row.begin;
+    for (size_t i = 0; i < row.len; ++i) {
+      rv[i] = static_cast<uint32_t>(out.var_map[rv[i]]);
     }
-    if (row.is_eq) {
+    if (r < num_eq) {
       out.eq_row_map[r] = static_cast<int64_t>(out.reduced.eq_rhs.size());
-      PME_RETURN_IF_ERROR(
-          eq_builder.AddRow(vars.data(), row.coefs.data(), vars.size()));
+      PME_RETURN_IF_ERROR(eq_builder.AddRow(rv, rc, row.len));
       out.reduced.eq_rhs.push_back(row.rhs);
     } else {
-      out.ineq_row_map[r - problem.eq.rows()] =
+      out.ineq_row_map[r - num_eq] =
           static_cast<int64_t>(out.reduced.ineq_rhs.size());
-      PME_RETURN_IF_ERROR(
-          ineq_builder.AddRow(vars.data(), row.coefs.data(), vars.size()));
+      PME_RETURN_IF_ERROR(ineq_builder.AddRow(rv, rc, row.len));
       out.reduced.ineq_rhs.push_back(row.rhs);
     }
   }

@@ -22,11 +22,9 @@ namespace pme::maxent {
 struct MaxEntProblem {
   size_t num_vars = 0;
   linalg::SparseMatrix eq;
-  // Arena-aware (like the matrices' CSR arrays): a problem assembled
-  // inside an ArenaScope is per-block scratch and dies with the scope.
-  ScratchVector<double> eq_rhs;
+  std::vector<double> eq_rhs;
   linalg::SparseMatrix ineq;
-  ScratchVector<double> ineq_rhs;
+  std::vector<double> ineq_rhs;
 
   bool has_inequalities() const { return ineq.rows() > 0; }
   size_t num_constraints() const { return eq.rows() + ineq.rows(); }

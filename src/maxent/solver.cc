@@ -155,7 +155,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     if (reduced.has_inequalities()) {
       PME_ASSIGN_OR_RETURN(auto stacked,
                            StackMatrices(reduced.eq, reduced.ineq));
-      ScratchVector<double> rhs = reduced.eq_rhs;
+      std::vector<double> rhs = reduced.eq_rhs;
       rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
       DualFunction dual(&stacked, rhs);
       PME_ASSIGN_OR_RETURN(

@@ -90,14 +90,11 @@ int ServeMain(const Flags& flags) {
   options.analysis.solver_options.cache_mode = cache_mode.value();
   if (cache_mode.value() == maxent::CacheMode::kOff) options.cache_mb = 0;
 
-  core::TableArtifactOptions artifact_options;
-  artifact_options.threads = options.solver_threads;
   auto artifact = core::TableArtifact::Build(
       std::shared_ptr<const anonymize::BucketizedTable>(bucketization,
                                                         &bucketization->table),
       std::shared_ptr<const data::TupleEncoder>(bucketization,
-                                                &bucketization->qi_encoder),
-      artifact_options);
+                                                &bucketization->qi_encoder));
   if (!artifact.ok()) return Fail(artifact.status());
 
   AnalysisServer server(artifact.value(), dataset, options);

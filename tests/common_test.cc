@@ -7,11 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flags.h"
 #include "common/hash.h"
 #include "common/math_util.h"
@@ -416,140 +413,6 @@ TEST(Hash128Test, ComparisonAndHexFormat) {
   EXPECT_FALSE(big < small);
   EXPECT_EQ(small.ToHex().size(), 32u);
   EXPECT_EQ(Hash128{}.ToHex(), std::string(32, '0'));
-}
-
-// ---------------------------------------------------------------- arena
-
-TEST(ArenaTest, AllocationsAreSixteenByteAligned) {
-  ArenaScope scope;
-  for (size_t bytes : {1, 7, 8, 15, 16, 17, 100, 4096}) {
-    void* p = internal::ScratchAllocate(bytes);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u) << bytes;
-    internal::ScratchDeallocate(p);
-  }
-}
-
-TEST(ArenaTest, ScopeResetReusesMemory) {
-  // After a scope rewinds, the next scope's first allocation lands on the
-  // same bump address — the steady state with zero heap traffic.
-  Arena& arena = Arena::ThreadLocal();
-  void* first = nullptr;
-  {
-    ArenaScope scope;
-    first = internal::ScratchAllocate(512);
-    ASSERT_NE(first, nullptr);
-    EXPECT_GE(arena.BytesInUse(), 512u);
-  }
-  EXPECT_EQ(arena.BytesInUse(), 0u);
-  {
-    ArenaScope scope;
-    void* again = internal::ScratchAllocate(512);
-    EXPECT_EQ(again, first);
-  }
-}
-
-TEST(ArenaTest, NestedScopesRewindOnlyTheirOwnAllocations) {
-  Arena& arena = Arena::ThreadLocal();
-  ArenaScope outer;
-  internal::ScratchAllocate(256);
-  const size_t outer_use = arena.BytesInUse();
-  {
-    ArenaScope inner;
-    internal::ScratchAllocate(1024);
-    EXPECT_GT(arena.BytesInUse(), outer_use);
-  }
-  EXPECT_EQ(arena.BytesInUse(), outer_use);
-}
-
-TEST(ArenaTest, ExhaustionGrowsNewChunks) {
-  // Requests past the first chunk's capacity append doubled chunks; the
-  // allocations keep succeeding and the reservation census grows.
-  Arena arena;
-  const size_t big = Arena::kMinChunkBytes;  // > capacity after the first
-  void* a = arena.Allocate(big, 16);
-  void* b = arena.Allocate(big, 16);
-  void* c = arena.Allocate(4 * big, 16);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_NE(c, nullptr);
-  EXPECT_GE(arena.ReservedBytes(), 6 * big);
-  // The blocks must not overlap.
-  auto as_int = [](void* p) { return reinterpret_cast<uintptr_t>(p); };
-  EXPECT_TRUE(as_int(a) + big <= as_int(b) || as_int(b) + big <= as_int(a));
-  EXPECT_TRUE(as_int(b) + big <= as_int(c) || as_int(c) + 4 * big <= as_int(b));
-}
-
-TEST(ArenaTest, ScratchVectorDrawsFromArenaOnlyInScope) {
-  Arena& arena = Arena::ThreadLocal();
-  const ArenaStats before = arena.stats();
-  {
-    ScratchVector<double> v(1000, 1.0);  // in scope below? no — heap
-    EXPECT_EQ(arena.stats().arena_allocs, before.arena_allocs);
-  }
-  {
-    ArenaScope scope;
-    ScratchVector<double> v(1000, 1.0);
-    EXPECT_EQ(arena.stats().arena_allocs, before.arena_allocs + 1);
-    EXPECT_GE(arena.stats().arena_bytes, before.arena_bytes + 8000);
-  }
-}
-
-TEST(ArenaTest, KillSwitchRoutesScopedAllocationsToHeap) {
-  Arena& arena = Arena::ThreadLocal();
-  ASSERT_TRUE(Arena::Enabled());
-  Arena::SetEnabled(false);
-  const ArenaStats before = arena.stats();
-  {
-    ArenaScope scope;
-    ScratchVector<double> v(100, 2.0);
-    EXPECT_EQ(arena.stats().arena_allocs, before.arena_allocs);
-    EXPECT_EQ(arena.stats().heap_fallback_allocs,
-              before.heap_fallback_allocs + 1);
-    EXPECT_EQ(arena.BytesInUse(), 0u);
-  }
-  Arena::SetEnabled(true);
-}
-
-TEST(ArenaTest, HeapBlocksOutliveTheScopeTheyMoveThrough) {
-  // A container allocated outside any scope keeps valid heap memory even
-  // when it is destroyed inside one (and vice versa): the per-block tag,
-  // not ambient state, decides how deallocate behaves.
-  ScratchVector<double> outside(257, 3.5);
-  {
-    ArenaScope scope;
-    ScratchVector<double> moved = std::move(outside);
-    EXPECT_EQ(moved.size(), 257u);
-    EXPECT_EQ(moved[256], 3.5);
-  }  // heap-tagged block freed here, inside the scope — must not leak/crash
-  ScratchVector<double> reused;
-  {
-    ArenaScope scope;
-    // Heap-tagged because the kill switch is irrelevant here: allocation
-    // happens inside the scope, so this block is arena-tagged and must
-    // NOT escape. Allocate the escaping copy outside instead.
-    ScratchVector<double> scratch(64, 7.0);
-    reused.assign(scratch.begin(), scratch.end());  // heap copy escapes
-  }
-  EXPECT_EQ(reused.size(), 64u);
-  EXPECT_EQ(reused[63], 7.0);
-}
-
-TEST(ArenaTest, ArenasAreThreadLocal) {
-  Arena& mine = Arena::ThreadLocal();
-  Arena* theirs = nullptr;
-  void* their_block = nullptr;
-  std::thread t([&] {
-    theirs = &Arena::ThreadLocal();
-    ArenaScope scope;
-    their_block = internal::ScratchAllocate(64);
-  });
-  t.join();
-  EXPECT_NE(theirs, nullptr);
-  EXPECT_NE(theirs, &mine);
-  EXPECT_NE(their_block, nullptr);
-  // This thread's scope depth and census are untouched by the other
-  // thread's activity.
-  EXPECT_FALSE(mine.InScope());
 }
 
 }  // namespace

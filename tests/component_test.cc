@@ -378,27 +378,5 @@ TEST(SolveDecomposedTest, SimdOffAndAutoPosteriorsAgree) {
   }
 }
 
-// ------------------------------------------------ Sharded TermIndex build
-
-TEST(TermIndexBuildTest, ParallelBuildIsByteIdenticalToSerial) {
-  for (int seed = 1; seed <= 3; ++seed) {
-    auto t = RandomTable(64, 4, 40, 8, seed);
-    const TermIndex serial = TermIndex::Build(t, 1);
-    for (size_t threads : {2, 4, 8}) {
-      const TermIndex sharded = TermIndex::Build(t, threads);
-      ASSERT_EQ(sharded.num_variables(), serial.num_variables());
-      ASSERT_EQ(sharded.num_buckets(), serial.num_buckets());
-      for (uint32_t b = 0; b < serial.num_buckets(); ++b) {
-        EXPECT_EQ(sharded.BucketRange(b), serial.BucketRange(b));
-        EXPECT_EQ(sharded.BucketQiList(b), serial.BucketQiList(b));
-        EXPECT_EQ(sharded.BucketSaList(b), serial.BucketSaList(b));
-      }
-      for (uint32_t v = 0; v < serial.num_variables(); ++v) {
-        EXPECT_TRUE(sharded.TermOf(v) == serial.TermOf(v)) << "var " << v;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace pme

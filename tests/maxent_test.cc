@@ -205,6 +205,55 @@ TEST(PresolveTest, InequalityZeroBoundForces) {
   EXPECT_DOUBLE_EQ(full[1], 0.5);
 }
 
+TEST(PresolveTest, RowMapsAndRenumberingAcrossEqAndIneq) {
+  // Seven variables; all values are exact in binary, so every rhs below
+  // is asserted exactly.
+  MaxEntProblem problem;
+  problem.num_vars = 7;
+  problem.eq = linalg::SparseMatrix::FromDense({
+      {1, 1, 0, 0, 0, 0, 0},    // E0: p0 + p1 = 0       -> zero forcing
+      {0, 0, 2, 0, 0, 0, 0},    // E1: 2 p2 = 0.5        -> pins p2 = 0.25
+      {0, 1, 1, 1, 1, 0, 0},    // E2: p1..p4 = 1        -> p3 + p4 = 0.75
+      {0, 0, 0, 0, 0.5, 0, 3},  // E3: 0.5 p4 + 3 p6 = 0.875, untouched
+  });
+  problem.eq_rhs = {0.0, 0.5, 1.0, 0.875};
+  problem.ineq = linalg::SparseMatrix::FromDense({
+      {0, 0, 1, 0, 0, 1, 0},   // I0: p2 + p5 <= 0.25  -> p5 <= 0, forces p5
+      {0, 0, 0, 1, 0, 1, 1},   // I1: p3 + p5 + p6 <= 0.75
+      {0, 0, 0, 0, -1, 0, 0},  // I2: -p4 <= -0.125, untouched
+  });
+  problem.ineq_rhs = {0.25, 0.75, -0.125};
+
+  const PresolvedProblem pre = Presolve(problem).ValueOrDie();
+
+  // p0, p1, p2, p5 are fixed; p3, p4, p6 survive as reduced 0, 1, 2.
+  EXPECT_EQ(pre.num_fixed, 4u);
+  EXPECT_EQ(pre.var_map, (std::vector<int64_t>{-1, -1, -1, 0, 1, -1, 2}));
+  EXPECT_EQ(pre.fixed_values,
+            (std::vector<double>{0, 0, 0.25, 0, 0, 0, 0}));
+  EXPECT_EQ(pre.eq_row_map, (std::vector<int64_t>{-1, -1, 0, 1}));
+  EXPECT_EQ(pre.ineq_row_map, (std::vector<int64_t>{-1, 0, 1}));
+
+  const MaxEntProblem& reduced = pre.reduced;
+  EXPECT_EQ(reduced.num_vars, 3u);
+  ASSERT_EQ(reduced.eq.rows(), 2u);
+  EXPECT_EQ(reduced.eq.cols(), 3u);
+  EXPECT_EQ(reduced.eq.row_offsets(), (std::vector<size_t>{0, 2, 4}));
+  EXPECT_EQ(reduced.eq.col_indices(), (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(reduced.eq.values(), (std::vector<double>{1, 1, 0.5, 3}));
+  EXPECT_EQ(reduced.eq_rhs, (std::vector<double>{0.75, 0.875}));
+
+  ASSERT_EQ(reduced.ineq.rows(), 2u);
+  EXPECT_EQ(reduced.ineq.cols(), 3u);
+  EXPECT_EQ(reduced.ineq.row_offsets(), (std::vector<size_t>{0, 2, 3}));
+  EXPECT_EQ(reduced.ineq.col_indices(), (std::vector<uint32_t>{0, 2, 1}));
+  EXPECT_EQ(reduced.ineq.values(), (std::vector<double>{1, 1, -1}));
+  EXPECT_EQ(reduced.ineq_rhs, (std::vector<double>{0.75, -0.125}));
+
+  EXPECT_EQ(pre.Restore({0.5, 0.25, 0.125}),
+            (std::vector<double>{0, 0, 0.25, 0.5, 0.25, 0, 0.125}));
+}
+
 // --------------------------------------------------- Analytic solutions
 
 TEST(SolverTest, UniformOnSimplex) {

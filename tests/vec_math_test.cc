@@ -60,19 +60,18 @@ double RelErr(double a, double b) {
 TEST(VecMathTest, DispatchModesAreSwitchable) {
   SimdModeRestorer restore;
   kernels::SetSimdMode(SimdMode::kOff);
-  EXPECT_STREQ(kernels::ActiveIsa(), "scalar");
+  EXPECT_STREQ(kernels::SimdModeName(), "scalar");
   EXPECT_FALSE(kernels::SimdActive());
   kernels::SetSimdMode(SimdMode::kAuto);
   if (kernels::Avx512Supported()) {
-    EXPECT_STREQ(kernels::ActiveIsa(), "avx512");
+    EXPECT_STREQ(kernels::SimdModeName(), "avx512");
     EXPECT_TRUE(kernels::SimdActive());
   } else if (kernels::Avx2Supported()) {
-    EXPECT_STREQ(kernels::ActiveIsa(), "avx2+fma");
+    EXPECT_STREQ(kernels::SimdModeName(), "avx2+fma");
     EXPECT_TRUE(kernels::SimdActive());
   } else {
-    EXPECT_STREQ(kernels::ActiveIsa(), "scalar");
+    EXPECT_STREQ(kernels::SimdModeName(), "scalar");
   }
-  EXPECT_STREQ(kernels::SimdModeName(), kernels::ActiveIsa());
 }
 
 TEST(VecMathTest, ForcedModesFallBackGracefully) {
@@ -120,7 +119,7 @@ TEST(VecMathTest, ExpKernelsMatchLibmWithin1e12) {
     for (size_t i = 0; i < xs.size(); ++i) {
       worst = std::max(worst, RelErr(y[i], reference[i]));
     }
-    EXPECT_LE(worst, 1e-12) << "mode=" << kernels::ActiveIsa();
+    EXPECT_LE(worst, 1e-12) << "mode=" << kernels::SimdModeName();
   }
 }
 
@@ -154,11 +153,11 @@ TEST(VecMathTest, FusedExpSumMatchesSeparatePasses) {
     const double sum = kernels::ExpM1SumInPlace(Span(inplace));
     double expected_sum = 0.0;
     for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(inplace[i], stored[i]) << "mode=" << kernels::ActiveIsa();
+      EXPECT_EQ(inplace[i], stored[i]) << "mode=" << kernels::SimdModeName();
       expected_sum += stored[i];
     }
     EXPECT_LE(RelErr(sum, expected_sum), 1e-12)
-        << "mode=" << kernels::ActiveIsa();
+        << "mode=" << kernels::SimdModeName();
   }
 }
 
@@ -273,12 +272,12 @@ TEST(VecMathTest, LnMatchesLibmWithin1e12AllModes) {
       if (!std::isfinite(reference[i])) {
         // 0 -> -inf and inf -> inf must match bit-for-bit in every mode.
         EXPECT_EQ(y[i], reference[i])
-            << "x=" << xs[i] << " mode=" << kernels::ActiveIsa();
+            << "x=" << xs[i] << " mode=" << kernels::SimdModeName();
         continue;
       }
       worst = std::max(worst, RelErr(y[i], reference[i]));
     }
-    EXPECT_LE(worst, 1e-12) << "mode=" << kernels::ActiveIsa();
+    EXPECT_LE(worst, 1e-12) << "mode=" << kernels::SimdModeName();
   }
 }
 
@@ -290,13 +289,13 @@ TEST(VecMathTest, LnSpecialValuesAllModes) {
     std::vector<double> x = {0.0, -1.0, kInf, nan, -kInf, 1.0, 5e-324};
     std::vector<double> y(x.size());
     kernels::Ln(ConstSpan(x), Span(y));
-    EXPECT_EQ(y[0], -kInf) << kernels::ActiveIsa();
-    EXPECT_TRUE(std::isnan(y[1])) << kernels::ActiveIsa();
-    EXPECT_EQ(y[2], kInf) << kernels::ActiveIsa();
-    EXPECT_TRUE(std::isnan(y[3])) << kernels::ActiveIsa();
-    EXPECT_TRUE(std::isnan(y[4])) << kernels::ActiveIsa();
-    EXPECT_EQ(y[5], 0.0) << kernels::ActiveIsa();
-    EXPECT_LE(RelErr(y[6], std::log(5e-324)), 1e-12) << kernels::ActiveIsa();
+    EXPECT_EQ(y[0], -kInf) << kernels::SimdModeName();
+    EXPECT_TRUE(std::isnan(y[1])) << kernels::SimdModeName();
+    EXPECT_EQ(y[2], kInf) << kernels::SimdModeName();
+    EXPECT_TRUE(std::isnan(y[3])) << kernels::SimdModeName();
+    EXPECT_TRUE(std::isnan(y[4])) << kernels::SimdModeName();
+    EXPECT_EQ(y[5], 0.0) << kernels::SimdModeName();
+    EXPECT_LE(RelErr(y[6], std::log(5e-324)), 1e-12) << kernels::SimdModeName();
   }
 }
 
@@ -312,7 +311,7 @@ TEST(VecMathTest, LnInPlaceAliasingIsAllowed) {
     std::vector<double> inplace = x;
     kernels::Ln(ConstSpan(inplace), Span(inplace));
     for (size_t i = 0; i < x.size(); ++i) {
-      EXPECT_EQ(inplace[i], separate[i]) << kernels::ActiveIsa() << ":" << i;
+      EXPECT_EQ(inplace[i], separate[i]) << kernels::SimdModeName() << ":" << i;
     }
   }
 }
@@ -335,7 +334,7 @@ TEST(VecMathTest, NegXLogXSumMatchesScalarWithin1e12) {
   for (SimdMode mode : kAllModes) {
     kernels::SetSimdMode(mode);
     EXPECT_LE(RelErr(kernels::NegXLogXSum(ConstSpan(xs)), reference), 1e-12)
-        << "mode=" << kernels::ActiveIsa();
+        << "mode=" << kernels::SimdModeName();
   }
 }
 
@@ -366,7 +365,7 @@ TEST(VecMathTest, KlDivergenceMatchesScalarWithin1e12) {
                                            q_floor),
                      reference),
               1e-12)
-        << "mode=" << kernels::ActiveIsa();
+        << "mode=" << kernels::SimdModeName();
   }
 }
 
@@ -396,15 +395,15 @@ TEST(VecMathTest, MaskedTailSweepsAllResidues) {
       kernels::Ln(ConstSpan(x), Span(ln_v));
       for (size_t i = 0; i < n; ++i) {
         EXPECT_LE(RelErr(ln_v[i], ln_s[i]), 1e-12)
-            << kernels::ActiveIsa() << " n=" << n << " i=" << i;
+            << kernels::SimdModeName() << " n=" << n << " i=" << i;
       }
       EXPECT_LE(RelErr(kernels::NegXLogXSum(ConstSpan(p)), nxlx_s), 1e-12)
-          << kernels::ActiveIsa() << " n=" << n;
+          << kernels::SimdModeName() << " n=" << n;
       EXPECT_LE(RelErr(kernels::KlDivergence(ConstSpan(p), ConstSpan(q),
                                              1e-12),
                        kl_s),
                 1e-12)
-          << kernels::ActiveIsa() << " n=" << n;
+          << kernels::SimdModeName() << " n=" << n;
     }
   }
 }

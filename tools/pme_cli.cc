@@ -26,7 +26,6 @@
 
 #include "anonymize/anatomy.h"
 #include "anonymize/bucketized_table.h"
-#include "common/arena.h"
 #include "common/deadline.h"
 #include "common/flags.h"
 #include "common/metrics.h"
@@ -55,8 +54,7 @@ void PrintUsage(std::FILE* out) {
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
                "           [--knowledge=FILE] [--solver=lbfgs|gis|iis|"
                "steepest|newton|projected]\n"
-               "           [--threads=N] [--simd=off|avx2|avx512|auto] "
-               "[--arena=on|off]\n"
+               "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N] [--fallback=on|off]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
                "[--repeat=N]\n"
@@ -219,14 +217,6 @@ int RunAnalyze(const pme::Flags& flags) {
   // down that ladder. Posteriors agree to ~1e-10 across all modes.
   pme::kernels::SetSimdMode(
       pme::kernels::ParseSimdMode(flags.GetString("simd", "auto")));
-  // Per-block scratch arena for the decomposed solve; off is the
-  // heap-allocation A/B control (PME_ARENA=off is the env equivalent).
-  const std::string arena_flag = flags.GetString("arena", "on");
-  if (arena_flag != "on" && arena_flag != "off") {
-    return Fail(pme::Status::InvalidArgument(
-        "--arena must be 'on' or 'off', got '" + arena_flag + "'"));
-  }
-  pme::Arena::SetEnabled(arena_flag == "on");
   // Wall-time budget for the whole solve. Components that run out of
   // their share degrade to cheaper solvers or the closed-form prior
   // rather than aborting the analysis (see --fallback).
@@ -275,7 +265,6 @@ int RunAnalyze(const pme::Flags& flags) {
   // server pays.
   pme::core::TableArtifactOptions artifact_options;
   artifact_options.invariant_options = options.invariant_options;
-  artifact_options.threads = options.solver_options.threads;
   auto artifact = pme::core::TableArtifact::BuildBorrowed(
       bz.value().table, &bz.value().qi_encoder, artifact_options);
   if (!artifact.ok()) return Fail(artifact.status());
