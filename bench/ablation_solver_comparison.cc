@@ -1,13 +1,11 @@
 // Ablation: solver comparison in the style of Malouf [18] (cited in
 // Section 3.3 as the justification for choosing LBFGS).
 //
-// Runs LBFGS, GIS, IIS, steepest descent and (on the small instance)
-// Newton's method on the same Privacy-MaxEnt problems and reports
+// Runs LBFGS, GIS and IIS on the same Privacy-MaxEnt problems and reports
 // iterations, wall-clock time and the final constraint violation.
 //
 // Expected outcome: LBFGS converges in far fewer iterations than the
-// iterative-scaling family and steepest descent, matching Malouf's
-// finding; Newton is competitive only while the dual stays small.
+// iterative-scaling family, matching Malouf's finding.
 
 #include <cstdio>
 
@@ -42,17 +40,13 @@ pme::maxent::MaxEntProblem BuildInstance(size_t records, size_t rules_k,
   return pme::bench::Unwrap(pme::maxent::BuildProblem(system), "problem");
 }
 
-void RunSuite(const char* title, const pme::maxent::MaxEntProblem& problem,
-              bool include_newton) {
+void RunSuite(const char* title, const pme::maxent::MaxEntProblem& problem) {
   std::printf("\n%s: %zu variables, %zu constraints\n", title,
               problem.num_vars, problem.num_constraints());
   std::printf("%12s %12s %12s %14s %10s\n", "solver", "iterations",
               "seconds", "violation", "converged");
   using pme::maxent::SolverKind;
-  std::vector<SolverKind> kinds = {SolverKind::kLbfgs, SolverKind::kGis,
-                                   SolverKind::kIis, SolverKind::kSteepest};
-  if (include_newton) kinds.push_back(SolverKind::kNewton);
-  for (auto kind : kinds) {
+  for (auto kind : {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis}) {
     pme::maxent::SolverOptions options;
     options.max_iterations = 20000;
     auto result = pme::maxent::Solve(problem, kind, options);
@@ -77,16 +71,14 @@ int main(int argc, char** argv) {
 
   std::printf("# Solver-comparison ablation (Malouf-style, Section 3.3)\n");
 
-  // Small instance: all five solvers, including dense Newton.
   auto small = BuildInstance(250, 20, 7);
-  RunSuite("small instance", small, /*include_newton=*/true);
+  RunSuite("small instance", small);
 
-  // Medium instance: Newton's dense Hessian would be prohibitive.
   auto medium = BuildInstance(full ? 5000 : 1250, 200, 7);
-  RunSuite("medium instance", medium, /*include_newton=*/false);
+  RunSuite("medium instance", medium);
 
   std::printf(
       "\n# expected: LBFGS needs the fewest iterations; GIS/IIS take "
-      "hundreds-to-thousands; steepest descent trails far behind.\n");
+      "hundreds-to-thousands.\n");
   return 0;
 }

@@ -6,25 +6,6 @@
 
 namespace pme::linalg {
 
-std::vector<double> DenseMatrix::Multiply(const std::vector<double>& x) const {
-  assert(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (size_t c = 0; c < cols_; ++c) acc += At(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-DenseMatrix DenseMatrix::Transpose() const {
-  DenseMatrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) t.At(c, r) = At(r, c);
-  }
-  return t;
-}
-
 namespace {
 
 /// In-place row echelon reduction; returns the rank.
@@ -84,51 +65,6 @@ void DenseMatrix::AppendRow(const std::vector<double>& row) {
   assert(row.size() == cols_);
   data_.insert(data_.end(), row.begin(), row.end());
   ++rows_;
-}
-
-Result<std::vector<double>> CholeskySolve(const DenseMatrix& a,
-                                          const std::vector<double>& b,
-                                          double jitter) {
-  const size_t n = a.rows();
-  if (a.cols() != n) {
-    return Status::InvalidArgument("CholeskySolve: matrix not square");
-  }
-  if (b.size() != n) {
-    return Status::InvalidArgument("CholeskySolve: rhs size mismatch");
-  }
-  // Lower-triangular factor, row-major.
-  std::vector<double> l(n * n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a.At(i, j);
-      if (i == j) sum += jitter;
-      for (size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
-      if (i == j) {
-        if (sum <= 0.0) {
-          return Status::NumericalError(
-              "CholeskySolve: matrix not positive definite");
-        }
-        l[i * n + j] = std::sqrt(sum);
-      } else {
-        l[i * n + j] = sum / l[j * n + j];
-      }
-    }
-  }
-  // Forward substitution: L y = b.
-  std::vector<double> y(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (size_t k = 0; k < i; ++k) sum -= l[i * n + k] * y[k];
-    y[i] = sum / l[i * n + i];
-  }
-  // Back substitution: L^T x = y.
-  std::vector<double> x(n, 0.0);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l[k * n + ii] * x[k];
-    x[ii] = sum / l[ii * n + ii];
-  }
-  return x;
 }
 
 }  // namespace pme::linalg

@@ -7,13 +7,11 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/status.h"
-
 namespace pme::linalg {
 
 /// Row-major dense matrix used where problems are small by construction:
 /// per-bucket invariant matrices (a bucket holds ℓ records, so g+h ≤ 2ℓ
-/// rows) and the Newton solver's Hessian.
+/// rows).
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -26,12 +24,6 @@ class DenseMatrix {
 
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
-
-  /// y = M x.
-  std::vector<double> Multiply(const std::vector<double>& x) const;
-
-  /// Returns M^T.
-  DenseMatrix Transpose() const;
 
   /// Rank via Gaussian elimination with partial pivoting; entries whose
   /// magnitude falls below `tol` are treated as zero. Used to verify the
@@ -55,13 +47,6 @@ class DenseMatrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Solves the symmetric positive-definite system `A x = b` via Cholesky
-/// factorization (A = L Lᵀ). Returns kNumericalError if A is not SPD
-/// (within `jitter` added to the diagonal for regularization).
-Result<std::vector<double>> CholeskySolve(const DenseMatrix& a,
-                                          const std::vector<double>& b,
-                                          double jitter = 0.0);
 
 }  // namespace pme::linalg
 

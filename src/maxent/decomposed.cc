@@ -417,7 +417,7 @@ Result<SolverResult> SolveDecomposed(
         result.iterations += sub->iterations;
       }
       const bool accepted =
-          sub != nullptr && (!options.fallback || IsAcceptable(*sub, options));
+          sub != nullptr && (!options.fallback || IsAcceptable(*sub));
       // Unacceptable but finite, with real progress made: a hard-to-
       // converge or interrupted block keeps its best-so-far iterate
       // rather than throwing the work away. A block that never got to
@@ -496,7 +496,7 @@ Result<SolverResult> SolveDecomposed(
       if (blocks[i].cached != nullptr) continue;
       if (!block_results[i].has_value() || !block_results[i]->ok()) continue;
       const SolverResult& sub = block_results[i]->value();
-      if (!IsAcceptable(sub, options)) continue;
+      if (!IsAcceptable(sub)) continue;
       CachedComponentSolution entry;
       entry.p = sub.p;
       entry.lambda_full = sub.dual_lambda_full;

@@ -10,17 +10,20 @@
 namespace pme::maxent::internal {
 namespace {
 
+/// LBFGS memory: the number of (s, y) correction pairs kept.
+constexpr size_t kHistory = 10;
+
 /// Armijo backtracking. On success updates (lambda, value, grad) and
 /// returns true. Every probe evaluates through the shared workspace, so
 /// the line search allocates nothing.
 bool Backtrack(const DualFunction& dual, const std::vector<double>& direction,
-               double dir_dot_grad, double initial_step, size_t max_steps,
+               double dir_dot_grad, double initial_step,
                std::vector<double>* lambda, double* value,
                std::vector<double>* grad, std::vector<double>* scratch_lambda,
                std::vector<double>* scratch_grad, DualWorkspace* ws) {
   const double c1 = 1e-4;
   double step = initial_step;
-  for (size_t ls = 0; ls < max_steps; ++ls) {
+  for (size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
     kernels::ScaledAdd(*lambda, step, direction, *scratch_lambda);
     const double trial_value =
         dual.EvaluateInto(*scratch_lambda, scratch_grad, ws);
@@ -75,7 +78,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
 
   std::vector<double> direction(m), scratch_lambda(m), scratch_grad(m);
   std::vector<double> prev_lambda(m), prev_grad(m);
-  std::vector<double> alpha(options.lbfgs_history, 0.0);
+  std::vector<double> alpha(kHistory, 0.0);
   // Retired history buffers, recycled so steady state allocates nothing.
   std::vector<double> s_spare, y_spare;
   StallDetector stall(options.ftol, options.max_stall_iterations);
@@ -137,9 +140,8 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
     const double prev_value = value;
 
     bool accepted =
-        Backtrack(dual, direction, dir_dot_grad, 1.0,
-                  options.max_line_search_steps, &out.lambda, &value, &grad,
-                  &scratch_lambda, &scratch_grad, &ws);
+        Backtrack(dual, direction, dir_dot_grad, 1.0, &out.lambda, &value,
+                  &grad, &scratch_lambda, &scratch_grad, &ws);
     if (!accepted && !s_hist.empty()) {
       // The quasi-Newton direction may be badly scaled (near-degenerate
       // curvature); drop the memory and retry along the raw gradient with
@@ -150,8 +152,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       const double gnorm = TwoNorm(grad);
       for (size_t j = 0; j < m; ++j) direction[j] = -grad[j];
       accepted = Backtrack(dual, direction, -gnorm * gnorm,
-                           1.0 / std::max(1.0, gnorm),
-                           options.max_line_search_steps, &out.lambda, &value,
+                           1.0 / std::max(1.0, gnorm), &out.lambda, &value,
                            &grad, &scratch_lambda, &scratch_grad, &ws);
     }
     if (!accepted) {
@@ -201,7 +202,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       s_hist.push_back(std::move(s));
       y_hist.push_back(std::move(y));
       rho_hist.push_back(1.0 / sy);
-      if (s_hist.size() > options.lbfgs_history) {
+      if (s_hist.size() > kHistory) {
         s_spare = std::move(s_hist.front());
         y_spare = std::move(y_hist.front());
         s_hist.pop_front();

@@ -98,7 +98,7 @@ Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
     double step = bb_step;
     bool accepted = false;
     double accepted_value = value;
-    for (size_t ls = 0; ls < options.max_line_search_steps; ++ls) {
+    for (size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
       kernels::ScaledAdd(out.lambda, -step, grad, trial);
       Project(num_eq, &trial);
       // Differences first, then the dot: the fused form stays accurate

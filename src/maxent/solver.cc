@@ -13,6 +13,10 @@
 namespace pme::maxent {
 namespace {
 
+/// IsAcceptable's bound on the worst constraint violation of a solve that
+/// did not meet the tolerance.
+constexpr double kFallbackAcceptViolation = 1e-6;
+
 /// Stacks equality rows above inequality rows into a single matrix for
 /// the projected (sign-constrained) dual.
 Result<linalg::SparseMatrix> StackMatrices(const linalg::SparseMatrix& eq,
@@ -74,14 +78,18 @@ const char* SolverKindToString(SolverKind kind) {
       return "gis";
     case SolverKind::kIis:
       return "iis";
-    case SolverKind::kSteepest:
-      return "steepest";
-    case SolverKind::kNewton:
-      return "newton";
     case SolverKind::kProjected:
       return "projected";
   }
   return "unknown";
+}
+
+Result<SolverKind> ParseSolverKind(const std::string& name) {
+  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
+                          SolverKind::kIis, SolverKind::kProjected}) {
+    if (name == SolverKindToString(kind)) return kind;
+  }
+  return Status::InvalidArgument("unknown solver: " + name);
 }
 
 Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
@@ -181,16 +189,6 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
                                internal::MinimizeIis(dual, solve_options));
           break;
         }
-        case SolverKind::kSteepest: {
-          PME_ASSIGN_OR_RETURN(
-              outcome, internal::MinimizeSteepest(dual, solve_options));
-          break;
-        }
-        case SolverKind::kNewton: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeNewton(dual, solve_options));
-          break;
-        }
         case SolverKind::kProjected: {
           // No inequality rows: the box is all of R^m and this is plain
           // Barzilai–Borwein gradient descent — the fallback chain's
@@ -250,11 +248,10 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   return result;
 }
 
-bool IsAcceptable(const SolverResult& result, const SolverOptions& options) {
+bool IsAcceptable(const SolverResult& result) {
   if (result.termination != StatusCode::kOk) return false;
   if (!std::isfinite(result.max_violation)) return false;
-  return result.converged ||
-         result.max_violation <= options.fallback_accept_violation;
+  return result.converged || result.max_violation <= kFallbackAcceptViolation;
 }
 
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
@@ -274,7 +271,6 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
   size_t tried = 0;
   Status hard_error = Status::Ok();
   for (SolverKind rung : ladder) {
-    if (tried >= options.max_fallback_attempts) break;
     if (tried > 0 && CheckInterrupt(options.deadline, options.cancel) !=
                          StatusCode::kOk) {
       break;  // no budget left to retry with
@@ -288,7 +284,7 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
       continue;
     }
     SolverResult result = std::move(attempt).value();
-    if (IsAcceptable(result, options)) {
+    if (IsAcceptable(result)) {
       result.degraded = tried > 1;
       if (attempts != nullptr) *attempts = tried;
       return result;

@@ -21,22 +21,24 @@ class ThreadPool;  // common/thread_pool.h
 namespace pme::maxent {
 
 /// Available dual minimizers. The paper's implementation uses LBFGS
-/// (Nocedal [16]); GIS [8], IIS [20], steepest descent and Newton's method
-/// are provided for the Malouf-style solver comparison ([18], Section 3.3).
-/// kProjected is the Barzilai–Borwein projected-gradient solver — always
-/// used for inequality problems, selectable for equality-only ones as
-/// the fallback chain's restart rung (robust, no curvature memory to
-/// poison).
+/// (Nocedal [16]), the default. GIS [8] and IIS [20] are the iterative
+/// scaling rungs of the fallback ladder and of the Malouf-style solver
+/// comparison ([18], Section 3.3). kProjected is the Barzilai–Borwein
+/// projected-gradient solver — always used for inequality problems,
+/// selectable for equality-only ones as the fallback ladder's restart
+/// rung (robust, no curvature memory to poison).
 enum class SolverKind : int {
   kLbfgs = 0,
   kGis = 1,
   kIis = 2,
-  kSteepest = 3,
-  kNewton = 4,
   kProjected = 5,
 };
 
 const char* SolverKindToString(SolverKind kind);
+
+/// Inverse of SolverKindToString: "lbfgs", "gis", "iis" or "projected".
+/// Any other name is kInvalidArgument ("unknown solver: <name>").
+Result<SolverKind> ParseSolverKind(const std::string& name);
 
 class SolutionCache;  // maxent/solution_cache.h
 
@@ -74,10 +76,6 @@ struct SolverOptions {
   /// Convergence threshold on ‖∇D‖∞ — i.e. the worst constraint
   /// violation of the primal iterate.
   double tolerance = 1e-8;
-  /// LBFGS memory (number of (s, y) correction pairs).
-  size_t lbfgs_history = 10;
-  /// Backtracking line-search step budget.
-  size_t max_line_search_steps = 60;
   /// Relative dual-value progress below which an accepted step counts as
   /// stalled: improvement <= ftol * (|D| + 1). Near numerical precision
   /// the Armijo test keeps accepting rounding-noise improvements; the
@@ -87,14 +85,10 @@ struct SolverOptions {
   /// Consecutive stalled-but-accepted steps before the solve stops with
   /// the current iterate (converged iff the tolerance was already met).
   size_t max_stall_iterations = 50;
-  /// Diagonal regularization for the Newton solver's Hessian.
-  double newton_jitter = 1e-9;
   /// Run the structural presolve (zero forcing / singleton substitution)
   /// before the iterative solve. Strongly recommended: hard zeros in the
   /// constraints otherwise require unbounded multipliers.
   bool presolve = true;
-  /// Dual dimension above which the dense Newton solver refuses to run.
-  size_t newton_max_dim = 4000;
   /// Worker threads for the block-decomposed solve (SolveDecomposed):
   /// independent connected components are solved concurrently. 1 = serial;
   /// 0 = hardware concurrency. Results are identical for any value — the
@@ -164,14 +158,6 @@ struct SolverOptions {
   /// instead of failing the whole analysis. Off restores fail-fast
   /// propagation of the first component error.
   bool fallback = true;
-  /// Iterative rungs tried per component (the requested solver counts as
-  /// the first) before degrading to the closed-form prior.
-  size_t max_fallback_attempts = 3;
-  /// A fallback rung's answer is accepted when it converged, or when its
-  /// worst constraint violation is at or below this bound (a solve that
-  /// exhausted its budget a few ulps above `tolerance` is still a
-  /// perfectly good posterior).
-  double fallback_accept_violation = 1e-6;
 };
 
 /// Per-component record of the decomposed solve's fallback ladder.
@@ -293,7 +279,7 @@ struct SolverResult {
 /// Equality-only problems use the requested `kind` directly. Problems with
 /// inequality rows (Section 4.5 / Kazama–Tsujii) are solved by projected
 /// gradient on the stacked dual with sign-constrained multipliers,
-/// regardless of `kind` (GIS/IIS/Newton have no inequality variants here).
+/// regardless of `kind` (GIS and IIS have no inequality variants here).
 ///
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small
@@ -303,13 +289,15 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
                            const SolverOptions& options = {});
 
 /// Accepts `result` as an answer: a normal termination that either met
-/// the tolerance or left a violation within fallback_accept_violation.
-bool IsAcceptable(const SolverResult& result, const SolverOptions& options);
+/// the tolerance or left a worst violation of at most 1e-6 (a solve that
+/// exhausted its budget a few ulps above `tolerance` is still a
+/// perfectly good posterior).
+bool IsAcceptable(const SolverResult& result);
 
 /// The per-problem degradation ladder used by SolveDecomposed: the
 /// requested solver first, then a projected-gradient restart warm-started
-/// from the best dual point so far, then GIS — bounded by
-/// options.max_fallback_attempts and options.deadline. Returns the first
+/// from the best dual point so far, then GIS — at most three rungs, cut
+/// short when options.deadline expires. Returns the first
 /// acceptable rung's result (`degraded` set when it was not the first
 /// rung). When no rung is acceptable, returns the finite attempt with the
 /// smallest violation, its `termination` explaining why (recoverable

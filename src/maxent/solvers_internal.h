@@ -17,6 +17,9 @@
 
 namespace pme::maxent::internal {
 
+/// Step budget of the backtracking line searches (LBFGS and projected).
+inline constexpr size_t kMaxLineSearchSteps = 60;
+
 /// Starting point for a minimizer: zeros, or the caller's warm start
 /// when it matches the dual dimension and is entirely finite (a poisoned
 /// warm start must not propagate a fault into the recovery rung).
@@ -43,7 +46,7 @@ inline StatusCode CheckStop(const SolverOptions& options) {
 /// numerical floor the Armijo test keeps accepting rounding-noise
 /// improvements, and without a cutoff a solve sitting a few ulps above
 /// the gradient tolerance burns its whole iteration budget. Shared by
-/// every line-search minimizer so the criterion cannot drift.
+/// both line-search minimizers so the criterion cannot drift.
 class StallDetector {
  public:
   StallDetector(double ftol, size_t limit) : ftol_(ftol), limit_(limit) {}
@@ -93,15 +96,6 @@ Result<DualOutcome> MinimizeGis(const DualFunction& dual,
 /// one-dimensional Newton problem per constraint per sweep.
 Result<DualOutcome> MinimizeIis(const DualFunction& dual,
                                 const SolverOptions& options);
-
-/// Steepest descent with backtracking line search.
-Result<DualOutcome> MinimizeSteepest(const DualFunction& dual,
-                                     const SolverOptions& options);
-
-/// Damped Newton with dense Cholesky on H = A diag(p) Aᵀ. Refuses duals
-/// larger than options.newton_max_dim.
-Result<DualOutcome> MinimizeNewton(const DualFunction& dual,
-                                   const SolverOptions& options);
 
 /// Projected gradient (Barzilai–Borwein step + projected Armijo) for the
 /// stacked equality+inequality dual: multipliers with index >= num_eq are

@@ -8,17 +8,6 @@
 
 namespace pme::serve {
 
-Result<maxent::SolverKind> ParseSolverKind(const std::string& name) {
-  using maxent::SolverKind;
-  if (name == "lbfgs") return SolverKind::kLbfgs;
-  if (name == "gis") return SolverKind::kGis;
-  if (name == "iis") return SolverKind::kIis;
-  if (name == "steepest") return SolverKind::kSteepest;
-  if (name == "newton") return SolverKind::kNewton;
-  if (name == "projected") return SolverKind::kProjected;
-  return Status::InvalidArgument("unknown solver: " + name);
-}
-
 Result<maxent::CacheMode> ParseCacheModeName(const std::string& name) {
   using maxent::CacheMode;
   if (name == "off") return CacheMode::kOff;
@@ -84,7 +73,8 @@ Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line) {
     if (!sv->is_string()) {
       return Status::InvalidArgument("'solver' must be a string");
     }
-    PME_ASSIGN_OR_RETURN(request.solver, ParseSolverKind(sv->string_value));
+    PME_ASSIGN_OR_RETURN(request.solver,
+                         maxent::ParseSolverKind(sv->string_value));
     request.has_solver = true;
   }
   if (const JsonValue* cm = doc.Find("cache"); cm != nullptr) {

@@ -118,9 +118,9 @@ std::string RenderTraceSpans(const std::vector<trace::TraceEvent>& events);
 /// "stats":<metrics::Registry JSON>}.
 std::string RenderStatsResponse(const std::string& id);
 
-/// Shared spellings of the solver / cache-mode enums ("lbfgs", "warm",
-/// ...), used by the protocol and the CLI flags alike.
-Result<maxent::SolverKind> ParseSolverKind(const std::string& name);
+/// Shared spelling of the cache-mode enum ("off", "exact", "warm"), used
+/// by the protocol and the CLI flags alike. Solver names are parsed by
+/// maxent::ParseSolverKind.
 Result<maxent::CacheMode> ParseCacheModeName(const std::string& name);
 
 /// Protocol spelling of a solve's terminal status.

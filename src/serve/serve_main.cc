@@ -82,7 +82,7 @@ int ServeMain(const Flags& flags) {
   options.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 0));
   options.cache_mb = static_cast<size_t>(flags.GetInt("cache-mb", 64));
-  auto solver = ParseSolverKind(flags.GetString("solver", "lbfgs"));
+  auto solver = maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
   if (!solver.ok()) return Fail(solver.status());
   options.analysis.solver = solver.value();
   auto cache_mode = ParseCacheModeName(flags.GetString("cache", "warm"));

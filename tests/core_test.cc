@@ -172,9 +172,9 @@ TEST(AnalyzeTest, SolverKindIsRespected) {
   auto t = pme::testing::MakeFigure1Table();
   knowledge::KnowledgeBase empty;
   AnalysisOptions options;
-  options.solver = maxent::SolverKind::kNewton;
+  options.solver = maxent::SolverKind::kProjected;
   auto analysis = Analyze(t, empty, options).ValueOrDie();
-  EXPECT_EQ(analysis.solver.kind, maxent::SolverKind::kNewton);
+  EXPECT_EQ(analysis.solver.kind, maxent::SolverKind::kProjected);
   EXPECT_LT(analysis.solver.max_violation, 1e-7);
 }
 

@@ -165,7 +165,7 @@ class IncrementalPipelineTest : public ::testing::Test {
     return knowledge::TopK(pipeline_->rules, 10, 10);
   }
   /// A smaller knowledge set for the all-solver-kinds parity sweep: the
-  /// first-order kinds (steepest, projected BB) converge linearly, so the
+  /// first-order kind (projected BB) converges linearly, so the
   /// coupled blocks must stay small for their cold baselines to reach the
   /// 1e-11 dual tolerance at all. Three coupled components; the toggle
   /// below touches exactly one of them.
@@ -245,18 +245,8 @@ TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
   // whose preconditions reject real knowledge rows — GIS/IIS need
   // nonnegative coefficients — go through the fallback ladder) and for
   // serial and parallel block scheduling alike.
-  //
-  // Steepest descent is the one rung that cannot certify the 1e-8 bound:
-  // it exits through the stall counter (its line search stops making
-  // progress around a 1e-10 joint-space residual on these multipliers),
-  // and the 1/P(q) amplification puts its warm-vs-cold reproducibility
-  // floor near 3e-8 — measured identically with a 2,000,000-iteration
-  // budget, so the floor is the method's, not the budget's, and it is the
-  // same with the cache off (cold-vs-cold differs by the same amount).
-  // It gets a 1e-7 bound; every other kind certifies 1e-8.
-  for (const SolverKind kind :
-       {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
-        SolverKind::kSteepest, SolverKind::kNewton, SolverKind::kProjected}) {
+  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
+                                SolverKind::kIis, SolverKind::kProjected}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       SolutionCache cache;
       auto options = CacheOptions(&cache, threads);
@@ -275,8 +265,6 @@ TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
               .ValueOrDie();
 
       const char* label = maxent::SolverKindToString(kind);
-      const double posterior_bound =
-          kind == SolverKind::kSteepest ? 1e-7 : 1e-8;
       EXPECT_GE(warm.solver.cache_exact_hits +
                     warm.solver.cache_warm_hits, 1u)
           << label << " threads=" << threads;
@@ -292,7 +280,7 @@ TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
                                          cold.posterior.Conditional(q, s)));
         }
       }
-      EXPECT_LE(worst_posterior, posterior_bound)
+      EXPECT_LE(worst_posterior, 1e-8)
           << label << " threads=" << threads;
       // The warm start must not cost iterations: the edited component
       // restarts near its optimum, every untouched component exact-hits.
@@ -398,9 +386,8 @@ TEST(DualLambdaTest, PopulatedForEverySolverKind) {
   system.AddAll(constraints::GenerateInvariants(table, index));
   const auto problem = maxent::BuildProblem(system).ValueOrDie();
 
-  for (const SolverKind kind :
-       {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
-        SolverKind::kSteepest, SolverKind::kNewton, SolverKind::kProjected}) {
+  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
+                                SolverKind::kIis, SolverKind::kProjected}) {
     auto result = maxent::Solve(problem, kind).ValueOrDie();
     const char* label = maxent::SolverKindToString(kind);
     EXPECT_FALSE(result.dual_lambda.empty()) << label;

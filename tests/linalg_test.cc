@@ -1,5 +1,5 @@
-// Tests for src/linalg: CSR sparse matrices, dense matrices, Cholesky,
-// rank / row-space utilities.
+// Tests for src/linalg: CSR sparse matrices, dense matrices, rank /
+// row-space utilities.
 
 #include <gtest/gtest.h>
 
@@ -113,19 +113,6 @@ TEST(SparseMatrixBuilderTest, ColumnOutOfRangeFails) {
 
 // ----------------------------------------------------------- DenseMatrix
 
-TEST(DenseMatrixTest, MultiplyAndTranspose) {
-  DenseMatrix m(2, 3);
-  m.At(0, 0) = 1;
-  m.At(0, 2) = 2;
-  m.At(1, 1) = 3;
-  auto y = m.Multiply({1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 3.0);
-  DenseMatrix t = m.Transpose();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t.At(2, 0), 2.0);
-}
-
 TEST(DenseMatrixTest, RankOfIdentityAndSingular) {
   DenseMatrix id(3, 3);
   for (size_t i = 0; i < 3; ++i) id.At(i, i) = 1.0;
@@ -161,61 +148,6 @@ TEST(DenseMatrixTest, AppendRowGrows) {
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_DOUBLE_EQ(m.At(1, 0), 3.0);
-}
-
-TEST(CholeskyTest, SolvesSpdSystem) {
-  // A = [[4,2],[2,3]], b = [2,1] -> x = [0.5, 0].
-  DenseMatrix a(2, 2);
-  a.At(0, 0) = 4;
-  a.At(0, 1) = 2;
-  a.At(1, 0) = 2;
-  a.At(1, 1) = 3;
-  auto x = CholeskySolve(a, {2.0, 1.0}).ValueOrDie();
-  EXPECT_NEAR(x[0], 0.5, 1e-12);
-  EXPECT_NEAR(x[1], 0.0, 1e-12);
-}
-
-TEST(CholeskyTest, RejectsIndefinite) {
-  DenseMatrix a(2, 2);
-  a.At(0, 0) = 1;
-  a.At(1, 1) = -1;
-  auto r = CholeskySolve(a, {1.0, 1.0});
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNumericalError);
-}
-
-TEST(CholeskyTest, JitterRescuesSemidefinite) {
-  DenseMatrix a(2, 2);
-  a.At(0, 0) = 1;
-  a.At(0, 1) = 1;
-  a.At(1, 0) = 1;
-  a.At(1, 1) = 1;  // rank 1
-  EXPECT_FALSE(CholeskySolve(a, {1.0, 1.0}).ok());
-  EXPECT_TRUE(CholeskySolve(a, {1.0, 1.0}, 1e-8).ok());
-}
-
-TEST(CholeskyTest, RandomizedResidualSmall) {
-  Prng prng(5);
-  for (int trial = 0; trial < 10; ++trial) {
-    const size_t n = 2 + prng.NextBounded(8);
-    // A = B Bᵀ + I is SPD.
-    DenseMatrix b(n, n), a(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) b.At(i, j) = prng.NextDouble(-1, 1);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        double acc = i == j ? 1.0 : 0.0;
-        for (size_t k = 0; k < n; ++k) acc += b.At(i, k) * b.At(j, k);
-        a.At(i, j) = acc;
-      }
-    }
-    std::vector<double> rhs(n);
-    for (auto& v : rhs) v = prng.NextDouble(-1, 1);
-    auto x = CholeskySolve(a, rhs).ValueOrDie();
-    auto ax = a.Multiply(x);
-    for (size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-9);
-  }
 }
 
 }  // namespace

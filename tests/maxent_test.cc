@@ -387,8 +387,7 @@ TEST_P(AllSolversTest, Figure1WithKnowledgeAgreesWithLbfgs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Solvers, AllSolversTest,
-    ::testing::Values(SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
-                      SolverKind::kSteepest, SolverKind::kNewton),
+    ::testing::Values(SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis),
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       return SolverKindToString(info.param);
     });
@@ -523,12 +522,18 @@ TEST(SolverTest, GisRejectsNegativeCoefficients) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(SolverTest, NewtonRefusesHugeDuals) {
-  SolverOptions options;
-  options.newton_max_dim = 0;
-  auto r = Solve(SimplexProblem(3), SolverKind::kNewton, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+TEST(SolverTest, SolverKindNamesRoundTrip) {
+  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
+                          SolverKind::kIis, SolverKind::kProjected}) {
+    auto parsed = ParseSolverKind(SolverKindToString(kind));
+    ASSERT_TRUE(parsed.ok()) << SolverKindToString(kind);
+    EXPECT_EQ(parsed.value(), kind);
+  }
+  for (const char* name : {"newton", "steepest", ""}) {
+    EXPECT_EQ(ParseSolverKind(name).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST(SolverTest, EmptyProblemIsTriviallySolved) {

@@ -94,9 +94,10 @@ TEST_F(SessionTest, MatchesLegacyAnalyzeAcrossSolversAndThreads) {
   const knowledge::KnowledgeBase kb = RuleKb(8, 8);
   const auto artifact = BuildArtifact();
   const maxent::SolverKind kinds[] = {
-      maxent::SolverKind::kLbfgs,    maxent::SolverKind::kGis,
-      maxent::SolverKind::kIis,      maxent::SolverKind::kSteepest,
-      maxent::SolverKind::kNewton,   maxent::SolverKind::kProjected,
+      maxent::SolverKind::kLbfgs,
+      maxent::SolverKind::kGis,
+      maxent::SolverKind::kIis,
+      maxent::SolverKind::kProjected,
   };
   for (maxent::SolverKind kind : kinds) {
     for (size_t threads : {size_t{1}, size_t{4}}) {

@@ -53,7 +53,7 @@ void PrintUsage(std::FILE* out) {
                "           [--minsupport=N] [--maxattrs=T]\n"
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
                "           [--knowledge=FILE] [--solver=lbfgs|gis|iis|"
-               "steepest|newton|projected]\n"
+               "projected]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N] [--fallback=on|off]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
@@ -161,17 +161,6 @@ int RunMine(const pme::Flags& flags) {
   return 0;
 }
 
-pme::Result<pme::maxent::SolverKind> ParseSolver(const std::string& name) {
-  using pme::maxent::SolverKind;
-  if (name == "lbfgs") return SolverKind::kLbfgs;
-  if (name == "gis") return SolverKind::kGis;
-  if (name == "iis") return SolverKind::kIis;
-  if (name == "steepest") return SolverKind::kSteepest;
-  if (name == "newton") return SolverKind::kNewton;
-  if (name == "projected") return SolverKind::kProjected;
-  return pme::Status::InvalidArgument("unknown solver: " + name);
-}
-
 int RunAnalyze(const pme::Flags& flags) {
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
@@ -204,7 +193,8 @@ int RunAnalyze(const pme::Flags& flags) {
   }
 
   pme::core::AnalysisOptions options;
-  auto solver = ParseSolver(flags.GetString("solver", "lbfgs"));
+  auto solver =
+      pme::maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
   if (!solver.ok()) return Fail(solver.status());
   options.solver = solver.value();
   // Independent knowledge components are solved in parallel; 0 = all
