@@ -1,17 +1,15 @@
 #include "core/analysis_session.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/id_set.h"
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
-#include "constraints/system.h"
 #include "maxent/block_plan.h"
 #include "maxent/decomposed.h"
-#include "maxent/problem.h"
 
 namespace pme::core {
 
@@ -57,18 +55,18 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
 
   // The plan couples only the buckets the knowledge rows touch and pulls
   // just their invariant rows from the artifact; every other bucket
-  // stays at the Theorem-5 closed form.
+  // stays at the Theorem-5 closed form. Without the decomposition, every
+  // bucket joins one block: the whole table as one problem.
   maxent::BlockPlan plan;
-  bool decomposed = false;
   {
     trace::TraceSpan plan_span("plan", "session");
     plan = maxent::BlockPlan::Build(
         index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
-        compiled.constraints,
-        run_options.solver_options.monolithic_fallback_fraction);
-    decomposed = run_options.use_decomposition && !plan.monolithic();
-    if (decomposed) plan.ConsultCache(run_options.solver_options);
+        compiled.constraints, !run_options.use_decomposition);
+    plan.ConsultCache(run_options.solver_options);
     plan_span.AddArg("blocks", static_cast<double>(plan.blocks().size()));
+    plan_span.AddArg("warm_withheld",
+                     static_cast<double>(plan.warm_withheld()));
   }
 
   Analysis analysis;
@@ -79,41 +77,21 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
 
   {
     trace::TraceSpan solve_span("solve", "session");
-    if (decomposed) {
-      PME_ASSIGN_OR_RETURN(
-          analysis.solver,
-          maxent::SolveDecomposed(
-              plan,
-              std::shared_ptr<const std::vector<double>>(
-                  artifact_, &artifact.closed_form_prior()),
-              artifact.closed_form_prior_entropy(), run_options.solver,
-              run_options.solver_options));
-      // Per-block solve effort, aligned with the decomposition census's
-      // block numbering (component_outcomes are emitted in block-id order).
-      for (const auto& outcome : analysis.solver.component_outcomes) {
-        analysis.decomposition.coupled_component_iterations.push_back(
-            outcome.iterations);
-        analysis.decomposition.coupled_component_seconds.push_back(
-            outcome.seconds);
-      }
-    } else {
-      // The monolithic paths solve one problem over the whole system, in
-      // Analyze's historical row order: invariant rows, then knowledge.
-      constraints::ConstraintSystem system(index.num_variables());
-      system.AddAll(artifact.invariants());
-      system.AddAll(std::move(compiled.constraints));
-      if (run_options.use_decomposition) {
-        PME_ASSIGN_OR_RETURN(
-            analysis.solver,
-            maxent::SolveMonolithic(system, run_options.solver,
-                                    run_options.solver_options));
-      } else {
-        PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
-        PME_ASSIGN_OR_RETURN(
-            analysis.solver,
-            maxent::Solve(problem, run_options.solver,
-                          run_options.solver_options));
-      }
+    PME_ASSIGN_OR_RETURN(
+        analysis.solver,
+        maxent::SolveDecomposed(
+            plan,
+            std::shared_ptr<const std::vector<double>>(
+                artifact_, &artifact.closed_form_prior()),
+            artifact.closed_form_prior_entropy(), run_options.solver,
+            run_options.solver_options));
+    // Per-block solve effort, aligned with the decomposition census's
+    // block numbering (component_outcomes are emitted in block-id order).
+    for (const auto& outcome : analysis.solver.component_outcomes) {
+      analysis.decomposition.coupled_component_iterations.push_back(
+          outcome.iterations);
+      analysis.decomposition.coupled_component_seconds.push_back(
+          outcome.seconds);
     }
     solve_span.AddArg("iterations",
                       static_cast<double>(analysis.solver.iterations));
@@ -122,47 +100,32 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
         static_cast<double>(analysis.decomposition.num_components));
   }
 
-  // Evaluation. A decomposed solve moves only the coupled buckets off the
-  // prior, so only the posterior rows of their QI instances can differ
-  // from the artifact's prior posterior: the posterior is an overlay of
-  // exactly those rows, and the evaluation re-derives just their slices
-  // before one fold over q. RecomputeRow and the fold replay the full
-  // rebuild's arithmetic, so both paths agree bit for bit. The
-  // monolithic paths may move any coordinate and evaluate from scratch.
+  // Evaluation. The solve moves only the blocks' buckets off the prior,
+  // so only the posterior rows of their QI instances can differ from the
+  // artifact's prior posterior: the posterior is an overlay of exactly
+  // those rows, and the evaluation re-derives just their slices within
+  // one fold over q. RecomputeRows and the fold replay the full
+  // rebuild's arithmetic, so the overlay equals a rebuild bit for bit.
   trace::TraceSpan evaluate_span("evaluate", "session");
-  if (decomposed) {
-    std::vector<uint32_t> touched;
-    for (const maxent::PlanBlock& block : plan.blocks()) {
-      for (const uint32_t b : block.buckets) {
-        const auto& qs = index.BucketQiList(b);
-        touched.insert(touched.end(), qs.begin(), qs.end());
-      }
+  // The QI instances of the blocks' buckets, ascending.
+  IdSet touched_set(artifact.table().num_qi_values());
+  for (const maxent::PlanBlock& block : plan.blocks()) {
+    for (const uint32_t b : block.buckets) {
+      for (const uint32_t q : index.BucketQiList(b)) touched_set.Insert(q);
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    evaluate_span.AddArg("touched_rows", static_cast<double>(touched.size()));
-    analysis.posterior = PosteriorTable::Overlay(
-        std::shared_ptr<const PosteriorTable>(artifact_,
-                                              &artifact.prior_posterior()),
-        std::move(touched));
-    const auto& q_offsets = artifact.q_var_offsets();
-    const auto& q_vars = artifact.q_vars();
-    const maxent::JointView joint(plan, analysis.solver);
-    for (const uint32_t q : analysis.posterior.overridden_rows()) {
-      analysis.posterior.RecomputeRow(q, q_vars.data() + q_offsets[q],
-                                      q_offsets[q + 1] - q_offsets[q], index,
-                                      joint);
-    }
-    EvaluateOverlay(artifact.ground_truth(), analysis.posterior,
-                    artifact.prior_evaluation(),
-                    &analysis.estimation_accuracy, &analysis.metrics);
-  } else {
-    analysis.posterior = PosteriorTable::FromSolution(artifact.table(), index,
-                                                      analysis.solver.p);
-    analysis.estimation_accuracy =
-        EstimationAccuracy(artifact.ground_truth(), analysis.posterior);
-    analysis.metrics = ComputePrivacyMetrics(analysis.posterior);
   }
+  std::vector<uint32_t> touched = touched_set.Members();
+  evaluate_span.AddArg("touched_rows", static_cast<double>(touched.size()));
+  analysis.posterior = PosteriorTable::Overlay(
+      std::shared_ptr<const PosteriorTable>(artifact_,
+                                            &artifact.prior_posterior()),
+      std::move(touched));
+  analysis.posterior.RecomputeRows(artifact.q_var_offsets(),
+                                   artifact.q_vars(), index,
+                                   maxent::JointView(plan, analysis.solver));
+  EvaluateOverlay(artifact.ground_truth(), analysis.posterior,
+                  artifact.prior_evaluation(), &analysis.estimation_accuracy,
+                  &analysis.metrics);
   return analysis;
 }
 

@@ -63,7 +63,6 @@ PosteriorTable PosteriorTable::Overlay(
   PosteriorTable t;
   t.num_qi_ = base->num_qi_;
   t.num_sa_ = base->num_sa_;
-  t.rows_.resize(qs.size() * t.num_sa_);
   t.overridden_ = std::move(qs);
   t.base_ = std::move(base);
   return t;
@@ -113,10 +112,9 @@ struct RowEvaluation {
   double effective_candidates;
 };
 
-RowEvaluation EvaluateRow(const PosteriorTable& truth,
-                          const PosteriorTable& estimate, uint32_t q) {
+RowEvaluation EvaluateRow(const PosteriorTable& truth, const double* row,
+                          uint32_t q) {
   const uint32_t num_sa = truth.num_sa();
-  const double* row = estimate.RowData(q);
   RowEvaluation e;
   e.kl = truth.ProbQ(q) <= 0.0
              ? 0.0
@@ -135,7 +133,7 @@ PerQEvaluation EvaluatePerQ(const PosteriorTable& truth,
   eval.best_guess.resize(truth.num_qi());
   eval.effective_candidates.resize(truth.num_qi());
   for (uint32_t q = 0; q < truth.num_qi(); ++q) {
-    const RowEvaluation e = EvaluateRow(truth, estimate, q);
+    const RowEvaluation e = EvaluateRow(truth, estimate.RowData(q), q);
     eval.kl[q] = e.kl;
     eval.best_guess[q] = e.best_guess;
     eval.effective_candidates[q] = e.effective_candidates;
@@ -147,14 +145,9 @@ void EvaluateOverlay(const PosteriorTable& truth,
                      const PosteriorTable& estimate,
                      const PerQEvaluation& base_eval, double* accuracy,
                      PrivacyMetrics* metrics) {
-  const std::vector<uint32_t>& overridden = estimate.overridden_rows();
-  std::vector<RowEvaluation> changed;
-  changed.reserve(overridden.size());
-  for (const uint32_t q : overridden) {
-    changed.push_back(EvaluateRow(truth, estimate, q));
-  }
   // One fold over q with the accumulation order of EstimationAccuracy and
-  // ComputePrivacyMetrics.
+  // ComputePrivacyMetrics, evaluating each overridden row on the way.
+  const std::vector<uint32_t>& overridden = estimate.overridden_rows();
   *accuracy = 0.0;
   *metrics = PrivacyMetrics();
   metrics->min_effective_candidates = std::numeric_limits<double>::max();
@@ -162,7 +155,7 @@ void EvaluateOverlay(const PosteriorTable& truth,
   for (uint32_t q = 0; q < estimate.num_qi(); ++q) {
     RowEvaluation e;
     if (k < overridden.size() && overridden[k] == q) {
-      e = changed[k++];
+      e = EvaluateRow(truth, estimate.OverriddenRowData(k++), q);
     } else {
       e = {base_eval.kl[q], base_eval.best_guess[q],
            base_eval.effective_candidates[q]};

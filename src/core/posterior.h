@@ -35,8 +35,7 @@ class PosteriorTable {
   static PosteriorTable GroundTruth(const anonymize::BucketizedTable& table);
 
   /// An overlay of the dense `base` (kept alive by the overlay) that
-  /// replaces rows `qs` (strictly ascending); each must then be set
-  /// through RecomputeRow.
+  /// replaces rows `qs` (strictly ascending); RecomputeRows sets them.
   static PosteriorTable Overlay(std::shared_ptr<const PosteriorTable> base,
                                 std::vector<uint32_t> qs);
 
@@ -69,31 +68,37 @@ class PosteriorTable {
   /// The rows an overlay replaces, ascending; empty for a dense table.
   const std::vector<uint32_t>& overridden_rows() const { return overridden_; }
 
-  /// Recomputes row q in place from a joint solution readable as `p[var]`
-  /// (a full vector, or a maxent::JointView): `vars` are exactly q's
-  /// variable ids in ascending order (the artifact's per-q index).
-  /// Identical arithmetic to FromSolution for that row — accumulate
-  /// contributions in var order, then divide by P(q) — so recomputing
-  /// only the knowledge-touched rows reproduces the full rebuild bit for
-  /// bit. On an overlay, q must be one of overridden_rows().
+  /// Row data of overridden_rows()[k]: the overlay's own rows, read
+  /// without the search RowData does.
+  const double* OverriddenRowData(size_t k) const {
+    return rows_.data() + k * num_sa_;
+  }
+
+  /// Overlays only: recomputes every overridden row from a joint solution
+  /// readable as `p[var]` (a full vector, or a maxent::JointView). The
+  /// variables of q are q_vars[q_offsets[q] .. q_offsets[q+1]), ascending
+  /// (the artifact's per-q index). Identical arithmetic to FromSolution
+  /// for each row — accumulate contributions in var order, then divide
+  /// by P(q) — so recomputing only the knowledge-touched rows reproduces
+  /// the full rebuild bit for bit.
   template <typename Joint>
-  void RecomputeRow(uint32_t q, const uint32_t* vars, size_t n,
-                    const constraints::TermIndex& index, const Joint& p) {
-    double* row = MutableRow(q);
-    std::fill(row, row + num_sa_, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      row[index.TermOf(vars[i]).sa] += p[vars[i]];
+  void RecomputeRows(const std::vector<uint32_t>& q_offsets,
+                     const std::vector<uint32_t>& q_vars,
+                     const constraints::TermIndex& index, const Joint& p) {
+    rows_.assign(overridden_.size() * num_sa_, 0.0);
+    for (size_t k = 0; k < overridden_.size(); ++k) {
+      const uint32_t q = overridden_[k];
+      double* row = rows_.data() + k * num_sa_;
+      for (uint32_t i = q_offsets[q]; i < q_offsets[q + 1]; ++i) {
+        row[index.TermOf(q_vars[i]).sa] += p[q_vars[i]];
+      }
+      const double pq = ProbQ(q);
+      if (pq <= 0.0) continue;
+      for (uint32_t s = 0; s < num_sa_; ++s) row[s] /= pq;
     }
-    const double pq = ProbQ(q);
-    if (pq <= 0.0) return;
-    for (uint32_t s = 0; s < num_sa_; ++s) row[s] /= pq;
   }
 
  private:
-  double* MutableRow(uint32_t q) {
-    return rows_.data() + (base_ == nullptr ? q : Slot(q)) * num_sa_;
-  }
-
   /// Overlay slot of q, or overridden_.size() when q reads the base.
   size_t Slot(uint32_t q) const {
     const auto it =
@@ -154,10 +159,10 @@ PerQEvaluation EvaluatePerQ(const PosteriorTable& truth,
 
 /// EstimationAccuracy and ComputePrivacyMetrics of an overlay `estimate`
 /// whose base evaluates to `base_eval` (EvaluatePerQ against `truth`):
-/// re-derives the slices of the overridden rows only, then folds once
-/// over q in the order the full evaluations use — so both results equal
-/// theirs on the dense table bit for bit, at O(overridden rows + num_qi)
-/// instead of a log/exp pass over every cell.
+/// re-derives the slices of the overridden rows only, in one fold over q
+/// in the order the full evaluations use — so both results equal theirs
+/// on the dense table bit for bit, at O(overridden rows + num_qi) instead
+/// of a log/exp pass over every cell.
 void EvaluateOverlay(const PosteriorTable& truth,
                      const PosteriorTable& estimate,
                      const PerQEvaluation& base_eval, double* accuracy,

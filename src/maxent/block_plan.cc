@@ -129,51 +129,47 @@ BlockPlan BlockPlan::Build(
     const constraints::TermIndex& index,
     const std::vector<LinearConstraint>* table_rows,
     const BucketRowIndex* bucket_rows,
-    const std::vector<LinearConstraint>& request_rows,
-    double monolithic_fraction) {
+    const std::vector<LinearConstraint>& request_rows, bool one_block) {
   BlockPlan plan;
   plan.index_ = &index;
 
-  // The buckets the request rows touch, ascending; local id = position.
-  std::vector<uint32_t> touched;
-  for (const LinearConstraint& c : request_rows) {
-    uint32_t last = UINT32_MAX;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      const uint32_t b = index.TermOf(c.vars[i]).bucket;
-      if (b != last) touched.push_back(last = b);
+  // The buckets the request rows touch (every bucket for one block);
+  // local id = rank among them.
+  IdSet touched_set(index.num_buckets());
+  if (one_block) {
+    for (uint32_t b = 0; b < index.num_buckets(); ++b) touched_set.Insert(b);
+  } else {
+    for (const LinearConstraint& c : request_rows) {
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        if (c.coefs[i] != 0.0) {
+          touched_set.Insert(index.TermOf(c.vars[i]).bucket);
+        }
+      }
     }
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  const auto local_of = [&](uint32_t bucket) {
-    return static_cast<uint32_t>(
-        std::lower_bound(touched.begin(), touched.end(), bucket) -
-        touched.begin());
+  touched_set.Seal();
+  const std::vector<uint32_t> touched = touched_set.Members();
+  const auto local_of_var = [&](uint32_t var) {
+    return touched_set.Rank(index.TermOf(var).bucket);
   };
 
   // Union every bucket a row supports into one component. Rows beyond
   // the structural invariants (knowledge, but also ad-hoc rows)
   // invalidate the closed form for their component.
   constraints::UnionFind uf(touched.size());
-  std::vector<uint8_t> coupled(touched.size(), 0);
+  std::vector<uint8_t> coupled(touched.size(), one_block ? 1 : 0);
+  for (uint32_t l = 1; one_block && l < touched.size(); ++l) uf.Union(0, l);
   for (const LinearConstraint& c : request_rows) {
     const bool knowledge = !IsInvariant(c);
     int64_t first = -1;
-    uint32_t last_bucket = UINT32_MAX;
-    uint32_t last_local = 0;
     for (size_t i = 0; i < c.vars.size(); ++i) {
       if (c.coefs[i] == 0.0) continue;
-      const uint32_t b = index.TermOf(c.vars[i]).bucket;
-      if (b != last_bucket) {
-        last_bucket = b;
-        last_local = local_of(b);
-      }
-      if (knowledge) coupled[last_local] = 1;
+      const uint32_t local = local_of_var(c.vars[i]);
+      if (knowledge) coupled[local] = 1;
       if (first < 0) {
-        first = last_local;
+        first = local;
       } else {
-        uf.Union(static_cast<uint32_t>(first), last_local);
+        uf.Union(static_cast<uint32_t>(first), local);
       }
     }
   }
@@ -184,7 +180,6 @@ BlockPlan BlockPlan::Build(
     if (coupled[l]) root_coupled[uf.Find(l)] = 1;
   }
   std::vector<uint32_t> block_of_root(touched.size(), UINT32_MAX);
-  std::vector<size_t> block_vars;
   size_t touched_components = 0;
   for (uint32_t l = 0; l < touched.size(); ++l) {
     const uint32_t root = uf.Find(l);
@@ -193,35 +188,25 @@ BlockPlan BlockPlan::Build(
     if (block_of_root[root] == UINT32_MAX) {
       block_of_root[root] = static_cast<uint32_t>(plan.blocks_.size());
       plan.blocks_.emplace_back();
-      block_vars.push_back(0);
     }
     plan.blocks_[block_of_root[root]].buckets.push_back(touched[l]);
-    const auto [first, last] = index.BucketRange(touched[l]);
-    block_vars[block_of_root[root]] += last - first;
   }
   plan.num_components_ =
       index.num_buckets() - touched.size() + touched_components;
-  const size_t largest =
-      block_vars.empty() ? 0
-                         : *std::max_element(block_vars.begin(),
-                                             block_vars.end());
-  const size_t total = index.num_variables();
-  plan.monolithic_ = total > 0 && static_cast<double>(largest) >
-                                      monolithic_fraction *
-                                          static_cast<double>(total);
-  if (plan.monolithic_) return plan;
 
   // Columns: each block's bucket ranges, concatenated.
+  plan.coupled_ = IdSet(index.num_buckets());
   for (uint32_t l = 0; l < touched.size(); ++l) {
     const uint32_t block_id = block_of_root[uf.Find(l)];
     if (block_id == UINT32_MAX) continue;
     PlanBlock& block = plan.blocks_[block_id];
-    plan.coupled_buckets_.push_back(touched[l]);
+    plan.coupled_.Insert(touched[l]);
     plan.coupled_block_.push_back(block_id);
     plan.coupled_col_.push_back(static_cast<uint32_t>(block.cols.size()));
     const auto [first, last] = index.BucketRange(touched[l]);
     for (uint32_t v = first; v < last; ++v) block.cols.push_back(v);
   }
+  plan.coupled_.Seal();
 
   // Table rows of each block's buckets, in table order (ascending
   // buckets hold ascending rows).
@@ -245,8 +230,8 @@ BlockPlan BlockPlan::Build(
       plan.unsupported_rows_.push_back(&c);
       continue;
     }
-    const uint32_t var = c.vars[static_cast<size_t>(it - c.coefs.begin())];
-    const uint32_t root = uf.Find(local_of(index.TermOf(var).bucket));
+    const size_t first = static_cast<size_t>(it - c.coefs.begin());
+    const uint32_t root = uf.Find(local_of_var(c.vars[first]));
     if (block_of_root[root] == UINT32_MAX) continue;  // closed form exact
     PlanBlock& block = plan.blocks_[block_of_root[root]];
     (c.rel == Relation::kEq ? block.eq_rows : block.ineq_rows).push_back(&c);
@@ -256,10 +241,7 @@ BlockPlan BlockPlan::Build(
 
 void BlockPlan::ConsultCache(const SolverOptions& options) {
   SolutionCache* const cache = options.solution_cache;
-  if (cache == nullptr || options.cache_mode == CacheMode::kOff ||
-      monolithic_) {
-    return;
-  }
+  if (cache == nullptr || options.cache_mode == CacheMode::kOff) return;
   cache_enabled_ = true;
   std::vector<Hash128> sorted;
   for (PlanBlock& block : blocks_) {
@@ -306,25 +288,19 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
       continue;
     }
     ++cache_misses_;
-    if (options.cache_mode == CacheMode::kWarm) {
-      auto warm = cache->FindWarm(block.vars_key);
-      if (warm != nullptr) {
-        block.warm_start = BuildWarmStart(*warm, block);
-        if (!block.warm_start.empty()) ++cache_warm_hits_;
-      }
+    if (options.cache_mode != CacheMode::kWarm) continue;
+    if (static_cast<double>(block.cols.size()) >
+        kDominantBlockFraction *
+            static_cast<double>(index_->num_variables())) {
+      ++warm_withheld_;
+      continue;
+    }
+    auto warm = cache->FindWarm(block.vars_key);
+    if (warm != nullptr) {
+      block.warm_start = BuildWarmStart(*warm, block);
+      if (!block.warm_start.empty()) ++cache_warm_hits_;
     }
   }
-}
-
-bool BlockPlan::LocateBucket(uint32_t bucket, uint32_t* block,
-                             uint32_t* col) const {
-  const auto it = std::lower_bound(coupled_buckets_.begin(),
-                                   coupled_buckets_.end(), bucket);
-  if (it == coupled_buckets_.end() || *it != bucket) return false;
-  const size_t k = static_cast<size_t>(it - coupled_buckets_.begin());
-  *block = coupled_block_[k];
-  *col = coupled_col_[k];
-  return true;
 }
 
 }  // namespace pme::maxent

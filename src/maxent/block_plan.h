@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/id_set.h"
 #include "common/status.h"
 #include "constraints/constraint.h"
 #include "constraints/system.h"
@@ -40,8 +41,7 @@ struct PlanBlock {
   std::vector<uint32_t> buckets;
   /// The block's variables, ascending: the buckets' variable ranges
   /// concatenated (TermIndex numbers variables bucket-major). Local
-  /// column j of the block problem is variable cols[j]. Empty in a
-  /// monolithic plan.
+  /// column j of the block problem is variable cols[j].
   std::vector<uint32_t> cols;
   /// Rows routed to the block, in the order the matrix form of the whole
   /// system lists them (table rows, then request rows; equality rows and
@@ -67,14 +67,22 @@ struct PlanBlock {
   std::shared_ptr<const CachedComponentSolution> cached;
   /// Warm-start dual in the block's original stacked row space, matched
   /// row by row from a cached entry with the same variables; empty when
-  /// nothing matched.
+  /// nothing matched or the block is dominant.
   std::vector<double> warm_start;
 };
 
-/// Everything a decomposed request decides before any block solves
-/// (Section 5.5): which buckets the knowledge couples into blocks, which
-/// rows each block owns, the blocks' cache keys and cache answers, and
-/// whether one block is so large that the monolithic solve is cheaper.
+/// A block holding more than this fraction of the table's variables is
+/// answered from the cache on an exact hit but never warm-started. The
+/// dual tolerance bounds each row's violation in absolute mass, and a
+/// posterior divides that mass by P(q): on a near-whole-table block a
+/// warm and a cold start can stop up to ~4e-5 apart in posterior units.
+/// Solving the dominant block cold keeps a re-analysis identical to one
+/// on a fresh cache; tolerances measured in record units would lift this.
+inline constexpr double kDominantBlockFraction = 0.8;
+
+/// Everything a request decides before any block solves (Section 5.5):
+/// which buckets the knowledge couples into blocks, which rows each block
+/// owns, and the blocks' cache keys and cache answers.
 ///
 /// Built by union-find over only the buckets the request rows touch:
 /// every other bucket is its own uncoupled component, exact under the
@@ -82,7 +90,8 @@ struct PlanBlock {
 /// A request row joins the block of its first supported variable (union-
 /// find put all of its buckets there); table rows join through the
 /// bucket index. Work and memory scale with the request rows and the
-/// coupled buckets, never with the table.
+/// coupled buckets; the table adds only the IdSets' one bit per bucket,
+/// for O(1) bucket lookups.
 class BlockPlan {
  public:
   /// Plans `request_rows` over `index`. `table_rows`, when non-null, are
@@ -90,37 +99,32 @@ class BlockPlan {
   /// bucket's rows join its block, and the rows of every other bucket are
   /// left out (the closed form satisfies them exactly). A row of
   /// `request_rows` marks its buckets coupled unless its source is an
-  /// invariant. `monolithic_fraction` is
-  /// SolverOptions::monolithic_fallback_fraction.
+  /// invariant. With `one_block`, every bucket joins a single block: the
+  /// whole table as one problem (Section 7.2's baseline without the
+  /// decomposition), whose columns are the identity and whose rows are
+  /// BuildProblem's over the table rows followed by the request rows.
   static BlockPlan Build(
       const constraints::TermIndex& index,
       const std::vector<constraints::LinearConstraint>* table_rows,
       const BucketRowIndex* bucket_rows,
       const std::vector<constraints::LinearConstraint>& request_rows,
-      double monolithic_fraction);
+      bool one_block = false);
 
   /// Plans a whole system: every row is routed as a request row.
   static BlockPlan Build(const constraints::TermIndex& index,
-                         const constraints::ConstraintSystem& system,
-                         double monolithic_fraction) {
-    return Build(index, nullptr, nullptr, system.constraints(),
-                 monolithic_fraction);
+                         const constraints::ConstraintSystem& system) {
+    return Build(index, nullptr, nullptr, system.constraints());
   }
 
   /// Computes every block's row signatures and cache keys and looks each
   /// block up in options.solution_cache — serially, in block order, so
-  /// the census is the same for any thread count. No-op when the cache
+  /// the census is the same for any thread count. A dominant block (see
+  /// kDominantBlockFraction) skips the warm lookup. No-op when the cache
   /// is off.
   void ConsultCache(const SolverOptions& options);
 
   const constraints::TermIndex& index() const { return *index_; }
   const std::vector<PlanBlock>& blocks() const { return blocks_; }
-
-  /// True when the largest block holds more than the monolithic fraction
-  /// of all variables: decomposing would save nothing. A monolithic plan
-  /// carries its blocks' buckets (for the census) but no columns or
-  /// rows.
-  bool monolithic() const { return monolithic_; }
 
   /// Request rows with no supported variable, in order.
   const std::vector<const constraints::LinearConstraint*>& unsupported_rows()
@@ -134,29 +138,38 @@ class BlockPlan {
   size_t num_components() const { return num_components_; }
 
   /// Block and local column of the first variable of `bucket`; false
-  /// when the bucket belongs to no block.
-  bool LocateBucket(uint32_t bucket, uint32_t* block, uint32_t* col) const;
+  /// when the bucket belongs to no block. O(1): the evaluation looks up a
+  /// bucket for every QI instance it recomputes, in no bucket order.
+  bool LocateBucket(uint32_t bucket, uint32_t* block, uint32_t* col) const {
+    if (!coupled_.Contains(bucket)) return false;
+    const uint32_t k = coupled_.Rank(bucket);
+    *block = coupled_block_[k];
+    *col = coupled_col_[k];
+    return true;
+  }
 
   bool cache_enabled() const { return cache_enabled_; }
   size_t cache_exact_hits() const { return cache_exact_hits_; }
   size_t cache_warm_hits() const { return cache_warm_hits_; }
   size_t cache_misses() const { return cache_misses_; }
+  /// Missed dominant blocks that were not offered a warm start.
+  size_t warm_withheld() const { return warm_withheld_; }
 
  private:
   const constraints::TermIndex* index_ = nullptr;
   std::vector<PlanBlock> blocks_;
   std::vector<const constraints::LinearConstraint*> unsupported_rows_;
-  // Every coupled bucket, ascending, with its block and the local column
-  // of its first variable.
-  std::vector<uint32_t> coupled_buckets_;
+  // The coupled buckets. The k-th (ascending) lies in block
+  // coupled_block_[k], its first variable at local column coupled_col_[k].
+  IdSet coupled_;
   std::vector<uint32_t> coupled_block_;
   std::vector<uint32_t> coupled_col_;
   size_t num_components_ = 0;
-  bool monolithic_ = false;
   bool cache_enabled_ = false;
   size_t cache_exact_hits_ = 0;
   size_t cache_warm_hits_ = 0;
   size_t cache_misses_ = 0;
+  size_t warm_withheld_ = 0;
 };
 
 }  // namespace pme::maxent

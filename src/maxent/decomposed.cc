@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -32,7 +31,6 @@ namespace {
 /// without threading result structs through the serve layer.
 struct SolveMetrics {
   metrics::Counter* runs;
-  metrics::Counter* monolithic_fallbacks;
   metrics::Counter* components_solved;
   metrics::Counter* components_degraded;
   metrics::Counter* components_failed;
@@ -45,8 +43,6 @@ SolveMetrics& GetSolveMetrics() {
     auto& registry = metrics::Registry::Global();
     SolveMetrics r;
     r.runs = &registry.GetCounter("solve.runs");
-    r.monolithic_fallbacks =
-        &registry.GetCounter("solve.monolithic_fallbacks");
     r.components_solved = &registry.GetCounter("solve.components_solved");
     r.components_degraded =
         &registry.GetCounter("solve.components_degraded");
@@ -178,26 +174,7 @@ DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
 DecompositionStats AnalyzeDecomposition(
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system) {
-  return AnalyzeDecomposition(BlockPlan::Build(
-      index, system, std::numeric_limits<double>::infinity()));
-}
-
-Result<SolverResult> SolveMonolithic(
-    const constraints::ConstraintSystem& system, SolverKind kind,
-    const SolverOptions& options) {
-  trace::TraceSpan solve_span("solve_decomposed", "solve");
-  GetSolveMetrics().runs->Add();
-  PME_ASSIGN_OR_RETURN(MaxEntProblem whole, BuildProblem(system));
-  SolverResult mono;
-  if (options.fallback) {
-    PME_ASSIGN_OR_RETURN(mono, SolveWithFallback(whole, kind, options));
-  } else {
-    PME_ASSIGN_OR_RETURN(mono, Solve(whole, kind, options));
-  }
-  mono.used_monolithic_fallback = true;
-  GetSolveMetrics().monolithic_fallbacks->Add();
-  solve_span.AddArg("monolithic", 1.0);
-  return mono;
+  return AnalyzeDecomposition(BlockPlan::Build(index, system));
 }
 
 Result<SolverResult> SolveDecomposed(
@@ -209,11 +186,9 @@ Result<SolverResult> SolveDecomposed(
   BlockPlan plan;
   {
     trace::TraceSpan plan_span("plan", "solve");
-    plan = BlockPlan::Build(index, system,
-                            options.monolithic_fallback_fraction);
+    plan = BlockPlan::Build(index, system);
     plan.ConsultCache(options);
   }
-  if (plan.monolithic()) return SolveMonolithic(system, kind, options);
   auto prior = std::make_shared<const std::vector<double>>(
       ClosedFormNoKnowledge(table, index));
   const double prior_entropy = Entropy(*prior);

@@ -34,8 +34,7 @@ namespace pme::maxent {
 /// duals — seconds vs minutes.
 ///
 /// This overload plans `system` itself, solves over a freshly derived
-/// closed form, and returns the full joint in `p`. When one block
-/// dominates (BlockPlan::monolithic) it runs SolveMonolithic instead.
+/// closed form, and returns the full joint in `p`.
 ///
 /// Failure semantics: with `options.fallback` on (the default), each
 /// block runs the SolveWithFallback ladder under a wall-time budget
@@ -57,25 +56,19 @@ Result<SolverResult> SolveDecomposed(
     const constraints::ConstraintSystem& system,
     SolverKind kind = SolverKind::kLbfgs, const SolverOptions& options = {});
 
-/// The request path: solves the blocks of a non-monolithic `plan` (its
-/// cache already consulted) over `prior` — the table's Theorem-5 closed
-/// form, with pme::Entropy `prior_entropy`. The result is an overlay: `p`
-/// stays empty, `blocks` holds each block's (cols, p) slice and `prior`
-/// shares the prior; entropy and max violation are derived per block.
-/// Work scales with the coupled blocks, not with the table. `plan` and
-/// the rows it points to must outlive the call.
+/// The request path: solves the blocks of `plan` (its cache already
+/// consulted) over `prior` — the table's Theorem-5 closed form, with
+/// pme::Entropy `prior_entropy`. Every block, the one block of a whole-
+/// table plan included, is assembled from its own rows and answered from
+/// the cache, warm-started or solved cold as its plan entry says. The
+/// result is an overlay: `p` stays empty, `blocks` holds each block's
+/// (cols, p) slice and `prior` shares the prior; entropy and max
+/// violation are derived per block. Work scales with the coupled blocks,
+/// not with the table. `plan` and the rows it points to must outlive the
+/// call.
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
     double prior_entropy, SolverKind kind, const SolverOptions& options);
-
-/// The monolithic fallback of the decomposed solve: one problem over the
-/// whole `system`, flagged `used_monolithic_fallback`. Used when one
-/// coupled block covers more than options.monolithic_fallback_fraction of
-/// the variables — the decomposition would copy almost everything for
-/// no block-level parallelism.
-Result<SolverResult> SolveMonolithic(
-    const constraints::ConstraintSystem& system, SolverKind kind,
-    const SolverOptions& options);
 
 /// The full joint of `result`: `p` itself, or the prior with the block
 /// slices written over it. For reports, exports and tests — the request
@@ -84,8 +77,8 @@ std::vector<double> MaterializeJoint(const SolverResult& result);
 
 /// Random access to the joint of an overlay result planned by `plan`,
 /// without materializing it. Caches the last bucket looked up, so reads
-/// grouped by bucket (bucket-major variable order) cost one search per
-/// bucket. Not thread-safe: one view per thread.
+/// grouped by bucket (bucket-major variable order) cost one O(1) lookup
+/// per bucket. Not thread-safe: one view per thread.
 class JointView {
  public:
   JointView(const BlockPlan& plan, const SolverResult& result)

@@ -81,7 +81,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
   std::vector<double> alpha(kHistory, 0.0);
   // Retired history buffers, recycled so steady state allocates nothing.
   std::vector<double> s_spare, y_spare;
-  StallDetector stall(options.ftol, options.max_stall_iterations);
+  StallDetector stall;
   bool restarted_after_stall = false;
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {

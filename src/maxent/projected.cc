@@ -62,7 +62,7 @@ Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
   double bb_step = 1.0;
 
   std::vector<double> trial(m), trial_grad(m);
-  StallDetector stall(options.ftol, options.max_stall_iterations);
+  StallDetector stall;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     out.grad_inf = ProjectedGradInf(out.lambda, grad, num_eq);
     out.iterations = iter;

@@ -76,15 +76,6 @@ struct SolverOptions {
   /// Convergence threshold on ‖∇D‖∞ — i.e. the worst constraint
   /// violation of the primal iterate.
   double tolerance = 1e-8;
-  /// Relative dual-value progress below which an accepted step counts as
-  /// stalled: improvement <= ftol * (|D| + 1). Near numerical precision
-  /// the Armijo test keeps accepting rounding-noise improvements; the
-  /// stall counter turns that into a clean exit instead of burning the
-  /// whole iteration budget a few ulps above the tolerance.
-  double ftol = 1e-15;
-  /// Consecutive stalled-but-accepted steps before the solve stops with
-  /// the current iterate (converged iff the tolerance was already met).
-  size_t max_stall_iterations = 50;
   /// Run the structural presolve (zero forcing / singleton substitution)
   /// before the iterative solve. Strongly recommended: hard zeros in the
   /// constraints otherwise require unbounded multipliers.
@@ -102,13 +93,6 @@ struct SolverOptions {
   /// threads. Not owned; must outlive the solve. `threads` is ignored
   /// for scheduling when set.
   ThreadPool* pool = nullptr;
-  /// SolveDecomposed falls back to the monolithic Solve when the largest
-  /// knowledge-coupled component covers more than this fraction of all
-  /// variables: assembling that block would copy nearly the whole
-  /// constraint matrix (measured 10-40% overhead in the K >= 256
-  /// ablation) for no block-level parallelism. Set above 1.0 to always
-  /// decompose.
-  double monolithic_fallback_fraction = 0.8;
   /// Wall-clock budget for the solve, checked once per outer iteration
   /// by every minimizer. On expiry the solve stops and returns the best
   /// iterate reached so far with termination == kDeadlineExceeded —
@@ -138,9 +122,8 @@ struct SolverOptions {
   const std::vector<double>* warm_start_original = nullptr;
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
-  /// regardless of `cache_mode`. The monolithic path (Solve, or the
-  /// monolithic fallback) never consults the cache — there is no
-  /// component granularity to key on.
+  /// regardless of `cache_mode`. Solve alone never consults it: the
+  /// cache is keyed by the blocks of a BlockPlan.
   SolutionCache* solution_cache = nullptr;
   /// What to reuse from `solution_cache` (off | exact | warm).
   CacheMode cache_mode = CacheMode::kWarm;
@@ -227,9 +210,6 @@ struct SolverResult {
   bool converged = false;
   /// Variables eliminated by presolve.
   size_t presolve_fixed = 0;
-  /// True when SolveDecomposed routed this problem to the monolithic
-  /// Solve because one coupled component dominated the variable space.
-  bool used_monolithic_fallback = false;
   /// Which solver produced this result.
   SolverKind kind = SolverKind::kLbfgs;
   /// Why the solve stopped: kOk for a normal finish (converged or budget
@@ -253,12 +233,12 @@ struct SolverResult {
   bool degraded = false;
   /// Decomposed-solve census over *coupled* components: answered by the
   /// requested solver / degraded to a lower rung or the prior / hard
-  /// failure (kept prior, counted separately). All zero for monolithic
-  /// solves.
+  /// failure (kept prior, counted separately). All zero for a plain
+  /// Solve.
   size_t components_solved = 0;
   size_t components_degraded = 0;
   size_t components_failed = 0;
-  /// One record per coupled component (empty for monolithic solves).
+  /// One record per coupled component (empty for a plain Solve).
   std::vector<ComponentOutcome> component_outcomes;
   /// Solution-cache census of *this* solve (all zero when no cache was
   /// consulted): blocks answered from the cache without solving, blocks

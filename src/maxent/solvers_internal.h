@@ -42,6 +42,12 @@ inline StatusCode CheckStop(const SolverOptions& options) {
   return CheckInterrupt(options.deadline, options.cancel);
 }
 
+/// Relative dual-value progress below which an accepted step counts as
+/// stalled: improvement <= kStallFtol * (|D| + 1).
+inline constexpr double kStallFtol = 1e-15;
+/// Consecutive stalled-but-accepted steps that make a stall run.
+inline constexpr size_t kMaxStallIterations = 50;
+
 /// Detects runs of accepted-but-worthless line-search steps: near the
 /// numerical floor the Armijo test keeps accepting rounding-noise
 /// improvements, and without a cutoff a solve sitting a few ulps above
@@ -49,13 +55,12 @@ inline StatusCode CheckStop(const SolverOptions& options) {
 /// both line-search minimizers so the criterion cannot drift.
 class StallDetector {
  public:
-  StallDetector(double ftol, size_t limit) : ftol_(ftol), limit_(limit) {}
-
-  /// Records one accepted step; true when `limit` consecutive steps each
-  /// improved the dual by no more than ftol * (|value| + 1).
+  /// Records one accepted step; true when kMaxStallIterations
+  /// consecutive steps each improved the dual by no more than
+  /// kStallFtol * (|value| + 1).
   bool Update(double prev_value, double value) {
-    if (prev_value - value <= ftol_ * (std::fabs(value) + 1.0)) {
-      return ++stalled_ >= limit_;
+    if (prev_value - value <= kStallFtol * (std::fabs(value) + 1.0)) {
+      return ++stalled_ >= kMaxStallIterations;
     }
     stalled_ = 0;
     return false;
@@ -64,8 +69,6 @@ class StallDetector {
   void Reset() { stalled_ = 0; }
 
  private:
-  double ftol_;
-  size_t limit_;
   size_t stalled_ = 0;
 };
 

@@ -11,6 +11,7 @@
 
 #include "common/flags.h"
 #include "common/hash.h"
+#include "common/id_set.h"
 #include "common/math_util.h"
 #include "common/prng.h"
 #include "common/status.h"
@@ -217,6 +218,24 @@ TEST(MathUtilTest, BinomialCoefficient) {
 }
 
 // ----------------------------------------------------------- StringUtil
+
+TEST(IdSetTest, MembersAscendAndRankIsThePosition) {
+  // Ids across several 64-bit words, inserted out of order and twice.
+  const std::vector<uint32_t> inserted = {200, 0, 63, 64, 5, 199, 63, 128, 5};
+  IdSet set(201);
+  for (uint32_t id : inserted) set.Insert(id);
+  set.Seal();
+  const std::set<uint32_t> expected(inserted.begin(), inserted.end());
+  const std::vector<uint32_t> members = set.Members();
+  EXPECT_EQ(members, std::vector<uint32_t>(expected.begin(), expected.end()));
+  for (uint32_t id = 0; id <= 200; ++id) {
+    EXPECT_EQ(set.Contains(id), expected.count(id) == 1) << id;
+  }
+  for (uint32_t k = 0; k < members.size(); ++k) {
+    EXPECT_EQ(set.Rank(members[k]), k) << members[k];
+  }
+  EXPECT_TRUE(IdSet(0).Members().empty());
+}
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {
   auto parts = Split("a,,b", ',');

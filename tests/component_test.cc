@@ -268,7 +268,7 @@ TEST(SolveDecomposedTest, ThreadCountDoesNotChangeThePosterior) {
   EXPECT_EQ(a.entropy, b.entropy);
 }
 
-// ------------------------------------------------- Monolithic fallback
+// ------------------------------------------------- Fully coupled tables
 
 /// Couples every bucket of the Figure 1 table into one component. The
 /// statements are chosen so their *materialized* support really spans
@@ -289,58 +289,17 @@ ConstraintSystem FullyCoupledSystem(const BucketizedTable& t,
   return system;
 }
 
-TEST(SolveDecomposedTest, FullyCoupledSystemFallsBackToMonolithicSolve) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = FullyCoupledSystem(t, index);
-
-  // Sanity: the knowledge really does couple the whole variable space.
-  auto stats = maxent::AnalyzeDecomposition(index, system);
-  EXPECT_EQ(stats.relevant_variables, stats.total_variables);
-
-  auto decomposed = maxent::SolveDecomposed(t, index, system).ValueOrDie();
-  EXPECT_TRUE(decomposed.used_monolithic_fallback);
-
-  // The fallback literally runs Solve on the original system, so the
-  // posterior matches the monolithic result exactly.
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
-  auto mono = maxent::Solve(problem).ValueOrDie();
-  ASSERT_EQ(decomposed.p.size(), mono.p.size());
-  for (size_t i = 0; i < mono.p.size(); ++i) {
-    EXPECT_EQ(decomposed.p[i], mono.p[i]) << index.TermName(i, t);
-  }
-}
-
-TEST(SolveDecomposedTest, FallbackThresholdAboveOneAlwaysDecomposes) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = FullyCoupledSystem(t, index);
-
-  maxent::SolverOptions options;
-  options.monolithic_fallback_fraction = 1.5;  // disabled
-  auto decomposed =
-      maxent::SolveDecomposed(t, index, system, maxent::SolverKind::kLbfgs,
-                              options)
-          .ValueOrDie();
-  EXPECT_FALSE(decomposed.used_monolithic_fallback);
-
-  // Decomposed or not, the answer is the same distribution.
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
-  auto mono = maxent::Solve(problem).ValueOrDie();
-  for (size_t i = 0; i < mono.p.size(); ++i) {
-    EXPECT_NEAR(decomposed.p[i], mono.p[i], 1e-6) << index.TermName(i, t);
-  }
-}
-
 TEST(SolveDecomposedTest, SparseKnowledgeStaysDecomposed) {
-  // One conditional touching a single bucket: the largest coupled
-  // component is far below the threshold, so no fallback.
+  // One conditional touching a single bucket: one coupled block, far
+  // smaller than the table.
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
   auto system = InvariantSystem(t, index);
   AddConditional(t, index, &system, kQ5, kS5, 0.8);
   auto decomposed = maxent::SolveDecomposed(t, index, system).ValueOrDie();
-  EXPECT_FALSE(decomposed.used_monolithic_fallback);
+  ASSERT_EQ(decomposed.component_outcomes.size(), 1u);
+  EXPECT_LT(decomposed.component_outcomes[0].num_variables,
+            index.num_variables());
 }
 
 // ----------------------------------------------- SIMD dispatch parity
@@ -358,7 +317,6 @@ TEST(SolveDecomposedTest, SimdOffAndAutoPosteriorsAgree) {
   auto system = FullyCoupledSystem(t, index);
   maxent::SolverOptions options;
   options.tolerance = 1e-12;
-  options.monolithic_fallback_fraction = 1.5;  // exercise the block path
 
   kernels::SetSimdMode(kernels::SimdMode::kOff);
   auto off = maxent::SolveDecomposed(t, index, system,

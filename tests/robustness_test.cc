@@ -28,6 +28,7 @@
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
+#include "maxent/solvers_internal.h"
 #include "tests/test_util.h"
 
 #ifndef PME_TEST_CORPUS_DIR
@@ -463,47 +464,45 @@ TEST(StallGuardTest, PlateauExitsLongBeforeTheIterationBudget) {
   auto system = InvariantSystem(t, index);
   auto problem = TwoComponentProblem(t, index, &system);
 
-  // ftol = 1.0 makes every accepted step count as stalled, so the guard
-  // alone bounds the iteration count far below the 20000 budget.
+  // A zero tolerance is unreachable in floating point, so at the default
+  // settings only the stall guard can stop these solves short of the
+  // 20000-iteration budget.
   maxent::SolverOptions options;
-  options.ftol = 1.0;
-  options.max_stall_iterations = 1;
-  options.tolerance = 1e-14;  // unreachable: only the guard can stop it
-
-  auto projected =
-      maxent::Solve(problem, maxent::SolverKind::kProjected, options)
-          .ValueOrDie();
-  EXPECT_LE(projected.iterations, 10u);
-  EXPECT_GE(projected.iterations, 1u);
-
-  auto lbfgs = maxent::Solve(problem, maxent::SolverKind::kLbfgs, options)
-                   .ValueOrDie();
-  EXPECT_LE(lbfgs.iterations, 10u);
-  EXPECT_GE(lbfgs.iterations, 1u);
+  options.tolerance = 0.0;
+  for (maxent::SolverKind kind :
+       {maxent::SolverKind::kLbfgs, maxent::SolverKind::kProjected}) {
+    SCOPED_TRACE(maxent::SolverKindToString(kind));
+    auto result = maxent::Solve(problem, kind, options).ValueOrDie();
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.termination, StatusCode::kOk);
+    EXPECT_GE(result.iterations, maxent::internal::kMaxStallIterations);
+    EXPECT_LE(result.iterations, 1000u);
+    EXPECT_TRUE(maxent::IsAcceptable(result)) << result.max_violation;
+  }
 }
 
-TEST(MonolithicFallbackTest, FractionRoutesBetweenWholeAndBlockSolves) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-
-  maxent::SolverOptions whole, blocks;
-  whole.monolithic_fallback_fraction = 0.0;   // any coupled block routes
-  blocks.monolithic_fallback_fraction = 2.0;  // never route
-  auto mono = maxent::SolveDecomposed(t, index, system,
-                                      maxent::SolverKind::kLbfgs, whole)
-                  .ValueOrDie();
-  auto block = maxent::SolveDecomposed(t, index, system,
-                                       maxent::SolverKind::kLbfgs, blocks)
-                   .ValueOrDie();
-  EXPECT_TRUE(mono.used_monolithic_fallback);
-  EXPECT_FALSE(block.used_monolithic_fallback);
-  EXPECT_TRUE(block.component_outcomes.size() >= 1u);
-  ASSERT_EQ(mono.p.size(), block.p.size());
-  for (size_t i = 0; i < mono.p.size(); ++i) {
-    EXPECT_NEAR(mono.p[i], block.p[i], 1e-6) << i;
+TEST(StallDetectorTest, FiresOnARunOfStalledStepsOnly) {
+  using maxent::internal::kMaxStallIterations;
+  maxent::internal::StallDetector stall;
+  // Progress above kStallFtol * (|D| + 1) never counts, however long.
+  for (size_t i = 0; i < 2 * kMaxStallIterations; ++i) {
+    EXPECT_FALSE(stall.Update(1.0, 1.0 - 1e-12));
   }
+  // A run fires on its kMaxStallIterations-th stalled step.
+  for (size_t i = 1; i < kMaxStallIterations; ++i) {
+    EXPECT_FALSE(stall.Update(1.0, 1.0 - 1e-16)) << i;
+  }
+  EXPECT_TRUE(stall.Update(1.0, 1.0));
+  // Real progress breaks a run; so does Reset.
+  stall.Reset();
+  for (size_t i = 1; i < kMaxStallIterations; ++i) {
+    EXPECT_FALSE(stall.Update(-5.0, -5.0)) << i;
+  }
+  EXPECT_FALSE(stall.Update(-5.0, -6.0));
+  for (size_t i = 1; i < kMaxStallIterations; ++i) {
+    EXPECT_FALSE(stall.Update(-6.0, -6.0)) << i;
+  }
+  EXPECT_TRUE(stall.Update(-6.0, -6.0));
 }
 
 // --------------------------------------------------- malformed-input corpus

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <string_view>
@@ -31,6 +32,7 @@
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
 #include "maxent/decomposed.h"
+#include "maxent/problem.h"
 #include "maxent/solution_cache.h"
 
 namespace pme::core {
@@ -67,6 +69,43 @@ class SessionTest : public ::testing::Test {
     return TableArtifact::BuildBorrowed(pipeline_->bucketization.table,
                                         &pipeline_->bucketization.qi_encoder)
         .ValueOrDie();
+  }
+
+  // The top rules, enough of them that one coupled block holds more than
+  // kDominantBlockFraction of the table's variables.
+  static knowledge::KnowledgeBase DominantKb(const TableArtifact& artifact) {
+    const constraints::TermIndex& index = artifact.index();
+    for (size_t k = 4; k <= pipeline_->rules.size(); k *= 2) {
+      knowledge::KnowledgeBase kb = RuleKb(k, k);
+      const auto compiled =
+          constraints::CompileKnowledge(kb, artifact.table(), index,
+                                        artifact.qi_encoder())
+              .ValueOrDie();
+      const maxent::BlockPlan plan = maxent::BlockPlan::Build(
+          index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
+          compiled.constraints);
+      for (const maxent::PlanBlock& block : plan.blocks()) {
+        if (static_cast<double>(block.cols.size()) >
+            maxent::kDominantBlockFraction *
+                static_cast<double>(index.num_variables())) {
+          return kb;
+        }
+      }
+    }
+    ADD_FAILURE() << "no rule prefix couples a dominant block";
+    return {};
+  }
+
+  static void ExpectSamePosterior(const PosteriorTable& a,
+                                  const PosteriorTable& b) {
+    ASSERT_EQ(a.num_qi(), b.num_qi());
+    ASSERT_EQ(a.num_sa(), b.num_sa());
+    for (uint32_t q = 0; q < a.num_qi(); ++q) {
+      for (uint32_t s = 0; s < a.num_sa(); ++s) {
+        EXPECT_EQ(a.Conditional(q, s), b.Conditional(q, s))
+            << "q " << q << " s " << s;
+      }
+    }
   }
 
   static double MaxPosteriorDiff(const PosteriorTable& a,
@@ -342,7 +381,7 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
 
     maxent::BlockPlan plan = maxent::BlockPlan::Build(
         index, &artifact->invariants(), &artifact->invariant_rows_by_bucket(),
-        compiled.constraints, /*monolithic_fraction=*/2.0);
+        compiled.constraints);
     maxent::SolutionCache cache;
     maxent::SolverOptions options;
     options.solution_cache = &cache;
@@ -444,7 +483,6 @@ TEST_F(SessionTest, DecomposedRunHoldsOnlyTouchedRowsAndBlockSlices) {
   const knowledge::KnowledgeBase kb = RuleKb(4, 4);
   const auto artifact = BuildArtifact();
   const auto analysis = AnalysisSession(artifact).Run(kb).ValueOrDie();
-  ASSERT_FALSE(analysis.solver.used_monolithic_fallback);
   ASSERT_GT(analysis.decomposition.num_coupled_components, 0u);
 
   const maxent::SolverResult& solver = analysis.solver;
@@ -470,6 +508,156 @@ TEST_F(SessionTest, DecomposedRunHoldsOnlyTouchedRowsAndBlockSlices) {
   EXPECT_LT(touched.size(), analysis.posterior.num_qi());
   EXPECT_EQ(maxent::MaterializeJoint(solver).size(),
             artifact->index().num_variables());
+}
+
+// A knowledge base that couples most of the table goes through the same
+// plan as any other: a re-run answers its dominant block from the cache,
+// with no iterations and the very same posterior.
+TEST_F(SessionTest, DominantBlockReRunIsAllExactHits) {
+  const auto artifact = BuildArtifact();
+  const knowledge::KnowledgeBase kb = DominantKb(*artifact);
+  maxent::SolutionCache cache;
+  AnalysisOptions options;
+  options.solver_options.solution_cache = &cache;
+  const AnalysisSession session(artifact, options);
+
+  const auto cold = session.Run(kb).ValueOrDie();
+  ASSERT_GT(cold.solver.iterations, 0u);
+  const auto again = session.Run(kb).ValueOrDie();
+  EXPECT_EQ(again.solver.cache_exact_hits, again.solver.blocks.size());
+  EXPECT_EQ(again.solver.cache_misses, 0u);
+  EXPECT_EQ(again.solver.iterations, 0u);
+  ExpectSamePosterior(cold.posterior, again.posterior);
+  EXPECT_EQ(cold.estimation_accuracy, again.estimation_accuracy);
+  EXPECT_EQ(cold.metrics.max_disclosure, again.metrics.max_disclosure);
+}
+
+// An edit of one statement keeps the dominant block's variables, so its
+// cached dual would be a warm start; the plan withholds it, and the
+// toggle is solved exactly as on a fresh cache.
+TEST_F(SessionTest, DominantBlockToggleIsNotWarmStarted) {
+  const auto artifact = BuildArtifact();
+  const knowledge::KnowledgeBase kb = DominantKb(*artifact);
+  // Nudge the first statement that is not near certainty.
+  knowledge::KnowledgeBase edited;
+  bool nudged = false;
+  for (auto stmt : kb.conditionals()) {
+    if (!nudged && stmt.probability > 0.1 && stmt.probability < 0.9) {
+      stmt.probability *= 0.99;
+      nudged = true;
+    }
+    edited.Add(std::move(stmt));
+  }
+  ASSERT_TRUE(nudged);
+
+  maxent::SolutionCache cache;
+  AnalysisOptions options;
+  options.solver_options.solution_cache = &cache;
+  const AnalysisSession session(artifact, options);
+  ASSERT_TRUE(session.Run(kb).ok());
+
+  const auto compiled =
+      constraints::CompileKnowledge(edited, artifact->table(),
+                                    artifact->index(), artifact->qi_encoder())
+          .ValueOrDie();
+  maxent::BlockPlan plan = maxent::BlockPlan::Build(
+      artifact->index(), &artifact->invariants(),
+      &artifact->invariant_rows_by_bucket(), compiled.constraints);
+  maxent::SolverOptions lookup = options.solver_options;
+  lookup.cache_namespace = artifact->content_hash();
+  plan.ConsultCache(lookup);
+  EXPECT_EQ(plan.warm_withheld(), 1u);
+
+  const auto warm = session.Run(edited).ValueOrDie();
+  maxent::SolutionCache fresh_cache;
+  AnalysisOptions fresh_options;
+  fresh_options.solver_options.solution_cache = &fresh_cache;
+  const auto fresh =
+      AnalysisSession(artifact, fresh_options).Run(edited).ValueOrDie();
+  EXPECT_EQ(warm.solver.cache_warm_hits, 0u);
+  ASSERT_EQ(warm.solver.component_outcomes.size(),
+            fresh.solver.component_outcomes.size());
+  for (size_t i = 0; i < warm.solver.component_outcomes.size(); ++i) {
+    const auto& outcome = warm.solver.component_outcomes[i];
+    EXPECT_NE(outcome.cache, maxent::CacheOutcome::kWarmStart) << i;
+    if (outcome.cache == maxent::CacheOutcome::kNone) {
+      EXPECT_EQ(outcome.iterations,
+                fresh.solver.component_outcomes[i].iterations)
+          << i;
+    }
+  }
+  ExpectSamePosterior(warm.posterior, fresh.posterior);
+}
+
+// Without the decomposition a request is one block over every bucket:
+// identity columns and BuildProblem's rows in BuildProblem's order, so
+// its joint, posterior and metrics are those of Solve on the whole
+// system, bit for bit.
+TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
+  const auto artifact = BuildArtifact();
+  const constraints::TermIndex& index = artifact->index();
+  const knowledge::KnowledgeBase rules = RuleKb(6, 6);
+  knowledge::KnowledgeBase kb;
+  for (auto stmt : rules.conditionals()) {
+    if (kb.size() == 1) stmt.rel = knowledge::Relation::kLe;
+    if (kb.size() == 2) stmt.rel = knowledge::Relation::kGe;
+    kb.Add(std::move(stmt));
+  }
+  const auto compiled =
+      constraints::CompileKnowledge(kb, artifact->table(), index,
+                                    artifact->qi_encoder())
+          .ValueOrDie();
+  constraints::ConstraintSystem system(index.num_variables());
+  system.AddAll(artifact->invariants());
+  system.AddAll(compiled.constraints);
+
+  const maxent::BlockPlan plan = maxent::BlockPlan::Build(
+      index, &artifact->invariants(), &artifact->invariant_rows_by_bucket(),
+      compiled.constraints, /*one_block=*/true);
+  ASSERT_EQ(plan.blocks().size(), 1u);
+  EXPECT_EQ(plan.num_components(), 1u);
+  const maxent::PlanBlock& block = plan.blocks()[0];
+  std::vector<uint32_t> all_buckets(index.num_buckets());
+  std::iota(all_buckets.begin(), all_buckets.end(), 0u);
+  std::vector<uint32_t> all_vars(index.num_variables());
+  std::iota(all_vars.begin(), all_vars.end(), 0u);
+  EXPECT_EQ(block.buckets, all_buckets);
+  EXPECT_EQ(block.cols, all_vars);
+  std::vector<const constraints::LinearConstraint*> eq_rows, ineq_rows;
+  for (const auto& c : system.constraints()) {
+    (c.rel == knowledge::Relation::kEq ? eq_rows : ineq_rows).push_back(&c);
+  }
+  ExpectSameRows(block.eq_rows, eq_rows);
+  ExpectSameRows(block.ineq_rows, ineq_rows);
+
+  // Bit-exact at whatever iterate a short budget reaches; no fallback
+  // ladder, as for a plain Solve.
+  AnalysisOptions options;
+  options.use_decomposition = false;
+  options.solver_options.max_iterations = 300;
+  options.solver_options.fallback = false;
+  const auto analysis = AnalysisSession(artifact, options).Run(kb).ValueOrDie();
+  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto whole =
+      maxent::Solve(problem, options.solver, options.solver_options)
+          .ValueOrDie();
+  EXPECT_EQ(analysis.solver.iterations, whole.iterations);
+  const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
+  ASSERT_EQ(joint.size(), whole.p.size());
+  for (size_t i = 0; i < joint.size(); ++i) {
+    EXPECT_EQ(joint[i], whole.p[i]) << "var " << i;
+  }
+  const PosteriorTable rebuilt =
+      PosteriorTable::FromSolution(artifact->table(), index, whole.p);
+  ExpectSamePosterior(analysis.posterior, rebuilt);
+  EXPECT_EQ(analysis.estimation_accuracy,
+            EstimationAccuracy(artifact->ground_truth(), rebuilt));
+  const PrivacyMetrics metrics = ComputePrivacyMetrics(rebuilt);
+  EXPECT_EQ(analysis.metrics.max_disclosure, metrics.max_disclosure);
+  EXPECT_EQ(analysis.metrics.expected_best_guess,
+            metrics.expected_best_guess);
+  EXPECT_EQ(analysis.metrics.min_effective_candidates,
+            metrics.min_effective_candidates);
 }
 
 }  // namespace
