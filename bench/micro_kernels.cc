@@ -238,7 +238,8 @@ void BM_LnLibm(benchmark::State& state) {
 BENCHMARK(BM_LnLibm)->Arg(4096)->Arg(65536);
 
 void BM_Ln(benchmark::State& state) {
-  // Batched natural log (the GIS multiplier update, entropy deltas).
+  // Batched natural log (the LnPd kernel behind the entropy and KL
+  // reductions).
   const size_t n = static_cast<size_t>(state.range(0));
   SimdModeGuard guard(ModeFromArg(state.range(1)));
   pme::Prng prng(29);

@@ -103,8 +103,10 @@ double ExpM1SumInPlace(Span x);
 /// pass; `shift` is the max element).
 double SumExpShifted(ConstSpan x, double shift);
 
-/// y_i = ln(x_i), the batched natural log behind Entropy/KlDivergence and
-/// the GIS multiplier update. IEEE special cases match libm: ln(0) = -inf,
+/// y_i = ln(x_i), the batched natural log. No production path calls it;
+/// it stays because its parity and special-value tests are the direct
+/// check on the LnPd kernel that NegXLogXSum and KlDivergence run on.
+/// IEEE special cases match libm: ln(0) = -inf,
 /// ln(x<0) = NaN, ln(inf) = inf, NaN propagates; denormals are
 /// renormalized, not flushed. In-place use (x.data == y.data) is allowed.
 void Ln(ConstSpan x, Span y);

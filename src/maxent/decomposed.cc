@@ -288,7 +288,7 @@ Result<SolverResult> SolveDecomposed(
         block_span.AddArg("vars", static_cast<double>(block.cols.size()));
         SolverOptions block_options = options;
         if (!block.warm_start.empty()) {
-          block_options.warm_start_original = &block.warm_start;
+          block_options.warm_start = &block.warm_start;
         }
         if (!options.deadline.is_infinite()) {
           block_options.deadline = Deadline::Earlier(
@@ -332,9 +332,9 @@ Result<SolverResult> SolveDecomposed(
 
   // Aggregate, in block order. Each block keeps the cached solution, its
   // solve's answer, its best finite iterate, or — with the fallback
-  // ladder on, when every rung failed — the closed-form prior, flagged:
-  // one bad component must degrade its own answer, never the whole
-  // analysis. With fallback off, the historical fail-fast contract
+  // ladder on, when no attempt left a usable iterate — the closed-form
+  // prior, flagged: one bad component must degrade its own answer, never
+  // the whole analysis. With fallback off, the historical fail-fast contract
   // stands: the first component error propagates.
   result.blocks.resize(blocks.size());
   result.component_outcomes.reserve(blocks.size());

@@ -37,7 +37,8 @@ namespace pme::maxent {
 /// closed form, and returns the full joint in `p`.
 ///
 /// Failure semantics: with `options.fallback` on (the default), each
-/// block runs the SolveWithFallback ladder under a wall-time budget
+/// block runs the SolveWithFallback ladder (the requested solver, then
+/// at most one projected-gradient restart) under a wall-time budget
 /// proportional to its variable count (a slice of `options.deadline`).
 /// A block that ends unacceptable but made real progress keeps its best
 /// finite iterate (the contract non-converged solves always had); a

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/math_util.h"
@@ -42,10 +43,11 @@ bool Backtrack(const DualFunction& dual, const std::vector<double>& direction,
 }  // namespace
 
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
+                                  std::vector<double> start,
                                   const SolverOptions& options) {
   const size_t m = dual.dim();
   DualOutcome out;
-  InitLambda(options, m, &out.lambda);
+  out.lambda = std::move(start);
   if (m == 0) {
     out.converged = true;
     return out;

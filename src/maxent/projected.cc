@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/math_util.h"
 #include "common/vec_math.h"
@@ -42,10 +43,11 @@ double ProjectedGradInf(const std::vector<double>& lambda,
 }  // namespace
 
 Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
+                                      std::vector<double> start,
                                       const SolverOptions& options) {
   const size_t m = dual.dim();
   DualOutcome out;
-  InitLambda(options, m, &out.lambda);
+  out.lambda = std::move(start);
   Project(num_eq, &out.lambda);  // a warm start must enter the feasible box
   if (m == 0) {
     out.converged = true;

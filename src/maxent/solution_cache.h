@@ -17,9 +17,11 @@
 namespace pme::maxent {
 
 /// One cached coupled-component solution, content-addressed by the
-/// component's rows digest (constraints::ComponentSignatures). Everything
-/// needed to either scatter the answer without solving (exact hit) or to
-/// warm-start a changed component from its old dual (near miss):
+/// component's rows digest (each row hashed by
+/// constraints::ConstraintRowSignature, combined per block by
+/// BlockPlan::ConsultCache). Everything needed to either scatter the
+/// answer without solving (exact hit) or to warm-start a changed
+/// component from its old dual (near miss):
 ///
 ///  - `p` is the posterior slice in block-local column order (the order
 ///    of the component's variables, ascending by full-space id).

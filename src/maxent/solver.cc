@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/math_util.h"
@@ -70,14 +71,19 @@ const char* CacheModeToString(CacheMode mode) {
   return "unknown";
 }
 
+Result<CacheMode> ParseCacheMode(const std::string& name) {
+  for (CacheMode mode :
+       {CacheMode::kOff, CacheMode::kExact, CacheMode::kWarm}) {
+    if (name == CacheModeToString(mode)) return mode;
+  }
+  return Status::InvalidArgument(
+      "cache must be 'off', 'exact' or 'warm', got '" + name + "'");
+}
+
 const char* SolverKindToString(SolverKind kind) {
   switch (kind) {
     case SolverKind::kLbfgs:
       return "lbfgs";
-    case SolverKind::kGis:
-      return "gis";
-    case SolverKind::kIis:
-      return "iis";
     case SolverKind::kProjected:
       return "projected";
   }
@@ -85,8 +91,7 @@ const char* SolverKindToString(SolverKind kind) {
 }
 
 Result<SolverKind> ParseSolverKind(const std::string& name) {
-  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
-                          SolverKind::kIis, SolverKind::kProjected}) {
+  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
     if (name == SolverKindToString(kind)) return kind;
   }
   return Status::InvalidArgument("unknown solver: " + name);
@@ -121,39 +126,25 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   result.presolve_fixed = pre.num_fixed;
   const MaxEntProblem& reduced = pre.reduced;
 
-  // An original-row-space warm start (cached re-analysis) is carried
-  // into the reduced dual space through the presolve row maps. The
-  // reduced-space `warm_start` wins when both are set — it came from a
-  // solve of this very problem (the fallback ladder) and is exact.
-  SolverOptions solve_options = options;
-  std::vector<double> mapped_warm;
-  if (options.warm_start == nullptr &&
-      options.warm_start_original != nullptr &&
-      options.warm_start_original->size() ==
-          problem.eq.rows() + problem.ineq.rows()) {
-    bool finite = true;
-    for (double v : *options.warm_start_original) {
-      if (!std::isfinite(v)) {
-        finite = false;
-        break;
+  // The dual start: zeros, or the original-row-space warm start carried
+  // into the reduced dual space through the presolve row maps (rows
+  // presolve dropped are simply not carried).
+  std::vector<double> lambda(reduced.eq.rows() + reduced.ineq.rows(), 0.0);
+  if (options.warm_start != nullptr &&
+      options.warm_start->size() == problem.eq.rows() + problem.ineq.rows() &&
+      std::all_of(options.warm_start->begin(), options.warm_start->end(),
+                  [](double v) { return std::isfinite(v); })) {
+    const auto& w = *options.warm_start;
+    for (size_t r = 0; r < problem.eq.rows(); ++r) {
+      if (pre.eq_row_map[r] >= 0) {
+        lambda[static_cast<size_t>(pre.eq_row_map[r])] = w[r];
       }
     }
-    if (finite) {
-      mapped_warm.assign(reduced.eq.rows() + reduced.ineq.rows(), 0.0);
-      const auto& w = *options.warm_start_original;
-      for (size_t r = 0; r < problem.eq.rows(); ++r) {
-        if (pre.eq_row_map[r] >= 0) {
-          mapped_warm[static_cast<size_t>(pre.eq_row_map[r])] = w[r];
-        }
+    for (size_t r = 0; r < problem.ineq.rows(); ++r) {
+      if (pre.ineq_row_map[r] >= 0) {
+        lambda[reduced.eq.rows() + static_cast<size_t>(pre.ineq_row_map[r])] =
+            w[problem.eq.rows() + r];
       }
-      for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-        if (pre.ineq_row_map[r] >= 0) {
-          mapped_warm[reduced.eq.rows() +
-                      static_cast<size_t>(pre.ineq_row_map[r])] =
-              w[problem.eq.rows() + r];
-        }
-      }
-      solve_options.warm_start = &mapped_warm;
     }
   }
 
@@ -161,43 +152,28 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   if (reduced.num_vars > 0) {
     internal::DualOutcome outcome;
     if (reduced.has_inequalities()) {
+      result.kind = SolverKind::kProjected;
       PME_ASSIGN_OR_RETURN(auto stacked,
                            StackMatrices(reduced.eq, reduced.ineq));
       std::vector<double> rhs = reduced.eq_rhs;
       rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
       DualFunction dual(&stacked, rhs);
       PME_ASSIGN_OR_RETURN(
-          outcome,
-          internal::MinimizeProjected(dual, reduced.eq.rows(),
-                                      solve_options));
+          outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
+                                               std::move(lambda), options));
       reduced_p = dual.Primal(outcome.lambda);
     } else {
       DualFunction dual(&reduced.eq, reduced.eq_rhs);
-      switch (kind) {
-        case SolverKind::kLbfgs: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeLbfgs(dual, solve_options));
-          break;
-        }
-        case SolverKind::kGis: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeGis(dual, solve_options));
-          break;
-        }
-        case SolverKind::kIis: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeIis(dual, solve_options));
-          break;
-        }
-        case SolverKind::kProjected: {
-          // No inequality rows: the box is all of R^m and this is plain
-          // Barzilai–Borwein gradient descent — the fallback chain's
-          // curvature-free restart rung.
-          PME_ASSIGN_OR_RETURN(
-              outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
-                                                   solve_options));
-          break;
-        }
+      if (kind == SolverKind::kProjected) {
+        // No inequality rows: the box is all of R^m and this is plain
+        // Barzilai–Borwein gradient descent — the fallback ladder's
+        // curvature-free restart.
+        PME_ASSIGN_OR_RETURN(
+            outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
+                                                 std::move(lambda), options));
+      } else {
+        PME_ASSIGN_OR_RETURN(
+            outcome, internal::MinimizeLbfgs(dual, std::move(lambda), options));
       }
       reduced_p = dual.Primal(outcome.lambda);
     }
@@ -205,27 +181,28 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;
     result.termination = outcome.stop;
-    result.dual_lambda = std::move(outcome.lambda);
+    lambda = std::move(outcome.lambda);
   } else {
     result.converged = true;
+    lambda.clear();
   }
 
   // Scatter the reduced dual back onto the original rows (dropped rows
-  // at 0): the row-stable warm-start payload the solution cache stores.
+  // at 0): the row-stable warm-start payload.
   result.dual_lambda_full.assign(problem.eq.rows() + problem.ineq.rows(),
                                  0.0);
-  if (!result.dual_lambda.empty()) {
+  if (!lambda.empty()) {
     for (size_t r = 0; r < problem.eq.rows(); ++r) {
       if (pre.eq_row_map[r] >= 0) {
         result.dual_lambda_full[r] =
-            result.dual_lambda[static_cast<size_t>(pre.eq_row_map[r])];
+            lambda[static_cast<size_t>(pre.eq_row_map[r])];
       }
     }
     for (size_t r = 0; r < problem.ineq.rows(); ++r) {
       if (pre.ineq_row_map[r] >= 0) {
         result.dual_lambda_full[problem.eq.rows() + r] =
-            result.dual_lambda[reduced.eq.rows() +
-                               static_cast<size_t>(pre.ineq_row_map[r])];
+            lambda[reduced.eq.rows() +
+                   static_cast<size_t>(pre.ineq_row_map[r])];
       }
     }
   }
@@ -258,58 +235,44 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,
                                        size_t* attempts) {
-  // The ladder: requested solver, projected-gradient restart (from the
-  // best dual point so far), GIS. Later rungs trade convergence speed
-  // for robustness — no curvature memory to poison, monotone updates.
-  std::vector<SolverKind> ladder = {kind};
-  if (kind != SolverKind::kProjected) ladder.push_back(SolverKind::kProjected);
-  if (kind != SolverKind::kGis) ladder.push_back(SolverKind::kGis);
+  if (attempts != nullptr) *attempts = 1;
+  PME_ASSIGN_OR_RETURN(SolverResult first, Solve(problem, kind, options));
+  if (IsAcceptable(first)) return first;
 
-  std::optional<SolverResult> best;  // finite attempt with least violation
-  std::vector<double> warm;
-  SolverOptions rung_options = options;
-  size_t tried = 0;
-  Status hard_error = Status::Ok();
-  for (SolverKind rung : ladder) {
-    if (tried > 0 && CheckInterrupt(options.deadline, options.cancel) !=
-                         StatusCode::kOk) {
-      break;  // no budget left to retry with
-    }
-    ++tried;
-    auto attempt = Solve(problem, rung, rung_options);
-    if (!attempt.ok()) {
-      // Precondition/structural failure of this rung (e.g. GIS on
-      // negative coefficients); the next rung may still apply.
-      hard_error = attempt.status();
-      continue;
-    }
-    SolverResult result = std::move(attempt).value();
-    if (IsAcceptable(result)) {
-      result.degraded = tried > 1;
-      if (attempts != nullptr) *attempts = tried;
-      return result;
-    }
-    const bool finite = result.termination != StatusCode::kNumericalError &&
-                        std::isfinite(result.max_violation);
-    if (finite &&
-        (!best.has_value() || result.max_violation < best->max_violation)) {
-      best = result;
-    }
-    // Restart the next rung from this rung's dual point when usable
-    // (InitLambda re-checks finiteness; a shorter/poisoned lambda is
-    // ignored there).
-    if (!result.dual_lambda.empty()) {
-      warm = std::move(result.dual_lambda);
-      rung_options.warm_start = &warm;
+  // Restart with projected gradient — no curvature memory to poison —
+  // from the first attempt's dual point, unless that attempt already was
+  // projected gradient (rerunning it would only repeat the failure) or
+  // there is no budget left to retry with.
+  const bool restarted =
+      first.kind != SolverKind::kProjected &&
+      CheckInterrupt(options.deadline, options.cancel) == StatusCode::kOk;
+  std::optional<SolverResult> restart;
+  if (restarted) {
+    if (attempts != nullptr) *attempts = 2;
+    SolverOptions restart_options = options;
+    restart_options.warm_start = &first.dual_lambda_full;
+    auto second = Solve(problem, SolverKind::kProjected, restart_options);
+    if (second.ok()) {
+      restart = std::move(second).value();
+      restart->degraded = true;
+      if (IsAcceptable(*restart)) return std::move(*restart);
     }
   }
-  if (attempts != nullptr) *attempts = tried;
-  if (best.has_value()) {
-    best->degraded = tried > 1;
-    return std::move(*best);
+
+  // Neither attempt is acceptable: keep the finite one with the smallest
+  // violation (the first on a tie).
+  auto finite = [](const SolverResult& r) {
+    return r.termination != StatusCode::kNumericalError &&
+           std::isfinite(r.max_violation);
+  };
+  const bool restart_finite = restart.has_value() && finite(*restart);
+  if (finite(first) &&
+      !(restart_finite && restart->max_violation < first.max_violation)) {
+    first.degraded = restarted;
+    return first;
   }
-  if (!hard_error.ok()) return hard_error;
-  return Status::NotConverged("every fallback rung failed without an iterate");
+  if (restart_finite) return std::move(*restart);
+  return Status::NotConverged("no fallback attempt produced a finite iterate");
 }
 
 }  // namespace pme::maxent

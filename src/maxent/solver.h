@@ -21,23 +21,20 @@ class ThreadPool;  // common/thread_pool.h
 namespace pme::maxent {
 
 /// Available dual minimizers. The paper's implementation uses LBFGS
-/// (Nocedal [16]), the default. GIS [8] and IIS [20] are the iterative
-/// scaling rungs of the fallback ladder and of the Malouf-style solver
-/// comparison ([18], Section 3.3). kProjected is the Barzilai–Borwein
-/// projected-gradient solver — always used for inequality problems,
-/// selectable for equality-only ones as the fallback ladder's restart
-/// rung (robust, no curvature memory to poison).
+/// (Nocedal [16]), the default, chosen over iterative scaling on the
+/// strength of Malouf's comparison ([18], Section 3.3). kProjected is the
+/// Barzilai–Borwein projected-gradient solver — always used for
+/// inequality problems, selectable for equality-only ones, and the
+/// fallback ladder's restart (robust, no curvature memory to poison).
 enum class SolverKind : int {
   kLbfgs = 0,
-  kGis = 1,
-  kIis = 2,
   kProjected = 5,
 };
 
 const char* SolverKindToString(SolverKind kind);
 
-/// Inverse of SolverKindToString: "lbfgs", "gis", "iis" or "projected".
-/// Any other name is kInvalidArgument ("unknown solver: <name>").
+/// Inverse of SolverKindToString: "lbfgs" or "projected". Any other
+/// name is kInvalidArgument ("unknown solver: <name>").
 Result<SolverKind> ParseSolverKind(const std::string& name);
 
 class SolutionCache;  // maxent/solution_cache.h
@@ -57,6 +54,11 @@ enum class CacheMode : int {
 };
 
 const char* CacheModeToString(CacheMode mode);
+
+/// Inverse of CacheModeToString: "off", "exact" or "warm". Any other
+/// name is kInvalidArgument ("cache must be 'off', 'exact' or 'warm',
+/// got '<name>'").
+Result<CacheMode> ParseCacheMode(const std::string& name);
 
 /// How a component's answer relates to the solution cache this solve.
 enum class CacheOutcome : int {
@@ -103,23 +105,18 @@ struct SolverOptions {
   /// Cooperative cancellation, checked together with the deadline each
   /// iteration (termination == kCancelled, best-so-far returned).
   CancellationToken cancel;
-  /// Optional warm start for the dual multipliers, in the reduced
-  /// (post-presolve) row space. Ignored when the size does not match the
-  /// reduced dual dimension or any entry is non-finite. Not owned; must
-  /// outlive the Solve call. Used by the fallback chain to restart the
-  /// next rung from the best point so far, and by warm-started
-  /// re-analysis.
+  /// Optional warm start for the dual multipliers, in the problem's
+  /// *original* stacked row space — equality rows first (matrix row
+  /// order), inequality rows after — before presolve. Solve maps it
+  /// through the presolve row maps into the reduced dual space, so a warm
+  /// start survives a *different* presolve than the one that produced it
+  /// (the cached re-analysis case: an edited component drops/keeps
+  /// different rows). Ignored when the size does not match eq.rows() +
+  /// ineq.rows() or any entry is non-finite (a poisoned start must not
+  /// propagate a fault into the fallback restart). Used by the solution
+  /// cache and by the fallback ladder's restart. Not owned; must outlive
+  /// Solve.
   const std::vector<double>* warm_start = nullptr;
-  /// Like `warm_start`, but in the problem's *original* stacked row
-  /// space — equality rows first (matrix row order), inequality rows
-  /// after — before presolve. Solve maps it through the presolve row
-  /// maps into the reduced dual space, so a warm start survives a
-  /// *different* presolve than the one that produced it (the cached
-  /// re-analysis case: an edited component drops/keeps different rows).
-  /// Ignored when the size does not match eq.rows() + ineq.rows(), any
-  /// entry is non-finite, or `warm_start` is also set (the reduced-space
-  /// start is more specific and wins). Not owned; must outlive Solve.
-  const std::vector<double>* warm_start_original = nullptr;
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
   /// regardless of `cache_mode`. Solve alone never consults it: the
@@ -136,10 +133,11 @@ struct SolverOptions {
   Hash128 cache_namespace{};
   /// SolveDecomposed: when a component's solve fails (non-finite
   /// iterate, injected fault, deadline, hard error), walk it down the
-  /// degradation ladder — projected-gradient restart from best-so-far,
-  /// then iterative scaling, then the closed-form no-knowledge prior —
-  /// instead of failing the whole analysis. Off restores fail-fast
-  /// propagation of the first component error.
+  /// degradation ladder — one projected-gradient restart from the first
+  /// attempt's dual point, then the smaller-violation finite iterate of
+  /// the two or the closed-form no-knowledge prior — instead of failing
+  /// the whole analysis. Off restores fail-fast propagation of the first
+  /// component error.
   bool fallback = true;
 };
 
@@ -151,19 +149,19 @@ struct ComponentOutcome {
   uint32_t block = 0;
   /// Variables in the block.
   size_t num_variables = 0;
-  /// The solver rung that produced the accepted answer (meaningless when
+  /// The minimizer that produced the kept answer (meaningless when
   /// `used_prior`).
   SolverKind solver = SolverKind::kLbfgs;
-  /// Terminal status of the accepted (or last attempted) rung: kOk,
+  /// Terminal status of the accepted (or kept) attempt: kOk,
   /// kDeadlineExceeded, kCancelled, kNumericalError, or a hard error
   /// code.
   StatusCode status = StatusCode::kOk;
   /// Solve attempts consumed, requested solver included.
   size_t attempts = 0;
-  /// True when the answer came from below the requested solver (a lower
-  /// rung or the prior).
+  /// True when the answer came from below the requested solver (the
+  /// projected restart or the prior).
   bool degraded = false;
-  /// True when every iterative rung failed and the block kept the
+  /// True when every attempt failed and the block kept the
   /// closed-form no-knowledge prior — the component's answer ignores its
   /// knowledge constraints and overstates privacy for those buckets.
   bool used_prior = false;
@@ -210,29 +208,28 @@ struct SolverResult {
   bool converged = false;
   /// Variables eliminated by presolve.
   size_t presolve_fixed = 0;
-  /// Which solver produced this result.
+  /// Which minimizer produced this result: the requested kind, or
+  /// kProjected whenever the reduced problem has inequality rows. A
+  /// decomposed solve reports the requested kind; each block's minimizer
+  /// is in `component_outcomes`.
   SolverKind kind = SolverKind::kLbfgs;
   /// Why the solve stopped: kOk for a normal finish (converged or budget
   /// exhausted with a finite iterate), kDeadlineExceeded / kCancelled
   /// when interrupted (p is the best iterate so far), kNumericalError
   /// when the returned point is non-finite.
   StatusCode termination = StatusCode::kOk;
-  /// The dual multipliers of the reduced (post-presolve) problem — the
-  /// warm-start payload for SolverOptions::warm_start. Populated by
-  /// every solver kind, converged or not (iterative scaling included).
-  /// Empty for decomposed solves (block duals do not concatenate
-  /// meaningfully; per-block duals live in the solution cache).
-  std::vector<double> dual_lambda;
-  /// The same multipliers scattered back to the *original* stacked row
-  /// space (equality rows first, then inequality rows; presolve-dropped
-  /// rows at 0) — the payload for SolverOptions::warm_start_original and
-  /// the form the solution cache stores. Empty for decomposed solves.
+  /// The dual multipliers in the problem's *original* stacked row space
+  /// (equality rows first, then inequality rows; presolve-dropped rows
+  /// at 0), converged or not — the payload for SolverOptions::warm_start
+  /// and the form the solution cache stores. Empty for decomposed solves
+  /// (block duals do not concatenate meaningfully; per-block duals live
+  /// in the solution cache).
   std::vector<double> dual_lambda_full;
   /// True when any part of the answer was produced below the requested
-  /// solver (fallback rung or closed-form prior).
+  /// solver (the projected restart or the closed-form prior).
   bool degraded = false;
   /// Decomposed-solve census over *coupled* components: answered by the
-  /// requested solver / degraded to a lower rung or the prior / hard
+  /// requested solver / degraded to the restart or the prior / hard
   /// failure (kept prior, counted separately). All zero for a plain
   /// Solve.
   size_t components_solved = 0;
@@ -259,7 +256,8 @@ struct SolverResult {
 /// Equality-only problems use the requested `kind` directly. Problems with
 /// inequality rows (Section 4.5 / Kazama–Tsujii) are solved by projected
 /// gradient on the stacked dual with sign-constrained multipliers,
-/// regardless of `kind` (GIS and IIS have no inequality variants here).
+/// regardless of `kind` (LBFGS has no inequality variant here);
+/// `result.kind` then reads kProjected.
 ///
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small
@@ -274,15 +272,17 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
 /// perfectly good posterior).
 bool IsAcceptable(const SolverResult& result);
 
-/// The per-problem degradation ladder used by SolveDecomposed: the
-/// requested solver first, then a projected-gradient restart warm-started
-/// from the best dual point so far, then GIS — at most three rungs, cut
-/// short when options.deadline expires. Returns the first
-/// acceptable rung's result (`degraded` set when it was not the first
-/// rung). When no rung is acceptable, returns the finite attempt with the
-/// smallest violation, its `termination` explaining why (recoverable
-/// failures never surface as an error Status; hard errors from every rung
-/// do). `attempts`, when non-null, receives the number of rungs tried.
+/// The per-problem degradation ladder used by SolveDecomposed, at most
+/// two attempts: the requested solver, then — only when that attempt did
+/// not already run projected gradient (a kProjected request, or any
+/// problem whose inequality rows route it there) and options.deadline has
+/// not expired — a projected-gradient restart warm-started from the first
+/// attempt's dual point. Returns the first acceptable attempt's result
+/// (`degraded` set when it was the restart). When neither is acceptable,
+/// returns the finite attempt with the smallest violation, its
+/// `termination` explaining why (recoverable failures never surface as an
+/// error Status; a hard error from the first attempt does). `attempts`,
+/// when non-null, receives the number of attempts made.
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,

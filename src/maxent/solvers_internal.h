@@ -20,21 +20,6 @@ namespace pme::maxent::internal {
 /// Step budget of the backtracking line searches (LBFGS and projected).
 inline constexpr size_t kMaxLineSearchSteps = 60;
 
-/// Starting point for a minimizer: zeros, or the caller's warm start
-/// when it matches the dual dimension and is entirely finite (a poisoned
-/// warm start must not propagate a fault into the recovery rung).
-inline void InitLambda(const SolverOptions& options, size_t m,
-                       std::vector<double>* lambda) {
-  lambda->assign(m, 0.0);
-  if (options.warm_start == nullptr || options.warm_start->size() != m) {
-    return;
-  }
-  for (double v : *options.warm_start) {
-    if (!std::isfinite(v)) return;
-  }
-  *lambda = *options.warm_start;
-}
-
 /// The once-per-iteration interrupt poll every minimizer runs: kOk to
 /// keep iterating, kCancelled / kDeadlineExceeded to stop and return the
 /// best iterate so far.
@@ -85,25 +70,19 @@ struct DualOutcome {
   StatusCode stop = StatusCode::kOk;
 };
 
+// Every minimizer starts from `start` (dual.dim() finite entries — Solve
+// passes zeros or the mapped warm start) and returns its best iterate.
+
 /// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
+                                  std::vector<double> start,
                                   const SolverOptions& options);
-
-/// Generalized Iterative Scaling (Darroch & Ratcliff). Requires
-/// nonnegative coefficients and strictly positive RHS entries.
-Result<DualOutcome> MinimizeGis(const DualFunction& dual,
-                                const SolverOptions& options);
-
-/// Improved Iterative Scaling (Della Pietra et al.). Requires
-/// nonnegative coefficients and strictly positive RHS entries; solves a
-/// one-dimensional Newton problem per constraint per sweep.
-Result<DualOutcome> MinimizeIis(const DualFunction& dual,
-                                const SolverOptions& options);
 
 /// Projected gradient (Barzilai–Borwein step + projected Armijo) for the
 /// stacked equality+inequality dual: multipliers with index >= num_eq are
 /// constrained to λ_j ≤ 0 (Kazama–Tsujii sign condition).
 Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
+                                      std::vector<double> start,
                                       const SolverOptions& options);
 
 }  // namespace pme::maxent::internal

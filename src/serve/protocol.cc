@@ -8,15 +8,6 @@
 
 namespace pme::serve {
 
-Result<maxent::CacheMode> ParseCacheModeName(const std::string& name) {
-  using maxent::CacheMode;
-  if (name == "off") return CacheMode::kOff;
-  if (name == "exact") return CacheMode::kExact;
-  if (name == "warm") return CacheMode::kWarm;
-  return Status::InvalidArgument(
-      "cache must be 'off', 'exact' or 'warm', got '" + name + "'");
-}
-
 std::string TerminationToString(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -82,7 +73,7 @@ Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line) {
       return Status::InvalidArgument("'cache' must be a string");
     }
     PME_ASSIGN_OR_RETURN(request.cache,
-                         ParseCacheModeName(cm->string_value));
+                         maxent::ParseCacheMode(cm->string_value));
     request.has_cache = true;
   }
   if (const JsonValue* vb = doc.Find("verb"); vb != nullptr) {

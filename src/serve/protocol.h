@@ -34,7 +34,9 @@ enum class Verb { kAnalyze, kStats };
 /// already-expired budget: the solve degrades every component to its
 /// closed-form prior immediately (the protocol-level probe for deadline
 /// semantics). Absent `deadline_ms` inherits the server default.
-/// `solver` / `cache` override the server defaults per request.
+/// `solver` ("lbfgs" | "projected", parsed by maxent::ParseSolverKind) and
+/// `cache` ("off" | "exact" | "warm", maxent::ParseCacheMode) override the
+/// server defaults per request.
 /// `trace: true` attaches the request's span breakdown (parse, compile,
 /// solve, per-block solves, evaluate) to the response under "trace".
 /// `{"verb": "stats"}` instead returns the metrics snapshot.
@@ -117,11 +119,6 @@ std::string RenderTraceSpans(const std::vector<trace::TraceEvent>& events);
 /// Renders the `stats` verb's response line: {"id":…,"ok":true,
 /// "stats":<metrics::Registry JSON>}.
 std::string RenderStatsResponse(const std::string& id);
-
-/// Shared spelling of the cache-mode enum ("off", "exact", "warm"), used
-/// by the protocol and the CLI flags alike. Solver names are parsed by
-/// maxent::ParseSolverKind.
-Result<maxent::CacheMode> ParseCacheModeName(const std::string& name);
 
 /// Protocol spelling of a solve's terminal status.
 std::string TerminationToString(StatusCode code);

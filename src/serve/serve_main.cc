@@ -85,7 +85,7 @@ int ServeMain(const Flags& flags) {
   auto solver = maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
   if (!solver.ok()) return Fail(solver.status());
   options.analysis.solver = solver.value();
-  auto cache_mode = ParseCacheModeName(flags.GetString("cache", "warm"));
+  auto cache_mode = maxent::ParseCacheMode(flags.GetString("cache", "warm"));
   if (!cache_mode.ok()) return Fail(cache_mode.status());
   options.analysis.solver_options.cache_mode = cache_mode.value();
   if (cache_mode.value() == maxent::CacheMode::kOff) options.cache_mb = 0;

@@ -241,12 +241,9 @@ TEST_F(IncrementalPipelineTest, ExactRerunSkipsEverySolve) {
 
 TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
   // The parity contract: a warm-started re-solve of an edited knowledge
-  // set returns the cold posterior to 1e-8, for every solver kind (kinds
-  // whose preconditions reject real knowledge rows — GIS/IIS need
-  // nonnegative coefficients — go through the fallback ladder) and for
+  // set returns the cold posterior to 1e-8, for every solver kind and for
   // serial and parallel block scheduling alike.
-  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
-                                SolverKind::kIis, SolverKind::kProjected}) {
+  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       SolutionCache cache;
       auto options = CacheOptions(&cache, threads);
@@ -377,20 +374,18 @@ TEST_F(IncrementalPipelineTest, OffModeTouchesNothing) {
 // ------------------------------------------------ dual multiplier payload
 
 TEST(DualLambdaTest, PopulatedForEverySolverKind) {
-  // The cache's warm payload depends on every solver reporting its dual:
-  // dual_lambda in the reduced row space, dual_lambda_full scattered back
-  // onto the original rows.
+  // The cache's warm payload depends on every solver reporting its dual,
+  // scattered back onto the original rows.
   const auto table = testing::MakeFigure1Table();
   const auto index = constraints::TermIndex::Build(table);
   constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(constraints::GenerateInvariants(table, index));
   const auto problem = maxent::BuildProblem(system).ValueOrDie();
 
-  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
-                                SolverKind::kIis, SolverKind::kProjected}) {
+  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
     auto result = maxent::Solve(problem, kind).ValueOrDie();
     const char* label = maxent::SolverKindToString(kind);
-    EXPECT_FALSE(result.dual_lambda.empty()) << label;
+    EXPECT_FALSE(result.dual_lambda_full.empty()) << label;
     EXPECT_EQ(result.dual_lambda_full.size(),
               problem.eq.rows() + problem.ineq.rows())
         << label;

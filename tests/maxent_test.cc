@@ -297,6 +297,9 @@ TEST(SolverTest, InequalityBindsWhenActive) {
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.2, 1e-6);
   EXPECT_NEAR(result.p[1], 0.8, 1e-6);
+  // LBFGS was requested, but inequality rows always run projected
+  // gradient, and the result names the minimizer that ran.
+  EXPECT_EQ(result.kind, SolverKind::kProjected);
 }
 
 TEST(SolverTest, InequalitySlackWhenInactive) {
@@ -387,7 +390,7 @@ TEST_P(AllSolversTest, Figure1WithKnowledgeAgreesWithLbfgs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Solvers, AllSolversTest,
-    ::testing::Values(SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis),
+    ::testing::Values(SolverKind::kLbfgs, SolverKind::kProjected),
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       return SolverKindToString(info.param);
     });
@@ -508,29 +511,28 @@ TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
 
 // -------------------------------------------------- Solver edge cases
 
-TEST(SolverTest, GisRejectsNegativeCoefficients) {
-  ConstraintSystem system(2);
-  LinearConstraint c;
-  c.vars = {0, 1};
-  c.coefs = {1.0, -1.0};
-  c.rhs = 0.1;
-  system.Add(c);
-  system.Add(Eq({0, 1}, 1.0));
-  auto problem = BuildProblem(system).ValueOrDie();
-  auto r = Solve(problem, SolverKind::kGis);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(SolverTest, SolverKindNamesRoundTrip) {
-  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kGis,
-                          SolverKind::kIis, SolverKind::kProjected}) {
+  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
     auto parsed = ParseSolverKind(SolverKindToString(kind));
     ASSERT_TRUE(parsed.ok()) << SolverKindToString(kind);
     EXPECT_EQ(parsed.value(), kind);
   }
-  for (const char* name : {"newton", "steepest", ""}) {
+  for (const char* name : {"newton", "steepest", "gis", "iis", ""}) {
     EXPECT_EQ(ParseSolverKind(name).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
+TEST(SolverTest, CacheModeNamesRoundTrip) {
+  for (CacheMode mode :
+       {CacheMode::kOff, CacheMode::kExact, CacheMode::kWarm}) {
+    auto parsed = ParseCacheMode(CacheModeToString(mode));
+    ASSERT_TRUE(parsed.ok()) << CacheModeToString(mode);
+    EXPECT_EQ(parsed.value(), mode);
+  }
+  for (const char* name : {"on", "Warm", "cold", ""}) {
+    EXPECT_EQ(ParseCacheMode(name).status().code(),
               StatusCode::kInvalidArgument)
         << name;
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -217,8 +218,7 @@ TEST(SolverInterruptTest, CancelledTokenStopsEverySolverKind) {
   maxent::SolverOptions options;
   options.cancel = source.token();
   for (auto kind :
-       {maxent::SolverKind::kLbfgs, maxent::SolverKind::kGis,
-        maxent::SolverKind::kIis, maxent::SolverKind::kProjected}) {
+       {maxent::SolverKind::kLbfgs, maxent::SolverKind::kProjected}) {
     auto result = maxent::Solve(problem, kind, options);
     ASSERT_TRUE(result.ok()) << maxent::SolverKindToString(kind);
     EXPECT_EQ(result.value().termination, StatusCode::kCancelled)
@@ -234,10 +234,10 @@ TEST(SolverInterruptTest, WarmStartResumesAtTheSolution) {
 
   auto cold = maxent::Solve(problem).ValueOrDie();
   ASSERT_TRUE(cold.converged);
-  ASSERT_FALSE(cold.dual_lambda.empty());
+  ASSERT_FALSE(cold.dual_lambda_full.empty());
 
   maxent::SolverOptions options;
-  options.warm_start = &cold.dual_lambda;
+  options.warm_start = &cold.dual_lambda_full;
   auto warm = maxent::Solve(problem, maxent::SolverKind::kLbfgs, options)
                   .ValueOrDie();
   EXPECT_TRUE(warm.converged);
@@ -297,6 +297,78 @@ TEST(FallbackTest, AcceptableFirstRungIsNotDegraded) {
   EXPECT_FALSE(result.value().degraded);
   EXPECT_EQ(attempts, 1u);
   EXPECT_EQ(result.value().kind, maxent::SolverKind::kLbfgs);
+}
+
+/// Rows p0 + p1 = 1 and p0 + p1 + p2 = 0.5: no nonnegative p satisfies
+/// both, and presolve cannot tell, so every minimizer runs and fails.
+ConstraintSystem UnsatisfiableSystem() {
+  ConstraintSystem system(3);
+  constraints::LinearConstraint pair;
+  pair.vars = {0, 1};
+  pair.coefs = {1.0, 1.0};
+  pair.rhs = 1.0;
+  system.Add(pair);
+  constraints::LinearConstraint all;
+  all.vars = {0, 1, 2};
+  all.coefs = {1.0, 1.0, 1.0};
+  all.rhs = 0.5;
+  system.Add(all);
+  return system;
+}
+
+TEST(FallbackTest, UnsatisfiableEqualityRunsTwoAttemptsAndKeepsTheBest) {
+  const auto problem =
+      maxent::BuildProblem(UnsatisfiableSystem()).ValueOrDie();
+  maxent::SolverOptions options;
+  options.max_iterations = 2000;
+
+  size_t attempts = 0;
+  auto result = maxent::SolveWithFallback(problem, maxent::SolverKind::kLbfgs,
+                                          options, &attempts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(attempts, 2u);
+  EXPECT_TRUE(result.value().degraded);
+  EXPECT_FALSE(maxent::IsAcceptable(result.value()));
+
+  // The two attempts, replayed: LBFGS, then projected gradient restarted
+  // from LBFGS's dual point. The ladder keeps the smaller violation.
+  auto first =
+      maxent::Solve(problem, maxent::SolverKind::kLbfgs, options).ValueOrDie();
+  maxent::SolverOptions restart_options = options;
+  restart_options.warm_start = &first.dual_lambda_full;
+  auto restart = maxent::Solve(problem, maxent::SolverKind::kProjected,
+                               restart_options)
+                     .ValueOrDie();
+  const auto& best = restart.max_violation < first.max_violation ? restart
+                                                                 : first;
+  EXPECT_EQ(result.value().kind, best.kind);
+  EXPECT_EQ(result.value().max_violation,
+            std::min(first.max_violation, restart.max_violation));
+  EXPECT_EQ(result.value().p, best.p);
+}
+
+TEST(FallbackTest, InequalityProblemIsNotRerunByTheRestart) {
+  // The first attempt already runs projected gradient on an inequality
+  // problem, whatever kind was asked for; a restart would repeat it.
+  ConstraintSystem system = UnsatisfiableSystem();
+  constraints::LinearConstraint le;
+  le.vars = {0};
+  le.coefs = {1.0};
+  le.rel = knowledge::Relation::kLe;
+  le.rhs = 0.4;
+  system.Add(le);
+  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  maxent::SolverOptions options;
+  options.max_iterations = 2000;
+
+  size_t attempts = 0;
+  auto result = maxent::SolveWithFallback(problem, maxent::SolverKind::kLbfgs,
+                                          options, &attempts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(result.value().kind, maxent::SolverKind::kProjected);
+  EXPECT_FALSE(result.value().degraded);
+  EXPECT_FALSE(maxent::IsAcceptable(result.value()));
 }
 
 // ------------------------------------------------------ decomposed solve

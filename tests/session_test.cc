@@ -134,8 +134,6 @@ TEST_F(SessionTest, MatchesLegacyAnalyzeAcrossSolversAndThreads) {
   const auto artifact = BuildArtifact();
   const maxent::SolverKind kinds[] = {
       maxent::SolverKind::kLbfgs,
-      maxent::SolverKind::kGis,
-      maxent::SolverKind::kIis,
       maxent::SolverKind::kProjected,
   };
   for (maxent::SolverKind kind : kinds) {

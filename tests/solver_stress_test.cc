@@ -209,8 +209,8 @@ TEST_P(CrossSolverScaleTest, MatchesProductForm) {
 
 INSTANTIATE_TEST_SUITE_P(
     SolversAndSizes, CrossSolverScaleTest,
-    ::testing::Combine(::testing::Values(SolverKind::kLbfgs, SolverKind::kGis,
-                                         SolverKind::kIis),
+    ::testing::Combine(::testing::Values(SolverKind::kLbfgs,
+                                         SolverKind::kProjected),
                        ::testing::Values(2, 4, 8)),
     [](const ::testing::TestParamInfo<std::tuple<SolverKind, int>>& info) {
       return std::string(SolverKindToString(std::get<0>(info.param))) +

@@ -52,8 +52,7 @@ void PrintUsage(std::FILE* out) {
                "  mine     --data=FILE --sensitive=ATTR [--top=N]\n"
                "           [--minsupport=N] [--maxattrs=T]\n"
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
-               "           [--knowledge=FILE] [--solver=lbfgs|gis|iis|"
-               "projected]\n"
+               "           [--knowledge=FILE] [--solver=lbfgs|projected]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N] [--fallback=on|off]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
@@ -64,7 +63,7 @@ void PrintUsage(std::FILE* out) {
                "[--ell=L]\n"
                "           [--host=ADDR] [--port=N] [--threads=N] "
                "[--deadline-ms=N]\n"
-               "           [--solver=...] [--cache=off|exact|warm] "
+               "           [--solver=lbfgs|projected] [--cache=off|exact|warm] "
                "[--cache-mb=N]\n"
                "           [--max-connections=N] "
                "[--metrics-out=FILE] [--trace-out=FILE]\n"
@@ -208,7 +207,7 @@ int RunAnalyze(const pme::Flags& flags) {
   pme::kernels::SetSimdMode(
       pme::kernels::ParseSimdMode(flags.GetString("simd", "auto")));
   // Wall-time budget for the whole solve. Components that run out of
-  // their share degrade to cheaper solvers or the closed-form prior
+  // their share keep their best iterate or the closed-form prior
   // rather than aborting the analysis (see --fallback).
   const long long deadline_ms = flags.GetInt("deadline-ms", 0);
   if (deadline_ms > 0) {
@@ -228,24 +227,14 @@ int RunAnalyze(const pme::Flags& flags) {
   // --repeat, which re-runs the analysis against the same cache — the
   // measurement mode for incremental re-analysis (round 2+ should be
   // answered almost entirely from the cache).
-  const std::string cache_flag = flags.GetString("cache", "warm");
-  pme::maxent::CacheMode cache_mode;
-  if (cache_flag == "off") {
-    cache_mode = pme::maxent::CacheMode::kOff;
-  } else if (cache_flag == "exact") {
-    cache_mode = pme::maxent::CacheMode::kExact;
-  } else if (cache_flag == "warm") {
-    cache_mode = pme::maxent::CacheMode::kWarm;
-  } else {
-    return Fail(pme::Status::InvalidArgument(
-        "--cache must be 'off', 'exact' or 'warm', got '" + cache_flag +
-        "'"));
-  }
+  auto cache_mode =
+      pme::maxent::ParseCacheMode(flags.GetString("cache", "warm"));
+  if (!cache_mode.ok()) return Fail(cache_mode.status());
   const long long cache_mb = flags.GetInt("cache-mb", 64);
   pme::maxent::SolutionCache cache(
       static_cast<size_t>(cache_mb > 0 ? cache_mb : 1) << 20);
-  options.solver_options.cache_mode = cache_mode;
-  if (cache_mode != pme::maxent::CacheMode::kOff) {
+  options.solver_options.cache_mode = cache_mode.value();
+  if (cache_mode.value() != pme::maxent::CacheMode::kOff) {
     options.solver_options.solution_cache = &cache;
   }
 
