@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
 
     pme::core::AnalysisOptions mono, decomp;
     mono.use_decomposition = false;
-    mono.solver_options.fallback = false;  // the whole table, one solver
     decomp.use_decomposition = true;
     decomp.solver_options.threads = scale.threads;
     auto a = pme::bench::Unwrap(

@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
   // reachable with finite multipliers.
   options.solver_options.presolve = false;
   options.solver_options.tolerance = 1e-6;
-  // Chart the requested solver alone: no fallback ladder.
-  options.solver_options.fallback = false;
 
   std::printf("%14s %12s %12s %14s\n", "#constraints", "seconds",
               "iterations", "violation");

@@ -53,7 +53,6 @@ inline std::vector<Fig7Cell> RunFig7Grid(const Flags& flags, bool full,
     options.solver_options.presolve = false;  // measure the solver itself
     options.solver_options.tolerance = 1e-6;
     options.solver_options.max_iterations = 20000;
-    options.solver_options.fallback = false;  // the requested solver alone
     for (size_t budget : *budget_axis) {
       auto rules = SampleInformativeRules(pipeline.rules, budget);
       auto analysis =

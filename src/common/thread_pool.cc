@@ -1,9 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/metrics.h"
@@ -35,6 +36,39 @@ PoolMetrics& GetPoolMetrics() {
   return m;
 }
 
+/// The first exception to escape any fn(i) of one batch. Run is safe to
+/// call from several threads at once.
+class FirstError {
+ public:
+  void Run(const std::function<void(size_t)>& fn, size_t i) {
+    try {
+      fn(i);
+    } catch (const std::exception& e) {
+      Record(e.what());
+    } catch (...) {
+      Record("non-std::exception");
+    }
+  }
+
+  Status ToStatus() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!threw_) return Status::Ok();
+    return Status::Internal("thread pool task threw: " + what_);
+  }
+
+ private:
+  void Record(const char* what) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (threw_) return;
+    threw_ = true;
+    what_ = what;
+  }
+
+  std::mutex mutex_;
+  bool threw_ = false;
+  std::string what_;
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -58,21 +92,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push(QueuedTask{std::move(task), trace::NowNanos()});
-    ++in_flight_;
   }
   GetPoolMetrics().queue_depth->Add(1);
   work_available_.notify_one();
-}
-
-Status ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (!task_threw_) return Status::Ok();
-  // Consume the error so the pool is clean for the next batch.
-  std::string what = std::move(first_task_error_);
-  first_task_error_.clear();
-  task_threw_ = false;
-  return Status::Internal("thread pool task threw: " + what);
 }
 
 Status ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
@@ -82,8 +104,8 @@ Status ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
   struct BatchState {
     std::mutex mutex;
     std::condition_variable done;
-    size_t remaining;
-    std::string first_error;
+    size_t remaining = 0;
+    FirstError error;
   };
   auto state = std::make_shared<BatchState>();
   state->remaining = n;
@@ -91,33 +113,16 @@ Status ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
     // fn by reference is safe: the caller blocks below until every index
     // has finished.
     Submit([state, i, &fn] {
-      try {
-        fn(i);
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        if (state->first_error.empty()) state->first_error = e.what();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        if (state->first_error.empty()) state->first_error = "non-std::exception";
-      }
+      state->error.Run(fn, i);
       std::lock_guard<std::mutex> lock(state->mutex);
       if (--state->remaining == 0) state->done.notify_all();
     });
   }
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  if (!state->first_error.empty()) {
-    return Status::Internal("thread pool task threw: " + state->first_error);
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done.wait(lock, [&] { return state->remaining == 0; });
   }
-  return Status::Ok();
-}
-
-void ThreadPool::RecordTaskError(const char* what) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!task_threw_) {
-    task_threw_ = true;
-    first_task_error_ = what;
-  }
+  return state->error.ToStatus();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -136,20 +141,10 @@ void ThreadPool::WorkerLoop() {
     pm.queue_depth->Add(-1);
     pm.queue_wait_seconds->Observe(
         static_cast<double>(started_ns - task.enqueued_ns) * 1e-9);
-    try {
-      task.fn();
-    } catch (const std::exception& e) {
-      RecordTaskError(e.what());
-    } catch (...) {
-      RecordTaskError("non-std::exception");
-    }
+    task.fn();
     pm.tasks->Add();
     pm.task_seconds->Observe(
         static_cast<double>(trace::NowNanos() - started_ns) * 1e-9);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -162,52 +157,12 @@ size_t ThreadPool::ResolveThreads(size_t requested) {
 Status ThreadPool::ParallelFor(size_t num_threads, size_t n,
                                const std::function<void(size_t)>& fn) {
   if (num_threads <= 1 || n <= 1) {
-    // Serial path: same containment as the pooled path — every index is
-    // attempted and the first exception is reported, not rethrown.
-    std::string first_error;
-    for (size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (const std::exception& e) {
-        if (first_error.empty()) first_error = e.what();
-      } catch (...) {
-        if (first_error.empty()) first_error = "non-std::exception";
-      }
-    }
-    if (!first_error.empty()) {
-      return Status::Internal("thread pool task threw: " + first_error);
-    }
-    return Status::Ok();
+    FirstError error;
+    for (size_t i = 0; i < n; ++i) error.Run(fn, i);
+    return error.ToStatus();
   }
   ThreadPool pool(std::min(num_threads, n));
-  std::atomic<size_t> next{0};
-  // Per-index containment: an exception from fn(i) must not abort the
-  // worker's whole index chunk, so each call is guarded individually and
-  // the first error is reported after the barrier.
-  std::mutex error_mutex;
-  std::string first_error;
-  auto record = [&error_mutex, &first_error](const char* what) {
-    std::lock_guard<std::mutex> lock(error_mutex);
-    if (first_error.empty()) first_error = what;
-  };
-  for (size_t w = 0; w < pool.size(); ++w) {
-    pool.Submit([&next, n, &fn, &record] {
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        try {
-          fn(i);
-        } catch (const std::exception& e) {
-          record(e.what());
-        } catch (...) {
-          record("non-std::exception");
-        }
-      }
-    });
-  }
-  PME_RETURN_IF_ERROR(pool.Wait());
-  if (!first_error.empty()) {
-    return Status::Internal("thread pool task threw: " + first_error);
-  }
-  return Status::Ok();
+  return pool.RunBatch(n, fn);
 }
 
 }  // namespace pme

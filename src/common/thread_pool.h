@@ -6,10 +6,10 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,14 +23,15 @@ namespace pme {
 /// scattered into disjoint output ranges, so determinism comes from the
 /// work items themselves and the pool only supplies concurrency.
 ///
-/// Exception contract: the library's error channel is Status, so tasks
-/// are not expected to throw — but an exception that does escape a task
-/// is captured, not fatal. The worker keeps draining the queue and the
-/// first exception's message is surfaced as a kInternal Status from the
-/// next Wait()/ParallelFor(), after every task has finished. A task
-/// that threw produced no result; callers treat its output slot as
-/// unset (the decomposed solver degrades that component rather than
-/// failing the run).
+/// Work enters only as batches (RunBatch, ParallelFor). Exception
+/// contract: the library's error channel is Status, so tasks are not
+/// expected to throw — but an exception that does escape fn(i) is
+/// captured, not fatal. Every index of the batch is still attempted, and
+/// the first exception's message comes back from that batch's call as a
+/// kInternal Status, after every index has finished. A task that threw
+/// produced no result; callers treat its output slot as unset (the
+/// decomposed solver degrades that component rather than failing the
+/// run).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. 0 means std::thread::hardware_concurrency
@@ -46,25 +47,12 @@ class ThreadPool {
   /// Number of worker threads.
   size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task. Never blocks (unbounded queue).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing. Returns
-  /// OK, or — when a task let an exception escape — a kInternal Status
-  /// carrying the first such exception's message. The captured error is
-  /// consumed by the return: Wait stays reusable across batches and a
-  /// later batch starts with a clean slate.
-  Status Wait();
-
   /// Runs fn(0..n-1) as one batch on this pool and blocks until every
-  /// index of *this* batch has finished. Unlike Wait(), concurrent
-  /// batches submitted from different threads do not wait on each
-  /// other's tasks — the serving path, where many requests share one
-  /// fixed set of solver threads. Containment matches ParallelFor:
-  /// every index is attempted and the first escaping exception comes
-  /// back as a kInternal Status (batch-local; it never taints the
-  /// pool-wide Wait() channel). Must not be called from a worker of
-  /// this pool — the caller blocks while holding a worker slot.
+  /// index of *this* batch has finished. Concurrent batches submitted
+  /// from different threads do not wait on each other's tasks, and each
+  /// returns only its own error — the serving path, where many requests
+  /// share one fixed set of solver threads. Must not be called from a
+  /// worker of this pool — the caller blocks while holding a worker slot.
   Status RunBatch(size_t n, const std::function<void(size_t)>& fn);
 
   /// Resolves a `--threads` style request: 0 -> hardware concurrency,
@@ -72,11 +60,10 @@ class ThreadPool {
   static size_t ResolveThreads(size_t requested);
 
   /// Runs fn(0..n-1) across `num_threads` threads and waits for all of
-  /// them. With num_threads <= 1 or n <= 1 the calls run inline on the
-  /// caller's thread, in index order, with no pool spun up — callers get
-  /// a zero-overhead serial path for free. Both paths share the Wait()
-  /// exception contract: every index is attempted, and the first
-  /// escaping exception comes back as a kInternal Status.
+  /// them: RunBatch on a private pool of min(num_threads, n) workers.
+  /// With num_threads <= 1 or n <= 1 the calls run inline on the caller's
+  /// thread, in index order, with no pool spun up. Both paths keep the
+  /// batch exception contract above.
   static Status ParallelFor(size_t num_threads, size_t n,
                             const std::function<void(size_t)>& fn);
 
@@ -88,18 +75,17 @@ class ThreadPool {
     uint64_t enqueued_ns = 0;
   };
 
-  void WorkerLoop();
-  void RecordTaskError(const char* what);
+  /// Enqueues a task. Never blocks (unbounded queue). The task must not
+  /// throw: RunBatch wraps every fn(i) before it gets here.
+  void Submit(std::function<void()> task);
 
-  std::vector<std::thread> workers_;
-  std::queue<QueuedTask> queue_;
+  void WorkerLoop();
+
   std::mutex mutex_;
+  std::queue<QueuedTask> queue_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;  // queued + currently executing
   bool shutting_down_ = false;
-  std::string first_task_error_;  // empty = no task has thrown
-  bool task_threw_ = false;
+  std::vector<std::thread> workers_;  // last: the workers use the above
 };
 
 }  // namespace pme

@@ -77,11 +77,9 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
                                  maxent::SolverKindToString(c.solver))
           << " after " << c.attempts << " attempt"
           << (c.attempts == 1 ? "" : "s") << " ("
-          << StatusCodeToString(c.status) << ")\n";
+          << StatusCodeToString(c.status)
+          << (c.message.empty() ? "" : ": " + c.message) << ")\n";
     }
-  } else if (analysis.solver.degraded) {
-    out << "  degraded:          yes (fallback solver "
-        << maxent::SolverKindToString(analysis.solver.kind) << ")\n";
   }
   if (analysis.solver.cache_enabled) {
     out << "  solution cache:    " << analysis.solver.cache_exact_hits

@@ -312,12 +312,8 @@ Result<SolverResult> SolveDecomposed(
             trace::TraceSpan assemble_span("assemble", "solve");
             PME_ASSIGN_OR_RETURN(sub, AssembleBlock(plan, block));
           }
-          if (options.fallback) {
-            return SolveWithFallback(sub, kind, block_options,
-                                     &block_attempts[i]);
-          }
-          block_attempts[i] = 1;
-          return Solve(sub, kind, block_options);
+          return SolveWithFallback(sub, kind, block_options,
+                                   &block_attempts[i]);
         };
         block_results[i] = solve_block();
         block_seconds[i] = block_timer.ElapsedSeconds();
@@ -331,16 +327,16 @@ Result<SolverResult> SolveDecomposed(
           : ThreadPool::ParallelFor(threads, blocks.size(), block_task);
 
   // Aggregate, in block order. Each block keeps the cached solution, its
-  // solve's answer, its best finite iterate, or — with the fallback
-  // ladder on, when no attempt left a usable iterate — the closed-form
-  // prior, flagged: one bad component must degrade its own answer, never
-  // the whole analysis. With fallback off, the historical fail-fast contract
-  // stands: the first component error propagates.
+  // solve's answer, its best finite iterate, or — when no attempt left a
+  // usable iterate — the closed-form prior, flagged: one bad component
+  // must degrade its own answer, never the whole analysis.
   result.blocks.resize(blocks.size());
   result.component_outcomes.reserve(blocks.size());
   std::vector<double> block_violation(blocks.size(), 0.0);
   std::vector<double> prior_slice;
   double entropy = prior_entropy;
+  size_t blocks_run = 0;        // blocks with a solve result this call
+  size_t blocks_projected = 0;  // ... whose answer is projected gradient's
   for (size_t i = 0; i < blocks.size(); ++i) {
     const PlanBlock& block = blocks[i];
     SolverResult::BlockSlice& slice = result.blocks[i];
@@ -385,23 +381,21 @@ Result<SolverResult> SolveDecomposed(
       } else {
         sub = &block_results[i]->value();
       }
-      if (!options.fallback && !block_error.ok()) return block_error;
       if (sub != nullptr) {
         outcome.iterations = sub->iterations;
         outcome.solver = sub->kind;
         result.iterations += sub->iterations;
+        ++blocks_run;
+        if (sub->kind == SolverKind::kProjected) ++blocks_projected;
       }
-      const bool accepted =
-          sub != nullptr && (!options.fallback || IsAcceptable(*sub));
-      // Unacceptable but finite, with real progress made: a hard-to-
-      // converge or interrupted block keeps its best-so-far iterate
-      // rather than throwing the work away. A block that never got to
-      // iterate (budget spent up front) falls through to the prior: its
-      // untouched start point is worse than the closed form.
+      const bool accepted = sub != nullptr && IsAcceptable(*sub);
+      // Unacceptable (SolveWithFallback returns only finite iterates), with
+      // real progress made: a hard-to-converge or interrupted block keeps
+      // its best-so-far iterate rather than throwing the work away. A block
+      // that never got to iterate (budget spent up front) falls through to
+      // the prior: its untouched start point is worse than the closed form.
       const bool kept_iterate =
-          !accepted && sub != nullptr && sub->iterations > 0 &&
-          sub->termination != StatusCode::kNumericalError &&
-          std::isfinite(sub->max_violation);
+          !accepted && sub != nullptr && sub->iterations > 0;
       slice.p = accepted || kept_iterate ? sub->p : prior_slice;
       if (accepted) {
         result.dual_value += sub->dual_value;
@@ -425,6 +419,7 @@ Result<SolverResult> SolveDecomposed(
           ++result.components_degraded;
         } else {
           outcome.status = block_error.code();
+          outcome.message = block_error.message();
           ++result.components_failed;
         }
       }
@@ -435,7 +430,10 @@ Result<SolverResult> SolveDecomposed(
     entropy += kernels::NegXLogXSum(kernels::ConstSpan(slice.p)) -
                kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
   }
-  if (!options.fallback && !pool_status.ok()) return pool_status;
+  // Name the minimizer that ran, as Solve does for a single problem.
+  if (blocks_run > 0 && blocks_projected == blocks_run) {
+    result.kind = SolverKind::kProjected;
+  }
 
   // Per-block violations; an exact hit's rows are those it was solved
   // with, so the cached value stands.
@@ -499,7 +497,7 @@ Result<SolverResult> SolveDecomposed(
   // degraded parts" from "ran out of time".
   if (options.cancel.cancelled()) {
     result.termination = StatusCode::kCancelled;
-  } else if (options.fallback && options.deadline.Expired()) {
+  } else if (options.deadline.Expired()) {
     result.termination = StatusCode::kDeadlineExceeded;
   }
 

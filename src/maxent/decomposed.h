@@ -36,21 +36,22 @@ namespace pme::maxent {
 /// This overload plans `system` itself, solves over a freshly derived
 /// closed form, and returns the full joint in `p`.
 ///
-/// Failure semantics: with `options.fallback` on (the default), each
-/// block runs the SolveWithFallback ladder (the requested solver, then
-/// at most one projected-gradient restart) under a wall-time budget
-/// proportional to its variable count (a slice of `options.deadline`).
+/// Failure semantics: each block runs the SolveWithFallback ladder (the
+/// requested solver, then at most one projected-gradient restart) under a
+/// wall-time budget proportional to its variable count (a slice of
+/// `options.deadline`).
 /// A block that ends unacceptable but made real progress keeps its best
 /// finite iterate (the contract non-converged solves always had); a
 /// block with no usable iterate — poisoned numerics, a thrown task, a
 /// budget spent before the first iteration — keeps its
 /// closed-form no-knowledge prior. Both are reported in
-/// `component_outcomes` / `components_{solved,degraded,failed}`; the
-/// call still returns Ok with `degraded = true`, so one bad component
-/// never sinks the whole analysis. `termination` is kCancelled when the
-/// token fired, kDeadlineExceeded when the request deadline is spent.
-/// With `fallback` off, the historical fail-fast contract stands: the
-/// first block error propagates as the call's Status.
+/// `component_outcomes` (with the block error's message) and
+/// `components_{solved,degraded,failed}`; the call still returns Ok with
+/// `degraded = true`, so one bad component never sinks the whole
+/// analysis. `termination` is kCancelled when the token fired,
+/// kDeadlineExceeded when the request deadline is spent. The one error
+/// the call returns is kInfeasible for a knowledge row with no support
+/// and a nonzero bound — a property of the request, not of a block.
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,

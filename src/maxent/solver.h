@@ -131,17 +131,10 @@ struct SolverOptions {
   /// can never serve each other's solutions. The default (zero) keeps
   /// all single-table callers in one namespace.
   Hash128 cache_namespace{};
-  /// SolveDecomposed: when a component's solve fails (non-finite
-  /// iterate, injected fault, deadline, hard error), walk it down the
-  /// degradation ladder — one projected-gradient restart from the first
-  /// attempt's dual point, then the smaller-violation finite iterate of
-  /// the two or the closed-form no-knowledge prior — instead of failing
-  /// the whole analysis. Off restores fail-fast propagation of the first
-  /// component error.
-  bool fallback = true;
 };
 
-/// Per-component record of the decomposed solve's fallback ladder.
+/// Per-component record of the decomposed solve's fallback ladder
+/// (SolveDecomposed runs every block through SolveWithFallback).
 struct ComponentOutcome {
   /// Dense index of the coupled block (matches the decomposition's
   /// block numbering; uncoupled closed-form components are not listed —
@@ -153,9 +146,12 @@ struct ComponentOutcome {
   /// `used_prior`).
   SolverKind solver = SolverKind::kLbfgs;
   /// Terminal status of the accepted (or kept) attempt: kOk,
-  /// kDeadlineExceeded, kCancelled, kNumericalError, or a hard error
-  /// code.
+  /// kDeadlineExceeded, kCancelled, kNotConverged, or — for a block with
+  /// no result — its error's code.
   StatusCode status = StatusCode::kOk;
+  /// A block with no result: its error's message (presolve's verdict, a
+  /// thrown task's text). Empty otherwise.
+  std::string message;
   /// Solve attempts consumed, requested solver included.
   size_t attempts = 0;
   /// True when the answer came from below the requested solver (the
@@ -210,8 +206,9 @@ struct SolverResult {
   size_t presolve_fixed = 0;
   /// Which minimizer produced this result: the requested kind, or
   /// kProjected whenever the reduced problem has inequality rows. A
-  /// decomposed solve reports the requested kind; each block's minimizer
-  /// is in `component_outcomes`.
+  /// decomposed solve reads kProjected when every block it solved ended
+  /// on projected gradient, the requested kind otherwise; each block's
+  /// minimizer is in `component_outcomes`.
   SolverKind kind = SolverKind::kLbfgs;
   /// Why the solve stopped: kOk for a normal finish (converged or budget
   /// exhausted with a finite iterate), kDeadlineExceeded / kCancelled

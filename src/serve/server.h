@@ -36,7 +36,7 @@ struct ServeOptions {
   /// Default per-request wall budget when the request carries no
   /// `deadline_ms` (0 = unlimited).
   double default_deadline_ms = 0.0;
-  /// Request defaults (solver kind, tolerance, fallback, ...). The
+  /// Request defaults (solver kind, tolerance, iteration budget, ...). The
   /// pool/cache plumbing inside solver_options is installed by the
   /// server; per-request protocol fields override solver and cache mode.
   core::AnalysisOptions analysis;

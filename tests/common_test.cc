@@ -307,26 +307,27 @@ TEST(FlagsTest, DefaultsApply) {
 
 // ------------------------------------------------------------ ThreadPool
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
+TEST(ThreadPoolTest, RunBatchRunsEveryIndexOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+  std::vector<std::atomic<int>> hits(100);
+  for (auto& h : hits) h = 0;
+  EXPECT_TRUE(pool.RunBatch(hits.size(), [&hits](size_t i) {
+                    hits[i].fetch_add(1);
+                  }).ok());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
+TEST(ThreadPoolTest, RunBatchIsReusableAcrossBatches) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
+  EXPECT_TRUE(pool.RunBatch(1, [&count](size_t) { count.fetch_add(1); }).ok());
   EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
+  EXPECT_TRUE(pool.RunBatch(2, [&count](size_t) { count.fetch_add(1); }).ok());
+  EXPECT_EQ(count.load(), 3);
+  EXPECT_TRUE(pool.RunBatch(0, [&count](size_t) { count.fetch_add(1); }).ok());
   EXPECT_EQ(count.load(), 3);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analysis_session.h"
 #include "core/report.h"
+#include "core/table_artifact.h"
 #include "knowledge/knowledge_base.h"
 #include "tests/test_util.h"
 
@@ -10,7 +12,10 @@ namespace pme::core {
 namespace {
 
 using pme::testing::kQ2;
+using pme::testing::kQ5;
 using pme::testing::kS1;
+using pme::testing::kS2;
+using pme::testing::kS4;
 
 class ReportTest : public ::testing::Test {
  protected:
@@ -67,6 +72,48 @@ TEST_F(ReportTest, TopRisksRespectsTableSize) {
   const std::string report = RenderPrivacyReport(table_, analysis, options);
   EXPECT_NE(report.find("6. "), std::string::npos);
   EXPECT_EQ(report.find("7. "), std::string::npos);
+}
+
+TEST_F(ReportTest, SolverHeaderNamesTheMinimizerThatRan) {
+  // An inequality row routes the only block to projected gradient, even
+  // though LBFGS was requested; the header says which one ran.
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(kQ2, {kS1}, 0.3,
+                                        knowledge::Relation::kGe));
+  auto analysis = Analyze(table_, kb).ValueOrDie();
+  ASSERT_EQ(analysis.solver.component_outcomes.size(), 1u);
+  EXPECT_EQ(analysis.solver.component_outcomes[0].solver,
+            maxent::SolverKind::kProjected);
+  const std::string report = RenderPrivacyReport(table_, analysis);
+  EXPECT_NE(report.find("solver:            projected\n"), std::string::npos)
+      << report;
+}
+
+TEST_F(ReportTest, BlockLineCarriesTheBlockErrorMessage) {
+  // q5 occurs once, in bucket 3 (index 2): each statement pins one term
+  // of q5's row to 0.06 of its 0.1 mass, so presolve forces the third
+  // term to -0.02 and rejects the block. The block keeps the prior; the
+  // analysis still answers and the report says why.
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(kQ5, {kS4}, 0.6));
+  kb.Add(knowledge::AbstractConditional(kQ5, {kS2}, 0.6));
+  auto artifact = TableArtifact::BuildBorrowed(table_).ValueOrDie();
+  auto analysis = AnalysisSession(artifact).Run(kb).ValueOrDie();
+  ASSERT_EQ(analysis.solver.component_outcomes.size(), 1u);
+  const maxent::ComponentOutcome& outcome =
+      analysis.solver.component_outcomes[0];
+  EXPECT_TRUE(outcome.used_prior);
+  EXPECT_EQ(outcome.status, StatusCode::kInfeasible);
+  EXPECT_NE(outcome.message.find("a probability term is forced negative"),
+            std::string::npos)
+      << outcome.message;
+  EXPECT_EQ(analysis.solver.components_failed, 1u);
+  EXPECT_TRUE(analysis.solver.degraded);
+  const std::string report = RenderPrivacyReport(table_, analysis);
+  EXPECT_NE(report.find("kept closed-form prior after 1 attempt (infeasible: "
+                        "presolve: a probability term is forced negative)"),
+            std::string::npos)
+      << report;
 }
 
 TEST_F(ReportTest, PosteriorCsvShape) {

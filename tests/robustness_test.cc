@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -454,25 +456,6 @@ TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
   }
 }
 
-TEST(DecomposedRobustnessTest, FallbackOffRestoresFailFastPropagation) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
-
-  ScopedFailpoints fp("pool_task_throw@1");
-  maxent::SolverOptions options;
-  options.threads = 1;
-  options.fallback = false;
-  auto result = maxent::SolveDecomposed(t, index, system,
-                                        maxent::SolverKind::kLbfgs, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("pool_task_throw"),
-            std::string::npos);
-}
-
 TEST(DecomposedRobustnessTest, CancelledRunReturnsPartialAnswerMarked) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
@@ -493,21 +476,52 @@ TEST(DecomposedRobustnessTest, CancelledRunReturnsPartialAnswerMarked) {
 
 // ------------------------------------------------- thread pool containment
 
-TEST(ThreadPoolRobustnessTest, TaskExceptionSurfacesAsStatusFromWait) {
+TEST(ThreadPoolRobustnessTest, TaskExceptionSurfacesAsStatusFromRunBatch) {
   ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ++ran; });
-  pool.Submit([&] { throw std::runtime_error("task boom"); });
-  pool.Submit([&] { ++ran; });
-  const Status status = pool.Wait();
+  std::vector<std::atomic<bool>> ran(8);
+  for (auto& r : ran) r = false;
+  const Status status = pool.RunBatch(ran.size(), [&](size_t i) {
+    if (i == 1) throw std::runtime_error("task boom");
+    ran[i] = true;
+  });
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("task boom"), std::string::npos);
-  EXPECT_EQ(ran.load(), 2);
-  // The error was consumed: the pool is reusable with a clean slate.
-  pool.Submit([&] { ++ran; });
-  EXPECT_TRUE(pool.Wait().ok());
-  EXPECT_EQ(ran.load(), 3);
+  for (size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].load(), i != 1) << "index " << i;
+  }
+  // The error belonged to that batch: the next one starts clean.
+  std::atomic<int> count{0};
+  EXPECT_TRUE(pool.RunBatch(3, [&](size_t) { ++count; }).ok());
+  EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ThreadPoolRobustnessTest, ConcurrentBatchesReturnOnlyTheirOwnError) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    // Two requests share the pool; each throws from a different index
+    // with its own message, and a third never throws.
+    Status a, b, clean;
+    auto batch = [&pool](const char* what, size_t throw_at, Status* out) {
+      *out = pool.RunBatch(8, [what, throw_at](size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (i == throw_at) throw std::runtime_error(what);
+      });
+    };
+    std::thread ta(batch, "batch a boom", size_t{2}, &a);
+    std::thread tb(batch, "batch b boom", size_t{5}, &b);
+    std::thread tc(batch, "never", size_t{8}, &clean);
+    ta.join();
+    tb.join();
+    tc.join();
+    ASSERT_FALSE(a.ok());
+    ASSERT_FALSE(b.ok());
+    EXPECT_NE(a.message().find("batch a boom"), std::string::npos);
+    EXPECT_EQ(a.message().find("batch b boom"), std::string::npos);
+    EXPECT_NE(b.message().find("batch b boom"), std::string::npos);
+    EXPECT_EQ(b.message().find("batch a boom"), std::string::npos);
+    EXPECT_TRUE(clean.ok()) << clean.ToString();
+  }
 }
 
 TEST(ThreadPoolRobustnessTest, ParallelForAttemptsEveryIndexDespiteThrow) {

@@ -628,12 +628,11 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   ExpectSameRows(block.eq_rows, eq_rows);
   ExpectSameRows(block.ineq_rows, ineq_rows);
 
-  // Bit-exact at whatever iterate a short budget reaches; no fallback
-  // ladder, as for a plain Solve.
+  // Bit-exact at whatever iterate a short budget reaches, as for a plain
+  // Solve.
   AnalysisOptions options;
   options.use_decomposition = false;
   options.solver_options.max_iterations = 300;
-  options.solver_options.fallback = false;
   const auto analysis = AnalysisSession(artifact, options).Run(kb).ValueOrDie();
   const auto problem = maxent::BuildProblem(system).ValueOrDie();
   const auto whole =

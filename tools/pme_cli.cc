@@ -54,7 +54,7 @@ void PrintUsage(std::FILE* out) {
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
                "           [--knowledge=FILE] [--solver=lbfgs|projected]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
-               "           [--deadline-ms=N] [--fallback=on|off]\n"
+               "           [--deadline-ms=N]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
                "[--repeat=N]\n"
                "           [--report=FILE] [--posterior=FILE]\n"
@@ -208,18 +208,12 @@ int RunAnalyze(const pme::Flags& flags) {
       pme::kernels::ParseSimdMode(flags.GetString("simd", "auto")));
   // Wall-time budget for the whole solve. Components that run out of
   // their share keep their best iterate or the closed-form prior
-  // rather than aborting the analysis (see --fallback).
+  // rather than aborting the analysis.
   const long long deadline_ms = flags.GetInt("deadline-ms", 0);
   if (deadline_ms > 0) {
     options.solver_options.deadline = pme::Deadline::AfterMillis(
         static_cast<int64_t>(deadline_ms));
   }
-  const std::string fallback = flags.GetString("fallback", "on");
-  if (fallback != "on" && fallback != "off") {
-    return Fail(pme::Status::InvalidArgument(
-        "--fallback must be 'on' or 'off', got '" + fallback + "'"));
-  }
-  options.solver_options.fallback = fallback == "on";
 
   // Component-solution cache: off disables it, exact reuses byte-identical
   // component solves, warm (default) additionally warm-starts edited
