@@ -45,7 +45,7 @@ pme::maxent::MaxEntProblem BuildInstance(size_t records, size_t rules_k,
 
 void RunSuite(const char* title, const pme::maxent::MaxEntProblem& problem) {
   std::printf("\n%s: %zu variables, %zu constraints\n", title,
-              problem.num_vars, problem.num_constraints());
+              problem.num_vars, problem.a.rows());
   std::printf("%12s %12s %12s %14s %10s\n", "solver", "iterations",
               "seconds", "violation", "converged");
   using pme::maxent::SolverKind;

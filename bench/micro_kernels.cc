@@ -110,14 +110,14 @@ void BM_DualEvaluate(benchmark::State& state) {
   pme::constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
   auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
-  pme::maxent::DualFunction dual(&problem.eq, problem.eq_rhs);
+  pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   for (auto _ : state) {
     double v = dual.Evaluate(lambda, &grad, nullptr);
     benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(problem.eq.nnz()));
+                          static_cast<int64_t>(problem.a.nnz()));
 }
 // The 100-record point is the block-decomposition regime: tiny duals
 // where per-call allocation is a visible fraction of the kernel.
@@ -132,7 +132,7 @@ void BM_DualEvaluateFused(benchmark::State& state) {
   pme::constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
   auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
-  pme::maxent::DualFunction dual(&problem.eq, problem.eq_rhs);
+  pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   pme::maxent::DualWorkspace ws;
   for (auto _ : state) {
@@ -140,7 +140,7 @@ void BM_DualEvaluateFused(benchmark::State& state) {
     benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(problem.eq.nnz()));
+                          static_cast<int64_t>(problem.a.nnz()));
 }
 BENCHMARK(BM_DualEvaluateFused)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -329,7 +329,7 @@ void BM_DualEvaluateSimd(benchmark::State& state) {
   pme::constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
   auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
-  pme::maxent::DualFunction dual(&problem.eq, problem.eq_rhs);
+  pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   pme::maxent::DualWorkspace ws;
   SimdModeGuard guard(ModeFromArg(state.range(1)));
@@ -338,7 +338,7 @@ void BM_DualEvaluateSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(problem.eq.nnz()));
+                          static_cast<int64_t>(problem.a.nnz()));
 }
 // 14210 records = the paper's full scale (2,842 buckets of 5).
 BENCHMARK(BM_DualEvaluateSimd)

@@ -16,59 +16,12 @@ size_t ConstraintSystem::CountBySource(ConstraintSource source) const {
   return count;
 }
 
-Result<ConstraintSystem::Matrices> ConstraintSystem::ToMatrices() const {
-  linalg::SparseMatrixBuilder eq_builder(num_variables_);
-  linalg::SparseMatrixBuilder ineq_builder(num_variables_);
-  Matrices m;
-  for (const auto& c : constraints_) {
-    switch (c.rel) {
-      case Relation::kEq: {
-        PME_RETURN_IF_ERROR(eq_builder.AddRow(c.vars, c.coefs));
-        m.eq_rhs.push_back(c.rhs);
-        break;
-      }
-      case Relation::kLe: {
-        PME_RETURN_IF_ERROR(ineq_builder.AddRow(c.vars, c.coefs));
-        m.ineq_rhs.push_back(c.rhs);
-        break;
-      }
-      case Relation::kGe: {
-        // a·p >= r  <=>  (-a)·p <= -r
-        std::vector<double> negated(c.coefs.size());
-        for (size_t i = 0; i < c.coefs.size(); ++i) negated[i] = -c.coefs[i];
-        PME_RETURN_IF_ERROR(ineq_builder.AddRow(c.vars, negated));
-        m.ineq_rhs.push_back(-c.rhs);
-        break;
-      }
-    }
-  }
-  PME_ASSIGN_OR_RETURN(m.eq, eq_builder.Build());
-  PME_ASSIGN_OR_RETURN(m.ineq, ineq_builder.Build());
-  return m;
-}
-
 double ConstraintSystem::MaxViolation(const std::vector<double>& p) const {
   double worst = 0.0;
   for (const auto& c : constraints_) {
     worst = std::max(worst, c.Violation(p));
   }
   return worst;
-}
-
-std::vector<bool> ConstraintSystem::RelevantBuckets(
-    const TermIndex& index) const {
-  std::vector<bool> relevant(index.num_buckets(), false);
-  for (const auto& c : constraints_) {
-    if (c.source != ConstraintSource::kBackground &&
-        c.source != ConstraintSource::kIndividual) {
-      continue;
-    }
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      relevant[index.TermOf(c.vars[i]).bucket] = true;
-    }
-  }
-  return relevant;
 }
 
 }  // namespace pme::constraints

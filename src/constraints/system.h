@@ -5,11 +5,10 @@
 #define PME_CONSTRAINTS_SYSTEM_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "constraints/constraint.h"
-#include "constraints/term_index.h"
-#include "linalg/sparse_matrix.h"
 
 namespace pme::constraints {
 
@@ -36,24 +35,9 @@ class ConstraintSystem {
   /// Count of constraints from a given source.
   size_t CountBySource(ConstraintSource source) const;
 
-  /// Matrix form: equality rows `eq · p = eq_rhs` and inequality rows
-  /// `ineq · p <= ineq_rhs` (kGe rows are negated into kLe form).
-  struct Matrices {
-    linalg::SparseMatrix eq;
-    std::vector<double> eq_rhs;
-    linalg::SparseMatrix ineq;
-    std::vector<double> ineq_rhs;
-  };
-  Result<Matrices> ToMatrices() const;
-
   /// Worst violation of any constraint at `p` (the empirical counterpart
   /// of the solver's convergence measure).
   double MaxViolation(const std::vector<double>& p) const;
-
-  /// Definition 5.6: bucket b is *irrelevant* to the background knowledge
-  /// iff no background/individual constraint touches any of b's variables.
-  /// Returns a bitmap over buckets (true = relevant).
-  std::vector<bool> RelevantBuckets(const TermIndex& index) const;
 
  private:
   size_t num_variables_;

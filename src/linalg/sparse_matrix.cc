@@ -176,20 +176,6 @@ void SparseMatrix::TransposeMultiplyInto(kernels::ConstSpan x,
   }
 }
 
-void SparseMatrix::TransposeMultiplyAccumulate(double alpha,
-                                               const std::vector<double>& x,
-                                               std::vector<double>& y) const {
-  assert(x.size() == rows_);
-  assert(y.size() == cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double xr = alpha * x[r];
-    if (xr == 0.0) continue;
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      y[col_indices_[k]] += values_[k] * xr;
-    }
-  }
-}
-
 double SparseMatrix::At(size_t row, size_t col) const {
   assert(row < rows_ && col < cols_);
   for (size_t k = row_offsets_[row]; k < row_offsets_[row + 1]; ++k) {
@@ -214,14 +200,6 @@ Status SparseMatrixBuilder::Add(uint32_t col, double value) {
   }
   triplets_.push_back({static_cast<uint32_t>(current_row_), col, value});
   return Status::Ok();
-}
-
-Status SparseMatrixBuilder::AddRow(const std::vector<uint32_t>& cols,
-                                   const std::vector<double>& values) {
-  if (cols.size() != values.size()) {
-    return Status::InvalidArgument("AddRow: parallel arrays differ in size");
-  }
-  return AddRow(cols.data(), values.data(), cols.size());
 }
 
 Status SparseMatrixBuilder::AddRow(const uint32_t* cols, const double* values,

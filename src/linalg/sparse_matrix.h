@@ -66,10 +66,6 @@ class SparseMatrix {
   /// cols()`).
   void TransposeMultiplyInto(kernels::ConstSpan x, kernels::Span y) const;
 
-  /// y += alpha * A^T x (no reallocation; `y.size()` must equal `cols()`).
-  void TransposeMultiplyAccumulate(double alpha, const std::vector<double>& x,
-                                   std::vector<double>& y) const;
-
   /// Element lookup (O(row nnz)); 0.0 for structural zeros.
   double At(size_t row, size_t col) const;
 
@@ -105,12 +101,8 @@ class SparseMatrixBuilder {
   /// Adds `value` at `col` of the current row. Requires an open row.
   Status Add(uint32_t col, double value);
 
-  /// Appends a complete row from parallel arrays.
-  Status AddRow(const std::vector<uint32_t>& cols,
-                const std::vector<double>& values);
-
-  /// Pointer flavor of AddRow, for callers that hold a row as a slice
-  /// of a larger array.
+  /// Appends a complete row from `n` parallel entries (a row held as a
+  /// slice of a larger array).
   Status AddRow(const uint32_t* cols, const double* values, size_t n);
 
   /// Number of rows begun so far.

@@ -7,12 +7,12 @@
 #include <utility>
 
 #include "constraints/component_analysis.h"
+#include "maxent/problem.h"
 
 namespace pme::maxent {
 
 using constraints::ConstraintSource;
 using constraints::LinearConstraint;
-using constraints::Relation;
 
 namespace {
 
@@ -45,41 +45,25 @@ Hash128 MakeVarsKey(const Hash128& vars_hash, const SolverOptions& options) {
   return h.Finish();
 }
 
-/// Builds a warm-start vector in the block's original stacked row space
-/// from a cached entry: rows are matched by content signature (equality
-/// and inequality rows separately — their multipliers live in different
-/// sign regimes); unmatched rows — the toggled/edited statements — start
+/// Builds a warm-start vector aligned with the block's rows from a
+/// cached entry: rows are matched by content signature (which hashes the
+/// relation, so an equality row never takes an inequality row's
+/// multiplier); unmatched rows — the toggled/edited statements — start
 /// at 0. Returns an empty vector when nothing matched (a zero vector is
 /// the cold start; passing it would only pretend to be warm).
 std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
                                    const PlanBlock& block) {
-  std::unordered_map<Hash128, double, Hash128Hasher> eq_lambda;
-  std::unordered_map<Hash128, double, Hash128Hasher> ineq_lambda;
-  if (cached.lambda_full.size() !=
-      cached.eq_row_sigs.size() + cached.ineq_row_sigs.size()) {
-    return {};
+  if (cached.lambda_full.size() != cached.row_sigs.size()) return {};
+  std::unordered_map<Hash128, double, Hash128Hasher> lambda;
+  for (size_t j = 0; j < cached.row_sigs.size(); ++j) {
+    lambda.emplace(cached.row_sigs[j], cached.lambda_full[j]);
   }
-  for (size_t j = 0; j < cached.eq_row_sigs.size(); ++j) {
-    eq_lambda.emplace(cached.eq_row_sigs[j], cached.lambda_full[j]);
-  }
-  for (size_t j = 0; j < cached.ineq_row_sigs.size(); ++j) {
-    ineq_lambda.emplace(cached.ineq_row_sigs[j],
-                        cached.lambda_full[cached.eq_row_sigs.size() + j]);
-  }
-  std::vector<double> warm(block.eq_rows.size() + block.ineq_rows.size(),
-                           0.0);
+  std::vector<double> warm(block.rows.size(), 0.0);
   size_t matched = 0;
-  for (size_t j = 0; j < block.eq_row_sigs.size(); ++j) {
-    auto it = eq_lambda.find(block.eq_row_sigs[j]);
-    if (it != eq_lambda.end()) {
+  for (size_t j = 0; j < block.row_sigs.size(); ++j) {
+    auto it = lambda.find(block.row_sigs[j]);
+    if (it != lambda.end()) {
       warm[j] = it->second;
-      ++matched;
-    }
-  }
-  for (size_t j = 0; j < block.ineq_row_sigs.size(); ++j) {
-    auto it = ineq_lambda.find(block.ineq_row_sigs[j]);
-    if (it != ineq_lambda.end()) {
-      warm[block.eq_rows.size() + j] = it->second;
       ++matched;
     }
   }
@@ -215,9 +199,7 @@ BlockPlan BlockPlan::Build(
       for (const uint32_t b : block.buckets) {
         for (uint32_t r = bucket_rows->offsets[b];
              r < bucket_rows->offsets[b + 1]; ++r) {
-          const LinearConstraint& c = (*table_rows)[r];
-          (c.rel == Relation::kEq ? block.eq_rows : block.ineq_rows)
-              .push_back(&c);
+          block.rows.push_back(&(*table_rows)[r]);
         }
       }
     }
@@ -233,9 +215,9 @@ BlockPlan BlockPlan::Build(
     const size_t first = static_cast<size_t>(it - c.coefs.begin());
     const uint32_t root = uf.Find(local_of_var(c.vars[first]));
     if (block_of_root[root] == UINT32_MAX) continue;  // closed form exact
-    PlanBlock& block = plan.blocks_[block_of_root[root]];
-    (c.rel == Relation::kEq ? block.eq_rows : block.ineq_rows).push_back(&c);
+    plan.blocks_[block_of_root[root]].rows.push_back(&c);
   }
+  for (PlanBlock& block : plan.blocks_) block.num_eq = StackRows(&block.rows);
   return plan;
 }
 
@@ -245,13 +227,9 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
   cache_enabled_ = true;
   std::vector<Hash128> sorted;
   for (PlanBlock& block : blocks_) {
-    block.eq_row_sigs.reserve(block.eq_rows.size());
-    for (const LinearConstraint* c : block.eq_rows) {
-      block.eq_row_sigs.push_back(constraints::ConstraintRowSignature(*c));
-    }
-    block.ineq_row_sigs.reserve(block.ineq_rows.size());
-    for (const LinearConstraint* c : block.ineq_rows) {
-      block.ineq_row_sigs.push_back(constraints::ConstraintRowSignature(*c));
+    block.row_sigs.reserve(block.rows.size());
+    for (const LinearConstraint* c : block.rows) {
+      block.row_sigs.push_back(constraints::ConstraintRowSignature(*c));
     }
 
     Hasher128 vars;
@@ -268,9 +246,7 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
 
     // Sorted so the digest is independent of row order, which the
     // solution is too.
-    sorted.assign(block.eq_row_sigs.begin(), block.eq_row_sigs.end());
-    sorted.insert(sorted.end(), block.ineq_row_sigs.begin(),
-                  block.ineq_row_sigs.end());
+    sorted = block.row_sigs;
     std::sort(sorted.begin(), sorted.end());
     Hasher128 rows;
     rows.Update(std::string_view("pme.rows.v1"));

@@ -43,16 +43,15 @@ struct PlanBlock {
   /// concatenated (TermIndex numbers variables bucket-major). Local
   /// column j of the block problem is variable cols[j].
   std::vector<uint32_t> cols;
-  /// Rows routed to the block, in the order the matrix form of the whole
-  /// system lists them (table rows, then request rows; equality rows and
-  /// inequality rows separately).
-  std::vector<const constraints::LinearConstraint*> eq_rows;
-  std::vector<const constraints::LinearConstraint*> ineq_rows;
+  /// Rows routed to the block in the stacked layout (maxent/problem.h):
+  /// the first `num_eq` are its equality rows, each part with table rows
+  /// before request rows.
+  std::vector<const constraints::LinearConstraint*> rows;
+  size_t num_eq = 0;
 
   // Filled by BlockPlan::ConsultCache when a solution cache is on.
-  /// Content signatures aligned with eq_rows / ineq_rows.
-  std::vector<Hash128> eq_row_sigs;
-  std::vector<Hash128> ineq_row_sigs;
+  /// Content signatures aligned with `rows`.
+  std::vector<Hash128> row_sigs;
   /// Variable-structure digest (bucket ids and their variable counts,
   /// plus an index-shape guard): equal vars_hash ⇒ identical column
   /// layout, so a cached dual means the same thing.
@@ -65,9 +64,9 @@ struct PlanBlock {
   Hash128 vars_key;
   /// The cached solution when the exact key hit; no solve runs.
   std::shared_ptr<const CachedComponentSolution> cached;
-  /// Warm-start dual in the block's original stacked row space, matched
-  /// row by row from a cached entry with the same variables; empty when
-  /// nothing matched or the block is dominant.
+  /// Warm-start dual aligned with `rows`, matched row by row from a
+  /// cached entry with the same variables; empty when nothing matched or
+  /// the block is dominant.
   std::vector<double> warm_start;
 };
 

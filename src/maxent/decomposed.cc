@@ -61,64 +61,27 @@ SolveMetrics& GetSolveMetrics() {
   return m;
 }
 
-/// Appends `rows` to a block matrix in the block's local columns, in the
-/// matrix form ConstraintSystem::ToMatrices gives them (kGe rows negated
-/// into kLe form). Entries are appended with ascending columns, so the
-/// builder keeps them in place; zero coefficients are left out, as the
-/// CSR build drops them anyway.
-Status AppendRows(const BlockPlan& plan,
-                  const std::vector<const LinearConstraint*>& rows,
-                  linalg::SparseMatrixBuilder* matrix,
-                  std::vector<double>* rhs) {
-  std::vector<std::pair<uint32_t, double>> entries;
-  uint32_t bucket = UINT32_MAX;
-  uint32_t block = 0;
-  uint32_t col = 0;
-  uint32_t first = 0;
-  for (const LinearConstraint* c : rows) {
-    const double sign = c->rel == Relation::kGe ? -1.0 : 1.0;
-    entries.clear();
-    for (size_t i = 0; i < c->vars.size(); ++i) {
-      if (c->coefs[i] == 0.0) continue;
-      const uint32_t var = c->vars[i];
-      const uint32_t b = plan.index().TermOf(var).bucket;
-      if (b != bucket) {
-        bucket = b;
-        plan.LocateBucket(b, &block, &col);
-        first = plan.index().BucketRange(b).first;
-      }
-      entries.emplace_back(col + (var - first), sign * c->coefs[i]);
-    }
-    const auto by_col = [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    };
-    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
-      std::stable_sort(entries.begin(), entries.end(), by_col);
-    }
-    matrix->BeginRow();
-    for (const auto& [local, value] : entries) {
-      PME_RETURN_IF_ERROR(matrix->Add(local, value));
-    }
-    rhs->push_back(sign * c->rhs);
-  }
-  return Status::Ok();
-}
-
 /// The MaxEntProblem of one block, built from its own rows: the same
 /// rows and columns, in the same order, as the block's slice of the
 /// whole system's matrix form.
 Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
                                     const PlanBlock& block) {
-  MaxEntProblem sub;
-  sub.num_vars = block.cols.size();
-  linalg::SparseMatrixBuilder eq(sub.num_vars);
-  linalg::SparseMatrixBuilder ineq(sub.num_vars);
-  PME_RETURN_IF_ERROR(AppendRows(plan, block.eq_rows, &eq, &sub.eq_rhs));
-  PME_RETURN_IF_ERROR(
-      AppendRows(plan, block.ineq_rows, &ineq, &sub.ineq_rhs));
-  PME_ASSIGN_OR_RETURN(sub.eq, eq.Build());
-  PME_ASSIGN_OR_RETURN(sub.ineq, ineq.Build());
-  return sub;
+  // Rows list their variables bucket by bucket, so the last bucket
+  // located is usually the next one asked for.
+  uint32_t bucket = UINT32_MAX;
+  uint32_t block_id = 0;
+  uint32_t col = 0;
+  uint32_t first = 0;
+  return AssembleProblem(
+      block.cols.size(), block.rows, block.num_eq, [&](uint32_t var) {
+        const uint32_t b = plan.index().TermOf(var).bucket;
+        if (b != bucket) {
+          bucket = b;
+          plan.LocateBucket(b, &block_id, &col);
+          first = plan.index().BucketRange(b).first;
+        }
+        return col + (var - first);
+      });
 }
 
 double RowViolation(const LinearConstraint& c, const JointView& joint) {
@@ -335,7 +298,7 @@ Result<SolverResult> SolveDecomposed(
   std::vector<double> block_violation(blocks.size(), 0.0);
   std::vector<double> prior_slice;
   double entropy = prior_entropy;
-  size_t blocks_run = 0;        // blocks with a solve result this call
+  size_t blocks_answered = 0;   // blocks with a solve result, or cached
   size_t blocks_projected = 0;  // ... whose answer is projected gradient's
   for (size_t i = 0; i < blocks.size(); ++i) {
     const PlanBlock& block = blocks[i];
@@ -355,9 +318,9 @@ Result<SolverResult> SolveDecomposed(
 
     if (block.cached != nullptr) {
       // No solve ran, so this block contributes zero iterations (the
-      // bench's speedup measurement) while its dual value and convergence
-      // flag still count toward the aggregate exactly as the original
-      // solve's did.
+      // bench's speedup measurement) while its dual value, convergence
+      // flag, minimizer and degraded flag still count toward the
+      // aggregate exactly as the original solve's did.
       const CachedComponentSolution& cached = *block.cached;
       slice.p = cached.p;
       block_violation[i] = cached.max_violation;
@@ -365,7 +328,12 @@ Result<SolverResult> SolveDecomposed(
       result.presolve_fixed += cached.presolve_fixed;
       result.converged = result.converged && cached.converged;
       outcome.cache = CacheOutcome::kExactHit;
-      ++result.components_solved;
+      outcome.solver = cached.solver;
+      outcome.degraded = cached.degraded;
+      ++(cached.degraded ? result.components_degraded
+                         : result.components_solved);
+      ++blocks_answered;
+      if (cached.solver == SolverKind::kProjected) ++blocks_projected;
     } else {
       if (!block.warm_start.empty()) outcome.cache = CacheOutcome::kWarmStart;
       Status block_error = Status::Ok();
@@ -385,7 +353,7 @@ Result<SolverResult> SolveDecomposed(
         outcome.iterations = sub->iterations;
         outcome.solver = sub->kind;
         result.iterations += sub->iterations;
-        ++blocks_run;
+        ++blocks_answered;
         if (sub->kind == SolverKind::kProjected) ++blocks_projected;
       }
       const bool accepted = sub != nullptr && IsAcceptable(*sub);
@@ -431,7 +399,7 @@ Result<SolverResult> SolveDecomposed(
                kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
   }
   // Name the minimizer that ran, as Solve does for a single problem.
-  if (blocks_run > 0 && blocks_projected == blocks_run) {
+  if (blocks_answered > 0 && blocks_projected == blocks_answered) {
     result.kind = SolverKind::kProjected;
   }
 
@@ -440,8 +408,7 @@ Result<SolverResult> SolveDecomposed(
   result.max_violation = max_violation(plan.unsupported_rows());
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (blocks[i].cached == nullptr) {
-      block_violation[i] = std::max(max_violation(blocks[i].eq_rows),
-                                    max_violation(blocks[i].ineq_rows));
+      block_violation[i] = max_violation(blocks[i].rows);
     }
     result.max_violation = std::max(result.max_violation, block_violation[i]);
   }
@@ -473,8 +440,9 @@ Result<SolverResult> SolveDecomposed(
       CachedComponentSolution entry;
       entry.p = sub.p;
       entry.lambda_full = sub.dual_lambda_full;
-      entry.eq_row_sigs = blocks[i].eq_row_sigs;
-      entry.ineq_row_sigs = blocks[i].ineq_row_sigs;
+      entry.row_sigs = blocks[i].row_sigs;
+      entry.solver = sub.kind;
+      entry.degraded = sub.degraded;
       entry.dual_value = sub.dual_value;
       entry.max_violation = block_violation[i];
       entry.iterations = sub.iterations;

@@ -36,8 +36,8 @@ struct DualWorkspace {
 /// violation of the current primal iterate.
 ///
 /// The same object serves the inequality-extended problem (Kazama–Tsujii):
-/// stack the inequality rows below the equality rows and constrain their
-/// multipliers to λ_j ≤ 0 (handled by the projected solver).
+/// `a` is a MaxEntProblem's stacked matrix (maxent/problem.h), and the
+/// projected solver keeps the multipliers of its ≤ rows at λ_j ≤ 0.
 class DualFunction {
  public:
   /// `a` (m×n) and the buffer behind `b` (size m) must outlive this
@@ -66,11 +66,6 @@ class DualFunction {
 
   /// The primal iterate p(λ) alone.
   std::vector<double> Primal(const std::vector<double>& lambda) const;
-
-  /// The constraint matrix A (needed by iterative-scaling solvers for
-  /// column sums) and RHS b.
-  const linalg::SparseMatrix& matrix() const { return *a_; }
-  kernels::ConstSpan rhs() const { return b_; }
 
  private:
   const linalg::SparseMatrix* a_;

@@ -5,16 +5,26 @@
 
 namespace pme::maxent {
 
+using constraints::LinearConstraint;
+using constraints::Relation;
+
+size_t StackRows(std::vector<const LinearConstraint*>* rows) {
+  const auto eq_end =
+      std::stable_partition(rows->begin(), rows->end(),
+                            [](const LinearConstraint* c) {
+                              return c->rel == Relation::kEq;
+                            });
+  return static_cast<size_t>(eq_end - rows->begin());
+}
+
 Result<MaxEntProblem> BuildProblem(
     const constraints::ConstraintSystem& system) {
-  PME_ASSIGN_OR_RETURN(auto matrices, system.ToMatrices());
-  MaxEntProblem p;
-  p.num_vars = system.num_variables();
-  p.eq = std::move(matrices.eq);
-  p.eq_rhs = std::move(matrices.eq_rhs);
-  p.ineq = std::move(matrices.ineq);
-  p.ineq_rhs = std::move(matrices.ineq_rhs);
-  return p;
+  std::vector<const LinearConstraint*> rows;
+  rows.reserve(system.size());
+  for (const LinearConstraint& c : system.constraints()) rows.push_back(&c);
+  const size_t num_eq = StackRows(&rows);
+  return AssembleProblem(system.num_variables(), rows, num_eq,
+                         [](uint32_t var) { return var; });
 }
 
 std::vector<double> PresolvedProblem::Restore(
@@ -38,35 +48,21 @@ struct FlatRow {
   bool active = true;
 };
 
-/// Appends a copy of `m`'s rows to the flat working arrays.
-void AppendRows(const linalg::SparseMatrix& m, const std::vector<double>& rhs,
-                std::vector<uint32_t>* vars, std::vector<double>* coefs,
-                std::vector<FlatRow>* rows) {
-  const size_t base = vars->size();
-  vars->insert(vars->end(), m.col_indices().begin(), m.col_indices().end());
-  coefs->insert(coefs->end(), m.values().begin(), m.values().end());
-  const auto& offsets = m.row_offsets();
-  for (size_t r = 0; r < m.rows(); ++r) {
-    rows->push_back(
-        {base + offsets[r], offsets[r + 1] - offsets[r], rhs[r], true});
-  }
-}
-
 }  // namespace
 
 Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
-  // Eq rows first, then ineq rows, each in original order: row r is an
-  // equality iff r < num_eq.
-  const size_t num_eq = problem.eq.rows();
-  const size_t nnz = problem.eq.nnz() + problem.ineq.nnz();
-  std::vector<uint32_t> vars;
-  std::vector<double> coefs;
+  // A working copy of the stacked rows: row r is an equality iff
+  // r < num_eq.
+  const size_t num_eq = problem.num_eq;
+  std::vector<uint32_t> vars = problem.a.col_indices();
+  std::vector<double> coefs = problem.a.values();
   std::vector<FlatRow> rows;
-  vars.reserve(nnz);
-  coefs.reserve(nnz);
-  rows.reserve(problem.num_constraints());
-  AppendRows(problem.eq, problem.eq_rhs, &vars, &coefs, &rows);
-  AppendRows(problem.ineq, problem.ineq_rhs, &vars, &coefs, &rows);
+  rows.reserve(problem.a.rows());
+  const auto& offsets = problem.a.row_offsets();
+  for (size_t r = 0; r < problem.a.rows(); ++r) {
+    rows.push_back(
+        {offsets[r], offsets[r + 1] - offsets[r], problem.rhs[r], true});
+  }
 
   std::vector<char> is_fixed(problem.num_vars, 0);
   std::vector<double> fixed_value(problem.num_vars, 0.0);
@@ -163,12 +159,10 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   }
 
   // Rebuild surviving rows, renumbering each slice's columns in place.
-  // Rows are in original order, so the row maps fall out of the same
-  // pass that emits the reduced matrices.
-  out.eq_row_map.assign(num_eq, -1);
-  out.ineq_row_map.assign(problem.ineq.rows(), -1);
-  linalg::SparseMatrixBuilder eq_builder(next);
-  linalg::SparseMatrixBuilder ineq_builder(next);
+  // Rows are in original order, so the row map falls out of the same
+  // pass that emits the reduced matrix.
+  out.row_map.assign(rows.size(), -1);
+  linalg::SparseMatrixBuilder builder(next);
   for (size_t r = 0; r < rows.size(); ++r) {
     const FlatRow& row = rows[r];
     if (!row.active) continue;
@@ -177,20 +171,13 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
     for (size_t i = 0; i < row.len; ++i) {
       rv[i] = static_cast<uint32_t>(out.var_map[rv[i]]);
     }
-    if (r < num_eq) {
-      out.eq_row_map[r] = static_cast<int64_t>(out.reduced.eq_rhs.size());
-      PME_RETURN_IF_ERROR(eq_builder.AddRow(rv, rc, row.len));
-      out.reduced.eq_rhs.push_back(row.rhs);
-    } else {
-      out.ineq_row_map[r - num_eq] =
-          static_cast<int64_t>(out.reduced.ineq_rhs.size());
-      PME_RETURN_IF_ERROR(ineq_builder.AddRow(rv, rc, row.len));
-      out.reduced.ineq_rhs.push_back(row.rhs);
-    }
+    if (r < num_eq) ++out.reduced.num_eq;
+    out.row_map[r] = static_cast<int64_t>(out.reduced.rhs.size());
+    PME_RETURN_IF_ERROR(builder.AddRow(rv, rc, row.len));
+    out.reduced.rhs.push_back(row.rhs);
   }
   out.reduced.num_vars = next;
-  PME_ASSIGN_OR_RETURN(out.reduced.eq, eq_builder.Build());
-  PME_ASSIGN_OR_RETURN(out.reduced.ineq, ineq_builder.Build());
+  PME_ASSIGN_OR_RETURN(out.reduced.a, builder.Build());
   return out;
 }
 

@@ -4,7 +4,9 @@
 #ifndef PME_MAXENT_PROBLEM_H_
 #define PME_MAXENT_PROBLEM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -16,21 +18,79 @@ namespace pme::maxent {
 /// The optimization problem of Definition 3.1 in matrix form:
 ///
 ///   maximize  H(p) = −Σ_i p_i ln p_i
-///   subject to  eq · p = eq_rhs,   ineq · p ≤ ineq_rhs,   p ≥ 0.
+///   subject to  a_j · p = rhs_j  (j < num_eq),
+///               a_j · p ≤ rhs_j  (j ≥ num_eq),   p ≥ 0.
 ///
 /// Variables are the materialized probability terms P(q, s, b).
+///
+/// The stacked row layout. Every row-indexed list of a problem uses one
+/// order: the equality rows first, then the ≤ rows (kGe rows negated into
+/// ≤ form), each part in the order of its source rows (StackRows). That
+/// order indexes the matrix `a` and `rhs`, presolve's `row_map`, a
+/// PlanBlock's `rows` and `row_sigs`, a cached entry's signatures and
+/// multipliers, SolverOptions::warm_start and
+/// SolverResult::dual_lambda_full. It is the paper's dual for inequality
+/// knowledge (Section 4.5, Kazama–Tsujii): one multiplier per row, those
+/// of the ≤ rows constrained to λ_j ≤ 0.
 struct MaxEntProblem {
   size_t num_vars = 0;
-  linalg::SparseMatrix eq;
-  std::vector<double> eq_rhs;
-  linalg::SparseMatrix ineq;
-  std::vector<double> ineq_rhs;
+  linalg::SparseMatrix a;
+  std::vector<double> rhs;
+  /// Rows [0, num_eq) are equalities, rows [num_eq, a.rows()) are ≤ rows.
+  size_t num_eq = 0;
 
-  bool has_inequalities() const { return ineq.rows() > 0; }
-  size_t num_constraints() const { return eq.rows() + ineq.rows(); }
+  bool has_inequalities() const { return a.rows() > num_eq; }
 };
 
-/// Converts an assembled constraint system into matrix form.
+/// Reorders `rows` into the stacked layout — equality rows first, the
+/// others after, each part keeping its order — and returns the number of
+/// equality rows.
+size_t StackRows(std::vector<const constraints::LinearConstraint*>* rows);
+
+/// The problem of `rows`, already stacked with `num_eq` equality rows,
+/// over `num_vars` columns: row j of the matrix is rows[j] with variable
+/// v in column col_of(v), kGe rows negated into ≤ form and zero
+/// coefficients left out. Each row's entries are put in ascending column
+/// order (a stable sort, so duplicate entries are summed in row order).
+/// A template so the column map inlines into the per-entry loop.
+template <typename ColOf>
+Result<MaxEntProblem> AssembleProblem(
+    size_t num_vars,
+    const std::vector<const constraints::LinearConstraint*>& rows,
+    size_t num_eq, ColOf col_of) {
+  MaxEntProblem problem;
+  problem.num_vars = num_vars;
+  problem.num_eq = num_eq;
+  problem.rhs.reserve(rows.size());
+  linalg::SparseMatrixBuilder matrix(num_vars);
+  std::vector<std::pair<uint32_t, double>> entries;
+  const auto by_col = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  for (const constraints::LinearConstraint* c : rows) {
+    // a·p >= r  <=>  (-a)·p <= -r
+    const double sign = c->rel == constraints::Relation::kGe ? -1.0 : 1.0;
+    entries.clear();
+    for (size_t i = 0; i < c->vars.size(); ++i) {
+      if (c->coefs[i] == 0.0) continue;
+      entries.emplace_back(col_of(c->vars[i]), sign * c->coefs[i]);
+    }
+    // Rows in ascending columns keep the builder's triplets sorted, so
+    // it never re-sorts them.
+    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
+      std::stable_sort(entries.begin(), entries.end(), by_col);
+    }
+    matrix.BeginRow();
+    for (const auto& [col, value] : entries) {
+      PME_RETURN_IF_ERROR(matrix.Add(col, value));
+    }
+    problem.rhs.push_back(sign * c->rhs);
+  }
+  PME_ASSIGN_OR_RETURN(problem.a, matrix.Build());
+  return problem;
+}
+
+/// The whole system as one problem: its rows stacked, identity columns.
 Result<MaxEntProblem> BuildProblem(const constraints::ConstraintSystem& system);
 
 /// Structural presolve. Two reductions run to fixpoint:
@@ -53,14 +113,12 @@ struct PresolvedProblem {
   /// Value of each fixed variable (0 unless pinned by a singleton row).
   std::vector<double> fixed_values;
   size_t num_fixed = 0;
-  /// original eq row -> reduced eq row id, or -1 when presolve resolved
-  /// the row (zero forcing / singleton / vacuous). Row order is
-  /// preserved, so these maps carry dual multipliers between the
-  /// original and reduced row spaces — the warm-start transport for
-  /// cached re-analysis.
-  std::vector<int64_t> eq_row_map;
-  /// original ineq row -> reduced ineq row id, or -1 when resolved.
-  std::vector<int64_t> ineq_row_map;
+  /// original row -> reduced row id, or -1 when presolve resolved the
+  /// row (zero forcing / singleton / vacuous). Both row spaces are
+  /// stacked and row order is preserved, so this map carries dual
+  /// multipliers between them — the warm-start transport for cached
+  /// re-analysis.
+  std::vector<int64_t> row_map;
 
   /// Scatters a reduced-space solution into the full variable space.
   std::vector<double> Restore(const std::vector<double>& reduced_p) const;

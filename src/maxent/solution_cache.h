@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "maxent/solver.h"
 
 namespace pme::maxent {
 
@@ -25,20 +26,24 @@ namespace pme::maxent {
 ///
 ///  - `p` is the posterior slice in block-local column order (the order
 ///    of the component's variables, ascending by full-space id).
-///  - `lambda_full` are the dual multipliers in the block's *original*
-///    stacked row space — equality rows first, inequality rows after,
-///    both in block row order, presolve-dropped rows at 0. Stored
-///    pre-presolve so it can be re-mapped onto a *different* presolve of
-///    an edited component.
-///  - `eq_row_sigs` / `ineq_row_sigs` are the per-row content signatures
-///    aligned with `lambda_full`: a warm start for an edited component
-///    matches rows by signature and seeds unmatched (new/edited) rows
-///    with 0, which is a near-feasible point when few rows changed.
+///  - `lambda_full` are the dual multipliers, one per block row before
+///    presolve (SolverResult::dual_lambda_full), presolve-dropped rows at
+///    0. Stored pre-presolve so it can be re-mapped onto a *different*
+///    presolve of an edited component.
+///  - `row_sigs` are the per-row content signatures aligned with
+///    `lambda_full`: a warm start for an edited component matches rows by
+///    signature and seeds unmatched (new/edited) rows with 0, which is a
+///    near-feasible point when few rows changed.
+///
+/// Both row lists are in the block's stacked layout (maxent/problem.h).
 struct CachedComponentSolution {
   std::vector<double> p;
   std::vector<double> lambda_full;
-  std::vector<Hash128> eq_row_sigs;
-  std::vector<Hash128> ineq_row_sigs;
+  std::vector<Hash128> row_sigs;
+  /// The minimizer that produced `p`, and whether it ran below the
+  /// requested one: an exact hit reports the solve it reuses.
+  SolverKind solver = SolverKind::kLbfgs;
+  bool degraded = false;
   double dual_value = 0.0;
   /// Worst violation of the block's rows at `p`: the rows are fixed by
   /// the exact key, so an exact hit reuses it instead of re-evaluating.
@@ -49,8 +54,7 @@ struct CachedComponentSolution {
 
   /// Doubles resident for budget accounting (signatures count as two).
   size_t ResidentDoubles() const {
-    return p.size() + lambda_full.size() +
-           2 * (eq_row_sigs.size() + ineq_row_sigs.size());
+    return p.size() + lambda_full.size() + 2 * row_sigs.size();
   }
 };
 

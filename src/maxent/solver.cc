@@ -18,41 +18,16 @@ namespace {
 /// did not meet the tolerance.
 constexpr double kFallbackAcceptViolation = 1e-6;
 
-/// Stacks equality rows above inequality rows into a single matrix for
-/// the projected (sign-constrained) dual.
-Result<linalg::SparseMatrix> StackMatrices(const linalg::SparseMatrix& eq,
-                                           const linalg::SparseMatrix& ineq) {
-  std::vector<linalg::Triplet> triplets;
-  triplets.reserve(eq.nnz() + ineq.nnz());
-  auto append = [&triplets](const linalg::SparseMatrix& m, uint32_t row_base) {
-    const auto& offsets = m.row_offsets();
-    const auto& cols = m.col_indices();
-    const auto& values = m.values();
-    for (size_t r = 0; r < m.rows(); ++r) {
-      for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-        triplets.push_back(
-            {row_base + static_cast<uint32_t>(r), cols[k], values[k]});
-      }
-    }
-  };
-  append(eq, 0);
-  append(ineq, static_cast<uint32_t>(eq.rows()));
-  return linalg::SparseMatrix::FromTriplets(eq.rows() + ineq.rows(),
-                                            eq.cols(), std::move(triplets));
-}
-
 /// Worst violation of the *original* problem at full-space solution p.
 double ProblemViolation(const MaxEntProblem& problem,
                         const std::vector<double>& p) {
   double worst = 0.0;
   std::vector<double> lhs;
-  problem.eq.Multiply(p, lhs);
+  problem.a.Multiply(p, lhs);
   for (size_t j = 0; j < lhs.size(); ++j) {
-    worst = std::max(worst, std::fabs(lhs[j] - problem.eq_rhs[j]));
-  }
-  problem.ineq.Multiply(p, lhs);
-  for (size_t j = 0; j < lhs.size(); ++j) {
-    worst = std::max(worst, std::max(0.0, lhs[j] - problem.ineq_rhs[j]));
+    const double residual = lhs[j] - problem.rhs[j];
+    worst = std::max(worst, j < problem.num_eq ? std::fabs(residual)
+                                               : std::max(0.0, residual));
   }
   return worst;
 }
@@ -114,69 +89,47 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     for (size_t v = 0; v < problem.num_vars; ++v) {
       pre.var_map[v] = static_cast<int64_t>(v);
     }
-    pre.eq_row_map.resize(problem.eq.rows());
-    for (size_t r = 0; r < problem.eq.rows(); ++r) {
-      pre.eq_row_map[r] = static_cast<int64_t>(r);
-    }
-    pre.ineq_row_map.resize(problem.ineq.rows());
-    for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-      pre.ineq_row_map[r] = static_cast<int64_t>(r);
+    pre.row_map.resize(problem.a.rows());
+    for (size_t r = 0; r < problem.a.rows(); ++r) {
+      pre.row_map[r] = static_cast<int64_t>(r);
     }
   }
   result.presolve_fixed = pre.num_fixed;
   const MaxEntProblem& reduced = pre.reduced;
 
   // The dual start: zeros, or the original-row-space warm start carried
-  // into the reduced dual space through the presolve row maps (rows
+  // into the reduced dual space through the presolve row map (rows
   // presolve dropped are simply not carried).
-  std::vector<double> lambda(reduced.eq.rows() + reduced.ineq.rows(), 0.0);
+  std::vector<double> lambda(reduced.a.rows(), 0.0);
   if (options.warm_start != nullptr &&
-      options.warm_start->size() == problem.eq.rows() + problem.ineq.rows() &&
+      options.warm_start->size() == problem.a.rows() &&
       std::all_of(options.warm_start->begin(), options.warm_start->end(),
                   [](double v) { return std::isfinite(v); })) {
-    const auto& w = *options.warm_start;
-    for (size_t r = 0; r < problem.eq.rows(); ++r) {
-      if (pre.eq_row_map[r] >= 0) {
-        lambda[static_cast<size_t>(pre.eq_row_map[r])] = w[r];
-      }
-    }
-    for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-      if (pre.ineq_row_map[r] >= 0) {
-        lambda[reduced.eq.rows() + static_cast<size_t>(pre.ineq_row_map[r])] =
-            w[problem.eq.rows() + r];
+    for (size_t r = 0; r < problem.a.rows(); ++r) {
+      if (pre.row_map[r] >= 0) {
+        lambda[static_cast<size_t>(pre.row_map[r])] = (*options.warm_start)[r];
       }
     }
   }
 
   std::vector<double> reduced_p(reduced.num_vars, 0.0);
   if (reduced.num_vars > 0) {
+    // Inequality rows need the sign-constrained dual, which only
+    // projected gradient minimizes; without them its box is all of R^m
+    // and it is plain Barzilai–Borwein gradient descent — the fallback
+    // ladder's curvature-free restart.
+    if (reduced.has_inequalities()) result.kind = SolverKind::kProjected;
+    DualFunction dual(&reduced.a, reduced.rhs);
     internal::DualOutcome outcome;
-    if (reduced.has_inequalities()) {
-      result.kind = SolverKind::kProjected;
-      PME_ASSIGN_OR_RETURN(auto stacked,
-                           StackMatrices(reduced.eq, reduced.ineq));
-      std::vector<double> rhs = reduced.eq_rhs;
-      rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
-      DualFunction dual(&stacked, rhs);
+    if (result.kind == SolverKind::kProjected) {
       PME_ASSIGN_OR_RETURN(
-          outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
+          outcome, internal::MinimizeProjected(dual, reduced.num_eq,
                                                std::move(lambda), options));
-      reduced_p = dual.Primal(outcome.lambda);
     } else {
-      DualFunction dual(&reduced.eq, reduced.eq_rhs);
-      if (kind == SolverKind::kProjected) {
-        // No inequality rows: the box is all of R^m and this is plain
-        // Barzilai–Borwein gradient descent — the fallback ladder's
-        // curvature-free restart.
-        PME_ASSIGN_OR_RETURN(
-            outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
-                                                 std::move(lambda), options));
-      } else {
-        PME_ASSIGN_OR_RETURN(
-            outcome, internal::MinimizeLbfgs(dual, std::move(lambda), options));
-      }
-      reduced_p = dual.Primal(outcome.lambda);
+      PME_ASSIGN_OR_RETURN(
+          outcome, internal::MinimizeLbfgs(dual, std::move(lambda), options));
     }
+    reduced_p = dual.Primal(outcome.lambda);
     result.iterations = outcome.iterations;
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;
@@ -189,20 +142,12 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
 
   // Scatter the reduced dual back onto the original rows (dropped rows
   // at 0): the row-stable warm-start payload.
-  result.dual_lambda_full.assign(problem.eq.rows() + problem.ineq.rows(),
-                                 0.0);
+  result.dual_lambda_full.assign(problem.a.rows(), 0.0);
   if (!lambda.empty()) {
-    for (size_t r = 0; r < problem.eq.rows(); ++r) {
-      if (pre.eq_row_map[r] >= 0) {
+    for (size_t r = 0; r < problem.a.rows(); ++r) {
+      if (pre.row_map[r] >= 0) {
         result.dual_lambda_full[r] =
-            lambda[static_cast<size_t>(pre.eq_row_map[r])];
-      }
-    }
-    for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-      if (pre.ineq_row_map[r] >= 0) {
-        result.dual_lambda_full[problem.eq.rows() + r] =
-            lambda[reduced.eq.rows() +
-                   static_cast<size_t>(pre.ineq_row_map[r])];
+            lambda[static_cast<size_t>(pre.row_map[r])];
       }
     }
   }

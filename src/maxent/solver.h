@@ -105,17 +105,16 @@ struct SolverOptions {
   /// Cooperative cancellation, checked together with the deadline each
   /// iteration (termination == kCancelled, best-so-far returned).
   CancellationToken cancel;
-  /// Optional warm start for the dual multipliers, in the problem's
-  /// *original* stacked row space — equality rows first (matrix row
-  /// order), inequality rows after — before presolve. Solve maps it
-  /// through the presolve row maps into the reduced dual space, so a warm
-  /// start survives a *different* presolve than the one that produced it
-  /// (the cached re-analysis case: an edited component drops/keeps
-  /// different rows). Ignored when the size does not match eq.rows() +
-  /// ineq.rows() or any entry is non-finite (a poisoned start must not
-  /// propagate a fault into the fallback restart). Used by the solution
-  /// cache and by the fallback ladder's restart. Not owned; must outlive
-  /// Solve.
+  /// Optional warm start for the dual multipliers, one per row of the
+  /// problem's matrix (the stacked layout, maxent/problem.h) before
+  /// presolve. Solve maps it through the presolve row map into the
+  /// reduced dual space, so a warm start survives a *different* presolve
+  /// than the one that produced it (the cached re-analysis case: an
+  /// edited component drops/keeps different rows). Ignored when the size
+  /// does not match a.rows() or any entry is non-finite (a poisoned start
+  /// must not propagate a fault into the fallback restart). Used by the
+  /// solution cache and by the fallback ladder's restart. Not owned; must
+  /// outlive Solve.
   const std::vector<double>* warm_start = nullptr;
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
@@ -142,7 +141,8 @@ struct ComponentOutcome {
   uint32_t block = 0;
   /// Variables in the block.
   size_t num_variables = 0;
-  /// The minimizer that produced the kept answer (meaningless when
+  /// The minimizer that produced the kept answer — for an exact cache
+  /// hit, the one that produced the cached solution (meaningless when
   /// `used_prior`).
   SolverKind solver = SolverKind::kLbfgs;
   /// Terminal status of the accepted (or kept) attempt: kOk,
@@ -206,19 +206,20 @@ struct SolverResult {
   size_t presolve_fixed = 0;
   /// Which minimizer produced this result: the requested kind, or
   /// kProjected whenever the reduced problem has inequality rows. A
-  /// decomposed solve reads kProjected when every block it solved ended
-  /// on projected gradient, the requested kind otherwise; each block's
-  /// minimizer is in `component_outcomes`.
+  /// decomposed solve reads kProjected when every block it answered by a
+  /// solve, this call's or a cached one, ended on projected gradient, the
+  /// requested kind otherwise; each block's minimizer is in
+  /// `component_outcomes`.
   SolverKind kind = SolverKind::kLbfgs;
   /// Why the solve stopped: kOk for a normal finish (converged or budget
   /// exhausted with a finite iterate), kDeadlineExceeded / kCancelled
   /// when interrupted (p is the best iterate so far), kNumericalError
   /// when the returned point is non-finite.
   StatusCode termination = StatusCode::kOk;
-  /// The dual multipliers in the problem's *original* stacked row space
-  /// (equality rows first, then inequality rows; presolve-dropped rows
-  /// at 0), converged or not — the payload for SolverOptions::warm_start
-  /// and the form the solution cache stores. Empty for decomposed solves
+  /// The dual multipliers, one per row of the problem's matrix before
+  /// presolve (the stacked layout, maxent/problem.h; presolve-dropped
+  /// rows at 0), converged or not — the payload for
+  /// SolverOptions::warm_start and the form the solution cache stores. Empty for decomposed solves
   /// (block duals do not concatenate meaningfully; per-block duals live
   /// in the solution cache).
   std::vector<double> dual_lambda_full;
@@ -252,9 +253,8 @@ struct SolverResult {
 ///
 /// Equality-only problems use the requested `kind` directly. Problems with
 /// inequality rows (Section 4.5 / Kazama–Tsujii) are solved by projected
-/// gradient on the stacked dual with sign-constrained multipliers,
-/// regardless of `kind` (LBFGS has no inequality variant here);
-/// `result.kind` then reads kProjected.
+/// gradient on the sign-constrained dual, regardless of `kind` (LBFGS has
+/// no inequality variant here); `result.kind` then reads kProjected.
 ///
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small

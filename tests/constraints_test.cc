@@ -17,6 +17,8 @@
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "maxent/block_plan.h"
+#include "maxent/problem.h"
 #include "tests/test_util.h"
 
 namespace pme::constraints {
@@ -450,19 +452,19 @@ TEST(BkCompilerTest, RejectsOutOfRangeProbability) {
 
 // -------------------------------------------------------------- System
 
-TEST(ConstraintSystemTest, MatricesSplitByRelation) {
+TEST(ConstraintSystemTest, ProblemStacksEqualitiesFirst) {
   ConstraintSystem system(4);
-  LinearConstraint eq;
-  eq.vars = {0, 1};
-  eq.coefs = {1.0, 1.0};
-  eq.rhs = 0.5;
-  system.Add(eq);
   LinearConstraint le;
   le.vars = {2};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.3;
   system.Add(le);
+  LinearConstraint eq;
+  eq.vars = {0, 1};
+  eq.coefs = {1.0, 1.0};
+  eq.rhs = 0.5;
+  system.Add(eq);
   LinearConstraint ge;
   ge.vars = {3};
   ge.coefs = {1.0};
@@ -470,12 +472,15 @@ TEST(ConstraintSystemTest, MatricesSplitByRelation) {
   ge.rhs = 0.1;
   system.Add(ge);
 
-  auto m = system.ToMatrices().ValueOrDie();
-  EXPECT_EQ(m.eq.rows(), 1u);
-  EXPECT_EQ(m.ineq.rows(), 2u);
+  // The equality row moves first; the inequality rows keep their order.
+  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  EXPECT_EQ(problem.num_eq, 1u);
+  ASSERT_EQ(problem.a.rows(), 3u);
+  EXPECT_DOUBLE_EQ(problem.a.At(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(problem.a.At(1, 2), 1.0);
   // kGe was negated into kLe form.
-  EXPECT_DOUBLE_EQ(m.ineq.At(1, 3), -1.0);
-  EXPECT_DOUBLE_EQ(m.ineq_rhs[1], -0.1);
+  EXPECT_DOUBLE_EQ(problem.a.At(2, 3), -1.0);
+  EXPECT_EQ(problem.rhs, (std::vector<double>{0.5, 0.3, -0.1}));
 }
 
 TEST(ConstraintSystemTest, ViolationMeasures) {
@@ -487,6 +492,18 @@ TEST(ConstraintSystemTest, ViolationMeasures) {
   system.Add(c);
   EXPECT_NEAR(system.MaxViolation({0.5, 0.5}), 0.0, 1e-15);
   EXPECT_NEAR(system.MaxViolation({0.5, 0.2}), 0.3, 1e-12);
+}
+
+/// Definition 5.6 as the planner decides it: a bucket is relevant iff
+/// it lies in one of the knowledge-coupled blocks.
+std::vector<bool> BucketRelevance(const TermIndex& index,
+                                  const ConstraintSystem& system) {
+  const maxent::BlockPlan plan = maxent::BlockPlan::Build(index, system);
+  std::vector<bool> relevant(index.num_buckets(), false);
+  for (const maxent::PlanBlock& block : plan.blocks()) {
+    for (const uint32_t b : block.buckets) relevant[b] = true;
+  }
+  return relevant;
 }
 
 TEST(ConstraintSystemTest, IrrelevantBucketAnalysis) {
@@ -501,7 +518,7 @@ TEST(ConstraintSystemTest, IrrelevantBucketAnalysis) {
   auto compiled = CompileKnowledge(kb, t, index).ValueOrDie();
   system.AddAll(std::move(compiled.constraints));
 
-  auto relevant = system.RelevantBuckets(index);
+  auto relevant = BucketRelevance(index, system);
   ASSERT_EQ(relevant.size(), 3u);
   EXPECT_TRUE(relevant[0]);
   EXPECT_TRUE(relevant[1]);
@@ -515,7 +532,8 @@ TEST(ConstraintSystemTest, NoKnowledgeMeansAllIrrelevant) {
   auto index = TermIndex::Build(t);
   ConstraintSystem system(index.num_variables());
   system.AddAll(GenerateInvariants(t, index));
-  auto relevant = system.RelevantBuckets(index);
+  auto relevant = BucketRelevance(index, system);
+  ASSERT_EQ(relevant.size(), 3u);
   for (bool r : relevant) EXPECT_FALSE(r);
 }
 

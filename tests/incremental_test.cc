@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/experiment.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+#include "maxent/block_plan.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
@@ -371,6 +373,122 @@ TEST_F(IncrementalPipelineTest, OffModeTouchesNothing) {
   EXPECT_GT(b.solver.iterations, 0u);  // really solved again
 }
 
+// -------------------------------------- equality and inequality rows
+
+// On the Figure 1 table q4 lives in bucket 2 alone and q5 in bucket 3
+// alone, so statements about q4 share one block and a statement about q5
+// is a second block. Without a cap the answer puts P(s3 | q4) at 1/3
+// (at 0.25 under P(s1 | q4) = 0.5), so the cap P(s3 | q4) <= 0.2 binds.
+knowledge::ConditionalStatement CapS3GivenQ4() {
+  return knowledge::AbstractConditional(testing::kQ4, {testing::kS3}, 0.2,
+                                        knowledge::Relation::kLe);
+}
+
+TEST_F(IncrementalPipelineTest, ExactHitReportsTheSolveItReuses) {
+  // A block whose only knowledge row is a <= row runs projected gradient
+  // although LBFGS is requested. Answered from the cache on the re-run,
+  // it must still say so: in the result's kind, its outcome and the
+  // census.
+  const auto table = testing::MakeFigure1Table();
+  knowledge::KnowledgeBase kb;
+  kb.Add(CapS3GivenQ4());
+  SolutionCache cache;
+  const auto options = CacheOptions(&cache, 1);
+  const auto cold = core::Analyze(table, kb, options).ValueOrDie();
+  const auto hit = core::Analyze(table, kb, options).ValueOrDie();
+
+  ASSERT_EQ(cold.solver.component_outcomes.size(), 1u);
+  ASSERT_EQ(hit.solver.component_outcomes.size(), 1u);
+  EXPECT_EQ(hit.solver.cache_exact_hits, 1u);
+  EXPECT_EQ(cold.solver.kind, SolverKind::kProjected);
+  EXPECT_EQ(hit.solver.kind, SolverKind::kProjected);
+  const maxent::ComponentOutcome& solved = cold.solver.component_outcomes[0];
+  const maxent::ComponentOutcome& reused = hit.solver.component_outcomes[0];
+  EXPECT_EQ(reused.cache, maxent::CacheOutcome::kExactHit);
+  EXPECT_EQ(reused.solver, solved.solver);
+  EXPECT_EQ(reused.degraded, solved.degraded);
+  EXPECT_EQ(hit.solver.components_solved, cold.solver.components_solved);
+  EXPECT_EQ(hit.solver.components_degraded, cold.solver.components_degraded);
+  EXPECT_EQ(hit.solver.degraded, cold.solver.degraded);
+}
+
+TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
+  // One block holds an = and a binding <= knowledge row. Toggling the =
+  // value re-solves it warm: every other row, the <= row included, takes
+  // its cached multiplier by signature. The q5 block is untouched.
+  const auto table = testing::MakeFigure1Table();
+  const auto index = constraints::TermIndex::Build(table);
+  const auto system_with = [&](double s1_given_q4) {
+    knowledge::KnowledgeBase kb;
+    kb.Add(knowledge::AbstractConditional(testing::kQ4, {testing::kS1},
+                                          s1_given_q4));
+    kb.Add(CapS3GivenQ4());
+    kb.Add(knowledge::AbstractConditional(testing::kQ5, {testing::kS5}, 0.5));
+    constraints::ConstraintSystem system(index.num_variables());
+    system.AddAll(constraints::GenerateInvariants(table, index));
+    system.AddAll(
+        constraints::CompileKnowledge(kb, table, index).ValueOrDie()
+            .constraints);
+    return system;
+  };
+  const constraints::ConstraintSystem seeded_system = system_with(0.5);
+  const constraints::ConstraintSystem toggled_system = system_with(0.51);
+
+  SolutionCache cache;
+  const maxent::SolverOptions options = CacheOptions(&cache, 1).solver_options;
+  const auto seeded = maxent::SolveDecomposed(table, index, seeded_system,
+                                              SolverKind::kLbfgs, options)
+                          .ValueOrDie();
+  ASSERT_EQ(seeded.component_outcomes.size(), 2u);
+  ASSERT_FALSE(seeded.degraded);
+  ASSERT_EQ(seeded.component_outcomes[0].solver, SolverKind::kProjected);
+
+  // The warm start the toggled block is offered: the cached multipliers
+  // row for row (same rows, same stacked order), the toggled row at 0.
+  maxent::BlockPlan seeded_plan =
+      maxent::BlockPlan::Build(index, seeded_system);
+  seeded_plan.ConsultCache(options);
+  maxent::BlockPlan toggled_plan =
+      maxent::BlockPlan::Build(index, toggled_system);
+  toggled_plan.ConsultCache(options);
+  const maxent::PlanBlock& before = seeded_plan.blocks()[0];
+  const maxent::PlanBlock& after = toggled_plan.blocks()[0];
+  ASSERT_NE(before.cached, nullptr);
+  ASSERT_EQ(after.rows.size(), before.rows.size());
+  ASSERT_EQ(before.cached->lambda_full.size(), before.rows.size());
+  // The binding <= row is the block's last row; its multiplier is < 0.
+  EXPECT_EQ(after.num_eq + 1, after.rows.size());
+  EXPECT_LT(before.cached->lambda_full.back(), 0.0);
+  std::vector<double> expected = before.cached->lambda_full;
+  size_t toggled_rows = 0;
+  for (size_t j = 0; j < after.rows.size(); ++j) {
+    if (after.rows[j]->rhs != before.rows[j]->rhs) {
+      expected[j] = 0.0;
+      ++toggled_rows;
+    }
+  }
+  EXPECT_EQ(toggled_rows, 1u);
+  EXPECT_EQ(after.warm_start, expected);
+
+  const auto warm = maxent::SolveDecomposed(table, index, toggled_system,
+                                            SolverKind::kLbfgs, options)
+                        .ValueOrDie();
+  SolutionCache fresh;
+  const auto cold =
+      maxent::SolveDecomposed(table, index, toggled_system,
+                              SolverKind::kLbfgs,
+                              CacheOptions(&fresh, 1).solver_options)
+          .ValueOrDie();
+  ASSERT_EQ(warm.component_outcomes.size(), 2u);
+  EXPECT_EQ(warm.component_outcomes[0].cache,
+            maxent::CacheOutcome::kWarmStart);
+  EXPECT_EQ(warm.component_outcomes[1].cache,
+            maxent::CacheOutcome::kExactHit);
+  EXPECT_FALSE(warm.degraded);
+  EXPECT_LE(MaxAbsDiff(warm.p, cold.p), 1e-8);
+  EXPECT_LE(warm.iterations, cold.iterations);
+}
+
 // ------------------------------------------------ dual multiplier payload
 
 TEST(DualLambdaTest, PopulatedForEverySolverKind) {
@@ -386,9 +504,7 @@ TEST(DualLambdaTest, PopulatedForEverySolverKind) {
     auto result = maxent::Solve(problem, kind).ValueOrDie();
     const char* label = maxent::SolverKindToString(kind);
     EXPECT_FALSE(result.dual_lambda_full.empty()) << label;
-    EXPECT_EQ(result.dual_lambda_full.size(),
-              problem.eq.rows() + problem.ineq.rows())
-        << label;
+    EXPECT_EQ(result.dual_lambda_full.size(), problem.a.rows()) << label;
     for (double v : result.dual_lambda_full) {
       EXPECT_TRUE(std::isfinite(v)) << label;
     }

@@ -54,14 +54,6 @@ TEST(SparseMatrixTest, TransposeMultiplyMatchesDense) {
   EXPECT_DOUBLE_EQ(y[1], 2.0 + 2.0 - 6.0);
 }
 
-TEST(SparseMatrixTest, TransposeMultiplyAccumulate) {
-  SparseMatrix m = SparseMatrix::FromDense({{1.0, 2.0}});
-  std::vector<double> y = {10.0, 10.0};
-  m.TransposeMultiplyAccumulate(2.0, {3.0}, y);
-  EXPECT_DOUBLE_EQ(y[0], 16.0);
-  EXPECT_DOUBLE_EQ(y[1], 22.0);
-}
-
 TEST(SparseMatrixTest, RandomizedAgreementWithDense) {
   Prng prng(42);
   for (int trial = 0; trial < 20; ++trial) {
@@ -92,7 +84,9 @@ TEST(SparseMatrixBuilderTest, BuildsRowsIncrementally) {
   builder.BeginRow();
   ASSERT_TRUE(builder.Add(0, 1.0).ok());
   ASSERT_TRUE(builder.Add(3, 2.0).ok());
-  ASSERT_TRUE(builder.AddRow({1, 2}, {5.0, 6.0}).ok());
+  const uint32_t cols[] = {1, 2};
+  const double values[] = {5.0, 6.0};
+  ASSERT_TRUE(builder.AddRow(cols, values, 2).ok());
   auto m = builder.Build().ValueOrDie();
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_DOUBLE_EQ(m.At(0, 0), 1.0);

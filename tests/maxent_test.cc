@@ -168,8 +168,8 @@ TEST(PresolveTest, SingletonSubstitution) {
   auto pre = Presolve(problem).ValueOrDie();
   EXPECT_EQ(pre.num_fixed, 1u);
   EXPECT_EQ(pre.reduced.num_vars, 2u);
-  ASSERT_EQ(pre.reduced.eq_rhs.size(), 1u);
-  EXPECT_NEAR(pre.reduced.eq_rhs[0], 0.7, 1e-12);  // 1.0 - 0.3
+  ASSERT_EQ(pre.reduced.rhs.size(), 1u);
+  EXPECT_NEAR(pre.reduced.rhs[0], 0.7, 1e-12);  // 1.0 - 0.3
 }
 
 TEST(PresolveTest, DetectsInfeasibleConstant) {
@@ -207,22 +207,21 @@ TEST(PresolveTest, InequalityZeroBoundForces) {
 
 TEST(PresolveTest, RowMapsAndRenumberingAcrossEqAndIneq) {
   // Seven variables; all values are exact in binary, so every rhs below
-  // is asserted exactly.
+  // is asserted exactly. Stacked rows: E0..E3 are rows 0..3, I0..I2 are
+  // rows 4..6.
   MaxEntProblem problem;
   problem.num_vars = 7;
-  problem.eq = linalg::SparseMatrix::FromDense({
+  problem.a = linalg::SparseMatrix::FromDense({
       {1, 1, 0, 0, 0, 0, 0},    // E0: p0 + p1 = 0       -> zero forcing
       {0, 0, 2, 0, 0, 0, 0},    // E1: 2 p2 = 0.5        -> pins p2 = 0.25
       {0, 1, 1, 1, 1, 0, 0},    // E2: p1..p4 = 1        -> p3 + p4 = 0.75
       {0, 0, 0, 0, 0.5, 0, 3},  // E3: 0.5 p4 + 3 p6 = 0.875, untouched
+      {0, 0, 1, 0, 0, 1, 0},    // I0: p2 + p5 <= 0.25  -> p5 <= 0, forces p5
+      {0, 0, 0, 1, 0, 1, 1},    // I1: p3 + p5 + p6 <= 0.75
+      {0, 0, 0, 0, -1, 0, 0},   // I2: -p4 <= -0.125, untouched
   });
-  problem.eq_rhs = {0.0, 0.5, 1.0, 0.875};
-  problem.ineq = linalg::SparseMatrix::FromDense({
-      {0, 0, 1, 0, 0, 1, 0},   // I0: p2 + p5 <= 0.25  -> p5 <= 0, forces p5
-      {0, 0, 0, 1, 0, 1, 1},   // I1: p3 + p5 + p6 <= 0.75
-      {0, 0, 0, 0, -1, 0, 0},  // I2: -p4 <= -0.125, untouched
-  });
-  problem.ineq_rhs = {0.25, 0.75, -0.125};
+  problem.rhs = {0.0, 0.5, 1.0, 0.875, 0.25, 0.75, -0.125};
+  problem.num_eq = 4;
 
   const PresolvedProblem pre = Presolve(problem).ValueOrDie();
 
@@ -231,24 +230,19 @@ TEST(PresolveTest, RowMapsAndRenumberingAcrossEqAndIneq) {
   EXPECT_EQ(pre.var_map, (std::vector<int64_t>{-1, -1, -1, 0, 1, -1, 2}));
   EXPECT_EQ(pre.fixed_values,
             (std::vector<double>{0, 0, 0.25, 0, 0, 0, 0}));
-  EXPECT_EQ(pre.eq_row_map, (std::vector<int64_t>{-1, -1, 0, 1}));
-  EXPECT_EQ(pre.ineq_row_map, (std::vector<int64_t>{-1, 0, 1}));
+  // E2, E3 survive as reduced rows 0, 1; I1, I2 as reduced rows 2, 3.
+  EXPECT_EQ(pre.row_map, (std::vector<int64_t>{-1, -1, 0, 1, -1, 2, 3}));
 
   const MaxEntProblem& reduced = pre.reduced;
   EXPECT_EQ(reduced.num_vars, 3u);
-  ASSERT_EQ(reduced.eq.rows(), 2u);
-  EXPECT_EQ(reduced.eq.cols(), 3u);
-  EXPECT_EQ(reduced.eq.row_offsets(), (std::vector<size_t>{0, 2, 4}));
-  EXPECT_EQ(reduced.eq.col_indices(), (std::vector<uint32_t>{0, 1, 1, 2}));
-  EXPECT_EQ(reduced.eq.values(), (std::vector<double>{1, 1, 0.5, 3}));
-  EXPECT_EQ(reduced.eq_rhs, (std::vector<double>{0.75, 0.875}));
-
-  ASSERT_EQ(reduced.ineq.rows(), 2u);
-  EXPECT_EQ(reduced.ineq.cols(), 3u);
-  EXPECT_EQ(reduced.ineq.row_offsets(), (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(reduced.ineq.col_indices(), (std::vector<uint32_t>{0, 2, 1}));
-  EXPECT_EQ(reduced.ineq.values(), (std::vector<double>{1, 1, -1}));
-  EXPECT_EQ(reduced.ineq_rhs, (std::vector<double>{0.75, -0.125}));
+  EXPECT_EQ(reduced.num_eq, 2u);
+  ASSERT_EQ(reduced.a.rows(), 4u);
+  EXPECT_EQ(reduced.a.cols(), 3u);
+  EXPECT_EQ(reduced.a.row_offsets(), (std::vector<size_t>{0, 2, 4, 6, 7}));
+  EXPECT_EQ(reduced.a.col_indices(),
+            (std::vector<uint32_t>{0, 1, 1, 2, 0, 2, 1}));
+  EXPECT_EQ(reduced.a.values(), (std::vector<double>{1, 1, 0.5, 3, 1, 1, -1}));
+  EXPECT_EQ(reduced.rhs, (std::vector<double>{0.75, 0.875, 0.75, -0.125}));
 
   EXPECT_EQ(pre.Restore({0.5, 0.25, 0.125}),
             (std::vector<double>{0, 0, 0.25, 0.5, 0.25, 0, 0.125}));

@@ -271,14 +271,14 @@ TEST_F(SessionTest, ContentHashCoversInvariantOptions) {
 
 // The reference the block plan must reproduce: ComponentAnalysis::Build
 // over the whole concatenated system, every row routed to the block of
-// its first supported variable (in matrix-form order: equality rows,
-// then inequality rows), and each block's variable and row digests
-// computed straight from that routing.
+// its first supported variable (in the stacked layout: a pass over the
+// equality rows, then one over the others), and each block's variable
+// and row digests computed straight from that routing.
 struct ReferenceBlock {
   std::vector<uint32_t> buckets;
   size_t num_variables = 0;
-  std::vector<const constraints::LinearConstraint*> eq_rows;
-  std::vector<const constraints::LinearConstraint*> ineq_rows;
+  std::vector<const constraints::LinearConstraint*> rows;
+  size_t num_eq = 0;
   Hash128 vars_hash;
   Hash128 rows_hash;
 };
@@ -310,19 +310,23 @@ std::vector<ReferenceBlock> ReferencePlan(
     blocks.push_back(std::move(block));
   }
   std::vector<std::vector<Hash128>> sigs(blocks.size());
-  for (const auto& c : system.constraints()) {
-    int64_t block = -1;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      block = block_of[analysis.ComponentOf(index.TermOf(c.vars[i]).bucket)];
-      break;
+  for (const bool equalities : {true, false}) {
+    for (const auto& c : system.constraints()) {
+      if ((c.rel == knowledge::Relation::kEq) != equalities) continue;
+      int64_t block = -1;
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        if (c.coefs[i] == 0.0) continue;
+        block =
+            block_of[analysis.ComponentOf(index.TermOf(c.vars[i]).bucket)];
+        break;
+      }
+      if (block < 0) continue;
+      ReferenceBlock& ref = blocks[static_cast<size_t>(block)];
+      ref.rows.push_back(&c);
+      if (equalities) ++ref.num_eq;
+      sigs[static_cast<size_t>(block)].push_back(
+          constraints::ConstraintRowSignature(c));
     }
-    if (block < 0) continue;
-    ReferenceBlock& ref = blocks[static_cast<size_t>(block)];
-    (c.rel == knowledge::Relation::kEq ? ref.eq_rows : ref.ineq_rows)
-        .push_back(&c);
-    sigs[static_cast<size_t>(block)].push_back(
-        constraints::ConstraintRowSignature(c));
   }
   for (size_t i = 0; i < blocks.size(); ++i) {
     std::sort(sigs[i].begin(), sigs[i].end());
@@ -400,8 +404,8 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
       const maxent::PlanBlock& block = plan.blocks()[i];
       EXPECT_EQ(block.buckets, reference[i].buckets);
       EXPECT_EQ(block.cols.size(), reference[i].num_variables);
-      ExpectSameRows(block.eq_rows, reference[i].eq_rows);
-      ExpectSameRows(block.ineq_rows, reference[i].ineq_rows);
+      ExpectSameRows(block.rows, reference[i].rows);
+      EXPECT_EQ(block.num_eq, reference[i].num_eq);
       EXPECT_EQ(block.vars_hash, reference[i].vars_hash);
       EXPECT_EQ(block.rows_hash, reference[i].rows_hash);
     }
@@ -621,12 +625,16 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   std::iota(all_vars.begin(), all_vars.end(), 0u);
   EXPECT_EQ(block.buckets, all_buckets);
   EXPECT_EQ(block.cols, all_vars);
-  std::vector<const constraints::LinearConstraint*> eq_rows, ineq_rows;
+  std::vector<const constraints::LinearConstraint*> rows;
   for (const auto& c : system.constraints()) {
-    (c.rel == knowledge::Relation::kEq ? eq_rows : ineq_rows).push_back(&c);
+    if (c.rel == knowledge::Relation::kEq) rows.push_back(&c);
   }
-  ExpectSameRows(block.eq_rows, eq_rows);
-  ExpectSameRows(block.ineq_rows, ineq_rows);
+  const size_t num_eq = rows.size();
+  for (const auto& c : system.constraints()) {
+    if (c.rel != knowledge::Relation::kEq) rows.push_back(&c);
+  }
+  ExpectSameRows(block.rows, rows);
+  EXPECT_EQ(block.num_eq, num_eq);
 
   // Bit-exact at whatever iterate a short budget reaches, as for a plain
   // Solve.

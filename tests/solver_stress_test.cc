@@ -98,14 +98,14 @@ TEST(SolverStressTest, DuplicateRowsAreHarmless) {
   ConstraintSystem doubled(grid.problem.num_vars);
   // Reconstruct the same constraints twice.
   for (int round = 0; round < 2; ++round) {
-    const auto& m = grid.problem.eq;
+    const auto& m = grid.problem.a;
     for (size_t r = 0; r < m.rows(); ++r) {
       LinearConstraint c;
       for (size_t k = m.row_offsets()[r]; k < m.row_offsets()[r + 1]; ++k) {
         c.vars.push_back(m.col_indices()[k]);
         c.coefs.push_back(m.values()[k]);
       }
-      c.rhs = grid.problem.eq_rhs[r];
+      c.rhs = grid.problem.rhs[r];
       doubled.Add(std::move(c));
     }
   }
