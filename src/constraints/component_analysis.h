@@ -4,45 +4,14 @@
 #ifndef PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
 #define PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
-#include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 
 namespace pme::constraints {
-
-/// Minimal union-find with path halving and union by size.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n), size_(n, 1) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-
-  uint32_t Find(uint32_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];  // path halving
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void Union(uint32_t a, uint32_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
-  }
-
- private:
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> size_;
-};
 
 /// Connected-component analysis of the bucket coupling graph.
 ///
@@ -95,14 +64,6 @@ class ComponentAnalysis {
   std::vector<uint32_t> bucket_component_;  // size num_buckets
   size_t num_coupled_ = 0;
 };
-
-/// Content signature of one constraint row: relation, bound, and the
-/// sorted (variable, coefficient) support with zero coefficients dropped
-/// and duplicate variables summed. Label and source are excluded — two
-/// rows with identical content constrain the solve identically. The
-/// digest is stable across runs and platforms (see common/hash.h), which
-/// is what lets a solution cached in one process serve another.
-Hash128 ConstraintRowSignature(const LinearConstraint& constraint);
 
 }  // namespace pme::constraints
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "knowledge/knowledge_base.h"
 
 namespace pme::constraints {
@@ -54,6 +55,14 @@ struct LinearConstraint {
   /// for callers that evaluate the row over a slice of the variables.
   double ViolationAt(double lhs) const;
 };
+
+/// Content signature of one constraint row: relation, bound, and the
+/// sorted (variable, coefficient) support with zero coefficients dropped
+/// and duplicate variables summed. Label and source are excluded — two
+/// rows with identical content constrain the solve identically. The
+/// digest is stable across runs and platforms (see common/hash.h), which
+/// is what lets a solution cached in one process serve another.
+Hash128 ConstraintRowSignature(const LinearConstraint& constraint);
 
 }  // namespace pme::constraints
 

@@ -22,8 +22,6 @@ std::vector<LinearConstraint> GenerateInvariants(
       c.source = ConstraintSource::kQiInvariant;
       c.rel = Relation::kEq;
       c.rhs = table.ProbQB(qis[qi_rank], b);
-      c.label = "QI " + table.QiName(qis[qi_rank]) + " in b" +
-                std::to_string(b + 1);
       c.vars.reserve(h);
       c.coefs.assign(h, 1.0);
       for (uint32_t sa_rank = 0; sa_rank < h; ++sa_rank) {
@@ -41,8 +39,6 @@ std::vector<LinearConstraint> GenerateInvariants(
       c.source = ConstraintSource::kSaInvariant;
       c.rel = Relation::kEq;
       c.rhs = table.ProbSB(sas[sa_rank], b);
-      c.label = "SA " + table.SaName(sas[sa_rank]) + " in b" +
-                std::to_string(b + 1);
       c.vars.reserve(qis.size());
       c.coefs.assign(qis.size(), 1.0);
       for (uint32_t qi_rank = 0; qi_rank < qis.size(); ++qi_rank) {

@@ -27,6 +27,8 @@ struct InvariantOptions {
 /// bucket: QI-invariant equations (Eq. 4) and SA-invariant equations
 /// (Eq. 5). Zero-invariant equations (Eq. 6) are structural — the
 /// TermIndex never materializes those terms — so none are emitted.
+/// Rows come bucket by bucket, QI rows before SA rows, and carry no
+/// label: a row is named by its source, its bucket and its position.
 std::vector<LinearConstraint> GenerateInvariants(
     const anonymize::BucketizedTable& table, const TermIndex& index,
     const InvariantOptions& options = {});

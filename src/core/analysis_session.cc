@@ -40,11 +40,12 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
   {
     trace::TraceSpan compile_span("compile", "session");
     PME_ASSIGN_OR_RETURN(
-        compiled, constraints::CompileKnowledge(kb, artifact.table(), index,
-                                                artifact.qi_encoder(),
-                                                &artifact.qi_postings()));
+        compiled, constraints::CompileKnowledge(
+                      kb, artifact.table(), index, artifact.qi_encoder(),
+                      &artifact.qi_postings(), &artifact.term_memo()));
     compile_span.AddArg("constraints",
                         static_cast<double>(compiled.constraints.size()));
+    compile_span.AddArg("memo_hits", static_cast<double>(compiled.memo_hits));
   }
 
   AnalysisOptions run_options = options;
@@ -64,7 +65,7 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
         index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
         compiled.constraints, !run_options.use_decomposition);
     plan.ConsultCache(run_options.solver_options);
-    plan_span.AddArg("blocks", static_cast<double>(plan.blocks().size()));
+    plan_span.AddArg("rows_hashed", static_cast<double>(plan.rows_hashed()));
     plan_span.AddArg("warm_withheld",
                      static_cast<double>(plan.warm_withheld()));
   }

@@ -16,13 +16,14 @@ namespace pme::core {
 /// The per-request half of an analysis: everything that depends on the
 /// adversary's knowledge. A session borrows (shares) an immutable
 /// TableArtifact and, per Run, compiles only the background-knowledge
-/// rows, plans the blocks they couple (maxent::BlockPlan, pulling just
-/// those buckets' invariant rows from the artifact), and solves — with
-/// whatever deadline/cancellation/cache plumbing the options carry. On
-/// the decomposed path the result is an overlay on the artifact's prior:
-/// the solver result holds the coupled blocks' slices and the posterior
-/// holds the rows of their QI instances, so a request costs what its
-/// coupled buckets cost, not what the table costs.
+/// rows (through the artifact's statement-term memo), plans the blocks
+/// they couple (maxent::BlockPlan, pulling just those buckets' invariant
+/// rows and their precomputed signatures from the artifact), and solves
+/// — with whatever deadline/cancellation/cache plumbing the options
+/// carry. On the decomposed path the result is an overlay on the
+/// artifact's prior: the solver result holds the coupled blocks' slices
+/// and the posterior holds the rows of their QI instances, so a request
+/// costs what its coupled buckets cost, not what the table costs.
 ///
 /// Sessions hold no mutable state: Run is const, and any number of
 /// sessions (or concurrent Run calls on one session) may share a single

@@ -37,7 +37,8 @@ struct TableArtifactOptions {
 ///     table came from a concrete dataset),
 ///   - the TermIndex materializing the variable space,
 ///   - the compiled invariant constraint rows (Section 5), indexed by
-///     the one bucket each row lives in,
+///     the one bucket each row lives in, with their content signatures
+///     and a per-bucket digest of them for the solution-cache keys,
 ///   - posting lists over the interned QI tuples, for matching a
 ///     statement's Qv without scanning every tuple,
 ///   - the Theorem-5 closed-form prior, its posterior and their per-q
@@ -45,9 +46,15 @@ struct TableArtifactOptions {
 ///   - a content hash, used as the SolutionCache namespace so one cache
 ///     can serve many artifacts without cross-table collisions.
 ///
-/// Artifacts are held by shared_ptr and deeply immutable after Build:
-/// any number of AnalysisSessions on any number of threads may read one
-/// concurrently.
+/// Artifacts are held by shared_ptr and immutable after Build, with one
+/// mutable member: the statement-term memo (constraints::
+/// StatementTermMemo). It caches, per canonical statement key (Qv and
+/// S-set), the variables of the statement's compiled row and P(Qv) —
+/// facts of this table alone — so a repeated or toggled statement
+/// compiles without matching Qv again. It is bounded by
+/// StatementTermMemo::kByteBudget (32 MiB, LRU) and internally locked;
+/// any number of AnalysisSessions on any number of threads may use one
+/// artifact concurrently, and all of them share its memo.
 class TableArtifact {
  public:
   /// Builds an artifact that shares ownership of `table` (and
@@ -80,6 +87,9 @@ class TableArtifact {
   }
   /// Posting lists over qi_encoder()'s tuples; empty without an encoder.
   const constraints::QiPostings& qi_postings() const { return qi_postings_; }
+  /// The statement-term memo every request on this artifact compiles
+  /// through (see the class comment).
+  constraints::StatementTermMemo& term_memo() const { return term_memo_; }
   /// Precomputed per-bucket empirical conditional P(S | Q) — knowledge-
   /// independent, so requests share one copy instead of rebuilding it.
   const PosteriorTable& ground_truth() const { return ground_truth_; }
@@ -124,6 +134,7 @@ class TableArtifact {
   std::vector<constraints::LinearConstraint> invariants_;
   maxent::BucketRowIndex invariant_rows_by_bucket_;
   constraints::QiPostings qi_postings_;
+  mutable constraints::StatementTermMemo term_memo_;
   PosteriorTable ground_truth_;
   std::vector<double> closed_form_prior_;
   double closed_form_prior_entropy_ = 0.0;

@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "constraints/component_analysis.h"
+#include "common/union_find.h"
 #include "maxent/problem.h"
 
 namespace pme::maxent {
@@ -78,8 +78,15 @@ Result<BucketRowIndex> BucketRowIndex::Build(
     const std::vector<LinearConstraint>& rows) {
   BucketRowIndex out;
   out.offsets.assign(index.num_buckets() + 1, 0);
+  out.sigs.reserve(rows.size());
   int64_t previous = 0;
-  for (const LinearConstraint& c : rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const LinearConstraint& c = rows[r];
+    const auto row = [r] { return "table row " + std::to_string(r); };
+    // A block's table rows must lead its stacked row list.
+    if (c.rel != constraints::Relation::kEq) {
+      return Status::InvalidArgument(row() + " is not an equality");
+    }
     int64_t bucket = -1;
     std::pair<uint32_t, uint32_t> range;  // the bucket's variables
     for (size_t i = 0; i < c.vars.size(); ++i) {
@@ -88,23 +95,33 @@ Result<BucketRowIndex> BucketRowIndex::Build(
         bucket = index.TermOf(c.vars[i]).bucket;
         range = index.BucketRange(static_cast<uint32_t>(bucket));
       } else if (c.vars[i] < range.first || c.vars[i] >= range.second) {
-        return Status::InvalidArgument("table row '" + c.label +
-                                       "' spans more than one bucket");
+        return Status::InvalidArgument(row() + " (bucket " +
+                                       std::to_string(bucket) +
+                                       ") spans more than one bucket");
       }
     }
     if (bucket < 0) {
-      return Status::InvalidArgument("table row '" + c.label +
-                                     "' has no supported variable");
+      return Status::InvalidArgument(row() + " has no supported variable");
     }
     if (bucket < previous) {
-      return Status::InvalidArgument("table row '" + c.label +
-                                     "' is out of bucket order");
+      return Status::InvalidArgument(row() + " (bucket " +
+                                     std::to_string(bucket) +
+                                     ") is out of bucket order");
     }
     previous = bucket;
     ++out.offsets[static_cast<size_t>(bucket) + 1];
+    out.sigs.push_back(constraints::ConstraintRowSignature(c));
   }
+  out.digests.reserve(index.num_buckets());
   for (size_t b = 0; b < index.num_buckets(); ++b) {
     out.offsets[b + 1] += out.offsets[b];
+    Hasher128 h;
+    h.Update(std::string_view("pme.bucketrows.v1"));
+    h.Update(static_cast<uint64_t>(out.offsets[b + 1] - out.offsets[b]));
+    for (uint32_t r = out.offsets[b]; r < out.offsets[b + 1]; ++r) {
+      h.Update(out.sigs[r]);
+    }
+    out.digests.push_back(h.Finish());
   }
   return out;
 }
@@ -116,6 +133,7 @@ BlockPlan BlockPlan::Build(
     const std::vector<LinearConstraint>& request_rows, bool one_block) {
   BlockPlan plan;
   plan.index_ = &index;
+  if (table_rows != nullptr) plan.bucket_rows_ = bucket_rows;
 
   // The buckets the request rows touch (every bucket for one block);
   // local id = rank among them.
@@ -140,7 +158,7 @@ BlockPlan BlockPlan::Build(
   // Union every bucket a row supports into one component. Rows beyond
   // the structural invariants (knowledge, but also ad-hoc rows)
   // invalidate the closed form for their component.
-  constraints::UnionFind uf(touched.size());
+  UnionFind uf(touched.size());
   std::vector<uint8_t> coupled(touched.size(), one_block ? 1 : 0);
   for (uint32_t l = 1; one_block && l < touched.size(); ++l) uf.Union(0, l);
   for (const LinearConstraint& c : request_rows) {
@@ -225,12 +243,24 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
   SolutionCache* const cache = options.solution_cache;
   if (cache == nullptr || options.cache_mode == CacheMode::kOff) return;
   cache_enabled_ = true;
+  std::vector<Hash128> request_sigs;
   std::vector<Hash128> sorted;
   for (PlanBlock& block : blocks_) {
-    block.row_sigs.reserve(block.rows.size());
-    for (const LinearConstraint* c : block.rows) {
-      block.row_sigs.push_back(constraints::ConstraintRowSignature(*c));
+    // The block's table rows lead its row list, bucket by bucket (they
+    // are all equalities); the request rows follow.
+    size_t num_table_rows = 0;
+    if (bucket_rows_ != nullptr) {
+      for (const uint32_t b : block.buckets) {
+        num_table_rows +=
+            bucket_rows_->offsets[b + 1] - bucket_rows_->offsets[b];
+      }
     }
+    request_sigs.clear();
+    for (size_t j = num_table_rows; j < block.rows.size(); ++j) {
+      request_sigs.push_back(
+          constraints::ConstraintRowSignature(*block.rows[j]));
+    }
+    rows_hashed_ += request_sigs.size();
 
     Hasher128 vars;
     vars.Update(std::string_view("pme.vars.v1"));
@@ -244,13 +274,22 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
     }
     block.vars_hash = vars.Finish();
 
-    // Sorted so the digest is independent of row order, which the
-    // solution is too.
-    sorted = block.row_sigs;
-    std::sort(sorted.begin(), sorted.end());
+    // The table rows enter by their buckets' digests, in bucket order;
+    // the request rows are sorted so the digest is independent of their
+    // order, which the solution is too.
     Hasher128 rows;
-    rows.Update(std::string_view("pme.rows.v1"));
+    rows.Update(std::string_view("pme.rows.v2"));
     rows.Update(block.vars_hash);
+    if (bucket_rows_ != nullptr) {
+      rows.Update(static_cast<uint64_t>(block.buckets.size()));
+      for (const uint32_t b : block.buckets) {
+        rows.Update(bucket_rows_->digests[b]);
+      }
+    } else {
+      rows.Update(uint64_t{0});
+    }
+    sorted = request_sigs;
+    std::sort(sorted.begin(), sorted.end());
     rows.Update(static_cast<uint64_t>(sorted.size()));
     for (const Hash128& sig : sorted) rows.Update(sig);
     block.rows_hash = rows.Finish();
@@ -264,6 +303,19 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
       continue;
     }
     ++cache_misses_;
+    // The warm lookup and the insertion after the solve match rows by
+    // signature: gather the table rows' and append the request rows'.
+    block.row_sigs.reserve(block.rows.size());
+    if (bucket_rows_ != nullptr) {
+      for (const uint32_t b : block.buckets) {
+        block.row_sigs.insert(
+            block.row_sigs.end(),
+            bucket_rows_->sigs.begin() + bucket_rows_->offsets[b],
+            bucket_rows_->sigs.begin() + bucket_rows_->offsets[b + 1]);
+      }
+    }
+    block.row_sigs.insert(block.row_sigs.end(), request_sigs.begin(),
+                          request_sigs.end());
     if (options.cache_mode != CacheMode::kWarm) continue;
     if (static_cast<double>(block.cols.size()) >
         kDominantBlockFraction *

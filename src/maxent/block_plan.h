@@ -23,12 +23,19 @@ namespace pme::maxent {
 /// bucket b are [offsets[b], offsets[b+1]). Invariant rows (Eqs. 4-5)
 /// never span buckets and are generated bucket by bucket, so a request
 /// takes the rows of its coupled buckets from here instead of scanning
-/// all of them.
+/// all of them. The rows' content signatures are computed here, once per
+/// table, so a block's cache key costs one digest per bucket instead of
+/// a hash of every table row it holds.
 struct BucketRowIndex {
   std::vector<uint32_t> offsets;  // num_buckets + 1
+  /// constraints::ConstraintRowSignature of each row, in row order.
+  std::vector<Hash128> sigs;
+  /// Per bucket: the digest of its rows' count and signatures, in row
+  /// order.
+  std::vector<Hash128> digests;
 
-  /// Errors when a row has no supported variable, spans two buckets, or
-  /// lies in a lower bucket than the row before it.
+  /// Errors when a row is not an equality, has no supported variable,
+  /// spans two buckets, or lies in a lower bucket than the row before it.
   static Result<BucketRowIndex> Build(
       const constraints::TermIndex& index,
       const std::vector<constraints::LinearConstraint>& rows);
@@ -50,14 +57,16 @@ struct PlanBlock {
   size_t num_eq = 0;
 
   // Filled by BlockPlan::ConsultCache when a solution cache is on.
-  /// Content signatures aligned with `rows`.
+  /// Content signatures aligned with `rows`; filled on a cache miss only,
+  /// for the warm lookup and the insertion after the solve.
   std::vector<Hash128> row_sigs;
   /// Variable-structure digest (bucket ids and their variable counts,
   /// plus an index-shape guard): equal vars_hash ⇒ identical column
   /// layout, so a cached dual means the same thing.
   Hash128 vars_hash;
-  /// vars_hash plus the sorted multiset of row signatures: equal
-  /// rows_hash ⇒ identical block problem.
+  /// vars_hash, the table-row digest of each bucket in bucket order
+  /// (BucketRowIndex::digests), and the sorted multiset of the request
+  /// rows' signatures: equal rows_hash ⇒ identical block problem.
   Hash128 rows_hash;
   /// Cache keys: the digests above under the solve knobs and namespace.
   Hash128 exact_key;
@@ -115,9 +124,11 @@ class BlockPlan {
     return Build(index, nullptr, nullptr, system.constraints());
   }
 
-  /// Computes every block's row signatures and cache keys and looks each
-  /// block up in options.solution_cache — serially, in block order, so
-  /// the census is the same for any thread count. A dominant block (see
+  /// Computes every block's cache keys and looks each block up in
+  /// options.solution_cache — serially, in block order, so the census is
+  /// the same for any thread count. Only request rows are hashed; table
+  /// rows enter through their buckets' precomputed digests. A missed
+  /// block also gathers its row signatures. A dominant block (see
   /// kDominantBlockFraction) skips the warm lookup. No-op when the cache
   /// is off.
   void ConsultCache(const SolverOptions& options);
@@ -153,9 +164,14 @@ class BlockPlan {
   size_t cache_misses() const { return cache_misses_; }
   /// Missed dominant blocks that were not offered a warm start.
   size_t warm_withheld() const { return warm_withheld_; }
+  /// Rows whose signature ConsultCache computed: the blocks' request
+  /// rows. Table rows are never rehashed.
+  size_t rows_hashed() const { return rows_hashed_; }
 
  private:
   const constraints::TermIndex* index_ = nullptr;
+  // The index of the table rows; null when the plan has none.
+  const BucketRowIndex* bucket_rows_ = nullptr;
   std::vector<PlanBlock> blocks_;
   std::vector<const constraints::LinearConstraint*> unsupported_rows_;
   // The coupled buckets. The k-th (ascending) lies in block
@@ -169,6 +185,7 @@ class BlockPlan {
   size_t cache_warm_hits_ = 0;
   size_t cache_misses_ = 0;
   size_t warm_withheld_ = 0;
+  size_t rows_hashed_ = 0;
 };
 
 }  // namespace pme::maxent

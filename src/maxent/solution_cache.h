@@ -18,9 +18,9 @@
 namespace pme::maxent {
 
 /// One cached coupled-component solution, content-addressed by the
-/// component's rows digest (each row hashed by
-/// constraints::ConstraintRowSignature, combined per block by
-/// BlockPlan::ConsultCache). Everything needed to either scatter the
+/// component's rows digest (BlockPlan::ConsultCache: the request rows'
+/// constraints::ConstraintRowSignature values plus the table rows'
+/// per-bucket digests). Everything needed to either scatter the
 /// answer without solving (exact hit) or to warm-start a changed
 /// component from its old dual (near miss):
 ///

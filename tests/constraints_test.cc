@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
+#include "common/hash.h"
+#include "common/metrics.h"
 #include "constraints/assignment.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
@@ -96,8 +99,10 @@ TEST(InvariantsTest, PaperQiInvariantExample) {
   auto invariants = GenerateInvariants(t, index);
   bool found = false;
   for (const auto& c : invariants) {
+    // The QI row of q1 in bucket 1: every term is P(q1, ·, b1).
     if (c.source != ConstraintSource::kQiInvariant) continue;
-    if (c.label != "QI q1 in b1") continue;
+    const Term& term = index.TermOf(c.vars.front());
+    if (term.bucket != 0 || term.qi != kQ1) continue;
     found = true;
     EXPECT_DOUBLE_EQ(c.rhs, 0.2);
     ASSERT_EQ(c.vars.size(), 3u);
@@ -117,8 +122,10 @@ TEST(InvariantsTest, PaperSaInvariantExample) {
   auto invariants = GenerateInvariants(t, index);
   bool found = false;
   for (const auto& c : invariants) {
+    // The SA row of s4 in bucket 2: every term is P(·, s4, b2).
     if (c.source != ConstraintSource::kSaInvariant) continue;
-    if (c.label != "SA s4 in b2") continue;
+    const Term& term = index.TermOf(c.vars.front());
+    if (term.bucket != 1 || term.sa != kS4) continue;
     found = true;
     EXPECT_DOUBLE_EQ(c.rhs, 0.1);
     std::vector<uint32_t> sorted_vars = c.vars;
@@ -358,6 +365,21 @@ TEST(BkCompilerTest, IndexedMatchEqualsLinearScan) {
   absent.values = {2, 40};
   EXPECT_TRUE(MatchQiInstances(absent, encoder, postings).value().empty());
 
+  // The empty Qv matches every tuple; a repeated attribute keeps the
+  // tuples carrying both of its values.
+  const knowledge::ConditionalStatement empty;
+  EXPECT_EQ(MatchQiInstances(empty, encoder, postings).value(),
+            ScanQiInstances(empty, encoder));
+  EXPECT_EQ(MatchQiInstances(empty, encoder, postings).value().size(),
+            encoder.size());
+  for (const uint32_t second : {2u, 3u}) {
+    knowledge::ConditionalStatement repeated;
+    repeated.attrs = {4, 1, 4};
+    repeated.values = {2, 1, second};
+    EXPECT_EQ(MatchQiInstances(repeated, encoder, postings).value(),
+              ScanQiInstances(repeated, encoder));
+  }
+
   knowledge::ConditionalStatement not_qi;
   not_qi.attrs = {3, 5};
   not_qi.values = {0, 0};
@@ -366,6 +388,66 @@ TEST(BkCompilerTest, IndexedMatchEqualsLinearScan) {
   EXPECT_EQ(error.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(error.status().message().find("not a quasi-identifier"),
             std::string::npos);
+}
+
+// The memo keeps its resident bytes within its budget: least recently
+// used entries go first, an entry larger than the whole budget is not
+// kept, and a handed-out entry outlives its eviction. The process-wide
+// compile.memo_bytes gauge follows the resident bytes and gets them back
+// when the memo goes.
+TEST(StatementTermMemoTest, ResidentBytesStayWithinTheBudget) {
+  const auto terms = [](size_t num_vars) {
+    auto t = std::make_shared<StatementTerms>();
+    t->vars.assign(num_vars, 7u);
+    t->prob_qv = 0.25;
+    return std::shared_ptr<const StatementTerms>(std::move(t));
+  };
+  const auto key = [](uint64_t i) {
+    Hasher128 h;
+    h.Update(i);
+    return h.Finish();
+  };
+  const metrics::Gauge& gauge =
+      metrics::Registry::Global().GetGauge("compile.memo_bytes");
+  const int64_t gauge_before = gauge.Value();
+  {
+    constexpr size_t kBudget = 4096;
+    StatementTermMemo memo(kBudget);
+    std::mt19937 rng(11);
+    for (uint64_t i = 0; i < 200; ++i) {
+      memo.Insert(key(i), terms(rng() % 300));
+      EXPECT_LE(memo.resident_bytes(), kBudget) << i;
+      EXPECT_EQ(gauge.Value() - gauge_before,
+                static_cast<int64_t>(memo.resident_bytes()));
+    }
+    EXPECT_GT(memo.size(), 1u);
+
+    const auto huge = terms(kBudget);
+    memo.Insert(key(1000), huge);
+    EXPECT_EQ(memo.Find(key(1000)), nullptr);
+    EXPECT_EQ(huge->vars.size(), kBudget);
+    EXPECT_LE(memo.resident_bytes(), kBudget);
+
+    // Re-inserting a key replaces its entry and recharges its bytes.
+    memo.Insert(key(2000), terms(10));
+    const size_t with_small = memo.resident_bytes();
+    memo.Insert(key(2000), terms(20));
+    EXPECT_LE(memo.resident_bytes(), with_small + 20 * sizeof(uint32_t));
+    EXPECT_EQ(memo.Find(key(2000))->vars.size(), 20u);
+  }
+  EXPECT_EQ(gauge.Value(), gauge_before);
+
+  // Room for three entries: a lookup refreshes the oldest one, so the
+  // next insertion evicts the second oldest instead.
+  StatementTermMemo lru(3 * StatementTermMemo::EntryBytes(*terms(10)));
+  for (uint64_t i = 0; i < 3; ++i) lru.Insert(key(i), terms(10));
+  ASSERT_EQ(lru.size(), 3u);
+  ASSERT_NE(lru.Find(key(0)), nullptr);
+  lru.Insert(key(3), terms(10));
+  EXPECT_NE(lru.Find(key(0)), nullptr);
+  EXPECT_EQ(lru.Find(key(1)), nullptr);
+  EXPECT_NE(lru.Find(key(2)), nullptr);
+  EXPECT_NE(lru.Find(key(3)), nullptr);
 }
 
 TEST(BkCompilerTest, AbstractSection55Example) {

@@ -304,6 +304,48 @@ TEST_F(ServeEndToEndTest, TraceFlagAttachesSpanBreakdown) {
   EXPECT_EQ(Parse(plain.value()).Find("trace"), nullptr);
 }
 
+// Every connection compiles through the one artifact's statement-term
+// memo: an exact repeat of a request, on another connection, adds no
+// memo miss. The stats verb carries the memo's counters and gauge.
+TEST_F(ServeEndToEndTest, ExactRepeatRequestAddsNoMemoMiss) {
+  const auto memo_stats = [] {
+    auto client = Connect();
+    const auto reply = client.Call(R"({"id":"ms","verb":"stats"})");
+    EXPECT_TRUE(reply.ok());
+    return Parse(reply.value());
+  };
+  const auto counter = [](const JsonValue& json, const char* name) {
+    const JsonValue* value = json.Find("stats")->Find("counters")->Find(name);
+    return value == nullptr ? 0.0 : value->number_value;
+  };
+  const std::string request = R"({"id":"memo","knowledge":[")" +
+                              Statement(5) + R"(",")" + Statement(6) +
+                              R"("]})";
+  {
+    auto client = Connect();
+    const auto first = client.Call(request);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(Parse(first.value()).Find("ok")->bool_value);
+  }
+  const JsonValue before = memo_stats();
+  {
+    auto client = Connect();
+    const auto repeat = client.Call(request);
+    ASSERT_TRUE(repeat.ok());
+    ASSERT_TRUE(Parse(repeat.value()).Find("ok")->bool_value);
+  }
+  const JsonValue after = memo_stats();
+  EXPECT_EQ(counter(after, "compile.memo_misses"),
+            counter(before, "compile.memo_misses"));
+  EXPECT_EQ(counter(after, "compile.memo_hits") -
+                counter(before, "compile.memo_hits"),
+            2.0);
+  const JsonValue* bytes =
+      after.Find("stats")->Find("gauges")->Find("compile.memo_bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_GT(bytes->number_value, 0.0);
+}
+
 TEST_F(ServeEndToEndTest, UnknownVerbIsAnError) {
   auto client = Connect();
   const auto reply = client.Call(R"({"id":"v","verb":"shutdown"})");

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -22,7 +23,9 @@
 
 #include "common/hash.h"
 #include "common/math_util.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/component_analysis.h"
 #include "constraints/system.h"
@@ -273,7 +276,9 @@ TEST_F(SessionTest, ContentHashCoversInvariantOptions) {
 // over the whole concatenated system, every row routed to the block of
 // its first supported variable (in the stacked layout: a pass over the
 // equality rows, then one over the others), and each block's variable
-// and row digests computed straight from that routing.
+// and row digests computed straight from that routing: the invariant
+// rows enter as one digest per bucket, the knowledge rows as their
+// sorted signatures.
 struct ReferenceBlock {
   std::vector<uint32_t> buckets;
   size_t num_variables = 0;
@@ -309,32 +314,47 @@ std::vector<ReferenceBlock> ReferencePlan(
     block.vars_hash = h.Finish();
     blocks.push_back(std::move(block));
   }
-  std::vector<std::vector<Hash128>> sigs(blocks.size());
+  std::vector<std::vector<Hash128>> knowledge_sigs(blocks.size());
+  std::vector<std::vector<Hash128>> invariant_sigs(index.num_buckets());
   for (const bool equalities : {true, false}) {
     for (const auto& c : system.constraints()) {
       if ((c.rel == knowledge::Relation::kEq) != equalities) continue;
       int64_t block = -1;
+      uint32_t bucket = 0;
       for (size_t i = 0; i < c.vars.size(); ++i) {
         if (c.coefs[i] == 0.0) continue;
-        block =
-            block_of[analysis.ComponentOf(index.TermOf(c.vars[i]).bucket)];
+        bucket = index.TermOf(c.vars[i]).bucket;
+        block = block_of[analysis.ComponentOf(bucket)];
         break;
       }
       if (block < 0) continue;
       ReferenceBlock& ref = blocks[static_cast<size_t>(block)];
       ref.rows.push_back(&c);
       if (equalities) ++ref.num_eq;
-      sigs[static_cast<size_t>(block)].push_back(
-          constraints::ConstraintRowSignature(c));
+      const Hash128 sig = constraints::ConstraintRowSignature(c);
+      if (c.source == constraints::ConstraintSource::kQiInvariant ||
+          c.source == constraints::ConstraintSource::kSaInvariant) {
+        invariant_sigs[bucket].push_back(sig);
+      } else {
+        knowledge_sigs[static_cast<size_t>(block)].push_back(sig);
+      }
     }
   }
   for (size_t i = 0; i < blocks.size(); ++i) {
-    std::sort(sigs[i].begin(), sigs[i].end());
     Hasher128 h;
-    h.Update(std::string_view("pme.rows.v1"));
+    h.Update(std::string_view("pme.rows.v2"));
     h.Update(blocks[i].vars_hash);
-    h.Update(static_cast<uint64_t>(sigs[i].size()));
-    for (const Hash128& sig : sigs[i]) h.Update(sig);
+    h.Update(static_cast<uint64_t>(blocks[i].buckets.size()));
+    for (const uint32_t b : blocks[i].buckets) {
+      Hasher128 bucket;
+      bucket.Update(std::string_view("pme.bucketrows.v1"));
+      bucket.Update(static_cast<uint64_t>(invariant_sigs[b].size()));
+      for (const Hash128& sig : invariant_sigs[b]) bucket.Update(sig);
+      h.Update(bucket.Finish());
+    }
+    std::sort(knowledge_sigs[i].begin(), knowledge_sigs[i].end());
+    h.Update(static_cast<uint64_t>(knowledge_sigs[i].size()));
+    for (const Hash128& sig : knowledge_sigs[i]) h.Update(sig);
     blocks[i].rows_hash = h.Finish();
   }
   return blocks;
@@ -663,6 +683,253 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
             metrics.expected_best_guess);
   EXPECT_EQ(analysis.metrics.min_effective_candidates,
             metrics.min_effective_candidates);
+}
+
+
+// ---------------------------------------------------- statement-term memo
+
+// Random statements over the fixture's table: dataset-mode Qv of 0–3 QI
+// attributes (a code one past the dictionary is absent from the table),
+// abstract-mode QI instances, S-sets with repeated codes, probability 0
+// now and then, and all three relations. A statement whose terms are
+// all structurally zero is made a <= row, so the knowledge base
+// compiles; the infeasible case has its own test.
+knowledge::KnowledgeBase RandomKb(const TableArtifact& artifact,
+                                  const data::Schema& schema,
+                                  std::mt19937& rng, size_t n) {
+  const data::TupleEncoder& encoder = *artifact.qi_encoder();
+  const uint32_t num_sa = artifact.table().num_sa_values();
+  constexpr knowledge::Relation kRelations[] = {
+      knowledge::Relation::kEq, knowledge::Relation::kLe,
+      knowledge::Relation::kGe};
+  knowledge::KnowledgeBase kb;
+  while (kb.size() < n) {
+    knowledge::ConditionalStatement stmt;
+    if (rng() % 4 == 0) {
+      stmt.abstract_qi =
+          static_cast<uint32_t>(rng() % artifact.table().num_qi_values());
+    } else {
+      std::vector<size_t> attrs = encoder.attrs();
+      std::shuffle(attrs.begin(), attrs.end(), rng);
+      attrs.resize(std::min<size_t>(attrs.size(), rng() % 4));
+      for (const size_t attr : attrs) {
+        stmt.attrs.push_back(attr);
+        stmt.values.push_back(static_cast<uint32_t>(
+            rng() % (schema.attribute(attr).dictionary.size() + 1)));
+      }
+    }
+    for (size_t j = 0, m = 1 + rng() % 3; j < m; ++j) {
+      stmt.sa_codes.push_back(static_cast<uint32_t>(rng() % num_sa));
+    }
+    if (rng() % 3 == 0) stmt.sa_codes.push_back(stmt.sa_codes.front());
+    stmt.rel = kRelations[rng() % 3];
+    stmt.probability = rng() % 5 == 0 ? 0.0 : (1 + rng() % 999) / 1000.0;
+    knowledge::KnowledgeBase one;
+    one.Add(stmt);
+    const auto alone = constraints::CompileKnowledge(
+        one, artifact.table(), artifact.index(), artifact.qi_encoder());
+    if (alone.status().code() == StatusCode::kInfeasible) {
+      stmt.rel = knowledge::Relation::kLe;
+    }
+    kb.Add(std::move(stmt));
+  }
+  return kb;
+}
+
+// Same rows, same order, same bits.
+void ExpectIdenticalRows(const constraints::CompiledKnowledge& a,
+                         const constraints::CompiledKnowledge& b) {
+  EXPECT_EQ(a.num_vacuous, b.num_vacuous);
+  ASSERT_EQ(a.constraints.size(), b.constraints.size());
+  for (size_t r = 0; r < a.constraints.size(); ++r) {
+    const constraints::LinearConstraint& x = a.constraints[r];
+    const constraints::LinearConstraint& y = b.constraints[r];
+    EXPECT_EQ(x.vars, y.vars) << "row " << r;
+    EXPECT_EQ(x.coefs, y.coefs) << "row " << r;
+    uint64_t x_bits = 0, y_bits = 0;
+    std::memcpy(&x_bits, &x.rhs, sizeof(x_bits));
+    std::memcpy(&y_bits, &y.rhs, sizeof(y_bits));
+    EXPECT_EQ(x_bits, y_bits) << "row " << r;
+    EXPECT_EQ(x.rel, y.rel) << "row " << r;
+    EXPECT_EQ(x.source, y.source) << "row " << r;
+    EXPECT_EQ(x.label, y.label) << "row " << r;
+  }
+}
+
+// Compiling through a memo — cold, then again with every statement a
+// hit — gives the rows compiling without one gives, for random knowledge.
+TEST_F(SessionTest, MemoCompiledRowsEqualMemoLessRows) {
+  const auto artifact = BuildArtifact();
+  const TableArtifact& a = *artifact;
+  std::mt19937 rng(20261018);
+  constraints::StatementTermMemo memo;
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const knowledge::KnowledgeBase kb =
+        RandomKb(a, pipeline_->dataset.schema(), rng, 1 + rng() % 12);
+    const auto plain =
+        constraints::CompileKnowledge(kb, a.table(), a.index(),
+                                      a.qi_encoder(), &a.qi_postings())
+            .ValueOrDie();
+    const auto first =
+        constraints::CompileKnowledge(kb, a.table(), a.index(),
+                                      a.qi_encoder(), &a.qi_postings(), &memo)
+            .ValueOrDie();
+    ExpectIdenticalRows(plain, first);
+    const auto second =
+        constraints::CompileKnowledge(kb, a.table(), a.index(),
+                                      a.qi_encoder(), &a.qi_postings(), &memo)
+            .ValueOrDie();
+    EXPECT_EQ(second.memo_hits, kb.conditionals().size());
+    ExpectIdenticalRows(plain, second);
+  }
+}
+
+// The memo key leaves out probability and relation: a toggled statement
+// hits and gets its own rhs. A statement over terms that never co-occur
+// is infeasible as an equality whether its terms come from the memo or
+// not, and feasible as a <= row; a statement that cannot be resolved is
+// not memoized.
+TEST_F(SessionTest, ToggledStatementsHitTheMemo) {
+  const auto artifact = BuildArtifact();
+  const TableArtifact& a = *artifact;
+  const auto compile = [&](const knowledge::KnowledgeBase& kb,
+                           constraints::StatementTermMemo* memo) {
+    return constraints::CompileKnowledge(kb, a.table(), a.index(),
+                                         a.qi_encoder(), &a.qi_postings(),
+                                         memo);
+  };
+  constraints::StatementTermMemo memo;
+  const knowledge::KnowledgeBase kb = RuleKb(6, 6);
+  ASSERT_TRUE(compile(kb, &memo).ok());
+  knowledge::KnowledgeBase toggled;
+  for (auto stmt : kb.conditionals()) {
+    stmt.probability *= 0.5;
+    stmt.rel = toggled.size() % 2 == 0 ? knowledge::Relation::kLe
+                                       : knowledge::Relation::kGe;
+    toggled.Add(std::move(stmt));
+  }
+  const auto hit = compile(toggled, &memo).ValueOrDie();
+  EXPECT_EQ(hit.memo_hits, toggled.conditionals().size());
+  ExpectIdenticalRows(compile(toggled, nullptr).ValueOrDie(), hit);
+
+  // An abstract statement about an SA value no bucket of q holds.
+  const uint32_t q = 0;
+  uint32_t absent = 0;
+  while (absent < a.table().num_sa_values()) {
+    bool held = false;
+    for (const uint32_t b : a.table().BucketsWithQi(q)) {
+      held = held || a.index().FindVariable(q, absent, b).has_value();
+    }
+    if (!held) break;
+    ++absent;
+  }
+  ASSERT_LT(absent, a.table().num_sa_values());
+  knowledge::KnowledgeBase zero_support;
+  zero_support.Add(knowledge::AbstractConditional(q, {absent}, 0.4));
+  for (int round = 0; round < 2; ++round) {
+    const auto result = compile(zero_support, &memo);
+    EXPECT_EQ(result.status().code(), StatusCode::kInfeasible) << round;
+    EXPECT_EQ(result.status().message(),
+              compile(zero_support, nullptr).status().message());
+  }
+  knowledge::KnowledgeBase capped;
+  capped.Add(knowledge::AbstractConditional(q, {absent}, 0.4,
+                                            knowledge::Relation::kLe));
+  const auto trivially = compile(capped, &memo).ValueOrDie();
+  EXPECT_EQ(trivially.memo_hits, 1u);
+  EXPECT_TRUE(trivially.constraints.empty());
+
+  const size_t entries = memo.size();
+  knowledge::ConditionalStatement not_qi;
+  not_qi.attrs = {pipeline_->bucketization.sa_attr};
+  not_qi.values = {0};
+  not_qi.sa_codes = {0};
+  not_qi.probability = 0.5;
+  knowledge::KnowledgeBase bad;
+  bad.Add(not_qi);
+  EXPECT_EQ(compile(bad, &memo).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(memo.size(), entries);
+}
+
+// Four threads compiling through one artifact's memo at once get the
+// rows a memo-less compile gives, every time.
+TEST_F(SessionTest, FourThreadsCompileIdenticalRowsThroughOneMemo) {
+  const auto artifact = BuildArtifact();
+  const TableArtifact& a = *artifact;
+  std::mt19937 rng(4);
+  const knowledge::KnowledgeBase kb =
+      RandomKb(a, pipeline_->dataset.schema(), rng, 40);
+  const auto reference =
+      constraints::CompileKnowledge(kb, a.table(), a.index(), a.qi_encoder())
+          .ValueOrDie();
+  constexpr size_t kThreads = 4, kRounds = 3;
+  std::vector<Result<constraints::CompiledKnowledge>> results(
+      kThreads * kRounds, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        results[t * kRounds + round] = constraints::CompileKnowledge(
+            kb, a.table(), a.index(), a.qi_encoder(), &a.qi_postings(),
+            &a.term_memo());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectIdenticalRows(reference, result.value());
+  }
+}
+
+// An exact re-run takes every statement's terms from the artifact's memo
+// (no memo miss), hashes only its knowledge rows — the table rows'
+// signatures came with the artifact — and answers bit-identically.
+TEST_F(SessionTest, ExactReRunHitsTheMemoAndHashesNoTableRow) {
+  const auto artifact = BuildArtifact();
+  const knowledge::KnowledgeBase kb = RuleKb(6, 6);
+  maxent::SolutionCache cache;
+  AnalysisOptions options;
+  options.solver_options.solution_cache = &cache;
+  const AnalysisSession session(artifact, options);
+  const auto cold = session.Run(kb).ValueOrDie();
+
+  const auto& registry = metrics::Registry::Global();
+  const uint64_t misses = registry.CounterValue("compile.memo_misses");
+  const uint64_t trace_id = trace::NewTraceId();
+  trace::RequestCapture capture(trace_id);
+  Result<Analysis> again = Status::Internal("not run");
+  {
+    trace::TraceIdScope scope(trace_id);
+    again = session.Run(kb);
+  }
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(registry.CounterValue("compile.memo_misses"), misses);
+
+  const auto arg = [](const trace::TraceEvent& e, const char* name) {
+    for (int i = 0; i < 2; ++i) {
+      if (e.arg_names[i] != nullptr && std::strcmp(e.arg_names[i], name) == 0) {
+        return e.arg_values[i];
+      }
+    }
+    return -1.0;
+  };
+  double memo_hits = -1.0, rows_hashed = -1.0;
+  for (const trace::TraceEvent& e : capture.TakeEvents()) {
+    if (std::strcmp(e.name, "compile") == 0) memo_hits = arg(e, "memo_hits");
+    if (std::strcmp(e.name, "plan") == 0) rows_hashed = arg(e, "rows_hashed");
+  }
+  EXPECT_EQ(memo_hits, static_cast<double>(kb.conditionals().size()));
+  EXPECT_EQ(rows_hashed,
+            static_cast<double>(again.value().num_background_constraints));
+  EXPECT_LT(rows_hashed, static_cast<double>(artifact->invariants().size()));
+
+  EXPECT_EQ(again.value().solver.cache_misses, 0u);
+  EXPECT_EQ(again.value().solver.iterations, 0u);
+  ExpectSamePosterior(cold.posterior, again.value().posterior);
+  EXPECT_EQ(cold.estimation_accuracy, again.value().estimation_accuracy);
+  EXPECT_EQ(cold.metrics.max_disclosure, again.value().metrics.max_disclosure);
 }
 
 }  // namespace
