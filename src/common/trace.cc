@@ -86,7 +86,7 @@ TraceSpan::TraceSpan(const char* name, const char* category) {
 }
 
 void TraceSpan::AddArg(const char* name, double value) {
-  if (!armed_ || num_args_ >= 2) return;
+  if (!armed_ || num_args_ >= TraceEvent::kMaxArgs) return;
   event_.arg_names[num_args_] = name;
   event_.arg_values[num_args_] = value;
   ++num_args_;
@@ -198,7 +198,7 @@ std::string RenderChromeTrace(const std::vector<TraceEvent>& events) {
       out += "\"trace_id\":" + std::to_string(e.trace_id);
       first_arg = false;
     }
-    for (size_t a = 0; a < 2; ++a) {
+    for (size_t a = 0; a < TraceEvent::kMaxArgs; ++a) {
       if (e.arg_names[a] == nullptr) continue;
       if (!first_arg) out += ",";
       first_arg = false;

@@ -27,9 +27,10 @@ struct TraceEvent {
   uint64_t start_ns = 0;   ///< monotonic, since the process trace epoch
   uint64_t dur_ns = 0;
   uint32_t tid = 0;        ///< small dense thread id
-  /// Up to two numeric args, exported under Chrome trace "args".
-  const char* arg_names[2] = {nullptr, nullptr};
-  double arg_values[2] = {0.0, 0.0};
+  /// Up to kMaxArgs numeric args, exported under Chrome trace "args".
+  static constexpr size_t kMaxArgs = 3;
+  const char* arg_names[kMaxArgs] = {nullptr, nullptr, nullptr};
+  double arg_values[kMaxArgs] = {0.0, 0.0, 0.0};
 };
 
 /// Monotonic nanoseconds since the process trace epoch (first use).
@@ -75,7 +76,8 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches a numeric arg (at most two; extras are dropped).
+  /// Attaches a numeric arg (at most TraceEvent::kMaxArgs; extras are
+  /// dropped).
   void AddArg(const char* name, double value);
 
  private:

@@ -120,10 +120,10 @@ void ScaleScalar(double* v, double s, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i] *= s;
 }
 
-double TwoNormScalar(const double* v, size_t n) {
+double SumSquaresScalar(const double* v, size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) s += v[i] * v[i];
-  return std::sqrt(s);
+  return s;
 }
 
 double InfNormScalar(const double* v, size_t n) {
@@ -460,7 +460,7 @@ PME_TARGET_AVX2 void ScaleAvx2(double* v, double s, size_t n) {
   for (; i < n; ++i) v[i] *= s;
 }
 
-PME_TARGET_AVX2 double TwoNormAvx2(const double* v, size_t n) {
+PME_TARGET_AVX2 double SumSquaresAvx2(const double* v, size_t n) {
   __m256d acc = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -469,7 +469,7 @@ PME_TARGET_AVX2 double TwoNormAvx2(const double* v, size_t n) {
   }
   double sum = Hsum(acc);
   for (; i < n; ++i) sum += v[i] * v[i];
-  return std::sqrt(sum);
+  return sum;
 }
 
 PME_TARGET_AVX2 double InfNormAvx2(const double* v, size_t n) {
@@ -801,7 +801,7 @@ PME_TARGET_AVX512 void ScaleAvx512(double* v, double s, size_t n) {
   }
 }
 
-PME_TARGET_AVX512 double TwoNormAvx512(const double* v, size_t n) {
+PME_TARGET_AVX512 double SumSquaresAvx512(const double* v, size_t n) {
   __m512d acc = _mm512_setzero_pd();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -812,7 +812,7 @@ PME_TARGET_AVX512 double TwoNormAvx512(const double* v, size_t n) {
     const __m512d x = _mm512_maskz_loadu_pd(TailMask(n - i), v + i);
     acc = _mm512_fmadd_pd(x, x, acc);
   }
-  return std::sqrt(_mm512_reduce_add_pd(acc));
+  return _mm512_reduce_add_pd(acc);
 }
 
 PME_TARGET_AVX512 double InfNormAvx512(const double* v, size_t n) {
@@ -862,7 +862,7 @@ struct KernelTable {
   void (*axpy)(double, const double*, double*, size_t);
   void (*scaled_add)(const double*, double, const double*, double*, size_t);
   void (*scale)(double*, double, size_t);
-  double (*two_norm)(const double*, size_t);
+  double (*sum_squares)(const double*, size_t);
   double (*inf_norm)(const double*, size_t);
   double (*max_val)(const double*, size_t);
   const char* isa;
@@ -872,7 +872,7 @@ constexpr KernelTable kScalarTable = {
     ExpM1SumInPlaceScalar, ExpM1ShiftedScalar, SumExpShiftedScalar,
     LnScalar,              NegXLogXSumScalar,  KlDivergenceScalar,
     DotScalar,             AxpyScalar,         ScaledAddScalar,
-    ScaleScalar,           TwoNormScalar,      InfNormScalar,
+    ScaleScalar,           SumSquaresScalar,   InfNormScalar,
     MaxValScalar,          "scalar"};
 
 #if PME_VEC_X86
@@ -880,14 +880,14 @@ constexpr KernelTable kAvx2Table = {
     ExpM1SumInPlaceAvx2, ExpM1ShiftedAvx2, SumExpShiftedAvx2,
     LnAvx2,              NegXLogXSumAvx2,  KlDivergenceAvx2,
     DotAvx2,             AxpyAvx2,         ScaledAddAvx2,
-    ScaleAvx2,           TwoNormAvx2,      InfNormAvx2,
+    ScaleAvx2,           SumSquaresAvx2,   InfNormAvx2,
     MaxValAvx2,          "avx2+fma"};
 
 constexpr KernelTable kAvx512Table = {
     ExpM1SumInPlaceAvx512, ExpM1ShiftedAvx512, SumExpShiftedAvx512,
     LnAvx512,              NegXLogXSumAvx512,  KlDivergenceAvx512,
     DotAvx512,             AxpyAvx512,         ScaledAddAvx512,
-    ScaleAvx512,           TwoNormAvx512,      InfNormAvx512,
+    ScaleAvx512,           SumSquaresAvx512,   InfNormAvx512,
     MaxValAvx512,          "avx512"};
 #endif
 
@@ -1057,7 +1057,11 @@ void ScaledAdd(ConstSpan a, double s, ConstSpan d, Span out) {
 
 void Scale(Span v, double s) { g_active->scale(v.data, s, v.size); }
 
-double TwoNorm(ConstSpan v) { return g_active->two_norm(v.data, v.size); }
+double SumSquares(ConstSpan v) {
+  return g_active->sum_squares(v.data, v.size);
+}
+
+double TwoNorm(ConstSpan v) { return std::sqrt(SumSquares(v)); }
 
 double InfNorm(ConstSpan v) { return g_active->inf_norm(v.data, v.size); }
 

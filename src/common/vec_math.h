@@ -133,7 +133,10 @@ void ScaledAdd(ConstSpan a, double s, ConstSpan d, Span out);
 /// v *= s.
 void Scale(Span v, double s);
 
-/// Euclidean norm.
+/// Σ_i v_i², the square of TwoNorm before its root.
+double SumSquares(ConstSpan v);
+
+/// Euclidean norm: sqrt(SumSquares(v)).
 double TwoNorm(ConstSpan v);
 
 /// max_i |v_i| (0 for empty input).

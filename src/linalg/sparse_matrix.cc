@@ -130,13 +130,20 @@ void SparseMatrix::MultiplyInto(kernels::ConstSpan x, kernels::Span y) const {
 
 void SparseMatrix::MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
                                      kernels::Span y) const {
+  MultiplyMinusRows(x, b, y, 0, rows_);
+}
+
+void SparseMatrix::MultiplyMinusRows(kernels::ConstSpan x, kernels::ConstSpan b,
+                                     kernels::Span y, size_t row_begin,
+                                     size_t row_end) const {
   assert(x.size == cols_);
   assert(b.size == rows_ && y.size == rows_);
+  assert(row_begin <= row_end && row_end <= rows_);
   const size_t* const off = row_offsets_.data();
   const uint32_t* const ci = col_indices_.data();
   const double* const va = values_.data();
   const size_t nnz = values_.size();
-  for (size_t r = 0; r < rows_; ++r) {
+  for (size_t r = row_begin; r < row_end; ++r) {
     y.data[r] = RowDot(ci, va, x.data, off[r], off[r + 1], nnz) - b.data[r];
   }
 }
@@ -167,6 +174,53 @@ void SparseMatrix::TransposeMultiplyInto(kernels::ConstSpan x,
       if (k + kPrefetchDistance < nnz) {
         PrefetchWrite(yd + ci[k + kPrefetchDistance]);
       }
+      yd[ci[k]] += va[k] * xr;
+      yd[ci[k + 1]] += va[k + 1] * xr;
+      yd[ci[k + 2]] += va[k + 2] * xr;
+      yd[ci[k + 3]] += va[k + 3] * xr;
+    }
+    for (; k < end; ++k) yd[ci[k]] += va[k] * xr;
+  }
+}
+
+SparseMatrix::ColumnSlice SparseMatrix::SliceColumns(size_t col_begin,
+                                                     size_t col_end) const {
+  assert(col_begin <= col_end && col_end <= cols_);
+  ColumnSlice slice;
+  slice.col_begin = col_begin;
+  slice.col_end = col_end;
+  slice.rows.reserve(rows_);
+  slice.lo.reserve(rows_);
+  slice.hi.reserve(rows_);
+  const uint32_t* const ci = col_indices_.data();
+  for (size_t r = 0; r < rows_; ++r) {
+    const uint32_t* const first = ci + row_offsets_[r];
+    const uint32_t* const last = ci + row_offsets_[r + 1];
+    const uint32_t* const lo = std::lower_bound(first, last, col_begin);
+    const uint32_t* const hi = std::lower_bound(lo, last, col_end);
+    if (lo == hi) continue;
+    slice.rows.push_back(static_cast<uint32_t>(r));
+    slice.lo.push_back(static_cast<size_t>(lo - ci));
+    slice.hi.push_back(static_cast<size_t>(hi - ci));
+  }
+  return slice;
+}
+
+void SparseMatrix::TransposeMultiplySlice(kernels::ConstSpan x,
+                                          kernels::Span y,
+                                          const ColumnSlice& slice) const {
+  assert(x.size == rows_);
+  assert(y.size == cols_);
+  std::fill(y.data + slice.col_begin, y.data + slice.col_end, 0.0);
+  const uint32_t* const ci = col_indices_.data();
+  const double* const va = values_.data();
+  double* const yd = y.data;
+  for (size_t i = 0; i < slice.rows.size(); ++i) {
+    const double xr = x.data[slice.rows[i]];
+    if (xr == 0.0) continue;
+    size_t k = slice.lo[i];
+    const size_t end = slice.hi[i];
+    for (; k + 4 <= end; k += 4) {
       yd[ci[k]] += va[k] * xr;
       yd[ci[k + 1]] += va[k + 1] * xr;
       yd[ci[k + 2]] += va[k + 2] * xr;

@@ -62,9 +62,36 @@ class SparseMatrix {
   void MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
                          kernels::Span y) const;
 
+  /// Rows [row_begin, row_end) of MultiplyMinusInto, the rest of `y`
+  /// untouched. Each row is the same dot product whichever range it falls
+  /// in, so any split of the rows gives the full pass's bits.
+  void MultiplyMinusRows(kernels::ConstSpan x, kernels::ConstSpan b,
+                         kernels::Span y, size_t row_begin,
+                         size_t row_end) const;
+
   /// y = A^T x into a pre-sized buffer (`x.size == rows()`, `y.size ==
   /// cols()`).
   void TransposeMultiplyInto(kernels::ConstSpan x, kernels::Span y) const;
+
+  /// The entries of columns [col_begin, col_end), as a list of row
+  /// segments: every row with entries in the range, ascending, and the
+  /// offsets [lo, hi) of those entries (rows keep their entries in
+  /// ascending column order, so they are contiguous).
+  struct ColumnSlice {
+    size_t col_begin = 0;
+    size_t col_end = 0;
+    std::vector<uint32_t> rows;
+    std::vector<size_t> lo;
+    std::vector<size_t> hi;
+  };
+  ColumnSlice SliceColumns(size_t col_begin, size_t col_end) const;
+
+  /// Columns [slice.col_begin, slice.col_end) of TransposeMultiplyInto,
+  /// the rest of `y` untouched. Every column accumulates its rows in
+  /// ascending order, as in the whole-matrix pass, so any split of the
+  /// columns into slices gives that pass's bits.
+  void TransposeMultiplySlice(kernels::ConstSpan x, kernels::Span y,
+                              const ColumnSlice& slice) const;
 
   /// Element lookup (O(row nnz)); 0.0 for structural zeros.
   double At(size_t row, size_t col) const;

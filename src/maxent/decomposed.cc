@@ -11,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/math_util.h"
 #include "common/metrics.h"
+#include "common/team.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -237,6 +238,28 @@ Result<SolverResult> SolveDecomposed(
   std::vector<size_t> block_attempts(blocks.size(), 0);
   std::vector<double> block_seconds(blocks.size(), 0.0);
   const size_t threads = ThreadPool::ResolveThreads(options.threads);
+  // Threads per block: one each, except that with fewer blocks to solve
+  // than threads the largest block gets the spare ones as a team — as
+  // many as it has variable chunks to share out. A shared pool (the
+  // serving path) is sized for its concurrent requests, so its blocks
+  // keep one thread each.
+  std::vector<size_t> team_size(blocks.size(), 1);
+  if (options.pool == nullptr) {
+    size_t to_solve = 0;
+    size_t largest = blocks.size();
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      if (blocks[i].cached != nullptr) continue;
+      ++to_solve;
+      if (largest == blocks.size() ||
+          blocks[i].cols.size() > blocks[largest].cols.size()) {
+        largest = i;
+      }
+    }
+    if (to_solve > 0 && to_solve < threads) {
+      team_size[largest] = std::min(threads - to_solve + 1,
+                                    NumChunks(blocks[largest].cols.size()));
+    }
+  }
   // Pool workers carry no ambient trace id of their own; capturing the
   // requester's id here and re-installing it inside the task stitches
   // worker-thread block spans into the request's timeline.
@@ -249,6 +272,7 @@ Result<SolverResult> SolveDecomposed(
         Timer block_timer;
         const PlanBlock& block = blocks[i];
         block_span.AddArg("vars", static_cast<double>(block.cols.size()));
+        block_span.AddArg("team", static_cast<double>(team_size[i]));
         SolverOptions block_options = options;
         if (!block.warm_start.empty()) {
           block_options.warm_start = &block.warm_start;
@@ -275,8 +299,9 @@ Result<SolverResult> SolveDecomposed(
             trace::TraceSpan assemble_span("assemble", "solve");
             PME_ASSIGN_OR_RETURN(sub, AssembleBlock(plan, block));
           }
+          Team team(team_size[i]);
           return SolveWithFallback(sub, kind, block_options,
-                                   &block_attempts[i]);
+                                   &block_attempts[i], &team);
         };
         block_results[i] = solve_block();
         block_seconds[i] = block_timer.ElapsedSeconds();

@@ -4,8 +4,10 @@
 #ifndef PME_MAXENT_DUAL_H_
 #define PME_MAXENT_DUAL_H_
 
+#include <memory>
 #include <vector>
 
+#include "common/team.h"
 #include "linalg/sparse_matrix.h"
 
 namespace pme::maxent {
@@ -38,16 +40,28 @@ struct DualWorkspace {
 /// The same object serves the inequality-extended problem (Kazama–Tsujii):
 /// `a` is a MaxEntProblem's stacked matrix (maxent/problem.h), and the
 /// projected solver keeps the multipliers of its ≤ rows at λ_j ≤ 0.
+///
+/// Not thread-safe: one minimizer drives it, and the team does the rest.
 class DualFunction {
  public:
-  /// `a` (m×n) and the buffer behind `b` (size m) must outlive this
-  /// object.
-  DualFunction(const linalg::SparseMatrix* a, kernels::ConstSpan b);
+  /// `a` (m×n), the buffer behind `b` (size m) and `team` must outlive
+  /// this object; a null `team` means a team of one of its own. Every
+  /// evaluation runs on the team: Aᵀλ as one column slice per member (the
+  /// slices' row segments are found here, once), A·p as one row range
+  /// per member, and the sums over the fixed chunks of common/team.h — so
+  /// every result has the same bits for any team size.
+  DualFunction(const linalg::SparseMatrix* a, kernels::ConstSpan b,
+               Team* team = nullptr);
 
   /// Dual dimension m (number of constraints).
   size_t dim() const { return b_.size; }
   /// Primal dimension n (number of probability terms).
   size_t num_vars() const { return a_->cols(); }
+  /// The team every evaluation runs on; the minimizers run their vector
+  /// algebra on it too.
+  Team& team() const { return *team_; }
+  /// EvaluateInto calls so far (Evaluate and Primal included).
+  size_t evaluations() const { return evaluations_; }
 
   /// Evaluates D(λ). When non-null, `grad` receives ∇D (size m) and `p`
   /// receives the primal iterate p(λ) (size n). Convenience wrapper over
@@ -70,6 +84,19 @@ class DualFunction {
  private:
   const linalg::SparseMatrix* a_;
   kernels::ConstSpan b_;
+  std::unique_ptr<Team> own_team_;  // set when constructed without a team
+  Team* team_;
+  /// Member t scatters slices_[t], the columns of variable chunks
+  /// [col_chunks_[t], col_chunks_[t + 1]) (chunk-aligned, so it also
+  /// takes those chunks' exp-sum), and computes ∇D on rows
+  /// [row_cuts_[t], row_cuts_[t + 1]). Both splits balance nonzeros.
+  std::vector<size_t> col_chunks_;
+  std::vector<linalg::SparseMatrix::ColumnSlice> slices_;
+  std::vector<size_t> row_cuts_;
+  // Per-chunk partials of Σp (variable chunks) and bᵀλ (row chunks).
+  mutable std::vector<double> exp_partials_;
+  mutable std::vector<double> dot_partials_;
+  mutable size_t evaluations_ = 0;
 };
 
 }  // namespace pme::maxent

@@ -1,10 +1,13 @@
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/math_util.h"
+#include "common/team.h"
 #include "common/vec_math.h"
 #include "maxent/solvers_internal.h"
 
@@ -14,18 +17,70 @@ namespace {
 /// LBFGS memory: the number of (s, y) correction pairs kept.
 constexpr size_t kHistory = 10;
 
-/// Armijo backtracking. On success updates (lambda, value, grad) and
-/// returns true. Every probe evaluates through the shared workspace, so
-/// the line search allocates nothing.
+kernels::ConstSpan Slice(const std::vector<double>& v, size_t b, size_t e) {
+  return kernels::ConstSpan(v.data() + b, e - b);
+}
+
+kernels::Span Slice(std::vector<double>& v, size_t b, size_t e) {
+  return kernels::Span(v.data() + b, e - b);
+}
+
+/// One team pass of the two-loop recursion over `direction`, chunk by
+/// chunk: copy `copy_from` in (when non-null), add coef·x (when x is
+/// non-null), scale by `scale`, and return the chunked Dot(dot_with,
+/// direction). Fusing each Axpy with the Dot that follows it saves a
+/// pass over the direction; the arithmetic is the unfused sequence's.
+double FusedPass(Team& team, std::vector<double>& direction,
+                 const std::vector<double>* copy_from, double coef,
+                 const std::vector<double>* x, double scale,
+                 const std::vector<double>& dot_with) {
+  return team.Sum(direction.size(), [&](size_t b, size_t e) {
+    const kernels::Span d = Slice(direction, b, e);
+    if (copy_from != nullptr) {
+      std::memcpy(d.data, copy_from->data() + b, (e - b) * sizeof(double));
+    }
+    if (x != nullptr) kernels::Axpy(coef, Slice(*x, b, e), d);
+    if (scale != 1.0) kernels::Scale(d, scale);
+    return kernels::Dot(Slice(dot_with, b, e), d);
+  });
+}
+
+/// direction = −grad; returns the chunked Σ grad² by `sum_squares`
+/// (kernels::SumSquares) or, otherwise, by kernels::Dot(grad, grad).
+double SteepestDescent(Team& team, const std::vector<double>& grad,
+                       std::vector<double>& direction, bool sum_squares) {
+  return team.Sum(grad.size(), [&](size_t b, size_t e) {
+    for (size_t j = b; j < e; ++j) direction[j] = -grad[j];
+    const kernels::ConstSpan g = Slice(grad, b, e);
+    return sum_squares ? kernels::SumSquares(g) : kernels::Dot(g, g);
+  });
+}
+
+/// Chunked InfNorm: kernels::InfNorm per chunk, maxima in chunk order.
+double TeamInfNorm(Team& team, const std::vector<double>& v) {
+  return team.Max(v.size(), [&](size_t b, size_t e) {
+    return kernels::InfNorm(Slice(v, b, e));
+  });
+}
+
+/// Armijo backtracking. On success updates (lambda, value, grad), leaves
+/// the replaced iterate and gradient in the scratch buffers, and returns
+/// true. Every probe evaluates through the shared workspace, so the line
+/// search allocates nothing.
 bool Backtrack(const DualFunction& dual, const std::vector<double>& direction,
                double dir_dot_grad, double initial_step,
                std::vector<double>* lambda, double* value,
                std::vector<double>* grad, std::vector<double>* scratch_lambda,
-               std::vector<double>* scratch_grad, DualWorkspace* ws) {
+               std::vector<double>* scratch_grad, DualWorkspace* ws,
+               size_t* probes) {
   const double c1 = 1e-4;
   double step = initial_step;
   for (size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
-    kernels::ScaledAdd(*lambda, step, direction, *scratch_lambda);
+    ++*probes;
+    dual.team().ForChunks(lambda->size(), [&](size_t b, size_t e) {
+      kernels::ScaledAdd(Slice(*lambda, b, e), step, Slice(direction, b, e),
+                         Slice(*scratch_lambda, b, e));
+    });
     const double trial_value =
         dual.EvaluateInto(*scratch_lambda, scratch_grad, ws);
     if (std::isfinite(trial_value) &&
@@ -46,6 +101,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
                                   std::vector<double> start,
                                   const SolverOptions& options) {
   const size_t m = dual.dim();
+  Team& team = dual.team();
   DualOutcome out;
   out.lambda = std::move(start);
   if (m == 0) {
@@ -74,12 +130,20 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
     grad.assign(m, std::numeric_limits<double>::quiet_NaN());
   }
 
-  // Correction-pair history for the two-loop recursion.
+  // Correction-pair history for the two-loop recursion, and sᵀy, yᵀy of
+  // the newest pair (the initial Hessian scale).
   std::deque<std::vector<double>> s_hist, y_hist;
   std::deque<double> rho_hist;
+  double newest_sy = 0.0, newest_yy = 0.0;
+  const auto clear_history = [&] {
+    s_hist.clear();
+    y_hist.clear();
+    rho_hist.clear();
+  };
 
+  // After an accepted step the scratch buffers hold the previous iterate
+  // and gradient (Backtrack swaps them out).
   std::vector<double> direction(m), scratch_lambda(m), scratch_grad(m);
-  std::vector<double> prev_lambda(m), prev_grad(m);
   std::vector<double> alpha(kHistory, 0.0);
   // Retired history buffers, recycled so steady state allocates nothing.
   std::vector<double> s_spare, y_spare;
@@ -87,7 +151,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
   bool restarted_after_stall = false;
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    out.grad_inf = InfNorm(grad);
+    out.grad_inf = TeamInfNorm(team, grad);
     if (out.grad_inf <= options.tolerance) {
       out.converged = true;
       out.iterations = iter;
@@ -107,62 +171,66 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       return out;
     }
 
-    // Two-loop recursion: direction = -H_k * grad.
-    direction = grad;
-    for (size_t i = s_hist.size(); i-- > 0;) {
-      alpha[i] = rho_hist[i] * Dot(s_hist[i], direction);
-      Axpy(-alpha[i], y_hist[i], direction);
-    }
-    if (!s_hist.empty()) {
+    // Two-loop recursion: direction = -H_k * grad, one fused team pass
+    // per Axpy-then-Dot. With h pairs:
+    //   direction = grad;  α_i = ρ_i s_iᵀd,  d −= α_i y_i  (i = h-1..0)
+    //   d *= γ = sᵀy / yᵀy of the newest pair
+    //   β_i = ρ_i y_iᵀd,  d += (α_i − β_i) s_i  (i = 0..h-1);  d = −d.
+    const size_t h = s_hist.size();
+    double dir_dot_grad = 0.0;
+    if (h == 0) {
+      dir_dot_grad =
+          FusedPass(team, direction, &grad, 0.0, nullptr, -1.0, grad);
+    } else {
+      alpha[h - 1] = rho_hist[h - 1] * FusedPass(team, direction, &grad, 0.0,
+                                                 nullptr, 1.0, s_hist[h - 1]);
+      for (size_t i = h - 1; i > 0; --i) {
+        alpha[i - 1] =
+            rho_hist[i - 1] * FusedPass(team, direction, nullptr, -alpha[i],
+                                        &y_hist[i], 1.0, s_hist[i - 1]);
+      }
       // Initial Hessian scale gamma = sᵀy / yᵀy (Nocedal's choice).
-      const auto& s = s_hist.back();
-      const auto& y = y_hist.back();
-      const double gamma = Dot(s, y) / Dot(y, y);
-      kernels::Scale(direction, gamma);
+      const double gamma = newest_sy / newest_yy;
+      double beta = rho_hist[0] * FusedPass(team, direction, nullptr,
+                                            -alpha[0], &y_hist[0], gamma,
+                                            y_hist[0]);
+      for (size_t i = 0; i + 1 < h; ++i) {
+        beta = rho_hist[i + 1] * FusedPass(team, direction, nullptr,
+                                           alpha[i] - beta, &s_hist[i], 1.0,
+                                           y_hist[i + 1]);
+      }
+      dir_dot_grad = FusedPass(team, direction, nullptr, alpha[h - 1] - beta,
+                               &s_hist[h - 1], -1.0, grad);
     }
-    for (size_t i = 0; i < s_hist.size(); ++i) {
-      const double beta = rho_hist[i] * Dot(y_hist[i], direction);
-      Axpy(alpha[i] - beta, s_hist[i], direction);
-    }
-    kernels::Scale(direction, -1.0);
 
-    double dir_dot_grad = Dot(direction, grad);
     if (dir_dot_grad >= 0.0) {
       // Stale curvature produced an ascent direction: restart from
       // steepest descent.
-      s_hist.clear();
-      y_hist.clear();
-      rho_hist.clear();
-      for (size_t j = 0; j < m; ++j) direction[j] = -grad[j];
-      dir_dot_grad = -Dot(grad, grad);
+      clear_history();
+      dir_dot_grad = -SteepestDescent(team, grad, direction, false);
     }
 
-    prev_lambda = out.lambda;
-    prev_grad = grad;
     const double prev_value = value;
-
-    bool accepted =
-        Backtrack(dual, direction, dir_dot_grad, 1.0, &out.lambda, &value,
-                  &grad, &scratch_lambda, &scratch_grad, &ws);
+    bool accepted = Backtrack(dual, direction, dir_dot_grad, 1.0, &out.lambda,
+                              &value, &grad, &scratch_lambda, &scratch_grad,
+                              &ws, &out.line_search_probes);
     if (!accepted && !s_hist.empty()) {
       // The quasi-Newton direction may be badly scaled (near-degenerate
       // curvature); drop the memory and retry along the raw gradient with
       // a conservatively normalized first step.
-      s_hist.clear();
-      y_hist.clear();
-      rho_hist.clear();
-      const double gnorm = TwoNorm(grad);
-      for (size_t j = 0; j < m; ++j) direction[j] = -grad[j];
+      clear_history();
+      const double gnorm = std::sqrt(SteepestDescent(team, grad, direction, true));
       accepted = Backtrack(dual, direction, -gnorm * gnorm,
                            1.0 / std::max(1.0, gnorm), &out.lambda, &value,
-                           &grad, &scratch_lambda, &scratch_grad, &ws);
+                           &grad, &scratch_lambda, &scratch_grad, &ws,
+                           &out.line_search_probes);
     }
     if (!accepted) {
       // Even steepest descent cannot improve: the iterate is at numerical
       // precision for this problem.
       out.iterations = iter + 1;
       out.dual_value = value;
-      out.grad_inf = InfNorm(grad);
+      out.grad_inf = TeamInfNorm(team, grad);
       out.converged = out.grad_inf <= options.tolerance;
       return out;
     }
@@ -175,9 +243,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       if (!restarted_after_stall && !s_hist.empty()) {
         restarted_after_stall = true;
         stall.Reset();
-        s_hist.clear();
-        y_hist.clear();
-        rho_hist.clear();
+        clear_history();
         // Skip the history update below: pushing the stalled step's noise
         // (s, y) pair would undo the restart before it begins.
         out.iterations = iter + 1;
@@ -185,25 +251,35 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       }
       out.iterations = iter + 1;
       out.dual_value = value;
-      out.grad_inf = InfNorm(grad);
+      out.grad_inf = TeamInfNorm(team, grad);
       out.converged = out.grad_inf <= options.tolerance;
       return out;
     }
 
-    // Update history with the accepted move, recycling retired buffers.
+    // Update history with the accepted move, recycling retired buffers:
+    // s, y and their sᵀy, ‖s‖², ‖y‖², yᵀy in one team pass.
     std::vector<double> s = std::move(s_spare);
     std::vector<double> y = std::move(y_spare);
     s.resize(m);
     y.resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      s[j] = out.lambda[j] - prev_lambda[j];
-      y[j] = grad[j] - prev_grad[j];
-    }
-    const double sy = Dot(s, y);
-    if (sy > 1e-12 * TwoNorm(s) * TwoNorm(y)) {
+    const auto [sy, s_sq, y_sq, yy] =
+        team.SumChunks<4>(m, [&](size_t b, size_t e) {
+          for (size_t j = b; j < e; ++j) {
+            s[j] = out.lambda[j] - scratch_lambda[j];
+            y[j] = grad[j] - scratch_grad[j];
+          }
+          const kernels::ConstSpan sc = Slice(s, b, e);
+          const kernels::ConstSpan yc = Slice(y, b, e);
+          return std::array<double, 4>{
+              kernels::Dot(sc, yc), kernels::SumSquares(sc),
+              kernels::SumSquares(yc), kernels::Dot(yc, yc)};
+        });
+    if (sy > 1e-12 * std::sqrt(s_sq) * std::sqrt(y_sq)) {
       s_hist.push_back(std::move(s));
       y_hist.push_back(std::move(y));
       rho_hist.push_back(1.0 / sy);
+      newest_sy = sy;
+      newest_yy = yy;
       if (s_hist.size() > kHistory) {
         s_spare = std::move(s_hist.front());
         y_spare = std::move(y_hist.front());
@@ -219,7 +295,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
   }
 
   out.dual_value = value;
-  out.grad_inf = InfNorm(grad);
+  out.grad_inf = TeamInfNorm(team, grad);
   out.converged = out.grad_inf <= options.tolerance;
   return out;
 }

@@ -101,6 +101,7 @@ Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
     bool accepted = false;
     double accepted_value = value;
     for (size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
+      ++out.line_search_probes;
       kernels::ScaledAdd(out.lambda, -step, grad, trial);
       Project(num_eq, &trial);
       // Differences first, then the dot: the fused form stays accurate

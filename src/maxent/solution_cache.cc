@@ -157,6 +157,8 @@ void SolutionCache::EvictLocked(Shard& shard, size_t budget_doubles) {
   }
 }
 
+SolutionCache::~SolutionCache() { Clear(); }
+
 void SolutionCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);

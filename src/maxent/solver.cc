@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/math_util.h"
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "maxent/dual.h"
 #include "maxent/solvers_internal.h"
@@ -30,6 +31,21 @@ double ProblemViolation(const MaxEntProblem& problem,
                                                : std::max(0.0, residual));
   }
   return worst;
+}
+
+/// Solver effort, added once per solve.
+struct DualMetrics {
+  metrics::Counter* evaluations;
+  metrics::Counter* line_search_probes;
+};
+
+DualMetrics& GetDualMetrics() {
+  static DualMetrics m = [] {
+    auto& registry = metrics::Registry::Global();
+    return DualMetrics{&registry.GetCounter("solve.dual_evaluations"),
+                       &registry.GetCounter("solve.line_search_probes")};
+  }();
+  return m;
 }
 
 }  // namespace
@@ -73,7 +89,7 @@ Result<SolverKind> ParseSolverKind(const std::string& name) {
 }
 
 Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
-                           const SolverOptions& options) {
+                           const SolverOptions& options, Team* team) {
   Timer timer;
   SolverResult result;
   result.kind = kind;
@@ -119,7 +135,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     // and it is plain Barzilai–Borwein gradient descent — the fallback
     // ladder's curvature-free restart.
     if (reduced.has_inequalities()) result.kind = SolverKind::kProjected;
-    DualFunction dual(&reduced.a, reduced.rhs);
+    DualFunction dual(&reduced.a, reduced.rhs, team);
     internal::DualOutcome outcome;
     if (result.kind == SolverKind::kProjected) {
       PME_ASSIGN_OR_RETURN(
@@ -130,6 +146,8 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
           outcome, internal::MinimizeLbfgs(dual, std::move(lambda), options));
     }
     reduced_p = dual.Primal(outcome.lambda);
+    GetDualMetrics().evaluations->Add(dual.evaluations());
+    GetDualMetrics().line_search_probes->Add(outcome.line_search_probes);
     result.iterations = outcome.iterations;
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;
@@ -179,9 +197,10 @@ bool IsAcceptable(const SolverResult& result) {
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,
-                                       size_t* attempts) {
+                                       size_t* attempts, Team* team) {
   if (attempts != nullptr) *attempts = 1;
-  PME_ASSIGN_OR_RETURN(SolverResult first, Solve(problem, kind, options));
+  PME_ASSIGN_OR_RETURN(SolverResult first,
+                       Solve(problem, kind, options, team));
   if (IsAcceptable(first)) return first;
 
   // Restart with projected gradient — no curvature memory to poison —
@@ -196,7 +215,8 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
     if (attempts != nullptr) *attempts = 2;
     SolverOptions restart_options = options;
     restart_options.warm_start = &first.dual_lambda_full;
-    auto second = Solve(problem, SolverKind::kProjected, restart_options);
+    auto second =
+        Solve(problem, SolverKind::kProjected, restart_options, team);
     if (second.ok()) {
       restart = std::move(second).value();
       restart->degraded = true;

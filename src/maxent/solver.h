@@ -15,6 +15,7 @@
 #include "maxent/problem.h"
 
 namespace pme {
+class Team;        // common/team.h
 class ThreadPool;  // common/thread_pool.h
 }
 
@@ -83,9 +84,12 @@ struct SolverOptions {
   /// constraints otherwise require unbounded multipliers.
   bool presolve = true;
   /// Worker threads for the block-decomposed solve (SolveDecomposed):
-  /// independent connected components are solved concurrently. 1 = serial;
+  /// independent connected components are solved concurrently, and when
+  /// fewer blocks need a solve than there are threads, the largest one
+  /// solves on a team of the spare threads (common/team.h). 1 = serial;
   /// 0 = hardware concurrency. Results are identical for any value — the
-  /// per-block solves and the scatter order are deterministic.
+  /// per-block solves, their team reductions and the scatter order are
+  /// deterministic.
   size_t threads = 1;
   /// Shared worker pool for the block-decomposed solve. When set,
   /// SolveDecomposed schedules its block tasks on this pool (batch
@@ -259,9 +263,13 @@ struct SolverResult {
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small
 /// residual still returns OK with `converged == false`.
+///
+/// The dual minimization runs on `team` (the calling thread alone when
+/// null); the result has the same bits for any team size.
 Result<SolverResult> Solve(const MaxEntProblem& problem,
                            SolverKind kind = SolverKind::kLbfgs,
-                           const SolverOptions& options = {});
+                           const SolverOptions& options = {},
+                           Team* team = nullptr);
 
 /// Accepts `result` as an answer: a normal termination that either met
 /// the tolerance or left a worst violation of at most 1e-6 (a solve that
@@ -279,11 +287,13 @@ bool IsAcceptable(const SolverResult& result);
 /// returns the finite attempt with the smallest violation, its
 /// `termination` explaining why (recoverable failures never surface as an
 /// error Status; a hard error from the first attempt does). `attempts`,
-/// when non-null, receives the number of attempts made.
+/// when non-null, receives the number of attempts made. Both attempts
+/// run on `team`, as in Solve.
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,
-                                       size_t* attempts = nullptr);
+                                       size_t* attempts = nullptr,
+                                       Team* team = nullptr);
 
 }  // namespace pme::maxent
 

@@ -65,6 +65,8 @@ struct DualOutcome {
   double dual_value = 0.0;
   /// ‖∇D‖∞ at the final iterate == worst equality-constraint violation.
   double grad_inf = 0.0;
+  /// Dual evaluations made by line-search probes.
+  size_t line_search_probes = 0;
   /// kOk for a normal finish; kDeadlineExceeded / kCancelled when the
   /// solve was interrupted — `lambda` is still the best iterate so far.
   StatusCode stop = StatusCode::kOk;

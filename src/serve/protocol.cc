@@ -199,7 +199,7 @@ std::string RenderTraceSpans(const std::vector<trace::TraceEvent>& events) {
            JsonNumber(static_cast<double>(e.start_ns) / 1e3);
     out += ",\"dur_us\":" + JsonNumber(static_cast<double>(e.dur_ns) / 1e3);
     out += ",\"tid\":" + std::to_string(e.tid);
-    for (size_t a = 0; a < 2; ++a) {
+    for (size_t a = 0; a < trace::TraceEvent::kMaxArgs; ++a) {
       if (e.arg_names[a] == nullptr) continue;
       out += ",\"" + EscapeJson(e.arg_names[a]) +
              "\":" + JsonNumber(e.arg_values[a]);

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -16,7 +20,10 @@
 #include "common/prng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/team.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
+#include "common/vec_math.h"
 
 namespace pme {
 namespace {
@@ -303,6 +310,73 @@ TEST(FlagsTest, DefaultsApply) {
   Flags flags(1, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_FALSE(flags.Has("missing"));
+}
+
+// ------------------------------------------------------------------ Team
+
+TEST(TeamTest, EveryForkRunsEachMemberOnce) {
+  for (size_t size : {size_t{1}, size_t{2}, size_t{3}}) {
+    Team team(size);
+    EXPECT_EQ(team.size(), size);
+    std::vector<std::atomic<int>> runs(size);
+    for (auto& r : runs) r = 0;
+    for (int fork = 0; fork < 2000; ++fork) {
+      team.Run([&](size_t member) { runs[member].fetch_add(1); });
+      // Now and then idle long enough for the helpers to fall asleep.
+      if (fork % 500 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    for (size_t m = 0; m < size; ++m) EXPECT_EQ(runs[m].load(), 2000) << m;
+  }
+}
+
+TEST(TeamTest, HelpersCarryTheBuildersTraceId) {
+  trace::TraceIdScope scope(4242);
+  Team team(3);
+  std::vector<uint64_t> ids(3, 0);
+  team.Run([&](size_t member) { ids[member] = trace::CurrentTraceId(); });
+  EXPECT_EQ(ids, std::vector<uint64_t>(3, 4242));
+}
+
+// Chunked reductions have the same bits for any team size, and a vector
+// of at most one chunk reduces exactly as the serial kernel does.
+TEST(TeamTest, ReductionsHaveTheSameBitsForAnyTeamSize) {
+  Prng prng(11);
+  for (size_t n : {size_t{0}, size_t{1}, kTeamChunk - 1, kTeamChunk,
+                   kTeamChunk + 1, 5 * kTeamChunk + 17}) {
+    std::vector<double> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = prng.NextDouble(-1.0, 1.0) * std::exp(prng.NextDouble(-20, 20));
+      b[i] = prng.NextDouble(-1.0, 1.0);
+    }
+    const auto reduce = [&](size_t size) {
+      Team team(size);
+      const auto sums = team.SumChunks<2>(n, [&](size_t lo, size_t hi) {
+        const kernels::ConstSpan ac(a.data() + lo, hi - lo);
+        const kernels::ConstSpan bc(b.data() + lo, hi - lo);
+        return std::array<double, 2>{kernels::Dot(ac, bc),
+                                     kernels::SumSquares(ac)};
+      });
+      const double max = team.Max(n, [&](size_t lo, size_t hi) {
+        return kernels::InfNorm(kernels::ConstSpan(a.data() + lo, hi - lo));
+      });
+      return std::array<double, 3>{sums[0], sums[1], max};
+    };
+    const auto solo = reduce(1);
+    for (size_t size : {size_t{2}, size_t{3}, size_t{4}}) {
+      const auto team = reduce(size);
+      for (size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(std::memcmp(&team[k], &solo[k], sizeof(double)), 0)
+            << "n " << n << " size " << size << " reduction " << k;
+      }
+    }
+    if (n <= kTeamChunk) {
+      EXPECT_EQ(solo[0], kernels::Dot(a, b)) << n;
+      EXPECT_EQ(solo[1], kernels::SumSquares(a)) << n;
+      EXPECT_EQ(solo[2], kernels::InfNorm(a)) << n;
+    }
+  }
 }
 
 // ------------------------------------------------------------ ThreadPool

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
@@ -138,6 +139,18 @@ TEST(SolutionCacheTest, ClearDropsEntriesKeepsCensus) {
   EXPECT_EQ(cache.Stats().resident_doubles, 0u);
   EXPECT_EQ(cache.FindExact(Hash128{1, 1}), nullptr);
   EXPECT_EQ(cache.Stats().insertions, 1u);  // census survives Clear
+}
+
+TEST(SolutionCacheTest, DestroyedCachesReturnTheirResidentDoubles) {
+  const metrics::Gauge& gauge =
+      metrics::Registry::Global().GetGauge("cache.resident_doubles");
+  const int64_t before = gauge.Value();
+  for (uint64_t i = 0; i < 3; ++i) {
+    SolutionCache cache;
+    cache.Insert(Hash128{i, i}, Hash128{i, i + 1}, MakeSolution(100, 1.0));
+    EXPECT_EQ(gauge.Value(), before + 100);
+  }
+  EXPECT_EQ(gauge.Value(), before);
 }
 
 // --------------------------------------------------- pipeline-level parity

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "common/prng.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
@@ -75,6 +80,70 @@ TEST(SparseMatrixTest, RandomizedAgreementWithDense) {
       double expect = 0.0;
       for (size_t c = 0; c < cols; ++c) expect += dense[r][c] * x[c];
       EXPECT_NEAR(y[r], expect, 1e-12);
+    }
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(v));
+  return b;
+}
+
+// The team kernels: Aᵀx assembled from column slices and A·x − b
+// assembled from row ranges equal the whole-matrix kernels bit for bit,
+// for any cuts.
+TEST(SparseMatrixTest, SlicedProductsEqualTheWholeKernelsBitForBit) {
+  Prng prng(7);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t rows = 1 + prng.NextBounded(300);
+    const size_t cols = 1 + prng.NextBounded(300);
+    std::vector<Triplet> triplets;
+    for (size_t r = 0; r < rows; ++r) {
+      // Some long rows, as knowledge rows are next to invariant rows.
+      const size_t len =
+          prng.NextDouble() < 0.1 ? cols / 2 : 1 + prng.NextBounded(9);
+      for (size_t k = 0; k < len; ++k) {
+        triplets.push_back({static_cast<uint32_t>(r),
+                            static_cast<uint32_t>(prng.NextBounded(cols)),
+                            prng.NextDouble(-2.0, 2.0)});
+      }
+    }
+    const SparseMatrix m =
+        std::move(SparseMatrix::FromTriplets(rows, cols, triplets)).value();
+    std::vector<double> x(rows), p(cols), b(rows);
+    for (double& v : x) {
+      v = prng.NextDouble() < 0.2 ? 0.0 : prng.NextDouble(-3.0, 3.0);
+    }
+    for (double& v : p) v = prng.NextDouble(0.0, 1.0);
+    for (double& v : b) v = prng.NextDouble(-1.0, 1.0);
+
+    std::vector<double> whole_t(cols), whole_g(rows);
+    m.TransposeMultiplyInto(x, whole_t);
+    m.MultiplyMinusInto(p, b, whole_g);
+
+    // 1-4 members with random sorted cuts (empty slices included).
+    const size_t members = 1 + prng.NextBounded(4);
+    std::vector<size_t> col_cuts{0, cols}, row_cuts{0, rows};
+    for (size_t t = 1; t < members; ++t) {
+      col_cuts.push_back(prng.NextBounded(cols + 1));
+      row_cuts.push_back(prng.NextBounded(rows + 1));
+    }
+    std::sort(col_cuts.begin(), col_cuts.end());
+    std::sort(row_cuts.begin(), row_cuts.end());
+    std::vector<double> sliced_t(cols, -7.0), sliced_g(rows, -7.0);
+    for (size_t t = 0; t < members; ++t) {
+      m.TransposeMultiplySlice(x, sliced_t,
+                               m.SliceColumns(col_cuts[t], col_cuts[t + 1]));
+      m.MultiplyMinusRows(p, b, sliced_g, row_cuts[t], row_cuts[t + 1]);
+    }
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(Bits(sliced_t[c]), Bits(whole_t[c]))
+          << "trial " << trial << " col " << c;
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(Bits(sliced_g[r]), Bits(whole_g[r]))
+          << "trial " << trial << " row " << r;
     }
   }
 }

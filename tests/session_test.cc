@@ -24,6 +24,7 @@
 #include "common/hash.h"
 #include "common/math_util.h"
 #include "common/metrics.h"
+#include "common/team.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
@@ -930,6 +931,100 @@ TEST_F(SessionTest, ExactReRunHitsTheMemoAndHashesNoTableRow) {
   ExpectSamePosterior(cold.posterior, again.value().posterior);
   EXPECT_EQ(cold.estimation_accuracy, again.value().estimation_accuracy);
   EXPECT_EQ(cold.metrics.max_disclosure, again.value().metrics.max_disclosure);
+}
+
+// A block spanning many chunks — the paper-size table under 64 mined
+// two-attribute rules — solves on a team of the spare threads, and its
+// multipliers, joint, iteration count and posterior are the same bits at
+// 1, 2 and 3 threads.
+TEST_F(SessionTest, MultiChunkBlockIsBitIdenticalAcrossThreadCounts) {
+  PipelineOptions pipeline_options = SmallPipeline();
+  pipeline_options.data.num_records = 14210;
+  const ExperimentPipeline pipeline =
+      BuildPipeline(pipeline_options).ValueOrDie();
+  knowledge::KnowledgeBase kb;
+  kb.AddRules(knowledge::TopK(pipeline.rules, 64, 0));
+  ASSERT_EQ(kb.size(), 64u);
+  const auto artifact =
+      TableArtifact::BuildBorrowed(pipeline.bucketization.table,
+                                   &pipeline.bucketization.qi_encoder)
+          .ValueOrDie();
+  const auto compiled =
+      constraints::CompileKnowledge(kb, artifact->table(), artifact->index(),
+                                    artifact->qi_encoder())
+          .ValueOrDie();
+
+  struct Run {
+    Analysis analysis;
+    std::vector<std::shared_ptr<const maxent::CachedComponentSolution>>
+        blocks;
+    double largest_team = 0.0;
+  };
+  const auto run = [&](size_t threads) {
+    maxent::SolutionCache cache;
+    AnalysisOptions options;
+    options.solver_options.threads = threads;
+    options.solver_options.solution_cache = &cache;
+    const uint64_t trace_id = trace::NewTraceId();
+    trace::RequestCapture capture(trace_id);
+    Result<Analysis> analysis = Status::Internal("not run");
+    {
+      trace::TraceIdScope scope(trace_id);
+      analysis = AnalysisSession(artifact, options).Run(kb);
+    }
+    Run out{std::move(analysis).value(), {}, 0.0};
+    // Every solved block is in the cache now: its exact hit carries the
+    // multipliers and the joint the solve produced.
+    maxent::BlockPlan plan = maxent::BlockPlan::Build(
+        artifact->index(), &artifact->invariants(),
+        &artifact->invariant_rows_by_bucket(), compiled.constraints);
+    maxent::SolverOptions lookup = options.solver_options;
+    lookup.cache_namespace = artifact->content_hash();
+    plan.ConsultCache(lookup);
+    size_t largest = 0;
+    for (size_t i = 0; i < plan.blocks().size(); ++i) {
+      out.blocks.push_back(plan.blocks()[i].cached);
+      if (plan.blocks()[i].cols.size() > plan.blocks()[largest].cols.size()) {
+        largest = i;
+      }
+    }
+    EXPECT_GT(plan.blocks()[largest].cols.size(), 2 * kTeamChunk);
+    EXPECT_GT(plan.blocks()[largest].rows.size(), 2 * kTeamChunk);
+    for (const trace::TraceEvent& e : capture.TakeEvents()) {
+      if (std::strcmp(e.name, "solve_block") != 0) continue;
+      for (size_t a = 0; a < trace::TraceEvent::kMaxArgs; ++a) {
+        if (e.arg_names[a] != nullptr &&
+            std::strcmp(e.arg_names[a], "team") == 0) {
+          out.largest_team = std::max(out.largest_team, e.arg_values[a]);
+        }
+      }
+    }
+    return out;
+  };
+
+  const Run solo = run(1);
+  EXPECT_EQ(solo.largest_team, 1.0);
+  for (size_t threads : {size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Run team = run(threads);
+    EXPECT_GT(team.largest_team, 1.0);
+    EXPECT_EQ(team.analysis.solver.iterations, solo.analysis.solver.iterations);
+    ASSERT_EQ(team.blocks.size(), solo.blocks.size());
+    for (size_t i = 0; i < solo.blocks.size(); ++i) {
+      ASSERT_NE(solo.blocks[i], nullptr) << i;
+      ASSERT_NE(team.blocks[i], nullptr) << i;
+      EXPECT_EQ(team.blocks[i]->lambda_full, solo.blocks[i]->lambda_full) << i;
+      EXPECT_EQ(team.blocks[i]->p, solo.blocks[i]->p) << i;
+      EXPECT_EQ(team.blocks[i]->iterations, solo.blocks[i]->iterations) << i;
+      EXPECT_EQ(team.blocks[i]->dual_value, solo.blocks[i]->dual_value) << i;
+    }
+    ExpectSamePosterior(team.analysis.posterior,
+                        solo.analysis.posterior);
+    EXPECT_EQ(team.analysis.estimation_accuracy,
+              solo.analysis.estimation_accuracy);
+    EXPECT_EQ(team.analysis.metrics.max_disclosure,
+              solo.analysis.metrics.max_disclosure);
+  }
 }
 
 }  // namespace
