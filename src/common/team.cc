@@ -1,6 +1,7 @@
 #include "common/team.h"
 
 #include <chrono>
+#include <system_error>
 
 #include "common/trace.h"
 
@@ -26,12 +27,19 @@ constexpr auto kSpinBeforeSleep = std::chrono::microseconds(100);
 
 }  // namespace
 
-Team::Team(size_t size) : size_(std::max<size_t>(size, 1)) {
+Team::Team(size_t size) {
   const uint64_t trace_id = trace::CurrentTraceId();
-  helpers_.reserve(size_ - 1);
-  for (size_t m = 1; m < size_; ++m) {
-    helpers_.emplace_back([this, m, trace_id] { HelperLoop(m, trace_id); });
+  const size_t wanted = std::max<size_t>(size, 1);
+  helpers_.reserve(wanted - 1);
+  for (size_t m = 1; m < wanted; ++m) {
+    try {
+      helpers_.emplace_back([this, m, trace_id] { HelperLoop(m, trace_id); });
+    } catch (const std::system_error&) {
+      break;  // out of threads: work with the helpers already running
+    }
   }
+  // Helpers read size_ only inside a fork, after this store.
+  size_ = helpers_.size() + 1;
 }
 
 Team::~Team() {

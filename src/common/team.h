@@ -62,7 +62,8 @@ inline double SumInChunkOrder(const std::vector<double>& partials) {
 /// serial solve is the same code as the parallel one.
 class Team {
  public:
-  /// Spawns size - 1 helpers (size 0 counts as 1).
+  /// Spawns size - 1 helpers (size 0 counts as 1); when the system runs
+  /// out of threads the team is as large as the helpers it got.
   explicit Team(size_t size);
 
   /// Stops and joins the helpers.
@@ -168,7 +169,7 @@ class Team {
   /// Waits for the generation to move past `seen`; returns the new one.
   uint64_t AwaitGeneration(uint64_t seen);
 
-  const size_t size_;
+  size_t size_ = 1;
   // Written by the driving thread before it bumps generation_, read by
   // the helpers after they observe the bump.
   Call call_ = nullptr;
