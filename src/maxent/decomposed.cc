@@ -272,7 +272,6 @@ Result<SolverResult> SolveDecomposed(
         Timer block_timer;
         const PlanBlock& block = blocks[i];
         block_span.AddArg("vars", static_cast<double>(block.cols.size()));
-        block_span.AddArg("team", static_cast<double>(team_size[i]));
         SolverOptions block_options = options;
         if (!block.warm_start.empty()) {
           block_options.warm_start = &block.warm_start;
@@ -300,6 +299,7 @@ Result<SolverResult> SolveDecomposed(
             PME_ASSIGN_OR_RETURN(sub, AssembleBlock(plan, block));
           }
           Team team(team_size[i]);
+          block_span.AddArg("team", static_cast<double>(team.size()));
           return SolveWithFallback(sub, kind, block_options,
                                    &block_attempts[i], &team);
         };
