@@ -5,10 +5,10 @@
 #define PME_ANONYMIZE_BUCKETIZED_TABLE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "data/dataset.h"
 
@@ -24,6 +24,15 @@ struct AbstractRecord {
   uint32_t bucket = 0;
 };
 
+/// One distinct instance of a bucket and how many of the bucket's
+/// records carry it.
+struct IdCount {
+  uint32_t id = 0;
+  uint32_t count = 0;
+};
+
+struct DatasetBucketization;
+
 /// The bucketized data set D' of the paper, in the abstract form of
 /// Figure 1(c): records are identified by dense QI-instance ids (q1, q2,
 /// ...) and SA-instance ids (s1, s2, ...), partitioned into buckets.
@@ -33,6 +42,11 @@ struct AbstractRecord {
 /// original data), but every quantity a real adversary could observe —
 /// bucket membership multisets, P(q), P(q,b), P(s,b) — is exposed through
 /// its own accessor and derived only from the published view.
+///
+/// Layout: every per-bucket and per-instance list is one CSR array built
+/// by counting passes. A bucket publishes its QI and SA multisets both as
+/// lists and as runs of (id, count) pairs sorted by id; the inverted
+/// lists name the buckets each instance occurs in, ascending.
 class BucketizedTable {
  public:
   /// Validates and builds a table from abstract records. Bucket indices
@@ -45,7 +59,7 @@ class BucketizedTable {
   /// Total number of records N.
   size_t num_records() const { return records_.size(); }
   /// Number of buckets m.
-  size_t num_buckets() const { return bucket_qis_.size(); }
+  size_t num_buckets() const { return bucket_records_.size() - 1; }
   /// Number of distinct QI instances across the table.
   uint32_t num_qi_values() const { return num_qi_; }
   /// Number of distinct SA instances across the table.
@@ -54,24 +68,24 @@ class BucketizedTable {
   /// Ground-truth abstract records (evaluation only).
   const std::vector<AbstractRecord>& records() const { return records_; }
 
-  /// QI instances present in bucket `b`, one entry per occurrence
-  /// (published view).
-  const std::vector<uint32_t>& BucketQis(uint32_t b) const {
-    return bucket_qis_[b];
+  /// QI instances present in bucket `b`, one entry per occurrence in
+  /// record order (published view).
+  Span<const uint32_t> BucketQis(uint32_t b) const {
+    return Slice(bucket_qis_, b);
   }
   /// SA instances present in bucket `b`, one entry per occurrence, sorted —
   /// the published "mixed bag" of Figure 1(b) (published view).
-  const std::vector<uint32_t>& BucketSas(uint32_t b) const {
-    return bucket_sas_[b];
+  Span<const uint32_t> BucketSas(uint32_t b) const {
+    return Slice(bucket_sas_, b);
   }
 
-  /// Distinct QI instances in bucket `b` with multiplicities.
-  const std::map<uint32_t, uint32_t>& BucketQiCounts(uint32_t b) const {
-    return bucket_qi_counts_[b];
+  /// Distinct QI instances in bucket `b` with multiplicities, ascending.
+  Span<const IdCount> BucketQiCounts(uint32_t b) const {
+    return qi_runs_.List(b);
   }
-  /// Distinct SA instances in bucket `b` with multiplicities.
-  const std::map<uint32_t, uint32_t>& BucketSaCounts(uint32_t b) const {
-    return bucket_sa_counts_[b];
+  /// Distinct SA instances in bucket `b` with multiplicities, ascending.
+  Span<const IdCount> BucketSaCounts(uint32_t b) const {
+    return sa_runs_.List(b);
   }
 
   /// True iff QI instance q occurs in bucket b.
@@ -80,24 +94,31 @@ class BucketizedTable {
   bool SaInBucket(uint32_t s, uint32_t b) const;
 
   /// Buckets containing QI instance q, ascending.
-  const std::vector<uint32_t>& BucketsWithQi(uint32_t q) const {
-    return qi_buckets_[q];
+  Span<const uint32_t> BucketsWithQi(uint32_t q) const {
+    return qi_buckets_.List(q);
   }
   /// Buckets containing SA instance s, ascending.
-  const std::vector<uint32_t>& BucketsWithSa(uint32_t s) const {
-    return sa_buckets_[s];
+  Span<const uint32_t> BucketsWithSa(uint32_t s) const {
+    return sa_buckets_.List(s);
   }
 
+  /// count / N: the fraction of the table's records that `count` of them
+  /// make up. Every probability accessor below is this expression.
+  double CountProb(size_t count) const {
+    return static_cast<double>(count) / static_cast<double>(records_.size());
+  }
   /// P(q): fraction of records with QI instance q (observable: QI values
   /// are published in clear).
-  double ProbQ(uint32_t q) const;
+  double ProbQ(uint32_t q) const { return CountProb(qi_totals_[q]); }
   /// P(q, b): fraction of records with QI instance q in bucket b.
   double ProbQB(uint32_t q, uint32_t b) const;
   /// P(s, b): fraction of records with SA instance s in bucket b
   /// (observable: the bucket's SA multiset is published).
   double ProbSB(uint32_t s, uint32_t b) const;
   /// P(b): fraction of records in bucket b.
-  double ProbB(uint32_t b) const;
+  double ProbB(uint32_t b) const {
+    return CountProb(bucket_records_[b + 1] - bucket_records_[b]);
+  }
 
   /// Ground-truth conditional P(s | q) computed from the original
   /// bindings; used only for evaluation.
@@ -109,19 +130,39 @@ class BucketizedTable {
   std::string SaName(uint32_t s) const;
 
  private:
+  friend Result<DatasetBucketization> BucketizeDataset(
+      const data::Dataset& dataset, const std::vector<uint32_t>& partition);
+
   BucketizedTable() = default;
+
+  /// The one construction path: `qi_name_offsets` delimits the labels
+  /// packed in `qi_name_chars` (empty offsets: no labels).
+  static Result<BucketizedTable> Build(std::vector<AbstractRecord> records,
+                                       std::string qi_name_chars,
+                                       std::vector<size_t> qi_name_offsets,
+                                       std::vector<std::string> sa_names);
+
+  Span<const uint32_t> Slice(const std::vector<uint32_t>& per_record,
+                             uint32_t b) const {
+    return {per_record.data() + bucket_records_[b],
+            bucket_records_[b + 1] - bucket_records_[b]};
+  }
 
   std::vector<AbstractRecord> records_;
   uint32_t num_qi_ = 0;
   uint32_t num_sa_ = 0;
-  std::vector<std::vector<uint32_t>> bucket_qis_;
-  std::vector<std::vector<uint32_t>> bucket_sas_;
-  std::vector<std::map<uint32_t, uint32_t>> bucket_qi_counts_;
-  std::vector<std::map<uint32_t, uint32_t>> bucket_sa_counts_;
-  std::vector<std::vector<uint32_t>> qi_buckets_;
-  std::vector<std::vector<uint32_t>> sa_buckets_;
-  std::vector<size_t> qi_totals_;  // occurrences of each QI instance
-  std::vector<std::string> qi_names_;
+  // Bucket b's records are positions [bucket_records_[b],
+  // bucket_records_[b + 1]) of bucket_qis_ and bucket_sas_.
+  std::vector<uint32_t> bucket_records_{0};
+  std::vector<uint32_t> bucket_qis_;
+  std::vector<uint32_t> bucket_sas_;
+  Csr<IdCount> qi_runs_;      // per bucket
+  Csr<IdCount> sa_runs_;      // per bucket
+  Csr<uint32_t> qi_buckets_;  // per QI instance
+  Csr<uint32_t> sa_buckets_;  // per SA instance
+  std::vector<uint32_t> qi_totals_;  // occurrences of each QI instance
+  std::string qi_name_chars_;
+  std::vector<size_t> qi_name_offsets_;  // empty, or one more than names
   std::vector<std::string> sa_names_;
 };
 

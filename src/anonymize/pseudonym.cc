@@ -26,11 +26,6 @@ Result<PseudonymTable> PseudonymTable::Create(const BucketizedTable* table) {
   return p;
 }
 
-const std::vector<uint32_t>& PseudonymTable::CandidateBuckets(
-    uint32_t pseudonym) const {
-  return table_->BucketsWithQi(qi_of_[pseudonym]);
-}
-
 Result<uint32_t> PseudonymTable::ClaimPseudonym(uint32_t qi) {
   if (qi >= pseudonyms_of_qi_.size()) {
     return Status::InvalidArgument("unknown QI instance");

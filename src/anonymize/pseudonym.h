@@ -41,7 +41,9 @@ class PseudonymTable {
 
   /// Buckets in which a pseudonym may reside: all buckets containing its
   /// QI instance.
-  const std::vector<uint32_t>& CandidateBuckets(uint32_t pseudonym) const;
+  Span<const uint32_t> CandidateBuckets(uint32_t pseudonym) const {
+    return table_->BucketsWithQi(qi_of_[pseudonym]);
+  }
 
   /// Resolves a person known to have QI instance `qi` to one of its
   /// pseudonyms (the first unclaimed one). This models the linking attack

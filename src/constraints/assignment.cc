@@ -19,8 +19,9 @@ Assignment Assignment::Random(const anonymize::BucketizedTable& table,
   Assignment a;
   a.pairs_.resize(table.num_buckets());
   for (uint32_t b = 0; b < table.num_buckets(); ++b) {
-    const auto& qis = table.BucketQis(b);
-    std::vector<uint32_t> sas = table.BucketSas(b);
+    const auto qis = table.BucketQis(b);
+    const auto published_sas = table.BucketSas(b);
+    std::vector<uint32_t> sas(published_sas.begin(), published_sas.end());
     prng.Shuffle(sas);
     auto& pairs = a.pairs_[b];
     pairs.reserve(qis.size());

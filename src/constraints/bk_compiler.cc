@@ -124,7 +124,7 @@ QiPostings QiPostings::Build(const data::TupleEncoder& encoder) {
   QiPostings out;
   out.positions_.resize(encoder.attrs().size());
   for (uint32_t q = 0; q < encoder.size(); ++q) {
-    const std::vector<uint32_t>& tuple = encoder.Decode(q);
+    const Span<const uint32_t> tuple = encoder.Decode(q);
     for (size_t pos = 0; pos < out.positions_.size(); ++pos) {
       std::vector<uint32_t>& offsets = out.positions_[pos].offsets;
       if (tuple[pos] + 2 > offsets.size()) offsets.resize(tuple[pos] + 2, 0);
@@ -140,7 +140,7 @@ QiPostings QiPostings::Build(const data::TupleEncoder& encoder) {
     cursors.emplace_back(p.offsets.begin(), p.offsets.end());
   }
   for (uint32_t q = 0; q < encoder.size(); ++q) {
-    const std::vector<uint32_t>& tuple = encoder.Decode(q);
+    const Span<const uint32_t> tuple = encoder.Decode(q);
     for (size_t pos = 0; pos < out.positions_.size(); ++pos) {
       out.positions_[pos].ids[cursors[pos][tuple[pos]]++] = q;
     }
@@ -193,7 +193,7 @@ Result<std::vector<uint32_t>> MatchQiInstances(
     }
   }
   for (const uint32_t* it = shortest.first; it != shortest.second; ++it) {
-    const std::vector<uint32_t>& tuple = qi_encoder.Decode(*it);
+    const Span<const uint32_t> tuple = qi_encoder.Decode(*it);
     bool match = true;
     for (size_t i = 0; i < positions.size() && match; ++i) {
       match = tuple[positions[i]] == stmt.values[i];

@@ -9,19 +9,22 @@ std::vector<LinearConstraint> GenerateInvariants(
     const InvariantOptions& options) {
   std::vector<LinearConstraint> out;
   for (uint32_t b = 0; b < table.num_buckets(); ++b) {
-    const auto& qis = index.BucketQiList(b);
-    const auto& sas = index.BucketSaList(b);
-    const uint32_t h = static_cast<uint32_t>(sas.size());
+    // The index lists bucket b's instances in the order of the table's
+    // runs, so the count of rank r is run r's.
+    const auto qi_runs = table.BucketQiCounts(b);
+    const auto sa_runs = table.BucketSaCounts(b);
+    const uint32_t g = static_cast<uint32_t>(qi_runs.size());
+    const uint32_t h = static_cast<uint32_t>(sa_runs.size());
     const auto [first, last] = index.BucketRange(b);
     (void)last;
 
     // QI-invariant (Eq. 4): for each q in the bucket, the row covers the
     // contiguous variable block [first + rank(q)*h, ... + h).
-    for (uint32_t qi_rank = 0; qi_rank < qis.size(); ++qi_rank) {
+    for (uint32_t qi_rank = 0; qi_rank < g; ++qi_rank) {
       LinearConstraint c;
       c.source = ConstraintSource::kQiInvariant;
       c.rel = Relation::kEq;
-      c.rhs = table.ProbQB(qis[qi_rank], b);
+      c.rhs = table.CountProb(qi_runs[qi_rank].count);
       c.vars.reserve(h);
       c.coefs.assign(h, 1.0);
       for (uint32_t sa_rank = 0; sa_rank < h; ++sa_rank) {
@@ -38,10 +41,10 @@ std::vector<LinearConstraint> GenerateInvariants(
       LinearConstraint c;
       c.source = ConstraintSource::kSaInvariant;
       c.rel = Relation::kEq;
-      c.rhs = table.ProbSB(sas[sa_rank], b);
-      c.vars.reserve(qis.size());
-      c.coefs.assign(qis.size(), 1.0);
-      for (uint32_t qi_rank = 0; qi_rank < qis.size(); ++qi_rank) {
+      c.rhs = table.CountProb(sa_runs[sa_rank].count);
+      c.vars.reserve(g);
+      c.coefs.assign(g, 1.0);
+      for (uint32_t qi_rank = 0; qi_rank < g; ++qi_rank) {
         c.vars.push_back(first + qi_rank * h + sa_rank);
       }
       out.push_back(std::move(c));

@@ -7,31 +7,30 @@ namespace pme::constraints {
 TermIndex TermIndex::Build(const anonymize::BucketizedTable& table) {
   TermIndex index;
   const size_t m = table.num_buckets();
-  index.bucket_qi_.resize(m);
-  index.bucket_sa_.resize(m);
-  index.bucket_offsets_.assign(m + 1, 0);
+  index.bucket_offsets_.reserve(m + 1);
+  index.bucket_qi_.offsets.reserve(m + 1);
+  index.bucket_sa_.offsets.reserve(m + 1);
 
-  // Per-bucket distinct instance lists, with bucket offsets by prefix
-  // sum over the term counts.
-  for (size_t b = 0; b < m; ++b) {
-    auto& qis = index.bucket_qi_[b];
-    auto& sas = index.bucket_sa_[b];
-    for (const auto& [q, cnt] : table.BucketQiCounts(b)) qis.push_back(q);
-    for (const auto& [s, cnt] : table.BucketSaCounts(b)) sas.push_back(s);
-    // std::map iteration is already sorted; keep the contract explicit.
-    std::sort(qis.begin(), qis.end());
-    std::sort(sas.begin(), sas.end());
-    index.bucket_offsets_[b + 1] =
-        index.bucket_offsets_[b] +
-        static_cast<uint32_t>(qis.size() * sas.size());
+  // Per-bucket distinct instance lists — the ids of the table's sorted
+  // runs — with bucket offsets by prefix sum over the term counts.
+  for (uint32_t b = 0; b < m; ++b) {
+    const auto qi_runs = table.BucketQiCounts(b);
+    const auto sa_runs = table.BucketSaCounts(b);
+    for (const auto& [q, cnt] : qi_runs) index.bucket_qi_.items.push_back(q);
+    for (const auto& [s, cnt] : sa_runs) index.bucket_sa_.items.push_back(s);
+    index.bucket_qi_.EndList();
+    index.bucket_sa_.EndList();
+    index.bucket_offsets_.push_back(
+        index.bucket_offsets_.back() +
+        static_cast<uint32_t>(qi_runs.size() * sa_runs.size()));
   }
 
   // Materialize the terms, sized exactly up front.
   index.terms_.reserve(index.bucket_offsets_[m]);
-  for (size_t b = 0; b < m; ++b) {
-    for (uint32_t q : index.bucket_qi_[b]) {
-      for (uint32_t s : index.bucket_sa_[b]) {
-        index.terms_.push_back(Term{q, s, static_cast<uint32_t>(b)});
+  for (uint32_t b = 0; b < m; ++b) {
+    for (uint32_t q : index.BucketQiList(b)) {
+      for (uint32_t s : index.BucketSaList(b)) {
+        index.terms_.push_back(Term{q, s, b});
       }
     }
   }
@@ -40,12 +39,12 @@ TermIndex TermIndex::Build(const anonymize::BucketizedTable& table) {
 
 Result<uint32_t> TermIndex::VariableId(uint32_t q, uint32_t s,
                                        uint32_t b) const {
-  if (b >= bucket_qi_.size()) {
+  if (b >= num_buckets()) {
     return Status::InvalidArgument("bucket index out of range");
   }
   const std::optional<uint32_t> var = FindVariable(q, s, b);
   if (var.has_value()) return *var;
-  const auto& qis = bucket_qi_[b];
+  const auto qis = BucketQiList(b);
   return Status::NotFound(
       std::binary_search(qis.begin(), qis.end(), q)
           ? "P(q,s,b) is a Zero-invariant: s not in bucket"
@@ -54,9 +53,9 @@ Result<uint32_t> TermIndex::VariableId(uint32_t q, uint32_t s,
 
 std::optional<uint32_t> TermIndex::FindVariable(uint32_t q, uint32_t s,
                                                 uint32_t b) const {
-  if (b >= bucket_qi_.size()) return std::nullopt;
-  const auto& qis = bucket_qi_[b];
-  const auto& sas = bucket_sa_[b];
+  if (b >= num_buckets()) return std::nullopt;
+  const auto qis = BucketQiList(b);
+  const auto sas = BucketSaList(b);
   auto qit = std::lower_bound(qis.begin(), qis.end(), q);
   if (qit == qis.end() || *qit != q) return std::nullopt;
   auto sit = std::lower_bound(sas.begin(), sas.end(), s);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
+#include "common/span.h"
 #include "common/status.h"
 
 namespace pme::constraints {
@@ -75,17 +76,18 @@ class TermIndex {
     return {bucket_offsets_[b], bucket_offsets_[b + 1]};
   }
 
-  /// Sorted distinct QI instances of bucket b.
-  const std::vector<uint32_t>& BucketQiList(uint32_t b) const {
-    return bucket_qi_[b];
+  /// Sorted distinct QI instances of bucket b: the ids of the table's
+  /// BucketQiCounts(b), in the same order, so rank r here is run r there.
+  Span<const uint32_t> BucketQiList(uint32_t b) const {
+    return bucket_qi_.List(b);
   }
-  /// Sorted distinct SA instances of bucket b.
-  const std::vector<uint32_t>& BucketSaList(uint32_t b) const {
-    return bucket_sa_[b];
+  /// Sorted distinct SA instances of bucket b, in BucketSaCounts(b) order.
+  Span<const uint32_t> BucketSaList(uint32_t b) const {
+    return bucket_sa_.List(b);
   }
 
   /// Number of buckets indexed.
-  size_t num_buckets() const { return bucket_qi_.size(); }
+  size_t num_buckets() const { return bucket_qi_.num_lists(); }
 
   /// Human-readable "P(q1,s2,b1)" label for diagnostics.
   std::string TermName(uint32_t var,
@@ -93,9 +95,9 @@ class TermIndex {
 
  private:
   std::vector<Term> terms_;
-  std::vector<uint32_t> bucket_offsets_;       // size m+1
-  std::vector<std::vector<uint32_t>> bucket_qi_;  // sorted distinct per bucket
-  std::vector<std::vector<uint32_t>> bucket_sa_;
+  std::vector<uint32_t> bucket_offsets_{0};  // size m+1
+  Csr<uint32_t> bucket_qi_;  // sorted distinct per bucket
+  Csr<uint32_t> bucket_sa_;
 };
 
 }  // namespace pme::constraints

@@ -20,20 +20,13 @@ Result<IndividualModel> IndividualModel::Build(
   const size_t num_pseud = pseudonyms->num_pseudonyms();
   const double n = static_cast<double>(table.num_records());
 
-  // Distinct SA list per bucket (sorted), for stable variable layout.
-  std::vector<std::vector<uint32_t>> bucket_sa(table.num_buckets());
-  for (uint32_t b = 0; b < table.num_buckets(); ++b) {
-    for (const auto& [s, cnt] : table.BucketSaCounts(b)) {
-      bucket_sa[b].push_back(s);
-    }
-  }
-
   model.pseudonym_offsets_.resize(num_pseud + 1);
   for (uint32_t i = 0; i < num_pseud; ++i) {
     model.pseudonym_offsets_[i] = static_cast<uint32_t>(model.terms_.size());
     const uint32_t q = pseudonyms->QiOf(i);
+    // Each bucket's distinct SAs in sorted order: a stable variable layout.
     for (uint32_t b : table.BucketsWithQi(q)) {
-      for (uint32_t s : bucket_sa[b]) {
+      for (const auto& [s, cnt] : table.BucketSaCounts(b)) {
         model.terms_.push_back(IndividualTerm{i, s, b});
       }
     }

@@ -18,6 +18,19 @@ std::string Fmt(const char* format, double v) {
   return buf;
 }
 
+/// `field` as one RFC 4180 field: quoted, with inner quotes doubled, when
+/// it holds a delimiter, a quote or a line break.
+std::string CsvField(std::string field) {
+  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
+  std::string quoted = "\"";
+  for (char c : field) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  quoted += '"';
+  return quoted;
+}
+
 }  // namespace
 
 std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
@@ -125,16 +138,20 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
     }
     risks.push_back({q, best_s, best});
   }
-  std::sort(risks.begin(), risks.end(),
-            [](const Risk& a, const Risk& b) {
-              return a.posterior > b.posterior;
-            });
+  // Only the printed prefix is ranked: highest posterior first, ties in
+  // ascending q, so the list is fully determined.
+  const size_t n = std::min(options.top_risks, risks.size());
+  std::partial_sort(risks.begin(), risks.begin() + n, risks.end(),
+                    [](const Risk& a, const Risk& b) {
+                      return a.posterior != b.posterior
+                                 ? a.posterior > b.posterior
+                                 : a.q < b.q;
+                    });
 
   out << "[highest-risk individuals]\n";
   out << "  near-certain links (posterior >= "
       << Fmt("%.2f", options.disclosure_threshold) << "): " << certain_links
       << "\n";
-  const size_t n = std::min(options.top_risks, risks.size());
   for (size_t i = 0; i < n; ++i) {
     out << "  " << i + 1 << ". " << table.QiName(risks[i].q) << " -> "
         << table.SaName(risks[i].s) << "  (posterior "
@@ -147,11 +164,16 @@ std::string PosteriorToCsv(const anonymize::BucketizedTable& table,
                            const Analysis& analysis) {
   std::ostringstream out;
   out << "qi,sa,posterior\n";
+  std::vector<std::string> sa_fields(analysis.posterior.num_sa());
+  for (uint32_t s = 0; s < sa_fields.size(); ++s) {
+    sa_fields[s] = CsvField(table.SaName(s));
+  }
   for (uint32_t q = 0; q < analysis.posterior.num_qi(); ++q) {
+    const std::string qi_field = CsvField(table.QiName(q));
     const double* row = analysis.posterior.RowData(q);
     for (uint32_t s = 0; s < analysis.posterior.num_sa(); ++s) {
-      out << table.QiName(q) << "," << table.SaName(s) << ","
-          << FormatDouble(row[s]) << "\n";
+      out << qi_field << "," << sa_fields[s] << "," << FormatDouble(row[s])
+          << "\n";
     }
   }
   return out.str();

@@ -13,7 +13,8 @@ namespace pme::core {
 
 /// Options for the human-readable privacy report.
 struct ReportOptions {
-  /// How many highest-risk QI instances to list.
+  /// How many highest-risk QI instances to list: highest posterior
+  /// first, equal posteriors in ascending QI id.
   size_t top_risks = 10;
   /// Posterior probability above which a (QI, SA) link counts as a
   /// near-certain disclosure.
@@ -30,8 +31,10 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
                                 const Analysis& analysis,
                                 const ReportOptions& options = {});
 
-/// One line per QI instance: "qi,sa,posterior" rows of the full posterior
-/// table, as CSV text (machine-readable companion to the report).
+/// One line per (QI, SA) pair: "qi,sa,posterior" rows of the full
+/// posterior table, as RFC 4180 CSV text (machine-readable companion to
+/// the report). A label holding a comma or a quote — a dataset-backed QI
+/// name such as "age=31-35,sex=male" — is quoted, inner quotes doubled.
 std::string PosteriorToCsv(const anonymize::BucketizedTable& table,
                            const Analysis& analysis);
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/trace.h"
 #include "maxent/closed_form.h"
 
 namespace pme::core {
@@ -43,28 +44,53 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
   if (table == nullptr) {
     return Status::InvalidArgument("TableArtifact::Build: null table");
   }
+  trace::TraceSpan build_span("artifact_build", "setup");
   std::shared_ptr<TableArtifact> artifact(new TableArtifact());
   artifact->table_ = std::move(table);
   artifact->qi_encoder_ = std::move(qi_encoder);
   artifact->options_ = options;
-  artifact->index_ = constraints::TermIndex::Build(*artifact->table_);
-  artifact->invariants_ = constraints::GenerateInvariants(
-      *artifact->table_, artifact->index_, options.invariant_options);
-  PME_ASSIGN_OR_RETURN(artifact->invariant_rows_by_bucket_,
-                       maxent::BucketRowIndex::Build(artifact->index_,
-                                                     artifact->invariants_));
+  const anonymize::BucketizedTable& t = *artifact->table_;
+  {
+    trace::TraceSpan span("term_index", "setup");
+    artifact->index_ = constraints::TermIndex::Build(t);
+    span.AddArg("variables",
+                static_cast<double>(artifact->index_.num_variables()));
+  }
+  {
+    trace::TraceSpan span("invariants", "setup");
+    artifact->invariants_ = constraints::GenerateInvariants(
+        t, artifact->index_, options.invariant_options);
+    span.AddArg("rows", static_cast<double>(artifact->invariants_.size()));
+  }
+  {
+    trace::TraceSpan span("row_index", "setup");
+    PME_ASSIGN_OR_RETURN(artifact->invariant_rows_by_bucket_,
+                         maxent::BucketRowIndex::Build(artifact->index_,
+                                                       artifact->invariants_));
+    span.AddArg("buckets", static_cast<double>(t.num_buckets()));
+  }
   if (artifact->qi_encoder_ != nullptr) {
     artifact->qi_postings_ =
         constraints::QiPostings::Build(*artifact->qi_encoder_);
   }
-  artifact->ground_truth_ = PosteriorTable::GroundTruth(*artifact->table_);
-  artifact->closed_form_prior_ =
-      maxent::ClosedFormNoKnowledge(*artifact->table_, artifact->index_);
-  artifact->closed_form_prior_entropy_ = Entropy(artifact->closed_form_prior_);
-  artifact->prior_posterior_ = PosteriorTable::FromSolution(
-      *artifact->table_, artifact->index_, artifact->closed_form_prior_);
-  artifact->prior_evaluation_ =
-      EvaluatePerQ(artifact->ground_truth_, artifact->prior_posterior_);
+  artifact->ground_truth_ = PosteriorTable::GroundTruth(t);
+  {
+    trace::TraceSpan span("closed_form", "setup");
+    artifact->closed_form_prior_ =
+        maxent::ClosedFormNoKnowledge(t, artifact->index_);
+    artifact->closed_form_prior_entropy_ =
+        Entropy(artifact->closed_form_prior_);
+    span.AddArg("variables",
+                static_cast<double>(artifact->closed_form_prior_.size()));
+  }
+  {
+    trace::TraceSpan span("prior_posterior", "setup");
+    artifact->prior_posterior_ = PosteriorTable::FromSolution(
+        t, artifact->index_, artifact->closed_form_prior_);
+    artifact->prior_evaluation_ =
+        EvaluatePerQ(artifact->ground_truth_, artifact->prior_posterior_);
+    span.AddArg("qi_values", static_cast<double>(t.num_qi_values()));
+  }
   // The per-q CSR over variables: the row-level addressing the overlay
   // evaluation needs.
   {

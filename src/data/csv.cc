@@ -62,16 +62,25 @@ Result<Dataset> ParseLines(std::istream& in, const CsvReadOptions& options) {
   Dataset dataset{Schema{}};
   bool dataset_init = false;
   size_t line_no = options.has_header ? 1 : 0;
-  std::vector<std::vector<std::string>> pending_rows;
 
   auto at = [&](size_t ln) {
     return "CSV line " + std::to_string(ln) + " (byte offset " +
            std::to_string(line_start_byte) + ")";
   };
+  // Both views point into `line`, which every read reuses.
+  std::vector<std::string_view> fields;
+  std::vector<std::string_view> values;
   while (read_line()) {
     ++line_no;
     if (Trim(line).empty()) continue;
-    auto fields = Split(line, options.delimiter);
+    fields.clear();
+    const std::string_view text(line);
+    for (size_t start = 0;;) {
+      const size_t end = text.find(options.delimiter, start);
+      fields.push_back(text.substr(start, end - start));
+      if (end == std::string_view::npos) break;
+      start = end + 1;
+    }
     if (!schema_built) {
       build_schema(fields.size());
       schema_built = true;
@@ -85,11 +94,10 @@ Result<Dataset> ParseLines(std::istream& in, const CsvReadOptions& options) {
       dataset = Dataset(std::move(schema));
       dataset_init = true;
     }
-    std::vector<std::string> values;
-    values.reserve(keep.size());
+    values.clear();
     for (size_t i = 0; i < fields.size(); ++i) {
       if (keep[i] == SIZE_MAX) continue;
-      values.emplace_back(Trim(fields[i]));
+      values.push_back(Trim(fields[i]));
     }
     if (Status s = dataset.AppendRecordValues(values); !s.ok()) {
       return Status::IoError(at(line_no) + ": " + s.message());

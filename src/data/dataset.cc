@@ -1,11 +1,23 @@
 #include "data/dataset.h"
 
-#include <sstream>
+#include <algorithm>
 
 namespace pme::data {
+namespace {
 
-Status Dataset::AppendRecord(std::vector<uint32_t> codes) {
-  if (codes.size() != schema_.num_attributes()) {
+/// Finalizer of splitmix64: spreads every input bit over the whole word.
+uint64_t MixBits(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+Status Dataset::AppendRecord(const std::vector<uint32_t>& codes) {
+  if (codes.size() != width_) {
     return Status::InvalidArgument("record arity mismatch");
   }
   for (size_t i = 0; i < codes.size(); ++i) {
@@ -13,60 +25,68 @@ Status Dataset::AppendRecord(std::vector<uint32_t> codes) {
       return Status::InvalidArgument("code out of dictionary range");
     }
   }
-  rows_.push_back(std::move(codes));
+  codes_.insert(codes_.end(), codes.begin(), codes.end());
+  ++num_records_;
   return Status::Ok();
 }
 
-Status Dataset::AppendRecordValues(const std::vector<std::string>& values) {
-  if (values.size() != schema_.num_attributes()) {
+Status Dataset::AppendRecordValues(
+    const std::vector<std::string_view>& values) {
+  if (values.size() != width_) {
     return Status::InvalidArgument("record arity mismatch");
   }
-  std::vector<uint32_t> codes(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    codes[i] = schema_.attribute(i).dictionary.Intern(values[i]);
+    codes_.push_back(schema_.attribute(i).dictionary.Intern(values[i]));
   }
-  rows_.push_back(std::move(codes));
+  ++num_records_;
   return Status::Ok();
 }
 
 const std::string& Dataset::ValueAt(size_t row, size_t attr) const {
-  return schema_.attribute(attr).dictionary.ValueOf(rows_[row][attr]);
+  return schema_.attribute(attr).dictionary.ValueOf(At(row, attr));
 }
 
 uint32_t TupleEncoder::Encode(const Dataset& d, size_t row) {
-  std::vector<uint32_t> codes(attrs_.size());
-  for (size_t i = 0; i < attrs_.size(); ++i) codes[i] = d.At(row, attrs_[i]);
-  return EncodeCodes(codes);
+  for (size_t attr : attrs_) codes_.push_back(d.At(row, attr));
+  return InternTail();
 }
 
 uint32_t TupleEncoder::EncodeCodes(const std::vector<uint32_t>& codes) {
-  auto it = ids_.find(codes);
-  if (it != ids_.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(tuples_.size());
-  tuples_.push_back(codes);
-  ids_.emplace(codes, id);
+  codes_.insert(codes_.end(), codes.begin(), codes.end());
+  return InternTail();
+}
+
+uint32_t TupleEncoder::InternTail() {
+  const size_t width = attrs_.size();
+  const uint32_t* tail = codes_.data() + codes_.size() - width;
+  uint64_t h = width;
+  for (size_t i = 0; i < width; ++i) {
+    h = (h ^ tail[i]) * 0x9e3779b97f4a7c15ULL;
+  }
+  const auto [id, inserted] = ids_.FindOrInsert(MixBits(h), [&](uint32_t o) {
+    return std::equal(tail, tail + width,
+                      codes_.data() + static_cast<size_t>(o) * width);
+  });
+  if (!inserted) codes_.resize(codes_.size() - width);
   return id;
 }
 
-Result<uint32_t> TupleEncoder::Find(const std::vector<uint32_t>& codes) const {
-  auto it = ids_.find(codes);
-  if (it == ids_.end()) return Status::NotFound("tuple not interned");
-  return it->second;
-}
-
-const std::vector<uint32_t>& TupleEncoder::Decode(uint32_t id) const {
-  return tuples_.at(id);
+void TupleEncoder::AppendString(const Dataset& d, uint32_t id,
+                                std::string* out) const {
+  const Span<const uint32_t> codes = Decode(id);
+  for (size_t i = 0; i < attrs_.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    const Attribute& attr = d.schema().attribute(attrs_[i]);
+    out->append(attr.name);
+    out->push_back('=');
+    out->append(attr.dictionary.ValueOf(codes[i]));
+  }
 }
 
 std::string TupleEncoder::ToString(const Dataset& d, uint32_t id) const {
-  const auto& codes = Decode(id);
-  std::ostringstream oss;
-  for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (i > 0) oss << ",";
-    const auto& attr = d.schema().attribute(attrs_[i]);
-    oss << attr.name << "=" << attr.dictionary.ValueOf(codes[i]);
-  }
-  return oss.str();
+  std::string out;
+  AppendString(d, id, &out);
+  return out;
 }
 
 }  // namespace pme::data

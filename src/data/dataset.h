@@ -6,43 +6,51 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/id_table.h"
+#include "common/span.h"
 #include "common/status.h"
 #include "data/schema.h"
 
 namespace pme::data {
 
 /// The original microdata table `D` of the paper: a schema plus row-major
-/// integer-coded records. All values are dictionary codes into the schema's
-/// per-attribute dictionaries.
+/// integer-coded records, all in one code array. All values are
+/// dictionary codes into the schema's per-attribute dictionaries.
 class Dataset {
  public:
-  explicit Dataset(Schema schema) : schema_(std::move(schema)) {}
+  explicit Dataset(Schema schema)
+      : schema_(std::move(schema)), width_(schema_.num_attributes()) {}
 
   const Schema& schema() const { return schema_; }
+  /// For interning values into the dictionaries; the attribute list is
+  /// fixed at construction.
   Schema& mutable_schema() { return schema_; }
 
-  size_t num_records() const { return rows_.size(); }
+  size_t num_records() const { return num_records_; }
 
   /// Appends a record of codes; must match the attribute count.
-  Status AppendRecord(std::vector<uint32_t> codes);
+  Status AppendRecord(const std::vector<uint32_t>& codes);
 
   /// Appends a record of string values, interning them.
-  Status AppendRecordValues(const std::vector<std::string>& values);
+  Status AppendRecordValues(const std::vector<std::string_view>& values);
 
   /// Code of attribute `attr` in record `row`.
-  uint32_t At(size_t row, size_t attr) const { return rows_[row][attr]; }
-
-  /// Whole record (codes).
-  const std::vector<uint32_t>& Record(size_t row) const { return rows_[row]; }
+  uint32_t At(size_t row, size_t attr) const {
+    return codes_[row * width_ + attr];
+  }
 
   /// String value of attribute `attr` in record `row`.
   const std::string& ValueAt(size_t row, size_t attr) const;
 
  private:
   Schema schema_;
-  std::vector<std::vector<uint32_t>> rows_;
+  size_t width_;  // attributes per record
+  size_t num_records_ = 0;
+  // Record r's codes are codes_[r·width_, (r+1)·width_).
+  std::vector<uint32_t> codes_;
 };
 
 /// Dense encoder for tuples over a fixed subset of attributes.
@@ -50,7 +58,8 @@ class Dataset {
 /// The paper works with "an instance of the QI attributes" (`q` values in
 /// Figure 1(c)): a whole tuple such as {male, college} gets one symbol.
 /// TupleEncoder assigns each distinct observed tuple a dense id in
-/// first-seen order and remembers the tuple behind each id.
+/// first-seen order and remembers the tuple behind each id. The tuples
+/// sit id-major in one code array, indexed by an open-addressing table.
 class TupleEncoder {
  public:
   /// `attrs` are the dataset attribute indices that make up the tuple.
@@ -62,36 +71,32 @@ class TupleEncoder {
   /// Encodes an explicit code vector (must match the attr count).
   uint32_t EncodeCodes(const std::vector<uint32_t>& codes);
 
-  /// Looks up an already-interned tuple; kNotFound if never seen.
-  Result<uint32_t> Find(const std::vector<uint32_t>& codes) const;
+  /// The attrs().size() codes behind tuple id `id`.
+  Span<const uint32_t> Decode(uint32_t id) const {
+    return {codes_.data() + static_cast<size_t>(id) * attrs_.size(),
+            attrs_.size()};
+  }
 
-  /// The code vector behind tuple id `id`.
-  const std::vector<uint32_t>& Decode(uint32_t id) const;
+  /// Appends the label "attr1=v1,attr2=v2" of tuple `id` to `out`.
+  void AppendString(const Dataset& d, uint32_t id, std::string* out) const;
 
-  /// Pretty string "attr1=v1,attr2=v2" for diagnostics.
+  /// The label "attr1=v1,attr2=v2" of tuple `id`, for diagnostics.
   std::string ToString(const Dataset& d, uint32_t id) const;
 
   /// The attribute indices this encoder covers.
   const std::vector<size_t>& attrs() const { return attrs_; }
 
   /// Number of distinct tuples seen.
-  uint32_t size() const { return static_cast<uint32_t>(tuples_.size()); }
+  uint32_t size() const { return ids_.size(); }
 
  private:
-  struct VectorHash {
-    size_t operator()(const std::vector<uint32_t>& v) const {
-      size_t h = 1469598103934665603ULL;
-      for (uint32_t x : v) {
-        h ^= x;
-        h *= 1099511628211ULL;
-      }
-      return h;
-    }
-  };
+  /// Interns the tuple appended last to codes_, dropping it again when
+  /// it was already known.
+  uint32_t InternTail();
 
   std::vector<size_t> attrs_;
-  std::vector<std::vector<uint32_t>> tuples_;
-  std::unordered_map<std::vector<uint32_t>, uint32_t, VectorHash> ids_;
+  std::vector<uint32_t> codes_;  // tuple id's codes, id-major
+  IdTable ids_;
 };
 
 }  // namespace pme::data

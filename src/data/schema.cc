@@ -1,22 +1,25 @@
 #include "data/schema.h"
 
+#include <functional>
+
 namespace pme::data {
 
-uint32_t AttributeDictionary::Intern(const std::string& value) {
-  auto it = codes_.find(value);
-  if (it != codes_.end()) return it->second;
-  const uint32_t code = static_cast<uint32_t>(values_.size());
-  values_.push_back(value);
-  codes_.emplace(value, code);
+uint32_t AttributeDictionary::Intern(std::string_view value) {
+  const auto [code, inserted] = codes_.FindOrInsert(
+      std::hash<std::string_view>()(value),
+      [&](uint32_t c) { return values_[c] == value; });
+  if (inserted) values_.emplace_back(value);
   return code;
 }
 
-Result<uint32_t> AttributeDictionary::Lookup(const std::string& value) const {
-  auto it = codes_.find(value);
-  if (it == codes_.end()) {
-    return Status::NotFound("value not in dictionary: " + value);
+Result<uint32_t> AttributeDictionary::Lookup(std::string_view value) const {
+  const std::optional<uint32_t> code =
+      codes_.Find(std::hash<std::string_view>()(value),
+                  [&](uint32_t c) { return values_[c] == value; });
+  if (!code.has_value()) {
+    return Status::NotFound("value not in dictionary: " + std::string(value));
   }
-  return it->second;
+  return *code;
 }
 
 const std::string& AttributeDictionary::ValueOf(uint32_t code) const {

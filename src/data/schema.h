@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/status.h"
 
 namespace pme::data {
@@ -27,14 +29,16 @@ enum class AttributeRole : int {
 /// attribute and dense integer codes [0, cardinality).
 ///
 /// Codes are assigned in first-seen order by `Intern`, making encodings
-/// deterministic for a fixed input order.
+/// deterministic for a fixed input order. Lookups take a view: the index
+/// compares it against the stored values, so interning a value that is
+/// already known copies nothing.
 class AttributeDictionary {
  public:
   /// Returns the code for `value`, interning it if unseen.
-  uint32_t Intern(const std::string& value);
+  uint32_t Intern(std::string_view value);
 
   /// Returns the code for `value` or kNotFound if never interned.
-  Result<uint32_t> Lookup(const std::string& value) const;
+  Result<uint32_t> Lookup(std::string_view value) const;
 
   /// Returns the string for `code`. Precondition: code < size().
   const std::string& ValueOf(uint32_t code) const;
@@ -44,7 +48,7 @@ class AttributeDictionary {
 
  private:
   std::vector<std::string> values_;
-  std::unordered_map<std::string, uint32_t> codes_;
+  IdTable codes_;  // value -> code, keyed by the hash of values_[code]
 };
 
 /// Describes one attribute: its name, PPDP role, and value dictionary.

@@ -5,16 +5,18 @@ namespace pme::maxent {
 void ClosedFormBucket(const anonymize::BucketizedTable& table,
                       const constraints::TermIndex& index, uint32_t b,
                       std::vector<double>* p) {
-  const auto& qis = index.BucketQiList(b);
-  const auto& sas = index.BucketSaList(b);
+  // The index lists bucket b's instances in the order of the table's
+  // runs, so the count of rank r is run r's.
+  const auto qi_runs = table.BucketQiCounts(b);
+  const auto sa_runs = table.BucketSaCounts(b);
   const auto [first, last] = index.BucketRange(b);
   (void)last;
   const double prob_b = table.ProbB(b);
-  const uint32_t h = static_cast<uint32_t>(sas.size());
-  for (uint32_t qi_rank = 0; qi_rank < qis.size(); ++qi_rank) {
-    const double pq = table.ProbQB(qis[qi_rank], b);
+  const uint32_t h = static_cast<uint32_t>(sa_runs.size());
+  for (uint32_t qi_rank = 0; qi_rank < qi_runs.size(); ++qi_rank) {
+    const double pq = table.CountProb(qi_runs[qi_rank].count);
     for (uint32_t sa_rank = 0; sa_rank < h; ++sa_rank) {
-      const double ps = table.ProbSB(sas[sa_rank], b);
+      const double ps = table.CountProb(sa_runs[sa_rank].count);
       (*p)[first + qi_rank * h + sa_rank] = pq * ps / prob_b;
     }
   }

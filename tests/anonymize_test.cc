@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
 
 #include "anonymize/anatomy.h"
 #include "anonymize/bucketized_table.h"
 #include "anonymize/diversity.h"
 #include "anonymize/pseudonym.h"
+#include "common/trace.h"
 #include "data/adult_synth.h"
 #include "tests/test_util.h"
 
@@ -64,16 +67,22 @@ TEST(BucketizedTableTest, MembershipAndZeroInvariantFacts) {
   EXPECT_FALSE(t.SaInBucket(kS1, 2));
   EXPECT_TRUE(t.QiInBucket(kQ1, 0));
   EXPECT_TRUE(t.SaInBucket(kS4, 1));
-  EXPECT_EQ(t.BucketsWithQi(kQ1), (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(t.BucketsWithSa(kS2), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(testing::ToVector(t.BucketsWithQi(kQ1)),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(testing::ToVector(t.BucketsWithSa(kS2)),
+            (std::vector<uint32_t>{0, 2}));
 }
 
 TEST(BucketizedTableTest, SaMultisetIsSortedAndCounted) {
   auto t = testing::MakeFigure1Table();
-  EXPECT_EQ(t.BucketSas(0), (std::vector<uint32_t>{kS1, kS2, kS2, kS3}));
-  const auto& counts = t.BucketSaCounts(0);
-  EXPECT_EQ(counts.at(kS2), 2u);
-  EXPECT_EQ(counts.at(kS1), 1u);
+  EXPECT_EQ(testing::ToVector(t.BucketSas(0)),
+            (std::vector<uint32_t>{kS1, kS2, kS2, kS3}));
+  const auto counts = t.BucketSaCounts(0);
+  ASSERT_EQ(counts.size(), 3u);
+  EXPECT_EQ(counts[0].id, kS1);
+  EXPECT_EQ(counts[0].count, 1u);
+  EXPECT_EQ(counts[1].id, kS2);
+  EXPECT_EQ(counts[1].count, 2u);
 }
 
 TEST(BucketizedTableTest, TrueConditionalMatchesOriginalData) {
@@ -118,6 +127,212 @@ TEST(BucketizeDatasetTest, MatchesAbstractForm) {
 TEST(BucketizeDatasetTest, PartitionSizeMustMatch) {
   auto dataset = testing::MakeFigure1Dataset();
   EXPECT_FALSE(BucketizeDataset(dataset, {0, 1}).ok());
+}
+
+// ------------------------------------- CSR layout against a map oracle
+
+/// The published view of a bucketized table built the direct way, with a
+/// std::map of counts per bucket and a vector per list: the oracle for
+/// BucketizedTable's CSR layout.
+struct ReferenceTable {
+  explicit ReferenceTable(const std::vector<AbstractRecord>& records)
+      : n(records.size()) {
+    uint32_t max_bucket = 0;
+    for (const auto& r : records) {
+      max_bucket = std::max(max_bucket, r.bucket);
+      num_qi = std::max(num_qi, r.qi + 1);
+      num_sa = std::max(num_sa, r.sa + 1);
+    }
+    bucket_qis.resize(max_bucket + 1);
+    bucket_sas.resize(max_bucket + 1);
+    qi_counts.resize(max_bucket + 1);
+    sa_counts.resize(max_bucket + 1);
+    qi_buckets.resize(num_qi);
+    sa_buckets.resize(num_sa);
+    qi_totals.assign(num_qi, 0);
+    for (const auto& r : records) {
+      bucket_qis[r.bucket].push_back(r.qi);
+      bucket_sas[r.bucket].push_back(r.sa);
+      ++qi_counts[r.bucket][r.qi];
+      ++sa_counts[r.bucket][r.sa];
+      ++qi_totals[r.qi];
+    }
+    for (uint32_t b = 0; b <= max_bucket; ++b) {
+      std::sort(bucket_sas[b].begin(), bucket_sas[b].end());
+      for (const auto& [q, cnt] : qi_counts[b]) qi_buckets[q].push_back(b);
+      for (const auto& [s, cnt] : sa_counts[b]) sa_buckets[s].push_back(b);
+    }
+  }
+
+  double Fraction(size_t count) const {
+    return static_cast<double>(count) / static_cast<double>(n);
+  }
+
+  size_t n = 0;
+  uint32_t num_qi = 0;
+  uint32_t num_sa = 0;
+  std::vector<std::vector<uint32_t>> bucket_qis;
+  std::vector<std::vector<uint32_t>> bucket_sas;
+  std::vector<std::map<uint32_t, uint32_t>> qi_counts;
+  std::vector<std::map<uint32_t, uint32_t>> sa_counts;
+  std::vector<std::vector<uint32_t>> qi_buckets;
+  std::vector<std::vector<uint32_t>> sa_buckets;
+  std::vector<size_t> qi_totals;
+};
+
+using CountPairs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+CountPairs RunPairs(Span<const IdCount> runs) {
+  CountPairs out;
+  for (const auto& [id, count] : runs) out.emplace_back(id, count);
+  return out;
+}
+
+/// Every accessor of `t` against the oracle; probabilities bit for bit.
+void ExpectMatchesReference(const BucketizedTable& t,
+                            const ReferenceTable& ref) {
+  ASSERT_EQ(t.num_records(), ref.n);
+  ASSERT_EQ(t.num_buckets(), ref.bucket_qis.size());
+  ASSERT_EQ(t.num_qi_values(), ref.num_qi);
+  ASSERT_EQ(t.num_sa_values(), ref.num_sa);
+  for (uint32_t b = 0; b < t.num_buckets(); ++b) {
+    EXPECT_EQ(testing::ToVector(t.BucketQis(b)), ref.bucket_qis[b]);
+    EXPECT_EQ(testing::ToVector(t.BucketSas(b)), ref.bucket_sas[b]);
+    EXPECT_EQ(RunPairs(t.BucketQiCounts(b)),
+              CountPairs(ref.qi_counts[b].begin(), ref.qi_counts[b].end()));
+    EXPECT_EQ(RunPairs(t.BucketSaCounts(b)),
+              CountPairs(ref.sa_counts[b].begin(), ref.sa_counts[b].end()));
+    EXPECT_EQ(t.ProbB(b), ref.Fraction(ref.bucket_qis[b].size()));
+    for (uint32_t q = 0; q < ref.num_qi; ++q) {
+      const auto it = ref.qi_counts[b].find(q);
+      const bool present = it != ref.qi_counts[b].end();
+      EXPECT_EQ(t.QiInBucket(q, b), present) << "q" << q << " b" << b;
+      EXPECT_EQ(t.ProbQB(q, b), present ? ref.Fraction(it->second) : 0.0);
+    }
+    for (uint32_t s = 0; s < ref.num_sa; ++s) {
+      const auto it = ref.sa_counts[b].find(s);
+      const bool present = it != ref.sa_counts[b].end();
+      EXPECT_EQ(t.SaInBucket(s, b), present) << "s" << s << " b" << b;
+      EXPECT_EQ(t.ProbSB(s, b), present ? ref.Fraction(it->second) : 0.0);
+    }
+  }
+  for (uint32_t q = 0; q < ref.num_qi; ++q) {
+    EXPECT_EQ(testing::ToVector(t.BucketsWithQi(q)), ref.qi_buckets[q]);
+    EXPECT_EQ(t.ProbQ(q), ref.Fraction(ref.qi_totals[q]));
+  }
+  for (uint32_t s = 0; s < ref.num_sa; ++s) {
+    EXPECT_EQ(testing::ToVector(t.BucketsWithSa(s)), ref.sa_buckets[s]);
+  }
+}
+
+TEST(BucketizedTableTest, CsrLayoutMatchesMapReference) {
+  std::mt19937 rng(23);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Small id ranges force a QI repeated inside a bucket, QIs spread
+    // over several buckets and SA multiplicities; bucket 0 always holds
+    // a single record. Records arrive shuffled across buckets.
+    const uint32_t num_buckets = 1 + rng() % 30;
+    const uint32_t qi_range = 1 + rng() % 25;
+    const uint32_t sa_range = 1 + rng() % 6;
+    std::vector<AbstractRecord> records;
+    for (uint32_t b = 0; b < num_buckets; ++b) {
+      const uint32_t size = b == 0 ? 1 : 1 + rng() % 8;
+      for (uint32_t i = 0; i < size; ++i) {
+        records.push_back({static_cast<uint32_t>(rng() % qi_range),
+                           static_cast<uint32_t>(rng() % sa_range), b});
+      }
+    }
+    std::shuffle(records.begin(), records.end(), rng);
+    const ReferenceTable ref(records);
+    const auto t = BucketizedTable::Create(records).ValueOrDie();
+    ExpectMatchesReference(t, ref);
+    for (uint32_t q = 0; q < ref.num_qi; ++q) {
+      EXPECT_EQ(t.QiName(q), "q" + std::to_string(q + 1));
+    }
+  }
+}
+
+TEST(BucketizedTableTest, BucketizeDatasetMatchesMapReference) {
+  data::AdultSynthOptions options;
+  options.num_records = 3000;
+  options.seed = 5;
+  const auto dataset = data::GenerateAdultLike(options).ValueOrDie();
+  AnatomyOptions anatomy;
+  anatomy.ell = 5;
+  const auto partition = AnatomyPartition(dataset, anatomy).ValueOrDie();
+  const auto bz = BucketizeDataset(dataset, partition).ValueOrDie();
+
+  // Reference encoding: QI tuples interned in first-seen order through a
+  // std::map, labels joined by hand.
+  const data::Schema& schema = dataset.schema();
+  const std::vector<size_t> qi_attrs = schema.QiIndices();
+  const size_t sa_attr = schema.SoleSensitiveIndex().ValueOrDie();
+  std::map<std::vector<uint32_t>, uint32_t> ids;
+  std::vector<std::vector<uint32_t>> tuples;
+  std::vector<std::string> names;
+  std::vector<AbstractRecord> records;
+  for (size_t r = 0; r < dataset.num_records(); ++r) {
+    std::vector<uint32_t> tuple;
+    for (size_t attr : qi_attrs) tuple.push_back(dataset.At(r, attr));
+    const auto [it, inserted] =
+        ids.emplace(tuple, static_cast<uint32_t>(tuples.size()));
+    if (inserted) {
+      std::string name;
+      for (size_t i = 0; i < qi_attrs.size(); ++i) {
+        if (i > 0) name += ",";
+        name += schema.attribute(qi_attrs[i]).name + "=" +
+                dataset.ValueAt(r, qi_attrs[i]);
+      }
+      tuples.push_back(tuple);
+      names.push_back(name);
+    }
+    records.push_back({it->second, dataset.At(r, sa_attr), partition[r]});
+  }
+
+  ASSERT_EQ(bz.sa_attr, sa_attr);
+  ASSERT_EQ(bz.qi_encoder.size(), tuples.size());
+  for (uint32_t q = 0; q < tuples.size(); ++q) {
+    EXPECT_EQ(testing::ToVector(bz.qi_encoder.Decode(q)), tuples[q]);
+    EXPECT_EQ(bz.table.QiName(q), names[q]);
+  }
+  for (uint32_t s = 0; s < bz.table.num_sa_values(); ++s) {
+    EXPECT_EQ(bz.table.SaName(s),
+              schema.attribute(sa_attr).dictionary.ValueOf(s));
+  }
+  ASSERT_EQ(bz.table.records().size(), records.size());
+  for (size_t r = 0; r < records.size(); ++r) {
+    EXPECT_EQ(bz.table.records()[r].qi, records[r].qi);
+    EXPECT_EQ(bz.table.records()[r].sa, records[r].sa);
+    EXPECT_EQ(bz.table.records()[r].bucket, records[r].bucket);
+  }
+  ExpectMatchesReference(bz.table, ReferenceTable(records));
+}
+
+TEST(BucketizedTableTest, BucketizeRecordsOneSpanWithItsSizes) {
+  data::AdultSynthOptions options;
+  options.num_records = 500;
+  const auto dataset = data::GenerateAdultLike(options).ValueOrDie();
+  AnatomyOptions anatomy;
+  anatomy.ell = 5;
+  const auto partition = AnatomyPartition(dataset, anatomy).ValueOrDie();
+  const uint64_t trace_id = trace::NewTraceId();
+  trace::RequestCapture capture(trace_id);
+  Result<DatasetBucketization> bz = Status::Internal("not run");
+  {
+    trace::TraceIdScope scope(trace_id);
+    bz = BucketizeDataset(dataset, partition);
+  }
+  ASSERT_TRUE(bz.ok());
+  const auto events = capture.TakeEvents();
+  ASSERT_EQ(events.size(), 1u);
+  const trace::TraceEvent& e = events[0];
+  EXPECT_STREQ(e.name, "bucketize");
+  ASSERT_NE(e.arg_names[1], nullptr);
+  EXPECT_STREQ(e.arg_names[0], "records");
+  EXPECT_EQ(e.arg_values[0], 500.0);
+  EXPECT_STREQ(e.arg_names[1], "qi_values");
+  EXPECT_EQ(e.arg_values[1], static_cast<double>(bz.value().qi_encoder.size()));
 }
 
 // ------------------------------------------------------------- Anatomy
@@ -242,9 +457,11 @@ TEST(PseudonymTest, CandidateBucketsFollowQi) {
   auto t = testing::MakeFigure1Table();
   auto p = PseudonymTable::Create(&t).ValueOrDie();
   // Any of q1's pseudonyms may sit in bucket 1 or bucket 2.
-  EXPECT_EQ(p.CandidateBuckets(0), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(testing::ToVector(p.CandidateBuckets(0)),
+            (std::vector<uint32_t>{0, 1}));
   // q6 is unique to bucket 3.
-  EXPECT_EQ(p.CandidateBuckets(9), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(testing::ToVector(p.CandidateBuckets(9)),
+            (std::vector<uint32_t>{2}));
 }
 
 TEST(PseudonymTest, ClaimingExhaustsOccurrences) {

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <random>
 #include <set>
+#include <string>
 
 #include "data/adult_synth.h"
 #include "data/csv.h"
@@ -25,6 +28,29 @@ TEST(AttributeDictionaryTest, InternAssignsDenseCodes) {
   EXPECT_EQ(dict.ValueOf(1), "b");
   EXPECT_EQ(dict.Lookup("b").ValueOrDie(), 1u);
   EXPECT_EQ(dict.Lookup("zzz").status().code(), StatusCode::kNotFound);
+}
+
+TEST(AttributeDictionaryTest, ManyValuesSurviveGrowthAndCopies) {
+  AttributeDictionary dict;
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(dict.Intern("value-" + std::to_string(i)),
+              static_cast<uint32_t>(i));
+  }
+  // A copy answers on its own storage after the original is gone.
+  AttributeDictionary copy;
+  {
+    AttributeDictionary original = dict;
+    copy = original;
+  }
+  for (int i = 4999; i >= 0; --i) {
+    const std::string value = "value-" + std::to_string(i);
+    EXPECT_EQ(copy.Intern(value), static_cast<uint32_t>(i));
+    EXPECT_EQ(copy.Lookup(value).ValueOrDie(), static_cast<uint32_t>(i));
+    EXPECT_EQ(copy.ValueOf(i), value);
+  }
+  EXPECT_EQ(copy.size(), 5000u);
+  EXPECT_FALSE(copy.Lookup("value-5000").ok());
+  EXPECT_FALSE(copy.Lookup("").ok());
 }
 
 TEST(SchemaTest, RolesAndLookups) {
@@ -88,9 +114,57 @@ TEST(TupleEncoderTest, EncodesDistinctTuples) {
   EXPECT_EQ(enc.Encode(d, 1), 1u);
   EXPECT_EQ(enc.Encode(d, 2), 0u);  // same QI tuple as record 0
   EXPECT_EQ(enc.size(), 2u);
-  EXPECT_EQ(enc.Find(enc.Decode(1)).ValueOrDie(), 1u);
-  EXPECT_FALSE(enc.Find({9, 9}).ok());
+  const auto tuple = enc.Decode(1);
+  EXPECT_EQ(std::vector<uint32_t>(tuple.begin(), tuple.end()),
+            (std::vector<uint32_t>{d.At(1, 0), d.At(1, 1)}));
   EXPECT_EQ(enc.ToString(d, 0), "a=x,b=1");
+}
+
+TEST(TupleEncoderTest, MatchesMapReferenceThroughProbeChains) {
+  // Three QI attributes around a sensitive one, 40 values each: 30,000
+  // draws give ~24,000 distinct tuples, so the id table grows many times
+  // and probes through collisions, and most tuples also repeat.
+  Schema schema;
+  schema.AddAttribute("a", AttributeRole::kQuasiIdentifier);
+  schema.AddAttribute("s", AttributeRole::kSensitive);
+  schema.AddAttribute("b", AttributeRole::kQuasiIdentifier);
+  schema.AddAttribute("c", AttributeRole::kQuasiIdentifier);
+  for (size_t attr = 0; attr < 4; ++attr) {
+    for (int v = 0; v < 40; ++v) {
+      schema.attribute(attr).dictionary.Intern("v" + std::to_string(v));
+    }
+  }
+  Dataset d(std::move(schema));
+  std::mt19937 rng(11);
+  for (int r = 0; r < 30000; ++r) {
+    std::vector<uint32_t> codes(4);
+    for (uint32_t& c : codes) c = rng() % 40;
+    ASSERT_TRUE(d.AppendRecord(codes).ok());
+  }
+
+  TupleEncoder enc(d.schema().QiIndices());
+  std::map<std::vector<uint32_t>, uint32_t> reference;
+  std::vector<std::vector<uint32_t>> tuples;
+  for (size_t r = 0; r < d.num_records(); ++r) {
+    const std::vector<uint32_t> tuple = {d.At(r, 0), d.At(r, 2), d.At(r, 3)};
+    const auto [it, inserted] =
+        reference.emplace(tuple, static_cast<uint32_t>(tuples.size()));
+    if (inserted) tuples.push_back(tuple);
+    ASSERT_EQ(enc.Encode(d, r), it->second) << "record " << r;
+    ASSERT_EQ(enc.EncodeCodes(tuple), it->second);
+  }
+  ASSERT_EQ(enc.size(), tuples.size());
+  EXPECT_GT(tuples.size(), 20000u);
+  for (uint32_t q = 0; q < enc.size(); ++q) {
+    const auto view = enc.Decode(q);
+    ASSERT_EQ(std::vector<uint32_t>(view.begin(), view.end()), tuples[q]);
+    EXPECT_EQ(enc.ToString(d, q), "a=v" + std::to_string(tuples[q][0]) +
+                                      ",b=v" + std::to_string(tuples[q][1]) +
+                                      ",c=v" + std::to_string(tuples[q][2]));
+  }
+  std::string appended = "x";
+  enc.AppendString(d, 1, &appended);
+  EXPECT_EQ(appended, "x" + enc.ToString(d, 1));
 }
 
 // --------------------------------------------------------------- CSV I/O
@@ -226,13 +300,20 @@ TEST(AdultSynthTest, DeterministicForSeed) {
   options.seed = 99;
   auto a = GenerateAdultLike(options).ValueOrDie();
   auto b = GenerateAdultLike(options).ValueOrDie();
+  auto record = [](const Dataset& d, size_t r) {
+    std::vector<uint32_t> codes(d.schema().num_attributes());
+    for (size_t i = 0; i < codes.size(); ++i) codes[i] = d.At(r, i);
+    return codes;
+  };
   for (size_t r = 0; r < a.num_records(); ++r) {
-    EXPECT_EQ(a.Record(r), b.Record(r));
+    EXPECT_EQ(record(a, r), record(b, r));
   }
   options.seed = 100;
   auto c = GenerateAdultLike(options).ValueOrDie();
   size_t same = 0;
-  for (size_t r = 0; r < a.num_records(); ++r) same += a.Record(r) == c.Record(r);
+  for (size_t r = 0; r < a.num_records(); ++r) {
+    same += record(a, r) == record(c, r);
+  }
   EXPECT_LT(same, a.num_records() / 2);
 }
 

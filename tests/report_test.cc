@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "anonymize/anatomy.h"
 #include "core/analysis_session.h"
 #include "core/report.h"
 #include "core/table_artifact.h"
+#include "data/adult_synth.h"
 #include "knowledge/knowledge_base.h"
 #include "tests/test_util.h"
 
@@ -126,6 +132,92 @@ TEST_F(ReportTest, PosteriorCsvShape) {
   EXPECT_EQ(lines, 1u + 6u * 5u);
   EXPECT_EQ(csv.rfind("qi,sa,posterior\n", 0), 0u);
   EXPECT_NE(csv.find("q1,s2,"), std::string::npos);
+}
+
+/// Splits one RFC 4180 record (no embedded line breaks) into its fields.
+std::vector<std::string> SplitCsvRecord(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c != '"') {
+        fields.back() += c;
+      } else if (i + 1 < line.size() && line[i + 1] == '"') {
+        fields.back() += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST(PosteriorCsvTest, DatasetQiNamesAreQuotedFields) {
+  data::AdultSynthOptions synth;
+  synth.num_records = 400;
+  const auto dataset = data::GenerateAdultLike(synth).ValueOrDie();
+  anonymize::AnatomyOptions anatomy;
+  anatomy.ell = 5;
+  const auto partition =
+      anonymize::AnatomyPartition(dataset, anatomy).ValueOrDie();
+  const auto bz = anonymize::BucketizeDataset(dataset, partition).ValueOrDie();
+  knowledge::KnowledgeBase empty;
+  const auto analysis = Analyze(bz.table, empty).ValueOrDie();
+  ASSERT_NE(bz.table.QiName(0).find(','), std::string::npos);
+
+  std::istringstream csv(PosteriorToCsv(bz.table, analysis));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line, "qi,sa,posterior");
+  size_t rows = 0;
+  while (std::getline(csv, line)) {
+    const uint32_t q = static_cast<uint32_t>(rows / bz.table.num_sa_values());
+    const uint32_t s = static_cast<uint32_t>(rows % bz.table.num_sa_values());
+    const std::vector<std::string> fields = SplitCsvRecord(line);
+    ASSERT_EQ(fields.size(), 3u) << line;
+    EXPECT_EQ(fields[0], bz.table.QiName(q));
+    EXPECT_EQ(fields[1], bz.table.SaName(s));
+    ++rows;
+  }
+  EXPECT_EQ(rows, static_cast<size_t>(bz.table.num_qi_values()) *
+                      bz.table.num_sa_values());
+}
+
+TEST(HighestRiskTest, TiedPosteriorsListTheLowestQisInOrder) {
+  // 200 buckets, each one QI instance with two records of distinct SAs:
+  // every QI's best posterior is exactly 0.5, a 200-way tie.
+  std::vector<anonymize::AbstractRecord> records;
+  for (uint32_t q = 0; q < 200; ++q) {
+    records.push_back({q, 0, q});
+    records.push_back({q, 1, q});
+  }
+  const auto table =
+      anonymize::BucketizedTable::Create(std::move(records)).ValueOrDie();
+  knowledge::KnowledgeBase empty;
+  const auto analysis = Analyze(table, empty).ValueOrDie();
+  ReportOptions options;
+  options.top_risks = 5;
+  const std::string report = RenderPrivacyReport(table, analysis, options);
+  const size_t list = report.find("[highest-risk individuals]");
+  ASSERT_NE(list, std::string::npos);
+  size_t at = list;
+  for (int rank = 1; rank <= 5; ++rank) {
+    const std::string entry = "  " + std::to_string(rank) + ". q" +
+                              std::to_string(rank) +
+                              " -> s1  (posterior 0.5000)\n";
+    const size_t found = report.find(entry, at);
+    ASSERT_NE(found, std::string::npos) << entry << report;
+    at = found + entry.size();
+  }
+  EXPECT_EQ(report.find("  6. ", list), std::string::npos);
 }
 
 }  // namespace

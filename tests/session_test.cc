@@ -273,6 +273,58 @@ TEST_F(SessionTest, ContentHashCoversInvariantOptions) {
   EXPECT_NE(a->content_hash(), b->content_hash());
 }
 
+// Set-up is traced: one artifact build records each stage's span once,
+// on the building thread, inside its artifact_build span.
+TEST_F(SessionTest, ArtifactBuildTracesEachStageOnceInsideIt) {
+  const uint64_t trace_id = trace::NewTraceId();
+  trace::RequestCapture capture(trace_id);
+  std::shared_ptr<const TableArtifact> artifact;
+  {
+    trace::TraceIdScope scope(trace_id);
+    artifact = BuildArtifact();
+  }
+  const std::vector<trace::TraceEvent> events = capture.TakeEvents();
+  const auto named = [&](const char* name) {
+    std::vector<const trace::TraceEvent*> out;
+    for (const trace::TraceEvent& e : events) {
+      if (std::strcmp(e.name, name) == 0) out.push_back(&e);
+    }
+    return out;
+  };
+  const auto builds = named("artifact_build");
+  ASSERT_EQ(builds.size(), 1u);
+  const trace::TraceEvent& build = *builds[0];
+
+  const double num_vars =
+      static_cast<double>(artifact->index().num_variables());
+  const struct {
+    const char* name;
+    const char* arg;
+    double value;
+  } stages[] = {
+      {"term_index", "variables", num_vars},
+      {"invariants", "rows",
+       static_cast<double>(artifact->invariants().size())},
+      {"row_index", "buckets",
+       static_cast<double>(artifact->table().num_buckets())},
+      {"closed_form", "variables", num_vars},
+      {"prior_posterior", "qi_values",
+       static_cast<double>(artifact->table().num_qi_values())},
+  };
+  for (const auto& stage : stages) {
+    SCOPED_TRACE(stage.name);
+    const auto spans = named(stage.name);
+    ASSERT_EQ(spans.size(), 1u);
+    const trace::TraceEvent& e = *spans[0];
+    EXPECT_EQ(e.tid, build.tid);
+    EXPECT_GE(e.start_ns, build.start_ns);
+    EXPECT_LE(e.start_ns + e.dur_ns, build.start_ns + build.dur_ns);
+    ASSERT_NE(e.arg_names[0], nullptr);
+    EXPECT_STREQ(e.arg_names[0], stage.arg);
+    EXPECT_EQ(e.arg_values[0], stage.value);
+  }
+}
+
 // The reference the block plan must reproduce: ComponentAnalysis::Build
 // over the whole concatenated system, every row routed to the block of
 // its first supported variable (in the stacked layout: a pass over the

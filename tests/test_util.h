@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
+#include "common/span.h"
 #include "data/dataset.h"
 
 namespace pme::testing {
@@ -22,6 +23,12 @@ namespace pme::testing {
 inline constexpr uint32_t kQ1 = 0, kQ2 = 1, kQ3 = 2, kQ4 = 3, kQ5 = 4,
                           kQ6 = 5;
 inline constexpr uint32_t kS1 = 0, kS2 = 1, kS3 = 2, kS4 = 3, kS5 = 4;
+
+/// Copies a view into a vector, for EXPECT_EQ against a vector literal.
+template <typename T>
+std::vector<typename Span<T>::value_type> ToVector(Span<T> view) {
+  return {view.begin(), view.end()};
+}
 
 /// The bucketized data set D' of Figure 1(c), with the original bindings
 /// of Figure 1(a) as ground truth:
