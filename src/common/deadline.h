@@ -16,9 +16,8 @@ namespace pme {
 ///
 /// Deadlines are absolute points on std::chrono::steady_clock, so they
 /// compose across call layers: `SolveDecomposed` derives per-component
-/// deadlines from the request deadline, every solver iteration checks
-/// the same absolute instant, and nothing drifts when the fallback
-/// ladder's restart re-solves. The default-constructed deadline is
+/// deadlines from the request deadline, and every solver iteration
+/// checks the same absolute instant. The default-constructed deadline is
 /// infinite (never expires) — existing call sites pay nothing.
 ///
 /// Value type, trivially copyable; a Deadline inside SolverOptions is

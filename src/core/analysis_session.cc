@@ -84,7 +84,7 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
             plan,
             std::shared_ptr<const std::vector<double>>(
                 artifact_, &artifact.closed_form_prior()),
-            artifact.closed_form_prior_entropy(), run_options.solver,
+            artifact.closed_form_prior_entropy(),
             run_options.solver_options));
     // Per-block solve effort, aligned with the decomposition census's
     // block numbering (component_outcomes are emitted in block-id order).

@@ -167,12 +167,12 @@ Status IndividualModel::AddKnowledge(const knowledge::KnowledgeBase& kb) {
 }
 
 Result<maxent::SolverResult> IndividualModel::Solve(
-    maxent::SolverKind kind, const maxent::SolverOptions& options) const {
+    const maxent::SolverOptions& options) const {
   constraints::ConstraintSystem system(terms_.size());
   for (const auto& c : invariants_) system.Add(c);
   for (const auto& c : knowledge_) system.Add(c);
   PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
-  return maxent::Solve(problem, kind, options);
+  return maxent::Solve(problem, options);
 }
 
 std::vector<double> IndividualModel::PosteriorFor(

@@ -49,7 +49,6 @@ class IndividualModel {
 
   /// Runs the MaxEnt solve over the expanded space.
   Result<maxent::SolverResult> Solve(
-      maxent::SolverKind kind = maxent::SolverKind::kLbfgs,
       const maxent::SolverOptions& options = {}) const;
 
   /// The posterior P*(s | i) over all SA instances for one pseudonym,

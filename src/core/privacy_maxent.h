@@ -19,7 +19,6 @@ namespace pme::core {
 
 /// Options for a Privacy-MaxEnt analysis.
 struct AnalysisOptions {
-  maxent::SolverKind solver = maxent::SolverKind::kLbfgs;
   maxent::SolverOptions solver_options;
   /// Apply the Section 5.5 bucket decomposition (closed form for
   /// knowledge-irrelevant buckets, iterative solve for the rest).

@@ -62,8 +62,6 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
   }
 
   out << "[maxent solve]\n";
-  out << "  solver:            "
-      << maxent::SolverKindToString(analysis.solver.kind) << "\n";
   out << "  kernel isa:        " << kernels::SimdModeName() << "\n";
   out << "  iterations:        " << analysis.solver.iterations << "\n";
   out << "  wall time:         " << Fmt("%.3f s", analysis.solver.seconds)
@@ -83,15 +81,14 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
         << " solved, " << analysis.solver.components_degraded << " degraded, "
         << analysis.solver.components_failed << " failed\n";
     for (const auto& c : analysis.solver.component_outcomes) {
-      if (!c.degraded && !c.used_prior) continue;
+      if (!c.degraded) continue;
       out << "    block " << c.block << " (" << c.num_variables << " vars): "
           << (c.used_prior ? "kept closed-form prior"
-                           : std::string("degraded to ") +
-                                 maxent::SolverKindToString(c.solver))
-          << " after " << c.attempts << " attempt"
-          << (c.attempts == 1 ? "" : "s") << " ("
-          << StatusCodeToString(c.status)
-          << (c.message.empty() ? "" : ": " + c.message) << ")\n";
+                           : "kept best iterate")
+          << " (" << StatusCodeToString(c.status)
+          << (c.message.empty() ? "" : ": " + c.message) << "; "
+          << c.iterations << " iterations, worst violation "
+          << Fmt("%.2e", c.max_violation) << ")\n";
     }
   }
   if (analysis.solver.cache_enabled) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -28,13 +29,15 @@ using constraints::Relation;
 namespace {
 
 /// Process-wide solve.* metrics, mirroring the per-run SolverResult
-/// census so the `stats` verb can report fallback-ladder outcomes
-/// without threading result structs through the serve layer.
+/// census so the `stats` verb can report block outcomes without
+/// threading result structs through the serve layer.
 struct SolveMetrics {
   metrics::Counter* runs;
   metrics::Counter* components_solved;
   metrics::Counter* components_degraded;
   metrics::Counter* components_failed;
+  /// Blocks whose solve ended with converged == false, accepted or not.
+  metrics::Counter* not_converged;
   metrics::Histogram* block_seconds;
   metrics::Histogram* block_iterations;
 };
@@ -48,6 +51,7 @@ SolveMetrics& GetSolveMetrics() {
     r.components_degraded =
         &registry.GetCounter("solve.components_degraded");
     r.components_failed = &registry.GetCounter("solve.components_failed");
+    r.not_converged = &registry.GetCounter("solve.not_converged");
     r.block_seconds = &registry.GetHistogram("solve.block_seconds");
     // Iteration counts: buckets [0,1), [1,2), [2,4) ... cover the
     // fixed-point loop's realistic range up to ~2^30.
@@ -144,7 +148,7 @@ DecompositionStats AnalyzeDecomposition(
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system, SolverKind kind,
+    const constraints::ConstraintSystem& system,
     const SolverOptions& options) {
   Timer timer;
   BlockPlan plan;
@@ -158,7 +162,7 @@ Result<SolverResult> SolveDecomposed(
   const double prior_entropy = Entropy(*prior);
   PME_ASSIGN_OR_RETURN(
       SolverResult result,
-      SolveDecomposed(plan, std::move(prior), prior_entropy, kind, options));
+      SolveDecomposed(plan, std::move(prior), prior_entropy, options));
   result.p = MaterializeJoint(result);
   result.blocks.clear();
   result.prior.reset();
@@ -168,12 +172,11 @@ Result<SolverResult> SolveDecomposed(
 
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
-    double prior_entropy, SolverKind kind, const SolverOptions& options) {
+    double prior_entropy, const SolverOptions& options) {
   Timer timer;
   trace::TraceSpan solve_span("solve_decomposed", "solve");
   GetSolveMetrics().runs->Add();
   SolverResult result;
-  result.kind = kind;
   result.converged = true;
   result.prior = std::move(prior);
   const std::vector<PlanBlock>& blocks = plan.blocks();
@@ -235,7 +238,6 @@ Result<SolverResult> SolveDecomposed(
   // thread count.
   std::vector<std::optional<Result<SolverResult>>> block_results(
       blocks.size());
-  std::vector<size_t> block_attempts(blocks.size(), 0);
   std::vector<double> block_seconds(blocks.size(), 0.0);
   const size_t threads = ThreadPool::ResolveThreads(options.threads);
   // Threads per block: one each, except that with fewer blocks to solve
@@ -300,8 +302,7 @@ Result<SolverResult> SolveDecomposed(
           }
           Team team(team_size[i]);
           block_span.AddArg("team", static_cast<double>(team.size()));
-          return SolveWithFallback(sub, kind, block_options,
-                                   &block_attempts[i], &team);
+          return Solve(sub, block_options, &team);
         };
         block_results[i] = solve_block();
         block_seconds[i] = block_timer.ElapsedSeconds();
@@ -315,16 +316,14 @@ Result<SolverResult> SolveDecomposed(
           : ThreadPool::ParallelFor(threads, blocks.size(), block_task);
 
   // Aggregate, in block order. Each block keeps the cached solution, its
-  // solve's answer, its best finite iterate, or — when no attempt left a
-  // usable iterate — the closed-form prior, flagged: one bad component
-  // must degrade its own answer, never the whole analysis.
+  // acceptable solve's answer, or — flagged — the better of its
+  // unacceptable solve's iterate and the closed-form prior: one bad
+  // component must degrade its own answer, never the whole analysis.
   result.blocks.resize(blocks.size());
   result.component_outcomes.reserve(blocks.size());
-  std::vector<double> block_violation(blocks.size(), 0.0);
   std::vector<double> prior_slice;
   double entropy = prior_entropy;
-  size_t blocks_answered = 0;   // blocks with a solve result, or cached
-  size_t blocks_projected = 0;  // ... whose answer is projected gradient's
+  size_t not_converged = 0;
   for (size_t i = 0; i < blocks.size(); ++i) {
     const PlanBlock& block = blocks[i];
     SolverResult::BlockSlice& slice = result.blocks[i];
@@ -332,8 +331,6 @@ Result<SolverResult> SolveDecomposed(
     ComponentOutcome outcome;
     outcome.block = static_cast<uint32_t>(i);
     outcome.num_variables = block.cols.size();
-    outcome.attempts = block_attempts[i];
-    outcome.solver = kind;
     outcome.seconds = block_seconds[i];
 
     prior_slice.resize(block.cols.size());
@@ -343,22 +340,18 @@ Result<SolverResult> SolveDecomposed(
 
     if (block.cached != nullptr) {
       // No solve ran, so this block contributes zero iterations (the
-      // bench's speedup measurement) while its dual value, convergence
-      // flag, minimizer and degraded flag still count toward the
-      // aggregate exactly as the original solve's did.
+      // bench's speedup measurement) while its dual value and convergence
+      // flag still count toward the aggregate exactly as the original
+      // solve's did. Its rows are those it was solved with, so the cached
+      // violation stands.
       const CachedComponentSolution& cached = *block.cached;
       slice.p = cached.p;
-      block_violation[i] = cached.max_violation;
+      outcome.max_violation = cached.max_violation;
       result.dual_value += cached.dual_value;
       result.presolve_fixed += cached.presolve_fixed;
       result.converged = result.converged && cached.converged;
       outcome.cache = CacheOutcome::kExactHit;
-      outcome.solver = cached.solver;
-      outcome.degraded = cached.degraded;
-      ++(cached.degraded ? result.components_degraded
-                         : result.components_solved);
-      ++blocks_answered;
-      if (cached.solver == SolverKind::kProjected) ++blocks_projected;
+      ++result.components_solved;
     } else {
       if (!block.warm_start.empty()) outcome.cache = CacheOutcome::kWarmStart;
       Status block_error = Status::Ok();
@@ -373,24 +366,13 @@ Result<SolverResult> SolveDecomposed(
         block_error = block_results[i]->status();
       } else {
         sub = &block_results[i]->value();
-      }
-      if (sub != nullptr) {
         outcome.iterations = sub->iterations;
-        outcome.solver = sub->kind;
         result.iterations += sub->iterations;
-        ++blocks_answered;
-        if (sub->kind == SolverKind::kProjected) ++blocks_projected;
+        if (!sub->converged) ++not_converged;
       }
-      const bool accepted = sub != nullptr && IsAcceptable(*sub);
-      // Unacceptable (SolveWithFallback returns only finite iterates), with
-      // real progress made: a hard-to-converge or interrupted block keeps
-      // its best-so-far iterate rather than throwing the work away. A block
-      // that never got to iterate (budget spent up front) falls through to
-      // the prior: its untouched start point is worse than the closed form.
-      const bool kept_iterate =
-          !accepted && sub != nullptr && sub->iterations > 0;
-      slice.p = accepted || kept_iterate ? sub->p : prior_slice;
-      if (accepted) {
+      if (sub != nullptr && IsAcceptable(*sub)) {
+        slice.p = sub->p;
+        outcome.max_violation = max_violation(block.rows);
         result.dual_value += sub->dual_value;
         result.presolve_fixed += sub->presolve_fixed;
         result.converged = result.converged && sub->converged;
@@ -398,12 +380,25 @@ Result<SolverResult> SolveDecomposed(
           result.termination = sub->termination;
         }
         outcome.status = sub->termination;
-        outcome.degraded = sub->degraded;
-        ++(sub->degraded ? result.components_degraded
-                         : result.components_solved);
+        ++result.components_solved;
       } else {
+        // Keep the iterate only when it is finite and violates the
+        // block's rows less than the prior does: a budget spent before
+        // the first step, or a poisoned line search, leaves a start point
+        // that is not even a distribution.
+        double iterate_violation = std::numeric_limits<double>::infinity();
+        if (sub != nullptr &&
+            std::all_of(sub->p.begin(), sub->p.end(),
+                        [](double v) { return std::isfinite(v); })) {
+          slice.p = sub->p;
+          iterate_violation = max_violation(block.rows);
+        }
+        slice.p = prior_slice;
+        const double prior_violation = max_violation(block.rows);
+        outcome.used_prior = !(iterate_violation < prior_violation);
+        if (!outcome.used_prior) slice.p = sub->p;
+        outcome.max_violation = std::min(iterate_violation, prior_violation);
         outcome.degraded = true;
-        outcome.used_prior = !kept_iterate;
         result.converged = false;
         if (sub != nullptr) {
           outcome.status = sub->termination == StatusCode::kOk
@@ -423,19 +418,11 @@ Result<SolverResult> SolveDecomposed(
     entropy += kernels::NegXLogXSum(kernels::ConstSpan(slice.p)) -
                kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
   }
-  // Name the minimizer that ran, as Solve does for a single problem.
-  if (blocks_answered > 0 && blocks_projected == blocks_answered) {
-    result.kind = SolverKind::kProjected;
-  }
 
-  // Per-block violations; an exact hit's rows are those it was solved
-  // with, so the cached value stands.
   result.max_violation = max_violation(plan.unsupported_rows());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    if (blocks[i].cached == nullptr) {
-      block_violation[i] = max_violation(blocks[i].rows);
-    }
-    result.max_violation = std::max(result.max_violation, block_violation[i]);
+  for (const ComponentOutcome& outcome : result.component_outcomes) {
+    result.max_violation =
+        std::max(result.max_violation, outcome.max_violation);
   }
 
   {
@@ -443,6 +430,7 @@ Result<SolverResult> SolveDecomposed(
     sm.components_solved->Add(result.components_solved);
     sm.components_degraded->Add(result.components_degraded);
     sm.components_failed->Add(result.components_failed);
+    sm.not_converged->Add(not_converged);
     for (size_t i = 0; i < blocks.size(); ++i) {
       if (blocks[i].cached != nullptr) continue;  // no solve ran
       sm.block_seconds->Observe(block_seconds[i]);
@@ -466,10 +454,8 @@ Result<SolverResult> SolveDecomposed(
       entry.p = sub.p;
       entry.lambda_full = sub.dual_lambda_full;
       entry.row_sigs = blocks[i].row_sigs;
-      entry.solver = sub.kind;
-      entry.degraded = sub.degraded;
       entry.dual_value = sub.dual_value;
-      entry.max_violation = block_violation[i];
+      entry.max_violation = result.component_outcomes[i].max_violation;
       entry.iterations = sub.iterations;
       entry.presolve_fixed = sub.presolve_fixed;
       entry.converged = sub.converged;

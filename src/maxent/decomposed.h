@@ -36,15 +36,14 @@ namespace pme::maxent {
 /// This overload plans `system` itself, solves over a freshly derived
 /// closed form, and returns the full joint in `p`.
 ///
-/// Failure semantics: each block runs the SolveWithFallback ladder (the
-/// requested solver, then at most one projected-gradient restart) under a
+/// Failure semantics: each block is solved once (Solve) under a
 /// wall-time budget proportional to its variable count (a slice of
-/// `options.deadline`).
-/// A block that ends unacceptable but made real progress keeps its best
-/// finite iterate (the contract non-converged solves always had); a
-/// block with no usable iterate — poisoned numerics, a thrown task, a
-/// budget spent before the first iteration — keeps its
-/// closed-form no-knowledge prior. Both are reported in
+/// `options.deadline`). A block whose solve is not acceptable
+/// (IsAcceptable) keeps the better of two answers: its final iterate,
+/// when that is finite and violates the block's rows less than the
+/// closed-form no-knowledge prior does, or else that prior. A block with
+/// no solve result (a thrown task, a presolve error) keeps the prior.
+/// Both are reported in
 /// `component_outcomes` (with the block error's message) and
 /// `components_{solved,degraded,failed}`; the call still returns Ok with
 /// `degraded = true`, so one bad component never sinks the whole
@@ -56,7 +55,7 @@ Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system,
-    SolverKind kind = SolverKind::kLbfgs, const SolverOptions& options = {});
+    const SolverOptions& options = {});
 
 /// The request path: solves the blocks of `plan` (its cache already
 /// consulted) over `prior` — the table's Theorem-5 closed form, with
@@ -70,7 +69,7 @@ Result<SolverResult> SolveDecomposed(
 /// call.
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
-    double prior_entropy, SolverKind kind, const SolverOptions& options);
+    double prior_entropy, const SolverOptions& options);
 
 /// The full joint of `result`: `p` itself, or the prior with the block
 /// slices written over it. For reports, exports and tests — the request

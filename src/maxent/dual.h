@@ -39,7 +39,7 @@ struct DualWorkspace {
 ///
 /// The same object serves the inequality-extended problem (Kazama–Tsujii):
 /// `a` is a MaxEntProblem's stacked matrix (maxent/problem.h), and the
-/// projected solver keeps the multipliers of its ≤ rows at λ_j ≤ 0.
+/// minimizer keeps the multipliers of its ≤ rows at λ_j ≤ 0.
 ///
 /// Not thread-safe: one minimizer drives it, and the team does the rest.
 class DualFunction {

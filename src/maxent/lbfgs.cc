@@ -25,15 +25,52 @@ kernels::Span Slice(std::vector<double>& v, size_t b, size_t e) {
   return kernels::Span(v.data() + b, e - b);
 }
 
+/// The sign box of the inequality-extended dual (Section 4.5, after
+/// Kazama–Tsujii): multipliers [num_eq, m) of the ≤ rows stay λ_j ≤ 0,
+/// the equality ones are free. A tail coordinate on its bound whose
+/// gradient points out of the box (g_j < 0: descent would raise it) is
+/// active, frozen for the iteration. Every loop over the tail is empty
+/// when num_eq == m, so equality solves run the unconstrained arithmetic.
+struct Box {
+  size_t num_eq;
+  const std::vector<double>& lambda;
+  const std::vector<double>& grad;
+
+  bool Active(size_t j) const { return lambda[j] >= 0.0 && grad[j] < 0.0; }
+
+  /// Zeroes the active coordinates of v in the chunk [b, e).
+  void Freeze(std::vector<double>& v, size_t b, size_t e) const {
+    for (size_t j = std::max(b, num_eq); j < e; ++j) {
+      if (Active(j)) v[j] = 0.0;
+    }
+  }
+
+  /// ‖·‖∞ of the projected gradient: |g_j|, except 0 for an active
+  /// coordinate (its outward pull is not a violation). Chunk maxima in
+  /// chunk order, the equality prefix by kernels::InfNorm.
+  double ProjectedInfNorm(Team& team) const {
+    return team.Max(grad.size(), [&](size_t b, size_t e) {
+      const size_t tail = std::clamp(num_eq, b, e);
+      double worst = kernels::InfNorm(Slice(grad, b, tail));
+      for (size_t j = tail; j < e; ++j) {
+        if (!Active(j)) worst = std::max(worst, std::fabs(grad[j]));
+      }
+      return worst;
+    });
+  }
+};
+
 /// One team pass of the two-loop recursion over `direction`, chunk by
 /// chunk: copy `copy_from` in (when non-null), add coef·x (when x is
-/// non-null), scale by `scale`, and return the chunked Dot(dot_with,
+/// non-null), scale by `scale`, zero the coordinates `freeze` holds
+/// active (when non-null), and return the chunked Dot(dot_with,
 /// direction). Fusing each Axpy with the Dot that follows it saves a
 /// pass over the direction; the arithmetic is the unfused sequence's.
 double FusedPass(Team& team, std::vector<double>& direction,
                  const std::vector<double>* copy_from, double coef,
                  const std::vector<double>* x, double scale,
-                 const std::vector<double>& dot_with) {
+                 const std::vector<double>& dot_with,
+                 const Box* freeze = nullptr) {
   return team.Sum(direction.size(), [&](size_t b, size_t e) {
     const kernels::Span d = Slice(direction, b, e);
     if (copy_from != nullptr) {
@@ -41,50 +78,62 @@ double FusedPass(Team& team, std::vector<double>& direction,
     }
     if (x != nullptr) kernels::Axpy(coef, Slice(*x, b, e), d);
     if (scale != 1.0) kernels::Scale(d, scale);
+    if (freeze != nullptr) freeze->Freeze(direction, b, e);
     return kernels::Dot(Slice(dot_with, b, e), d);
   });
 }
 
-/// direction = −grad; returns the chunked Σ grad² by `sum_squares`
-/// (kernels::SumSquares) or, otherwise, by kernels::Dot(grad, grad).
-double SteepestDescent(Team& team, const std::vector<double>& grad,
+/// direction = −grad on the free coordinates (0 on the active ones);
+/// returns the chunked Σ direction² — the free part of Σ grad² — by
+/// `sum_squares` (kernels::SumSquares) or, otherwise, by kernels::Dot.
+double SteepestDescent(Team& team, const Box& box,
                        std::vector<double>& direction, bool sum_squares) {
-  return team.Sum(grad.size(), [&](size_t b, size_t e) {
-    for (size_t j = b; j < e; ++j) direction[j] = -grad[j];
-    const kernels::ConstSpan g = Slice(grad, b, e);
-    return sum_squares ? kernels::SumSquares(g) : kernels::Dot(g, g);
+  return team.Sum(box.grad.size(), [&](size_t b, size_t e) {
+    for (size_t j = b; j < e; ++j) direction[j] = -box.grad[j];
+    box.Freeze(direction, b, e);
+    const kernels::ConstSpan d = Slice(direction, b, e);
+    return sum_squares ? kernels::SumSquares(d) : kernels::Dot(d, d);
   });
 }
 
-/// Chunked InfNorm: kernels::InfNorm per chunk, maxima in chunk order.
-double TeamInfNorm(Team& team, const std::vector<double>& v) {
-  return team.Max(v.size(), [&](size_t b, size_t e) {
-    return kernels::InfNorm(Slice(v, b, e));
-  });
-}
-
-/// Armijo backtracking. On success updates (lambda, value, grad), leaves
-/// the replaced iterate and gradient in the scratch buffers, and returns
-/// true. Every probe evaluates through the shared workspace, so the line
-/// search allocates nothing.
-bool Backtrack(const DualFunction& dual, const std::vector<double>& direction,
-               double dir_dot_grad, double initial_step,
-               std::vector<double>* lambda, double* value,
-               std::vector<double>* grad, std::vector<double>* scratch_lambda,
+/// Armijo backtracking along the projected path P(λ + t·d), P clipping
+/// the tail to λ_j ≤ 0. The sufficient-decrease model is the actual
+/// move's gᵀ(P(λ + t·d) − λ): t·gᵀd plus a correction on the clipped
+/// coordinates, so with nothing clipped the test is the unconstrained
+/// one, rounding included. On success updates (lambda, value, grad),
+/// leaves the replaced iterate and gradient in the scratch buffers, and
+/// returns true. Every probe evaluates through the shared workspace, so
+/// the line search allocates nothing.
+bool Backtrack(const DualFunction& dual, size_t num_eq,
+               const std::vector<double>& direction, double dir_dot_grad,
+               double initial_step, std::vector<double>* lambda,
+               double* value, std::vector<double>* grad,
+               std::vector<double>* scratch_lambda,
                std::vector<double>* scratch_grad, DualWorkspace* ws,
                size_t* probes) {
   const double c1 = 1e-4;
   double step = initial_step;
   for (size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
     ++*probes;
-    dual.team().ForChunks(lambda->size(), [&](size_t b, size_t e) {
+    const double clipped = dual.team().Sum(lambda->size(), [&](size_t b,
+                                                               size_t e) {
       kernels::ScaledAdd(Slice(*lambda, b, e), step, Slice(direction, b, e),
                          Slice(*scratch_lambda, b, e));
+      double correction = 0.0;
+      for (size_t j = std::max(b, num_eq); j < e; ++j) {
+        if ((*scratch_lambda)[j] > 0.0) {
+          correction += (*grad)[j] * (-(*lambda)[j] - step * direction[j]);
+          (*scratch_lambda)[j] = 0.0;
+        }
+      }
+      return correction;
     });
+    const double threshold =
+        clipped == 0.0 ? *value + c1 * step * dir_dot_grad
+                       : *value + c1 * (step * dir_dot_grad + clipped);
     const double trial_value =
         dual.EvaluateInto(*scratch_lambda, scratch_grad, ws);
-    if (std::isfinite(trial_value) &&
-        trial_value <= *value + c1 * step * dir_dot_grad) {
+    if (std::isfinite(trial_value) && trial_value <= threshold) {
       lambda->swap(*scratch_lambda);
       grad->swap(*scratch_grad);
       *value = trial_value;
@@ -97,13 +146,17 @@ bool Backtrack(const DualFunction& dual, const std::vector<double>& direction,
 
 }  // namespace
 
-Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
+Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
                                   std::vector<double> start,
                                   const SolverOptions& options) {
   const size_t m = dual.dim();
   Team& team = dual.team();
   DualOutcome out;
   out.lambda = std::move(start);
+  // A warm start must enter the box.
+  for (size_t j = num_eq; j < m; ++j) {
+    out.lambda[j] = std::min(out.lambda[j], 0.0);
+  }
   if (m == 0) {
     out.converged = true;
     return out;
@@ -124,6 +177,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
 
   DualWorkspace ws;
   std::vector<double> grad(m, 0.0);
+  const Box box{num_eq, out.lambda, grad};
   double value = dual.EvaluateInto(out.lambda, &grad, &ws);
   if (inject_nan) {
     value = std::numeric_limits<double>::quiet_NaN();
@@ -151,7 +205,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
   bool restarted_after_stall = false;
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    out.grad_inf = TeamInfNorm(team, grad);
+    out.grad_inf = box.ProjectedInfNorm(team);
     if (out.grad_inf <= options.tolerance) {
       out.converged = true;
       out.iterations = iter;
@@ -171,19 +225,21 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       return out;
     }
 
-    // Two-loop recursion: direction = -H_k * grad, one fused team pass
-    // per Axpy-then-Dot. With h pairs:
-    //   direction = grad;  α_i = ρ_i s_iᵀd,  d −= α_i y_i  (i = h-1..0)
+    // Two-loop recursion on the free coordinates: direction =
+    // −P H_k P grad, P zeroing the active ones, one fused team pass per
+    // Axpy-then-Dot. With h pairs:
+    //   direction = P grad;  α_i = ρ_i s_iᵀd,  d −= α_i y_i  (i = h-1..0)
     //   d *= γ = sᵀy / yᵀy of the newest pair
-    //   β_i = ρ_i y_iᵀd,  d += (α_i − β_i) s_i  (i = 0..h-1);  d = −d.
+    //   β_i = ρ_i y_iᵀd,  d += (α_i − β_i) s_i  (i = 0..h-1);  d = −P d.
     const size_t h = s_hist.size();
     double dir_dot_grad = 0.0;
     if (h == 0) {
       dir_dot_grad =
-          FusedPass(team, direction, &grad, 0.0, nullptr, -1.0, grad);
+          FusedPass(team, direction, &grad, 0.0, nullptr, -1.0, grad, &box);
     } else {
-      alpha[h - 1] = rho_hist[h - 1] * FusedPass(team, direction, &grad, 0.0,
-                                                 nullptr, 1.0, s_hist[h - 1]);
+      alpha[h - 1] =
+          rho_hist[h - 1] * FusedPass(team, direction, &grad, 0.0, nullptr,
+                                      1.0, s_hist[h - 1], &box);
       for (size_t i = h - 1; i > 0; --i) {
         alpha[i - 1] =
             rho_hist[i - 1] * FusedPass(team, direction, nullptr, -alpha[i],
@@ -200,27 +256,28 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
                                            y_hist[i + 1]);
       }
       dir_dot_grad = FusedPass(team, direction, nullptr, alpha[h - 1] - beta,
-                               &s_hist[h - 1], -1.0, grad);
+                               &s_hist[h - 1], -1.0, grad, &box);
     }
 
     if (dir_dot_grad >= 0.0) {
       // Stale curvature produced an ascent direction: restart from
       // steepest descent.
       clear_history();
-      dir_dot_grad = -SteepestDescent(team, grad, direction, false);
+      dir_dot_grad = -SteepestDescent(team, box, direction, false);
     }
 
     const double prev_value = value;
-    bool accepted = Backtrack(dual, direction, dir_dot_grad, 1.0, &out.lambda,
-                              &value, &grad, &scratch_lambda, &scratch_grad,
-                              &ws, &out.line_search_probes);
+    bool accepted = Backtrack(dual, num_eq, direction, dir_dot_grad, 1.0,
+                              &out.lambda, &value, &grad, &scratch_lambda,
+                              &scratch_grad, &ws, &out.line_search_probes);
     if (!accepted && !s_hist.empty()) {
       // The quasi-Newton direction may be badly scaled (near-degenerate
       // curvature); drop the memory and retry along the raw gradient with
       // a conservatively normalized first step.
       clear_history();
-      const double gnorm = std::sqrt(SteepestDescent(team, grad, direction, true));
-      accepted = Backtrack(dual, direction, -gnorm * gnorm,
+      const double gnorm =
+          std::sqrt(SteepestDescent(team, box, direction, true));
+      accepted = Backtrack(dual, num_eq, direction, -gnorm * gnorm,
                            1.0 / std::max(1.0, gnorm), &out.lambda, &value,
                            &grad, &scratch_lambda, &scratch_grad, &ws,
                            &out.line_search_probes);
@@ -230,7 +287,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       // precision for this problem.
       out.iterations = iter + 1;
       out.dual_value = value;
-      out.grad_inf = TeamInfNorm(team, grad);
+      out.grad_inf = box.ProjectedInfNorm(team);
       out.converged = out.grad_inf <= options.tolerance;
       return out;
     }
@@ -251,7 +308,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
       }
       out.iterations = iter + 1;
       out.dual_value = value;
-      out.grad_inf = TeamInfNorm(team, grad);
+      out.grad_inf = box.ProjectedInfNorm(team);
       out.converged = out.grad_inf <= options.tolerance;
       return out;
     }
@@ -295,7 +352,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
   }
 
   out.dual_value = value;
-  out.grad_inf = TeamInfNorm(team, grad);
+  out.grad_inf = box.ProjectedInfNorm(team);
   out.converged = out.grad_inf <= options.tolerance;
   return out;
 }

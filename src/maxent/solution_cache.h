@@ -40,10 +40,6 @@ struct CachedComponentSolution {
   std::vector<double> p;
   std::vector<double> lambda_full;
   std::vector<Hash128> row_sigs;
-  /// The minimizer that produced `p`, and whether it ran below the
-  /// requested one: an exact hit reports the solve it reuses.
-  SolverKind solver = SolverKind::kLbfgs;
-  bool degraded = false;
   double dual_value = 0.0;
   /// Worst violation of the block's rows at `p`: the rows are fixed by
   /// the exact key, so an exact hit reuses it instead of re-evaluating.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -17,7 +16,7 @@ namespace {
 
 /// IsAcceptable's bound on the worst constraint violation of a solve that
 /// did not meet the tolerance.
-constexpr double kFallbackAcceptViolation = 1e-6;
+constexpr double kAcceptViolation = 1e-6;
 
 /// Worst violation of the *original* problem at full-space solution p.
 double ProblemViolation(const MaxEntProblem& problem,
@@ -71,28 +70,10 @@ Result<CacheMode> ParseCacheMode(const std::string& name) {
       "cache must be 'off', 'exact' or 'warm', got '" + name + "'");
 }
 
-const char* SolverKindToString(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kLbfgs:
-      return "lbfgs";
-    case SolverKind::kProjected:
-      return "projected";
-  }
-  return "unknown";
-}
-
-Result<SolverKind> ParseSolverKind(const std::string& name) {
-  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
-    if (name == SolverKindToString(kind)) return kind;
-  }
-  return Status::InvalidArgument("unknown solver: " + name);
-}
-
-Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
+Result<SolverResult> Solve(const MaxEntProblem& problem,
                            const SolverOptions& options, Team* team) {
   Timer timer;
   SolverResult result;
-  result.kind = kind;
 
   // Presolve (or pass-through).
   PresolvedProblem pre;
@@ -130,21 +111,11 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
 
   std::vector<double> reduced_p(reduced.num_vars, 0.0);
   if (reduced.num_vars > 0) {
-    // Inequality rows need the sign-constrained dual, which only
-    // projected gradient minimizes; without them its box is all of R^m
-    // and it is plain Barzilai–Borwein gradient descent — the fallback
-    // ladder's curvature-free restart.
-    if (reduced.has_inequalities()) result.kind = SolverKind::kProjected;
     DualFunction dual(&reduced.a, reduced.rhs, team);
-    internal::DualOutcome outcome;
-    if (result.kind == SolverKind::kProjected) {
-      PME_ASSIGN_OR_RETURN(
-          outcome, internal::MinimizeProjected(dual, reduced.num_eq,
-                                               std::move(lambda), options));
-    } else {
-      PME_ASSIGN_OR_RETURN(
-          outcome, internal::MinimizeLbfgs(dual, std::move(lambda), options));
-    }
+    PME_ASSIGN_OR_RETURN(
+        internal::DualOutcome outcome,
+        internal::MinimizeLbfgs(dual, reduced.num_eq, std::move(lambda),
+                                options));
     reduced_p = dual.Primal(outcome.lambda);
     GetDualMetrics().evaluations->Add(dual.evaluations());
     GetDualMetrics().line_search_probes->Add(outcome.line_search_probes);
@@ -191,53 +162,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
 bool IsAcceptable(const SolverResult& result) {
   if (result.termination != StatusCode::kOk) return false;
   if (!std::isfinite(result.max_violation)) return false;
-  return result.converged || result.max_violation <= kFallbackAcceptViolation;
-}
-
-Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
-                                       SolverKind kind,
-                                       const SolverOptions& options,
-                                       size_t* attempts, Team* team) {
-  if (attempts != nullptr) *attempts = 1;
-  PME_ASSIGN_OR_RETURN(SolverResult first,
-                       Solve(problem, kind, options, team));
-  if (IsAcceptable(first)) return first;
-
-  // Restart with projected gradient — no curvature memory to poison —
-  // from the first attempt's dual point, unless that attempt already was
-  // projected gradient (rerunning it would only repeat the failure) or
-  // there is no budget left to retry with.
-  const bool restarted =
-      first.kind != SolverKind::kProjected &&
-      CheckInterrupt(options.deadline, options.cancel) == StatusCode::kOk;
-  std::optional<SolverResult> restart;
-  if (restarted) {
-    if (attempts != nullptr) *attempts = 2;
-    SolverOptions restart_options = options;
-    restart_options.warm_start = &first.dual_lambda_full;
-    auto second =
-        Solve(problem, SolverKind::kProjected, restart_options, team);
-    if (second.ok()) {
-      restart = std::move(second).value();
-      restart->degraded = true;
-      if (IsAcceptable(*restart)) return std::move(*restart);
-    }
-  }
-
-  // Neither attempt is acceptable: keep the finite one with the smallest
-  // violation (the first on a tie).
-  auto finite = [](const SolverResult& r) {
-    return r.termination != StatusCode::kNumericalError &&
-           std::isfinite(r.max_violation);
-  };
-  const bool restart_finite = restart.has_value() && finite(*restart);
-  if (finite(first) &&
-      !(restart_finite && restart->max_violation < first.max_violation)) {
-    first.degraded = restarted;
-    return first;
-  }
-  if (restart_finite) return std::move(*restart);
-  return Status::NotConverged("no fallback attempt produced a finite iterate");
+  return result.converged || result.max_violation <= kAcceptViolation;
 }
 
 }  // namespace pme::maxent

@@ -21,23 +21,6 @@ class ThreadPool;  // common/thread_pool.h
 
 namespace pme::maxent {
 
-/// Available dual minimizers. The paper's implementation uses LBFGS
-/// (Nocedal [16]), the default, chosen over iterative scaling on the
-/// strength of Malouf's comparison ([18], Section 3.3). kProjected is the
-/// Barzilai–Borwein projected-gradient solver — always used for
-/// inequality problems, selectable for equality-only ones, and the
-/// fallback ladder's restart (robust, no curvature memory to poison).
-enum class SolverKind : int {
-  kLbfgs = 0,
-  kProjected = 5,
-};
-
-const char* SolverKindToString(SolverKind kind);
-
-/// Inverse of SolverKindToString: "lbfgs" or "projected". Any other
-/// name is kInvalidArgument ("unknown solver: <name>").
-Result<SolverKind> ParseSolverKind(const std::string& name);
-
 class SolutionCache;  // maxent/solution_cache.h
 
 /// What SolveDecomposed may reuse from a SolutionCache:
@@ -68,7 +51,7 @@ enum class CacheOutcome : int {
   kWarmStart = 2,  ///< solved, dual warm-started from a cached entry
 };
 
-/// Tuning knobs common to all solvers.
+/// Tuning knobs of the solve.
 struct SolverOptions {
   /// Iteration budget for the dual minimization. Iterations are cheap
   /// (two sparse matrix-vector products each); hard zero-targets in the
@@ -100,7 +83,7 @@ struct SolverOptions {
   /// for scheduling when set.
   ThreadPool* pool = nullptr;
   /// Wall-clock budget for the solve, checked once per outer iteration
-  /// by every minimizer. On expiry the solve stops and returns the best
+  /// by the minimizer. On expiry the solve stops and returns the best
   /// iterate reached so far with termination == kDeadlineExceeded —
   /// never an empty-handed error. Infinite (never expires) by default.
   /// SolveDecomposed additionally derives per-component sub-deadlines
@@ -116,9 +99,8 @@ struct SolverOptions {
   /// than the one that produced it (the cached re-analysis case: an
   /// edited component drops/keeps different rows). Ignored when the size
   /// does not match a.rows() or any entry is non-finite (a poisoned start
-  /// must not propagate a fault into the fallback restart). Used by the
-  /// solution cache and by the fallback ladder's restart. Not owned; must
-  /// outlive Solve.
+  /// must not propagate a fault). Used by the solution cache. Not owned;
+  /// must outlive Solve.
   const std::vector<double>* warm_start = nullptr;
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
@@ -136,8 +118,9 @@ struct SolverOptions {
   Hash128 cache_namespace{};
 };
 
-/// Per-component record of the decomposed solve's fallback ladder
-/// (SolveDecomposed runs every block through SolveWithFallback).
+/// Per-component record of the decomposed solve (SolveDecomposed solves
+/// every block once and keeps the better of its iterate and its prior
+/// when the solve is not acceptable).
 struct ComponentOutcome {
   /// Dense index of the coupled block (matches the decomposition's
   /// block numbering; uncoupled closed-form components are not listed —
@@ -145,26 +128,23 @@ struct ComponentOutcome {
   uint32_t block = 0;
   /// Variables in the block.
   size_t num_variables = 0;
-  /// The minimizer that produced the kept answer — for an exact cache
-  /// hit, the one that produced the cached solution (meaningless when
-  /// `used_prior`).
-  SolverKind solver = SolverKind::kLbfgs;
-  /// Terminal status of the accepted (or kept) attempt: kOk,
+  /// Terminal status of the block's solve: kOk,
   /// kDeadlineExceeded, kCancelled, kNotConverged, or — for a block with
   /// no result — its error's code.
   StatusCode status = StatusCode::kOk;
   /// A block with no result: its error's message (presolve's verdict, a
   /// thrown task's text). Empty otherwise.
   std::string message;
-  /// Solve attempts consumed, requested solver included.
-  size_t attempts = 0;
-  /// True when the answer came from below the requested solver (the
-  /// projected restart or the prior).
+  /// True when the solve was not acceptable (IsAcceptable): the block
+  /// kept its best iterate or, when that is no better, its prior.
   bool degraded = false;
-  /// True when every attempt failed and the block kept the
-  /// closed-form no-knowledge prior — the component's answer ignores its
+  /// True when the block kept the closed-form no-knowledge prior: its
+  /// solve left no finite iterate that violates the block's rows less
+  /// than the prior does. The component's answer then ignores its
   /// knowledge constraints and overstates privacy for those buckets.
   bool used_prior = false;
+  /// Worst violation of the block's rows at the answer it kept.
+  double max_violation = 0.0;
   /// Dual iterations this block's solve performed (0 for an exact cache
   /// hit — no solve ran). The warm-vs-cold iteration reduction of the
   /// incremental-reanalysis bench is measured from exactly this field.
@@ -208,13 +188,6 @@ struct SolverResult {
   bool converged = false;
   /// Variables eliminated by presolve.
   size_t presolve_fixed = 0;
-  /// Which minimizer produced this result: the requested kind, or
-  /// kProjected whenever the reduced problem has inequality rows. A
-  /// decomposed solve reads kProjected when every block it answered by a
-  /// solve, this call's or a cached one, ended on projected gradient, the
-  /// requested kind otherwise; each block's minimizer is in
-  /// `component_outcomes`.
-  SolverKind kind = SolverKind::kLbfgs;
   /// Why the solve stopped: kOk for a normal finish (converged or budget
   /// exhausted with a finite iterate), kDeadlineExceeded / kCancelled
   /// when interrupted (p is the best iterate so far), kNumericalError
@@ -227,13 +200,13 @@ struct SolverResult {
   /// (block duals do not concatenate meaningfully; per-block duals live
   /// in the solution cache).
   std::vector<double> dual_lambda_full;
-  /// True when any part of the answer was produced below the requested
-  /// solver (the projected restart or the closed-form prior).
+  /// True when some block's solve was not acceptable and the block kept
+  /// its best iterate or its closed-form prior.
   bool degraded = false;
-  /// Decomposed-solve census over *coupled* components: answered by the
-  /// requested solver / degraded to the restart or the prior / hard
-  /// failure (kept prior, counted separately). All zero for a plain
-  /// Solve.
+  /// Decomposed-solve census over *coupled* components: answered by an
+  /// acceptable solve / kept an unacceptable solve's iterate or the prior
+  /// / hard failure with no solve result (kept prior, counted
+  /// separately). All zero for a plain Solve.
   size_t components_solved = 0;
   size_t components_degraded = 0;
   size_t components_failed = 0;
@@ -253,12 +226,11 @@ struct SolverResult {
   size_t cache_resident_doubles = 0;
 };
 
-/// Solves the MaxEnt problem with the chosen solver.
-///
-/// Equality-only problems use the requested `kind` directly. Problems with
-/// inequality rows (Section 4.5 / Kazama–Tsujii) are solved by projected
-/// gradient on the sign-constrained dual, regardless of `kind` (LBFGS has
-/// no inequality variant here); `result.kind` then reads kProjected.
+/// Solves the MaxEnt problem: presolve, then LBFGS on the dual (Nocedal
+/// [16], chosen over iterative scaling on the strength of Malouf's
+/// comparison, [18] and Section 3.3). Inequality rows (Section 4.5 /
+/// Kazama–Tsujii) make the dual box-constrained, λ_j ≤ 0 for every ≤ row,
+/// and the same LBFGS keeps that box.
 ///
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small
@@ -267,7 +239,6 @@ struct SolverResult {
 /// The dual minimization runs on `team` (the calling thread alone when
 /// null); the result has the same bits for any team size.
 Result<SolverResult> Solve(const MaxEntProblem& problem,
-                           SolverKind kind = SolverKind::kLbfgs,
                            const SolverOptions& options = {},
                            Team* team = nullptr);
 
@@ -276,24 +247,6 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
 /// exhausted its budget a few ulps above `tolerance` is still a
 /// perfectly good posterior).
 bool IsAcceptable(const SolverResult& result);
-
-/// The per-problem degradation ladder used by SolveDecomposed, at most
-/// two attempts: the requested solver, then — only when that attempt did
-/// not already run projected gradient (a kProjected request, or any
-/// problem whose inequality rows route it there) and options.deadline has
-/// not expired — a projected-gradient restart warm-started from the first
-/// attempt's dual point. Returns the first acceptable attempt's result
-/// (`degraded` set when it was the restart). When neither is acceptable,
-/// returns the finite attempt with the smallest violation, its
-/// `termination` explaining why (recoverable failures never surface as an
-/// error Status; a hard error from the first attempt does). `attempts`,
-/// when non-null, receives the number of attempts made. Both attempts
-/// run on `team`, as in Solve.
-Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
-                                       SolverKind kind,
-                                       const SolverOptions& options,
-                                       size_t* attempts = nullptr,
-                                       Team* team = nullptr);
 
 }  // namespace pme::maxent
 

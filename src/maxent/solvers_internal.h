@@ -1,7 +1,7 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Internal dual minimizers. Public entry point is maxent/solver.h.
+// The internal dual minimizer. Public entry point is maxent/solver.h.
 
 #ifndef PME_MAXENT_SOLVERS_INTERNAL_H_
 #define PME_MAXENT_SOLVERS_INTERNAL_H_
@@ -17,10 +17,10 @@
 
 namespace pme::maxent::internal {
 
-/// Step budget of the backtracking line searches (LBFGS and projected).
+/// Step budget of the backtracking line search.
 inline constexpr size_t kMaxLineSearchSteps = 60;
 
-/// The once-per-iteration interrupt poll every minimizer runs: kOk to
+/// The once-per-iteration interrupt poll the minimizer runs: kOk to
 /// keep iterating, kCancelled / kDeadlineExceeded to stop and return the
 /// best iterate so far.
 inline StatusCode CheckStop(const SolverOptions& options) {
@@ -36,8 +36,7 @@ inline constexpr size_t kMaxStallIterations = 50;
 /// Detects runs of accepted-but-worthless line-search steps: near the
 /// numerical floor the Armijo test keeps accepting rounding-noise
 /// improvements, and without a cutoff a solve sitting a few ulps above
-/// the gradient tolerance burns its whole iteration budget. Shared by
-/// both line-search minimizers so the criterion cannot drift.
+/// the gradient tolerance burns its whole iteration budget.
 class StallDetector {
  public:
   /// Records one accepted step; true when kMaxStallIterations
@@ -63,7 +62,8 @@ struct DualOutcome {
   size_t iterations = 0;
   bool converged = false;
   double dual_value = 0.0;
-  /// ‖∇D‖∞ at the final iterate == worst equality-constraint violation.
+  /// ‖·‖∞ of the projected gradient at the final iterate (for an
+  /// equality-only dual, the worst constraint violation).
   double grad_inf = 0.0;
   /// Dual evaluations made by line-search probes.
   size_t line_search_probes = 0;
@@ -72,20 +72,19 @@ struct DualOutcome {
   StatusCode stop = StatusCode::kOk;
 };
 
-// Every minimizer starts from `start` (dual.dim() finite entries — Solve
-// passes zeros or the mapped warm start) and returns its best iterate.
-
-/// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
-Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
+/// Limited-memory BFGS with two-loop recursion and Armijo backtracking,
+/// bound-constrained in the manner of L-BFGS-B (Byrd, Lu, Nocedal and
+/// Zhu): multipliers with index >= num_eq, those of the stacked dual's ≤
+/// rows, stay λ_j ≤ 0 (the Kazama–Tsujii sign condition). The start is
+/// projected into that box; each iteration freezes the tail coordinates
+/// on the bound whose gradient points outward, runs the two-loop
+/// recursion on the rest, and backtracks along the projected path. With
+/// num_eq == dual.dim() it is plain LBFGS. Starts from `start`
+/// (dual.dim() finite entries — Solve passes zeros or the mapped warm
+/// start) and returns its best iterate.
+Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
                                   std::vector<double> start,
                                   const SolverOptions& options);
-
-/// Projected gradient (Barzilai–Borwein step + projected Armijo) for the
-/// stacked equality+inequality dual: multipliers with index >= num_eq are
-/// constrained to λ_j ≤ 0 (Kazama–Tsujii sign condition).
-Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
-                                      std::vector<double> start,
-                                      const SolverOptions& options);
 
 }  // namespace pme::maxent::internal
 

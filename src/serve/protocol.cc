@@ -60,13 +60,9 @@ Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line) {
     request.has_deadline = true;
     request.deadline_ms = dl->number_value;
   }
-  if (const JsonValue* sv = doc.Find("solver"); sv != nullptr) {
-    if (!sv->is_string()) {
-      return Status::InvalidArgument("'solver' must be a string");
-    }
-    PME_ASSIGN_OR_RETURN(request.solver,
-                         maxent::ParseSolverKind(sv->string_value));
-    request.has_solver = true;
+  if (doc.Find("solver") != nullptr) {
+    return Status::InvalidArgument(
+        "'solver' was removed: every problem is solved by LBFGS");
   }
   if (const JsonValue* cm = doc.Find("cache"); cm != nullptr) {
     if (!cm->is_string()) {

@@ -24,7 +24,6 @@ enum class Verb { kAnalyze, kStats };
 ///   {"id": "r1",
 ///    "knowledge": ["P(flu | gender=male) = 0.3", ...],
 ///    "deadline_ms": 250,
-///    "solver": "lbfgs",
 ///    "cache": "warm",
 ///    "trace": true}
 ///
@@ -34,9 +33,9 @@ enum class Verb { kAnalyze, kStats };
 /// already-expired budget: the solve degrades every component to its
 /// closed-form prior immediately (the protocol-level probe for deadline
 /// semantics). Absent `deadline_ms` inherits the server default.
-/// `solver` ("lbfgs" | "projected", parsed by maxent::ParseSolverKind) and
-/// `cache` ("off" | "exact" | "warm", maxent::ParseCacheMode) override the
-/// server defaults per request.
+/// `cache` ("off" | "exact" | "warm", maxent::ParseCacheMode) overrides
+/// the server default per request. A `solver` field is kInvalidArgument:
+/// there is one minimizer.
 /// `trace: true` attaches the request's span breakdown (parse, compile,
 /// solve, per-block solves, evaluate) to the response under "trace".
 /// `{"verb": "stats"}` instead returns the metrics snapshot.
@@ -46,15 +45,13 @@ struct AnalyzeRequest {
   std::vector<std::string> knowledge;
   bool has_deadline = false;
   double deadline_ms = 0.0;
-  bool has_solver = false;
-  maxent::SolverKind solver = maxent::SolverKind::kLbfgs;
   bool has_cache = false;
   maxent::CacheMode cache = maxent::CacheMode::kWarm;
   bool trace = false;
 };
 
 /// Parses one request line. kInvalidArgument on malformed JSON, unknown
-/// fields of the wrong type, or unknown solver/cache names.
+/// fields of the wrong type, an unknown cache name, or a `solver` field.
 Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line);
 
 /// One analyze response, encoded as a single JSON line. `ok == false`

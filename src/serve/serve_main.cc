@@ -57,6 +57,11 @@ Result<data::Dataset> LoadOrGenerate(const Flags& flags) {
 }  // namespace
 
 int ServeMain(const Flags& flags) {
+  // Flags keeps unknown flags silently; a removed one must not be.
+  if (flags.Has("solver")) {
+    return Fail(Status::InvalidArgument(
+        "--solver was removed: every problem is solved by LBFGS"));
+  }
   auto dataset_or = LoadOrGenerate(flags);
   if (!dataset_or.ok()) return Fail(dataset_or.status());
   auto dataset =
@@ -82,9 +87,6 @@ int ServeMain(const Flags& flags) {
   options.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 0));
   options.cache_mb = static_cast<size_t>(flags.GetInt("cache-mb", 64));
-  auto solver = maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
-  if (!solver.ok()) return Fail(solver.status());
-  options.analysis.solver = solver.value();
   auto cache_mode = maxent::ParseCacheMode(flags.GetString("cache", "warm"));
   if (!cache_mode.ok()) return Fail(cache_mode.status());
   options.analysis.solver_options.cache_mode = cache_mode.value();

@@ -15,7 +15,7 @@ namespace pme::serve {
 /// newline-delimited JSON analyze requests until SIGINT/SIGTERM.
 ///
 /// Flags: --data --sensitive --id --ell --records --seed --host --port
-///        --threads --deadline-ms --solver --cache --cache-mb
+///        --threads --deadline-ms --cache --cache-mb
 ///        --max-connections
 int ServeMain(const Flags& flags);
 

@@ -400,7 +400,6 @@ std::string AnalysisServer::HandleLine(const std::string& line) {
   }
 
   core::AnalysisOptions run_options = session_->options();
-  if (request.has_solver) run_options.solver = request.solver;
   if (request.has_cache) {
     run_options.solver_options.cache_mode = request.cache;
   }

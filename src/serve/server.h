@@ -36,9 +36,9 @@ struct ServeOptions {
   /// Default per-request wall budget when the request carries no
   /// `deadline_ms` (0 = unlimited).
   double default_deadline_ms = 0.0;
-  /// Request defaults (solver kind, tolerance, iteration budget, ...). The
-  /// pool/cache plumbing inside solver_options is installed by the
-  /// server; per-request protocol fields override solver and cache mode.
+  /// Request defaults (tolerance, iteration budget, ...). The pool/cache
+  /// plumbing inside solver_options is installed by the server; the
+  /// per-request protocol field overrides the cache mode.
   core::AnalysisOptions analysis;
   /// Shared solution-cache budget in MiB (0 disables the cache).
   size_t cache_mb = 64;

@@ -150,7 +150,7 @@ TEST(SolveDecomposedTest, InequalityRowsSliceIntoTheRightBlock) {
   auto system = InvariantSystem(t, index);
 
   // A hand-made inequality on bucket 1 plus an equality on bucket 2:
-  // two coupled blocks, one of which exercises the projected solver.
+  // two coupled blocks, one of which has a ≤ row in its box-constrained dual.
   const auto [b1_first, b1_last] = index.BucketRange(1);
   (void)b1_last;
   LinearConstraint le;
@@ -252,12 +252,8 @@ TEST(SolveDecomposedTest, ThreadCountDoesNotChangeThePosterior) {
   maxent::SolverOptions serial, parallel;
   serial.threads = 1;
   parallel.threads = 8;
-  auto a = maxent::SolveDecomposed(t, index, system, maxent::SolverKind::kLbfgs,
-                                   serial)
-               .ValueOrDie();
-  auto b = maxent::SolveDecomposed(t, index, system, maxent::SolverKind::kLbfgs,
-                                   parallel)
-               .ValueOrDie();
+  auto a = maxent::SolveDecomposed(t, index, system, serial).ValueOrDie();
+  auto b = maxent::SolveDecomposed(t, index, system, parallel).ValueOrDie();
   ASSERT_EQ(a.p.size(), b.p.size());
   for (size_t i = 0; i < a.p.size(); ++i) {
     // Bitwise identical: the block solves are deterministic and the
@@ -319,13 +315,9 @@ TEST(SolveDecomposedTest, SimdOffAndAutoPosteriorsAgree) {
   options.tolerance = 1e-12;
 
   kernels::SetSimdMode(kernels::SimdMode::kOff);
-  auto off = maxent::SolveDecomposed(t, index, system,
-                                     maxent::SolverKind::kLbfgs, options)
-                 .ValueOrDie();
+  auto off = maxent::SolveDecomposed(t, index, system, options).ValueOrDie();
   kernels::SetSimdMode(kernels::SimdMode::kAuto);
-  auto vec = maxent::SolveDecomposed(t, index, system,
-                                     maxent::SolverKind::kLbfgs, options)
-                 .ValueOrDie();
+  auto vec = maxent::SolveDecomposed(t, index, system, options).ValueOrDie();
   kernels::SetSimdMode(saved);
 
   EXPECT_TRUE(off.converged);

@@ -168,16 +168,6 @@ TEST(AnalyzeTest, RejectsIndividualKnowledge) {
   EXPECT_EQ(Analyze(t, kb).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AnalyzeTest, SolverKindIsRespected) {
-  auto t = pme::testing::MakeFigure1Table();
-  knowledge::KnowledgeBase empty;
-  AnalysisOptions options;
-  options.solver = maxent::SolverKind::kProjected;
-  auto analysis = Analyze(t, empty, options).ValueOrDie();
-  EXPECT_EQ(analysis.solver.kind, maxent::SolverKind::kProjected);
-  EXPECT_LT(analysis.solver.max_violation, 1e-7);
-}
-
 // -------------------------------------------------------- PrivacyMetrics
 
 TEST(MetricsTest, UniformPosteriorBounds) {

@@ -1,7 +1,7 @@
 // Incremental re-analysis: the component solution cache (exact-hit reuse
 // and warm-started re-solves), its LRU/budget mechanics, and the parity
 // contract — a cached or warm-started analysis must return the same
-// posterior as a cold solve, for every solver kind and thread count.
+// posterior as a cold solve, for every thread count.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/experiment.h"
+#include "core/posterior.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
@@ -35,7 +36,6 @@ using core::ExperimentPipeline;
 using maxent::CachedComponentSolution;
 using maxent::CacheMode;
 using maxent::SolutionCache;
-using maxent::SolverKind;
 
 // ------------------------------------------------------ SolutionCache unit
 
@@ -179,11 +179,8 @@ class IncrementalPipelineTest : public ::testing::Test {
   static std::vector<knowledge::AssociationRule> Rules() {
     return knowledge::TopK(pipeline_->rules, 10, 10);
   }
-  /// A smaller knowledge set for the all-solver-kinds parity sweep: the
-  /// first-order kind (projected BB) converges linearly, so the
-  /// coupled blocks must stay small for their cold baselines to reach the
-  /// 1e-11 dual tolerance at all. Three coupled components; the toggle
-  /// below touches exactly one of them.
+  /// A smaller knowledge set for the thread-count parity sweep: three
+  /// coupled components; the toggle below touches exactly one of them.
   static std::vector<knowledge::AssociationRule> ParityRules() {
     return knowledge::TopK(pipeline_->rules, 2, 2);
   }
@@ -205,8 +202,8 @@ class IncrementalPipelineTest : public ::testing::Test {
     // The parity bound is on the *posterior conditionals*, which divide
     // the joint by P(q) and so amplify joint-space residuals by ~1/P(q).
     // The dual residual tolerance must sit well below the 1e-8 parity
-    // bound for the amplified difference to stay under it, and the
-    // iteration budget must let the slow first-order kinds get there.
+    // bound for the amplified difference to stay under it, with an
+    // iteration budget to get there.
     options.solver_options.tolerance = 1e-11;
     options.solver_options.max_iterations = 100000;
     options.solver_options.solution_cache = cache;
@@ -254,52 +251,44 @@ TEST_F(IncrementalPipelineTest, ExactRerunSkipsEverySolve) {
   }
 }
 
-TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryKindAndThreadCount) {
+TEST_F(IncrementalPipelineTest, WarmEqualsColdForEveryThreadCount) {
   // The parity contract: a warm-started re-solve of an edited knowledge
-  // set returns the cold posterior to 1e-8, for every solver kind and for
-  // serial and parallel block scheduling alike.
-  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SolutionCache cache;
-      auto options = CacheOptions(&cache, threads);
-      options.solver = kind;
-      // Populate the cache with the original knowledge...
-      auto seeded =
-          AnalyzeWithRules(*pipeline_, ParityRules(), options).ValueOrDie();
-      // ...then re-analyze the edited set warm, and cold on a fresh cache.
-      auto warm = AnalyzeWithRules(*pipeline_, Toggle(ParityRules()), options)
-                      .ValueOrDie();
-      SolutionCache fresh;
-      auto cold_options = CacheOptions(&fresh, threads);
-      cold_options.solver = kind;
-      auto cold =
-          AnalyzeWithRules(*pipeline_, Toggle(ParityRules()), cold_options)
-              .ValueOrDie();
+  // set returns the cold posterior to 1e-8, for serial and parallel block
+  // scheduling alike.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SolutionCache cache;
+    const auto options = CacheOptions(&cache, threads);
+    // Populate the cache with the original knowledge...
+    auto seeded =
+        AnalyzeWithRules(*pipeline_, ParityRules(), options).ValueOrDie();
+    // ...then re-analyze the edited set warm, and cold on a fresh cache.
+    auto warm = AnalyzeWithRules(*pipeline_, Toggle(ParityRules()), options)
+                    .ValueOrDie();
+    SolutionCache fresh;
+    auto cold = AnalyzeWithRules(*pipeline_, Toggle(ParityRules()),
+                                 CacheOptions(&fresh, threads))
+                    .ValueOrDie();
 
-      const char* label = maxent::SolverKindToString(kind);
-      EXPECT_GE(warm.solver.cache_exact_hits +
-                    warm.solver.cache_warm_hits, 1u)
-          << label << " threads=" << threads;
-      EXPECT_LE(MaxAbsDiff(maxent::MaterializeJoint(warm.solver),
-                           maxent::MaterializeJoint(cold.solver)),
-                1e-8)
-          << label << " threads=" << threads;
-      double worst_posterior = 0.0;
-      for (uint32_t q = 0; q < warm.posterior.num_qi(); ++q) {
-        for (uint32_t s = 0; s < warm.posterior.num_sa(); ++s) {
-          worst_posterior = std::max(
-              worst_posterior, std::fabs(warm.posterior.Conditional(q, s) -
-                                         cold.posterior.Conditional(q, s)));
-        }
+    EXPECT_GE(warm.solver.cache_exact_hits + warm.solver.cache_warm_hits, 1u)
+        << "threads=" << threads;
+    EXPECT_LE(MaxAbsDiff(maxent::MaterializeJoint(warm.solver),
+                         maxent::MaterializeJoint(cold.solver)),
+              1e-8)
+        << "threads=" << threads;
+    double worst_posterior = 0.0;
+    for (uint32_t q = 0; q < warm.posterior.num_qi(); ++q) {
+      for (uint32_t s = 0; s < warm.posterior.num_sa(); ++s) {
+        worst_posterior = std::max(
+            worst_posterior, std::fabs(warm.posterior.Conditional(q, s) -
+                                       cold.posterior.Conditional(q, s)));
       }
-      EXPECT_LE(worst_posterior, 1e-8)
-          << label << " threads=" << threads;
-      // The warm start must not cost iterations: the edited component
-      // restarts near its optimum, every untouched component exact-hits.
-      EXPECT_LE(warm.solver.iterations, cold.solver.iterations)
-          << label << " threads=" << threads;
-      (void)seeded;
     }
+    EXPECT_LE(worst_posterior, 1e-8) << "threads=" << threads;
+    // The warm start must not cost iterations: the edited component
+    // restarts near its optimum, every untouched component exact-hits.
+    EXPECT_LE(warm.solver.iterations, cold.solver.iterations)
+        << "threads=" << threads;
+    (void)seeded;
   }
 }
 
@@ -398,10 +387,9 @@ knowledge::ConditionalStatement CapS3GivenQ4() {
 }
 
 TEST_F(IncrementalPipelineTest, ExactHitReportsTheSolveItReuses) {
-  // A block whose only knowledge row is a <= row runs projected gradient
-  // although LBFGS is requested. Answered from the cache on the re-run,
-  // it must still say so: in the result's kind, its outcome and the
-  // census.
+  // A block whose only knowledge row is a <= row, answered from the
+  // cache on the re-run, must report the solve it reuses: in its outcome
+  // and the census.
   const auto table = testing::MakeFigure1Table();
   knowledge::KnowledgeBase kb;
   kb.Add(CapS3GivenQ4());
@@ -413,13 +401,13 @@ TEST_F(IncrementalPipelineTest, ExactHitReportsTheSolveItReuses) {
   ASSERT_EQ(cold.solver.component_outcomes.size(), 1u);
   ASSERT_EQ(hit.solver.component_outcomes.size(), 1u);
   EXPECT_EQ(hit.solver.cache_exact_hits, 1u);
-  EXPECT_EQ(cold.solver.kind, SolverKind::kProjected);
-  EXPECT_EQ(hit.solver.kind, SolverKind::kProjected);
+  EXPECT_TRUE(cold.solver.converged);
+  EXPECT_EQ(hit.solver.converged, cold.solver.converged);
   const maxent::ComponentOutcome& solved = cold.solver.component_outcomes[0];
   const maxent::ComponentOutcome& reused = hit.solver.component_outcomes[0];
   EXPECT_EQ(reused.cache, maxent::CacheOutcome::kExactHit);
-  EXPECT_EQ(reused.solver, solved.solver);
   EXPECT_EQ(reused.degraded, solved.degraded);
+  EXPECT_EQ(reused.max_violation, solved.max_violation);
   EXPECT_EQ(hit.solver.components_solved, cold.solver.components_solved);
   EXPECT_EQ(hit.solver.components_degraded, cold.solver.components_degraded);
   EXPECT_EQ(hit.solver.degraded, cold.solver.degraded);
@@ -449,12 +437,12 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
 
   SolutionCache cache;
   const maxent::SolverOptions options = CacheOptions(&cache, 1).solver_options;
-  const auto seeded = maxent::SolveDecomposed(table, index, seeded_system,
-                                              SolverKind::kLbfgs, options)
-                          .ValueOrDie();
+  const auto seeded =
+      maxent::SolveDecomposed(table, index, seeded_system, options)
+          .ValueOrDie();
   ASSERT_EQ(seeded.component_outcomes.size(), 2u);
   ASSERT_FALSE(seeded.degraded);
-  ASSERT_EQ(seeded.component_outcomes[0].solver, SolverKind::kProjected);
+  ASSERT_TRUE(seeded.converged);
 
   // The warm start the toggled block is offered: the cached multipliers
   // row for row (same rows, same stacked order), the toggled row at 0.
@@ -483,13 +471,12 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   EXPECT_EQ(toggled_rows, 1u);
   EXPECT_EQ(after.warm_start, expected);
 
-  const auto warm = maxent::SolveDecomposed(table, index, toggled_system,
-                                            SolverKind::kLbfgs, options)
-                        .ValueOrDie();
+  const auto warm =
+      maxent::SolveDecomposed(table, index, toggled_system, options)
+          .ValueOrDie();
   SolutionCache fresh;
   const auto cold =
       maxent::SolveDecomposed(table, index, toggled_system,
-                              SolverKind::kLbfgs,
                               CacheOptions(&fresh, 1).solver_options)
           .ValueOrDie();
   ASSERT_EQ(warm.component_outcomes.size(), 2u);
@@ -498,30 +485,58 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   EXPECT_EQ(warm.component_outcomes[1].cache,
             maxent::CacheOutcome::kExactHit);
   EXPECT_FALSE(warm.degraded);
+  // Both meet the 1e-11 tolerance with the <= row binding, and land on
+  // the same distribution and posterior.
+  EXPECT_TRUE(warm.converged);
+  EXPECT_TRUE(cold.converged);
   EXPECT_LE(MaxAbsDiff(warm.p, cold.p), 1e-8);
+  const core::PosteriorTable warm_posterior =
+      core::PosteriorTable::FromSolution(table, index, warm.p);
+  const core::PosteriorTable cold_posterior =
+      core::PosteriorTable::FromSolution(table, index, cold.p);
+  for (uint32_t q = 0; q < warm_posterior.num_qi(); ++q) {
+    for (uint32_t s = 0; s < warm_posterior.num_sa(); ++s) {
+      EXPECT_NEAR(warm_posterior.Conditional(q, s),
+                  cold_posterior.Conditional(q, s), 1e-8)
+          << "q" << q + 1 << " s" << s + 1;
+    }
+  }
   EXPECT_LE(warm.iterations, cold.iterations);
 }
 
 // ------------------------------------------------ dual multiplier payload
 
-TEST(DualLambdaTest, PopulatedForEverySolverKind) {
-  // The cache's warm payload depends on every solver reporting its dual,
-  // scattered back onto the original rows.
+TEST(DualLambdaTest, PopulatedForEqualityAndInequalityProblems) {
+  // The cache's warm payload depends on every solve reporting its dual,
+  // scattered back onto the original rows — ≤ rows' multipliers inside
+  // their box, λ ≤ 0.
   const auto table = testing::MakeFigure1Table();
   const auto index = constraints::TermIndex::Build(table);
   constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(constraints::GenerateInvariants(table, index));
-  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto equality = maxent::BuildProblem(system).ValueOrDie();
+  knowledge::KnowledgeBase kb;
+  kb.Add(CapS3GivenQ4());
+  system.AddAll(
+      constraints::CompileKnowledge(kb, table, index).ValueOrDie().constraints);
+  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
+  ASSERT_EQ(inequality.a.rows(), inequality.num_eq + 1);
 
-  for (const SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
-    auto result = maxent::Solve(problem, kind).ValueOrDie();
-    const char* label = maxent::SolverKindToString(kind);
-    EXPECT_FALSE(result.dual_lambda_full.empty()) << label;
-    EXPECT_EQ(result.dual_lambda_full.size(), problem.a.rows()) << label;
+  for (const auto* problem : {&equality, &inequality}) {
+    auto result = maxent::Solve(*problem).ValueOrDie();
+    const size_t label = problem->num_eq;
+    EXPECT_TRUE(result.converged) << label;
+    EXPECT_EQ(result.dual_lambda_full.size(), problem->a.rows()) << label;
     for (double v : result.dual_lambda_full) {
       EXPECT_TRUE(std::isfinite(v)) << label;
     }
+    for (size_t j = problem->num_eq; j < problem->a.rows(); ++j) {
+      EXPECT_LE(result.dual_lambda_full[j], 0.0) << "row " << j;
+    }
   }
+  // The cap binds: its multiplier is strictly inside the box.
+  EXPECT_LT(maxent::Solve(inequality).ValueOrDie().dual_lambda_full.back(),
+            0.0);
 }
 
 // ------------------------------------------------------ failpoint matrix

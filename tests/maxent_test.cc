@@ -1,7 +1,7 @@
 // Tests for src/maxent: the dual function (against finite differences),
-// presolve, every solver on analytically solvable problems, the
-// consistency theorem (Theorem 5), solver agreement, decomposition
-// (Section 5.5), and the inequality extension.
+// presolve, the solver on analytically solvable problems, the
+// consistency theorem (Theorem 5), equality/inequality agreement,
+// decomposition (Section 5.5), and the inequality extension.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
+#include "core/experiment.h"
+#include "knowledge/miner.h"
 #include "maxent/closed_form.h"
 #include "maxent/decomposed.h"
 #include "maxent/dual.h"
@@ -291,9 +293,35 @@ TEST(SolverTest, InequalityBindsWhenActive) {
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.2, 1e-6);
   EXPECT_NEAR(result.p[1], 0.8, 1e-6);
-  // LBFGS was requested, but inequality rows always run projected
-  // gradient, and the result names the minimizer that ran.
-  EXPECT_EQ(result.kind, SolverKind::kProjected);
+  EXPECT_TRUE(result.converged);
+}
+
+TEST(SolverTest, OnlyUpperBoundRows) {
+  // No equality row at all (num_eq == 0): the unconstrained optimum
+  // p_i = e^-1 breaks both bounds, so both bind — p0 = 0.2 and
+  // p1 = p2 = 0.25.
+  ConstraintSystem system(3);
+  LinearConstraint le0;
+  le0.vars = {0};
+  le0.coefs = {1.0};
+  le0.rel = Relation::kLe;
+  le0.rhs = 0.2;
+  system.Add(le0);
+  LinearConstraint le12;
+  le12.vars = {1, 2};
+  le12.coefs = {1.0, 1.0};
+  le12.rel = Relation::kLe;
+  le12.rhs = 0.5;
+  system.Add(le12);
+  auto problem = BuildProblem(system).ValueOrDie();
+  ASSERT_EQ(problem.num_eq, 0u);
+  auto result = Solve(problem).ValueOrDie();
+  EXPECT_TRUE(result.converged);
+  EXPECT_NEAR(result.p[0], 0.2, 1e-7);
+  EXPECT_NEAR(result.p[1], 0.25, 1e-7);
+  EXPECT_NEAR(result.p[2], 0.25, 1e-7);
+  // Both multipliers stay in the box λ ≤ 0.
+  for (double lambda : result.dual_lambda_full) EXPECT_LE(lambda, 0.0);
 }
 
 TEST(SolverTest, InequalitySlackWhenInactive) {
@@ -350,44 +378,101 @@ TEST(SolverTest, VagueKnowledgeBand) {
   EXPECT_NEAR(result.p[0], 0.35, 1e-6);
 }
 
-// -------------------------------------------------- All-solver agreement
+// ------------------------------------- Equality / inequality agreement
 
-class AllSolversTest : public ::testing::TestWithParam<SolverKind> {};
-
-TEST_P(AllSolversTest, UniformOnSimplex) {
-  auto result = Solve(SimplexProblem(6), GetParam()).ValueOrDie();
-  for (double v : result.p) EXPECT_NEAR(v, 1.0 / 6, 1e-6);
-}
-
-TEST_P(AllSolversTest, Figure1WithKnowledgeAgreesWithLbfgs) {
+TEST(SolverTest, Figure1KnowledgeAgreesWithItsInequalityBand) {
+  // P(s3 | q3) = 0.5, once as an equality and once as the band
+  // 0.5 <= P <= 0.5: two ≤ rows in the box-constrained dual.
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  knowledge::KnowledgeBase kb;
-  kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
-  auto compiled =
-      constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-  auto problem = BuildProblem(system).ValueOrDie();
+  auto build = [&](std::vector<Relation> rels) {
+    ConstraintSystem system(index.num_variables());
+    system.AddAll(constraints::GenerateInvariants(t, index));
+    knowledge::KnowledgeBase kb;
+    for (Relation rel : rels) {
+      kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5, rel));
+    }
+    system.AddAll(
+        constraints::CompileKnowledge(kb, t, index).ValueOrDie().constraints);
+    return BuildProblem(system).ValueOrDie();
+  };
 
   SolverOptions options;
   options.max_iterations = 5000;
-  auto reference = Solve(problem, SolverKind::kLbfgs, options).ValueOrDie();
-  auto result = Solve(problem, GetParam(), options).ValueOrDie();
+  auto reference = Solve(build({Relation::kEq}), options).ValueOrDie();
+  auto band = build({Relation::kGe, Relation::kLe});
+  ASSERT_GT(band.a.rows(), band.num_eq);
+  auto result = Solve(band, options).ValueOrDie();
   EXPECT_LT(result.max_violation, 1e-6);
   for (size_t i = 0; i < reference.p.size(); ++i) {
     EXPECT_NEAR(result.p[i], reference.p[i], Tolerance::kCrossSolver)
-        << "var " << i << " solver " << SolverKindToString(GetParam());
+        << "var " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Solvers, AllSolversTest,
-    ::testing::Values(SolverKind::kLbfgs, SolverKind::kProjected),
-    [](const ::testing::TestParamInfo<SolverKind>& info) {
-      return SolverKindToString(info.param);
-    });
+// The small instance of the Malouf-style solver comparison (Section 3.3):
+// 250 synthetic records, the top 10 positive and 10 negative mined
+// two-attribute rules, seed 7. Returns the invariants plus the rules as
+// statements of relation `positive_rel` (positive rules) and
+// `negative_rel` (negative ones).
+MaxEntProblem MaloufSmallInstance(Relation positive_rel,
+                                  Relation negative_rel) {
+  core::PipelineOptions options;
+  options.data.num_records = 250;
+  options.data.seed = 7;
+  options.anatomy.ell = 5;
+  options.miner.min_support_records = 3;
+  options.miner.max_attrs = 2;
+  auto pipeline = core::BuildPipeline(options).ValueOrDie();
+  const auto& table = pipeline.bucketization.table;
+  auto index = TermIndex::Build(table);
+  ConstraintSystem system(index.num_variables());
+  system.AddAll(constraints::GenerateInvariants(table, index));
+  const auto top = knowledge::TopK(pipeline.rules, 10, 10);
+  knowledge::KnowledgeBase rules;
+  rules.AddRules(top);
+  knowledge::KnowledgeBase kb;
+  for (size_t i = 0; i < top.size(); ++i) {
+    knowledge::ConditionalStatement statement = rules.conditionals()[i];
+    statement.rel = top[i].positive ? positive_rel : negative_rel;
+    kb.Add(std::move(statement));
+  }
+  system.AddAll(constraints::CompileKnowledge(
+                    kb, table, index, &pipeline.bucketization.qi_encoder)
+                    .ValueOrDie()
+                    .constraints);
+  return BuildProblem(system).ValueOrDie();
+}
+
+TEST(SolverTest, MaloufSmallInstanceConverges) {
+  auto problem = MaloufSmallInstance(Relation::kEq, Relation::kEq);
+  EXPECT_EQ(problem.num_vars, 1250u);
+  EXPECT_EQ(problem.a.rows(), 520u);
+  auto result = Solve(problem).ValueOrDie();
+  EXPECT_TRUE(result.converged);
+  EXPECT_LT(result.max_violation, 1e-8);
+  EXPECT_LT(result.iterations, 400u);
+}
+
+TEST(SolverTest, AllBindingInequalityTwinCostsWhatItsEqualityFormDoes) {
+  // Every rule asserted as a bound on the side its equality binds from:
+  // >= for the high positive-rule conditionals, <= for the low
+  // negative-rule ones. The box-constrained LBFGS must land on the
+  // equality form's distribution at about its cost.
+  auto eq = Solve(MaloufSmallInstance(Relation::kEq, Relation::kEq))
+                .ValueOrDie();
+  auto twin_problem = MaloufSmallInstance(Relation::kGe, Relation::kLe);
+  ASSERT_GT(twin_problem.a.rows(), twin_problem.num_eq);
+  auto twin = Solve(twin_problem).ValueOrDie();
+  ASSERT_TRUE(eq.converged);
+  EXPECT_TRUE(twin.converged);
+  EXPECT_LE(static_cast<double>(twin.iterations),
+            1.2 * static_cast<double>(eq.iterations));
+  ASSERT_EQ(twin.p.size(), eq.p.size());
+  for (size_t i = 0; i < eq.p.size(); ++i) {
+    EXPECT_NEAR(twin.p[i], eq.p[i], 1e-6) << "var " << i;
+  }
+}
 
 // ------------------------------------------------- Consistency (Thm. 5)
 
@@ -505,19 +590,6 @@ TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
 
 // -------------------------------------------------- Solver edge cases
 
-TEST(SolverTest, SolverKindNamesRoundTrip) {
-  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
-    auto parsed = ParseSolverKind(SolverKindToString(kind));
-    ASSERT_TRUE(parsed.ok()) << SolverKindToString(kind);
-    EXPECT_EQ(parsed.value(), kind);
-  }
-  for (const char* name : {"newton", "steepest", "gis", "iis", ""}) {
-    EXPECT_EQ(ParseSolverKind(name).status().code(),
-              StatusCode::kInvalidArgument)
-        << name;
-  }
-}
-
 TEST(SolverTest, CacheModeNamesRoundTrip) {
   for (CacheMode mode :
        {CacheMode::kOff, CacheMode::kExact, CacheMode::kWarm}) {
@@ -544,14 +616,12 @@ TEST(SolverTest, ReportsIterationsAndTime) {
   auto result = Solve(SimplexProblem(8)).ValueOrDie();
   EXPECT_GT(result.iterations, 0u);
   EXPECT_GE(result.seconds, 0.0);
-  EXPECT_EQ(result.kind, SolverKind::kLbfgs);
 }
 
 TEST(SolverTest, PresolveOffStillSolvesSmoothProblems) {
   SolverOptions options;
   options.presolve = false;
-  auto result = Solve(SimplexProblem(4), SolverKind::kLbfgs, options)
-                    .ValueOrDie();
+  auto result = Solve(SimplexProblem(4), options).ValueOrDie();
   for (double v : result.p) EXPECT_NEAR(v, 0.25, 1e-7);
   EXPECT_EQ(result.presolve_fixed, 0u);
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "anonymize/anatomy.h"
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "core/analysis_session.h"
 #include "core/report.h"
 #include "core/table_artifact.h"
@@ -17,11 +20,17 @@
 namespace pme::core {
 namespace {
 
-using pme::testing::kQ2;
 using pme::testing::kQ5;
 using pme::testing::kS1;
 using pme::testing::kS2;
 using pme::testing::kS4;
+
+/// The report's "%.2e" rendering of a violation.
+std::string Sci(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2e", v);
+  return buf;
+}
 
 class ReportTest : public ::testing::Test {
  protected:
@@ -80,18 +89,56 @@ TEST_F(ReportTest, TopRisksRespectsTableSize) {
   EXPECT_EQ(report.find("7. "), std::string::npos);
 }
 
-TEST_F(ReportTest, SolverHeaderNamesTheMinimizerThatRan) {
-  // An inequality row routes the only block to projected gradient, even
-  // though LBFGS was requested; the header says which one ran.
+TEST_F(ReportTest, BlockLineSaysAnIterateWasKept) {
+  // Three iterations cannot meet the tolerance, but they already bring
+  // the block closer to its rows than the closed-form prior: the block
+  // keeps its iterate, and the report says so with the solve's status,
+  // iterations and worst violation.
   knowledge::KnowledgeBase kb;
-  kb.Add(knowledge::AbstractConditional(kQ2, {kS1}, 0.3,
-                                        knowledge::Relation::kGe));
-  auto analysis = Analyze(table_, kb).ValueOrDie();
+  kb.Add(knowledge::AbstractConditional(pme::testing::kQ4, {kS1}, 0.9));
+  AnalysisOptions options;
+  options.solver_options.max_iterations = 3;
+  metrics::Counter& not_converged =
+      metrics::Registry::Global().GetCounter("solve.not_converged");
+  const uint64_t before = not_converged.Value();
+  auto analysis = Analyze(table_, kb, options).ValueOrDie();
+  EXPECT_EQ(not_converged.Value(), before + 1);
   ASSERT_EQ(analysis.solver.component_outcomes.size(), 1u);
-  EXPECT_EQ(analysis.solver.component_outcomes[0].solver,
-            maxent::SolverKind::kProjected);
+  const maxent::ComponentOutcome& outcome =
+      analysis.solver.component_outcomes[0];
+  EXPECT_TRUE(outcome.degraded);
+  EXPECT_FALSE(outcome.used_prior);
+  EXPECT_EQ(outcome.iterations, 3u);
+  EXPECT_EQ(analysis.solver.components_degraded, 1u);
   const std::string report = RenderPrivacyReport(table_, analysis);
-  EXPECT_NE(report.find("solver:            projected\n"), std::string::npos)
+  EXPECT_NE(report.find("kept best iterate (not_converged; 3 iterations, "
+                        "worst violation " +
+                        Sci(outcome.max_violation) + ")"),
+            std::string::npos)
+      << report;
+}
+
+TEST_F(ReportTest, BlockLineSaysThePriorWasKept) {
+  // A poisoned line search leaves the λ = 0 primal, which is no
+  // distribution: the block keeps its closed-form prior instead.
+  ASSERT_TRUE(failpoint::Configure("lbfgs_nan@1").ok());
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(pme::testing::kQ4, {kS1}, 0.9));
+  metrics::Counter& not_converged =
+      metrics::Registry::Global().GetCounter("solve.not_converged");
+  const uint64_t before = not_converged.Value();
+  auto analysis = Analyze(table_, kb);
+  failpoint::Reset();
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_EQ(not_converged.Value(), before + 1);
+  const maxent::ComponentOutcome& outcome =
+      analysis.value().solver.component_outcomes.at(0);
+  EXPECT_TRUE(outcome.used_prior);
+  const std::string report = RenderPrivacyReport(table_, analysis.value());
+  EXPECT_NE(report.find("kept closed-form prior (not_converged; 1 "
+                        "iterations, worst violation " +
+                        Sci(outcome.max_violation) + ")"),
+            std::string::npos)
       << report;
 }
 
@@ -116,8 +163,9 @@ TEST_F(ReportTest, BlockLineCarriesTheBlockErrorMessage) {
   EXPECT_EQ(analysis.solver.components_failed, 1u);
   EXPECT_TRUE(analysis.solver.degraded);
   const std::string report = RenderPrivacyReport(table_, analysis);
-  EXPECT_NE(report.find("kept closed-form prior after 1 attempt (infeasible: "
-                        "presolve: a probability term is forced negative)"),
+  EXPECT_NE(report.find("kept closed-form prior (infeasible: presolve: a "
+                        "probability term is forced negative; 0 iterations, "
+                        "worst violation "),
             std::string::npos)
       << report;
 }

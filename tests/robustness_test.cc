@@ -1,6 +1,7 @@
 // Tests for the fault-tolerant solve pipeline: the failpoint registry,
-// deadlines and cancellation tokens, the per-component fallback chain of
-// SolveDecomposed, thread-pool exception containment, and the
+// deadlines and cancellation tokens, the acceptance test and the
+// iterate-or-prior rule SolveDecomposed applies to a failed block,
+// thread-pool exception containment, and the
 // malformed-input corpus for the CSV and knowledge parsers.
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "data/csv.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/parser.h"
+#include "maxent/closed_form.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
@@ -66,9 +68,10 @@ ConstraintSystem InvariantSystem(const BucketizedTable& t,
 
 void AddConditional(const BucketizedTable& t, const TermIndex& index,
                     ConstraintSystem* system, uint32_t q, uint32_t s,
-                    double value) {
+                    double value,
+                    knowledge::Relation rel = knowledge::Relation::kEq) {
   knowledge::KnowledgeBase kb;
-  kb.Add(knowledge::AbstractConditional(q, {s}, value));
+  kb.Add(knowledge::AbstractConditional(q, {s}, value, rel));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
   system->AddAll(std::move(compiled.constraints));
 }
@@ -201,7 +204,7 @@ TEST(SolverInterruptTest, ExpiredDeadlineReturnsBestSoFarNotAnError) {
 
   maxent::SolverOptions options;
   options.deadline = Deadline::AfterSeconds(0.0);
-  auto result = maxent::Solve(problem, maxent::SolverKind::kLbfgs, options);
+  auto result = maxent::Solve(problem, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().termination, StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(result.value().converged);
@@ -209,22 +212,24 @@ TEST(SolverInterruptTest, ExpiredDeadlineReturnsBestSoFarNotAnError) {
   for (double v : result.value().p) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(SolverInterruptTest, CancelledTokenStopsEverySolverKind) {
+TEST(SolverInterruptTest, CancelledTokenStopsEqualityAndInequalitySolves) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
   auto system = InvariantSystem(t, index);
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto equality = maxent::BuildProblem(system).ValueOrDie();
+  AddConditional(t, index, &system, kQ4, kS1, 0.3, knowledge::Relation::kLe);
+  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
+  ASSERT_GT(inequality.a.rows(), inequality.num_eq);
 
   CancellationSource source;
   source.Cancel();
   maxent::SolverOptions options;
   options.cancel = source.token();
-  for (auto kind :
-       {maxent::SolverKind::kLbfgs, maxent::SolverKind::kProjected}) {
-    auto result = maxent::Solve(problem, kind, options);
-    ASSERT_TRUE(result.ok()) << maxent::SolverKindToString(kind);
+  for (const auto* problem : {&equality, &inequality}) {
+    auto result = maxent::Solve(*problem, options);
+    ASSERT_TRUE(result.ok()) << problem->num_eq;
     EXPECT_EQ(result.value().termination, StatusCode::kCancelled)
-        << maxent::SolverKindToString(kind);
+        << problem->num_eq;
   }
 }
 
@@ -240,69 +245,44 @@ TEST(SolverInterruptTest, WarmStartResumesAtTheSolution) {
 
   maxent::SolverOptions options;
   options.warm_start = &cold.dual_lambda_full;
-  auto warm = maxent::Solve(problem, maxent::SolverKind::kLbfgs, options)
-                  .ValueOrDie();
+  auto warm = maxent::Solve(problem, options).ValueOrDie();
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2u);
   EXPECT_LE(warm.iterations, cold.iterations);
 }
 
-// ------------------------------------------------------------- fallback
+// ----------------------------------------------------------- acceptance
 
-TEST(FallbackTest, NanGradientFailpointDegradesToProjectedRestart) {
+TEST(AcceptabilityTest, NanGradientFailpointLeavesAFiniteUnacceptablePoint) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
   auto system = InvariantSystem(t, index);
   auto problem = TwoComponentProblem(t, index, &system);
-  auto clean = maxent::Solve(problem).ValueOrDie();
 
+  // The poisoned line search accepts no step: the solve returns its
+  // start point, the λ = 0 primal — finite, but no distribution.
   ScopedFailpoints fp("lbfgs_nan@1");
-  size_t attempts = 0;
-  auto result = maxent::SolveWithFallback(
-      problem, maxent::SolverKind::kLbfgs, maxent::SolverOptions{}, &attempts);
+  auto result = maxent::Solve(problem);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result.value().degraded);
-  EXPECT_GE(attempts, 2u);
-  EXPECT_EQ(result.value().kind, maxent::SolverKind::kProjected);
-  ASSERT_EQ(result.value().p.size(), clean.p.size());
-  for (size_t i = 0; i < clean.p.size(); ++i) {
-    EXPECT_NEAR(result.value().p[i], clean.p[i], 1e-5) << i;
-  }
+  EXPECT_FALSE(result.value().converged);
+  EXPECT_FALSE(maxent::IsAcceptable(result.value()));
+  for (double v : result.value().p) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(FallbackTest, SpuriousNonConvergenceFailpointTriggersTheLadder) {
+TEST(AcceptabilityTest, CleanSolveIsAcceptableAndNotDegraded) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
   auto system = InvariantSystem(t, index);
   auto problem = TwoComponentProblem(t, index, &system);
 
-  ScopedFailpoints fp("lbfgs_spurious@1");
-  size_t attempts = 0;
-  auto result = maxent::SolveWithFallback(
-      problem, maxent::SolverKind::kLbfgs, maxent::SolverOptions{}, &attempts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result.value().degraded);
-  EXPECT_GE(attempts, 2u);
-  EXPECT_LT(result.value().max_violation, 1e-6);
-}
-
-TEST(FallbackTest, AcceptableFirstRungIsNotDegraded) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
-
-  size_t attempts = 0;
-  auto result = maxent::SolveWithFallback(
-      problem, maxent::SolverKind::kLbfgs, maxent::SolverOptions{}, &attempts);
+  auto result = maxent::Solve(problem);
   ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(maxent::IsAcceptable(result.value()));
   EXPECT_FALSE(result.value().degraded);
-  EXPECT_EQ(attempts, 1u);
-  EXPECT_EQ(result.value().kind, maxent::SolverKind::kLbfgs);
 }
 
 /// Rows p0 + p1 = 1 and p0 + p1 + p2 = 0.5: no nonnegative p satisfies
-/// both, and presolve cannot tell, so every minimizer runs and fails.
+/// both, and presolve cannot tell, so the minimizer runs and fails.
 ConstraintSystem UnsatisfiableSystem() {
   ConstraintSystem system(3);
   constraints::LinearConstraint pair;
@@ -318,59 +298,28 @@ ConstraintSystem UnsatisfiableSystem() {
   return system;
 }
 
-TEST(FallbackTest, UnsatisfiableEqualityRunsTwoAttemptsAndKeepsTheBest) {
-  const auto problem =
-      maxent::BuildProblem(UnsatisfiableSystem()).ValueOrDie();
-  maxent::SolverOptions options;
-  options.max_iterations = 2000;
-
-  size_t attempts = 0;
-  auto result = maxent::SolveWithFallback(problem, maxent::SolverKind::kLbfgs,
-                                          options, &attempts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(attempts, 2u);
-  EXPECT_TRUE(result.value().degraded);
-  EXPECT_FALSE(maxent::IsAcceptable(result.value()));
-
-  // The two attempts, replayed: LBFGS, then projected gradient restarted
-  // from LBFGS's dual point. The ladder keeps the smaller violation.
-  auto first =
-      maxent::Solve(problem, maxent::SolverKind::kLbfgs, options).ValueOrDie();
-  maxent::SolverOptions restart_options = options;
-  restart_options.warm_start = &first.dual_lambda_full;
-  auto restart = maxent::Solve(problem, maxent::SolverKind::kProjected,
-                               restart_options)
-                     .ValueOrDie();
-  const auto& best = restart.max_violation < first.max_violation ? restart
-                                                                 : first;
-  EXPECT_EQ(result.value().kind, best.kind);
-  EXPECT_EQ(result.value().max_violation,
-            std::min(first.max_violation, restart.max_violation));
-  EXPECT_EQ(result.value().p, best.p);
-}
-
-TEST(FallbackTest, InequalityProblemIsNotRerunByTheRestart) {
-  // The first attempt already runs projected gradient on an inequality
-  // problem, whatever kind was asked for; a restart would repeat it.
+TEST(AcceptabilityTest, UnsatisfiableProblemEndsFiniteAndUnacceptable) {
+  // With and without a ≤ row: a failed solve is an Ok result whose
+  // finite iterate IsAcceptable rejects, never an error Status.
   ConstraintSystem system = UnsatisfiableSystem();
+  const auto equality = maxent::BuildProblem(system).ValueOrDie();
   constraints::LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = knowledge::Relation::kLe;
   le.rhs = 0.4;
   system.Add(le);
-  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
   maxent::SolverOptions options;
   options.max_iterations = 2000;
 
-  size_t attempts = 0;
-  auto result = maxent::SolveWithFallback(problem, maxent::SolverKind::kLbfgs,
-                                          options, &attempts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(attempts, 1u);
-  EXPECT_EQ(result.value().kind, maxent::SolverKind::kProjected);
-  EXPECT_FALSE(result.value().degraded);
-  EXPECT_FALSE(maxent::IsAcceptable(result.value()));
+  for (const auto* problem : {&equality, &inequality}) {
+    auto result = maxent::Solve(*problem, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result.value().degraded);
+    EXPECT_FALSE(maxent::IsAcceptable(result.value()));
+    EXPECT_TRUE(std::isfinite(result.value().max_violation));
+  }
 }
 
 // ------------------------------------------------------ decomposed solve
@@ -391,8 +340,7 @@ TEST(DecomposedRobustnessTest, FaultIsolationKeepsUntouchedComponentsExact) {
   ScopedFailpoints fp("lbfgs_nan@1,block_deadline@2");
   maxent::SolverOptions options;
   options.threads = 1;
-  auto faulted = maxent::SolveDecomposed(t, index, system,
-                                         maxent::SolverKind::kLbfgs, options);
+  auto faulted = maxent::SolveDecomposed(t, index, system, options);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
   const auto& result = faulted.value();
 
@@ -403,28 +351,35 @@ TEST(DecomposedRobustnessTest, FaultIsolationKeepsUntouchedComponentsExact) {
   EXPECT_EQ(result.components_failed, 0u);
   ASSERT_EQ(result.component_outcomes.size(), 2u);
 
-  // Block 0 recovered on the projected-restart rung.
+  // Block 0's poisoned solve left the λ = 0 primal (every cell e^-1),
+  // which violates the block's rows more than the prior does: it kept
+  // the closed-form prior, flagged. Block 1 never got to iterate: it
+  // kept the prior too.
   EXPECT_TRUE(result.component_outcomes[0].degraded);
-  EXPECT_FALSE(result.component_outcomes[0].used_prior);
-  EXPECT_EQ(result.component_outcomes[0].solver,
-            maxent::SolverKind::kProjected);
-  // Block 1 never got to iterate: it kept the closed-form prior.
+  EXPECT_TRUE(result.component_outcomes[0].used_prior);
+  EXPECT_EQ(result.component_outcomes[0].status, StatusCode::kNotConverged);
+  EXPECT_EQ(result.component_outcomes[0].iterations, 1u);
   EXPECT_TRUE(result.component_outcomes[1].used_prior);
   EXPECT_EQ(result.component_outcomes[1].status,
             StatusCode::kDeadlineExceeded);
 
   // The untouched closed-form bucket (bucket 0) is bit-identical to the
-  // clean run.
+  // clean run, and both faulted buckets hold the closed form exactly.
+  const std::vector<double> prior = maxent::ClosedFormNoKnowledge(t, index);
   const auto [b0_first, b0_last] = index.BucketRange(0);
   for (uint32_t v = b0_first; v < b0_last; ++v) {
-    EXPECT_NEAR(result.p[v], clean.p[v], 1e-10) << "var " << v;
+    EXPECT_EQ(result.p[v], clean.p[v]) << "var " << v;
   }
-  // The recovered block agrees with the clean solve to solver tolerance.
-  const auto [b1_first, b1_last] = index.BucketRange(1);
-  for (uint32_t v = b1_first; v < b1_last; ++v) {
-    EXPECT_NEAR(result.p[v], clean.p[v], 1e-5) << "var " << v;
+  for (uint32_t v = index.BucketRange(1).first;
+       v < index.BucketRange(2).second; ++v) {
+    EXPECT_EQ(result.p[v], prior[v]) << "var " << v;
   }
-  for (double v : result.p) EXPECT_TRUE(std::isfinite(v));
+  // The kept answers report their rows' violation: the prior's, which
+  // ignores the knowledge rows.
+  EXPECT_GT(result.component_outcomes[0].max_violation, 1e-3);
+  EXPECT_EQ(result.max_violation,
+            std::max(result.component_outcomes[0].max_violation,
+                     result.component_outcomes[1].max_violation));
 }
 
 TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
@@ -438,8 +393,7 @@ TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
   ScopedFailpoints fp("pool_task_throw@1");
   maxent::SolverOptions options;
   options.threads = 1;
-  auto result = maxent::SolveDecomposed(t, index, system,
-                                        maxent::SolverKind::kLbfgs, options);
+  auto result = maxent::SolveDecomposed(t, index, system, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().termination, StatusCode::kOk);
   EXPECT_TRUE(result.value().degraded);
@@ -466,8 +420,7 @@ TEST(DecomposedRobustnessTest, CancelledRunReturnsPartialAnswerMarked) {
   source.Cancel();
   maxent::SolverOptions options;
   options.cancel = source.token();
-  auto result = maxent::SolveDecomposed(t, index, system,
-                                        maxent::SolverKind::kLbfgs, options);
+  auto result = maxent::SolveDecomposed(t, index, system, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().termination, StatusCode::kCancelled);
   EXPECT_TRUE(result.value().degraded);
@@ -555,16 +508,12 @@ TEST(StallGuardTest, PlateauExitsLongBeforeTheIterationBudget) {
   // 20000-iteration budget.
   maxent::SolverOptions options;
   options.tolerance = 0.0;
-  for (maxent::SolverKind kind :
-       {maxent::SolverKind::kLbfgs, maxent::SolverKind::kProjected}) {
-    SCOPED_TRACE(maxent::SolverKindToString(kind));
-    auto result = maxent::Solve(problem, kind, options).ValueOrDie();
-    EXPECT_FALSE(result.converged);
-    EXPECT_EQ(result.termination, StatusCode::kOk);
-    EXPECT_GE(result.iterations, maxent::internal::kMaxStallIterations);
-    EXPECT_LE(result.iterations, 1000u);
-    EXPECT_TRUE(maxent::IsAcceptable(result)) << result.max_violation;
-  }
+  auto result = maxent::Solve(problem, options).ValueOrDie();
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.termination, StatusCode::kOk);
+  EXPECT_GE(result.iterations, maxent::internal::kMaxStallIterations);
+  EXPECT_LE(result.iterations, 1000u);
+  EXPECT_TRUE(maxent::IsAcceptable(result)) << result.max_violation;
 }
 
 TEST(StallDetectorTest, FiresOnARunOfStalledStepsOnly) {

@@ -21,11 +21,13 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/flags.h"
 #include "core/experiment.h"
 #include "core/table_artifact.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "serve/serve_main.h"
 #include "serve/server.h"
 
 namespace pme::serve {
@@ -144,13 +146,20 @@ TEST_F(ServeEndToEndTest, MalformedLineKeepsConnectionServing) {
   EXPECT_TRUE(Parse(good.value()).Find("ok")->bool_value);
 }
 
-TEST_F(ServeEndToEndTest, UnknownSolverNameIsAnError) {
+TEST_F(ServeEndToEndTest, SolverFieldIsRejectedAsRemoved) {
+  // Every name, the old ones included: the field itself was removed.
   auto client = Connect();
-  const auto reply = client.Call(R"({"id":"s","solver":"simplex"})");
-  ASSERT_TRUE(reply.ok());
-  const JsonValue json = Parse(reply.value());
-  EXPECT_FALSE(json.Find("ok")->bool_value);
-  EXPECT_EQ(json.Find("id")->string_value, "s");
+  for (const char* name : {"simplex", "lbfgs", "projected"}) {
+    const auto reply = client.Call(std::string(R"({"id":"s","solver":")") +
+                                   name + R"("})");
+    ASSERT_TRUE(reply.ok()) << name;
+    const JsonValue json = Parse(reply.value());
+    EXPECT_FALSE(json.Find("ok")->bool_value) << name;
+    EXPECT_EQ(json.Find("id")->string_value, "s");
+    EXPECT_NE(json.Find("error")->string_value.find("removed"),
+              std::string::npos)
+        << json.Find("error")->string_value;
+  }
 }
 
 TEST_F(ServeEndToEndTest, ExpiredDeadlineDegradesToPrior) {
@@ -356,6 +365,15 @@ TEST_F(ServeEndToEndTest, UnknownVerbIsAnError) {
 }
 
 // ------------------------------------------------------- JSON unicode
+
+TEST(ServeMainTest, RemovedSolverFlagFailsBeforeLoadingAnything) {
+  // Flags keeps unknown flags, so ServeMain must refuse this one itself.
+  char program[] = "pme_serve";
+  char records[] = "--records=50";
+  char solver[] = "--solver=lbfgs";
+  char* argv[] = {program, records, solver};
+  EXPECT_NE(ServeMain(Flags(3, argv)), 0);
+}
 
 TEST(JsonUnicodeTest, BasicMultilingualPlaneEscapesDecodeToUtf8) {
   // \u escapes for A (1-byte), é (2-byte), € (3-byte UTF-8).

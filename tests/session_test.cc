@@ -3,7 +3,7 @@
 //
 // Artifact/session split: the TableArtifact + AnalysisSession pair must
 // be a drop-in replacement for the legacy one-shot core::Analyze — same
-// posteriors to 1e-10 across every solver kind and thread count — while
+// posteriors to 1e-10 across every thread count — while
 // supporting what Analyze never could: one immutable artifact shared by
 // many concurrent sessions with different knowledge bases, a shared
 // solution cache, and a shared worker pool.
@@ -132,41 +132,32 @@ class SessionTest : public ::testing::Test {
 ExperimentPipeline* SessionTest::pipeline_ = nullptr;
 
 // (a) Parity: artifact + session must reproduce the legacy Analyze
-// posterior to 1e-10 for every solver kind and thread count.
-TEST_F(SessionTest, MatchesLegacyAnalyzeAcrossSolversAndThreads) {
+// posterior to 1e-10 for every thread count.
+TEST_F(SessionTest, MatchesLegacyAnalyzeAcrossThreads) {
   const knowledge::KnowledgeBase kb = RuleKb(8, 8);
   const auto artifact = BuildArtifact();
-  const maxent::SolverKind kinds[] = {
-      maxent::SolverKind::kLbfgs,
-      maxent::SolverKind::kProjected,
-  };
-  for (maxent::SolverKind kind : kinds) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(std::string("solver=") + maxent::SolverKindToString(kind) +
-                   " threads=" + std::to_string(threads));
-      AnalysisOptions options;
-      options.solver = kind;
-      options.solver_options.threads = threads;
-      // Keep the slow first-order kinds affordable: parity must hold at
-      // whatever iterate the budget reaches, converged or not.
-      options.solver_options.max_iterations = 300;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AnalysisOptions options;
+    options.solver_options.threads = threads;
+    // Parity must hold at whatever iterate the budget reaches, converged
+    // or not.
+    options.solver_options.max_iterations = 300;
 
-      const auto legacy =
-          Analyze(pipeline_->bucketization.table, kb, options,
-                  &pipeline_->bucketization.qi_encoder)
-              .ValueOrDie();
-      const AnalysisSession session(artifact, options);
-      const auto via_session = session.Run(kb).ValueOrDie();
+    const auto legacy = Analyze(pipeline_->bucketization.table, kb, options,
+                                &pipeline_->bucketization.qi_encoder)
+                            .ValueOrDie();
+    const AnalysisSession session(artifact, options);
+    const auto via_session = session.Run(kb).ValueOrDie();
 
-      EXPECT_LE(MaxPosteriorDiff(legacy.posterior, via_session.posterior),
+    EXPECT_LE(MaxPosteriorDiff(legacy.posterior, via_session.posterior),
+              1e-10);
+    EXPECT_NEAR(legacy.estimation_accuracy, via_session.estimation_accuracy,
                 1e-10);
-      EXPECT_NEAR(legacy.estimation_accuracy,
-                  via_session.estimation_accuracy, 1e-10);
-      EXPECT_EQ(legacy.num_background_constraints,
-                via_session.num_background_constraints);
-      EXPECT_EQ(legacy.decomposition.num_components,
-                via_session.decomposition.num_components);
-    }
+    EXPECT_EQ(legacy.num_background_constraints,
+              via_session.num_background_constraints);
+    EXPECT_EQ(legacy.decomposition.num_components,
+              via_session.decomposition.num_components);
   }
 }
 
@@ -717,8 +708,7 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   const auto analysis = AnalysisSession(artifact, options).Run(kb).ValueOrDie();
   const auto problem = maxent::BuildProblem(system).ValueOrDie();
   const auto whole =
-      maxent::Solve(problem, options.solver, options.solver_options)
-          .ValueOrDie();
+      maxent::Solve(problem, options.solver_options).ValueOrDie();
   EXPECT_EQ(analysis.solver.iterations, whole.iterations);
   const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
   ASSERT_EQ(joint.size(), whole.p.size());

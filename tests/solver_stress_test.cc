@@ -1,6 +1,6 @@
 // Stress and property suites for the MaxEnt solver stack: presolve
 // equivalence, KKT verification for inequality-constrained optima,
-// duplicate/redundant-row robustness, and cross-solver agreement across
+// duplicate/redundant-row robustness, and the product form across
 // problem scales.
 
 #include <gtest/gtest.h>
@@ -80,8 +80,8 @@ TEST(SolverStressTest, PresolveOnOffAgree) {
     SolverOptions with, without;
     with.presolve = true;
     without.presolve = false;
-    auto a = Solve(grid.problem, SolverKind::kLbfgs, with).ValueOrDie();
-    auto b = Solve(grid.problem, SolverKind::kLbfgs, without).ValueOrDie();
+    auto a = Solve(grid.problem, with).ValueOrDie();
+    auto b = Solve(grid.problem, without).ValueOrDie();
     for (size_t i = 0; i < a.p.size(); ++i) {
       EXPECT_NEAR(a.p[i], b.p[i], 1e-6);
     }
@@ -182,16 +182,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(10, 10, 3), std::make_tuple(1, 8, 4),
                       std::make_tuple(20, 5, 5), std::make_tuple(30, 30, 6)));
 
-class CrossSolverScaleTest
-    : public ::testing::TestWithParam<std::tuple<SolverKind, int>> {};
+class ProductFormScaleTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CrossSolverScaleTest, MatchesProductForm) {
-  const auto [kind, size] = GetParam();
+TEST_P(ProductFormScaleTest, MatchesProductForm) {
+  const int size = GetParam();
   Prng prng(static_cast<uint64_t>(size) * 17);
   auto grid = MakeGrid(size, size + 1, prng);
   SolverOptions options;
   options.max_iterations = 50000;
-  auto result = Solve(grid.problem, kind, options).ValueOrDie();
+  auto result = Solve(grid.problem, options).ValueOrDie();
   for (int r = 0; r < size; ++r) {
     for (int c = 0; c < size + 1; ++c) {
       double row_sum = 0.0, col_sum = 0.0;
@@ -201,21 +200,16 @@ TEST_P(CrossSolverScaleTest, MatchesProductForm) {
       for (int rr = 0; rr < size; ++rr) {
         col_sum += grid.truth[rr * (size + 1) + c];
       }
-      EXPECT_NEAR(result.p[r * (size + 1) + c], row_sum * col_sum, 1e-4)
-          << SolverKindToString(kind);
+      EXPECT_NEAR(result.p[r * (size + 1) + c], row_sum * col_sum, 1e-4);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SolversAndSizes, CrossSolverScaleTest,
-    ::testing::Combine(::testing::Values(SolverKind::kLbfgs,
-                                         SolverKind::kProjected),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<SolverKind, int>>& info) {
-      return std::string(SolverKindToString(std::get<0>(info.param))) +
-             "_n" + std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Sizes, ProductFormScaleTest,
+                         ::testing::Values(2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "n" + std::to_string(info.param);
+                         });
 
 TEST(SolverStressTest, TinyRhsValuesStayStable) {
   // RHS magnitudes like 1/14210 (paper scale) must not break conditioning.

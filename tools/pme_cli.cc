@@ -52,7 +52,7 @@ void PrintUsage(std::FILE* out) {
                "  mine     --data=FILE --sensitive=ATTR [--top=N]\n"
                "           [--minsupport=N] [--maxattrs=T]\n"
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
-               "           [--knowledge=FILE] [--solver=lbfgs|projected]\n"
+               "           [--knowledge=FILE]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
@@ -63,8 +63,7 @@ void PrintUsage(std::FILE* out) {
                "[--ell=L]\n"
                "           [--host=ADDR] [--port=N] [--threads=N] "
                "[--deadline-ms=N]\n"
-               "           [--solver=lbfgs|projected] [--cache=off|exact|warm] "
-               "[--cache-mb=N]\n"
+               "           [--cache=off|exact|warm] [--cache-mb=N]\n"
                "           [--max-connections=N] "
                "[--metrics-out=FILE] [--trace-out=FILE]\n"
                "  help     print this synopsis\n"
@@ -161,6 +160,11 @@ int RunMine(const pme::Flags& flags) {
 }
 
 int RunAnalyze(const pme::Flags& flags) {
+  // Flags keeps unknown flags silently; a removed one must not be.
+  if (flags.Has("solver")) {
+    return Fail(pme::Status::InvalidArgument(
+        "--solver was removed: every problem is solved by LBFGS"));
+  }
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
 
@@ -192,10 +196,6 @@ int RunAnalyze(const pme::Flags& flags) {
   }
 
   pme::core::AnalysisOptions options;
-  auto solver =
-      pme::maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
-  if (!solver.ok()) return Fail(solver.status());
-  options.solver = solver.value();
   // Independent knowledge components are solved in parallel; 0 = all
   // hardware threads, 1 (default) = serial. The result is identical for
   // any value.
