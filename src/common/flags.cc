@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -25,6 +26,7 @@ Flags::Flags(int argc, char** argv) {
   if (full_env != nullptr && std::string(full_env) != "0" &&
       values_.find("full") == values_.end()) {
     values_["full"] = "true";
+    full_from_env_ = true;
   }
 }
 
@@ -58,6 +60,37 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
 
 bool Flags::Has(const std::string& name) const {
   return values_.find(name) != values_.end();
+}
+
+std::vector<std::string> Flags::Unknown(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (name == "full" && full_from_env_) continue;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
+}
+
+Status Flags::Check(const std::vector<std::string>& text,
+                    const std::vector<std::string>& integers) const {
+  std::vector<std::string> known = text;
+  known.insert(known.end(), integers.begin(), integers.end());
+  if (const auto unknown = Unknown(known); !unknown.empty()) {
+    return Status::InvalidArgument("unknown flag --" + unknown.front());
+  }
+  for (const std::string& name : integers) {
+    auto it = values_.find(name);
+    long long v = 0;
+    if (it != values_.end() && !ParseInt(it->second, &v)) {
+      return Status::InvalidArgument("--" + name +
+                                     " must be an integer, got '" +
+                                     it->second + "'");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace pme

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace pme {
 
 /// Minimal command-line flag parser used by benches and examples.
@@ -18,7 +20,8 @@ namespace pme {
 /// for `--full` so the whole bench directory can be escalated at once.
 class Flags {
  public:
-  /// Parses argv. Unknown flags are kept (benches share a common set).
+  /// Parses argv. Unknown flags are kept (benches share a common set);
+  /// a command with a fixed set of flags refuses the rest with Check.
   Flags(int argc, char** argv);
 
   /// String flag with default.
@@ -34,12 +37,24 @@ class Flags {
   /// True when a flag was explicitly supplied.
   bool Has(const std::string& name) const;
 
+  /// Names of the supplied flags outside `known`, in name order. The
+  /// `full` that PME_FULL implies is not a supplied flag.
+  std::vector<std::string> Unknown(const std::vector<std::string>& known)
+      const;
+
+  /// kInvalidArgument naming the first supplied flag that is in neither
+  /// `text` nor `integers`, or the first of `integers` whose value is not
+  /// an integer; Ok otherwise.
+  Status Check(const std::vector<std::string>& text,
+               const std::vector<std::string>& integers) const;
+
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  bool full_from_env_ = false;
 };
 
 }  // namespace pme

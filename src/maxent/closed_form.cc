@@ -1,6 +1,12 @@
 #include "maxent/closed_form.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace pme::maxent {
+
+using constraints::ConstraintSource;
+using constraints::LinearConstraint;
 
 void ClosedFormBucket(const anonymize::BucketizedTable& table,
                       const constraints::TermIndex& index, uint32_t b,
@@ -30,6 +36,31 @@ std::vector<double> ClosedFormNoKnowledge(
     ClosedFormBucket(table, index, b, &p);
   }
   return p;
+}
+
+std::vector<double> ClosedFormDual(
+    const constraints::TermIndex& index, const std::vector<double>& prior,
+    const std::vector<const LinearConstraint*>& rows) {
+  std::vector<double> lambda(rows.size(), 0.0);
+  for (size_t j = 0; j < rows.size(); ++j) {
+    const LinearConstraint& c = *rows[j];
+    const bool qi = c.source == ConstraintSource::kQiInvariant;
+    if ((!qi && c.source != ConstraintSource::kSaInvariant) ||
+        c.vars.empty()) {
+      continue;
+    }
+    // Bucket b's variable of ranks (q, s) is first + q·h + s: a QI row
+    // runs along one q, an SA row along one s, so any of its variables
+    // names its rank.
+    const uint32_t b = index.TermOf(c.vars.front()).bucket;
+    const uint32_t first = index.BucketRange(b).first;
+    const uint32_t h = static_cast<uint32_t>(index.BucketSaList(b).size());
+    const uint32_t offset = c.vars.front() - first;
+    lambda[j] = qi ? std::log(prior[first + offset / h * h]) + 1.0
+                   : std::log(prior[first + offset % h]) -
+                         std::log(prior[first]);
+  }
+  return lambda;
 }
 
 }  // namespace pme::maxent

@@ -38,6 +38,8 @@ struct SolveMetrics {
   metrics::Counter* components_failed;
   /// Blocks whose solve ended with converged == false, accepted or not.
   metrics::Counter* not_converged;
+  /// Blocks whose solve started at the closed form's dual (no warm start).
+  metrics::Counter* closed_form_starts;
   metrics::Histogram* block_seconds;
   metrics::Histogram* block_iterations;
 };
@@ -52,6 +54,7 @@ SolveMetrics& GetSolveMetrics() {
         &registry.GetCounter("solve.components_degraded");
     r.components_failed = &registry.GetCounter("solve.components_failed");
     r.not_converged = &registry.GetCounter("solve.not_converged");
+    r.closed_form_starts = &registry.GetCounter("solve.closed_form_starts");
     r.block_seconds = &registry.GetHistogram("solve.block_seconds");
     // Iteration counts: buckets [0,1), [1,2), [2,4) ... cover the
     // fixed-point loop's realistic range up to ~2^30.
@@ -118,6 +121,12 @@ std::vector<double> MaterializeJoint(const SolverResult& result) {
     }
   }
   return p;
+}
+
+std::vector<double> BlockStart(const BlockPlan& plan, const PlanBlock& block,
+                               const std::vector<double>& prior) {
+  if (!block.warm_start.empty()) return block.warm_start;
+  return ClosedFormDual(plan.index(), prior, block.rows);
 }
 
 DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
@@ -275,9 +284,6 @@ Result<SolverResult> SolveDecomposed(
         const PlanBlock& block = blocks[i];
         block_span.AddArg("vars", static_cast<double>(block.cols.size()));
         SolverOptions block_options = options;
-        if (!block.warm_start.empty()) {
-          block_options.warm_start = &block.warm_start;
-        }
         if (!options.deadline.is_infinite()) {
           block_options.deadline = Deadline::Earlier(
               options.deadline, Deadline::AfterSeconds(budget_seconds[i]));
@@ -300,6 +306,12 @@ Result<SolverResult> SolveDecomposed(
             trace::TraceSpan assemble_span("assemble", "solve");
             PME_ASSIGN_OR_RETURN(sub, AssembleBlock(plan, block));
           }
+          const std::vector<double> start =
+              BlockStart(plan, block, *result.prior);
+          if (block.warm_start.empty()) {
+            GetSolveMetrics().closed_form_starts->Add();
+          }
+          block_options.warm_start = &start;
           Team team(team_size[i]);
           block_span.AddArg("team", static_cast<double>(team.size()));
           return Solve(sub, block_options, &team);

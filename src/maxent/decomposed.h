@@ -61,7 +61,7 @@ Result<SolverResult> SolveDecomposed(
 /// consulted) over `prior` — the table's Theorem-5 closed form, with
 /// pme::Entropy `prior_entropy`. Every block, the one block of a whole-
 /// table plan included, is assembled from its own rows and answered from
-/// the cache, warm-started or solved cold as its plan entry says. The
+/// the cache, or solved from BlockStart as its plan entry says. The
 /// result is an overlay: `p` stays empty, `blocks` holds each block's
 /// (cols, p) slice and `prior` shares the prior; entropy and max
 /// violation are derived per block. Work scales with the coupled blocks,
@@ -70,6 +70,15 @@ Result<SolverResult> SolveDecomposed(
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
     double prior_entropy, const SolverOptions& options);
+
+/// The dual a solve of `block` starts from, aligned with its rows: the
+/// closed form's dual (ClosedFormDual over `prior`), at which every
+/// invariant row of the block already holds, with the multipliers of a
+/// cache warm hit written over the rows they match. A warm hit matches
+/// every invariant row and the closed form starts every other row at 0,
+/// so that start is the plan's warm_start itself.
+std::vector<double> BlockStart(const BlockPlan& plan, const PlanBlock& block,
+                               const std::vector<double>& prior);
 
 /// The full joint of `result`: `p` itself, or the prior with the block
 /// slices written over it. For reports, exports and tests — the request

@@ -100,10 +100,12 @@ double SteepestDescent(Team& team, const Box& box,
 /// the tail to λ_j ≤ 0. The sufficient-decrease model is the actual
 /// move's gᵀ(P(λ + t·d) − λ): t·gᵀd plus a correction on the clipped
 /// coordinates, so with nothing clipped the test is the unconstrained
-/// one, rounding included. On success updates (lambda, value, grad),
-/// leaves the replaced iterate and gradient in the scratch buffers, and
-/// returns true. Every probe evaluates through the shared workspace, so
-/// the line search allocates nothing.
+/// one, rounding included. A trial value within rounding of D is judged
+/// by the sign of the slope at the trial point instead. On success
+/// updates (lambda, value, grad), leaves the replaced iterate and
+/// gradient in the scratch buffers, and returns true. Every probe
+/// evaluates through the shared workspace, so the line search allocates
+/// nothing.
 bool Backtrack(const DualFunction& dual, size_t num_eq,
                const std::vector<double>& direction, double dir_dot_grad,
                double initial_step, std::vector<double>* lambda,
@@ -133,7 +135,26 @@ bool Backtrack(const DualFunction& dual, size_t num_eq,
                        : *value + c1 * (step * dir_dot_grad + clipped);
     const double trial_value =
         dual.EvaluateInto(*scratch_lambda, scratch_grad, ws);
-    if (std::isfinite(trial_value) && trial_value <= threshold) {
+    bool accept = std::isfinite(trial_value);
+    if (accept && std::fabs(trial_value - *value) >
+                      kStallFtol * (std::fabs(*value) + 1.0)) {
+      accept = trial_value <= threshold;
+    } else if (accept) {
+      // The two values agree within the rounding of D, so comparing them
+      // decides nothing. On the convex dual a non-positive slope at the
+      // trial point along the actual move certifies a decrease: Hager and
+      // Zhang's approximate Wolfe test.
+      const double slope = dual.team().Sum(lambda->size(), [&](size_t b,
+                                                               size_t e) {
+        double sum = 0.0;
+        for (size_t j = b; j < e; ++j) {
+          sum += (*scratch_grad)[j] * ((*scratch_lambda)[j] - (*lambda)[j]);
+        }
+        return sum;
+      });
+      accept = slope <= 0.0;
+    }
+    if (accept) {
       lambda->swap(*scratch_lambda);
       grad->swap(*scratch_grad);
       *value = trial_value;
@@ -285,6 +306,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
     if (!accepted) {
       // Even steepest descent cannot improve: the iterate is at numerical
       // precision for this problem.
+      out.stalled = true;
       out.iterations = iter + 1;
       out.dual_value = value;
       out.grad_inf = box.ProjectedInfNorm(team);
@@ -306,6 +328,7 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
         out.iterations = iter + 1;
         continue;
       }
+      out.stalled = true;
       out.iterations = iter + 1;
       out.dual_value = value;
       out.grad_inf = box.ProjectedInfNorm(team);

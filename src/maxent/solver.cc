@@ -36,13 +36,17 @@ double ProblemViolation(const MaxEntProblem& problem,
 struct DualMetrics {
   metrics::Counter* evaluations;
   metrics::Counter* line_search_probes;
+  /// Solves ended by a stall rather than by convergence, the budget or
+  /// an interrupt.
+  metrics::Counter* stall_exits;
 };
 
 DualMetrics& GetDualMetrics() {
   static DualMetrics m = [] {
     auto& registry = metrics::Registry::Global();
     return DualMetrics{&registry.GetCounter("solve.dual_evaluations"),
-                       &registry.GetCounter("solve.line_search_probes")};
+                       &registry.GetCounter("solve.line_search_probes"),
+                       &registry.GetCounter("solve.stall_exits")};
   }();
   return m;
 }
@@ -94,9 +98,9 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
   result.presolve_fixed = pre.num_fixed;
   const MaxEntProblem& reduced = pre.reduced;
 
-  // The dual start: zeros, or the original-row-space warm start carried
-  // into the reduced dual space through the presolve row map (rows
-  // presolve dropped are simply not carried).
+  // The dual start: zeros, or the original-row-space start carried into
+  // the reduced dual space through the presolve row map (rows presolve
+  // dropped are simply not carried).
   std::vector<double> lambda(reduced.a.rows(), 0.0);
   if (options.warm_start != nullptr &&
       options.warm_start->size() == problem.a.rows() &&
@@ -119,6 +123,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
     reduced_p = dual.Primal(outcome.lambda);
     GetDualMetrics().evaluations->Add(dual.evaluations());
     GetDualMetrics().line_search_probes->Add(outcome.line_search_probes);
+    if (outcome.stalled) GetDualMetrics().stall_exits->Add();
     result.iterations = outcome.iterations;
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;

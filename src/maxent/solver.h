@@ -92,15 +92,16 @@ struct SolverOptions {
   /// Cooperative cancellation, checked together with the deadline each
   /// iteration (termination == kCancelled, best-so-far returned).
   CancellationToken cancel;
-  /// Optional warm start for the dual multipliers, one per row of the
+  /// Optional start for the dual multipliers, one per row of the
   /// problem's matrix (the stacked layout, maxent/problem.h) before
-  /// presolve. Solve maps it through the presolve row map into the
-  /// reduced dual space, so a warm start survives a *different* presolve
-  /// than the one that produced it (the cached re-analysis case: an
-  /// edited component drops/keeps different rows). Ignored when the size
-  /// does not match a.rows() or any entry is non-finite (a poisoned start
-  /// must not propagate a fault). Used by the solution cache. Not owned;
-  /// must outlive Solve.
+  /// presolve; zeros when unset. Solve maps it through the presolve row
+  /// map into the reduced dual space, so a start survives a *different*
+  /// presolve than the one that produced it (the cached re-analysis
+  /// case: an edited component drops/keeps different rows). Ignored when
+  /// the size does not match a.rows() or any entry is non-finite (a
+  /// poisoned start must not propagate a fault). SolveDecomposed passes
+  /// every block its BlockStart: the closed form's dual or the solution
+  /// cache's warm start. Not owned; must outlive Solve.
   const std::vector<double>* warm_start = nullptr;
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching

@@ -67,6 +67,9 @@ struct DualOutcome {
   double grad_inf = 0.0;
   /// Dual evaluations made by line-search probes.
   size_t line_search_probes = 0;
+  /// True when the solve ended because it stopped improving: a second
+  /// StallDetector run, or a line search that found no acceptable step.
+  bool stalled = false;
   /// kOk for a normal finish; kDeadlineExceeded / kCancelled when the
   /// solve was interrupted — `lambda` is still the best iterate so far.
   StatusCode stop = StatusCode::kOk;
@@ -80,8 +83,8 @@ struct DualOutcome {
 /// on the bound whose gradient points outward, runs the two-loop
 /// recursion on the rest, and backtracks along the projected path. With
 /// num_eq == dual.dim() it is plain LBFGS. Starts from `start`
-/// (dual.dim() finite entries — Solve passes zeros or the mapped warm
-/// start) and returns its best iterate.
+/// (dual.dim() finite entries — Solve passes zeros or the mapped
+/// SolverOptions::warm_start) and returns its best iterate.
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
                                   std::vector<double> start,
                                   const SolverOptions& options);

@@ -57,10 +57,17 @@ Result<data::Dataset> LoadOrGenerate(const Flags& flags) {
 }  // namespace
 
 int ServeMain(const Flags& flags) {
-  // Flags keeps unknown flags silently; a removed one must not be.
+  // A removed flag says so before the unknown-flag check.
   if (flags.Has("solver")) {
     return Fail(Status::InvalidArgument(
         "--solver was removed: every problem is solved by LBFGS"));
+  }
+  if (Status s = flags.Check({"data", "sensitive", "id", "host", "cache",
+                              "metrics-out", "trace-out"},
+                             {"records", "seed", "ell", "port", "threads",
+                              "deadline-ms", "cache-mb", "max-connections"});
+      !s.ok()) {
+    return Fail(s);
   }
   auto dataset_or = LoadOrGenerate(flags);
   if (!dataset_or.ok()) return Fail(dataset_or.status());

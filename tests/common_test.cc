@@ -431,6 +431,31 @@ TEST(FlagsTest, NonNumericFallsBackToDefault) {
   EXPECT_EQ(flags.GetInt("k", 3), 3);
 }
 
+TEST(FlagsTest, UnknownNamesEveryFlagOutsideTheList) {
+  const char* argv[] = {"prog", "--threds=4", "--data=x.csv",
+                        "--knowlege=k.txt", "positional"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Unknown({"data", "threads", "knowledge"}),
+            (std::vector<std::string>{"knowlege", "threds"}));
+  EXPECT_TRUE(flags.Unknown({"data", "threds", "knowlege"}).empty());
+  const Status status = flags.Check({"data", "knowledge"}, {"threads"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--knowlege"), std::string::npos)
+      << status.message();
+}
+
+TEST(FlagsTest, CheckRefusesAMalformedInteger) {
+  const char* argv[] = {"prog", "--threads=four", "--ell=5"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.Check({"threads"}, {"ell"}).ok());
+  const Status status = flags.Check({}, {"threads", "ell"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--threads"), std::string::npos)
+      << status.message();
+  // An integer flag that was not supplied is not malformed.
+  EXPECT_TRUE(flags.Check({"threads"}, {"ell", "repeat"}).ok());
+}
+
 // ---------------------------------------------------------------- Hash128
 
 // Golden digests. The solution cache persists nothing today, but its keys

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/math_util.h"
 #include "common/prng.h"
@@ -13,11 +15,14 @@
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "core/experiment.h"
+#include "core/table_artifact.h"
 #include "knowledge/miner.h"
+#include "maxent/block_plan.h"
 #include "maxent/closed_form.h"
 #include "maxent/decomposed.h"
 #include "maxent/dual.h"
 #include "maxent/problem.h"
+#include "maxent/solution_cache.h"
 #include "maxent/solver.h"
 #include "tests/test_util.h"
 
@@ -586,6 +591,274 @@ TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
   for (size_t i = 0; i < closed.size(); ++i) {
     EXPECT_NEAR(result.p[i], closed[i], 1e-12);
   }
+}
+
+// ---------------------------------------------------- Closed-form start
+
+bool IsInvariant(const LinearConstraint& c) {
+  return c.source == constraints::ConstraintSource::kQiInvariant ||
+         c.source == constraints::ConstraintSource::kSaInvariant;
+}
+
+// The problem of `block`, as SolveDecomposed assembles it.
+MaxEntProblem BlockProblem(const PlanBlock& block) {
+  return AssembleProblem(block.cols.size(), block.rows, block.num_eq,
+                         [&](uint32_t var) {
+                           return static_cast<uint32_t>(
+                               std::lower_bound(block.cols.begin(),
+                                                block.cols.end(), var) -
+                               block.cols.begin());
+                         })
+      .ValueOrDie();
+}
+
+// ∇D of `problem` at `lambda`: each row's residual at the primal there.
+std::vector<double> GradientAt(const MaxEntProblem& problem,
+                               const std::vector<double>& lambda) {
+  DualFunction dual(&problem.a, problem.rhs);
+  std::vector<double> grad;
+  dual.Evaluate(lambda, &grad, nullptr);
+  return grad;
+}
+
+// Every block of `plan` starts at the closed form's dual: each invariant
+// row holds there, and each knowledge row's gradient is its residual at
+// the closed form.
+void ExpectClosedFormStart(const BlockPlan& plan,
+                           const std::vector<double>& prior) {
+  ASSERT_FALSE(plan.blocks().empty());
+  for (const PlanBlock& block : plan.blocks()) {
+    ASSERT_TRUE(block.warm_start.empty());
+    const std::vector<double> start = BlockStart(plan, block, prior);
+    ASSERT_EQ(start, ClosedFormDual(plan.index(), prior, block.rows));
+    const std::vector<double> grad = GradientAt(BlockProblem(block), start);
+    size_t invariant_rows = 0;
+    for (size_t j = 0; j < block.rows.size(); ++j) {
+      const LinearConstraint& c = *block.rows[j];
+      if (IsInvariant(c)) {
+        ++invariant_rows;
+        EXPECT_LE(std::fabs(grad[j]), 1e-15) << "row " << j;
+        continue;
+      }
+      EXPECT_EQ(start[j], 0.0);
+      double lhs = 0.0;
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        lhs += c.coefs[i] * prior[c.vars[i]];
+      }
+      const double sign = c.rel == Relation::kGe ? -1.0 : 1.0;
+      EXPECT_NEAR(grad[j], sign * (lhs - c.rhs), 1e-15) << "row " << j;
+    }
+    EXPECT_GT(invariant_rows, 0u);
+  }
+}
+
+knowledge::KnowledgeBase Figure1Knowledge(double s1_given_q4) {
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(pme::testing::kQ4, {kS1},
+                                        s1_given_q4));
+  kb.Add(knowledge::AbstractConditional(pme::testing::kQ5,
+                                        {pme::testing::kS5}, 0.5));
+  kb.Add(knowledge::AbstractConditional(pme::testing::kQ4, {kS3}, 0.3,
+                                        Relation::kLe));
+  return kb;
+}
+
+ConstraintSystem Figure1System(const anonymize::BucketizedTable& t,
+                               const TermIndex& index,
+                               const knowledge::KnowledgeBase& kb) {
+  ConstraintSystem system(index.num_variables());
+  system.AddAll(constraints::GenerateInvariants(t, index));
+  system.AddAll(constraints::CompileKnowledge(kb, t, index)
+                    .ValueOrDie()
+                    .constraints);
+  return system;
+}
+
+TEST(ClosedFormStartTest, Figure1BlocksStartAtTheClosedForm) {
+  // Figure 1's b1 holds both a repeated QI value and a repeated SA value.
+  const auto t = pme::testing::MakeFigure1Table();
+  const auto index = TermIndex::Build(t);
+  const auto system = Figure1System(t, index, Figure1Knowledge(0.5));
+  const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
+  ExpectClosedFormStart(BlockPlan::Build(index, system), prior);
+  ExpectClosedFormStart(BlockPlan::Build(index, nullptr, nullptr,
+                                         system.constraints(),
+                                         /*one_block=*/true),
+                        prior);
+}
+
+class SynthStartTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    core::PipelineOptions options;
+    options.data.num_records = 3000;
+    options.anatomy.ell = 5;
+    options.miner.min_support_records = 3;
+    options.miner.max_attrs = 2;
+    pipeline_ = new core::ExperimentPipeline(
+        core::BuildPipeline(options).ValueOrDie());
+    artifact_ = new std::shared_ptr<const core::TableArtifact>(
+        core::TableArtifact::BuildBorrowed(
+            pipeline_->bucketization.table,
+            &pipeline_->bucketization.qi_encoder)
+            .ValueOrDie());
+  }
+  static void TearDownTestSuite() {
+    delete artifact_;
+    delete pipeline_;
+  }
+
+  static const core::TableArtifact& artifact() { return **artifact_; }
+
+  static BlockPlan Plan(const std::vector<LinearConstraint>& request_rows,
+                        bool one_block) {
+    return BlockPlan::Build(artifact().index(), &artifact().invariants(),
+                            &artifact().invariant_rows_by_bucket(),
+                            request_rows, one_block);
+  }
+
+  static core::ExperimentPipeline* pipeline_;
+  static std::shared_ptr<const core::TableArtifact>* artifact_;
+};
+
+core::ExperimentPipeline* SynthStartTest::pipeline_ = nullptr;
+std::shared_ptr<const core::TableArtifact>* SynthStartTest::artifact_ =
+    nullptr;
+
+TEST_F(SynthStartTest, BlocksStartAtTheClosedForm) {
+  knowledge::KnowledgeBase kb;
+  kb.AddRules(knowledge::TopK(pipeline_->rules, 8, 8));
+  const auto compiled =
+      constraints::CompileKnowledge(kb, artifact().table(), artifact().index(),
+                                    artifact().qi_encoder())
+          .ValueOrDie();
+  ASSERT_FALSE(compiled.constraints.empty());
+  ExpectClosedFormStart(Plan(compiled.constraints, false),
+                        artifact().closed_form_prior());
+  ExpectClosedFormStart(Plan(compiled.constraints, true),
+                        artifact().closed_form_prior());
+}
+
+TEST_F(SynthStartTest, KnowledgeFreeWholeTableIsSolvedByItsStart) {
+  const BlockPlan plan = Plan({}, /*one_block=*/true);
+  ASSERT_EQ(plan.blocks().size(), 1u);
+  const auto result =
+      SolveDecomposed(plan,
+                      std::shared_ptr<const std::vector<double>>(
+                          *artifact_, &artifact().closed_form_prior()),
+                      artifact().closed_form_prior_entropy(), {})
+          .ValueOrDie();
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 0u);
+  const std::vector<double> joint = MaterializeJoint(result);
+  const std::vector<double>& prior = artifact().closed_form_prior();
+  for (size_t i = 0; i < joint.size(); ++i) {
+    EXPECT_NEAR(joint[i], prior[i], 1e-15) << "var " << i;
+  }
+}
+
+TEST(ClosedFormStartTest, PresolvedZeroKeepsAnExactStartOnTheRowsLeft) {
+  // P(s1 | q4) = 0 fixes every (q4, s1) cell; presolve drops that row
+  // and shortens the QI and SA rows through those cells. The start
+  // reaches the reduced dual through the row map, so every surviving
+  // invariant row that lost no cell still holds there.
+  const auto t = pme::testing::MakeFigure1Table();
+  const auto index = TermIndex::Build(t);
+  const auto system = Figure1System(t, index, Figure1Knowledge(0.0));
+  const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
+  const BlockPlan plan = BlockPlan::Build(index, system);
+  const PlanBlock* block = nullptr;
+  for (const PlanBlock& b : plan.blocks()) {
+    if (b.rows.size() > (block == nullptr ? 0 : block->rows.size())) {
+      block = &b;
+    }
+  }
+  ASSERT_NE(block, nullptr);
+  const MaxEntProblem problem = BlockProblem(*block);
+  const PresolvedProblem pre = Presolve(problem).ValueOrDie();
+  ASSERT_GT(pre.num_fixed, 0u);
+  const std::vector<double> start = BlockStart(plan, *block, prior);
+  std::vector<double> reduced_start(pre.reduced.a.rows(), 0.0);
+  for (size_t r = 0; r < start.size(); ++r) {
+    if (pre.row_map[r] >= 0) reduced_start[pre.row_map[r]] = start[r];
+  }
+  const std::vector<double> grad = GradientAt(pre.reduced, reduced_start);
+  size_t exact_rows = 0;
+  size_t shortened_rows = 0;
+  for (size_t r = 0; r < block->rows.size(); ++r) {
+    const LinearConstraint& c = *block->rows[r];
+    if (!IsInvariant(c) || pre.row_map[r] < 0) continue;
+    const bool lost_a_cell =
+        std::any_of(c.vars.begin(), c.vars.end(), [&](uint32_t var) {
+          const size_t col = static_cast<size_t>(
+              std::lower_bound(block->cols.begin(), block->cols.end(), var) -
+              block->cols.begin());
+          return pre.var_map[col] < 0;
+        });
+    if (lost_a_cell) {
+      ++shortened_rows;
+      continue;
+    }
+    ++exact_rows;
+    EXPECT_LE(std::fabs(grad[pre.row_map[r]]), 1e-15) << "row " << r;
+  }
+  EXPECT_GT(exact_rows, 0u);
+  EXPECT_GT(shortened_rows, 0u);
+
+  // Solve carries the same start in: with no iteration to run, its dual
+  // is the start on every row presolve kept and 0 on the rest (the start
+  // of a <= row is 0, inside the sign box).
+  SolverOptions options;
+  options.warm_start = &start;
+  options.max_iterations = 0;
+  const SolverResult result = Solve(problem, options).ValueOrDie();
+  ASSERT_EQ(result.dual_lambda_full.size(), start.size());
+  for (size_t r = 0; r < start.size(); ++r) {
+    EXPECT_EQ(result.dual_lambda_full[r], pre.row_map[r] >= 0 ? start[r] : 0.0)
+        << "row " << r;
+  }
+}
+
+TEST(ClosedFormStartTest, WarmHitStartsAtTheCachedMultipliers) {
+  // The toggled block's start is the cached dual row for row, with the
+  // toggled statement's row at 0.
+  const auto t = pme::testing::MakeFigure1Table();
+  const auto index = TermIndex::Build(t);
+  const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
+  const auto seeded_system = Figure1System(t, index, Figure1Knowledge(0.5));
+  const auto toggled_system = Figure1System(t, index, Figure1Knowledge(0.51));
+  SolutionCache cache;
+  SolverOptions options;
+  options.solution_cache = &cache;
+  ASSERT_TRUE(SolveDecomposed(t, index, seeded_system, options).ok());
+
+  BlockPlan seeded_plan = BlockPlan::Build(index, seeded_system);
+  seeded_plan.ConsultCache(options);
+  BlockPlan toggled_plan = BlockPlan::Build(index, toggled_system);
+  toggled_plan.ConsultCache(options);
+  ASSERT_EQ(toggled_plan.cache_warm_hits(), 1u);
+  size_t warm_blocks = 0;
+  for (size_t i = 0; i < toggled_plan.blocks().size(); ++i) {
+    const PlanBlock& before = seeded_plan.blocks()[i];
+    const PlanBlock& after = toggled_plan.blocks()[i];
+    if (after.warm_start.empty()) continue;
+    ++warm_blocks;
+    ASSERT_NE(before.cached, nullptr);
+    std::vector<double> expected = before.cached->lambda_full;
+    ASSERT_EQ(expected.size(), after.rows.size());
+    size_t new_rows = 0;
+    for (size_t j = 0; j < after.rows.size(); ++j) {
+      if (after.rows[j]->rhs != before.rows[j]->rhs) {
+        expected[j] = 0.0;
+        ++new_rows;
+      }
+    }
+    EXPECT_EQ(new_rows, 1u);
+    const std::vector<double> start = BlockStart(toggled_plan, after, prior);
+    EXPECT_EQ(start, expected);
+    EXPECT_NE(start, ClosedFormDual(index, prior, after.rows));
+  }
+  EXPECT_EQ(warm_blocks, 1u);
 }
 
 // -------------------------------------------------- Solver edge cases

@@ -20,6 +20,7 @@
 
 #include "common/deadline.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
@@ -514,6 +515,35 @@ TEST(StallGuardTest, PlateauExitsLongBeforeTheIterationBudget) {
   EXPECT_GE(result.iterations, maxent::internal::kMaxStallIterations);
   EXPECT_LE(result.iterations, 1000u);
   EXPECT_TRUE(maxent::IsAcceptable(result)) << result.max_violation;
+}
+
+TEST(SolveCountersTest, ClosedFormStartsAndStallExitsAreCounted) {
+  const metrics::Registry& registry = metrics::Registry::Global();
+  auto t = pme::testing::MakeFigure1Table();
+  auto index = TermIndex::Build(t);
+  auto system = InvariantSystem(t, index);
+  auto problem = TwoComponentProblem(t, index, &system);
+
+  // Each block solved without a warm start starts at the closed form.
+  uint64_t starts = registry.CounterValue("solve.closed_form_starts");
+  uint64_t stalls = registry.CounterValue("solve.stall_exits");
+  const auto decomposed =
+      maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  ASSERT_EQ(decomposed.component_outcomes.size(), 2u);
+  EXPECT_TRUE(decomposed.converged);
+  EXPECT_EQ(registry.CounterValue("solve.closed_form_starts") - starts, 2u);
+  EXPECT_EQ(registry.CounterValue("solve.stall_exits"), stalls);
+
+  // A plain Solve starts at zero; an unreachable tolerance ends it by a
+  // stall, counted once.
+  starts = registry.CounterValue("solve.closed_form_starts");
+  maxent::SolverOptions options;
+  options.tolerance = 0.0;
+  const auto stalled = maxent::Solve(problem, options).ValueOrDie();
+  EXPECT_FALSE(stalled.converged);
+  EXPECT_LT(stalled.iterations, options.max_iterations);
+  EXPECT_EQ(registry.CounterValue("solve.stall_exits") - stalls, 1u);
+  EXPECT_EQ(registry.CounterValue("solve.closed_form_starts"), starts);
 }
 
 TEST(StallDetectorTest, FiresOnARunOfStalledStepsOnly) {

@@ -375,6 +375,17 @@ TEST(ServeMainTest, RemovedSolverFlagFailsBeforeLoadingAnything) {
   EXPECT_NE(ServeMain(Flags(3, argv)), 0);
 }
 
+TEST(ServeMainTest, UnknownOrMalformedFlagFailsBeforeLoadingAnything) {
+  char program[] = "pme_serve";
+  char records[] = "--records=50";
+  char typo[] = "--threds=4";
+  char* unknown[] = {program, records, typo};
+  EXPECT_NE(ServeMain(Flags(3, unknown)), 0);
+  char threads[] = "--threads=four";
+  char* malformed[] = {program, records, threads};
+  EXPECT_NE(ServeMain(Flags(3, malformed)), 0);
+}
+
 TEST(JsonUnicodeTest, BasicMultilingualPlaneEscapesDecodeToUtf8) {
   // \u escapes for A (1-byte), é (2-byte), € (3-byte UTF-8).
   const JsonValue v = ParseJson(R"("\u0041\u00e9\u20ac")").ValueOrDie();

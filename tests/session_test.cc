@@ -35,6 +35,7 @@
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
+#include "maxent/closed_form.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
@@ -707,8 +708,13 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   options.solver_options.max_iterations = 300;
   const auto analysis = AnalysisSession(artifact, options).Run(kb).ValueOrDie();
   const auto problem = maxent::BuildProblem(system).ValueOrDie();
-  const auto whole =
-      maxent::Solve(problem, options.solver_options).ValueOrDie();
+  // The one block starts at the closed form's dual; so does the whole
+  // system, through the same function.
+  const std::vector<double> start =
+      maxent::ClosedFormDual(index, artifact->closed_form_prior(), rows);
+  maxent::SolverOptions whole_options = options.solver_options;
+  whole_options.warm_start = &start;
+  const auto whole = maxent::Solve(problem, whole_options).ValueOrDie();
   EXPECT_EQ(analysis.solver.iterations, whole.iterations);
   const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
   ASSERT_EQ(joint.size(), whole.p.size());

@@ -125,6 +125,9 @@ pme::Result<pme::data::Dataset> LoadData(const pme::Flags& flags) {
 }
 
 int RunSynth(const pme::Flags& flags) {
+  if (auto s = flags.Check({"out"}, {"records", "seed"}); !s.ok()) {
+    return Fail(s);
+  }
   pme::data::AdultSynthOptions options;
   options.num_records = static_cast<size_t>(flags.GetInt("records", 14210));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 20080612));
@@ -140,6 +143,11 @@ int RunSynth(const pme::Flags& flags) {
 }
 
 int RunMine(const pme::Flags& flags) {
+  if (auto s = flags.Check({"data", "sensitive", "id"},
+                           {"top", "minsupport", "maxattrs"});
+      !s.ok()) {
+    return Fail(s);
+  }
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   pme::knowledge::MinerOptions options;
@@ -160,10 +168,18 @@ int RunMine(const pme::Flags& flags) {
 }
 
 int RunAnalyze(const pme::Flags& flags) {
-  // Flags keeps unknown flags silently; a removed one must not be.
+  // A removed flag says so before the unknown-flag check.
   if (flags.Has("solver")) {
     return Fail(pme::Status::InvalidArgument(
         "--solver was removed: every problem is solved by LBFGS"));
+  }
+  if (auto s = flags.Check({"data", "sensitive", "id", "knowledge", "simd",
+                            "cache", "report", "posterior", "metrics-out",
+                            "trace-out"},
+                           {"ell", "threads", "deadline-ms", "cache-mb",
+                            "repeat", "toprisks"});
+      !s.ok()) {
+    return Fail(s);
   }
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
