@@ -1,6 +1,7 @@
 #include "constraints/invariants.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pme::constraints {
 
@@ -9,46 +10,18 @@ std::vector<LinearConstraint> GenerateInvariants(
     const InvariantOptions& options) {
   std::vector<LinearConstraint> out;
   for (uint32_t b = 0; b < table.num_buckets(); ++b) {
-    // The index lists bucket b's instances in the order of the table's
-    // runs, so the count of rank r is run r's.
-    const auto qi_runs = table.BucketQiCounts(b);
-    const auto sa_runs = table.BucketSaCounts(b);
-    const uint32_t g = static_cast<uint32_t>(qi_runs.size());
-    const uint32_t h = static_cast<uint32_t>(sa_runs.size());
-    const auto [first, last] = index.BucketRange(b);
-    (void)last;
-
-    // QI-invariant (Eq. 4): for each q in the bucket, the row covers the
-    // contiguous variable block [first + rank(q)*h, ... + h).
-    for (uint32_t qi_rank = 0; qi_rank < g; ++qi_rank) {
+    ForEachInvariantRow(table, index, b, options, [&](const InvariantRow& row) {
       LinearConstraint c;
-      c.source = ConstraintSource::kQiInvariant;
+      c.source = row.source;
       c.rel = Relation::kEq;
-      c.rhs = table.CountProb(qi_runs[qi_rank].count);
-      c.vars.reserve(h);
-      c.coefs.assign(h, 1.0);
-      for (uint32_t sa_rank = 0; sa_rank < h; ++sa_rank) {
-        c.vars.push_back(first + qi_rank * h + sa_rank);
+      c.rhs = row.rhs;
+      c.vars.reserve(row.len);
+      c.coefs.assign(row.len, 1.0);
+      for (uint32_t k = 0; k < row.len; ++k) {
+        c.vars.push_back(row.first + k * row.stride);
       }
       out.push_back(std::move(c));
-    }
-
-    // SA-invariant (Eq. 5): for each s, the row strides across QI blocks.
-    // Theorem 3: one row per bucket is redundant; dropping the first
-    // SA-invariant leaves a minimal complete set.
-    const uint32_t sa_start = options.drop_redundant_row ? 1 : 0;
-    for (uint32_t sa_rank = sa_start; sa_rank < h; ++sa_rank) {
-      LinearConstraint c;
-      c.source = ConstraintSource::kSaInvariant;
-      c.rel = Relation::kEq;
-      c.rhs = table.CountProb(sa_runs[sa_rank].count);
-      c.vars.reserve(g);
-      c.coefs.assign(g, 1.0);
-      for (uint32_t qi_rank = 0; qi_rank < g; ++qi_rank) {
-        c.vars.push_back(first + qi_rank * h + sa_rank);
-      }
-      out.push_back(std::move(c));
-    }
+    });
   }
   return out;
 }
@@ -57,24 +30,15 @@ linalg::DenseMatrix BucketInvariantMatrix(
     const anonymize::BucketizedTable& table, const TermIndex& index,
     uint32_t b) {
   const auto [first, last] = index.BucketRange(b);
-  const size_t width = last - first;
-
-  InvariantOptions keep_all;
-  // Generate invariants for the whole table, then keep bucket b's rows.
-  // (Cheap relative to test usage; avoids duplicating the emission logic.)
-  auto all = GenerateInvariants(table, index, keep_all);
-
   linalg::DenseMatrix m(0, 0);
-  for (const auto& c : all) {
-    if (c.vars.empty() || c.vars.front() < first || c.vars.front() >= last) {
-      continue;
-    }
-    std::vector<double> row(width, 0.0);
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      row[c.vars[i] - first] = c.coefs[i];
-    }
-    m.AppendRow(row);
-  }
+  ForEachInvariantRow(table, index, b, InvariantOptions{},
+                      [&](const InvariantRow& row) {
+                        std::vector<double> dense(last - first, 0.0);
+                        for (uint32_t k = 0; k < row.len; ++k) {
+                          dense[row.first - first + k * row.stride] = 1.0;
+                        }
+                        m.AppendRow(dense);
+                      });
   return m;
 }
 

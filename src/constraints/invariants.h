@@ -4,6 +4,8 @@
 #ifndef PME_CONSTRAINTS_INVARIANTS_H_
 #define PME_CONSTRAINTS_INVARIANTS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
@@ -23,20 +25,64 @@ struct InvariantOptions {
   bool drop_redundant_row = false;
 };
 
-/// Generates the complete set of data constraints of Section 5 for every
-/// bucket: QI-invariant equations (Eq. 4) and SA-invariant equations
-/// (Eq. 5). Zero-invariant equations (Eq. 6) are structural — the
-/// TermIndex never materializes those terms — so none are emitted.
-/// Rows come bucket by bucket, QI rows before SA rows, and carry no
-/// label: a row is named by its source, its bucket and its position.
+/// One invariant row of a bucket: coefficient 1 on the `len` variables
+/// first, first + stride, ..., first + (len − 1)·stride, equal to `rhs`.
+struct InvariantRow {
+  ConstraintSource source;  ///< kQiInvariant or kSaInvariant
+  uint32_t first;
+  uint32_t stride;
+  uint32_t len;
+  double rhs;
+};
+
+/// The one statement of the Section 5 layout: calls emit(InvariantRow)
+/// for each invariant row of bucket `b`, a pure function of its counts.
+/// With the bucket's g·h variables ranked QI-major from f (the first of
+/// index.BucketRange(b)), first come the g QI-invariants (Eq. 4)
+/// Σ_s P(q, s, b) = P(q, b), h consecutive variables from f + q·h, then
+/// the SA-invariants (Eq. 5) Σ_q P(q, s, b) = P(s, b), g variables from
+/// f + s at stride h. Theorem 3: one row per bucket is redundant, and
+/// options.drop_redundant_row drops the SA row of s = 0.
+template <typename Emit>
+void ForEachInvariantRow(const anonymize::BucketizedTable& table,
+                         const TermIndex& index, uint32_t b,
+                         const InvariantOptions& options, Emit&& emit) {
+  // The index lists bucket b's instances in the order of the table's
+  // runs, so the count of rank r is run r's.
+  const auto qi_runs = table.BucketQiCounts(b);
+  const auto sa_runs = table.BucketSaCounts(b);
+  const uint32_t g = static_cast<uint32_t>(qi_runs.size());
+  const uint32_t h = static_cast<uint32_t>(sa_runs.size());
+  const uint32_t first = index.BucketRange(b).first;
+  for (uint32_t q = 0; q < g; ++q) {
+    emit(InvariantRow{ConstraintSource::kQiInvariant, first + q * h, 1, h,
+                      table.CountProb(qi_runs[q].count)});
+  }
+  for (uint32_t s = options.drop_redundant_row ? 1 : 0; s < h; ++s) {
+    emit(InvariantRow{ConstraintSource::kSaInvariant, first + s, h, g,
+                      table.CountProb(sa_runs[s].count)});
+  }
+}
+
+/// The number of rows ForEachInvariantRow emits for bucket `b`.
+inline size_t NumInvariantRows(const anonymize::BucketizedTable& table,
+                               uint32_t b, const InvariantOptions& options) {
+  return table.BucketQiCounts(b).size() + table.BucketSaCounts(b).size() -
+         (options.drop_redundant_row ? 1 : 0);
+}
+
+/// The complete data constraints of Section 5 as LinearConstraint rows:
+/// ForEachInvariantRow's rows, bucket by bucket, unlabelled. Zero-
+/// invariant equations (Eq. 6) are structural — the TermIndex never
+/// materializes those terms — so none are emitted.
 std::vector<LinearConstraint> GenerateInvariants(
     const anonymize::BucketizedTable& table, const TermIndex& index,
     const InvariantOptions& options = {});
 
 /// The invariant ("constraint") matrix of one bucket, as in Figure 3 of
-/// the paper: one row per QI-/SA-invariant of bucket `b`, one column per
-/// materialized term of the bucket. Used by the completeness/conciseness
-/// verification utilities and tests.
+/// the paper: one row per QI-/SA-invariant of bucket `b` (every row
+/// kept), one column per materialized term of the bucket. Used by the
+/// completeness/conciseness verification utilities and tests.
 linalg::DenseMatrix BucketInvariantMatrix(
     const anonymize::BucketizedTable& table, const TermIndex& index,
     uint32_t b);

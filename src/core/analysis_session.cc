@@ -54,15 +54,15 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
     run_options.solver_options.cache_namespace = artifact.content_hash();
   }
 
-  // The plan couples only the buckets the knowledge rows touch and pulls
-  // just their invariant rows from the artifact; every other bucket
+  // The plan couples only the buckets the knowledge rows touch; their
+  // invariant rows follow from their counts, and every other bucket
   // stays at the Theorem-5 closed form. Without the decomposition, every
   // bucket joins one block: the whole table as one problem.
   maxent::BlockPlan plan;
   {
     trace::TraceSpan plan_span("plan", "session");
     plan = maxent::BlockPlan::Build(
-        index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
+        artifact.table(), index, artifact.options().invariant_options,
         compiled.constraints, !run_options.use_decomposition);
     plan.ConsultCache(run_options.solver_options);
     plan_span.AddArg("rows_hashed", static_cast<double>(plan.rows_hashed()));
@@ -71,7 +71,7 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
   }
 
   Analysis analysis;
-  analysis.num_invariant_constraints = artifact.invariants().size();
+  analysis.num_invariant_constraints = artifact.num_invariant_rows();
   analysis.num_background_constraints = compiled.constraints.size();
   analysis.num_vacuous_statements = compiled.num_vacuous;
   analysis.decomposition = maxent::AnalyzeDecomposition(plan);

@@ -17,8 +17,9 @@ namespace pme::core {
 /// adversary's knowledge. A session borrows (shares) an immutable
 /// TableArtifact and, per Run, compiles only the background-knowledge
 /// rows (through the artifact's statement-term memo), plans the blocks
-/// they couple (maxent::BlockPlan, pulling just those buckets' invariant
-/// rows and their precomputed signatures from the artifact), and solves
+/// they couple (maxent::BlockPlan: each block is its buckets, whose
+/// invariant rows follow from their counts, plus its knowledge rows), and
+/// solves
 /// — with whatever deadline/cancellation/cache plumbing the options
 /// carry. On the decomposed path the result is an overlay on the
 /// artifact's prior: the solver result holds the coupled blocks' slices
@@ -37,8 +38,8 @@ namespace pme::core {
 class AnalysisSession {
  public:
   /// `artifact` must be non-null; `options` are fixed for the session's
-  /// lifetime. The artifact's invariant options were baked in at its
-  /// build — options.invariant_options is ignored here.
+  /// lifetime. The invariant options are the artifact's, fixed at its
+  /// build.
   AnalysisSession(std::shared_ptr<const TableArtifact> artifact,
                   AnalysisOptions options = {});
 

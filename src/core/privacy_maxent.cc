@@ -13,11 +13,8 @@ Result<Analysis> Analyze(const anonymize::BucketizedTable& table,
   // borrowed artifact (table-side precompilation) and run one session
   // against it. Long-lived callers — pme serve, pme analyze --repeat —
   // hold the artifact and skip this per-call rebuild.
-  TableArtifactOptions artifact_options;
-  artifact_options.invariant_options = options.invariant_options;
-  PME_ASSIGN_OR_RETURN(
-      auto artifact,
-      TableArtifact::BuildBorrowed(table, qi_encoder, artifact_options));
+  PME_ASSIGN_OR_RETURN(auto artifact,
+                       TableArtifact::BuildBorrowed(table, qi_encoder));
   return AnalysisSession(std::move(artifact), options).Run(kb);
 }
 

@@ -8,7 +8,6 @@
 
 #include "anonymize/bucketized_table.h"
 #include "common/status.h"
-#include "constraints/invariants.h"
 #include "core/posterior.h"
 #include "data/dataset.h"
 #include "knowledge/knowledge_base.h"
@@ -23,7 +22,6 @@ struct AnalysisOptions {
   /// Apply the Section 5.5 bucket decomposition (closed form for
   /// knowledge-irrelevant buckets, iterative solve for the rest).
   bool use_decomposition = true;
-  constraints::InvariantOptions invariant_options;
 };
 
 /// Everything a Privacy-MaxEnt run produces.

@@ -56,18 +56,9 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
     span.AddArg("variables",
                 static_cast<double>(artifact->index_.num_variables()));
   }
-  {
-    trace::TraceSpan span("invariants", "setup");
-    artifact->invariants_ = constraints::GenerateInvariants(
-        t, artifact->index_, options.invariant_options);
-    span.AddArg("rows", static_cast<double>(artifact->invariants_.size()));
-  }
-  {
-    trace::TraceSpan span("row_index", "setup");
-    PME_ASSIGN_OR_RETURN(artifact->invariant_rows_by_bucket_,
-                         maxent::BucketRowIndex::Build(artifact->index_,
-                                                       artifact->invariants_));
-    span.AddArg("buckets", static_cast<double>(t.num_buckets()));
+  for (uint32_t b = 0; b < t.num_buckets(); ++b) {
+    artifact->num_invariant_rows_ +=
+        constraints::NumInvariantRows(t, b, options.invariant_options);
   }
   if (artifact->qi_encoder_ != nullptr) {
     artifact->qi_postings_ =

@@ -4,6 +4,7 @@
 #ifndef PME_CORE_TABLE_ARTIFACT_H_
 #define PME_CORE_TABLE_ARTIFACT_H_
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "data/dataset.h"
-#include "maxent/block_plan.h"
 
 namespace pme::core {
 
@@ -36,9 +36,10 @@ struct TableArtifactOptions {
 ///   - the published BucketizedTable (and its QI tuple encoder, when the
 ///     table came from a concrete dataset),
 ///   - the TermIndex materializing the variable space,
-///   - the compiled invariant constraint rows (Section 5), indexed by
-///     the one bucket each row lives in, with their content signatures
-///     and a per-bucket digest of them for the solution-cache keys,
+///   - the invariant options. The invariant rows themselves (Section 5)
+///     are not stored: they are a function of each bucket's published
+///     counts, and a request's block problem writes the rows of its
+///     coupled buckets from those counts (maxent::AssembleBlock),
 ///   - posting lists over the interned QI tuples, for matching a
 ///     statement's Qv without scanning every tuple,
 ///   - the Theorem-5 closed-form prior, its posterior and their per-q
@@ -77,14 +78,9 @@ class TableArtifact {
   /// Null when the artifact was built without an encoder.
   const data::TupleEncoder* qi_encoder() const { return qi_encoder_.get(); }
   const constraints::TermIndex& index() const { return index_; }
-  const std::vector<constraints::LinearConstraint>& invariants() const {
-    return invariants_;
-  }
-  /// Invariant rows by bucket (invariant rows never span buckets): a
-  /// request gathers the rows of its coupled buckets from here.
-  const maxent::BucketRowIndex& invariant_rows_by_bucket() const {
-    return invariant_rows_by_bucket_;
-  }
+  /// Rows of the table's invariant system under options().
+  /// invariant_options: GenerateInvariants' row count.
+  size_t num_invariant_rows() const { return num_invariant_rows_; }
   /// Posting lists over qi_encoder()'s tuples; empty without an encoder.
   const constraints::QiPostings& qi_postings() const { return qi_postings_; }
   /// The statement-term memo every request on this artifact compiles
@@ -131,8 +127,7 @@ class TableArtifact {
   std::shared_ptr<const anonymize::BucketizedTable> table_;
   std::shared_ptr<const data::TupleEncoder> qi_encoder_;
   constraints::TermIndex index_;
-  std::vector<constraints::LinearConstraint> invariants_;
-  maxent::BucketRowIndex invariant_rows_by_bucket_;
+  size_t num_invariant_rows_ = 0;
   constraints::QiPostings qi_postings_;
   mutable constraints::StatementTermMemo term_memo_;
   PosteriorTable ground_truth_;

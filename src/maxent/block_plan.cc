@@ -16,11 +16,6 @@ using constraints::LinearConstraint;
 
 namespace {
 
-bool IsInvariant(const LinearConstraint& c) {
-  return c.source == ConstraintSource::kQiInvariant ||
-         c.source == ConstraintSource::kSaInvariant;
-}
-
 /// The cache key of one block: its content digest plus the solve knobs
 /// that change the answer (tolerance, presolve). Two analyses asking for
 /// different precision must not serve each other's solutions.
@@ -45,95 +40,82 @@ Hash128 MakeVarsKey(const Hash128& vars_hash, const SolverOptions& options) {
   return h.Finish();
 }
 
-/// Builds a warm-start vector aligned with the block's rows from a
-/// cached entry: rows are matched by content signature (which hashes the
+/// Builds a warm-start vector aligned with the block problem's rows
+/// from a cached entry with the same vars_key. Equal vars keys mean
+/// identical invariant rows, so their multipliers carry over by position.
+/// Request rows are matched by content signature (which hashes the
 /// relation, so an equality row never takes an inequality row's
-/// multiplier); unmatched rows — the toggled/edited statements — start
-/// at 0. Returns an empty vector when nothing matched (a zero vector is
-/// the cold start; passing it would only pretend to be warm).
+/// multiplier); unmatched ones — the toggled/edited statements — start
+/// at 0. Returns an empty vector when the entry does not fit the block.
 std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
                                    const PlanBlock& block) {
-  if (cached.lambda_full.size() != cached.row_sigs.size()) return {};
+  const size_t num_table_rows = block.num_table_rows;
+  if (cached.lambda_full.size() != num_table_rows + cached.row_sigs.size()) {
+    return {};
+  }
   std::unordered_map<Hash128, double, Hash128Hasher> lambda;
   for (size_t j = 0; j < cached.row_sigs.size(); ++j) {
-    lambda.emplace(cached.row_sigs[j], cached.lambda_full[j]);
+    lambda.emplace(cached.row_sigs[j],
+                   cached.lambda_full[num_table_rows + j]);
   }
-  std::vector<double> warm(block.rows.size(), 0.0);
-  size_t matched = 0;
+  std::vector<double> warm(block.num_rows(), 0.0);
+  std::copy(cached.lambda_full.begin(),
+            cached.lambda_full.begin() + num_table_rows, warm.begin());
   for (size_t j = 0; j < block.row_sigs.size(); ++j) {
     auto it = lambda.find(block.row_sigs[j]);
-    if (it != lambda.end()) {
-      warm[j] = it->second;
-      ++matched;
-    }
+    if (it != lambda.end()) warm[num_table_rows + j] = it->second;
   }
-  if (matched == 0) return {};
   return warm;
 }
 
 }  // namespace
 
-Result<BucketRowIndex> BucketRowIndex::Build(
+BlockPlan BlockPlan::Build(
+    const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
-    const std::vector<LinearConstraint>& rows) {
-  BucketRowIndex out;
-  out.offsets.assign(index.num_buckets() + 1, 0);
-  out.sigs.reserve(rows.size());
-  int64_t previous = 0;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const LinearConstraint& c = rows[r];
-    const auto row = [r] { return "table row " + std::to_string(r); };
-    // A block's table rows must lead its stacked row list.
-    if (c.rel != constraints::Relation::kEq) {
-      return Status::InvalidArgument(row() + " is not an equality");
-    }
-    int64_t bucket = -1;
-    std::pair<uint32_t, uint32_t> range;  // the bucket's variables
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      if (bucket < 0) {
-        bucket = index.TermOf(c.vars[i]).bucket;
-        range = index.BucketRange(static_cast<uint32_t>(bucket));
-      } else if (c.vars[i] < range.first || c.vars[i] >= range.second) {
-        return Status::InvalidArgument(row() + " (bucket " +
-                                       std::to_string(bucket) +
-                                       ") spans more than one bucket");
-      }
-    }
-    if (bucket < 0) {
-      return Status::InvalidArgument(row() + " has no supported variable");
-    }
-    if (bucket < previous) {
-      return Status::InvalidArgument(row() + " (bucket " +
-                                     std::to_string(bucket) +
-                                     ") is out of bucket order");
-    }
-    previous = bucket;
-    ++out.offsets[static_cast<size_t>(bucket) + 1];
-    out.sigs.push_back(constraints::ConstraintRowSignature(c));
-  }
-  out.digests.reserve(index.num_buckets());
-  for (size_t b = 0; b < index.num_buckets(); ++b) {
-    out.offsets[b + 1] += out.offsets[b];
-    Hasher128 h;
-    h.Update(std::string_view("pme.bucketrows.v1"));
-    h.Update(static_cast<uint64_t>(out.offsets[b + 1] - out.offsets[b]));
-    for (uint32_t r = out.offsets[b]; r < out.offsets[b + 1]; ++r) {
-      h.Update(out.sigs[r]);
-    }
-    out.digests.push_back(h.Finish());
-  }
-  return out;
+    const constraints::InvariantOptions& invariant_options,
+    const std::vector<LinearConstraint>& request_rows, bool one_block) {
+  std::vector<const LinearConstraint*> rows;
+  rows.reserve(request_rows.size());
+  for (const LinearConstraint& c : request_rows) rows.push_back(&c);
+  return BuildFromRows(table, index, invariant_options, rows, one_block);
 }
 
-BlockPlan BlockPlan::Build(
+Result<BlockPlan> BlockPlan::Build(
+    const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
-    const std::vector<LinearConstraint>* table_rows,
-    const BucketRowIndex* bucket_rows,
-    const std::vector<LinearConstraint>& request_rows, bool one_block) {
+    const constraints::ConstraintSystem& system) {
+  const constraints::InvariantOptions keep_all;
+  std::vector<const LinearConstraint*> request_rows;
+  for (const LinearConstraint& c : system.constraints()) {
+    if (c.source != ConstraintSource::kQiInvariant &&
+        c.source != ConstraintSource::kSaInvariant) {
+      request_rows.push_back(&c);
+    }
+  }
+  const size_t invariant_rows = system.size() - request_rows.size();
+  size_t table_rows = 0;
+  for (uint32_t b = 0; b < table.num_buckets(); ++b) {
+    table_rows += constraints::NumInvariantRows(table, b, keep_all);
+  }
+  if (invariant_rows != table_rows) {
+    return Status::InvalidArgument(
+        "the system holds " + std::to_string(invariant_rows) +
+        " invariant rows; the table has " + std::to_string(table_rows));
+  }
+  return BuildFromRows(table, index, keep_all, request_rows, false);
+}
+
+BlockPlan BlockPlan::BuildFromRows(
+    const anonymize::BucketizedTable& table,
+    const constraints::TermIndex& index,
+    const constraints::InvariantOptions& invariant_options,
+    const std::vector<const LinearConstraint*>& request_rows,
+    bool one_block) {
   BlockPlan plan;
+  plan.table_ = &table;
   plan.index_ = &index;
-  if (table_rows != nullptr) plan.bucket_rows_ = bucket_rows;
+  plan.invariant_options_ = invariant_options;
 
   // The buckets the request rows touch (every bucket for one block);
   // local id = rank among them.
@@ -141,10 +123,10 @@ BlockPlan BlockPlan::Build(
   if (one_block) {
     for (uint32_t b = 0; b < index.num_buckets(); ++b) touched_set.Insert(b);
   } else {
-    for (const LinearConstraint& c : request_rows) {
-      for (size_t i = 0; i < c.vars.size(); ++i) {
-        if (c.coefs[i] != 0.0) {
-          touched_set.Insert(index.TermOf(c.vars[i]).bucket);
+    for (const LinearConstraint* c : request_rows) {
+      for (size_t i = 0; i < c->vars.size(); ++i) {
+        if (c->coefs[i] != 0.0) {
+          touched_set.Insert(index.TermOf(c->vars[i]).bucket);
         }
       }
     }
@@ -155,19 +137,17 @@ BlockPlan BlockPlan::Build(
     return touched_set.Rank(index.TermOf(var).bucket);
   };
 
-  // Union every bucket a row supports into one component. Rows beyond
-  // the structural invariants (knowledge, but also ad-hoc rows)
-  // invalidate the closed form for their component.
+  // Union every bucket a request row supports into one component; the
+  // row invalidates the closed form for that component.
   UnionFind uf(touched.size());
   std::vector<uint8_t> coupled(touched.size(), one_block ? 1 : 0);
   for (uint32_t l = 1; one_block && l < touched.size(); ++l) uf.Union(0, l);
-  for (const LinearConstraint& c : request_rows) {
-    const bool knowledge = !IsInvariant(c);
+  for (const LinearConstraint* c : request_rows) {
     int64_t first = -1;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      const uint32_t local = local_of_var(c.vars[i]);
-      if (knowledge) coupled[local] = 1;
+    for (size_t i = 0; i < c->vars.size(); ++i) {
+      if (c->coefs[i] == 0.0) continue;
+      const uint32_t local = local_of_var(c->vars[i]);
+      coupled[local] = 1;
       if (first < 0) {
         first = local;
       } else {
@@ -210,30 +190,24 @@ BlockPlan BlockPlan::Build(
   }
   plan.coupled_.Seal();
 
-  // Table rows of each block's buckets, in table order (ascending
-  // buckets hold ascending rows).
-  if (table_rows != nullptr) {
-    for (PlanBlock& block : plan.blocks_) {
-      for (const uint32_t b : block.buckets) {
-        for (uint32_t r = bucket_rows->offsets[b];
-             r < bucket_rows->offsets[b + 1]; ++r) {
-          block.rows.push_back(&(*table_rows)[r]);
-        }
-      }
+  // Each block's invariant rows, implied by its buckets.
+  for (PlanBlock& block : plan.blocks_) {
+    for (const uint32_t b : block.buckets) {
+      block.num_table_rows +=
+          constraints::NumInvariantRows(table, b, invariant_options);
     }
   }
   // Request rows join the block of their first supported variable.
-  for (const LinearConstraint& c : request_rows) {
-    const auto it = std::find_if(c.coefs.begin(), c.coefs.end(),
+  for (const LinearConstraint* c : request_rows) {
+    const auto it = std::find_if(c->coefs.begin(), c->coefs.end(),
                                  [](double v) { return v != 0.0; });
-    if (it == c.coefs.end()) {
-      plan.unsupported_rows_.push_back(&c);
+    if (it == c->coefs.end()) {
+      plan.unsupported_rows_.push_back(c);
       continue;
     }
-    const size_t first = static_cast<size_t>(it - c.coefs.begin());
-    const uint32_t root = uf.Find(local_of_var(c.vars[first]));
-    if (block_of_root[root] == UINT32_MAX) continue;  // closed form exact
-    plan.blocks_[block_of_root[root]].rows.push_back(&c);
+    const size_t first = static_cast<size_t>(it - c->coefs.begin());
+    const uint32_t root = uf.Find(local_of_var(c->vars[first]));
+    plan.blocks_[block_of_root[root]].rows.push_back(c);
   }
   for (PlanBlock& block : plan.blocks_) block.num_eq = StackRows(&block.rows);
   return plan;
@@ -243,51 +217,41 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
   SolutionCache* const cache = options.solution_cache;
   if (cache == nullptr || options.cache_mode == CacheMode::kOff) return;
   cache_enabled_ = true;
-  std::vector<Hash128> request_sigs;
   std::vector<Hash128> sorted;
   for (PlanBlock& block : blocks_) {
-    // The block's table rows lead its row list, bucket by bucket (they
-    // are all equalities); the request rows follow.
-    size_t num_table_rows = 0;
-    if (bucket_rows_ != nullptr) {
-      for (const uint32_t b : block.buckets) {
-        num_table_rows +=
-            bucket_rows_->offsets[b + 1] - bucket_rows_->offsets[b];
-      }
-    }
-    request_sigs.clear();
-    for (size_t j = num_table_rows; j < block.rows.size(); ++j) {
-      request_sigs.push_back(
-          constraints::ConstraintRowSignature(*block.rows[j]));
+    std::vector<Hash128> request_sigs;
+    request_sigs.reserve(block.rows.size());
+    for (const LinearConstraint* c : block.rows) {
+      request_sigs.push_back(constraints::ConstraintRowSignature(*c));
     }
     rows_hashed_ += request_sigs.size();
 
+    // The invariant rows are a function of the buckets' counts, the
+    // record count (their rhs is count / N) and the invariant options.
     Hasher128 vars;
-    vars.Update(std::string_view("pme.vars.v1"));
+    vars.Update(std::string_view("pme.vars.v2"));
     vars.Update(static_cast<uint64_t>(index_->num_variables()));
     vars.Update(static_cast<uint64_t>(index_->num_buckets()));
+    vars.Update(static_cast<uint64_t>(table_->num_records()));
+    vars.Update(
+        static_cast<uint64_t>(invariant_options_.drop_redundant_row ? 1 : 0));
     vars.Update(static_cast<uint64_t>(block.buckets.size()));
     for (const uint32_t b : block.buckets) {
-      const auto [first, last] = index_->BucketRange(b);
+      const auto qi_runs = table_->BucketQiCounts(b);
+      const auto sa_runs = table_->BucketSaCounts(b);
       vars.Update(b);
-      vars.Update(static_cast<uint64_t>(last - first));
+      vars.Update(static_cast<uint64_t>(qi_runs.size()));
+      vars.Update(static_cast<uint64_t>(sa_runs.size()));
+      for (const anonymize::IdCount& run : qi_runs) vars.Update(run.count);
+      for (const anonymize::IdCount& run : sa_runs) vars.Update(run.count);
     }
     block.vars_hash = vars.Finish();
 
-    // The table rows enter by their buckets' digests, in bucket order;
-    // the request rows are sorted so the digest is independent of their
+    // The request rows are sorted so the digest is independent of their
     // order, which the solution is too.
     Hasher128 rows;
-    rows.Update(std::string_view("pme.rows.v2"));
+    rows.Update(std::string_view("pme.rows.v3"));
     rows.Update(block.vars_hash);
-    if (bucket_rows_ != nullptr) {
-      rows.Update(static_cast<uint64_t>(block.buckets.size()));
-      for (const uint32_t b : block.buckets) {
-        rows.Update(bucket_rows_->digests[b]);
-      }
-    } else {
-      rows.Update(uint64_t{0});
-    }
     sorted = request_sigs;
     std::sort(sorted.begin(), sorted.end());
     rows.Update(static_cast<uint64_t>(sorted.size()));
@@ -303,19 +267,9 @@ void BlockPlan::ConsultCache(const SolverOptions& options) {
       continue;
     }
     ++cache_misses_;
-    // The warm lookup and the insertion after the solve match rows by
-    // signature: gather the table rows' and append the request rows'.
-    block.row_sigs.reserve(block.rows.size());
-    if (bucket_rows_ != nullptr) {
-      for (const uint32_t b : block.buckets) {
-        block.row_sigs.insert(
-            block.row_sigs.end(),
-            bucket_rows_->sigs.begin() + bucket_rows_->offsets[b],
-            bucket_rows_->sigs.begin() + bucket_rows_->offsets[b + 1]);
-      }
-    }
-    block.row_sigs.insert(block.row_sigs.end(), request_sigs.begin(),
-                          request_sigs.end());
+    // The warm lookup and the insertion after the solve match request
+    // rows by signature.
+    block.row_sigs = std::move(request_sigs);
     if (options.cache_mode != CacheMode::kWarm) continue;
     if (static_cast<double>(block.cols.size()) >
         kDominantBlockFraction *

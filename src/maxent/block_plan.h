@@ -8,10 +8,12 @@
 #include <memory>
 #include <vector>
 
+#include "anonymize/bucketized_table.h"
 #include "common/hash.h"
 #include "common/id_set.h"
 #include "common/status.h"
 #include "constraints/constraint.h"
+#include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/solution_cache.h"
@@ -19,30 +21,13 @@
 
 namespace pme::maxent {
 
-/// Table-side rows by the one bucket each is supported in: the rows of
-/// bucket b are [offsets[b], offsets[b+1]). Invariant rows (Eqs. 4-5)
-/// never span buckets and are generated bucket by bucket, so a request
-/// takes the rows of its coupled buckets from here instead of scanning
-/// all of them. The rows' content signatures are computed here, once per
-/// table, so a block's cache key costs one digest per bucket instead of
-/// a hash of every table row it holds.
-struct BucketRowIndex {
-  std::vector<uint32_t> offsets;  // num_buckets + 1
-  /// constraints::ConstraintRowSignature of each row, in row order.
-  std::vector<Hash128> sigs;
-  /// Per bucket: the digest of its rows' count and signatures, in row
-  /// order.
-  std::vector<Hash128> digests;
-
-  /// Errors when a row is not an equality, has no supported variable,
-  /// spans two buckets, or lies in a lower bucket than the row before it.
-  static Result<BucketRowIndex> Build(
-      const constraints::TermIndex& index,
-      const std::vector<constraints::LinearConstraint>& rows);
-};
-
 /// One knowledge-coupled block of a request: a connected component of
-/// the bucket coupling graph that some non-invariant row touches.
+/// the bucket coupling graph that some request row touches.
+///
+/// The block problem is its buckets plus its request rows: in the stacked
+/// layout (maxent/problem.h), the `num_table_rows` invariant rows of its
+/// buckets (ForEachInvariantRow's, all equalities, never stored), then
+/// problem row num_table_rows + j is request row rows[j].
 struct PlanBlock {
   /// Buckets of the block, ascending.
   std::vector<uint32_t> buckets;
@@ -50,32 +35,37 @@ struct PlanBlock {
   /// concatenated (TermIndex numbers variables bucket-major). Local
   /// column j of the block problem is variable cols[j].
   std::vector<uint32_t> cols;
-  /// Rows routed to the block in the stacked layout (maxent/problem.h):
-  /// the first `num_eq` are its equality rows, each part with table rows
-  /// before request rows.
+  /// Invariant rows of `buckets`, leading the block problem.
+  size_t num_table_rows = 0;
+  /// Request rows routed to the block, stacked: the first `num_eq` are
+  /// its equality request rows.
   std::vector<const constraints::LinearConstraint*> rows;
   size_t num_eq = 0;
+
+  /// Rows of the block problem.
+  size_t num_rows() const { return num_table_rows + rows.size(); }
 
   // Filled by BlockPlan::ConsultCache when a solution cache is on.
   /// Content signatures aligned with `rows`; filled on a cache miss only,
   /// for the warm lookup and the insertion after the solve.
   std::vector<Hash128> row_sigs;
-  /// Variable-structure digest (bucket ids and their variable counts,
-  /// plus an index-shape guard): equal vars_hash ⇒ identical column
-  /// layout, so a cached dual means the same thing.
+  /// Digest of the block's buckets: each bucket's id, g, h and count
+  /// runs, the table's record count and the invariant options, plus an
+  /// index-shape guard. Equal vars_hash ⇒ identical columns and identical
+  /// invariant rows, so a cached dual means the same thing on them.
   Hash128 vars_hash;
-  /// vars_hash, the table-row digest of each bucket in bucket order
-  /// (BucketRowIndex::digests), and the sorted multiset of the request
-  /// rows' signatures: equal rows_hash ⇒ identical block problem.
+  /// vars_hash and the sorted multiset of the request rows' signatures:
+  /// equal rows_hash ⇒ identical block problem.
   Hash128 rows_hash;
   /// Cache keys: the digests above under the solve knobs and namespace.
   Hash128 exact_key;
   Hash128 vars_key;
   /// The cached solution when the exact key hit; no solve runs.
   std::shared_ptr<const CachedComponentSolution> cached;
-  /// Warm-start dual aligned with `rows`, matched row by row from a
-  /// cached entry with the same variables; empty when nothing matched or
-  /// the block is dominant.
+  /// Warm-start dual aligned with the block problem's rows: the cached
+  /// invariant multipliers by position, the request rows' matched by
+  /// signature; empty when there was no warm entry or the block is
+  /// dominant.
   std::vector<double> warm_start;
 };
 
@@ -89,51 +79,58 @@ struct PlanBlock {
 inline constexpr double kDominantBlockFraction = 0.8;
 
 /// Everything a request decides before any block solves (Section 5.5):
-/// which buckets the knowledge couples into blocks, which rows each block
-/// owns, and the blocks' cache keys and cache answers.
+/// which buckets the knowledge couples into blocks, which request rows
+/// each block owns, and the blocks' cache keys and cache answers.
 ///
 /// Built by union-find over only the buckets the request rows touch:
 /// every other bucket is its own uncoupled component, exact under the
 /// Theorem-5 closed form. Blocks are numbered by their smallest bucket.
 /// A request row joins the block of its first supported variable (union-
-/// find put all of its buckets there); table rows join through the
-/// bucket index. Work and memory scale with the request rows and the
-/// coupled buckets; the table adds only the IdSets' one bit per bucket,
-/// for O(1) bucket lookups.
+/// find put all of its buckets there); a block's invariant rows are
+/// implied by its buckets. Work and memory scale with the request rows
+/// and the coupled buckets; the table adds only the IdSets' one bit per
+/// bucket, for O(1) bucket lookups.
 class BlockPlan {
  public:
-  /// Plans `request_rows` over `index`. `table_rows`, when non-null, are
-  /// the table-side invariant rows indexed by `bucket_rows`; each coupled
-  /// bucket's rows join its block, and the rows of every other bucket are
-  /// left out (the closed form satisfies them exactly). A row of
-  /// `request_rows` marks its buckets coupled unless its source is an
-  /// invariant. With `one_block`, every bucket joins a single block: the
+  /// Plans `request_rows` over the published `table` and its `index`;
+  /// every request row couples the buckets it supports. Each block's
+  /// invariant rows are those of its buckets under `invariant_options`;
+  /// every other bucket's are left out (the closed form satisfies them
+  /// exactly). With `one_block`, every bucket joins a single block: the
   /// whole table as one problem (Section 7.2's baseline without the
   /// decomposition), whose columns are the identity and whose rows are
-  /// BuildProblem's over the table rows followed by the request rows.
+  /// BuildProblem's over GenerateInvariants' rows followed by the request
+  /// rows. `table`, `index` and `request_rows` must outlive the plan.
   static BlockPlan Build(
+      const anonymize::BucketizedTable& table,
       const constraints::TermIndex& index,
-      const std::vector<constraints::LinearConstraint>* table_rows,
-      const BucketRowIndex* bucket_rows,
+      const constraints::InvariantOptions& invariant_options,
       const std::vector<constraints::LinearConstraint>& request_rows,
       bool one_block = false);
 
-  /// Plans a whole system: every row is routed as a request row.
-  static BlockPlan Build(const constraints::TermIndex& index,
-                         const constraints::ConstraintSystem& system) {
-    return Build(index, nullptr, nullptr, system.constraints());
-  }
+  /// Plans a whole system over `table`: its invariant rows must be
+  /// GenerateInvariants(table, index)'s (every row kept), and are left to
+  /// the table; every other row is routed as a request row. Errors with
+  /// kInvalidArgument when the system's invariant-row count differs from
+  /// the table's. `table`, `index` and `system` must outlive the plan.
+  static Result<BlockPlan> Build(const anonymize::BucketizedTable& table,
+                                 const constraints::TermIndex& index,
+                                 const constraints::ConstraintSystem& system);
 
   /// Computes every block's cache keys and looks each block up in
   /// options.solution_cache — serially, in block order, so the census is
-  /// the same for any thread count. Only request rows are hashed; table
-  /// rows enter through their buckets' precomputed digests. A missed
-  /// block also gathers its row signatures. A dominant block (see
+  /// the same for any thread count. Only request rows are hashed; the
+  /// invariant rows enter through their buckets' counts. A missed block
+  /// also keeps its request rows' signatures. A dominant block (see
   /// kDominantBlockFraction) skips the warm lookup. No-op when the cache
   /// is off.
   void ConsultCache(const SolverOptions& options);
 
+  const anonymize::BucketizedTable& table() const { return *table_; }
   const constraints::TermIndex& index() const { return *index_; }
+  const constraints::InvariantOptions& invariant_options() const {
+    return invariant_options_;
+  }
   const std::vector<PlanBlock>& blocks() const { return blocks_; }
 
   /// Request rows with no supported variable, in order.
@@ -144,7 +141,6 @@ class BlockPlan {
 
   /// Component census: uncoupled singleton buckets plus the components
   /// among the touched buckets.
-  size_t num_buckets() const { return index_->num_buckets(); }
   size_t num_components() const { return num_components_; }
 
   /// Block and local column of the first variable of `bucket`; false
@@ -165,13 +161,20 @@ class BlockPlan {
   /// Missed dominant blocks that were not offered a warm start.
   size_t warm_withheld() const { return warm_withheld_; }
   /// Rows whose signature ConsultCache computed: the blocks' request
-  /// rows. Table rows are never rehashed.
+  /// rows.
   size_t rows_hashed() const { return rows_hashed_; }
 
  private:
+  static BlockPlan BuildFromRows(
+      const anonymize::BucketizedTable& table,
+      const constraints::TermIndex& index,
+      const constraints::InvariantOptions& invariant_options,
+      const std::vector<const constraints::LinearConstraint*>& request_rows,
+      bool one_block);
+
+  const anonymize::BucketizedTable* table_ = nullptr;
   const constraints::TermIndex* index_ = nullptr;
-  // The index of the table rows; null when the plan has none.
-  const BucketRowIndex* bucket_rows_ = nullptr;
+  constraints::InvariantOptions invariant_options_;
   std::vector<PlanBlock> blocks_;
   std::vector<const constraints::LinearConstraint*> unsupported_rows_;
   // The coupled buckets. The k-th (ascending) lies in block

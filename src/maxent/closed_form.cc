@@ -5,9 +5,6 @@
 
 namespace pme::maxent {
 
-using constraints::ConstraintSource;
-using constraints::LinearConstraint;
-
 void ClosedFormBucket(const anonymize::BucketizedTable& table,
                       const constraints::TermIndex& index, uint32_t b,
                       std::vector<double>* p) {
@@ -38,28 +35,25 @@ std::vector<double> ClosedFormNoKnowledge(
   return p;
 }
 
-std::vector<double> ClosedFormDual(
-    const constraints::TermIndex& index, const std::vector<double>& prior,
-    const std::vector<const LinearConstraint*>& rows) {
-  std::vector<double> lambda(rows.size(), 0.0);
-  for (size_t j = 0; j < rows.size(); ++j) {
-    const LinearConstraint& c = *rows[j];
-    const bool qi = c.source == ConstraintSource::kQiInvariant;
-    if ((!qi && c.source != ConstraintSource::kSaInvariant) ||
-        c.vars.empty()) {
-      continue;
-    }
-    // Bucket b's variable of ranks (q, s) is first + q·h + s: a QI row
-    // runs along one q, an SA row along one s, so any of its variables
-    // names its rank.
-    const uint32_t b = index.TermOf(c.vars.front()).bucket;
-    const uint32_t first = index.BucketRange(b).first;
-    const uint32_t h = static_cast<uint32_t>(index.BucketSaList(b).size());
-    const uint32_t offset = c.vars.front() - first;
-    lambda[j] = qi ? std::log(prior[first + offset / h * h]) + 1.0
-                   : std::log(prior[first + offset % h]) -
-                         std::log(prior[first]);
+std::vector<double> ClosedFormDual(const BlockPlan& plan,
+                                   const PlanBlock& block,
+                                   const std::vector<double>& prior) {
+  std::vector<double> lambda;
+  lambda.reserve(block.num_rows());
+  for (const uint32_t b : block.buckets) {
+    // A QI row starts at its rank's (q, s₀) cell, an SA row at its
+    // rank's (q₀, s) cell.
+    const uint32_t first = plan.index().BucketRange(b).first;
+    constraints::ForEachInvariantRow(
+        plan.table(), plan.index(), b, plan.invariant_options(),
+        [&](const constraints::InvariantRow& row) {
+          lambda.push_back(
+              row.source == constraints::ConstraintSource::kQiInvariant
+                  ? std::log(prior[row.first]) + 1.0
+                  : std::log(prior[row.first]) - std::log(prior[first]));
+        });
   }
+  lambda.resize(block.num_rows(), 0.0);
   return lambda;
 }
 

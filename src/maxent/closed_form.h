@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
-#include "constraints/constraint.h"
 #include "constraints/term_index.h"
+#include "maxent/block_plan.h"
 
 namespace pme::maxent {
 
@@ -30,23 +30,22 @@ void ClosedFormBucket(const anonymize::BucketizedTable& table,
                       const constraints::TermIndex& index, uint32_t b,
                       std::vector<double>* p);
 
-/// The dual of the closed form: multipliers aligned with `rows` (a
-/// block's stacked rows, maxent/problem.h) at which the dual's primal
-/// exp(Aᵀλ − 1) is `prior` (ClosedFormNoKnowledge over `index`) on every
-/// variable of the rows' buckets, so every invariant row (Eqs. 4-5)
-/// holds there. With (q₀, s₀) the first cell of a row's bucket,
+/// The dual of the closed form for `block` of `plan`: multipliers aligned
+/// with the block problem's rows (PlanBlock) at which the dual's primal
+/// exp(Aᵀλ − 1) is `prior` (ClosedFormNoKnowledge over the plan's index)
+/// on every variable of the block, so every invariant row (Eqs. 4-5)
+/// holds there. Bucket by bucket and by position, with (q₀, s₀) the
+/// bucket's first cell,
 ///
-///   QI row (q, b):  λ = ln P(q, s₀, b) + 1,
-///   SA row (s, b):  λ = ln P(q₀, s, b) − ln P(q₀, s₀, b),
+///   QI row of rank q:  λ = ln P(q, s₀, b) + 1,
+///   SA row of rank s:  λ = ln P(q₀, s, b) − ln P(q₀, s₀, b),
 ///
 /// and λ_q + λ_s − 1 = ln P(q, s, b) follows from the product form. The
-/// SA row of s₀, which Theorem 3 may drop, gets 0; every other row
-/// (knowledge) gets 0 as well. Exact when each bucket's QI and SA rows
-/// appear once, as a block's table rows do; otherwise still a valid
-/// start. A block solve without a cached warm start starts here.
-std::vector<double> ClosedFormDual(
-    const constraints::TermIndex& index, const std::vector<double>& prior,
-    const std::vector<const constraints::LinearConstraint*>& rows);
+/// SA row of s₀, which Theorem 3 may drop, gets 0; every request row gets
+/// 0 as well. A block solve without a cached warm start starts here.
+std::vector<double> ClosedFormDual(const BlockPlan& plan,
+                                   const PlanBlock& block,
+                                   const std::vector<double>& prior);
 
 }  // namespace pme::maxent
 

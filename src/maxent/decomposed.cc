@@ -69,19 +69,43 @@ SolveMetrics& GetSolveMetrics() {
   return m;
 }
 
-/// The MaxEntProblem of one block, built from its own rows: the same
-/// rows and columns, in the same order, as the block's slice of the
-/// whole system's matrix form.
+}  // namespace
+
 Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
                                     const PlanBlock& block) {
-  // Rows list their variables bucket by bucket, so the last bucket
-  // located is usually the next one asked for.
+  MaxEntProblem problem;
+  problem.num_vars = block.cols.size();
+  problem.num_eq = block.num_table_rows + block.num_eq;
+  problem.rhs.reserve(block.num_rows());
+  linalg::SparseMatrixBuilder matrix(block.cols.size());
+  // The invariant rows, bucket by bucket, from the buckets' counts: the
+  // variables of bucket b are the local columns from `bucket_col` on.
+  Status status = Status::Ok();
+  uint32_t bucket_col = 0;
+  for (const uint32_t b : block.buckets) {
+    const auto [first, last] = plan.index().BucketRange(b);
+    constraints::ForEachInvariantRow(
+        plan.table(), plan.index(), b, plan.invariant_options(),
+        [&](const constraints::InvariantRow& row) {
+          matrix.BeginRow();
+          const uint32_t start = bucket_col + (row.first - first);
+          for (uint32_t k = 0; k < row.len && status.ok(); ++k) {
+            status = matrix.Add(start + k * row.stride, 1.0);
+          }
+          problem.rhs.push_back(row.rhs);
+        });
+    PME_RETURN_IF_ERROR(status);
+    bucket_col += last - first;
+  }
+  // The request rows list their variables bucket by bucket, so the last
+  // bucket located is usually the next one asked for.
   uint32_t bucket = UINT32_MAX;
   uint32_t block_id = 0;
   uint32_t col = 0;
   uint32_t first = 0;
-  return AssembleProblem(
-      block.cols.size(), block.rows, block.num_eq, [&](uint32_t var) {
+  PME_RETURN_IF_ERROR(AppendRows(
+      block.rows,
+      [&](uint32_t var) {
         const uint32_t b = plan.index().TermOf(var).bucket;
         if (b != bucket) {
           bucket = b;
@@ -89,18 +113,11 @@ Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
           first = plan.index().BucketRange(b).first;
         }
         return col + (var - first);
-      });
+      },
+      &matrix, &problem.rhs));
+  PME_ASSIGN_OR_RETURN(problem.a, matrix.Build());
+  return problem;
 }
-
-double RowViolation(const LinearConstraint& c, const JointView& joint) {
-  double lhs = 0.0;
-  for (size_t i = 0; i < c.vars.size(); ++i) {
-    lhs += c.coefs[i] * joint[c.vars[i]];
-  }
-  return c.ViolationAt(lhs);
-}
-
-}  // namespace
 
 void JointView::Seek(uint32_t bucket) const {
   bucket_ = bucket;
@@ -126,7 +143,7 @@ std::vector<double> MaterializeJoint(const SolverResult& result) {
 std::vector<double> BlockStart(const BlockPlan& plan, const PlanBlock& block,
                                const std::vector<double>& prior) {
   if (!block.warm_start.empty()) return block.warm_start;
-  return ClosedFormDual(plan.index(), prior, block.rows);
+  return ClosedFormDual(plan, block, prior);
 }
 
 DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
@@ -144,14 +161,18 @@ DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
     stats.relevant_variables += variables;
     stats.coupled_component_variables.push_back(variables);
   }
-  stats.irrelevant_buckets = plan.num_buckets() - stats.relevant_buckets;
+  stats.irrelevant_buckets =
+      plan.index().num_buckets() - stats.relevant_buckets;
   return stats;
 }
 
-DecompositionStats AnalyzeDecomposition(
+Result<DecompositionStats> AnalyzeDecomposition(
+    const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system) {
-  return AnalyzeDecomposition(BlockPlan::Build(index, system));
+  PME_ASSIGN_OR_RETURN(const BlockPlan plan,
+                       BlockPlan::Build(table, index, system));
+  return AnalyzeDecomposition(plan);
 }
 
 Result<SolverResult> SolveDecomposed(
@@ -163,7 +184,7 @@ Result<SolverResult> SolveDecomposed(
   BlockPlan plan;
   {
     trace::TraceSpan plan_span("plan", "solve");
-    plan = BlockPlan::Build(index, system);
+    PME_ASSIGN_OR_RETURN(plan, BlockPlan::Build(table, index, system));
     plan.ConsultCache(options);
   }
   auto prior = std::make_shared<const std::vector<double>>(
@@ -190,21 +211,15 @@ Result<SolverResult> SolveDecomposed(
   result.prior = std::move(prior);
   const std::vector<PlanBlock>& blocks = plan.blocks();
 
-  // Worst violation of `rows` at the result's joint (every block slice
-  // in place).
-  const auto max_violation = [&](const std::vector<const LinearConstraint*>&
-                                     rows) {
-    const JointView joint(plan, result);
-    double worst = 0.0;
-    for (const LinearConstraint* c : rows) {
-      worst = std::max(worst, RowViolation(*c, joint));
-    }
-    return worst;
-  };
-
+  // A request row with no supported variable reads 0 whatever the joint.
+  double unsupported_violation = 0.0;
+  for (const LinearConstraint* c : plan.unsupported_rows()) {
+    unsupported_violation = std::max(unsupported_violation,
+                                     c->ViolationAt(0.0));
+  }
   if (blocks.empty()) {
     result.entropy = prior_entropy;
-    result.max_violation = max_violation(plan.unsupported_rows());
+    result.max_violation = unsupported_violation;
     result.seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -384,7 +399,7 @@ Result<SolverResult> SolveDecomposed(
       }
       if (sub != nullptr && IsAcceptable(*sub)) {
         slice.p = sub->p;
-        outcome.max_violation = max_violation(block.rows);
+        outcome.max_violation = sub->max_violation;
         result.dual_value += sub->dual_value;
         result.presolve_fixed += sub->presolve_fixed;
         result.converged = result.converged && sub->converged;
@@ -395,20 +410,21 @@ Result<SolverResult> SolveDecomposed(
         ++result.components_solved;
       } else {
         // Keep the iterate only when it is finite and violates the
-        // block's rows less than the prior does: a budget spent before
+        // block problem less than the prior does: a budget spent before
         // the first step, or a poisoned line search, leaves a start point
         // that is not even a distribution.
         double iterate_violation = std::numeric_limits<double>::infinity();
         if (sub != nullptr &&
             std::all_of(sub->p.begin(), sub->p.end(),
                         [](double v) { return std::isfinite(v); })) {
-          slice.p = sub->p;
-          iterate_violation = max_violation(block.rows);
+          iterate_violation = sub->max_violation;
         }
-        slice.p = prior_slice;
-        const double prior_violation = max_violation(block.rows);
+        const Result<MaxEntProblem> problem = AssembleBlock(plan, block);
+        const double prior_violation =
+            problem.ok() ? ProblemViolation(problem.value(), prior_slice)
+                         : std::numeric_limits<double>::infinity();
         outcome.used_prior = !(iterate_violation < prior_violation);
-        if (!outcome.used_prior) slice.p = sub->p;
+        slice.p = outcome.used_prior ? prior_slice : sub->p;
         outcome.max_violation = std::min(iterate_violation, prior_violation);
         outcome.degraded = true;
         result.converged = false;
@@ -431,7 +447,7 @@ Result<SolverResult> SolveDecomposed(
                kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
   }
 
-  result.max_violation = max_violation(plan.unsupported_rows());
+  result.max_violation = unsupported_violation;
   for (const ComponentOutcome& outcome : result.component_outcomes) {
     result.max_violation =
         std::max(result.max_violation, outcome.max_violation);

@@ -13,6 +13,7 @@
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/block_plan.h"
+#include "maxent/problem.h"
 #include "maxent/solver.h"
 
 namespace pme::maxent {
@@ -33,21 +34,23 @@ namespace pme::maxent {
 /// buckets this is the difference between one O(n) dual and many O(n_k)
 /// duals — seconds vs minutes.
 ///
-/// This overload plans `system` itself, solves over a freshly derived
-/// closed form, and returns the full joint in `p`.
+/// This overload plans `system` itself (BlockPlan::Build over `table`:
+/// its invariant rows are left to the table, and a system whose
+/// invariant-row count differs from the table's is kInvalidArgument),
+/// solves over a freshly derived closed form, and returns the full joint
+/// in `p`.
 ///
 /// Failure semantics: each block is solved once (Solve) under a
 /// wall-time budget proportional to its variable count (a slice of
 /// `options.deadline`). A block whose solve is not acceptable
 /// (IsAcceptable) keeps the better of two answers: its final iterate,
-/// when that is finite and violates the block's rows less than the
+/// when that is finite and violates the block problem less than the
 /// closed-form no-knowledge prior does, or else that prior. A block with
 /// no solve result (a thrown task, a presolve error) keeps the prior.
-/// Both are reported in
-/// `component_outcomes` (with the block error's message) and
-/// `components_{solved,degraded,failed}`; the call still returns Ok with
-/// `degraded = true`, so one bad component never sinks the whole
-/// analysis. `termination` is kCancelled when the token fired,
+/// Both are reported in `component_outcomes` (with the block error's
+/// message) and `components_{solved,degraded,failed}`; the call still
+/// returns Ok with `degraded = true`, so one bad component never sinks
+/// the whole analysis. `termination` is kCancelled when the token fired,
 /// kDeadlineExceeded when the request deadline is spent. The one error
 /// the call returns is kInfeasible for a knowledge row with no support
 /// and a nonzero bound — a property of the request, not of a block.
@@ -60,23 +63,31 @@ Result<SolverResult> SolveDecomposed(
 /// The request path: solves the blocks of `plan` (its cache already
 /// consulted) over `prior` — the table's Theorem-5 closed form, with
 /// pme::Entropy `prior_entropy`. Every block, the one block of a whole-
-/// table plan included, is assembled from its own rows and answered from
+/// table plan included, is assembled (AssembleBlock) and answered from
 /// the cache, or solved from BlockStart as its plan entry says. The
 /// result is an overlay: `p` stays empty, `blocks` holds each block's
-/// (cols, p) slice and `prior` shares the prior; entropy and max
-/// violation are derived per block. Work scales with the coupled blocks,
-/// not with the table. `plan` and the rows it points to must outlive the
-/// call.
+/// (cols, p) slice and `prior` shares the prior; entropy is derived per
+/// block, and a solved block's max violation is its solve's. Work scales
+/// with the coupled blocks, not with the table. `plan` and the rows it
+/// points to must outlive the call.
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
     double prior_entropy, const SolverOptions& options);
 
-/// The dual a solve of `block` starts from, aligned with its rows: the
-/// closed form's dual (ClosedFormDual over `prior`), at which every
-/// invariant row of the block already holds, with the multipliers of a
-/// cache warm hit written over the rows they match. A warm hit matches
-/// every invariant row and the closed form starts every other row at 0,
-/// so that start is the plan's warm_start itself.
+/// The MaxEntProblem of `block`: its buckets' invariant rows, written
+/// from their counts through constraints::ForEachInvariantRow (a QI row
+/// is h consecutive columns, an SA row g columns at stride h), then its
+/// request rows as AppendRows writes them, in the stacked layout. The same
+/// rows, columns and order as the block's slice of the whole system's
+/// matrix form.
+Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
+                                    const PlanBlock& block);
+
+/// The dual a solve of `block` starts from, aligned with the block
+/// problem's rows: the closed form's dual (ClosedFormDual over `prior`),
+/// at which every invariant row of the block already holds, or, on a
+/// cache warm hit, the plan's warm_start — the cached invariant
+/// multipliers, and the request rows' where they match.
 std::vector<double> BlockStart(const BlockPlan& plan, const PlanBlock& block,
                                const std::vector<double>& prior);
 
@@ -133,8 +144,10 @@ struct DecompositionStats {
 /// The census of a plan, by arithmetic over its blocks.
 DecompositionStats AnalyzeDecomposition(const BlockPlan& plan);
 
-/// The census of `system` over `index` (plans it first).
-DecompositionStats AnalyzeDecomposition(
+/// The census of `system` over `table` (plans it first, as
+/// BlockPlan::Build does).
+Result<DecompositionStats> AnalyzeDecomposition(
+    const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system);
 

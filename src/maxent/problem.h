@@ -25,11 +25,13 @@ namespace pme::maxent {
 ///
 /// The stacked row layout. Every row-indexed list of a problem uses one
 /// order: the equality rows first, then the ≤ rows (kGe rows negated into
-/// ≤ form), each part in the order of its source rows (StackRows). That
-/// order indexes the matrix `a` and `rhs`, presolve's `row_map`, a
-/// PlanBlock's `rows` and `row_sigs`, a cached entry's signatures and
-/// multipliers, SolverOptions::warm_start and
-/// SolverResult::dual_lambda_full. It is the paper's dual for inequality
+/// ≤ form), each part in the order of its source rows (StackRows). A
+/// block problem leads with its buckets' invariant rows, all equalities,
+/// and its request rows follow (PlanBlock). That order indexes the matrix
+/// `a` and `rhs`, presolve's `row_map`, SolverOptions::warm_start,
+/// SolverResult::dual_lambda_full and a cached entry's multipliers; a
+/// PlanBlock's `rows` and `row_sigs`, and a cached entry's signatures,
+/// index its request-row suffix. It is the paper's dual for inequality
 /// knowledge (Section 4.5, Kazama–Tsujii): one multiplier per row, those
 /// of the ≤ rows constrained to λ_j ≤ 0.
 struct MaxEntProblem {
@@ -47,22 +49,18 @@ struct MaxEntProblem {
 /// equality rows.
 size_t StackRows(std::vector<const constraints::LinearConstraint*>* rows);
 
-/// The problem of `rows`, already stacked with `num_eq` equality rows,
-/// over `num_vars` columns: row j of the matrix is rows[j] with variable
-/// v in column col_of(v), kGe rows negated into ≤ form and zero
-/// coefficients left out. Each row's entries are put in ascending column
-/// order (a stable sort, so duplicate entries are summed in row order).
-/// A template so the column map inlines into the per-entry loop.
+/// Appends `rows` to `matrix` and their right-hand sides to `rhs`: each
+/// row with variable v in column col_of(v), kGe rows negated into ≤ form
+/// and zero coefficients left out. Each row's entries are put in
+/// ascending column order (a stable sort, so duplicate entries are
+/// summed in row order). A template so the column map inlines into the
+/// per-entry loop.
 template <typename ColOf>
-Result<MaxEntProblem> AssembleProblem(
-    size_t num_vars,
+Status AppendRows(
     const std::vector<const constraints::LinearConstraint*>& rows,
-    size_t num_eq, ColOf col_of) {
-  MaxEntProblem problem;
-  problem.num_vars = num_vars;
-  problem.num_eq = num_eq;
-  problem.rhs.reserve(rows.size());
-  linalg::SparseMatrixBuilder matrix(num_vars);
+    ColOf col_of, linalg::SparseMatrixBuilder* matrix,
+    std::vector<double>* rhs) {
+  rhs->reserve(rhs->size() + rows.size());
   std::vector<std::pair<uint32_t, double>> entries;
   const auto by_col = [](const auto& a, const auto& b) {
     return a.first < b.first;
@@ -80,12 +78,28 @@ Result<MaxEntProblem> AssembleProblem(
     if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
       std::stable_sort(entries.begin(), entries.end(), by_col);
     }
-    matrix.BeginRow();
+    matrix->BeginRow();
     for (const auto& [col, value] : entries) {
-      PME_RETURN_IF_ERROR(matrix.Add(col, value));
+      PME_RETURN_IF_ERROR(matrix->Add(col, value));
     }
-    problem.rhs.push_back(sign * c->rhs);
+    rhs->push_back(sign * c->rhs);
   }
+  return Status::Ok();
+}
+
+/// The problem of `rows`, already stacked with `num_eq` equality rows,
+/// over `num_vars` columns: row j of the matrix is rows[j] as AppendRows
+/// writes it.
+template <typename ColOf>
+Result<MaxEntProblem> AssembleProblem(
+    size_t num_vars,
+    const std::vector<const constraints::LinearConstraint*>& rows,
+    size_t num_eq, ColOf col_of) {
+  MaxEntProblem problem;
+  problem.num_vars = num_vars;
+  problem.num_eq = num_eq;
+  linalg::SparseMatrixBuilder matrix(num_vars);
+  PME_RETURN_IF_ERROR(AppendRows(rows, col_of, &matrix, &problem.rhs));
   PME_ASSIGN_OR_RETURN(problem.a, matrix.Build());
   return problem;
 }

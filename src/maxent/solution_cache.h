@@ -18,22 +18,25 @@
 namespace pme::maxent {
 
 /// One cached coupled-component solution, content-addressed by the
-/// component's rows digest (BlockPlan::ConsultCache: the request rows'
-/// constraints::ConstraintRowSignature values plus the table rows'
-/// per-bucket digests). Everything needed to either scatter the
-/// answer without solving (exact hit) or to warm-start a changed
-/// component from its old dual (near miss):
+/// component's rows digest (BlockPlan::ConsultCache: the digest of its
+/// buckets' counts, which fix its invariant rows, plus its request rows'
+/// constraints::ConstraintRowSignature values). Everything needed to
+/// either scatter the answer without solving (exact hit) or to
+/// warm-start a changed component from its old dual (near miss):
 ///
 ///  - `p` is the posterior slice in block-local column order (the order
 ///    of the component's variables, ascending by full-space id).
 ///  - `lambda_full` are the dual multipliers, one per block row before
 ///    presolve (SolverResult::dual_lambda_full), presolve-dropped rows at
-///    0. Stored pre-presolve so it can be re-mapped onto a *different*
-///    presolve of an edited component.
-///  - `row_sigs` are the per-row content signatures aligned with
-///    `lambda_full`: a warm start for an edited component matches rows by
-///    signature and seeds unmatched (new/edited) rows with 0, which is a
-///    near-feasible point when few rows changed.
+///    0: the block's invariant rows, then its request rows. Stored
+///    pre-presolve so it can be re-mapped onto a *different* presolve of
+///    an edited component.
+///  - `row_sigs` are the request rows' content signatures, aligned with
+///    the tail of `lambda_full`. A warm start for an edited component
+///    (same buckets, so the same invariant rows) takes the invariant
+///    multipliers by position, matches request rows by signature and
+///    seeds unmatched (new/edited) rows with 0, which is a near-feasible
+///    point when few rows changed.
 ///
 /// Both row lists are in the block's stacked layout (maxent/problem.h).
 struct CachedComponentSolution {
@@ -74,9 +77,10 @@ struct SolutionCacheStats {
 /// Two indexes:
 ///  - the exact index keys entries by the component's rows digest
 ///    (byte-identical subproblem → reusable solution), and
-///  - the warm index maps a variables-only digest to the most recently
-///    inserted exact key for that variable set (same component, edited
-///    rows → warm-startable dual).
+///  - the warm index maps a buckets-only digest (PlanBlock::vars_hash:
+///    the variables and the invariant rows) to the most recently
+///    inserted exact key for those buckets (same component, edited
+///    request rows → warm-startable dual).
 ///
 /// Eviction is LRU by resident doubles against `byte_budget`, applied
 /// per shard (each shard owns an equal slice of the budget). Warm-index
@@ -104,8 +108,8 @@ class SolutionCache {
   std::shared_ptr<const CachedComponentSolution> FindExact(
       const Hash128& exact_key);
 
-  /// Warm lookup by variables-only digest: the most recent entry whose
-  /// component had the same variable structure. Does not count a miss
+  /// Warm lookup by buckets-only digest: the most recent entry whose
+  /// component had the same buckets. Does not count a miss
   /// (it runs after FindExact already did); counts a warm hit when an
   /// entry is returned.
   std::shared_ptr<const CachedComponentSolution> FindWarm(

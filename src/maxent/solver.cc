@@ -18,20 +18,6 @@ namespace {
 /// did not meet the tolerance.
 constexpr double kAcceptViolation = 1e-6;
 
-/// Worst violation of the *original* problem at full-space solution p.
-double ProblemViolation(const MaxEntProblem& problem,
-                        const std::vector<double>& p) {
-  double worst = 0.0;
-  std::vector<double> lhs;
-  problem.a.Multiply(p, lhs);
-  for (size_t j = 0; j < lhs.size(); ++j) {
-    const double residual = lhs[j] - problem.rhs[j];
-    worst = std::max(worst, j < problem.num_eq ? std::fabs(residual)
-                                               : std::max(0.0, residual));
-  }
-  return worst;
-}
-
 /// Solver effort, added once per solve.
 struct DualMetrics {
   metrics::Counter* evaluations;
@@ -162,6 +148,19 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
   result.max_violation = ProblemViolation(problem, result.p);
   result.seconds = timer.ElapsedSeconds();
   return result;
+}
+
+double ProblemViolation(const MaxEntProblem& problem,
+                        const std::vector<double>& p) {
+  double worst = 0.0;
+  std::vector<double> lhs;
+  problem.a.Multiply(p, lhs);
+  for (size_t j = 0; j < lhs.size(); ++j) {
+    const double residual = lhs[j] - problem.rhs[j];
+    worst = std::max(worst, j < problem.num_eq ? std::fabs(residual)
+                                               : std::max(0.0, residual));
+  }
+  return worst;
 }
 
 bool IsAcceptable(const SolverResult& result) {

@@ -243,6 +243,13 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
                            const SolverOptions& options = {},
                            Team* team = nullptr);
 
+/// Worst violation of `problem`'s rows at `p` (one value per column): the
+/// absolute residual of an equality row, the excess of a ≤ row. A
+/// solve's SolverResult::max_violation is this, on the problem it was
+/// given.
+double ProblemViolation(const MaxEntProblem& problem,
+                        const std::vector<double>& p);
+
 /// Accepts `result` as an answer: a normal termination that either met
 /// the tolerance or left a worst violation of at most 1e-6 (a solve that
 /// exhausted its budget a few ulps above `tolerance` is still a

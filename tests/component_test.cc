@@ -114,7 +114,7 @@ TEST(ComponentAnalysisTest, StatsReportComponentCensus) {
   auto index = TermIndex::Build(t);
   auto system = InvariantSystem(t, index);
   AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  auto stats = maxent::AnalyzeDecomposition(index, system);
+  auto stats = maxent::AnalyzeDecomposition(t, index, system).ValueOrDie();
 
   EXPECT_EQ(stats.num_components, 3u);
   EXPECT_EQ(stats.num_coupled_components, 1u);
@@ -218,7 +218,7 @@ TEST(SolveDecomposedTest, RandomMultiComponentSystemsAgreeWithMonolithic) {
       AddConditional(t, index, &system, q, s, t.TrueConditional(q, s));
     }
 
-    auto stats = maxent::AnalyzeDecomposition(index, system);
+    auto stats = maxent::AnalyzeDecomposition(t, index, system).ValueOrDie();
     EXPECT_GE(stats.num_components, stats.num_coupled_components);
 
     auto problem = maxent::BuildProblem(system).ValueOrDie();

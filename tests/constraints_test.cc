@@ -578,9 +578,11 @@ TEST(ConstraintSystemTest, ViolationMeasures) {
 
 /// Definition 5.6 as the planner decides it: a bucket is relevant iff
 /// it lies in one of the knowledge-coupled blocks.
-std::vector<bool> BucketRelevance(const TermIndex& index,
+std::vector<bool> BucketRelevance(const anonymize::BucketizedTable& table,
+                                  const TermIndex& index,
                                   const ConstraintSystem& system) {
-  const maxent::BlockPlan plan = maxent::BlockPlan::Build(index, system);
+  const maxent::BlockPlan plan =
+      maxent::BlockPlan::Build(table, index, system).ValueOrDie();
   std::vector<bool> relevant(index.num_buckets(), false);
   for (const maxent::PlanBlock& block : plan.blocks()) {
     for (const uint32_t b : block.buckets) relevant[b] = true;
@@ -600,7 +602,7 @@ TEST(ConstraintSystemTest, IrrelevantBucketAnalysis) {
   auto compiled = CompileKnowledge(kb, t, index).ValueOrDie();
   system.AddAll(std::move(compiled.constraints));
 
-  auto relevant = BucketRelevance(index, system);
+  auto relevant = BucketRelevance(t, index, system);
   ASSERT_EQ(relevant.size(), 3u);
   EXPECT_TRUE(relevant[0]);
   EXPECT_TRUE(relevant[1]);
@@ -614,7 +616,7 @@ TEST(ConstraintSystemTest, NoKnowledgeMeansAllIrrelevant) {
   auto index = TermIndex::Build(t);
   ConstraintSystem system(index.num_variables());
   system.AddAll(GenerateInvariants(t, index));
-  auto relevant = BucketRelevance(index, system);
+  auto relevant = BucketRelevance(t, index, system);
   ASSERT_EQ(relevant.size(), 3u);
   for (bool r : relevant) EXPECT_FALSE(r);
 }

@@ -447,23 +447,27 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   // The warm start the toggled block is offered: the cached multipliers
   // row for row (same rows, same stacked order), the toggled row at 0.
   maxent::BlockPlan seeded_plan =
-      maxent::BlockPlan::Build(index, seeded_system);
+      maxent::BlockPlan::Build(table, index, seeded_system).ValueOrDie();
   seeded_plan.ConsultCache(options);
   maxent::BlockPlan toggled_plan =
-      maxent::BlockPlan::Build(index, toggled_system);
+      maxent::BlockPlan::Build(table, index, toggled_system).ValueOrDie();
   toggled_plan.ConsultCache(options);
   const maxent::PlanBlock& before = seeded_plan.blocks()[0];
   const maxent::PlanBlock& after = toggled_plan.blocks()[0];
+  const maxent::MaxEntProblem before_problem =
+      maxent::AssembleBlock(seeded_plan, before).ValueOrDie();
+  const maxent::MaxEntProblem after_problem =
+      maxent::AssembleBlock(toggled_plan, after).ValueOrDie();
   ASSERT_NE(before.cached, nullptr);
   ASSERT_EQ(after.rows.size(), before.rows.size());
-  ASSERT_EQ(before.cached->lambda_full.size(), before.rows.size());
+  ASSERT_EQ(before.cached->lambda_full.size(), before_problem.a.rows());
   // The binding <= row is the block's last row; its multiplier is < 0.
   EXPECT_EQ(after.num_eq + 1, after.rows.size());
   EXPECT_LT(before.cached->lambda_full.back(), 0.0);
   std::vector<double> expected = before.cached->lambda_full;
   size_t toggled_rows = 0;
-  for (size_t j = 0; j < after.rows.size(); ++j) {
-    if (after.rows[j]->rhs != before.rows[j]->rhs) {
+  for (size_t j = 0; j < after_problem.a.rows(); ++j) {
+    if (after_problem.rhs[j] != before_problem.rhs[j]) {
       expected[j] = 0.0;
       ++toggled_rows;
     }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/math_util.h"
 #include "common/prng.h"
@@ -574,10 +575,27 @@ TEST(DecomposedTest, MatchesFullSolve) {
   }
   EXPECT_LT(decomposed.max_violation, 1e-7);
 
-  auto stats = AnalyzeDecomposition(index, system);
+  auto stats = AnalyzeDecomposition(t, index, system).ValueOrDie();
   EXPECT_EQ(stats.relevant_buckets, 2u);
   EXPECT_EQ(stats.irrelevant_buckets, 1u);
   EXPECT_EQ(stats.relevant_variables, 18u);
+}
+
+TEST(DecomposedTest, SystemWithoutTheTablesInvariantRowsIsRejected) {
+  // A system overload leaves the invariant rows to the table, so a system
+  // that does not hold exactly the table's is refused, not half-solved.
+  auto t = pme::testing::MakeFigure1Table();
+  auto index = TermIndex::Build(t);
+  constraints::InvariantOptions concise;
+  concise.drop_redundant_row = true;
+  ConstraintSystem system(index.num_variables());
+  system.AddAll(constraints::GenerateInvariants(t, index, concise));
+  EXPECT_EQ(BlockPlan::Build(t, index, system).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SolveDecomposed(t, index, system).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AnalyzeDecomposition(t, index, system).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
@@ -595,21 +613,9 @@ TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
 
 // ---------------------------------------------------- Closed-form start
 
-bool IsInvariant(const LinearConstraint& c) {
-  return c.source == constraints::ConstraintSource::kQiInvariant ||
-         c.source == constraints::ConstraintSource::kSaInvariant;
-}
-
 // The problem of `block`, as SolveDecomposed assembles it.
-MaxEntProblem BlockProblem(const PlanBlock& block) {
-  return AssembleProblem(block.cols.size(), block.rows, block.num_eq,
-                         [&](uint32_t var) {
-                           return static_cast<uint32_t>(
-                               std::lower_bound(block.cols.begin(),
-                                                block.cols.end(), var) -
-                               block.cols.begin());
-                         })
-      .ValueOrDie();
+MaxEntProblem BlockProblem(const BlockPlan& plan, const PlanBlock& block) {
+  return AssembleBlock(plan, block).ValueOrDie();
 }
 
 // ∇D of `problem` at `lambda`: each row's residual at the primal there.
@@ -630,16 +636,17 @@ void ExpectClosedFormStart(const BlockPlan& plan,
   for (const PlanBlock& block : plan.blocks()) {
     ASSERT_TRUE(block.warm_start.empty());
     const std::vector<double> start = BlockStart(plan, block, prior);
-    ASSERT_EQ(start, ClosedFormDual(plan.index(), prior, block.rows));
-    const std::vector<double> grad = GradientAt(BlockProblem(block), start);
+    ASSERT_EQ(start, ClosedFormDual(plan, block, prior));
+    const std::vector<double> grad =
+        GradientAt(BlockProblem(plan, block), start);
     size_t invariant_rows = 0;
-    for (size_t j = 0; j < block.rows.size(); ++j) {
-      const LinearConstraint& c = *block.rows[j];
-      if (IsInvariant(c)) {
+    for (size_t j = 0; j < block.num_rows(); ++j) {
+      if (j < block.num_table_rows) {
         ++invariant_rows;
         EXPECT_LE(std::fabs(grad[j]), 1e-15) << "row " << j;
         continue;
       }
+      const LinearConstraint& c = *block.rows[j - block.num_table_rows];
       EXPECT_EQ(start[j], 0.0);
       double lhs = 0.0;
       for (size_t i = 0; i < c.vars.size(); ++i) {
@@ -680,11 +687,14 @@ TEST(ClosedFormStartTest, Figure1BlocksStartAtTheClosedForm) {
   const auto index = TermIndex::Build(t);
   const auto system = Figure1System(t, index, Figure1Knowledge(0.5));
   const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
-  ExpectClosedFormStart(BlockPlan::Build(index, system), prior);
-  ExpectClosedFormStart(BlockPlan::Build(index, nullptr, nullptr,
-                                         system.constraints(),
-                                         /*one_block=*/true),
+  ExpectClosedFormStart(BlockPlan::Build(t, index, system).ValueOrDie(),
                         prior);
+  const auto knowledge =
+      constraints::CompileKnowledge(Figure1Knowledge(0.5), t, index)
+          .ValueOrDie()
+          .constraints;
+  ExpectClosedFormStart(
+      BlockPlan::Build(t, index, {}, knowledge, /*one_block=*/true), prior);
 }
 
 class SynthStartTest : public ::testing::Test {
@@ -712,8 +722,8 @@ class SynthStartTest : public ::testing::Test {
 
   static BlockPlan Plan(const std::vector<LinearConstraint>& request_rows,
                         bool one_block) {
-    return BlockPlan::Build(artifact().index(), &artifact().invariants(),
-                            &artifact().invariant_rows_by_bucket(),
+    return BlockPlan::Build(artifact().table(), artifact().index(),
+                            artifact().options().invariant_options,
                             request_rows, one_block);
   }
 
@@ -757,6 +767,135 @@ TEST_F(SynthStartTest, KnowledgeFreeWholeTableIsSolvedByItsStart) {
   }
 }
 
+// ------------------------------------------------- Block assembly oracle
+
+// The reference closed-form dual over materialized rows: each row's QI or
+// SA invariant source, its bucket and its first variable's position give
+// its multiplier; every other row gets 0.
+std::vector<double> RowSourceDual(
+    const TermIndex& index, const std::vector<double>& prior,
+    const std::vector<const LinearConstraint*>& rows) {
+  std::vector<double> lambda(rows.size(), 0.0);
+  for (size_t j = 0; j < rows.size(); ++j) {
+    const LinearConstraint& c = *rows[j];
+    const bool qi = c.source == constraints::ConstraintSource::kQiInvariant;
+    if ((!qi && c.source != constraints::ConstraintSource::kSaInvariant) ||
+        c.vars.empty()) {
+      continue;
+    }
+    const uint32_t b = index.TermOf(c.vars.front()).bucket;
+    const uint32_t first = index.BucketRange(b).first;
+    const uint32_t h = static_cast<uint32_t>(index.BucketSaList(b).size());
+    const uint32_t offset = c.vars.front() - first;
+    lambda[j] = qi ? std::log(prior[first + offset / h * h]) + 1.0
+                   : std::log(prior[first + offset % h]) -
+                         std::log(prior[first]);
+  }
+  return lambda;
+}
+
+// Every block of `plan` assembles, bit for bit, the problem AssembleProblem
+// builds from GenerateInvariants' rows of its buckets followed by its
+// request rows, and starts at those rows' RowSourceDual.
+void ExpectBlocksMatchGeneratedRows(const BlockPlan& plan,
+                                 const std::vector<double>& prior) {
+  const TermIndex& index = plan.index();
+  const std::vector<LinearConstraint> invariants =
+      constraints::GenerateInvariants(plan.table(), index,
+                                      plan.invariant_options());
+  std::vector<std::vector<const LinearConstraint*>> by_bucket(
+      index.num_buckets());
+  for (const LinearConstraint& c : invariants) {
+    by_bucket[index.TermOf(c.vars.front()).bucket].push_back(&c);
+  }
+  ASSERT_FALSE(plan.blocks().empty());
+  for (const PlanBlock& block : plan.blocks()) {
+    std::vector<const LinearConstraint*> rows;
+    for (const uint32_t b : block.buckets) {
+      rows.insert(rows.end(), by_bucket[b].begin(), by_bucket[b].end());
+    }
+    ASSERT_EQ(rows.size(), block.num_table_rows);
+    rows.insert(rows.end(), block.rows.begin(), block.rows.end());
+    const MaxEntProblem expected =
+        AssembleProblem(block.cols.size(), rows,
+                        block.num_table_rows + block.num_eq,
+                        [&](uint32_t var) {
+                          return static_cast<uint32_t>(
+                              std::lower_bound(block.cols.begin(),
+                                               block.cols.end(), var) -
+                              block.cols.begin());
+                        })
+            .ValueOrDie();
+    const MaxEntProblem actual = AssembleBlock(plan, block).ValueOrDie();
+    EXPECT_EQ(actual.num_vars, expected.num_vars);
+    EXPECT_EQ(actual.num_eq, expected.num_eq);
+    EXPECT_EQ(actual.a.rows(), expected.a.rows());
+    EXPECT_EQ(actual.a.cols(), expected.a.cols());
+    EXPECT_EQ(actual.a.row_offsets(), expected.a.row_offsets());
+    EXPECT_EQ(actual.a.col_indices(), expected.a.col_indices());
+    EXPECT_EQ(actual.a.values(), expected.a.values());
+    EXPECT_EQ(actual.rhs, expected.rhs);
+    EXPECT_EQ(BlockStart(plan, block, prior),
+              RowSourceDual(index, prior, rows));
+  }
+}
+
+TEST_F(SynthStartTest, BlockProblemsMatchTheirGeneratedRows) {
+  // The first mined rules, which couple several blocks; some turn into
+  // <= and >= statements, so blocks hold both row kinds after their
+  // invariant rows.
+  ASSERT_GE(pipeline_->rules.size(), 8u);
+  knowledge::KnowledgeBase rules;
+  rules.AddRules({pipeline_->rules.begin(), pipeline_->rules.begin() + 8});
+  knowledge::KnowledgeBase kb;
+  for (auto stmt : rules.conditionals()) {
+    if (kb.size() % 3 == 1) stmt.rel = Relation::kLe;
+    if (kb.size() % 3 == 2) stmt.rel = Relation::kGe;
+    kb.Add(std::move(stmt));
+  }
+  const auto& table = artifact().table();
+  const auto compiled =
+      constraints::CompileKnowledge(kb, table, artifact().index(),
+                                    artifact().qi_encoder())
+          .ValueOrDie();
+  const std::vector<double>& prior = artifact().closed_form_prior();
+  for (const bool drop : {false, true}) {
+    constraints::InvariantOptions options;
+    options.drop_redundant_row = drop;
+    for (const bool one_block : {false, true}) {
+      SCOPED_TRACE(std::string(drop ? "drop" : "keep") +
+                   (one_block ? ", one block" : ", decomposed"));
+      const BlockPlan plan =
+          BlockPlan::Build(table, artifact().index(), options,
+                           compiled.constraints, one_block);
+      ASSERT_EQ(plan.blocks().size() > 1, !one_block);
+      ExpectBlocksMatchGeneratedRows(plan, prior);
+    }
+  }
+}
+
+TEST(BlockAssemblyTest, Figure1BlockProblemsMatchTheirGeneratedRows) {
+  // Figure 1's b1 repeats a QI value and an SA value, so its invariant
+  // rows and its start differ from row to row.
+  const auto t = pme::testing::MakeFigure1Table();
+  const auto index = TermIndex::Build(t);
+  const auto knowledge =
+      constraints::CompileKnowledge(Figure1Knowledge(0.5), t, index)
+          .ValueOrDie()
+          .constraints;
+  const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
+  for (const bool drop : {false, true}) {
+    constraints::InvariantOptions options;
+    options.drop_redundant_row = drop;
+    for (const bool one_block : {false, true}) {
+      SCOPED_TRACE(std::string(drop ? "drop" : "keep") +
+                   (one_block ? ", one block" : ", decomposed"));
+      ExpectBlocksMatchGeneratedRows(
+          BlockPlan::Build(t, index, options, knowledge, one_block), prior);
+    }
+  }
+}
+
 TEST(ClosedFormStartTest, PresolvedZeroKeepsAnExactStartOnTheRowsLeft) {
   // P(s1 | q4) = 0 fixes every (q4, s1) cell; presolve drops that row
   // and shortens the QI and SA rows through those cells. The start
@@ -766,15 +905,15 @@ TEST(ClosedFormStartTest, PresolvedZeroKeepsAnExactStartOnTheRowsLeft) {
   const auto index = TermIndex::Build(t);
   const auto system = Figure1System(t, index, Figure1Knowledge(0.0));
   const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
-  const BlockPlan plan = BlockPlan::Build(index, system);
+  const BlockPlan plan = BlockPlan::Build(t, index, system).ValueOrDie();
   const PlanBlock* block = nullptr;
   for (const PlanBlock& b : plan.blocks()) {
-    if (b.rows.size() > (block == nullptr ? 0 : block->rows.size())) {
+    if (b.num_rows() > (block == nullptr ? 0 : block->num_rows())) {
       block = &b;
     }
   }
   ASSERT_NE(block, nullptr);
-  const MaxEntProblem problem = BlockProblem(*block);
+  const MaxEntProblem problem = BlockProblem(plan, *block);
   const PresolvedProblem pre = Presolve(problem).ValueOrDie();
   ASSERT_GT(pre.num_fixed, 0u);
   const std::vector<double> start = BlockStart(plan, *block, prior);
@@ -785,16 +924,13 @@ TEST(ClosedFormStartTest, PresolvedZeroKeepsAnExactStartOnTheRowsLeft) {
   const std::vector<double> grad = GradientAt(pre.reduced, reduced_start);
   size_t exact_rows = 0;
   size_t shortened_rows = 0;
-  for (size_t r = 0; r < block->rows.size(); ++r) {
-    const LinearConstraint& c = *block->rows[r];
-    if (!IsInvariant(c) || pre.row_map[r] < 0) continue;
+  const auto& offsets = problem.a.row_offsets();
+  const auto& cols = problem.a.col_indices();
+  for (size_t r = 0; r < block->num_table_rows; ++r) {
+    if (pre.row_map[r] < 0) continue;
     const bool lost_a_cell =
-        std::any_of(c.vars.begin(), c.vars.end(), [&](uint32_t var) {
-          const size_t col = static_cast<size_t>(
-              std::lower_bound(block->cols.begin(), block->cols.end(), var) -
-              block->cols.begin());
-          return pre.var_map[col] < 0;
-        });
+        std::any_of(cols.begin() + offsets[r], cols.begin() + offsets[r + 1],
+                    [&](uint32_t col) { return pre.var_map[col] < 0; });
     if (lost_a_cell) {
       ++shortened_rows;
       continue;
@@ -832,9 +968,11 @@ TEST(ClosedFormStartTest, WarmHitStartsAtTheCachedMultipliers) {
   options.solution_cache = &cache;
   ASSERT_TRUE(SolveDecomposed(t, index, seeded_system, options).ok());
 
-  BlockPlan seeded_plan = BlockPlan::Build(index, seeded_system);
+  BlockPlan seeded_plan =
+      BlockPlan::Build(t, index, seeded_system).ValueOrDie();
   seeded_plan.ConsultCache(options);
-  BlockPlan toggled_plan = BlockPlan::Build(index, toggled_system);
+  BlockPlan toggled_plan =
+      BlockPlan::Build(t, index, toggled_system).ValueOrDie();
   toggled_plan.ConsultCache(options);
   ASSERT_EQ(toggled_plan.cache_warm_hits(), 1u);
   size_t warm_blocks = 0;
@@ -845,10 +983,12 @@ TEST(ClosedFormStartTest, WarmHitStartsAtTheCachedMultipliers) {
     ++warm_blocks;
     ASSERT_NE(before.cached, nullptr);
     std::vector<double> expected = before.cached->lambda_full;
-    ASSERT_EQ(expected.size(), after.rows.size());
+    const MaxEntProblem before_problem = BlockProblem(seeded_plan, before);
+    const MaxEntProblem after_problem = BlockProblem(toggled_plan, after);
+    ASSERT_EQ(expected.size(), after_problem.a.rows());
     size_t new_rows = 0;
-    for (size_t j = 0; j < after.rows.size(); ++j) {
-      if (after.rows[j]->rhs != before.rows[j]->rhs) {
+    for (size_t j = 0; j < after_problem.a.rows(); ++j) {
+      if (after_problem.rhs[j] != before_problem.rhs[j]) {
         expected[j] = 0.0;
         ++new_rows;
       }
@@ -856,9 +996,77 @@ TEST(ClosedFormStartTest, WarmHitStartsAtTheCachedMultipliers) {
     EXPECT_EQ(new_rows, 1u);
     const std::vector<double> start = BlockStart(toggled_plan, after, prior);
     EXPECT_EQ(start, expected);
-    EXPECT_NE(start, ClosedFormDual(index, prior, after.rows));
+    EXPECT_NE(start, ClosedFormDual(toggled_plan, after, prior));
   }
   EXPECT_EQ(warm_blocks, 1u);
+}
+
+TEST(CacheIsolationTest, SameLayoutWithOtherCountsNeitherHitsNorWarms) {
+  // A second table with Figure 1's buckets, QI and SA sets — so the same
+  // variables and the same knowledge rows — but other QI counts in b1.
+  // Under one cache and one (zero) namespace its block must not be
+  // answered, or warm-started, by the first table's solve.
+  const auto first_table = pme::testing::MakeFigure1Table();
+  const auto second_table =
+      anonymize::BucketizedTable::Create(
+          {{kQ1, kS2, 0}, {kQ2, kS3, 0}, {kQ2, kS1, 0}, {kQ3, kS2, 0},
+           {kQ1, pme::testing::kS4, 1}, {kQ3, kS3, 1},
+           {pme::testing::kQ4, kS1, 1}, {kQ2, pme::testing::kS4, 2},
+           {pme::testing::kQ5, pme::testing::kS5, 2},
+           {pme::testing::kQ6, kS2, 2}})
+          .ValueOrDie();
+  const auto first_index = TermIndex::Build(first_table);
+  const auto second_index = TermIndex::Build(second_table);
+  ASSERT_EQ(first_index.num_variables(), second_index.num_variables());
+  for (uint32_t b = 0; b < first_index.num_buckets(); ++b) {
+    ASSERT_EQ(first_index.BucketRange(b), second_index.BucketRange(b));
+  }
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
+  const auto first_system = Figure1System(first_table, first_index, kb);
+  const auto second_system = Figure1System(second_table, second_index, kb);
+  ASSERT_EQ(first_system.size(), second_system.size());
+  const auto& first_rows = first_system.constraints();
+  const auto& second_rows = second_system.constraints();
+  EXPECT_EQ(constraints::ConstraintRowSignature(first_rows.back()),
+            constraints::ConstraintRowSignature(second_rows.back()));
+
+  SolutionCache cache;
+  SolverOptions options;
+  options.solution_cache = &cache;
+  ASSERT_EQ(options.cache_namespace, Hash128{});
+  ASSERT_TRUE(
+      SolveDecomposed(first_table, first_index, first_system, options).ok());
+
+  // The first table's own plan hits; the second table's does not.
+  BlockPlan again =
+      BlockPlan::Build(first_table, first_index, first_system).ValueOrDie();
+  again.ConsultCache(options);
+  EXPECT_EQ(again.cache_exact_hits(), again.blocks().size());
+  BlockPlan other =
+      BlockPlan::Build(second_table, second_index, second_system)
+          .ValueOrDie();
+  other.ConsultCache(options);
+  ASSERT_FALSE(other.blocks().empty());
+  EXPECT_EQ(other.cache_exact_hits(), 0u);
+  EXPECT_EQ(other.cache_warm_hits(), 0u);
+  for (const PlanBlock& block : other.blocks()) {
+    EXPECT_EQ(block.cached, nullptr);
+    EXPECT_TRUE(block.warm_start.empty());
+    EXPECT_NE(block.vars_key, again.blocks()[0].vars_key);
+  }
+
+  // So its solve through the shared cache is a fresh solve.
+  const auto shared =
+      SolveDecomposed(second_table, second_index, second_system, options)
+          .ValueOrDie();
+  const auto fresh =
+      SolveDecomposed(second_table, second_index, second_system, {})
+          .ValueOrDie();
+  EXPECT_EQ(shared.cache_exact_hits, 0u);
+  EXPECT_EQ(shared.cache_warm_hits, 0u);
+  EXPECT_EQ(shared.iterations, fresh.iterations);
+  EXPECT_EQ(shared.p, fresh.p);
 }
 
 // -------------------------------------------------- Solver edge cases

@@ -29,6 +29,7 @@
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/component_analysis.h"
+#include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "core/analysis_session.h"
 #include "core/experiment.h"
@@ -87,7 +88,7 @@ class SessionTest : public ::testing::Test {
                                         artifact.qi_encoder())
               .ValueOrDie();
       const maxent::BlockPlan plan = maxent::BlockPlan::Build(
-          index, &artifact.invariants(), &artifact.invariant_rows_by_bucket(),
+          artifact.table(), index, artifact.options().invariant_options,
           compiled.constraints);
       for (const maxent::PlanBlock& block : plan.blocks()) {
         if (static_cast<double>(block.cols.size()) >
@@ -248,7 +249,14 @@ TEST_F(SessionTest, ContentHashByteStableAcrossBuilds) {
   EXPECT_EQ(first->content_hash().ToHex(), second->content_hash().ToHex());
   // And the artifact itself is structurally identical.
   EXPECT_EQ(first->index().num_variables(), second->index().num_variables());
-  EXPECT_EQ(first->invariants().size(), second->invariants().size());
+  EXPECT_EQ(constraints::GenerateInvariants(
+                first->table(), first->index(),
+                first->options().invariant_options)
+                .size(),
+            constraints::GenerateInvariants(
+                second->table(), second->index(),
+                second->options().invariant_options)
+                .size());
 }
 
 // Distinct invariant options are distinct table-side systems, so the
@@ -295,10 +303,6 @@ TEST_F(SessionTest, ArtifactBuildTracesEachStageOnceInsideIt) {
     double value;
   } stages[] = {
       {"term_index", "variables", num_vars},
-      {"invariants", "rows",
-       static_cast<double>(artifact->invariants().size())},
-      {"row_index", "buckets",
-       static_cast<double>(artifact->table().num_buckets())},
       {"closed_form", "variables", num_vars},
       {"prior_posterior", "qi_values",
        static_cast<double>(artifact->table().num_qi_values())},
@@ -321,12 +325,12 @@ TEST_F(SessionTest, ArtifactBuildTracesEachStageOnceInsideIt) {
 // over the whole concatenated system, every row routed to the block of
 // its first supported variable (in the stacked layout: a pass over the
 // equality rows, then one over the others), and each block's variable
-// and row digests computed straight from that routing: the invariant
-// rows enter as one digest per bucket, the knowledge rows as their
-// sorted signatures.
+// and row digests computed straight from that routing: the buckets enter
+// by their counts, the knowledge rows by their sorted signatures.
 struct ReferenceBlock {
   std::vector<uint32_t> buckets;
   size_t num_variables = 0;
+  size_t num_table_rows = 0;
   std::vector<const constraints::LinearConstraint*> rows;
   size_t num_eq = 0;
   Hash128 vars_hash;
@@ -334,6 +338,7 @@ struct ReferenceBlock {
 };
 
 std::vector<ReferenceBlock> ReferencePlan(
+    const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
     const constraints::ConstraintSystem& system,
     const constraints::ComponentAnalysis& analysis) {
@@ -347,56 +352,49 @@ std::vector<ReferenceBlock> ReferencePlan(
     block.buckets = comp.buckets;
     block.num_variables = comp.num_variables;
     Hasher128 h;
-    h.Update(std::string_view("pme.vars.v1"));
+    h.Update(std::string_view("pme.vars.v2"));
     h.Update(static_cast<uint64_t>(index.num_variables()));
     h.Update(static_cast<uint64_t>(index.num_buckets()));
+    h.Update(static_cast<uint64_t>(table.num_records()));
+    h.Update(uint64_t{0});  // every invariant row kept
     h.Update(static_cast<uint64_t>(comp.buckets.size()));
     for (uint32_t b : comp.buckets) {
-      const auto [first, last] = index.BucketRange(b);
       h.Update(b);
-      h.Update(static_cast<uint64_t>(last - first));
+      h.Update(static_cast<uint64_t>(table.BucketQiCounts(b).size()));
+      h.Update(static_cast<uint64_t>(table.BucketSaCounts(b).size()));
+      for (const auto& run : table.BucketQiCounts(b)) h.Update(run.count);
+      for (const auto& run : table.BucketSaCounts(b)) h.Update(run.count);
     }
     block.vars_hash = h.Finish();
     blocks.push_back(std::move(block));
   }
   std::vector<std::vector<Hash128>> knowledge_sigs(blocks.size());
-  std::vector<std::vector<Hash128>> invariant_sigs(index.num_buckets());
   for (const bool equalities : {true, false}) {
     for (const auto& c : system.constraints()) {
       if ((c.rel == knowledge::Relation::kEq) != equalities) continue;
       int64_t block = -1;
-      uint32_t bucket = 0;
       for (size_t i = 0; i < c.vars.size(); ++i) {
         if (c.coefs[i] == 0.0) continue;
-        bucket = index.TermOf(c.vars[i]).bucket;
-        block = block_of[analysis.ComponentOf(bucket)];
+        block = block_of[analysis.ComponentOf(index.TermOf(c.vars[i]).bucket)];
         break;
       }
       if (block < 0) continue;
       ReferenceBlock& ref = blocks[static_cast<size_t>(block)];
-      ref.rows.push_back(&c);
-      if (equalities) ++ref.num_eq;
-      const Hash128 sig = constraints::ConstraintRowSignature(c);
       if (c.source == constraints::ConstraintSource::kQiInvariant ||
           c.source == constraints::ConstraintSource::kSaInvariant) {
-        invariant_sigs[bucket].push_back(sig);
-      } else {
-        knowledge_sigs[static_cast<size_t>(block)].push_back(sig);
+        ++ref.num_table_rows;
+        continue;
       }
+      ref.rows.push_back(&c);
+      if (equalities) ++ref.num_eq;
+      knowledge_sigs[static_cast<size_t>(block)].push_back(
+          constraints::ConstraintRowSignature(c));
     }
   }
   for (size_t i = 0; i < blocks.size(); ++i) {
     Hasher128 h;
-    h.Update(std::string_view("pme.rows.v2"));
+    h.Update(std::string_view("pme.rows.v3"));
     h.Update(blocks[i].vars_hash);
-    h.Update(static_cast<uint64_t>(blocks[i].buckets.size()));
-    for (const uint32_t b : blocks[i].buckets) {
-      Hasher128 bucket;
-      bucket.Update(std::string_view("pme.bucketrows.v1"));
-      bucket.Update(static_cast<uint64_t>(invariant_sigs[b].size()));
-      for (const Hash128& sig : invariant_sigs[b]) bucket.Update(sig);
-      h.Update(bucket.Finish());
-    }
     std::sort(knowledge_sigs[i].begin(), knowledge_sigs[i].end());
     h.Update(static_cast<uint64_t>(knowledge_sigs[i].size()));
     for (const Hash128& sig : knowledge_sigs[i]) h.Update(sig);
@@ -418,11 +416,11 @@ void ExpectSameRows(
 }
 
 // The block plan — union-find over the knowledge rows' buckets alone,
-// invariant rows pulled from the artifact's bucket index — must match the
-// whole-system partition and routing: same blocks in the same order,
-// same coupled buckets, same per-block rows in the same order, same cache
-// digests, same census. Random knowledge, with some statements turned
-// into inequalities so both row kinds route.
+// invariant rows implied by the buckets — must match the whole-system
+// partition and routing: same blocks in the same order, same coupled
+// buckets, same invariant-row count, same per-block knowledge rows in the
+// same order, same cache digests, same census. Random knowledge, with
+// some statements turned into inequalities so both row kinds route.
 TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
   const auto artifact = BuildArtifact();
   const constraints::TermIndex& index = artifact->index();
@@ -447,7 +445,7 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
             .ValueOrDie();
 
     maxent::BlockPlan plan = maxent::BlockPlan::Build(
-        index, &artifact->invariants(), &artifact->invariant_rows_by_bucket(),
+        artifact->table(), index, artifact->options().invariant_options,
         compiled.constraints);
     maxent::SolutionCache cache;
     maxent::SolverOptions options;
@@ -455,11 +453,13 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
     plan.ConsultCache(options);
 
     constraints::ConstraintSystem full(index.num_variables());
-    full.AddAll(artifact->invariants());
+    full.AddAll(constraints::GenerateInvariants(
+        artifact->table(), artifact->index(),
+        artifact->options().invariant_options));
     full.AddAll(compiled.constraints);
     const auto analysis = constraints::ComponentAnalysis::Build(index, full);
     const std::vector<ReferenceBlock> reference =
-        ReferencePlan(index, full, analysis);
+        ReferencePlan(artifact->table(), index, full, analysis);
 
     EXPECT_EQ(plan.num_components(), analysis.num_components());
     ASSERT_EQ(plan.blocks().size(), reference.size());
@@ -469,6 +469,7 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
       const maxent::PlanBlock& block = plan.blocks()[i];
       EXPECT_EQ(block.buckets, reference[i].buckets);
       EXPECT_EQ(block.cols.size(), reference[i].num_variables);
+      EXPECT_EQ(block.num_table_rows, reference[i].num_table_rows);
       ExpectSameRows(block.rows, reference[i].rows);
       EXPECT_EQ(block.num_eq, reference[i].num_eq);
       EXPECT_EQ(block.vars_hash, reference[i].vars_hash);
@@ -628,8 +629,8 @@ TEST_F(SessionTest, DominantBlockToggleIsNotWarmStarted) {
                                     artifact->index(), artifact->qi_encoder())
           .ValueOrDie();
   maxent::BlockPlan plan = maxent::BlockPlan::Build(
-      artifact->index(), &artifact->invariants(),
-      &artifact->invariant_rows_by_bucket(), compiled.constraints);
+      artifact->table(), artifact->index(),
+      artifact->options().invariant_options, compiled.constraints);
   maxent::SolverOptions lookup = options.solver_options;
   lookup.cache_namespace = artifact->content_hash();
   plan.ConsultCache(lookup);
@@ -656,6 +657,56 @@ TEST_F(SessionTest, DominantBlockToggleIsNotWarmStarted) {
   ExpectSamePosterior(warm.posterior, fresh.posterior);
 }
 
+// An artifact built without Theorem 3's redundant rows plans blocks
+// without them, and its session lands on the MaxEnt solution of the
+// whole concise system.
+TEST_F(SessionTest, ConciseArtifactSessionMatchesItsWholeSystemSolve) {
+  TableArtifactOptions concise;
+  concise.invariant_options.drop_redundant_row = true;
+  const auto artifact =
+      TableArtifact::BuildBorrowed(pipeline_->bucketization.table,
+                                   &pipeline_->bucketization.qi_encoder,
+                                   concise)
+          .ValueOrDie();
+  const knowledge::KnowledgeBase kb = RuleKb(6, 6);
+  // The tolerance bounds each row's violation in mass and a posterior
+  // divides by P(q): both solves run tight, so their answers agree to
+  // 1e-8 in posterior units too.
+  AnalysisOptions options;
+  options.solver_options.tolerance = 1e-12;
+  const auto analysis =
+      AnalysisSession(artifact, options).Run(kb).ValueOrDie();
+  ASSERT_TRUE(analysis.solver.converged);
+  ASSERT_FALSE(analysis.solver.degraded);
+
+  const auto invariants = constraints::GenerateInvariants(
+      artifact->table(), artifact->index(), concise.invariant_options);
+  EXPECT_EQ(analysis.num_invariant_constraints, invariants.size());
+  constraints::ConstraintSystem system(artifact->index().num_variables());
+  system.AddAll(invariants);
+  system.AddAll(constraints::CompileKnowledge(kb, artifact->table(),
+                                              artifact->index(),
+                                              artifact->qi_encoder())
+                    .ValueOrDie()
+                    .constraints);
+  const auto whole = maxent::Solve(maxent::BuildProblem(system).ValueOrDie(),
+                                   options.solver_options)
+                         .ValueOrDie();
+  ASSERT_TRUE(whole.converged);
+  const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
+  ASSERT_EQ(joint.size(), whole.p.size());
+  double worst = 0.0;
+  for (size_t i = 0; i < joint.size(); ++i) {
+    worst = std::max(worst, std::fabs(joint[i] - whole.p[i]));
+  }
+  EXPECT_LE(worst, 1e-8);
+  EXPECT_LE(MaxPosteriorDiff(analysis.posterior,
+                             PosteriorTable::FromSolution(
+                                 artifact->table(), artifact->index(),
+                                 whole.p)),
+            1e-8);
+}
+
 // Without the decomposition a request is one block over every bucket:
 // identity columns and BuildProblem's rows in BuildProblem's order, so
 // its joint, posterior and metrics are those of Solve on the whole
@@ -675,11 +726,13 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
                                     artifact->qi_encoder())
           .ValueOrDie();
   constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(artifact->invariants());
+  system.AddAll(constraints::GenerateInvariants(
+      artifact->table(), artifact->index(),
+      artifact->options().invariant_options));
   system.AddAll(compiled.constraints);
 
   const maxent::BlockPlan plan = maxent::BlockPlan::Build(
-      index, &artifact->invariants(), &artifact->invariant_rows_by_bucket(),
+      artifact->table(), index, artifact->options().invariant_options,
       compiled.constraints, /*one_block=*/true);
   ASSERT_EQ(plan.blocks().size(), 1u);
   EXPECT_EQ(plan.num_components(), 1u);
@@ -690,16 +743,14 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   std::iota(all_vars.begin(), all_vars.end(), 0u);
   EXPECT_EQ(block.buckets, all_buckets);
   EXPECT_EQ(block.cols, all_vars);
-  std::vector<const constraints::LinearConstraint*> rows;
-  for (const auto& c : system.constraints()) {
-    if (c.rel == knowledge::Relation::kEq) rows.push_back(&c);
-  }
-  const size_t num_eq = rows.size();
-  for (const auto& c : system.constraints()) {
-    if (c.rel != knowledge::Relation::kEq) rows.push_back(&c);
-  }
-  ExpectSameRows(block.rows, rows);
-  EXPECT_EQ(block.num_eq, num_eq);
+  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto block_problem =
+      maxent::AssembleBlock(plan, block).ValueOrDie();
+  EXPECT_EQ(block_problem.num_eq, problem.num_eq);
+  EXPECT_EQ(block_problem.rhs, problem.rhs);
+  EXPECT_EQ(block_problem.a.row_offsets(), problem.a.row_offsets());
+  EXPECT_EQ(block_problem.a.col_indices(), problem.a.col_indices());
+  EXPECT_EQ(block_problem.a.values(), problem.a.values());
 
   // Bit-exact at whatever iterate a short budget reaches, as for a plain
   // Solve.
@@ -707,11 +758,10 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   options.use_decomposition = false;
   options.solver_options.max_iterations = 300;
   const auto analysis = AnalysisSession(artifact, options).Run(kb).ValueOrDie();
-  const auto problem = maxent::BuildProblem(system).ValueOrDie();
   // The one block starts at the closed form's dual; so does the whole
   // system, through the same function.
   const std::vector<double> start =
-      maxent::ClosedFormDual(index, artifact->closed_form_prior(), rows);
+      maxent::ClosedFormDual(plan, block, artifact->closed_form_prior());
   maxent::SolverOptions whole_options = options.solver_options;
   whole_options.warm_start = &start;
   const auto whole = maxent::Solve(problem, whole_options).ValueOrDie();
@@ -972,7 +1022,11 @@ TEST_F(SessionTest, ExactReRunHitsTheMemoAndHashesNoTableRow) {
   EXPECT_EQ(memo_hits, static_cast<double>(kb.conditionals().size()));
   EXPECT_EQ(rows_hashed,
             static_cast<double>(again.value().num_background_constraints));
-  EXPECT_LT(rows_hashed, static_cast<double>(artifact->invariants().size()));
+  EXPECT_LT(rows_hashed,
+            static_cast<double>(constraints::GenerateInvariants(
+                                    artifact->table(), artifact->index(),
+                                    artifact->options().invariant_options)
+                                    .size()));
 
   EXPECT_EQ(again.value().solver.cache_misses, 0u);
   EXPECT_EQ(again.value().solver.iterations, 0u);
@@ -1024,8 +1078,8 @@ TEST_F(SessionTest, MultiChunkBlockIsBitIdenticalAcrossThreadCounts) {
     // Every solved block is in the cache now: its exact hit carries the
     // multipliers and the joint the solve produced.
     maxent::BlockPlan plan = maxent::BlockPlan::Build(
-        artifact->index(), &artifact->invariants(),
-        &artifact->invariant_rows_by_bucket(), compiled.constraints);
+        artifact->table(), artifact->index(),
+        artifact->options().invariant_options, compiled.constraints);
     maxent::SolverOptions lookup = options.solver_options;
     lookup.cache_namespace = artifact->content_hash();
     plan.ConsultCache(lookup);
@@ -1037,7 +1091,10 @@ TEST_F(SessionTest, MultiChunkBlockIsBitIdenticalAcrossThreadCounts) {
       }
     }
     EXPECT_GT(plan.blocks()[largest].cols.size(), 2 * kTeamChunk);
-    EXPECT_GT(plan.blocks()[largest].rows.size(), 2 * kTeamChunk);
+    EXPECT_GT(maxent::AssembleBlock(plan, plan.blocks()[largest])
+                  .ValueOrDie()
+                  .a.rows(),
+              2 * kTeamChunk);
     for (const trace::TraceEvent& e : capture.TakeEvents()) {
       if (std::strcmp(e.name, "solve_block") != 0) continue;
       for (size_t a = 0; a < trace::TraceEvent::kMaxArgs; ++a) {

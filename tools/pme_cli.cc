@@ -248,14 +248,12 @@ int RunAnalyze(const pme::Flags& flags) {
     options.solver_options.solution_cache = &cache;
   }
 
-  // Build the immutable table artifact once — TermIndex, invariants,
-  // component base — and run every round as a session against it, so
-  // --repeat measures exactly the per-request cost an artifact-holding
-  // server pays.
-  pme::core::TableArtifactOptions artifact_options;
-  artifact_options.invariant_options = options.invariant_options;
+  // Build the immutable table artifact once — TermIndex, closed-form
+  // prior and its posterior — and run every round as a session against
+  // it, so --repeat measures exactly the per-request cost an
+  // artifact-holding server pays.
   auto artifact = pme::core::TableArtifact::BuildBorrowed(
-      bz.value().table, &bz.value().qi_encoder, artifact_options);
+      bz.value().table, &bz.value().qi_encoder);
   if (!artifact.ok()) return Fail(artifact.status());
   const pme::core::AnalysisSession session(artifact.value(), options);
 
