@@ -17,7 +17,7 @@
 //
 // Expected outcome: exact re-runs are >=10x faster than cold; the toggled
 // re-run spends fewer solver iterations than its cold equivalent, which
-// itself starts at the closed form's dual (at 2,500 records: 7.9x, 3.2x
+// itself starts at the closed form's dual (at 2,500 records: 7.9x, 5.4x
 // and 1.0x at K=16/64/256, where one block dominates the table and is
 // never warm-started); posteriors agree to solver tolerance either way.
 // --json=PATH records the series (BENCH_incremental.json commits the

@@ -28,9 +28,9 @@ struct TraceEvent {
   uint64_t dur_ns = 0;
   uint32_t tid = 0;        ///< small dense thread id
   /// Up to kMaxArgs numeric args, exported under Chrome trace "args".
-  static constexpr size_t kMaxArgs = 3;
-  const char* arg_names[kMaxArgs] = {nullptr, nullptr, nullptr};
-  double arg_values[kMaxArgs] = {0.0, 0.0, 0.0};
+  static constexpr size_t kMaxArgs = 6;
+  const char* arg_names[kMaxArgs] = {};
+  double arg_values[kMaxArgs] = {};
 };
 
 /// Monotonic nanoseconds since the process trace epoch (first use).

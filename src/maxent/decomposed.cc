@@ -332,6 +332,14 @@ Result<SolverResult> SolveDecomposed(
           return Solve(sub, block_options, &team);
         };
         block_results[i] = solve_block();
+        if (block_results[i]->ok()) {
+          const SolverResult& solved = block_results[i]->value();
+          block_span.AddArg("iterations",
+                            static_cast<double>(solved.iterations));
+          block_span.AddArg("evaluations",
+                            static_cast<double>(solved.evaluations));
+          block_span.AddArg("converged", solved.converged ? 1.0 : 0.0);
+        }
         block_seconds[i] = block_timer.ElapsedSeconds();
       };
   // A shared pool (the serving path) hosts the tasks as one batch —

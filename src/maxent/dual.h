@@ -57,6 +57,8 @@ class DualFunction {
   size_t dim() const { return b_.size; }
   /// Primal dimension n (number of probability terms).
   size_t num_vars() const { return a_->cols(); }
+  /// The right-hand side b (size m).
+  kernels::ConstSpan b() const { return b_; }
   /// The team every evaluation runs on; the minimizers run their vector
   /// algebra on it too.
   Team& team() const { return *team_; }

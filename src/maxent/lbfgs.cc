@@ -62,13 +62,15 @@ struct Box {
 
 /// One team pass of the two-loop recursion over `direction`, chunk by
 /// chunk: copy `copy_from` in (when non-null), add coef·x (when x is
-/// non-null), scale by `scale`, zero the coordinates `freeze` holds
-/// active (when non-null), and return the chunked Dot(dot_with,
-/// direction). Fusing each Axpy with the Dot that follows it saves a
-/// pass over the direction; the arithmetic is the unfused sequence's.
+/// non-null), scale by `scale` — times `scale_by` element-wise when that
+/// is non-null — zero the coordinates `freeze` holds active (when
+/// non-null), and return the chunked Dot(dot_with, direction). Fusing
+/// each Axpy with the Dot that follows it saves a pass over the
+/// direction; the arithmetic is the unfused sequence's.
 double FusedPass(Team& team, std::vector<double>& direction,
                  const std::vector<double>* copy_from, double coef,
                  const std::vector<double>* x, double scale,
+                 const std::vector<double>* scale_by,
                  const std::vector<double>& dot_with,
                  const Box* freeze = nullptr) {
   return team.Sum(direction.size(), [&](size_t b, size_t e) {
@@ -77,22 +79,24 @@ double FusedPass(Team& team, std::vector<double>& direction,
       std::memcpy(d.data, copy_from->data() + b, (e - b) * sizeof(double));
     }
     if (x != nullptr) kernels::Axpy(coef, Slice(*x, b, e), d);
-    if (scale != 1.0) kernels::Scale(d, scale);
+    if (scale_by != nullptr) {
+      for (size_t j = b; j < e; ++j) direction[j] *= scale * (*scale_by)[j];
+    } else if (scale != 1.0) {
+      kernels::Scale(d, scale);
+    }
     if (freeze != nullptr) freeze->Freeze(direction, b, e);
     return kernels::Dot(Slice(dot_with, b, e), d);
   });
 }
 
 /// direction = −grad on the free coordinates (0 on the active ones);
-/// returns the chunked Σ direction² — the free part of Σ grad² — by
-/// `sum_squares` (kernels::SumSquares) or, otherwise, by kernels::Dot.
+/// returns the chunked Σ direction², the free part of Σ grad².
 double SteepestDescent(Team& team, const Box& box,
-                       std::vector<double>& direction, bool sum_squares) {
+                       std::vector<double>& direction) {
   return team.Sum(box.grad.size(), [&](size_t b, size_t e) {
     for (size_t j = b; j < e; ++j) direction[j] = -box.grad[j];
     box.Freeze(direction, b, e);
-    const kernels::ConstSpan d = Slice(direction, b, e);
-    return sum_squares ? kernels::SumSquares(d) : kernels::Dot(d, d);
+    return kernels::SumSquares(Slice(direction, b, e));
   });
 }
 
@@ -205,20 +209,45 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
     grad.assign(m, std::numeric_limits<double>::quiet_NaN());
   }
 
-  // Correction-pair history for the two-loop recursion, and sᵀy, yᵀy of
-  // the newest pair (the initial Hessian scale).
+  // After an accepted step the scratch buffers hold the previous iterate
+  // and gradient (Backtrack swaps them out).
+  std::vector<double> direction(m), scratch_lambda(m), scratch_grad(m);
+
+  // The initial Hessian is diagonal, H₀ = γ·D⁻¹ with D_j the row's
+  // curvature (RowCurvature) at the current gradient, so an invariant row
+  // (curvature ~1/N) and a knowledge row (curvature P(Q_v)) each take a
+  // step in their own units. D⁻¹ is refreshed from every new gradient.
+  // It lives in scratch_grad: the history update reads the previous
+  // gradient there and overwrites it element by element with D⁻¹, which
+  // the next two-loop recursion reads before the line search reuses the
+  // buffer for its probes.
+  const kernels::ConstSpan rhs = dual.b();
+  std::vector<double>& inv_curvature = scratch_grad;
+  const auto refresh_scale = [&] {
+    team.ForChunks(m, [&](size_t b, size_t e) {
+      for (size_t j = b; j < e; ++j) {
+        inv_curvature[j] = 1.0 / RowCurvature(grad[j], rhs[j]);
+      }
+    });
+  };
+  refresh_scale();
+  // direction = −P D⁻¹ grad; returns directionᵀgrad.
+  const auto scaled_descent = [&] {
+    return FusedPass(team, direction, &grad, 0.0, nullptr, -1.0,
+                     &inv_curvature, grad, &box);
+  };
+
+  // Correction-pair history for the two-loop recursion, and sᵀy, yᵀD⁻¹y
+  // of the newest pair (γ = their ratio).
   std::deque<std::vector<double>> s_hist, y_hist;
   std::deque<double> rho_hist;
-  double newest_sy = 0.0, newest_yy = 0.0;
+  double newest_sy = 0.0, newest_ydy = 0.0;
   const auto clear_history = [&] {
     s_hist.clear();
     y_hist.clear();
     rho_hist.clear();
   };
 
-  // After an accepted step the scratch buffers hold the previous iterate
-  // and gradient (Backtrack swaps them out).
-  std::vector<double> direction(m), scratch_lambda(m), scratch_grad(m);
   std::vector<double> alpha(kHistory, 0.0);
   // Retired history buffers, recycled so steady state allocates nothing.
   std::vector<double> s_spare, y_spare;
@@ -250,41 +279,41 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
     // −P H_k P grad, P zeroing the active ones, one fused team pass per
     // Axpy-then-Dot. With h pairs:
     //   direction = P grad;  α_i = ρ_i s_iᵀd,  d −= α_i y_i  (i = h-1..0)
-    //   d *= γ = sᵀy / yᵀy of the newest pair
+    //   d = γ·D⁻¹ d,  γ = sᵀy / yᵀD⁻¹y of the newest pair
     //   β_i = ρ_i y_iᵀd,  d += (α_i − β_i) s_i  (i = 0..h-1);  d = −P d.
+    // With no pairs it is scaled_descent, −P D⁻¹ grad.
     const size_t h = s_hist.size();
     double dir_dot_grad = 0.0;
     if (h == 0) {
-      dir_dot_grad =
-          FusedPass(team, direction, &grad, 0.0, nullptr, -1.0, grad, &box);
+      dir_dot_grad = scaled_descent();
     } else {
       alpha[h - 1] =
           rho_hist[h - 1] * FusedPass(team, direction, &grad, 0.0, nullptr,
-                                      1.0, s_hist[h - 1], &box);
+                                      1.0, nullptr, s_hist[h - 1], &box);
       for (size_t i = h - 1; i > 0; --i) {
-        alpha[i - 1] =
-            rho_hist[i - 1] * FusedPass(team, direction, nullptr, -alpha[i],
-                                        &y_hist[i], 1.0, s_hist[i - 1]);
+        alpha[i - 1] = rho_hist[i - 1] *
+                       FusedPass(team, direction, nullptr, -alpha[i],
+                                 &y_hist[i], 1.0, nullptr, s_hist[i - 1]);
       }
-      // Initial Hessian scale gamma = sᵀy / yᵀy (Nocedal's choice).
-      const double gamma = newest_sy / newest_yy;
+      const double gamma = newest_sy / newest_ydy;
       double beta = rho_hist[0] * FusedPass(team, direction, nullptr,
                                             -alpha[0], &y_hist[0], gamma,
-                                            y_hist[0]);
+                                            &inv_curvature, y_hist[0]);
       for (size_t i = 0; i + 1 < h; ++i) {
         beta = rho_hist[i + 1] * FusedPass(team, direction, nullptr,
                                            alpha[i] - beta, &s_hist[i], 1.0,
-                                           y_hist[i + 1]);
+                                           nullptr, y_hist[i + 1]);
       }
-      dir_dot_grad = FusedPass(team, direction, nullptr, alpha[h - 1] - beta,
-                               &s_hist[h - 1], -1.0, grad, &box);
+      dir_dot_grad =
+          FusedPass(team, direction, nullptr, alpha[h - 1] - beta,
+                    &s_hist[h - 1], -1.0, nullptr, grad, &box);
     }
 
     if (dir_dot_grad >= 0.0) {
-      // Stale curvature produced an ascent direction: restart from
-      // steepest descent.
+      // Stale curvature produced an ascent direction: drop the memory and
+      // take the scaled steepest-descent step.
       clear_history();
-      dir_dot_grad = -SteepestDescent(team, box, direction, false);
+      dir_dot_grad = scaled_descent();
     }
 
     const double prev_value = value;
@@ -293,11 +322,10 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
                               &scratch_grad, &ws, &out.line_search_probes);
     if (!accepted && !s_hist.empty()) {
       // The quasi-Newton direction may be badly scaled (near-degenerate
-      // curvature); drop the memory and retry along the raw gradient with
-      // a conservatively normalized first step.
+      // curvature); drop the memory and retry along the raw gradient, not
+      // the D-scaled one, with a conservatively normalized first step.
       clear_history();
-      const double gnorm =
-          std::sqrt(SteepestDescent(team, box, direction, true));
+      const double gnorm = std::sqrt(SteepestDescent(team, box, direction));
       accepted = Backtrack(dual, num_eq, direction, -gnorm * gnorm,
                            1.0 / std::max(1.0, gnorm), &out.lambda, &value,
                            &grad, &scratch_lambda, &scratch_grad, &ws,
@@ -324,7 +352,9 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
         stall.Reset();
         clear_history();
         // Skip the history update below: pushing the stalled step's noise
-        // (s, y) pair would undo the restart before it begins.
+        // (s, y) pair would undo the restart before it begins. D still
+        // follows the new gradient.
+        refresh_scale();
         out.iterations = iter + 1;
         continue;
       }
@@ -337,29 +367,33 @@ Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
     }
 
     // Update history with the accepted move, recycling retired buffers:
-    // s, y and their sᵀy, ‖s‖², ‖y‖², yᵀy in one team pass.
+    // s, y, D⁻¹ at the new gradient, and sᵀy, ‖s‖², ‖y‖², yᵀD⁻¹y in one
+    // team pass.
     std::vector<double> s = std::move(s_spare);
     std::vector<double> y = std::move(y_spare);
     s.resize(m);
     y.resize(m);
-    const auto [sy, s_sq, y_sq, yy] =
+    const auto [sy, s_sq, y_sq, ydy] =
         team.SumChunks<4>(m, [&](size_t b, size_t e) {
+          double ydy_chunk = 0.0;
           for (size_t j = b; j < e; ++j) {
             s[j] = out.lambda[j] - scratch_lambda[j];
             y[j] = grad[j] - scratch_grad[j];
+            inv_curvature[j] = 1.0 / RowCurvature(grad[j], rhs[j]);
+            ydy_chunk += y[j] * y[j] * inv_curvature[j];
           }
           const kernels::ConstSpan sc = Slice(s, b, e);
           const kernels::ConstSpan yc = Slice(y, b, e);
-          return std::array<double, 4>{
-              kernels::Dot(sc, yc), kernels::SumSquares(sc),
-              kernels::SumSquares(yc), kernels::Dot(yc, yc)};
+          return std::array<double, 4>{kernels::Dot(sc, yc),
+                                       kernels::SumSquares(sc),
+                                       kernels::SumSquares(yc), ydy_chunk};
         });
     if (sy > 1e-12 * std::sqrt(s_sq) * std::sqrt(y_sq)) {
       s_hist.push_back(std::move(s));
       y_hist.push_back(std::move(y));
       rho_hist.push_back(1.0 / sy);
       newest_sy = sy;
-      newest_yy = yy;
+      newest_ydy = ydy;
       if (s_hist.size() > kHistory) {
         s_spare = std::move(s_hist.front());
         y_spare = std::move(y_hist.front());

@@ -111,6 +111,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
     GetDualMetrics().line_search_probes->Add(outcome.line_search_probes);
     if (outcome.stalled) GetDualMetrics().stall_exits->Add();
     result.iterations = outcome.iterations;
+    result.evaluations = dual.evaluations();
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;
     result.termination = outcome.stop;

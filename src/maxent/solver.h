@@ -177,6 +177,9 @@ struct SolverResult {
   std::shared_ptr<const std::vector<double>> prior;
   /// Dual iterations actually performed.
   size_t iterations = 0;
+  /// Dual evaluations, line-search probes and the final primal included
+  /// (plain Solve only).
+  size_t evaluations = 0;
   /// Final dual objective value (reduced problem).
   double dual_value = 0.0;
   /// Worst constraint violation at the returned solution.

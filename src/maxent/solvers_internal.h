@@ -6,8 +6,10 @@
 #ifndef PME_MAXENT_SOLVERS_INTERNAL_H_
 #define PME_MAXENT_SOLVERS_INTERNAL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "common/deadline.h"
@@ -56,6 +58,20 @@ class StallDetector {
   size_t stalled_ = 0;
 };
 
+/// The minimizer's per-row scale: D_j = max(|(A p)_j|, |b_j|), with
+/// (A p)_j = g_j + b_j read off the gradient g = A p − b. Every row the
+/// system builds has coefficients all +1 (invariant and knowledge rows)
+/// or all −1 (a negated >= row), so |(A p)_j| = Σ_i a_ji² p_i, the dual
+/// Hessian's diagonal entry: D_j is the row's curvature wherever that
+/// exceeds |b_j|, which floors it where the row's mass has collapsed. On
+/// a row with other coefficients D_j is only some positive weight, which
+/// still yields a descent direction. A row with b_j = 0 and no mass falls
+/// back to the least normal double, so 1 / D_j stays finite.
+inline double RowCurvature(double grad_j, double b_j) {
+  return std::max({std::fabs(grad_j + b_j), std::fabs(b_j),
+                   std::numeric_limits<double>::min()});
+}
+
 /// Result of minimizing the dual.
 struct DualOutcome {
   std::vector<double> lambda;
@@ -81,10 +97,11 @@ struct DualOutcome {
 /// rows, stay λ_j ≤ 0 (the Kazama–Tsujii sign condition). The start is
 /// projected into that box; each iteration freezes the tail coordinates
 /// on the bound whose gradient points outward, runs the two-loop
-/// recursion on the rest, and backtracks along the projected path. With
-/// num_eq == dual.dim() it is plain LBFGS. Starts from `start`
-/// (dual.dim() finite entries — Solve passes zeros or the mapped
-/// SolverOptions::warm_start) and returns its best iterate.
+/// recursion on the rest with the diagonal initial Hessian γ·D⁻¹
+/// (D from RowCurvature at the current gradient), and backtracks along
+/// the projected path. With num_eq == dual.dim() it is plain LBFGS.
+/// Starts from `start` (dual.dim() finite entries — Solve passes zeros
+/// or the mapped SolverOptions::warm_start) and returns its best iterate.
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual, size_t num_eq,
                                   std::vector<double> start,
                                   const SolverOptions& options);

@@ -25,6 +25,7 @@
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
+#include "maxent/solvers_internal.h"
 #include "tests/test_util.h"
 
 namespace pme::maxent {
@@ -150,6 +151,63 @@ TEST(DualFunctionTest, PrimalIsExpOfDualCombination) {
   auto p = dual.Primal({2.0});
   EXPECT_NEAR(p[0], std::exp(1.0), 1e-12);
   EXPECT_NEAR(p[1], std::exp(1.0), 1e-12);
+}
+
+TEST(DualFunctionTest, RowCurvatureIsTheHessianDiagonalOnUnitRows) {
+  // A stacked problem: equality rows p0 + p1 + p2 = 0.3 and p5 = 0, then
+  // the ≤ rows −p2 − p3 ≤ −0.1 (a negated >= row), 0.5 p1 + 2 p4 ≤ 0.4
+  // (non-unit coefficients) and p5 ≤ 0.25. At the λ below p5 is near the
+  // least normal double, so the last row's mass is gone and |b| = 0.25
+  // floors its scale, and the p5 = 0 row has neither mass nor rhs.
+  ConstraintSystem system(6);
+  system.Add(Eq({0, 1, 2}, 0.3));
+  system.Add(Eq({5}, 0.0));
+  LinearConstraint ge;
+  ge.vars = {2, 3};
+  ge.coefs = {1.0, 1.0};
+  ge.rel = Relation::kGe;
+  ge.rhs = 0.1;
+  system.Add(ge);
+  LinearConstraint mixed;
+  mixed.vars = {1, 4};
+  mixed.coefs = {0.5, 2.0};
+  mixed.rel = Relation::kLe;
+  mixed.rhs = 0.4;
+  system.Add(mixed);
+  LinearConstraint collapsed;
+  collapsed.vars = {5};
+  collapsed.coefs = {1.0};
+  collapsed.rel = Relation::kLe;
+  collapsed.rhs = 0.25;
+  system.Add(collapsed);
+  const MaxEntProblem problem = BuildProblem(system).ValueOrDie();
+  ASSERT_EQ(problem.num_eq, 2u);
+  ASSERT_EQ(problem.rhs, (std::vector<double>{0.3, 0.0, -0.1, 0.4, 0.25}));
+
+  DualFunction dual(&problem.a, problem.rhs);
+  const std::vector<double> lambda = {0.4, -400.0, -0.3, -0.2, -400.0};
+  std::vector<double> grad, p;
+  dual.Evaluate(lambda, &grad, &p);
+  ASSERT_LT(p[5], 1e-300);
+
+  std::vector<double> curvature(problem.a.rows());
+  for (size_t j = 0; j < curvature.size(); ++j) {
+    curvature[j] = internal::RowCurvature(grad[j], problem.rhs[j]);
+    EXPECT_GT(curvature[j], 0.0) << "row " << j;
+    EXPECT_TRUE(std::isfinite(1.0 / curvature[j])) << "row " << j;
+  }
+  // The ±1 rows: D is diag(A·diag(p)·Aᵀ), here above |b|.
+  for (size_t j : {size_t{0}, size_t{2}}) {
+    double hessian = 0.0;
+    for (size_t i = 0; i < p.size(); ++i) {
+      hessian += problem.a.At(j, i) * problem.a.At(j, i) * p[i];
+    }
+    ASSERT_GT(hessian, std::fabs(problem.rhs[j]));
+    EXPECT_LE(std::fabs(curvature[j] - hessian), 1e-15 * hessian)
+        << "row " << j;
+  }
+  EXPECT_EQ(curvature[4], 0.25);
+  EXPECT_LT(curvature[1], 1e-300);
 }
 
 // -------------------------------------------------------------- Presolve

@@ -1035,100 +1035,184 @@ TEST_F(SessionTest, ExactReRunHitsTheMemoAndHashesNoTableRow) {
   EXPECT_EQ(cold.metrics.max_disclosure, again.value().metrics.max_disclosure);
 }
 
+// The paper-size table (14,210 records), built once for the multi-chunk
+// tests below.
+const ExperimentPipeline& PaperPipeline() {
+  static const ExperimentPipeline* const pipeline = [] {
+    PipelineOptions options = SmallPipeline();
+    options.data.num_records = 14210;
+    return new ExperimentPipeline(BuildPipeline(options).ValueOrDie());
+  }();
+  return *pipeline;
+}
+
+// The value of `e`'s arg `name`, NaN when it has none.
+double SpanArg(const trace::TraceEvent& e, const char* name) {
+  for (size_t a = 0; a < trace::TraceEvent::kMaxArgs; ++a) {
+    if (e.arg_names[a] != nullptr && std::strcmp(e.arg_names[a], name) == 0) {
+      return e.arg_values[a];
+    }
+  }
+  return std::nan("");
+}
+
+// One traced session over `kb` at `threads` threads on a fresh solution
+// cache.
+struct TracedRun {
+  Analysis analysis;
+  // Every block's cached solution, in plan order: the multipliers, joint
+  // and iteration count its solve produced.
+  std::vector<std::shared_ptr<const maxent::CachedComponentSolution>> blocks;
+  // The block with the most variables, its plan entry and its
+  // solve_block span.
+  size_t largest = 0;
+  maxent::PlanBlock largest_block;
+  trace::TraceEvent largest_span;
+};
+
+TracedRun RunTraced(const std::shared_ptr<const TableArtifact>& artifact,
+                    const knowledge::KnowledgeBase& kb, size_t threads) {
+  maxent::SolutionCache cache;
+  AnalysisOptions options;
+  options.solver_options.threads = threads;
+  options.solver_options.solution_cache = &cache;
+  const uint64_t trace_id = trace::NewTraceId();
+  trace::RequestCapture capture(trace_id);
+  Result<Analysis> analysis = Status::Internal("not run");
+  {
+    trace::TraceIdScope scope(trace_id);
+    analysis = AnalysisSession(artifact, options).Run(kb);
+  }
+  TracedRun out{std::move(analysis).value(), {}, 0, {}, {}};
+  // Every solved block is in the cache now: its exact hit carries the
+  // multipliers and the joint the solve produced.
+  const auto compiled =
+      constraints::CompileKnowledge(kb, artifact->table(), artifact->index(),
+                                    artifact->qi_encoder())
+          .ValueOrDie();
+  maxent::BlockPlan plan = maxent::BlockPlan::Build(
+      artifact->table(), artifact->index(),
+      artifact->options().invariant_options, compiled.constraints);
+  maxent::SolverOptions lookup = options.solver_options;
+  lookup.cache_namespace = artifact->content_hash();
+  plan.ConsultCache(lookup);
+  for (size_t i = 0; i < plan.blocks().size(); ++i) {
+    out.blocks.push_back(plan.blocks()[i].cached);
+    if (plan.blocks()[i].cols.size() >
+        plan.blocks()[out.largest].cols.size()) {
+      out.largest = i;
+    }
+  }
+  out.largest_block = plan.blocks()[out.largest];
+  EXPECT_GT(out.largest_block.cols.size(), 2 * kTeamChunk);
+  EXPECT_GT(
+      maxent::AssembleBlock(plan, out.largest_block).ValueOrDie().a.rows(),
+      2 * kTeamChunk);
+  for (const trace::TraceEvent& e : capture.TakeEvents()) {
+    if (std::strcmp(e.name, "solve_block") == 0 &&
+        SpanArg(e, "block") == static_cast<double>(out.largest)) {
+      out.largest_span = e;
+    }
+  }
+  EXPECT_NE(out.largest_span.name, nullptr);
+  return out;
+}
+
+// Same bits in every block's multipliers, joint, iteration count and dual
+// value, and in the metrics (the fixture's ExpectSamePosterior compares
+// the posteriors).
+void ExpectSameRun(const TracedRun& a, const TracedRun& b) {
+  EXPECT_EQ(a.analysis.solver.iterations, b.analysis.solver.iterations);
+  ASSERT_EQ(a.blocks.size(), b.blocks.size());
+  for (size_t i = 0; i < a.blocks.size(); ++i) {
+    ASSERT_NE(a.blocks[i], nullptr) << i;
+    ASSERT_NE(b.blocks[i], nullptr) << i;
+    EXPECT_EQ(a.blocks[i]->lambda_full, b.blocks[i]->lambda_full) << i;
+    EXPECT_EQ(a.blocks[i]->p, b.blocks[i]->p) << i;
+    EXPECT_EQ(a.blocks[i]->iterations, b.blocks[i]->iterations) << i;
+    EXPECT_EQ(a.blocks[i]->dual_value, b.blocks[i]->dual_value) << i;
+  }
+  EXPECT_EQ(a.analysis.estimation_accuracy, b.analysis.estimation_accuracy);
+  EXPECT_EQ(a.analysis.metrics.max_disclosure,
+            b.analysis.metrics.max_disclosure);
+}
+
 // A block spanning many chunks — the paper-size table under 64 mined
 // two-attribute rules — solves on a team of the spare threads, and its
 // multipliers, joint, iteration count and posterior are the same bits at
 // 1, 2 and 3 threads.
 TEST_F(SessionTest, MultiChunkBlockIsBitIdenticalAcrossThreadCounts) {
-  PipelineOptions pipeline_options = SmallPipeline();
-  pipeline_options.data.num_records = 14210;
-  const ExperimentPipeline pipeline =
-      BuildPipeline(pipeline_options).ValueOrDie();
   knowledge::KnowledgeBase kb;
-  kb.AddRules(knowledge::TopK(pipeline.rules, 64, 0));
+  kb.AddRules(knowledge::TopK(PaperPipeline().rules, 64, 0));
   ASSERT_EQ(kb.size(), 64u);
   const auto artifact =
-      TableArtifact::BuildBorrowed(pipeline.bucketization.table,
-                                   &pipeline.bucketization.qi_encoder)
-          .ValueOrDie();
-  const auto compiled =
-      constraints::CompileKnowledge(kb, artifact->table(), artifact->index(),
-                                    artifact->qi_encoder())
+      TableArtifact::BuildBorrowed(PaperPipeline().bucketization.table,
+                                   &PaperPipeline().bucketization.qi_encoder)
           .ValueOrDie();
 
-  struct Run {
-    Analysis analysis;
-    std::vector<std::shared_ptr<const maxent::CachedComponentSolution>>
-        blocks;
-    double largest_team = 0.0;
-  };
-  const auto run = [&](size_t threads) {
-    maxent::SolutionCache cache;
-    AnalysisOptions options;
-    options.solver_options.threads = threads;
-    options.solver_options.solution_cache = &cache;
-    const uint64_t trace_id = trace::NewTraceId();
-    trace::RequestCapture capture(trace_id);
-    Result<Analysis> analysis = Status::Internal("not run");
-    {
-      trace::TraceIdScope scope(trace_id);
-      analysis = AnalysisSession(artifact, options).Run(kb);
-    }
-    Run out{std::move(analysis).value(), {}, 0.0};
-    // Every solved block is in the cache now: its exact hit carries the
-    // multipliers and the joint the solve produced.
-    maxent::BlockPlan plan = maxent::BlockPlan::Build(
-        artifact->table(), artifact->index(),
-        artifact->options().invariant_options, compiled.constraints);
-    maxent::SolverOptions lookup = options.solver_options;
-    lookup.cache_namespace = artifact->content_hash();
-    plan.ConsultCache(lookup);
-    size_t largest = 0;
-    for (size_t i = 0; i < plan.blocks().size(); ++i) {
-      out.blocks.push_back(plan.blocks()[i].cached);
-      if (plan.blocks()[i].cols.size() > plan.blocks()[largest].cols.size()) {
-        largest = i;
-      }
-    }
-    EXPECT_GT(plan.blocks()[largest].cols.size(), 2 * kTeamChunk);
-    EXPECT_GT(maxent::AssembleBlock(plan, plan.blocks()[largest])
-                  .ValueOrDie()
-                  .a.rows(),
-              2 * kTeamChunk);
-    for (const trace::TraceEvent& e : capture.TakeEvents()) {
-      if (std::strcmp(e.name, "solve_block") != 0) continue;
-      for (size_t a = 0; a < trace::TraceEvent::kMaxArgs; ++a) {
-        if (e.arg_names[a] != nullptr &&
-            std::strcmp(e.arg_names[a], "team") == 0) {
-          out.largest_team = std::max(out.largest_team, e.arg_values[a]);
-        }
-      }
-    }
-    return out;
-  };
-
-  const Run solo = run(1);
-  EXPECT_EQ(solo.largest_team, 1.0);
+  const TracedRun solo = RunTraced(artifact, kb, 1);
+  EXPECT_EQ(SpanArg(solo.largest_span, "team"), 1.0);
   for (size_t threads : {size_t{2}, size_t{3}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Run team = run(threads);
-    EXPECT_GT(team.largest_team, 1.0);
-    EXPECT_EQ(team.analysis.solver.iterations, solo.analysis.solver.iterations);
-    ASSERT_EQ(team.blocks.size(), solo.blocks.size());
-    for (size_t i = 0; i < solo.blocks.size(); ++i) {
-      ASSERT_NE(solo.blocks[i], nullptr) << i;
-      ASSERT_NE(team.blocks[i], nullptr) << i;
-      EXPECT_EQ(team.blocks[i]->lambda_full, solo.blocks[i]->lambda_full) << i;
-      EXPECT_EQ(team.blocks[i]->p, solo.blocks[i]->p) << i;
-      EXPECT_EQ(team.blocks[i]->iterations, solo.blocks[i]->iterations) << i;
-      EXPECT_EQ(team.blocks[i]->dual_value, solo.blocks[i]->dual_value) << i;
-    }
-    ExpectSamePosterior(team.analysis.posterior,
-                        solo.analysis.posterior);
-    EXPECT_EQ(team.analysis.estimation_accuracy,
-              solo.analysis.estimation_accuracy);
-    EXPECT_EQ(team.analysis.metrics.max_disclosure,
-              solo.analysis.metrics.max_disclosure);
+    const TracedRun team = RunTraced(artifact, kb, threads);
+    EXPECT_GT(SpanArg(team.largest_span, "team"), 1.0);
+    ExpectSameRun(team, solo);
+    ExpectSamePosterior(team.analysis.posterior, solo.analysis.posterior);
+  }
+}
+
+// The same table under the top 64 rules asserted as >= bounds at 1.4×
+// their confidence, as CI's inequality twin gate writes them: the bounds
+// bind, so the minimizer's curvature-scaled steps run together with the
+// coordinates Box freezes. The dominant block solves on teams of 1 to 4
+// members with the same bits, and its solve_block span reports the
+// solve's iterations, dual evaluations and convergence.
+TEST_F(SessionTest, BoundRowsBlockIsBitIdenticalAcrossTeamSizes) {
+  knowledge::KnowledgeBase mined;
+  mined.AddRules(knowledge::TopK(PaperPipeline().rules, 64, 0));
+  knowledge::KnowledgeBase kb;
+  for (knowledge::ConditionalStatement statement : mined.conditionals()) {
+    statement.rel = knowledge::Relation::kGe;
+    statement.probability *= 1.4;
+    ASSERT_LE(statement.probability, 1.0);
+    kb.Add(std::move(statement));
+  }
+  const auto artifact =
+      TableArtifact::BuildBorrowed(PaperPipeline().bucketization.table,
+                                   &PaperPipeline().bucketization.qi_encoder)
+          .ValueOrDie();
+
+  const TracedRun solo = RunTraced(artifact, kb, 1);
+  ASSERT_TRUE(solo.analysis.solver.converged);
+  const maxent::CachedComponentSolution& dominant =
+      *solo.blocks[solo.largest];
+  // The request rows are all >= rows, stacked after the block's table
+  // rows; a bound binds where its multiplier left 0.
+  const maxent::PlanBlock& block = solo.largest_block;
+  ASSERT_EQ(block.num_eq, 0u);
+  ASSERT_EQ(dominant.lambda_full.size(), block.num_rows());
+  size_t binding = 0;
+  for (size_t j = block.num_table_rows; j < block.num_rows(); ++j) {
+    EXPECT_LE(dominant.lambda_full[j], 0.0) << j;
+    if (dominant.lambda_full[j] < 0.0) ++binding;
+  }
+  EXPECT_GT(binding, 0u);
+  EXPECT_EQ(SpanArg(solo.largest_span, "iterations"),
+            static_cast<double>(dominant.iterations));
+  EXPECT_GT(SpanArg(solo.largest_span, "evaluations"),
+            static_cast<double>(dominant.iterations));
+  EXPECT_EQ(SpanArg(solo.largest_span, "converged"), 1.0);
+
+  // A session on t threads gives its dominant block the threads the
+  // other solves leave: members − 1 more than it solves blocks.
+  const size_t solved = solo.analysis.solver.cache_misses;
+  for (size_t members = 1; members <= 4; ++members) {
+    SCOPED_TRACE("members=" + std::to_string(members));
+    const TracedRun team = RunTraced(artifact, kb, members + solved - 1);
+    EXPECT_EQ(SpanArg(team.largest_span, "team"),
+              static_cast<double>(members));
+    ExpectSameRun(team, solo);
+    ExpectSamePosterior(team.analysis.posterior, solo.analysis.posterior);
   }
 }
 
