@@ -27,6 +27,7 @@
 #include "core/posterior.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
+#include "tests/support/invariant_checks.h"
 
 namespace {
 

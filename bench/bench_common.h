@@ -32,8 +32,8 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/vec_math.h"
-#include "core/experiment.h"
 #include "knowledge/miner.h"
+#include "tests/support/experiment.h"
 
 namespace pme::bench {
 

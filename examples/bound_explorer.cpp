@@ -11,30 +11,54 @@
 #include <cstdio>
 #include <vector>
 
+#include "anonymize/anatomy.h"
+#include "anonymize/bucketized_table.h"
 #include "common/flags.h"
-#include "core/experiment.h"
+#include "core/privacy_maxent.h"
+#include "data/adult_synth.h"
+#include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+
+namespace {
+
+int Fail(const char* stage, const pme::Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", stage, status.ToString().c_str());
+  return 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  pme::core::PipelineOptions options;
-  options.data.num_records =
+  pme::data::AdultSynthOptions data_options;
+  data_options.num_records =
       static_cast<size_t>(flags.GetInt("records", 1500));
-  options.anatomy.ell = 5;
-  options.miner.min_support_records = 3;
-  options.miner.max_attrs = static_cast<size_t>(flags.GetInt("maxattrs", 3));
+  pme::anonymize::AnatomyOptions anatomy_options;
+  anatomy_options.ell = 5;
+  pme::knowledge::MinerOptions miner_options;
+  miner_options.min_support_records = 3;
+  miner_options.max_attrs = static_cast<size_t>(flags.GetInt("maxattrs", 3));
   const size_t kmax = static_cast<size_t>(flags.GetInt("kmax", 600));
 
   std::printf("building pipeline (%zu records, mining up to %zu-attribute "
               "rules)...\n",
-              options.data.num_records, options.miner.max_attrs);
-  auto pipeline = pme::core::BuildPipeline(options);
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "pipeline failed: %s\n",
-                 pipeline.status().ToString().c_str());
-    return 1;
-  }
-  auto rules = pipeline.value().rules;
+              data_options.num_records, miner_options.max_attrs);
+  // The public pipeline: synthesize, bucketize with Anatomy, mine the
+  // adversary's candidate knowledge.
+  auto dataset = pme::data::GenerateAdultLike(data_options);
+  if (!dataset.ok()) return Fail("synthesis", dataset.status());
+  auto partition =
+      pme::anonymize::AnatomyPartition(dataset.value(), anatomy_options);
+  if (!partition.ok()) return Fail("anatomy", partition.status());
+  auto bucketization =
+      pme::anonymize::BucketizeDataset(dataset.value(), partition.value());
+  if (!bucketization.ok()) return Fail("bucketize", bucketization.status());
+  auto mined =
+      pme::knowledge::MineAssociationRules(dataset.value(), miner_options);
+  if (!mined.ok()) return Fail("mining", mined.status());
+  const pme::anonymize::BucketizedTable& table = bucketization.value().table;
+
+  auto rules = mined.value();
   if (flags.Has("t")) {
     const size_t t = static_cast<size_t>(flags.GetInt("t", 1));
     rules = pme::knowledge::FilterByNumAttributes(rules, t);
@@ -49,8 +73,10 @@ int main(int argc, char** argv) {
   std::vector<size_t> ks = {0, 1, 2, 4, 8};
   for (size_t k = 16; k <= kmax; k *= 2) ks.push_back(k);
   for (size_t k : ks) {
-    auto top = pme::knowledge::TopK(rules, k / 2, k - k / 2);
-    auto analysis = pme::core::AnalyzeWithRules(pipeline.value(), top);
+    pme::knowledge::KnowledgeBase kb;
+    kb.AddRules(pme::knowledge::TopK(rules, k / 2, k - k / 2));
+    auto analysis = pme::core::Analyze(table, kb, {},
+                                       &bucketization.value().qi_encoder);
     if (!analysis.ok()) {
       std::fprintf(stderr, "K=%zu failed: %s\n", k,
                    analysis.status().ToString().c_str());
@@ -61,7 +87,7 @@ int main(int argc, char** argv) {
                 analysis.value().metrics.max_disclosure,
                 analysis.value().solver.entropy,
                 analysis.value().decomposition.relevant_buckets,
-                pipeline.value().bucketization.table.num_buckets());
+                table.num_buckets());
   }
   std::printf(
       "\nEach row is one (bound, privacy score) tuple. Publish only if the\n"

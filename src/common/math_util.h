@@ -10,14 +10,8 @@
 
 namespace pme {
 
-/// Numeric tolerances used across the library. Centralized so tests,
-/// solvers and validators agree on what "equal" means.
+/// Numeric tolerances for comparing solver outputs.
 struct Tolerance {
-  /// Probabilities within this of each other are considered identical.
-  static constexpr double kProb = 1e-9;
-  /// Default convergence tolerance for iterative solvers (infinity norm
-  /// of the dual gradient == worst constraint violation).
-  static constexpr double kSolver = 1e-8;
   /// Looser tolerance used when comparing two solver outputs to each other.
   static constexpr double kCrossSolver = 1e-5;
 };
@@ -49,11 +43,6 @@ double KlDivergence(const double* p, const double* q, size_t n,
 /// log(sum_i exp(x_i)) computed stably (max-shift).
 /// Returns -inf for an empty input.
 double LogSumExp(const std::vector<double>& x);
-
-/// True iff |a - b| <= tol (absolute comparison).
-inline bool NearlyEqual(double a, double b, double tol = Tolerance::kProb) {
-  return std::fabs(a - b) <= tol;
-}
 
 /// Infinity norm of a vector (0 for empty input).
 double InfNorm(const std::vector<double>& v);

@@ -7,22 +7,6 @@
 
 namespace pme::constraints {
 
-const char* ConstraintSourceToString(ConstraintSource source) {
-  switch (source) {
-    case ConstraintSource::kQiInvariant:
-      return "qi_invariant";
-    case ConstraintSource::kSaInvariant:
-      return "sa_invariant";
-    case ConstraintSource::kBackground:
-      return "background";
-    case ConstraintSource::kIndividual:
-      return "individual";
-    case ConstraintSource::kOther:
-      return "other";
-  }
-  return "unknown";
-}
-
 double LinearConstraint::ViolationAt(double lhs) const {
   switch (rel) {
     case Relation::kEq:

@@ -25,8 +25,6 @@ enum class ConstraintSource : int {
   kOther = 4,
 };
 
-const char* ConstraintSourceToString(ConstraintSource source);
-
 /// One ME constraint: a linear probability expression (Definition 5.1)
 /// related to a constant. Variables refer to a TermIndex numbering.
 struct LinearConstraint {

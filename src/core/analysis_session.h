@@ -49,7 +49,7 @@ class AnalysisSession {
   Result<Analysis> Run(const knowledge::KnowledgeBase& kb) const;
 
   /// Like Run, but with per-request overrides of the session options
-  /// (the serving path: per-request deadline, solver, cache mode).
+  /// (the serving path: per-request deadline, cache mode).
   Result<Analysis> Run(const knowledge::KnowledgeBase& kb,
                        const AnalysisOptions& options) const;
 

@@ -4,7 +4,10 @@
 #include <cmath>
 
 namespace pme::maxent {
+namespace {
 
+/// Closed form restricted to one bucket: writes only the variables of
+/// bucket `b` into `p` (the rest untouched).
 void ClosedFormBucket(const anonymize::BucketizedTable& table,
                       const constraints::TermIndex& index, uint32_t b,
                       std::vector<double>* p) {
@@ -24,6 +27,8 @@ void ClosedFormBucket(const anonymize::BucketizedTable& table,
     }
   }
 }
+
+}  // namespace
 
 std::vector<double> ClosedFormNoKnowledge(
     const anonymize::BucketizedTable& table,

@@ -24,12 +24,6 @@ std::vector<double> ClosedFormNoKnowledge(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index);
 
-/// Closed form restricted to one bucket: writes only the variables of
-/// bucket `b` into `p` (the rest untouched).
-void ClosedFormBucket(const anonymize::BucketizedTable& table,
-                      const constraints::TermIndex& index, uint32_t b,
-                      std::vector<double>* p);
-
 /// The dual of the closed form for `block` of `plan`: multipliers aligned
 /// with the block problem's rows (PlanBlock) at which the dual's primal
 /// exp(Aᵀλ − 1) is `prior` (ClosedFormNoKnowledge over the plan's index)

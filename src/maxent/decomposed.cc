@@ -56,8 +56,8 @@ SolveMetrics& GetSolveMetrics() {
     r.not_converged = &registry.GetCounter("solve.not_converged");
     r.closed_form_starts = &registry.GetCounter("solve.closed_form_starts");
     r.block_seconds = &registry.GetHistogram("solve.block_seconds");
-    // Iteration counts: buckets [0,1), [1,2), [2,4) ... cover the
-    // fixed-point loop's realistic range up to ~2^30.
+    // Iteration counts: buckets [0,1), [1,2), [2,4) ... up to ~2^30,
+    // far past the default LBFGS iteration budget.
     metrics::HistogramOptions iter_options;
     iter_options.lowest = 1.0;
     iter_options.growth = 2.0;
@@ -211,9 +211,16 @@ Result<SolverResult> SolveDecomposed(
   result.prior = std::move(prior);
   const std::vector<PlanBlock>& blocks = plan.blocks();
 
-  // A request row with no supported variable reads 0 whatever the joint.
+  // A request row with no supported variable reads 0 whatever the joint,
+  // so it is vacuously satisfied or flatly infeasible, whether or not the
+  // plan has a block to solve.
   double unsupported_violation = 0.0;
   for (const LinearConstraint* c : plan.unsupported_rows()) {
+    const double rhs = c->rel == Relation::kGe ? -c->rhs : c->rhs;
+    if (c->rel == Relation::kEq ? std::fabs(rhs) > 1e-12 : rhs < -1e-12) {
+      return Status::Infeasible("constraint '" + c->label +
+                                "' has empty support and nonzero bound");
+    }
     unsupported_violation = std::max(unsupported_violation,
                                      c->ViolationAt(0.0));
   }
@@ -222,14 +229,6 @@ Result<SolverResult> SolveDecomposed(
     result.max_violation = unsupported_violation;
     result.seconds = timer.ElapsedSeconds();
     return result;
-  }
-  // A row with no support is vacuously satisfied or flatly infeasible.
-  for (const LinearConstraint* c : plan.unsupported_rows()) {
-    const double rhs = c->rel == Relation::kGe ? -c->rhs : c->rhs;
-    if (c->rel == Relation::kEq ? std::fabs(rhs) > 1e-12 : rhs < -1e-12) {
-      return Status::Infeasible("constraint '" + c->label +
-                                "' has empty support and nonzero bound");
-    }
   }
   result.cache_enabled = plan.cache_enabled();
   result.cache_exact_hits = plan.cache_exact_hits();

@@ -11,13 +11,13 @@
 #include "common/prng.h"
 #include "common/vec_math.h"
 #include "constraints/bk_compiler.h"
-#include "constraints/component_analysis.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
+#include "tests/support/component_analysis.h"
 #include "tests/test_util.h"
 
 namespace pme {

@@ -15,13 +15,14 @@
 #include "anonymize/bucketized_table.h"
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "constraints/assignment.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/block_plan.h"
 #include "maxent/problem.h"
+#include "tests/support/assignment.h"
+#include "tests/support/invariant_checks.h"
 #include "tests/test_util.h"
 
 namespace pme::constraints {

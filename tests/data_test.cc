@@ -14,7 +14,7 @@
 #include "data/adult_synth.h"
 #include "data/csv.h"
 #include "data/dataset.h"
-#include "data/stats.h"
+#include "tests/support/stats.h"
 
 namespace pme::data {
 namespace {

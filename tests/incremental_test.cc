@@ -16,7 +16,6 @@
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
-#include "core/experiment.h"
 #include "core/posterior.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
@@ -26,6 +25,7 @@
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
 #include "test_util.h"
+#include "tests/support/experiment.h"
 
 namespace pme {
 namespace {

@@ -12,9 +12,9 @@
 #include "anonymize/diversity.h"
 #include "bench/bench_common.h"
 #include "common/vec_math.h"
-#include "core/experiment.h"
 #include "maxent/decomposed.h"
 #include "knowledge/miner.h"
+#include "tests/support/experiment.h"
 
 namespace pme::core {
 namespace {

@@ -7,9 +7,9 @@
 #include <cmath>
 
 #include "data/adult_synth.h"
-#include "data/stats.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+#include "tests/support/stats.h"
 #include "tests/test_util.h"
 
 namespace pme::knowledge {

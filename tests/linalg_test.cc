@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/prng.h"
-#include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
+#include "tests/support/dense_matrix.h"
 
 namespace pme::linalg {
 namespace {

@@ -15,7 +15,6 @@
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
-#include "core/experiment.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
@@ -26,6 +25,8 @@
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
 #include "maxent/solvers_internal.h"
+#include "tests/support/experiment.h"
+#include "tests/support/invariant_checks.h"
 #include "tests/test_util.h"
 
 namespace pme::maxent {
@@ -666,6 +667,30 @@ TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
   auto closed = ClosedFormNoKnowledge(t, index);
   for (size_t i = 0; i < closed.size(); ++i) {
     EXPECT_NEAR(result.p[i], closed[i], 1e-12);
+  }
+}
+
+TEST(DecomposedTest, UnsupportedRowIsInfeasibleWithOrWithoutABlock) {
+  // An all-zero row reads 0 under every joint, so `= 0.5` cannot hold:
+  // planned alone (no block to solve) or next to a supported row.
+  auto t = pme::testing::MakeFigure1Table();
+  auto index = TermIndex::Build(t);
+  LinearConstraint unsupported = Eq({0, 1}, 0.5);
+  unsupported.coefs.assign(2, 0.0);
+  unsupported.label = "all-zero";
+  LinearConstraint supported = Eq({0, 1}, 1.0);
+  supported.rel = Relation::kLe;
+  const auto prior = std::make_shared<const std::vector<double>>(
+      ClosedFormNoKnowledge(t, index));
+  for (const auto& rows : {std::vector<LinearConstraint>{unsupported},
+                           std::vector<LinearConstraint>{unsupported,
+                                                         supported}}) {
+    const BlockPlan plan = BlockPlan::Build(t, index, {}, rows);
+    EXPECT_EQ(plan.blocks().empty(), rows.size() == 1);
+    EXPECT_EQ(
+        SolveDecomposed(plan, prior, Entropy(*prior), {}).status().code(),
+        StatusCode::kInfeasible)
+        << rows.size() << " rows";
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include "anonymize/bucketized_table.h"
 #include "common/prng.h"
-#include "constraints/assignment.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
@@ -21,6 +20,8 @@
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
+#include "tests/support/assignment.h"
+#include "tests/support/invariant_checks.h"
 
 namespace pme {
 namespace {

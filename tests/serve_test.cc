@@ -22,13 +22,13 @@
 
 #include "common/failpoint.h"
 #include "common/flags.h"
-#include "core/experiment.h"
 #include "core/table_artifact.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/serve_main.h"
 #include "serve/server.h"
+#include "tests/support/experiment.h"
 
 namespace pme::serve {
 namespace {

@@ -28,11 +28,9 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
-#include "constraints/component_analysis.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "core/analysis_session.h"
-#include "core/experiment.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
@@ -40,6 +38,8 @@
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
+#include "tests/support/component_analysis.h"
+#include "tests/support/experiment.h"
 
 namespace pme::core {
 namespace {

@@ -1,4 +1,4 @@
-#include "constraints/assignment.h"
+#include "tests/support/assignment.h"
 
 #include <algorithm>
 

@@ -1,8 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#ifndef PME_CONSTRAINTS_ASSIGNMENT_H_
-#define PME_CONSTRAINTS_ASSIGNMENT_H_
+#ifndef PME_TESTS_SUPPORT_ASSIGNMENT_H_
+#define PME_TESTS_SUPPORT_ASSIGNMENT_H_
 
 #include <cstdint>
 #include <utility>
@@ -58,4 +58,4 @@ class Assignment {
 
 }  // namespace pme::constraints
 
-#endif  // PME_CONSTRAINTS_ASSIGNMENT_H_
+#endif  // PME_TESTS_SUPPORT_ASSIGNMENT_H_

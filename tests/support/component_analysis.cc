@@ -1,4 +1,4 @@
-#include "constraints/component_analysis.h"
+#include "tests/support/component_analysis.h"
 
 #include "common/union_find.h"
 

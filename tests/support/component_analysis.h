@@ -1,8 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#ifndef PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
-#define PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
+#ifndef PME_TESTS_SUPPORT_COMPONENT_ANALYSIS_H_
+#define PME_TESTS_SUPPORT_COMPONENT_ANALYSIS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -67,4 +67,4 @@ class ComponentAnalysis {
 
 }  // namespace pme::constraints
 
-#endif  // PME_CONSTRAINTS_COMPONENT_ANALYSIS_H_
+#endif  // PME_TESTS_SUPPORT_COMPONENT_ANALYSIS_H_

@@ -1,4 +1,4 @@
-#include "linalg/dense_matrix.h"
+#include "tests/support/dense_matrix.h"
 
 #include <algorithm>
 #include <cassert>

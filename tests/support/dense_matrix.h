@@ -1,8 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#ifndef PME_LINALG_DENSE_MATRIX_H_
-#define PME_LINALG_DENSE_MATRIX_H_
+#ifndef PME_TESTS_SUPPORT_DENSE_MATRIX_H_
+#define PME_TESTS_SUPPORT_DENSE_MATRIX_H_
 
 #include <cstddef>
 #include <vector>
@@ -50,4 +50,4 @@ class DenseMatrix {
 
 }  // namespace pme::linalg
 
-#endif  // PME_LINALG_DENSE_MATRIX_H_
+#endif  // PME_TESTS_SUPPORT_DENSE_MATRIX_H_

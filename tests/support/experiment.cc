@@ -1,4 +1,4 @@
-#include "core/experiment.h"
+#include "tests/support/experiment.h"
 
 namespace pme::core {
 

@@ -1,8 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#ifndef PME_CORE_EXPERIMENT_H_
-#define PME_CORE_EXPERIMENT_H_
+#ifndef PME_TESTS_SUPPORT_EXPERIMENT_H_
+#define PME_TESTS_SUPPORT_EXPERIMENT_H_
 
 #include <string>
 #include <vector>
@@ -48,4 +48,4 @@ Result<Analysis> AnalyzeWithRules(
 
 }  // namespace pme::core
 
-#endif  // PME_CORE_EXPERIMENT_H_
+#endif  // PME_TESTS_SUPPORT_EXPERIMENT_H_

@@ -1,4 +1,4 @@
-#include "data/stats.h"
+#include "tests/support/stats.h"
 
 #include <cassert>
 

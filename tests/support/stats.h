@@ -1,8 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#ifndef PME_DATA_STATS_H_
-#define PME_DATA_STATS_H_
+#ifndef PME_TESTS_SUPPORT_STATS_H_
+#define PME_TESTS_SUPPORT_STATS_H_
 
 #include <cstdint>
 #include <map>
@@ -69,4 +69,4 @@ class DatasetStats {
 
 }  // namespace pme::data
 
-#endif  // PME_DATA_STATS_H_
+#endif  // PME_TESTS_SUPPORT_STATS_H_
