@@ -1,7 +1,8 @@
 // google-benchmark microbenches for the kernels the figure benches lean
 // on: CSR products, the dual evaluation (legacy and fused/allocation-free),
 // term indexing, invariant generation, rule mining, the Anatomy
-// partitioner and the closed form.
+// partitioner, the closed form and a block's set-up before LBFGS
+// (assembly, presolve, the dual's construction).
 //
 // --json=PATH additionally writes {name, iterations, seconds_per_iter}
 // per benchmark for the BENCH_*.json perf trajectory; remaining flags are
@@ -26,9 +27,12 @@
 #include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
+#include "knowledge/knowledge_base.h"
 #include "data/adult_synth.h"
 #include "knowledge/miner.h"
+#include "maxent/block_plan.h"
 #include "maxent/closed_form.h"
+#include "maxent/decomposed.h"
 #include "maxent/dual.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
@@ -418,6 +422,55 @@ void BM_PresolveZeroHeavy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PresolveZeroHeavy)->Arg(100)->Arg(1000);
+
+void BM_AssembleBlock(benchmark::State& state) {
+  // A request's per-block work before LBFGS, for every block of the plan
+  // of the top 64 mined two-attribute rules: AssembleBlock, Presolve (no
+  // mined rule is a zero, so it reduces nothing) and the DualFunction
+  // constructor.
+  const size_t records = static_cast<size_t>(state.range(0));
+  pme::data::AdultSynthOptions options;
+  options.num_records = records;
+  const auto dataset = pme::data::GenerateAdultLike(options).ValueOrDie();
+  const auto bz = MakeBucketization(records);
+  pme::knowledge::MinerOptions miner;
+  miner.min_support_records = 3;
+  miner.max_attrs = 2;
+  pme::knowledge::KnowledgeBase kb;
+  kb.AddRules(pme::knowledge::TopK(
+      pme::knowledge::MineAssociationRules(dataset, miner).ValueOrDie(), 64,
+      0));
+  const auto index = pme::constraints::TermIndex::Build(bz.table);
+  const auto compiled = pme::constraints::CompileKnowledge(
+                            kb, bz.table, index, &bz.qi_encoder)
+                            .ValueOrDie();
+  const auto plan = pme::maxent::BlockPlan::Build(bz.table, index, {},
+                                                  compiled.constraints);
+  size_t vars = 0;
+  size_t nnz = 0;
+  for (auto _ : state) {
+    vars = 0;
+    nnz = 0;
+    for (const pme::maxent::PlanBlock& block : plan.blocks()) {
+      const auto problem =
+          pme::maxent::AssembleBlock(plan, block).ValueOrDie();
+      const auto pre = pme::maxent::Presolve(problem).ValueOrDie();
+      const pme::maxent::MaxEntProblem& reduced = pre.Reduced(problem);
+      pme::maxent::DualFunction dual(&reduced.a, reduced.rhs);
+      benchmark::DoNotOptimize(dual.dim());
+      vars += problem.num_vars;
+      nnz += problem.a.nnz();
+    }
+  }
+  state.counters["blocks"] = static_cast<double>(plan.blocks().size());
+  state.counters["vars"] = static_cast<double>(vars);
+  state.counters["nnz"] = static_cast<double>(nnz);
+}
+// 2,500 records and the paper's 14,210.
+BENCHMARK(BM_AssembleBlock)
+    ->Arg(2500)
+    ->Arg(14210)
+    ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally captures (name, iterations,
 /// seconds/iter) for the --json trajectory file.

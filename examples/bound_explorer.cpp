@@ -6,7 +6,9 @@
 // Top-(K+, K-) bound on the Adult-like benchmark dataset and prints the
 // whole frontier, including the T-restricted variants of Figure 6.
 //
-// Run:  ./build/examples/bound_explorer [--records=N] [--kmax=K] [--t=T]
+// Run:  ./build/examples/bound_explorer [--records=N] [--maxattrs=M]
+//                                       [--kmax=K] [--t=T]
+// Any other flag, or a value that is not an integer, exits with status 2.
 
 #include <cstdio>
 #include <vector>
@@ -30,6 +32,12 @@ int Fail(const char* stage, const pme::Status& status) {
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
+  if (const pme::Status s =
+          flags.Check({}, {"records", "maxattrs", "kmax", "t"});
+      !s.ok()) {
+    std::fprintf(stderr, "bound_explorer: %s\n", s.ToString().c_str());
+    return 2;
+  }
   pme::data::AdultSynthOptions data_options;
   data_options.num_records =
       static_cast<size_t>(flags.GetInt("records", 1500));

@@ -9,6 +9,7 @@
 // before releasing anything.
 //
 // Run:  ./build/examples/medical_publishing [--records=N] [--ell=L]
+// Any other flag, or a value that is not an integer, exits with status 2.
 
 #include <cstdio>
 
@@ -69,6 +70,10 @@ pme::data::Dataset GenerateCohort(size_t n, uint64_t seed) {
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
+  if (const pme::Status s = flags.Check({}, {"records", "ell"}); !s.ok()) {
+    std::fprintf(stderr, "medical_publishing: %s\n", s.ToString().c_str());
+    return 2;
+  }
   const size_t records = static_cast<size_t>(flags.GetInt("records", 2000));
   const size_t ell = static_cast<size_t>(flags.GetInt("ell", 4));
 

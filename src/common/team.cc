@@ -22,7 +22,10 @@ inline void CpuRelax() {
 
 /// How long an idle helper spins before it sleeps on the condition
 /// variable. Inside a solve the gaps between forks are microseconds, so
-/// helpers sleep only around the serial stages (presolve, assembly).
+/// helpers sleep only around the solve's serial stages: presolve's scan
+/// (and its reduction, when it has one) and the dual's set-up before the
+/// first fork, the restore and violation pass after the last. A block is
+/// assembled before its team forms.
 constexpr auto kSpinBeforeSleep = std::chrono::microseconds(100);
 
 }  // namespace

@@ -114,6 +114,9 @@ Result<StatementTerms> CompileTerms(
       }
     }
   }
+  // Emitted q-major; each (q, s, b) is one variable, so sorting leaves
+  // them strictly ascending.
+  std::sort(terms.vars.begin(), terms.vars.end());
   terms.vars.shrink_to_fit();
   return terms;
 }

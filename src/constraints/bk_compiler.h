@@ -34,10 +34,12 @@ struct CompiledKnowledge {
 };
 
 /// The table-side half of one compiled statement: the variables of its
-/// row, in the compiler's emission order (QI instances ascending, then
-/// each one's buckets, then the S-set ascending), and P(Qv), summed over
-/// the matched QI instances in ascending order. Neither depends on the
-/// statement's probability or relation.
+/// row, strictly ascending, and P(Qv), summed over the matched QI
+/// instances in ascending order. Neither depends on the statement's
+/// probability or relation. Ascending variables make the row canonical
+/// (constraints::ConstraintRowSignature hashes it as it stands) and keep
+/// it in column order in every block problem, whose columns ascend with
+/// the variables.
 struct StatementTerms {
   std::vector<uint32_t> vars;
   double prob_qv = 0.0;

@@ -9,8 +9,31 @@
 #include "common/trace.h"
 #include "maxent/closed_form.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace pme::core {
 namespace {
+
+/// The process that builds an artifact serves requests from it, and each
+/// request allocates and frees multi-MB buffers (its block problems, the
+/// dual's vectors, the posterior overlay). glibc's default thresholds
+/// follow the largest buffer freed so far: a buffer above them is mapped
+/// fresh and faults its pages in, and a free heap top above twice the
+/// threshold goes back to the OS, to be faulted in again by the next
+/// request or set-up. Fixing them at glibc's own dynamic maximum keeps
+/// such buffers in the heap. Once per process.
+void KeepRequestBuffersInTheHeap() {
+#if defined(__GLIBC__)
+  static const bool tuned = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)tuned;
+#endif
+}
 
 /// Digest of everything that determines the artifact's compiled rows:
 /// the abstract records (the published view plus ground-truth bindings
@@ -44,6 +67,7 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
   if (table == nullptr) {
     return Status::InvalidArgument("TableArtifact::Build: null table");
   }
+  KeepRequestBuffersInTheHeap();
   trace::TraceSpan build_span("artifact_build", "setup");
   std::shared_ptr<TableArtifact> artifact(new TableArtifact());
   artifact->table_ = std::move(table);

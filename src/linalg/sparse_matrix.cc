@@ -2,56 +2,59 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace pme::linalg {
 
-Result<SparseMatrix> SparseMatrix::BuildCsr(size_t rows, size_t cols,
-                                            std::vector<Triplet>& triplets) {
+namespace {
+
+/// Puts one row of `n` parallel (column, value) entries in CSR form in
+/// place: columns ascending, duplicate columns summed in arrival order,
+/// zero sums dropped. Returns the row's new length.
+size_t SortAndSumRow(uint32_t* cols, double* values, size_t n) {
+  std::vector<std::pair<uint32_t, double>> entries(n);
+  for (size_t i = 0; i < n; ++i) entries[i] = {cols[i], values[i]};
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+  size_t w = 0;
+  for (size_t i = 0; i < n;) {
+    const uint32_t c = entries[i].first;
+    double v = 0.0;
+    for (; i < n && entries[i].first == c; ++i) v += entries[i].second;
+    if (v != 0.0) {
+      cols[w] = c;
+      values[w] = v;
+      ++w;
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
+Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
+                                                std::vector<Triplet> triplets) {
   for (const Triplet& t : triplets) {
     if (t.row >= rows || t.col >= cols) {
       return Status::InvalidArgument("triplet index out of bounds");
     }
   }
-  // Callers that append rows with ascending columns (block assembly)
-  // skip the sort.
-  const auto before = [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  };
-  if (!std::is_sorted(triplets.begin(), triplets.end(), before)) {
-    std::sort(triplets.begin(), triplets.end(), before);
-  }
-
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_offsets_.assign(rows + 1, 0);
-  m.col_indices_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
-
+  std::stable_sort(triplets.begin(), triplets.end(),
+                   [](const Triplet& x, const Triplet& y) {
+                     return x.row < y.row;
+                   });
+  SparseMatrixBuilder builder(cols);
+  builder.Reserve(rows, triplets.size());
   size_t i = 0;
   for (size_t r = 0; r < rows; ++r) {
-    m.row_offsets_[r] = m.values_.size();
-    while (i < triplets.size() && triplets[i].row == r) {
-      uint32_t c = triplets[i].col;
-      double v = 0.0;
-      while (i < triplets.size() && triplets[i].row == r &&
-             triplets[i].col == c) {
-        v += triplets[i].value;
-        ++i;
-      }
-      if (v != 0.0) {
-        m.col_indices_.push_back(c);
-        m.values_.push_back(v);
-      }
+    builder.BeginRow();
+    for (; i < triplets.size() && triplets[i].row == r; ++i) {
+      PME_RETURN_IF_ERROR(builder.Add(triplets[i].col, triplets[i].value));
     }
   }
-  m.row_offsets_[rows] = m.values_.size();
-  return m;
-}
-
-Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
-                                                std::vector<Triplet> triplets) {
-  return BuildCsr(rows, cols, triplets);
+  return builder.Build();
 }
 
 SparseMatrix SparseMatrix::FromDense(
@@ -238,21 +241,51 @@ double SparseMatrix::At(size_t row, size_t col) const {
   return 0.0;
 }
 
-size_t SparseMatrixBuilder::BeginRow() {
-  row_open_ = true;
-  current_row_ = open_rows_;
-  ++open_rows_;
-  return current_row_;
+void SparseMatrixBuilder::Reserve(size_t rows, size_t nnz) {
+  offsets_.reserve(rows + 1);
+  col_indices_.reserve(nnz);
+  values_.reserve(nnz);
 }
 
-Status SparseMatrixBuilder::Add(uint32_t col, double value) {
-  if (!row_open_) {
-    return Status::FailedPrecondition("Add() called before BeginRow()");
+size_t SparseMatrixBuilder::BeginRow() {
+  if (row_open_) CloseRow();
+  row_open_ = true;
+  row_canonical_ = true;
+  return offsets_.size() - 1;
+}
+
+void SparseMatrixBuilder::CloseRow() {
+  const size_t start = offsets_.back();
+  if (!row_canonical_) {
+    const size_t len =
+        SortAndSumRow(col_indices_.data() + start, values_.data() + start,
+                      col_indices_.size() - start);
+    col_indices_.resize(start + len);
+    values_.resize(start + len);
   }
-  if (col >= cols_) {
+  offsets_.push_back(col_indices_.size());
+  row_open_ = false;
+}
+
+Status SparseMatrixBuilder::AddStrided(uint32_t first, uint32_t stride,
+                                       uint32_t len, double value) {
+  if (!row_open_) {
+    return Status::FailedPrecondition("AddStrided() called before BeginRow()");
+  }
+  if (len == 0) return Status::Ok();
+  const uint64_t last = first + uint64_t{stride} * (len - 1);
+  if (last >= cols_) {
     return Status::InvalidArgument("column index out of bounds");
   }
-  triplets_.push_back({static_cast<uint32_t>(current_row_), col, value});
+  if (value == 0.0 || (stride == 0 && len > 1) ||
+      (col_indices_.size() > offsets_.back() && first <= col_indices_.back())) {
+    row_canonical_ = false;
+  }
+  const size_t n = col_indices_.size();
+  col_indices_.resize(n + len);
+  uint32_t* const cols = col_indices_.data() + n;
+  for (uint32_t k = 0; k < len; ++k) cols[k] = first + k * stride;
+  values_.insert(values_.end(), len, value);
   return Status::Ok();
 }
 
@@ -266,7 +299,17 @@ Status SparseMatrixBuilder::AddRow(const uint32_t* cols, const double* values,
 }
 
 Result<SparseMatrix> SparseMatrixBuilder::Build() {
-  return SparseMatrix::BuildCsr(open_rows_, cols_, triplets_);
+  if (row_open_) CloseRow();
+  SparseMatrix m;
+  m.rows_ = offsets_.size() - 1;
+  m.cols_ = cols_;
+  m.row_offsets_ = std::move(offsets_);
+  m.col_indices_ = std::move(col_indices_);
+  m.values_ = std::move(values_);
+  offsets_.assign(1, 0);
+  col_indices_.clear();
+  values_.clear();
+  return m;
 }
 
 }  // namespace pme::linalg

@@ -13,7 +13,7 @@
 
 namespace pme::linalg {
 
-/// One nonzero entry during matrix assembly.
+/// One nonzero entry of SparseMatrix::FromTriplets.
 struct Triplet {
   uint32_t row;
   uint32_t col;
@@ -32,8 +32,9 @@ class SparseMatrix {
   /// Empty 0x0 matrix.
   SparseMatrix() = default;
 
-  /// Builds from triplets. Duplicate (row, col) entries are summed;
-  /// explicit zeros are dropped. Triplets out of bounds yield an error.
+  /// Builds from triplets (testing convenience). Duplicate (row, col)
+  /// entries are summed; explicit zeros are dropped. Triplets out of
+  /// bounds yield an error.
   static Result<SparseMatrix> FromTriplets(size_t rows, size_t cols,
                                            std::vector<Triplet> triplets);
 
@@ -105,9 +106,6 @@ class SparseMatrix {
  private:
   friend class SparseMatrixBuilder;
 
-  static Result<SparseMatrix> BuildCsr(size_t rows, size_t cols,
-                                       std::vector<Triplet>& triplets);
-
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<size_t> row_offsets_;    // size rows_+1
@@ -115,35 +113,65 @@ class SparseMatrix {
   std::vector<double> values_;         // size nnz
 };
 
-/// Incremental row-by-row CSR builder. Rows are appended in order; each
-/// row's entries may arrive unsorted and with duplicates (summed).
+/// Incremental row-by-row CSR builder: entries go straight into the
+/// CSR arrays, and Build moves them into the matrix. Rows are appended in
+/// order. A row's entries may arrive unsorted, with duplicates or with
+/// zeros; only a row that does is sorted when it closes (stably, so
+/// duplicates are summed in arrival order), and zero sums are dropped.
 class SparseMatrixBuilder {
  public:
   /// `cols` fixes the column dimension up front.
-  explicit SparseMatrixBuilder(size_t cols) : cols_(cols) {}
+  explicit SparseMatrixBuilder(size_t cols) : cols_(cols), offsets_{0} {}
 
-  /// Starts a fresh row; returns its index.
+  /// Sizes the arrays for `rows` rows and `nnz` entries, so a caller that
+  /// knows its problem's size writes it without regrowing them.
+  void Reserve(size_t rows, size_t nnz);
+
+  /// Closes the open row, if any, and starts a fresh one; returns its
+  /// index.
   size_t BeginRow();
 
   /// Adds `value` at `col` of the current row. Requires an open row.
-  Status Add(uint32_t col, double value);
+  Status Add(uint32_t col, double value) {
+    if (!row_open_) {
+      return Status::FailedPrecondition("Add() called before BeginRow()");
+    }
+    if (col >= cols_) {
+      return Status::InvalidArgument("column index out of bounds");
+    }
+    // The row stays in CSR form while its columns strictly ascend and
+    // its values are nonzero.
+    if (value == 0.0 ||
+        (col_indices_.size() > offsets_.back() && col <= col_indices_.back())) {
+      row_canonical_ = false;
+    }
+    col_indices_.push_back(col);
+    values_.push_back(value);
+    return Status::Ok();
+  }
+
+  /// Adds `value` at the `len` columns first, first + stride, ...,
+  /// first + (len − 1)·stride of the current row, checking the columns
+  /// once. Requires an open row.
+  Status AddStrided(uint32_t first, uint32_t stride, uint32_t len,
+                    double value);
 
   /// Appends a complete row from `n` parallel entries (a row held as a
   /// slice of a larger array).
   Status AddRow(const uint32_t* cols, const double* values, size_t n);
 
-  /// Number of rows begun so far.
-  size_t rows() const { return open_rows_; }
-
   /// Finalizes into an immutable CSR matrix.
   Result<SparseMatrix> Build();
 
  private:
+  void CloseRow();
+
   size_t cols_;
-  size_t open_rows_ = 0;
-  size_t current_row_ = 0;
   bool row_open_ = false;
-  std::vector<Triplet> triplets_;
+  bool row_canonical_ = true;
+  std::vector<size_t> offsets_;  // one per closed row, plus the leading 0
+  std::vector<uint32_t> col_indices_;
+  std::vector<double> values_;
 };
 
 }  // namespace pme::linalg

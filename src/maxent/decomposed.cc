@@ -77,7 +77,12 @@ Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
   problem.num_vars = block.cols.size();
   problem.num_eq = block.num_table_rows + block.num_eq;
   problem.rhs.reserve(block.num_rows());
+  // Each column lies in one QI row and at most one SA row of its bucket,
+  // and a request row adds at most its length: the arrays are sized once.
+  size_t nnz = 2 * block.cols.size();
+  for (const LinearConstraint* c : block.rows) nnz += c->vars.size();
   linalg::SparseMatrixBuilder matrix(block.cols.size());
+  matrix.Reserve(block.num_rows(), nnz);
   // The invariant rows, bucket by bucket, from the buckets' counts: the
   // variables of bucket b are the local columns from `bucket_col` on.
   Status status = Status::Ok();
@@ -88,17 +93,18 @@ Result<MaxEntProblem> AssembleBlock(const BlockPlan& plan,
         plan.table(), plan.index(), b, plan.invariant_options(),
         [&](const constraints::InvariantRow& row) {
           matrix.BeginRow();
-          const uint32_t start = bucket_col + (row.first - first);
-          for (uint32_t k = 0; k < row.len && status.ok(); ++k) {
-            status = matrix.Add(start + k * row.stride, 1.0);
+          if (status.ok()) {
+            status = matrix.AddStrided(bucket_col + (row.first - first),
+                                       row.stride, row.len, 1.0);
           }
           problem.rhs.push_back(row.rhs);
         });
     PME_RETURN_IF_ERROR(status);
     bucket_col += last - first;
   }
-  // The request rows list their variables bucket by bucket, so the last
-  // bucket located is usually the next one asked for.
+  // The request rows list their variables in ascending order, so bucket
+  // by bucket: the last bucket located is usually the next one asked
+  // for, and the local columns ascend with them.
   uint32_t bucket = UINT32_MAX;
   uint32_t block_id = 0;
   uint32_t col = 0;
@@ -371,6 +377,11 @@ Result<SolverResult> SolveDecomposed(
     for (size_t j = 0; j < block.cols.size(); ++j) {
       prior_slice[j] = (*result.prior)[block.cols[j]];
     }
+    const double prior_slice_entropy =
+        kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
+    // -Σ p ln p of the slice the block keeps: its solve and the cache
+    // computed it on those same values.
+    double slice_entropy = prior_slice_entropy;
 
     if (block.cached != nullptr) {
       // No solve ran, so this block contributes zero iterations (the
@@ -380,6 +391,7 @@ Result<SolverResult> SolveDecomposed(
       // violation stands.
       const CachedComponentSolution& cached = *block.cached;
       slice.p = cached.p;
+      slice_entropy = cached.entropy;
       outcome.max_violation = cached.max_violation;
       result.dual_value += cached.dual_value;
       result.presolve_fixed += cached.presolve_fixed;
@@ -406,6 +418,7 @@ Result<SolverResult> SolveDecomposed(
       }
       if (sub != nullptr && IsAcceptable(*sub)) {
         slice.p = sub->p;
+        slice_entropy = sub->entropy;
         outcome.max_violation = sub->max_violation;
         result.dual_value += sub->dual_value;
         result.presolve_fixed += sub->presolve_fixed;
@@ -431,7 +444,12 @@ Result<SolverResult> SolveDecomposed(
             problem.ok() ? ProblemViolation(problem.value(), prior_slice)
                          : std::numeric_limits<double>::infinity();
         outcome.used_prior = !(iterate_violation < prior_violation);
-        slice.p = outcome.used_prior ? prior_slice : sub->p;
+        if (!outcome.used_prior) {
+          slice.p = sub->p;
+          slice_entropy = sub->entropy;
+        } else {
+          slice.p = prior_slice;
+        }
         outcome.max_violation = std::min(iterate_violation, prior_violation);
         outcome.degraded = true;
         result.converged = false;
@@ -450,8 +468,7 @@ Result<SolverResult> SolveDecomposed(
     result.component_outcomes.push_back(outcome);
     // -Σ p ln p, starting from the prior's entropy and swapping in the
     // block's contribution (blocks never overlap).
-    entropy += kernels::NegXLogXSum(kernels::ConstSpan(slice.p)) -
-               kernels::NegXLogXSum(kernels::ConstSpan(prior_slice));
+    entropy += slice_entropy - prior_slice_entropy;
   }
 
   result.max_violation = unsupported_violation;
@@ -490,6 +507,7 @@ Result<SolverResult> SolveDecomposed(
       entry.lambda_full = sub.dual_lambda_full;
       entry.row_sigs = blocks[i].row_sigs;
       entry.dual_value = sub.dual_value;
+      entry.entropy = sub.entropy;
       entry.max_violation = result.component_outcomes[i].max_violation;
       entry.iterations = sub.iterations;
       entry.presolve_fixed = sub.presolve_fixed;

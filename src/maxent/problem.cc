@@ -28,7 +28,8 @@ Result<MaxEntProblem> BuildProblem(
 }
 
 std::vector<double> PresolvedProblem::Restore(
-    const std::vector<double>& reduced_p) const {
+    std::vector<double> reduced_p) const {
+  if (identity) return reduced_p;
   std::vector<double> full(var_map.size(), 0.0);
   for (size_t i = 0; i < var_map.size(); ++i) {
     full[i] = var_map[i] >= 0 ? reduced_p[static_cast<size_t>(var_map[i])]
@@ -48,17 +49,60 @@ struct FlatRow {
   bool active = true;
 };
 
+/// What presolve does with a row whose nonzero coefficients are
+/// rc[0, len) and whose right-hand side is `rhs`.
+enum class RowReduction {
+  kNone,
+  kEmpty,      ///< no variable left: the row is a constant
+  kForceZero,  ///< every variable of the row is 0
+  kPin,        ///< the one variable of an equality is rhs / rc[0]
+};
+
+RowReduction ReductionOf(bool is_eq, const double* rc, size_t len,
+                         double rhs, double tol) {
+  if (len == 0) return RowReduction::kEmpty;
+  const bool all_pos =
+      std::all_of(rc, rc + len, [](double c) { return c > 0.0; });
+  if (is_eq) {
+    // A signed combination of nonnegative variables equal to zero.
+    const bool all_neg =
+        std::all_of(rc, rc + len, [](double c) { return c < 0.0; });
+    if (std::fabs(rhs) <= tol && (all_pos || all_neg)) {
+      return RowReduction::kForceZero;
+    }
+    return len == 1 ? RowReduction::kPin : RowReduction::kNone;
+  }
+  // a·p <= rhs <= tol with a > 0 elementwise (or infeasible, below -tol).
+  return all_pos && rhs <= tol ? RowReduction::kForceZero
+                               : RowReduction::kNone;
+}
+
 }  // namespace
 
 Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
-  // A working copy of the stacked rows: row r is an equality iff
-  // r < num_eq.
+  // Row r is an equality iff r < num_eq. A matrix holds no zero entry, so
+  // its rows are what the first pass below sees: when no reduction acts
+  // on any of them, the problem is its own reduction.
   const size_t num_eq = problem.num_eq;
+  const auto& offsets = problem.a.row_offsets();
+  bool reducible = false;
+  for (size_t r = 0; r < problem.a.rows() && !reducible; ++r) {
+    reducible =
+        ReductionOf(r < num_eq, problem.a.values().data() + offsets[r],
+                    offsets[r + 1] - offsets[r], problem.rhs[r],
+                    tol) != RowReduction::kNone;
+  }
+  if (!reducible) {
+    PresolvedProblem identity;
+    identity.identity = true;
+    return identity;
+  }
+
+  // A working copy of the stacked rows.
   std::vector<uint32_t> vars = problem.a.col_indices();
   std::vector<double> coefs = problem.a.values();
   std::vector<FlatRow> rows;
   rows.reserve(problem.a.rows());
-  const auto& offsets = problem.a.row_offsets();
   for (size_t r = 0; r < problem.a.rows(); ++r) {
     rows.push_back(
         {offsets[r], offsets[r + 1] - offsets[r], problem.rhs[r], true});
@@ -95,53 +139,35 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
       }
       row.len = w;
 
-      if (w == 0) {
-        if (is_eq ? std::fabs(row.rhs) > tol : row.rhs < -tol) {
-          return Status::Infeasible(
-              "presolve: constraint reduced to an unsatisfiable constant");
-        }
-        row.active = false;
-        changed = true;
-        continue;
-      }
-
-      const bool all_pos =
-          std::all_of(rc, rc + w, [](double c) { return c > 0.0; });
-      const bool all_neg =
-          std::all_of(rc, rc + w, [](double c) { return c < 0.0; });
-
-      if (is_eq) {
-        if (std::fabs(row.rhs) <= tol && (all_pos || all_neg)) {
-          // Zero forcing: a signed combination of nonnegative variables
-          // equal to zero pins every variable to zero.
+      switch (ReductionOf(is_eq, rc, w, row.rhs, tol)) {
+        case RowReduction::kNone:
+          continue;
+        case RowReduction::kEmpty:
+          if (is_eq ? std::fabs(row.rhs) > tol : row.rhs < -tol) {
+            return Status::Infeasible(
+                "presolve: constraint reduced to an unsatisfiable constant");
+          }
+          break;
+        case RowReduction::kForceZero:
+          if (!is_eq && row.rhs < -tol) {
+            return Status::Infeasible(
+                "presolve: inequality bound below zero over nonnegative "
+                "terms");
+          }
           for (size_t i = 0; i < w; ++i) fix(rv[i], 0.0);
-          row.active = false;
-          changed = true;
-        } else if (w == 1) {
+          break;
+        case RowReduction::kPin: {
           const double value = row.rhs / rc[0];
           if (value < -tol) {
             return Status::Infeasible(
                 "presolve: a probability term is forced negative");
           }
           fix(rv[0], value);
-          row.active = false;
-          changed = true;
-        }
-      } else {
-        // Inequality  a·p <= rhs  with a > 0 elementwise.
-        if (all_pos) {
-          if (row.rhs < -tol) {
-            return Status::Infeasible(
-                "presolve: inequality bound below zero over nonnegative "
-                "terms");
-          }
-          if (row.rhs <= tol) {
-            for (size_t i = 0; i < w; ++i) fix(rv[i], 0.0);
-            row.active = false;
-            changed = true;
-          }
+          break;
         }
       }
+      row.active = false;
+      changed = true;
     }
   }
 
@@ -163,9 +189,13 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   // pass that emits the reduced matrix.
   out.row_map.assign(rows.size(), -1);
   linalg::SparseMatrixBuilder builder(next);
+  builder.Reserve(rows.size(), vars.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     const FlatRow& row = rows[r];
-    if (!row.active) continue;
+    if (!row.active) {
+      ++out.rows_dropped;
+      continue;
+    }
     uint32_t* const rv = vars.data() + row.begin;
     const double* const rc = coefs.data() + row.begin;
     for (size_t i = 0; i < row.len; ++i) {

@@ -4,9 +4,7 @@
 #ifndef PME_MAXENT_PROBLEM_H_
 #define PME_MAXENT_PROBLEM_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -51,36 +49,24 @@ size_t StackRows(std::vector<const constraints::LinearConstraint*>* rows);
 
 /// Appends `rows` to `matrix` and their right-hand sides to `rhs`: each
 /// row with variable v in column col_of(v), kGe rows negated into ≤ form
-/// and zero coefficients left out. Each row's entries are put in
-/// ascending column order (a stable sort, so duplicate entries are
-/// summed in row order). A template so the column map inlines into the
-/// per-entry loop.
+/// and zero coefficients left out. A row whose columns arrive out of
+/// order is sorted by the builder as it closes (stably, so duplicate
+/// entries are summed in row order); rows over ascending variables under
+/// a monotone column map, the compiler's, arrive in order. A template so
+/// the column map inlines into the per-entry loop.
 template <typename ColOf>
 Status AppendRows(
     const std::vector<const constraints::LinearConstraint*>& rows,
     ColOf col_of, linalg::SparseMatrixBuilder* matrix,
     std::vector<double>* rhs) {
   rhs->reserve(rhs->size() + rows.size());
-  std::vector<std::pair<uint32_t, double>> entries;
-  const auto by_col = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
   for (const constraints::LinearConstraint* c : rows) {
     // a·p >= r  <=>  (-a)·p <= -r
     const double sign = c->rel == constraints::Relation::kGe ? -1.0 : 1.0;
-    entries.clear();
+    matrix->BeginRow();
     for (size_t i = 0; i < c->vars.size(); ++i) {
       if (c->coefs[i] == 0.0) continue;
-      entries.emplace_back(col_of(c->vars[i]), sign * c->coefs[i]);
-    }
-    // Rows in ascending columns keep the builder's triplets sorted, so
-    // it never re-sorts them.
-    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
-      std::stable_sort(entries.begin(), entries.end(), by_col);
-    }
-    matrix->BeginRow();
-    for (const auto& [col, value] : entries) {
-      PME_RETURN_IF_ERROR(matrix->Add(col, value));
+      PME_RETURN_IF_ERROR(matrix->Add(col_of(c->vars[i]), sign * c->coefs[i]));
     }
     rhs->push_back(sign * c->rhs);
   }
@@ -120,7 +106,16 @@ Result<MaxEntProblem> BuildProblem(const constraints::ConstraintSystem& system);
 /// with nonzero RHS). The reduced problem excludes satisfied rows and
 /// fixed variables; `Restore` maps a reduced solution back to the full
 /// variable space.
+///
+/// Most problems have no row to reduce: then the problem is its own
+/// reduction. Presolve finds that in one read-only pass over the rows and
+/// returns the identity, which copies nothing and allocates no map.
 struct PresolvedProblem {
+  /// True when presolve reduced nothing: the problem left to solve is the
+  /// input itself (Reduced), and every variable and row keeps its index.
+  /// `reduced`, `var_map`, `fixed_values` and `row_map` stay empty.
+  bool identity = false;
+  /// The reduced problem, unless `identity`.
   MaxEntProblem reduced;
   /// original var -> reduced var id, or -1 when the variable was fixed.
   std::vector<int64_t> var_map;
@@ -133,9 +128,23 @@ struct PresolvedProblem {
   /// multipliers between them — the warm-start transport for cached
   /// re-analysis.
   std::vector<int64_t> row_map;
+  /// Rows presolve resolved (row_map entries of -1).
+  size_t rows_dropped = 0;
+
+  /// The problem left to solve: `original` itself when `identity`, else
+  /// `reduced`. `original` must be the problem presolve was given.
+  const MaxEntProblem& Reduced(const MaxEntProblem& original) const {
+    return identity ? original : reduced;
+  }
+
+  /// Reduced row id of original row `r`, or -1 (row_map[r], or `r` when
+  /// `identity`).
+  int64_t ReducedRow(size_t r) const {
+    return identity ? static_cast<int64_t>(r) : row_map[r];
+  }
 
   /// Scatters a reduced-space solution into the full variable space.
-  std::vector<double> Restore(const std::vector<double>& reduced_p) const;
+  std::vector<double> Restore(std::vector<double> reduced_p) const;
 };
 
 Result<PresolvedProblem> Presolve(const MaxEntProblem& problem,

@@ -47,6 +47,9 @@ struct CachedComponentSolution {
   /// Worst violation of the block's rows at `p`: the rows are fixed by
   /// the exact key, so an exact hit reuses it instead of re-evaluating.
   double max_violation = 0.0;
+  /// −Σ p ln p over `p`, the solve's own (SolverResult::entropy), so an
+  /// exact hit skips that pass too.
+  double entropy = 0.0;
   size_t iterations = 0;     ///< iterations the original solve spent
   size_t presolve_fixed = 0;
   bool converged = true;

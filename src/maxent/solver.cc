@@ -8,6 +8,7 @@
 #include "common/math_util.h"
 #include "common/metrics.h"
 #include "common/timer.h"
+#include "common/trace.h"
 #include "maxent/dual.h"
 #include "maxent/solvers_internal.h"
 
@@ -25,6 +26,9 @@ struct DualMetrics {
   /// Solves ended by a stall rather than by convergence, the budget or
   /// an interrupt.
   metrics::Counter* stall_exits;
+  /// Solves whose presolve changed the problem (fixed a variable or
+  /// dropped a row).
+  metrics::Counter* presolve_reductions;
 };
 
 DualMetrics& GetDualMetrics() {
@@ -32,7 +36,8 @@ DualMetrics& GetDualMetrics() {
     auto& registry = metrics::Registry::Global();
     return DualMetrics{&registry.GetCounter("solve.dual_evaluations"),
                        &registry.GetCounter("solve.line_search_probes"),
-                       &registry.GetCounter("solve.stall_exits")};
+                       &registry.GetCounter("solve.stall_exits"),
+                       &registry.GetCounter("solve.presolve_reductions")};
   }();
   return m;
 }
@@ -65,24 +70,23 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
   Timer timer;
   SolverResult result;
 
-  // Presolve (or pass-through).
+  // Presolve; the identity when it is off or finds nothing to reduce,
+  // and then the solve reads `problem` itself.
   PresolvedProblem pre;
-  if (options.presolve) {
-    PME_ASSIGN_OR_RETURN(pre, Presolve(problem));
-  } else {
-    pre.reduced = problem;
-    pre.var_map.resize(problem.num_vars);
-    pre.fixed_values.assign(problem.num_vars, 0.0);
-    for (size_t v = 0; v < problem.num_vars; ++v) {
-      pre.var_map[v] = static_cast<int64_t>(v);
+  {
+    trace::TraceSpan presolve_span("presolve", "solve");
+    if (options.presolve) {
+      PME_ASSIGN_OR_RETURN(pre, Presolve(problem));
+    } else {
+      pre.identity = true;
     }
-    pre.row_map.resize(problem.a.rows());
-    for (size_t r = 0; r < problem.a.rows(); ++r) {
-      pre.row_map[r] = static_cast<int64_t>(r);
-    }
+    presolve_span.AddArg("fixed", static_cast<double>(pre.num_fixed));
+    presolve_span.AddArg("rows_dropped",
+                         static_cast<double>(pre.rows_dropped));
   }
+  if (!pre.identity) GetDualMetrics().presolve_reductions->Add();
   result.presolve_fixed = pre.num_fixed;
-  const MaxEntProblem& reduced = pre.reduced;
+  const MaxEntProblem& reduced = pre.Reduced(problem);
 
   // The dual start: zeros, or the original-row-space start carried into
   // the reduced dual space through the presolve row map (rows presolve
@@ -93,8 +97,9 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
       std::all_of(options.warm_start->begin(), options.warm_start->end(),
                   [](double v) { return std::isfinite(v); })) {
     for (size_t r = 0; r < problem.a.rows(); ++r) {
-      if (pre.row_map[r] >= 0) {
-        lambda[static_cast<size_t>(pre.row_map[r])] = (*options.warm_start)[r];
+      const int64_t row = pre.ReducedRow(r);
+      if (row >= 0) {
+        lambda[static_cast<size_t>(row)] = (*options.warm_start)[r];
       }
     }
   }
@@ -126,14 +131,14 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
   result.dual_lambda_full.assign(problem.a.rows(), 0.0);
   if (!lambda.empty()) {
     for (size_t r = 0; r < problem.a.rows(); ++r) {
-      if (pre.row_map[r] >= 0) {
-        result.dual_lambda_full[r] =
-            lambda[static_cast<size_t>(pre.row_map[r])];
+      const int64_t row = pre.ReducedRow(r);
+      if (row >= 0) {
+        result.dual_lambda_full[r] = lambda[static_cast<size_t>(row)];
       }
     }
   }
 
-  result.p = pre.Restore(reduced_p);
+  result.p = pre.Restore(std::move(reduced_p));
   if (result.termination == StatusCode::kOk) {
     // A NaN/Inf iterate (diverged multipliers, overflowed exp) is a
     // numerical failure even when the minimizer exited cleanly.

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
@@ -22,6 +24,7 @@
 #include "maxent/block_plan.h"
 #include "maxent/problem.h"
 #include "tests/support/assignment.h"
+#include "tests/support/experiment.h"
 #include "tests/support/invariant_checks.h"
 #include "tests/test_util.h"
 
@@ -449,6 +452,67 @@ TEST(StatementTermMemoTest, ResidentBytesStayWithinTheBudget) {
   EXPECT_EQ(lru.Find(key(1)), nullptr);
   EXPECT_NE(lru.Find(key(2)), nullptr);
   EXPECT_NE(lru.Find(key(3)), nullptr);
+}
+
+// A compiled statement's variables are strictly ascending, whatever
+// order the matched QI instances, buckets and S-set emit them in, and
+// the memo hands the same ascending terms back. Such a row is canonical:
+// its signature is that of the same row in any order.
+TEST(BkCompilerTest, StatementTermsAscendAndHashLikeAnyOrder) {
+  core::PipelineOptions options;
+  options.data.num_records = 400;
+  options.anatomy.ell = 5;
+  options.miner.min_support_records = 3;
+  options.miner.max_attrs = 2;
+  const auto pipeline = core::BuildPipeline(options).ValueOrDie();
+  const anonymize::BucketizedTable& table = pipeline.bucketization.table;
+  const TermIndex index = TermIndex::Build(table);
+  knowledge::KnowledgeBase kb;
+  kb.AddRules(knowledge::TopK(pipeline.rules, 32, 32));
+  StatementTermMemo memo;
+  const auto compile = [&] {
+    return CompileKnowledge(kb, table, index,
+                            &pipeline.bucketization.qi_encoder, nullptr,
+                            &memo)
+        .ValueOrDie();
+  };
+  const CompiledKnowledge cold = compile();
+  const CompiledKnowledge memoized = compile();
+  EXPECT_EQ(memoized.memo_hits, kb.size());
+  ASSERT_EQ(cold.constraints.size(), memoized.constraints.size());
+  ASSERT_FALSE(cold.constraints.empty());
+
+  std::mt19937 rng(5);
+  size_t emitted_out_of_order = 0;
+  for (size_t i = 0; i < cold.constraints.size(); ++i) {
+    const LinearConstraint& c = cold.constraints[i];
+    EXPECT_EQ(c.vars, memoized.constraints[i].vars) << i;
+    for (size_t k = 1; k < c.vars.size(); ++k) {
+      ASSERT_LT(c.vars[k - 1], c.vars[k]) << "row " << i << " entry " << k;
+    }
+    // The compiler's emission order: QI instance, then bucket, then SA
+    // value, each ascending.
+    std::vector<uint32_t> emitted = c.vars;
+    std::sort(emitted.begin(), emitted.end(), [&](uint32_t a, uint32_t b) {
+      const Term& x = index.TermOf(a);
+      const Term& y = index.TermOf(b);
+      return std::tie(x.qi, x.bucket, x.sa) < std::tie(y.qi, y.bucket, y.sa);
+    });
+    if (emitted != c.vars) ++emitted_out_of_order;
+
+    LinearConstraint shuffled = c;
+    std::vector<size_t> order(c.vars.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    for (size_t k = 0; k < order.size(); ++k) {
+      shuffled.vars[k] = c.vars[order[k]];
+      shuffled.coefs[k] = c.coefs[order[k]];
+    }
+    EXPECT_EQ(ConstraintRowSignature(shuffled), ConstraintRowSignature(c))
+        << i;
+  }
+  // The table gives the test rows that the compiler emits out of order.
+  EXPECT_GT(emitted_out_of_order, 0u);
 }
 
 TEST(BkCompilerTest, AbstractSection55Example) {

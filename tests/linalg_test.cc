@@ -163,6 +163,48 @@ TEST(SparseMatrixBuilderTest, BuildsRowsIncrementally) {
   EXPECT_DOUBLE_EQ(m.At(1, 1), 5.0);
 }
 
+// A row whose entries arrive unsorted, with a duplicate column and a
+// zero, is sorted, summed in arrival order and loses its zero sums; the
+// rows around it are written as they came.
+TEST(SparseMatrixBuilderTest, UnsortedRowIsSortedSummedAndLosesItsZeros) {
+  SparseMatrixBuilder builder(5);
+  builder.BeginRow();
+  ASSERT_TRUE(builder.Add(1, 1.0).ok());
+  ASSERT_TRUE(builder.Add(4, 2.0).ok());
+  builder.BeginRow();
+  ASSERT_TRUE(builder.Add(3, 1.5).ok());
+  ASSERT_TRUE(builder.Add(1, 2.0).ok());
+  ASSERT_TRUE(builder.Add(3, -1.5).ok());  // column 3 sums to zero
+  ASSERT_TRUE(builder.Add(0, 0.5).ok());
+  ASSERT_TRUE(builder.Add(1, 0.25).ok());
+  ASSERT_TRUE(builder.Add(2, 0.0).ok());
+  builder.BeginRow();
+  ASSERT_TRUE(builder.Add(0, 3.0).ok());
+  ASSERT_TRUE(builder.Add(0, 1.0).ok());  // sorted, but a duplicate
+  const SparseMatrix m = builder.Build().ValueOrDie();
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.row_offsets(), (std::vector<size_t>{0, 2, 4, 5}));
+  EXPECT_EQ(m.col_indices(), (std::vector<uint32_t>{1, 4, 0, 1, 0}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1.0, 2.0, 0.5, 2.25, 4.0}));
+}
+
+// A strided row writes its arithmetic progression of columns; one that
+// lands behind the row's last column is sorted in like any other entry.
+TEST(SparseMatrixBuilderTest, StridedRowsWriteTheirColumns) {
+  SparseMatrixBuilder builder(9);
+  builder.BeginRow();
+  ASSERT_TRUE(builder.AddStrided(1, 3, 3, 1.0).ok());  // 1, 4, 7
+  builder.BeginRow();
+  ASSERT_TRUE(builder.AddStrided(5, 1, 2, 2.0).ok());  // 5, 6
+  ASSERT_TRUE(builder.AddStrided(0, 5, 2, 1.0).ok());  // 0, 5
+  EXPECT_EQ(builder.AddStrided(2, 4, 3, 1.0).code(),   // 2, 6, 10
+            StatusCode::kInvalidArgument);
+  const SparseMatrix m = builder.Build().ValueOrDie();
+  EXPECT_EQ(m.row_offsets(), (std::vector<size_t>{0, 3, 6}));
+  EXPECT_EQ(m.col_indices(), (std::vector<uint32_t>{1, 4, 7, 0, 5, 6}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1, 1, 1, 1, 3, 2}));
+}
+
 TEST(SparseMatrixBuilderTest, AddBeforeBeginRowFails) {
   SparseMatrixBuilder builder(2);
   EXPECT_EQ(builder.Add(0, 1.0).code(), StatusCode::kFailedPrecondition);

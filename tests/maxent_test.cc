@@ -315,6 +315,59 @@ TEST(PresolveTest, RowMapsAndRenumberingAcrossEqAndIneq) {
             (std::vector<double>{0, 0, 0.25, 0.5, 0.25, 0, 0.125}));
 }
 
+// A problem with no row a reduction acts on is its own reduction:
+// presolve copies nothing, both maps are the identity, and the solve is
+// the same bits as one with presolve off.
+TEST(PresolveTest, NothingToReduceKeepsTheProblem) {
+  ConstraintSystem system(5);
+  system.Add(Eq({0, 1, 2}, 0.6));
+  system.Add(Eq({2, 3, 4}, 0.5));
+  system.Add(Eq({0, 1, 2, 3, 4}, 1.0));
+  LinearConstraint le = Eq({1, 3}, 0.3);
+  le.rel = Relation::kLe;
+  system.Add(le);
+  LinearConstraint ge = Eq({0, 4}, 0.2);  // -p0 - p4 <= -0.2
+  ge.rel = Relation::kGe;
+  system.Add(ge);
+  const MaxEntProblem problem = BuildProblem(system).ValueOrDie();
+  const MaxEntProblem assembled = BuildProblem(system).ValueOrDie();
+
+  const PresolvedProblem pre = Presolve(problem).ValueOrDie();
+  EXPECT_TRUE(pre.identity);
+  EXPECT_EQ(pre.num_fixed, 0u);
+  EXPECT_EQ(pre.rows_dropped, 0u);
+  EXPECT_EQ(&pre.Reduced(problem), &problem);
+  EXPECT_TRUE(pre.reduced.a.values().empty());
+  EXPECT_TRUE(pre.var_map.empty());
+  EXPECT_TRUE(pre.row_map.empty());
+  for (size_t r = 0; r < problem.a.rows(); ++r) {
+    EXPECT_EQ(pre.ReducedRow(r), static_cast<int64_t>(r));
+  }
+  const std::vector<double> p = {0.125, 0.25, 0.0625, 0.5, 0.03125};
+  EXPECT_EQ(pre.Restore(p), p);
+  // The problem the solve reads is the one assembled, bit for bit.
+  const MaxEntProblem& reduced = pre.Reduced(problem);
+  EXPECT_EQ(reduced.a.row_offsets(), assembled.a.row_offsets());
+  EXPECT_EQ(reduced.a.col_indices(), assembled.a.col_indices());
+  EXPECT_EQ(reduced.a.values(), assembled.a.values());
+  EXPECT_EQ(reduced.rhs, assembled.rhs);
+  EXPECT_EQ(reduced.num_eq, assembled.num_eq);
+
+  const std::vector<double> start = {0.5, -0.25, 0.125, -0.5, -0.125};
+  SolverOptions options;
+  options.warm_start = &start;
+  const SolverResult with = Solve(problem, options).ValueOrDie();
+  options.presolve = false;
+  const SolverResult without = Solve(problem, options).ValueOrDie();
+  EXPECT_TRUE(with.converged);
+  EXPECT_EQ(with.presolve_fixed, 0u);
+  EXPECT_EQ(with.p, without.p);
+  EXPECT_EQ(with.dual_lambda_full, without.dual_lambda_full);
+  EXPECT_EQ(with.iterations, without.iterations);
+  EXPECT_EQ(with.dual_value, without.dual_value);
+  EXPECT_EQ(with.entropy, without.entropy);
+}
+
 // --------------------------------------------------- Analytic solutions
 
 TEST(SolverTest, UniformOnSimplex) {

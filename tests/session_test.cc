@@ -33,6 +33,7 @@
 #include "core/analysis_session.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
+#include "knowledge/parser.h"
 #include "maxent/block_plan.h"
 #include "maxent/closed_form.h"
 #include "maxent/decomposed.h"
@@ -1214,6 +1215,69 @@ TEST_F(SessionTest, BoundRowsBlockIsBitIdenticalAcrossTeamSizes) {
     ExpectSameRun(team, solo);
     ExpectSamePosterior(team.analysis.posterior, solo.analysis.posterior);
   }
+}
+
+// Presolve is a traced solver decision. On CI's 3,000-record smoke table
+// the statement P(9th | occupation=tech-support, sex=female) = 0 fixes
+// cells of its block, and the block's presolve span and the
+// solve.presolve_reductions counter say so; the smoke's statements
+// without a zero leave every block as it is.
+TEST(PresolveTraceTest, OnlyAZeroStatementChangesItsBlock) {
+  PipelineOptions options;
+  options.data.num_records = 3000;
+  options.anatomy.ell = 5;
+  options.mine_rules = false;
+  const ExperimentPipeline pipeline = BuildPipeline(options).ValueOrDie();
+  const auto artifact =
+      TableArtifact::BuildBorrowed(pipeline.bucketization.table,
+                                   &pipeline.bucketization.qi_encoder)
+          .ValueOrDie();
+  const metrics::Counter& reductions =
+      metrics::Registry::Global().GetCounter("solve.presolve_reductions");
+  struct Run {
+    std::vector<trace::TraceEvent> presolve_spans;
+    uint64_t reductions = 0;
+  };
+  const auto run = [&](std::string_view text) {
+    knowledge::KnowledgeBase kb;
+    knowledge::ParserContext context;
+    context.dataset = &pipeline.dataset;
+    EXPECT_TRUE(knowledge::ParseKnowledge(text, context, &kb).ok());
+    const uint64_t before = reductions.Value();
+    const uint64_t trace_id = trace::NewTraceId();
+    trace::RequestCapture capture(trace_id);
+    {
+      trace::TraceIdScope scope(trace_id);
+      EXPECT_TRUE(AnalysisSession(artifact, {}).Run(kb).ok());
+    }
+    Run out;
+    out.reductions = reductions.Value() - before;
+    for (const trace::TraceEvent& e : capture.TakeEvents()) {
+      if (std::strcmp(e.name, "presolve") == 0) {
+        out.presolve_spans.push_back(e);
+      }
+    }
+    return out;
+  };
+
+  const Run zero = run("P(9th | occupation=tech-support, sex=female) = 0\n");
+  ASSERT_EQ(zero.presolve_spans.size(), 1u);
+  EXPECT_GT(SpanArg(zero.presolve_spans[0], "fixed"), 0.0);
+  EXPECT_GT(SpanArg(zero.presolve_spans[0], "rows_dropped"), 0.0);
+  EXPECT_EQ(zero.reductions, 1u);
+
+  const Run none = run(
+      "P(assoc-acdm | workclass=federal-gov, marital_status=separated, "
+      "native_region=south-america) = 1.0\n"
+      "P(masters | age=36-40, occupation=tech-support, race=amer-indian) "
+      "= 1.0\n"
+      "P(some-college | hours=41-50, native_region=oceania) <= 0.05\n");
+  ASSERT_FALSE(none.presolve_spans.empty());
+  for (const trace::TraceEvent& e : none.presolve_spans) {
+    EXPECT_EQ(SpanArg(e, "fixed"), 0.0);
+    EXPECT_EQ(SpanArg(e, "rows_dropped"), 0.0);
+  }
+  EXPECT_EQ(none.reductions, 0u);
 }
 
 }  // namespace
