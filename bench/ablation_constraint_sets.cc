@@ -23,8 +23,9 @@
 #include "bench/bench_common.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "core/posterior.h"
+#include "maxent/block_plan.h"
+#include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
 #include "tests/support/invariant_checks.h"
@@ -49,31 +50,39 @@ VariantResult RunVariant(const pme::core::ExperimentPipeline& pipeline,
 
   pme::constraints::InvariantOptions inv;
   inv.drop_redundant_row = drop_redundant;
-  auto invariants = pme::constraints::GenerateInvariants(table, index, inv);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  for (auto& c : invariants) {
-    if (drop_sa_invariants &&
-        c.source == pme::constraints::ConstraintSource::kSaInvariant) {
-      continue;
-    }
-    system.Add(std::move(c));
-  }
   pme::knowledge::KnowledgeBase kb;
   kb.AddRules(rules);
   auto compiled = pme::bench::Unwrap(
       pme::constraints::CompileKnowledge(kb, table, index,
                                          &pipeline.bucketization.qi_encoder),
       "knowledge");
-  system.AddAll(std::move(compiled.constraints));
 
-  auto problem =
-      pme::bench::Unwrap(pme::maxent::BuildProblem(system), "problem");
+  pme::maxent::MaxEntProblem problem;
+  if (drop_sa_invariants) {
+    // No request poses this unsound set, so its rows are listed here.
+    std::vector<pme::constraints::LinearConstraint> rows;
+    for (auto& c : pme::constraints::GenerateInvariants(table, index, inv)) {
+      if (c.source != pme::constraints::ConstraintSource::kSaInvariant) {
+        rows.push_back(std::move(c));
+      }
+    }
+    rows.insert(rows.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
+    problem = pme::bench::Unwrap(
+        pme::maxent::BuildProblem(index.num_variables(), rows), "problem");
+  } else {
+    // The whole table as a request without the decomposition poses it.
+    const auto plan = pme::maxent::BlockPlan::Build(
+        table, index, inv, compiled.constraints, /*one_block=*/true);
+    problem = pme::bench::Unwrap(
+        pme::maxent::AssembleBlock(plan, plan.blocks()[0]), "problem");
+  }
   auto result = pme::bench::Unwrap(pme::maxent::Solve(problem), "solve");
 
   VariantResult out;
   out.seconds = result.seconds;
   out.iterations = result.iterations;
-  out.constraints = system.size();
+  out.constraints = problem.a.rows();
   auto posterior =
       pme::core::PosteriorTable::FromSolution(table, index, result.p);
   out.accuracy = pme::core::EstimationAccuracy(

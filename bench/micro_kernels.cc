@@ -24,7 +24,6 @@
 #include "common/vec_math.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "knowledge/knowledge_base.h"
@@ -48,6 +47,18 @@ DatasetBucketization MakeBucketization(size_t records) {
   auto dataset = pme::data::GenerateAdultLike(options).ValueOrDie();
   auto partition = pme::anonymize::AnatomyPartition(dataset, {}).ValueOrDie();
   return BucketizeDataset(dataset, partition).ValueOrDie();
+}
+
+/// The whole table as one problem with `knowledge` as its request rows,
+/// assembled the way a request without the decomposition assembles it:
+/// the one block of a one-block plan.
+pme::maxent::MaxEntProblem WholeTableProblem(
+    const DatasetBucketization& bz, const pme::constraints::TermIndex& index,
+    const std::vector<pme::constraints::LinearConstraint>& knowledge = {}) {
+  const auto plan = pme::maxent::BlockPlan::Build(bz.table, index, {},
+                                                  knowledge,
+                                                  /*one_block=*/true);
+  return pme::maxent::AssembleBlock(plan, plan.blocks()[0]).ValueOrDie();
 }
 
 void BM_AdultSynthGenerate(benchmark::State& state) {
@@ -111,9 +122,7 @@ BENCHMARK(BM_RuleMining)->Arg(1)->Arg(2)->Arg(3);
 void BM_DualEvaluate(benchmark::State& state) {
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index);
   pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   for (auto _ : state) {
@@ -133,9 +142,7 @@ void BM_DualEvaluateFused(benchmark::State& state) {
   // what separates this curve from BM_DualEvaluate's.
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index);
   pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   pme::maxent::DualWorkspace ws;
@@ -180,35 +187,10 @@ pme::kernels::SimdMode ModeFromArg(int64_t arg) {
   }
 }
 
-void BM_ExpM1Kernel(benchmark::State& state) {
-  // The p = exp(Aᵀλ − 1) pass in isolation: range(0) elements, range(1)
-  // selects the ISA tier (see ModeFromArg). The ≥2x SIMD-vs-scalar claim
-  // in BENCH_kernels.json comes from these columns.
-  const size_t n = static_cast<size_t>(state.range(0));
-  SimdModeGuard guard(ModeFromArg(state.range(1)));
-  pme::Prng prng(11);
-  std::vector<double> x(n), y(n);
-  // Typical dual exponents live in a modest range; seed a few clamp
-  // boundaries so the bench covers the branchy path too.
-  for (auto& v : x) v = prng.NextDouble(-30.0, 10.0);
-  for (size_t i = 0; i < n; i += 1024) x[i] = (i % 2048 == 0) ? 710.0 : -710.0;
-  for (auto _ : state) {
-    pme::kernels::ExpM1Shifted(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ExpM1Kernel)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Args({4096, 2})
-    ->Args({65536, 0})
-    ->Args({65536, 1})
-    ->Args({65536, 2});
-
 void BM_ExpM1SumFused(benchmark::State& state) {
-  // The fused in-place exp + horizontal-accumulate kernel the dual
-  // objective actually calls.
+  // The p = exp(Aᵀλ − 1) pass: the fused in-place exp + horizontal-
+  // accumulate kernel the dual objective calls. range(0) elements,
+  // range(1) selects the ISA tier (see ModeFromArg).
   const size_t n = static_cast<size_t>(state.range(0));
   SimdModeGuard guard(ModeFromArg(state.range(1)));
   pme::Prng prng(13);
@@ -330,9 +312,7 @@ void BM_DualEvaluateSimd(benchmark::State& state) {
   // fused gradient pass) under both dispatch modes.
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index);
   pme::maxent::DualFunction dual(&problem.a, problem.rhs);
   std::vector<double> lambda(dual.dim(), 0.1), grad;
   pme::maxent::DualWorkspace ws;
@@ -358,9 +338,7 @@ void BM_SolveSimd(benchmark::State& state) {
   // dispatch modes: the end-to-end view of the kernel gains.
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index);
   SimdModeGuard guard(ModeFromArg(state.range(1)));
   for (auto _ : state) {
     auto result = pme::maxent::Solve(problem).ValueOrDie();
@@ -385,9 +363,7 @@ BENCHMARK(BM_ClosedForm)->Arg(1000)->Arg(10000);
 void BM_SolveNoKnowledge(benchmark::State& state) {
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index);
   for (auto _ : state) {
     auto result = pme::maxent::Solve(problem).ValueOrDie();
     benchmark::DoNotOptimize(result.iterations);
@@ -400,8 +376,6 @@ void BM_PresolveZeroHeavy(benchmark::State& state) {
   // worst case: cascades of forcing passes.
   auto bz = MakeBucketization(2000);
   auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
   pme::knowledge::KnowledgeBase kb;
   pme::Prng prng(3);
   for (int i = 0; i < state.range(0); ++i) {
@@ -412,10 +386,9 @@ void BM_PresolveZeroHeavy(benchmark::State& state) {
     kb.Add(pme::knowledge::AbstractConditional(
         q, {s}, bz.table.TrueConditional(q, s)));
   }
-  auto compiled =
+  const auto compiled =
       pme::constraints::CompileKnowledge(kb, bz.table, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
+  auto problem = WholeTableProblem(bz, index, compiled.constraints);
   for (auto _ : state) {
     auto pre = pme::maxent::Presolve(problem).ValueOrDie();
     benchmark::DoNotOptimize(pre.num_fixed);

@@ -1,8 +1,6 @@
 #include "common/math_util.h"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "common/vec_math.h"
 
@@ -35,52 +33,6 @@ double KlDivergence(const double* p, const double* q, size_t n,
   // one sweep instead of n scalar std::log calls.
   return kernels::KlDivergence(kernels::ConstSpan(p, n),
                                kernels::ConstSpan(q, n), q_floor);
-}
-
-double LogSumExp(const std::vector<double>& x) {
-  // Vectorized max pass, then a fused exp + horizontal-accumulate pass —
-  // the same kernels the dual objective runs on.
-  const double m = kernels::MaxVal(x);
-  if (!std::isfinite(m)) return m;  // empty or all -inf -> -inf; +inf -> +inf
-  return m + std::log(kernels::SumExpShifted(x, m));
-}
-
-double InfNorm(const std::vector<double>& v) { return kernels::InfNorm(v); }
-
-double TwoNorm(const std::vector<double>& v) { return kernels::TwoNorm(v); }
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  return kernels::Dot(a, b);
-}
-
-void Axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  assert(x.size() == y.size());
-  kernels::Axpy(alpha, x, y);
-}
-
-bool NormalizeInPlace(std::vector<double>& v) {
-  double sum = 0.0;
-  for (double x : v) sum += x;
-  if (sum <= 0.0) return false;
-  const double inv = 1.0 / sum;
-  if (std::isfinite(inv)) {
-    kernels::Scale(v, inv);
-  } else {
-    // A denormal sum overflows the reciprocal; divide element-wise.
-    for (double& x : v) x /= sum;
-  }
-  return true;
-}
-
-double BinomialCoefficient(int n, int k) {
-  if (k < 0 || k > n) return 0.0;
-  k = std::min(k, n - k);
-  double c = 1.0;
-  for (int i = 1; i <= k; ++i) {
-    c = c * static_cast<double>(n - k + i) / static_cast<double>(i);
-  }
-  return c;
 }
 
 }  // namespace pme

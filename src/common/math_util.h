@@ -40,30 +40,6 @@ double KlDivergence(const std::vector<double>& p, const std::vector<double>& q,
 double KlDivergence(const double* p, const double* q, size_t n,
                     double q_floor = 1e-12);
 
-/// log(sum_i exp(x_i)) computed stably (max-shift).
-/// Returns -inf for an empty input.
-double LogSumExp(const std::vector<double>& x);
-
-/// Infinity norm of a vector (0 for empty input).
-double InfNorm(const std::vector<double>& v);
-
-/// Euclidean norm of a vector.
-double TwoNorm(const std::vector<double>& v);
-
-/// Dot product; vectors must have equal length.
-double Dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// y += alpha * x (axpy); vectors must have equal length.
-void Axpy(double alpha, const std::vector<double>& x, std::vector<double>& y);
-
-/// Normalizes a non-negative vector to sum to one in place.
-/// Returns false (leaving v untouched) if the sum is not strictly positive.
-bool NormalizeInPlace(std::vector<double>& v);
-
-/// Binomial coefficient C(n, k) as double (exact for the small n used in
-/// attribute-subset enumeration).
-double BinomialCoefficient(int n, int k);
-
 }  // namespace pme
 
 #endif  // PME_COMMON_MATH_UTIL_H_

@@ -63,16 +63,6 @@ double ExpM1SumInPlaceScalar(double* x, size_t n) {
   return sum;
 }
 
-void ExpM1ShiftedScalar(const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] = std::exp(ClampExpArg(x[i] - 1.0));
-}
-
-double SumExpShiftedScalar(const double* x, size_t n, double shift) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += std::exp(ClampExpArg(x[i] - shift));
-  return sum;
-}
-
 void LnScalar(const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] = std::log(x[i]);
 }
@@ -129,12 +119,6 @@ double SumSquaresScalar(const double* v, size_t n) {
 double InfNormScalar(const double* v, size_t n) {
   double m = 0.0;
   for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(v[i]));
-  return m;
-}
-
-double MaxValScalar(const double* v, size_t n) {
-  double m = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) m = std::max(m, v[i]);
   return m;
 }
 
@@ -319,32 +303,6 @@ PME_TARGET_AVX2 double ExpM1SumInPlaceAvx2(double* x, size_t n) {
   return sum;
 }
 
-PME_TARGET_AVX2 void ExpM1ShiftedAvx2(const double* x, double* y, size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t =
-        ClampExpArgPd(_mm256_sub_pd(_mm256_loadu_pd(x + i), one));
-    _mm256_storeu_pd(y + i, ExpPd(t));
-  }
-  for (; i < n; ++i) y[i] = std::exp(ClampExpArg(x[i] - 1.0));
-}
-
-PME_TARGET_AVX2 double SumExpShiftedAvx2(const double* x, size_t n,
-                                         double shift) {
-  const __m256d sh = _mm256_set1_pd(shift);
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t =
-        ClampExpArgPd(_mm256_sub_pd(_mm256_loadu_pd(x + i), sh));
-    acc = _mm256_add_pd(acc, ExpPd(t));
-  }
-  double sum = Hsum(acc);
-  for (; i < n; ++i) sum += std::exp(ClampExpArg(x[i] - shift));
-  return sum;
-}
-
 // Below this length the Cephes constant setup costs more than the 4-wide
 // win, so the log-family AVX2 kernels hand short inputs (per-q posterior
 // rows are num_sa ≈ 16 wide) straight to the scalar bodies. The AVX-512
@@ -485,18 +443,6 @@ PME_TARGET_AVX2 double InfNormAvx2(const double* v, size_t n) {
   return m;
 }
 
-PME_TARGET_AVX2 double MaxValAvx2(const double* v, size_t n) {
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-  __m256d acc = _mm256_set1_pd(neg_inf);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(v + i));
-  }
-  double m = Hmax(acc);
-  for (; i < n; ++i) m = std::max(m, v[i]);
-  return m;
-}
-
 #undef PME_TARGET_AVX2
 
 // ------------------------------------------------------- AVX-512F/DQ path
@@ -634,42 +580,6 @@ PME_TARGET_AVX512 double ExpM1SumInPlaceAvx512(double* x, size_t n) {
     const __m512d e = ExpPd512(t);
     _mm512_mask_storeu_pd(x + i, m, e);
     acc = _mm512_mask_add_pd(acc, m, acc, e);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
-PME_TARGET_AVX512 void ExpM1ShiftedAvx512(const double* x, double* y,
-                                          size_t n) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t =
-        ClampExpArgPd512(_mm512_sub_pd(_mm512_loadu_pd(x + i), one));
-    _mm512_storeu_pd(y + i, ExpPd512(t));
-  }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    const __m512d t = ClampExpArgPd512(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(m, x + i), one));
-    _mm512_mask_storeu_pd(y + i, m, ExpPd512(t));
-  }
-}
-
-PME_TARGET_AVX512 double SumExpShiftedAvx512(const double* x, size_t n,
-                                             double shift) {
-  const __m512d sh = _mm512_set1_pd(shift);
-  __m512d acc = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t =
-        ClampExpArgPd512(_mm512_sub_pd(_mm512_loadu_pd(x + i), sh));
-    acc = _mm512_add_pd(acc, ExpPd512(t));
-  }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    const __m512d t = ClampExpArgPd512(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(m, x + i), sh));
-    acc = _mm512_mask_add_pd(acc, m, acc, ExpPd512(t));
   }
   return _mm512_reduce_add_pd(acc);
 }
@@ -830,22 +740,6 @@ PME_TARGET_AVX512 double InfNormAvx512(const double* v, size_t n) {
   return _mm512_reduce_max_pd(acc);
 }
 
-PME_TARGET_AVX512 double MaxValAvx512(const double* v, size_t n) {
-  const __m512d neg_inf =
-      _mm512_set1_pd(-std::numeric_limits<double>::infinity());
-  __m512d acc = neg_inf;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_max_pd(acc, _mm512_loadu_pd(v + i));
-  }
-  if (i < n) {
-    // Dead lanes take the -inf background so they cannot win the max.
-    acc = _mm512_max_pd(
-        acc, _mm512_mask_loadu_pd(neg_inf, TailMask(n - i), v + i));
-  }
-  return _mm512_reduce_max_pd(acc);
-}
-
 #undef PME_TARGET_AVX512
 #endif  // PME_VEC_X86
 
@@ -853,8 +747,6 @@ PME_TARGET_AVX512 double MaxValAvx512(const double* v, size_t n) {
 
 struct KernelTable {
   double (*exp_m1_sum_inplace)(double*, size_t);
-  void (*exp_m1_shifted)(const double*, double*, size_t);
-  double (*sum_exp_shifted)(const double*, size_t, double);
   void (*ln)(const double*, double*, size_t);
   double (*neg_xlogx_sum)(const double*, size_t);
   double (*kl_divergence)(const double*, const double*, size_t, double);
@@ -864,31 +756,27 @@ struct KernelTable {
   void (*scale)(double*, double, size_t);
   double (*sum_squares)(const double*, size_t);
   double (*inf_norm)(const double*, size_t);
-  double (*max_val)(const double*, size_t);
   const char* isa;
 };
 
 constexpr KernelTable kScalarTable = {
-    ExpM1SumInPlaceScalar, ExpM1ShiftedScalar, SumExpShiftedScalar,
-    LnScalar,              NegXLogXSumScalar,  KlDivergenceScalar,
-    DotScalar,             AxpyScalar,         ScaledAddScalar,
-    ScaleScalar,           SumSquaresScalar,   InfNormScalar,
-    MaxValScalar,          "scalar"};
+    ExpM1SumInPlaceScalar, LnScalar,         NegXLogXSumScalar,
+    KlDivergenceScalar,    DotScalar,        AxpyScalar,
+    ScaledAddScalar,       ScaleScalar,      SumSquaresScalar,
+    InfNormScalar,         "scalar"};
 
 #if PME_VEC_X86
 constexpr KernelTable kAvx2Table = {
-    ExpM1SumInPlaceAvx2, ExpM1ShiftedAvx2, SumExpShiftedAvx2,
-    LnAvx2,              NegXLogXSumAvx2,  KlDivergenceAvx2,
-    DotAvx2,             AxpyAvx2,         ScaledAddAvx2,
-    ScaleAvx2,           SumSquaresAvx2,   InfNormAvx2,
-    MaxValAvx2,          "avx2+fma"};
+    ExpM1SumInPlaceAvx2, LnAvx2,         NegXLogXSumAvx2,
+    KlDivergenceAvx2,    DotAvx2,        AxpyAvx2,
+    ScaledAddAvx2,       ScaleAvx2,      SumSquaresAvx2,
+    InfNormAvx2,         "avx2+fma"};
 
 constexpr KernelTable kAvx512Table = {
-    ExpM1SumInPlaceAvx512, ExpM1ShiftedAvx512, SumExpShiftedAvx512,
-    LnAvx512,              NegXLogXSumAvx512,  KlDivergenceAvx512,
-    DotAvx512,             AxpyAvx512,         ScaledAddAvx512,
-    ScaleAvx512,           SumSquaresAvx512,   InfNormAvx512,
-    MaxValAvx512,          "avx512"};
+    ExpM1SumInPlaceAvx512, LnAvx512,         NegXLogXSumAvx512,
+    KlDivergenceAvx512,    DotAvx512,        AxpyAvx512,
+    ScaledAddAvx512,       ScaleAvx512,      SumSquaresAvx512,
+    InfNormAvx512,         "avx512"};
 #endif
 
 SimdMode g_mode = SimdMode::kAuto;
@@ -1013,17 +901,8 @@ bool Avx2Supported() { return CpuHasAvx2(); }
 
 bool Avx512Supported() { return CpuHasAvx512(); }
 
-void ExpM1Shifted(ConstSpan x, Span y) {
-  assert(x.size == y.size);
-  g_active->exp_m1_shifted(x.data, y.data, x.size);
-}
-
 double ExpM1SumInPlace(Span x) {
   return g_active->exp_m1_sum_inplace(x.data, x.size);
-}
-
-double SumExpShifted(ConstSpan x, double shift) {
-  return g_active->sum_exp_shifted(x.data, x.size, shift);
 }
 
 void Ln(ConstSpan x, Span y) {
@@ -1061,10 +940,6 @@ double SumSquares(ConstSpan v) {
   return g_active->sum_squares(v.data, v.size);
 }
 
-double TwoNorm(ConstSpan v) { return std::sqrt(SumSquares(v)); }
-
 double InfNorm(ConstSpan v) { return g_active->inf_norm(v.data, v.size); }
-
-double MaxVal(ConstSpan v) { return g_active->max_val(v.data, v.size); }
 
 }  // namespace pme::kernels

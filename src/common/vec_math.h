@@ -91,17 +91,10 @@ bool Avx512Supported();
 // and normal. Sizes are asserted, never checked at runtime in release.
 // ---------------------------------------------------------------------------
 
-/// y_i = exp(x_i - 1), the batched primal map p(λ) = exp(Aᵀλ − 1).
-void ExpM1Shifted(ConstSpan x, Span y);
-
 /// Fused exp + horizontal accumulate: x_i <- exp(x_i - 1) in place and
 /// the sum Σ_i exp(x_i - 1) is returned. This is the dual objective's
 /// single pass over the primal buffer.
 double ExpM1SumInPlace(Span x);
-
-/// Σ_i exp(x_i - shift) without storing the terms (LogSumExp's second
-/// pass; `shift` is the max element).
-double SumExpShifted(ConstSpan x, double shift);
 
 /// y_i = ln(x_i), the batched natural log. No production path calls it;
 /// it stays because its parity and special-value tests are the direct
@@ -133,17 +126,11 @@ void ScaledAdd(ConstSpan a, double s, ConstSpan d, Span out);
 /// v *= s.
 void Scale(Span v, double s);
 
-/// Σ_i v_i², the square of TwoNorm before its root.
+/// Σ_i v_i².
 double SumSquares(ConstSpan v);
-
-/// Euclidean norm: sqrt(SumSquares(v)).
-double TwoNorm(ConstSpan v);
 
 /// max_i |v_i| (0 for empty input).
 double InfNorm(ConstSpan v);
-
-/// max_i v_i (-inf for empty input).
-double MaxVal(ConstSpan v);
 
 }  // namespace pme::kernels
 

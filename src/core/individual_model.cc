@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "constraints/system.h"
 #include "maxent/problem.h"
 
 namespace pme::core {
@@ -46,7 +45,7 @@ Result<IndividualModel> IndividualModel::Build(
       c.vars.push_back(v);
       c.coefs.push_back(1.0);
     }
-    model.invariants_.push_back(std::move(c));
+    model.rows_.push_back(std::move(c));
   }
 
   // Invariants 2 and 3: per-(q, b) and per-(s, b) published counts.
@@ -68,7 +67,7 @@ Result<IndividualModel> IndividualModel::Build(
     c.rhs = table.ProbQB(key.first, key.second);
     c.label = "QI " + table.QiName(key.first) + " in b" +
               std::to_string(key.second + 1);
-    model.invariants_.push_back(std::move(c));
+    model.rows_.push_back(std::move(c));
   }
   for (auto& [key, c] : sb) {
     c.source = constraints::ConstraintSource::kSaInvariant;
@@ -76,7 +75,7 @@ Result<IndividualModel> IndividualModel::Build(
     c.rhs = table.ProbSB(key.first, key.second);
     c.label = "SA " + table.SaName(key.first) + " in b" +
               std::to_string(key.second + 1);
-    model.invariants_.push_back(std::move(c));
+    model.rows_.push_back(std::move(c));
   }
   return model;
 }
@@ -123,7 +122,7 @@ Status IndividualModel::AddKnowledge(const knowledge::KnowledgeBase& kb) {
       }
       continue;
     }
-    knowledge_.push_back(std::move(c));
+    rows_.push_back(std::move(c));
   }
 
   // Abstract-mode distribution statements aggregate over pseudonyms:
@@ -161,17 +160,15 @@ Status IndividualModel::AddKnowledge(const knowledge::KnowledgeBase& kb) {
       }
       continue;
     }
-    knowledge_.push_back(std::move(c));
+    rows_.push_back(std::move(c));
   }
   return Status::Ok();
 }
 
 Result<maxent::SolverResult> IndividualModel::Solve(
     const maxent::SolverOptions& options) const {
-  constraints::ConstraintSystem system(terms_.size());
-  for (const auto& c : invariants_) system.Add(c);
-  for (const auto& c : knowledge_) system.Add(c);
-  PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
+  PME_ASSIGN_OR_RETURN(auto problem,
+                       maxent::BuildProblem(terms_.size(), rows_));
   return maxent::Solve(problem, options);
 }
 

@@ -62,7 +62,7 @@ class IndividualModel {
                               uint32_t bucket) const;
 
   size_t num_variables() const { return terms_.size(); }
-  size_t num_constraints() const { return invariants_.size() + knowledge_.size(); }
+  size_t num_constraints() const { return rows_.size(); }
 
  private:
   struct IndividualTerm {
@@ -78,8 +78,8 @@ class IndividualModel {
   /// Per pseudonym: first variable id (terms of one pseudonym are
   /// contiguous, ordered by candidate bucket then SA rank).
   std::vector<uint32_t> pseudonym_offsets_;
-  std::vector<constraints::LinearConstraint> invariants_;
-  std::vector<constraints::LinearConstraint> knowledge_;
+  /// The invariant rows, then the knowledge rows in the order added.
+  std::vector<constraints::LinearConstraint> rows_;
 };
 
 }  // namespace pme::core

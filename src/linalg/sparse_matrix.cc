@@ -78,21 +78,18 @@ namespace {
 
 #if defined(__GNUC__) || defined(__clang__)
 inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 1); }
-inline void PrefetchWrite(const void* p) { __builtin_prefetch(p, 1, 1); }
 #else
 inline void PrefetchRead(const void*) {}
-inline void PrefetchWrite(const void*) {}
 #endif
 
-/// How many nonzeros ahead the gather/scatter targets are prefetched.
+/// How many nonzeros ahead the gathered x[col] entries are prefetched.
 /// The CSR arrays themselves stream sequentially (the hardware prefetcher
-/// handles them); only the indirect x[col] / y[col] accesses need help.
+/// handles them); only the indirect accesses need help.
 constexpr size_t kPrefetchDistance = 16;
 
 /// One CSR row's dot product against x: four independent partial sums
 /// expose ILP across the FMA chain, and the gathered x entries a few
-/// nonzeros ahead are prefetched. Shared by MultiplyInto and the fused
-/// MultiplyMinusInto so the kernels cannot drift apart.
+/// nonzeros ahead are prefetched.
 inline double RowDot(const uint32_t* ci, const double* va, const double* xd,
                      size_t k, size_t end, size_t nnz) {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
@@ -112,30 +109,6 @@ inline double RowDot(const uint32_t* ci, const double* va, const double* xd,
 
 }  // namespace
 
-void SparseMatrix::Multiply(const std::vector<double>& x,
-                            std::vector<double>& y) const {
-  assert(x.size() == cols_);
-  y.resize(rows_);
-  MultiplyInto(kernels::ConstSpan(x), kernels::Span(y));
-}
-
-void SparseMatrix::MultiplyInto(kernels::ConstSpan x, kernels::Span y) const {
-  assert(x.size == cols_);
-  assert(y.size == rows_);
-  const size_t* const off = row_offsets_.data();
-  const uint32_t* const ci = col_indices_.data();
-  const double* const va = values_.data();
-  const size_t nnz = values_.size();
-  for (size_t r = 0; r < rows_; ++r) {
-    y.data[r] = RowDot(ci, va, x.data, off[r], off[r + 1], nnz);
-  }
-}
-
-void SparseMatrix::MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
-                                     kernels::Span y) const {
-  MultiplyMinusRows(x, b, y, 0, rows_);
-}
-
 void SparseMatrix::MultiplyMinusRows(kernels::ConstSpan x, kernels::ConstSpan b,
                                      kernels::Span y, size_t row_begin,
                                      size_t row_end) const {
@@ -151,57 +124,39 @@ void SparseMatrix::MultiplyMinusRows(kernels::ConstSpan x, kernels::ConstSpan b,
   }
 }
 
-void SparseMatrix::TransposeMultiply(const std::vector<double>& x,
-                                     std::vector<double>& y) const {
-  assert(x.size() == rows_);
-  y.resize(cols_);
-  TransposeMultiplyInto(kernels::ConstSpan(x), kernels::Span(y));
-}
-
-void SparseMatrix::TransposeMultiplyInto(kernels::ConstSpan x,
-                                         kernels::Span y) const {
-  assert(x.size == rows_);
-  assert(y.size == cols_);
-  std::fill(y.data, y.data + y.size, 0.0);
-  const size_t* const off = row_offsets_.data();
-  const uint32_t* const ci = col_indices_.data();
-  const double* const va = values_.data();
-  const size_t nnz = values_.size();
-  double* const yd = y.data;
-  for (size_t r = 0; r < rows_; ++r) {
-    const double xr = x.data[r];
-    if (xr == 0.0) continue;
-    size_t k = off[r];
-    const size_t end = off[r + 1];
-    for (; k + 4 <= end; k += 4) {
-      if (k + kPrefetchDistance < nnz) {
-        PrefetchWrite(yd + ci[k + kPrefetchDistance]);
-      }
-      yd[ci[k]] += va[k] * xr;
-      yd[ci[k + 1]] += va[k + 1] * xr;
-      yd[ci[k + 2]] += va[k + 2] * xr;
-      yd[ci[k + 3]] += va[k + 3] * xr;
-    }
-    for (; k < end; ++k) yd[ci[k]] += va[k] * xr;
-  }
-}
-
 SparseMatrix::ColumnSlice SparseMatrix::SliceColumns(size_t col_begin,
                                                      size_t col_end) const {
   assert(col_begin <= col_end && col_end <= cols_);
+  const uint32_t* const ci = col_indices_.data();
+  // The first entry of row r at or after col_begin; the row meets the
+  // slice when that entry lies before col_end. Only a row that starts
+  // before the slice and ends inside or after it needs a search.
+  const auto lower = [&](size_t r) {
+    const uint32_t* const first = ci + row_offsets_[r];
+    const uint32_t* const last = ci + row_offsets_[r + 1];
+    if (first == last || *first >= col_begin) return first;
+    if (last[-1] < col_begin) return last;
+    return std::lower_bound(first, last, col_begin);
+  };
+  const auto meets = [&](size_t r, const uint32_t* lo) {
+    return lo != ci + row_offsets_[r + 1] && *lo < col_end;
+  };
+  // Count the rows first and size the vectors exactly: a team member's
+  // slice of a large block meets a small share of its rows.
+  size_t count = 0;
+  for (size_t r = 0; r < rows_; ++r) count += meets(r, lower(r)) ? 1 : 0;
   ColumnSlice slice;
   slice.col_begin = col_begin;
   slice.col_end = col_end;
-  slice.rows.reserve(rows_);
-  slice.lo.reserve(rows_);
-  slice.hi.reserve(rows_);
-  const uint32_t* const ci = col_indices_.data();
+  slice.rows.reserve(count);
+  slice.lo.reserve(count);
+  slice.hi.reserve(count);
   for (size_t r = 0; r < rows_; ++r) {
-    const uint32_t* const first = ci + row_offsets_[r];
+    const uint32_t* const lo = lower(r);
+    if (!meets(r, lo)) continue;
     const uint32_t* const last = ci + row_offsets_[r + 1];
-    const uint32_t* const lo = std::lower_bound(first, last, col_begin);
-    const uint32_t* const hi = std::lower_bound(lo, last, col_end);
-    if (lo == hi) continue;
+    const uint32_t* const hi =
+        last[-1] < col_end ? last : std::lower_bound(lo, last, col_end);
     slice.rows.push_back(static_cast<uint32_t>(r));
     slice.lo.push_back(static_cast<size_t>(lo - ci));
     slice.hi.push_back(static_cast<size_t>(hi - ci));

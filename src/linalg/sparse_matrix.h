@@ -45,34 +45,15 @@ class SparseMatrix {
   size_t cols() const { return cols_; }
   size_t nnz() const { return values_.size(); }
 
-  /// y = A x. `x.size()` must equal `cols()`; `y` is resized to `rows()`.
-  void Multiply(const std::vector<double>& x, std::vector<double>& y) const;
-
-  /// y = A^T x. `x.size()` must equal `rows()`; `y` is resized to `cols()`.
-  void TransposeMultiply(const std::vector<double>& x,
-                         std::vector<double>& y) const;
-
-  /// y = A x into a pre-sized buffer (`x.size == cols()`, `y.size ==
-  /// rows()`). The dual hot path: no resize, no per-call bounds logic —
-  /// a single unrolled, prefetch-friendly pass over the CSR arrays.
-  void MultiplyInto(kernels::ConstSpan x, kernels::Span y) const;
-
-  /// Fused gradient pass y = A x − b (`b.size == y.size == rows()`): the
-  /// row product and the RHS subtraction in one sweep, saving a second
-  /// pass over the gradient vector per dual evaluation.
-  void MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
-                         kernels::Span y) const;
-
-  /// Rows [row_begin, row_end) of MultiplyMinusInto, the rest of `y`
-  /// untouched. Each row is the same dot product whichever range it falls
-  /// in, so any split of the rows gives the full pass's bits.
+  /// The fused gradient pass y_r = (A x)_r − b_r for the rows
+  /// [row_begin, row_end), the rest of `y` untouched (`x.size == cols()`,
+  /// `b.size == y.size == rows()`): the row product and the RHS
+  /// subtraction in one unrolled, prefetch-friendly sweep. Each row is the
+  /// same dot product whichever range it falls in, so any split of the
+  /// rows gives the bits of the pass over [0, rows()).
   void MultiplyMinusRows(kernels::ConstSpan x, kernels::ConstSpan b,
                          kernels::Span y, size_t row_begin,
                          size_t row_end) const;
-
-  /// y = A^T x into a pre-sized buffer (`x.size == rows()`, `y.size ==
-  /// cols()`).
-  void TransposeMultiplyInto(kernels::ConstSpan x, kernels::Span y) const;
 
   /// The entries of columns [col_begin, col_end), as a list of row
   /// segments: every row with entries in the range, ascending, and the
@@ -87,10 +68,10 @@ class SparseMatrix {
   };
   ColumnSlice SliceColumns(size_t col_begin, size_t col_end) const;
 
-  /// Columns [slice.col_begin, slice.col_end) of TransposeMultiplyInto,
-  /// the rest of `y` untouched. Every column accumulates its rows in
-  /// ascending order, as in the whole-matrix pass, so any split of the
-  /// columns into slices gives that pass's bits.
+  /// y = A^T x on the columns [slice.col_begin, slice.col_end), the rest
+  /// of `y` untouched (`x.size == rows()`, `y.size == cols()`). Every
+  /// column accumulates its rows in ascending order, so any split of the
+  /// columns into slices gives the bits of the slice over [0, cols()).
   void TransposeMultiplySlice(kernels::ConstSpan x, kernels::Span y,
                               const ColumnSlice& slice) const;
 

@@ -1,7 +1,6 @@
 #include "maxent/block_plan.h"
 
 #include <algorithm>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -11,7 +10,6 @@
 
 namespace pme::maxent {
 
-using constraints::ConstraintSource;
 using constraints::LinearConstraint;
 
 namespace {
@@ -75,43 +73,6 @@ BlockPlan BlockPlan::Build(
     const constraints::TermIndex& index,
     const constraints::InvariantOptions& invariant_options,
     const std::vector<LinearConstraint>& request_rows, bool one_block) {
-  std::vector<const LinearConstraint*> rows;
-  rows.reserve(request_rows.size());
-  for (const LinearConstraint& c : request_rows) rows.push_back(&c);
-  return BuildFromRows(table, index, invariant_options, rows, one_block);
-}
-
-Result<BlockPlan> BlockPlan::Build(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system) {
-  const constraints::InvariantOptions keep_all;
-  std::vector<const LinearConstraint*> request_rows;
-  for (const LinearConstraint& c : system.constraints()) {
-    if (c.source != ConstraintSource::kQiInvariant &&
-        c.source != ConstraintSource::kSaInvariant) {
-      request_rows.push_back(&c);
-    }
-  }
-  const size_t invariant_rows = system.size() - request_rows.size();
-  size_t table_rows = 0;
-  for (uint32_t b = 0; b < table.num_buckets(); ++b) {
-    table_rows += constraints::NumInvariantRows(table, b, keep_all);
-  }
-  if (invariant_rows != table_rows) {
-    return Status::InvalidArgument(
-        "the system holds " + std::to_string(invariant_rows) +
-        " invariant rows; the table has " + std::to_string(table_rows));
-  }
-  return BuildFromRows(table, index, keep_all, request_rows, false);
-}
-
-BlockPlan BlockPlan::BuildFromRows(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::InvariantOptions& invariant_options,
-    const std::vector<const LinearConstraint*>& request_rows,
-    bool one_block) {
   BlockPlan plan;
   plan.table_ = &table;
   plan.index_ = &index;
@@ -123,10 +84,10 @@ BlockPlan BlockPlan::BuildFromRows(
   if (one_block) {
     for (uint32_t b = 0; b < index.num_buckets(); ++b) touched_set.Insert(b);
   } else {
-    for (const LinearConstraint* c : request_rows) {
-      for (size_t i = 0; i < c->vars.size(); ++i) {
-        if (c->coefs[i] != 0.0) {
-          touched_set.Insert(index.TermOf(c->vars[i]).bucket);
+    for (const LinearConstraint& c : request_rows) {
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        if (c.coefs[i] != 0.0) {
+          touched_set.Insert(index.TermOf(c.vars[i]).bucket);
         }
       }
     }
@@ -142,11 +103,11 @@ BlockPlan BlockPlan::BuildFromRows(
   UnionFind uf(touched.size());
   std::vector<uint8_t> coupled(touched.size(), one_block ? 1 : 0);
   for (uint32_t l = 1; one_block && l < touched.size(); ++l) uf.Union(0, l);
-  for (const LinearConstraint* c : request_rows) {
+  for (const LinearConstraint& c : request_rows) {
     int64_t first = -1;
-    for (size_t i = 0; i < c->vars.size(); ++i) {
-      if (c->coefs[i] == 0.0) continue;
-      const uint32_t local = local_of_var(c->vars[i]);
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      const uint32_t local = local_of_var(c.vars[i]);
       coupled[local] = 1;
       if (first < 0) {
         first = local;
@@ -198,16 +159,16 @@ BlockPlan BlockPlan::BuildFromRows(
     }
   }
   // Request rows join the block of their first supported variable.
-  for (const LinearConstraint* c : request_rows) {
-    const auto it = std::find_if(c->coefs.begin(), c->coefs.end(),
+  for (const LinearConstraint& c : request_rows) {
+    const auto it = std::find_if(c.coefs.begin(), c.coefs.end(),
                                  [](double v) { return v != 0.0; });
-    if (it == c->coefs.end()) {
-      plan.unsupported_rows_.push_back(c);
+    if (it == c.coefs.end()) {
+      plan.unsupported_rows_.push_back(&c);
       continue;
     }
-    const size_t first = static_cast<size_t>(it - c->coefs.begin());
-    const uint32_t root = uf.Find(local_of_var(c->vars[first]));
-    plan.blocks_[block_of_root[root]].rows.push_back(c);
+    const size_t first = static_cast<size_t>(it - c.coefs.begin());
+    const uint32_t root = uf.Find(local_of_var(c.vars[first]));
+    plan.blocks_[block_of_root[root]].rows.push_back(&c);
   }
   for (PlanBlock& block : plan.blocks_) block.num_eq = StackRows(&block.rows);
   return plan;

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "constraints/constraint.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
@@ -108,15 +107,6 @@ class BlockPlan {
       const std::vector<constraints::LinearConstraint>& request_rows,
       bool one_block = false);
 
-  /// Plans a whole system over `table`: its invariant rows must be
-  /// GenerateInvariants(table, index)'s (every row kept), and are left to
-  /// the table; every other row is routed as a request row. Errors with
-  /// kInvalidArgument when the system's invariant-row count differs from
-  /// the table's. `table`, `index` and `system` must outlive the plan.
-  static Result<BlockPlan> Build(const anonymize::BucketizedTable& table,
-                                 const constraints::TermIndex& index,
-                                 const constraints::ConstraintSystem& system);
-
   /// Computes every block's cache keys and looks each block up in
   /// options.solution_cache — serially, in block order, so the census is
   /// the same for any thread count. Only request rows are hashed; the
@@ -165,13 +155,6 @@ class BlockPlan {
   size_t rows_hashed() const { return rows_hashed_; }
 
  private:
-  static BlockPlan BuildFromRows(
-      const anonymize::BucketizedTable& table,
-      const constraints::TermIndex& index,
-      const constraints::InvariantOptions& invariant_options,
-      const std::vector<const constraints::LinearConstraint*>& request_rows,
-      bool one_block);
-
   const anonymize::BucketizedTable* table_ = nullptr;
   const constraints::TermIndex* index_ = nullptr;
   constraints::InvariantOptions invariant_options_;

@@ -10,7 +10,6 @@
 
 #include "common/deadline.h"
 #include "common/failpoint.h"
-#include "common/math_util.h"
 #include "common/metrics.h"
 #include "common/team.h"
 #include "common/thread_pool.h"
@@ -170,40 +169,6 @@ DecompositionStats AnalyzeDecomposition(const BlockPlan& plan) {
   stats.irrelevant_buckets =
       plan.index().num_buckets() - stats.relevant_buckets;
   return stats;
-}
-
-Result<DecompositionStats> AnalyzeDecomposition(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system) {
-  PME_ASSIGN_OR_RETURN(const BlockPlan plan,
-                       BlockPlan::Build(table, index, system));
-  return AnalyzeDecomposition(plan);
-}
-
-Result<SolverResult> SolveDecomposed(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
-    const SolverOptions& options) {
-  Timer timer;
-  BlockPlan plan;
-  {
-    trace::TraceSpan plan_span("plan", "solve");
-    PME_ASSIGN_OR_RETURN(plan, BlockPlan::Build(table, index, system));
-    plan.ConsultCache(options);
-  }
-  auto prior = std::make_shared<const std::vector<double>>(
-      ClosedFormNoKnowledge(table, index));
-  const double prior_entropy = Entropy(*prior);
-  PME_ASSIGN_OR_RETURN(
-      SolverResult result,
-      SolveDecomposed(plan, std::move(prior), prior_entropy, options));
-  result.p = MaterializeJoint(result);
-  result.blocks.clear();
-  result.prior.reset();
-  result.seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 Result<SolverResult> SolveDecomposed(

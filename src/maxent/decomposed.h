@@ -8,9 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "anonymize/bucketized_table.h"
 #include "common/status.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/block_plan.h"
 #include "maxent/problem.h"
@@ -34,11 +32,16 @@ namespace pme::maxent {
 /// buckets this is the difference between one O(n) dual and many O(n_k)
 /// duals — seconds vs minutes.
 ///
-/// This overload plans `system` itself (BlockPlan::Build over `table`:
-/// its invariant rows are left to the table, and a system whose
-/// invariant-row count differs from the table's is kInvalidArgument),
-/// solves over a freshly derived closed form, and returns the full joint
-/// in `p`.
+/// Solves the blocks of `plan` (its cache already consulted) over
+/// `prior` — the table's Theorem-5 closed form, with
+/// pme::Entropy `prior_entropy`. Every block, the one block of a whole-
+/// table plan included, is assembled (AssembleBlock) and answered from
+/// the cache, or solved from BlockStart as its plan entry says. The
+/// result is an overlay: `p` stays empty, `blocks` holds each block's
+/// (cols, p) slice and `prior` shares the prior; entropy is derived per
+/// block, and a solved block's max violation is its solve's. Work scales
+/// with the coupled blocks, not with the table. `plan` and the rows it
+/// points to must outlive the call.
 ///
 /// Failure semantics: each block is solved once (Solve) under a
 /// wall-time budget proportional to its variable count (a slice of
@@ -54,22 +57,6 @@ namespace pme::maxent {
 /// kDeadlineExceeded when the request deadline is spent. The one error
 /// the call returns is kInfeasible for a knowledge row with no support
 /// and a nonzero bound — a property of the request, not of a block.
-Result<SolverResult> SolveDecomposed(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
-    const SolverOptions& options = {});
-
-/// The request path: solves the blocks of `plan` (its cache already
-/// consulted) over `prior` — the table's Theorem-5 closed form, with
-/// pme::Entropy `prior_entropy`. Every block, the one block of a whole-
-/// table plan included, is assembled (AssembleBlock) and answered from
-/// the cache, or solved from BlockStart as its plan entry says. The
-/// result is an overlay: `p` stays empty, `blocks` holds each block's
-/// (cols, p) slice and `prior` shares the prior; entropy is derived per
-/// block, and a solved block's max violation is its solve's. Work scales
-/// with the coupled blocks, not with the table. `plan` and the rows it
-/// points to must outlive the call.
 Result<SolverResult> SolveDecomposed(
     const BlockPlan& plan, std::shared_ptr<const std::vector<double>> prior,
     double prior_entropy, const SolverOptions& options);
@@ -143,13 +130,6 @@ struct DecompositionStats {
 
 /// The census of a plan, by arithmetic over its blocks.
 DecompositionStats AnalyzeDecomposition(const BlockPlan& plan);
-
-/// The census of `system` over `table` (plans it first, as
-/// BlockPlan::Build does).
-Result<DecompositionStats> AnalyzeDecomposition(
-    const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system);
 
 }  // namespace pme::maxent
 

@@ -18,12 +18,12 @@ size_t StackRows(std::vector<const LinearConstraint*>* rows) {
 }
 
 Result<MaxEntProblem> BuildProblem(
-    const constraints::ConstraintSystem& system) {
-  std::vector<const LinearConstraint*> rows;
-  rows.reserve(system.size());
-  for (const LinearConstraint& c : system.constraints()) rows.push_back(&c);
-  const size_t num_eq = StackRows(&rows);
-  return AssembleProblem(system.num_variables(), rows, num_eq,
+    size_t num_vars, const std::vector<LinearConstraint>& rows) {
+  std::vector<const LinearConstraint*> stacked;
+  stacked.reserve(rows.size());
+  for (const LinearConstraint& c : rows) stacked.push_back(&c);
+  const size_t num_eq = StackRows(&stacked);
+  return AssembleProblem(num_vars, stacked, num_eq,
                          [](uint32_t var) { return var; });
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "constraints/system.h"
+#include "constraints/constraint.h"
 #include "linalg/sparse_matrix.h"
 
 namespace pme::maxent {
@@ -90,8 +90,10 @@ Result<MaxEntProblem> AssembleProblem(
   return problem;
 }
 
-/// The whole system as one problem: its rows stacked, identity columns.
-Result<MaxEntProblem> BuildProblem(const constraints::ConstraintSystem& system);
+/// The problem of `rows` over `num_vars` variables, as one matrix: the
+/// rows stacked (StackRows), identity columns.
+Result<MaxEntProblem> BuildProblem(
+    size_t num_vars, const std::vector<constraints::LinearConstraint>& rows);
 
 /// Structural presolve. Two reductions run to fixpoint:
 ///

@@ -159,12 +159,11 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
 double ProblemViolation(const MaxEntProblem& problem,
                         const std::vector<double>& p) {
   double worst = 0.0;
-  std::vector<double> lhs;
-  problem.a.Multiply(p, lhs);
-  for (size_t j = 0; j < lhs.size(); ++j) {
-    const double residual = lhs[j] - problem.rhs[j];
-    worst = std::max(worst, j < problem.num_eq ? std::fabs(residual)
-                                               : std::max(0.0, residual));
+  std::vector<double> residual(problem.a.rows());
+  problem.a.MultiplyMinusRows(p, problem.rhs, residual, 0, residual.size());
+  for (size_t j = 0; j < residual.size(); ++j) {
+    worst = std::max(worst, j < problem.num_eq ? std::fabs(residual[j])
+                                               : std::max(0.0, residual[j]));
   }
   return worst;
 }

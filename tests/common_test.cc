@@ -190,38 +190,15 @@ TEST(MathUtilTest, KlDivergenceProperties) {
   EXPECT_TRUE(std::isfinite(KlDivergence({1.0, 0.0}, {0.0, 1.0})));
 }
 
-TEST(MathUtilTest, LogSumExpStability) {
-  EXPECT_NEAR(LogSumExp({1000.0, 1000.0}), 1000.0 + std::log(2.0), 1e-9);
-  EXPECT_NEAR(LogSumExp({-1000.0, -1000.0}), -1000.0 + std::log(2.0), 1e-9);
-  EXPECT_EQ(LogSumExp({}), -std::numeric_limits<double>::infinity());
-}
-
 TEST(MathUtilTest, VectorOps) {
   std::vector<double> a = {3.0, -4.0};
-  EXPECT_NEAR(TwoNorm(a), 5.0, 1e-15);
-  EXPECT_NEAR(InfNorm(a), 4.0, 1e-15);
+  EXPECT_NEAR(kernels::SumSquares(a), 25.0, 1e-15);
+  EXPECT_NEAR(kernels::InfNorm(a), 4.0, 1e-15);
   std::vector<double> b = {1.0, 2.0};
-  EXPECT_NEAR(Dot(a, b), -5.0, 1e-15);
-  Axpy(2.0, b, a);  // a = {5, 0}
+  EXPECT_NEAR(kernels::Dot(a, b), -5.0, 1e-15);
+  kernels::Axpy(2.0, b, a);  // a = {5, 0}
   EXPECT_NEAR(a[0], 5.0, 1e-15);
   EXPECT_NEAR(a[1], 0.0, 1e-15);
-}
-
-TEST(MathUtilTest, NormalizeInPlace) {
-  std::vector<double> v = {1.0, 3.0};
-  EXPECT_TRUE(NormalizeInPlace(v));
-  EXPECT_NEAR(v[0], 0.25, 1e-15);
-  EXPECT_NEAR(v[1], 0.75, 1e-15);
-  std::vector<double> zeros = {0.0, 0.0};
-  EXPECT_FALSE(NormalizeInPlace(zeros));
-}
-
-TEST(MathUtilTest, BinomialCoefficient) {
-  EXPECT_EQ(BinomialCoefficient(8, 0), 1.0);
-  EXPECT_EQ(BinomialCoefficient(8, 8), 1.0);
-  EXPECT_EQ(BinomialCoefficient(8, 3), 56.0);
-  EXPECT_EQ(BinomialCoefficient(8, 9), 0.0);
-  EXPECT_EQ(BinomialCoefficient(5, -1), 0.0);
 }
 
 // ----------------------------------------------------------- StringUtil

@@ -12,7 +12,7 @@
 #include "common/vec_math.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
+#include "constraints/constraint.h"
 #include "constraints/term_index.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
@@ -26,7 +26,6 @@ namespace {
 using anonymize::AbstractRecord;
 using anonymize::BucketizedTable;
 using constraints::ComponentAnalysis;
-using constraints::ConstraintSystem;
 using constraints::LinearConstraint;
 using constraints::TermIndex;
 using pme::testing::kQ3;
@@ -35,21 +34,26 @@ using pme::testing::kQ5;
 using pme::testing::kS1;
 using pme::testing::kS3;
 using pme::testing::kS5;
+using pme::testing::SolveTable;
 
-ConstraintSystem InvariantSystem(const BucketizedTable& t,
-                                 const TermIndex& index) {
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  return system;
+/// The whole table's rows: its invariant rows, then `knowledge`.
+std::vector<LinearConstraint> WholeSystem(
+    const BucketizedTable& t, const TermIndex& index,
+    const std::vector<LinearConstraint>& knowledge) {
+  std::vector<LinearConstraint> rows =
+      constraints::GenerateInvariants(t, index);
+  rows.insert(rows.end(), knowledge.begin(), knowledge.end());
+  return rows;
 }
 
 void AddConditional(const BucketizedTable& t, const TermIndex& index,
-                    ConstraintSystem* system, uint32_t q, uint32_t s,
-                    double value) {
+                    std::vector<LinearConstraint>* rows, uint32_t q,
+                    uint32_t s, double value) {
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(q, {s}, value));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system->AddAll(std::move(compiled.constraints));
+  rows->insert(rows->end(), compiled.constraints.begin(),
+               compiled.constraints.end());
 }
 
 // ------------------------------------------------------ ComponentAnalysis
@@ -57,8 +61,9 @@ void AddConditional(const BucketizedTable& t, const TermIndex& index,
 TEST(ComponentAnalysisTest, NoKnowledgeYieldsSingletonFreeComponents) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto analysis = ComponentAnalysis::Build(index, system);
+  std::vector<LinearConstraint> knowledge;
+  auto analysis =
+      ComponentAnalysis::Build(index, WholeSystem(t, index, knowledge));
 
   // Invariants never couple buckets: every bucket is its own component
   // and none needs the iterative solver.
@@ -76,10 +81,11 @@ TEST(ComponentAnalysisTest, NoKnowledgeYieldsSingletonFreeComponents) {
 TEST(ComponentAnalysisTest, KnowledgeMergesBucketsSharingItsSupport) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
+  std::vector<LinearConstraint> knowledge;
   // q3 occurs in buckets 0 and 1: one statement about q3 couples them.
-  AddConditional(t, index, &system, kQ3, kS3, 0.5);
-  auto analysis = ComponentAnalysis::Build(index, system);
+  AddConditional(t, index, &knowledge, kQ3, kS3, 0.5);
+  auto analysis =
+      ComponentAnalysis::Build(index, WholeSystem(t, index, knowledge));
 
   EXPECT_EQ(analysis.num_components(), 2u);
   EXPECT_EQ(analysis.num_coupled(), 1u);
@@ -94,12 +100,13 @@ TEST(ComponentAnalysisTest, KnowledgeMergesBucketsSharingItsSupport) {
 TEST(ComponentAnalysisTest, DisjointKnowledgeYieldsIndependentBlocks) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
+  std::vector<LinearConstraint> knowledge;
   // q4 occurs only in bucket 1, q5 only in bucket 2: two independent
   // coupled blocks, and bucket 0 stays closed-form.
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
-  auto analysis = ComponentAnalysis::Build(index, system);
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
+  auto analysis =
+      ComponentAnalysis::Build(index, WholeSystem(t, index, knowledge));
 
   EXPECT_EQ(analysis.num_components(), 3u);
   EXPECT_EQ(analysis.num_coupled(), 2u);
@@ -112,9 +119,10 @@ TEST(ComponentAnalysisTest, DisjointKnowledgeYieldsIndependentBlocks) {
 TEST(ComponentAnalysisTest, StatsReportComponentCensus) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  auto stats = maxent::AnalyzeDecomposition(t, index, system).ValueOrDie();
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
+  auto stats = maxent::AnalyzeDecomposition(
+      maxent::BlockPlan::Build(t, index, {}, knowledge));
 
   EXPECT_EQ(stats.num_components, 3u);
   EXPECT_EQ(stats.num_coupled_components, 1u);
@@ -130,13 +138,15 @@ TEST(ComponentAnalysisTest, StatsReportComponentCensus) {
 TEST(SolveDecomposedTest, IndependentBlocksMatchMonolithicSolve) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
 
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  auto problem = maxent::BuildProblem(index.num_variables(),
+                                      WholeSystem(t, index, knowledge))
+                     .ValueOrDie();
   auto mono = maxent::Solve(problem).ValueOrDie();
-  auto block = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  auto block = SolveTable(t, index, knowledge).ValueOrDie();
   ASSERT_EQ(block.p.size(), mono.p.size());
   for (size_t i = 0; i < mono.p.size(); ++i) {
     EXPECT_NEAR(block.p[i], mono.p[i], 1e-6) << index.TermName(i, t);
@@ -147,7 +157,7 @@ TEST(SolveDecomposedTest, IndependentBlocksMatchMonolithicSolve) {
 TEST(SolveDecomposedTest, InequalityRowsSliceIntoTheRightBlock) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
+  std::vector<LinearConstraint> knowledge;
 
   // A hand-made inequality on bucket 1 plus an equality on bucket 2:
   // two coupled blocks, one of which has a ≤ row in its box-constrained dual.
@@ -160,12 +170,14 @@ TEST(SolveDecomposedTest, InequalityRowsSliceIntoTheRightBlock) {
   le.rhs = 0.02;
   le.source = constraints::ConstraintSource::kBackground;
   le.label = "test-le";
-  system.Add(le);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
+  knowledge.push_back(le);
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
 
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  auto problem = maxent::BuildProblem(index.num_variables(),
+                                      WholeSystem(t, index, knowledge))
+                     .ValueOrDie();
   auto mono = maxent::Solve(problem).ValueOrDie();
-  auto block = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  auto block = SolveTable(t, index, knowledge).ValueOrDie();
   for (size_t i = 0; i < mono.p.size(); ++i) {
     EXPECT_NEAR(block.p[i], mono.p[i], 1e-5) << index.TermName(i, t);
   }
@@ -207,7 +219,7 @@ TEST(SolveDecomposedTest, RandomMultiComponentSystemsAgreeWithMonolithic) {
   for (int seed = 1; seed <= 6; ++seed) {
     auto t = RandomTable(8, 3, 18, 5, seed);
     auto index = TermIndex::Build(t);
-    auto system = InvariantSystem(t, index);
+    std::vector<LinearConstraint> knowledge;
     Prng prng(seed * 31 + 7);
     for (int k = 0; k < 4; ++k) {
       const uint32_t q =
@@ -215,15 +227,18 @@ TEST(SolveDecomposedTest, RandomMultiComponentSystemsAgreeWithMonolithic) {
       const uint32_t s =
           static_cast<uint32_t>(prng.NextBounded(t.num_sa_values()));
       // True conditionals keep the system feasible for any placement.
-      AddConditional(t, index, &system, q, s, t.TrueConditional(q, s));
+      AddConditional(t, index, &knowledge, q, s, t.TrueConditional(q, s));
     }
 
-    auto stats = maxent::AnalyzeDecomposition(t, index, system).ValueOrDie();
+    auto stats = maxent::AnalyzeDecomposition(
+        maxent::BlockPlan::Build(t, index, {}, knowledge));
     EXPECT_GE(stats.num_components, stats.num_coupled_components);
 
-    auto problem = maxent::BuildProblem(system).ValueOrDie();
+    auto problem = maxent::BuildProblem(index.num_variables(),
+                                        WholeSystem(t, index, knowledge))
+                       .ValueOrDie();
     auto mono = maxent::Solve(problem).ValueOrDie();
-    auto block = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+    auto block = SolveTable(t, index, knowledge).ValueOrDie();
     ASSERT_EQ(block.p.size(), mono.p.size());
     double max_diff = 0.0;
     for (size_t i = 0; i < mono.p.size(); ++i) {
@@ -239,21 +254,21 @@ TEST(SolveDecomposedTest, RandomMultiComponentSystemsAgreeWithMonolithic) {
 TEST(SolveDecomposedTest, ThreadCountDoesNotChangeThePosterior) {
   auto t = RandomTable(10, 3, 24, 6, 42);
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
+  std::vector<LinearConstraint> knowledge;
   Prng prng(4242);
   for (int k = 0; k < 6; ++k) {
     const uint32_t q =
         static_cast<uint32_t>(prng.NextBounded(t.num_qi_values()));
     const uint32_t s =
         static_cast<uint32_t>(prng.NextBounded(t.num_sa_values()));
-    AddConditional(t, index, &system, q, s, t.TrueConditional(q, s));
+    AddConditional(t, index, &knowledge, q, s, t.TrueConditional(q, s));
   }
 
   maxent::SolverOptions serial, parallel;
   serial.threads = 1;
   parallel.threads = 8;
-  auto a = maxent::SolveDecomposed(t, index, system, serial).ValueOrDie();
-  auto b = maxent::SolveDecomposed(t, index, system, parallel).ValueOrDie();
+  auto a = SolveTable(t, index, knowledge, serial).ValueOrDie();
+  auto b = SolveTable(t, index, knowledge, parallel).ValueOrDie();
   ASSERT_EQ(a.p.size(), b.p.size());
   for (size_t i = 0; i < a.p.size(); ++i) {
     // Bitwise identical: the block solves are deterministic and the
@@ -272,17 +287,18 @@ TEST(SolveDecomposedTest, ThreadCountDoesNotChangeThePosterior) {
 /// buckets collapses to a single-bucket constraint after invariant
 /// substitution): P(s3 | q1) touches buckets 1-2, and P({s1, s2} | q2)
 /// touches buckets 1 and 3.
-ConstraintSystem FullyCoupledSystem(const BucketizedTable& t,
-                                    const TermIndex& index) {
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, pme::testing::kQ1, kS3,
+std::vector<LinearConstraint> FullyCoupledKnowledge(
+    const BucketizedTable& t, const TermIndex& index) {
+  std::vector<LinearConstraint> rows;
+  AddConditional(t, index, &rows, pme::testing::kQ1, kS3,
                  t.TrueConditional(pme::testing::kQ1, kS3));
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(
       pme::testing::kQ2, {kS1, pme::testing::kS2}, 0.5));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-  return system;
+  rows.insert(rows.end(), compiled.constraints.begin(),
+              compiled.constraints.end());
+  return rows;
 }
 
 TEST(SolveDecomposedTest, SparseKnowledgeStaysDecomposed) {
@@ -290,9 +306,9 @@ TEST(SolveDecomposedTest, SparseKnowledgeStaysDecomposed) {
   // smaller than the table.
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
-  auto decomposed = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
+  auto decomposed = SolveTable(t, index, knowledge).ValueOrDie();
   ASSERT_EQ(decomposed.component_outcomes.size(), 1u);
   EXPECT_LT(decomposed.component_outcomes[0].num_variables,
             index.num_variables());
@@ -310,14 +326,14 @@ TEST(SolveDecomposedTest, SimdOffAndAutoPosteriorsAgree) {
   auto saved = kernels::GetSimdMode();
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = FullyCoupledSystem(t, index);
+  const auto knowledge = FullyCoupledKnowledge(t, index);
   maxent::SolverOptions options;
   options.tolerance = 1e-12;
 
   kernels::SetSimdMode(kernels::SimdMode::kOff);
-  auto off = maxent::SolveDecomposed(t, index, system, options).ValueOrDie();
+  auto off = SolveTable(t, index, knowledge, options).ValueOrDie();
   kernels::SetSimdMode(kernels::SimdMode::kAuto);
-  auto vec = maxent::SolveDecomposed(t, index, system, options).ValueOrDie();
+  auto vec = SolveTable(t, index, knowledge, options).ValueOrDie();
   kernels::SetSimdMode(saved);
 
   EXPECT_TRUE(off.converged);

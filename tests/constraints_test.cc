@@ -19,7 +19,6 @@
 #include "common/metrics.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "maxent/block_plan.h"
 #include "maxent/problem.h"
@@ -597,30 +596,30 @@ TEST(BkCompilerTest, RejectsOutOfRangeProbability) {
   EXPECT_FALSE(CompileKnowledge(kb, t, index).ok());
 }
 
-// -------------------------------------------------------------- System
+// ------------------------------------------------ Rows and relevance
 
-TEST(ConstraintSystemTest, ProblemStacksEqualitiesFirst) {
-  ConstraintSystem system(4);
+TEST(ProblemRowsTest, ProblemStacksEqualitiesFirst) {
+  std::vector<LinearConstraint> system;
   LinearConstraint le;
   le.vars = {2};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.3;
-  system.Add(le);
+  system.push_back(le);
   LinearConstraint eq;
   eq.vars = {0, 1};
   eq.coefs = {1.0, 1.0};
   eq.rhs = 0.5;
-  system.Add(eq);
+  system.push_back(eq);
   LinearConstraint ge;
   ge.vars = {3};
   ge.coefs = {1.0};
   ge.rel = Relation::kGe;
   ge.rhs = 0.1;
-  system.Add(ge);
+  system.push_back(ge);
 
   // The equality row moves first; the inequality rows keep their order.
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  auto problem = maxent::BuildProblem(4, system).ValueOrDie();
   EXPECT_EQ(problem.num_eq, 1u);
   ASSERT_EQ(problem.a.rows(), 3u);
   EXPECT_DOUBLE_EQ(problem.a.At(0, 0), 1.0);
@@ -630,24 +629,24 @@ TEST(ConstraintSystemTest, ProblemStacksEqualitiesFirst) {
   EXPECT_EQ(problem.rhs, (std::vector<double>{0.5, 0.3, -0.1}));
 }
 
-TEST(ConstraintSystemTest, ViolationMeasures) {
-  ConstraintSystem system(2);
+TEST(ProblemRowsTest, ViolationMeasures) {
+  std::vector<LinearConstraint> system;
   LinearConstraint c;
   c.vars = {0, 1};
   c.coefs = {1.0, 1.0};
   c.rhs = 1.0;
-  system.Add(c);
-  EXPECT_NEAR(system.MaxViolation({0.5, 0.5}), 0.0, 1e-15);
-  EXPECT_NEAR(system.MaxViolation({0.5, 0.2}), 0.3, 1e-12);
+  system.push_back(c);
+  EXPECT_NEAR(MaxInvariantViolation(system, {0.5, 0.5}), 0.0, 1e-15);
+  EXPECT_NEAR(MaxInvariantViolation(system, {0.5, 0.2}), 0.3, 1e-12);
 }
 
 /// Definition 5.6 as the planner decides it: a bucket is relevant iff
 /// it lies in one of the knowledge-coupled blocks.
-std::vector<bool> BucketRelevance(const anonymize::BucketizedTable& table,
-                                  const TermIndex& index,
-                                  const ConstraintSystem& system) {
+std::vector<bool> BucketRelevance(
+    const anonymize::BucketizedTable& table, const TermIndex& index,
+    const std::vector<LinearConstraint>& knowledge) {
   const maxent::BlockPlan plan =
-      maxent::BlockPlan::Build(table, index, system).ValueOrDie();
+      maxent::BlockPlan::Build(table, index, {}, knowledge);
   std::vector<bool> relevant(index.num_buckets(), false);
   for (const maxent::PlanBlock& block : plan.blocks()) {
     for (const uint32_t b : block.buckets) relevant[b] = true;
@@ -655,33 +654,35 @@ std::vector<bool> BucketRelevance(const anonymize::BucketizedTable& table,
   return relevant;
 }
 
-TEST(ConstraintSystemTest, IrrelevantBucketAnalysis) {
+TEST(BucketRelevanceTest, IrrelevantBucketAnalysis) {
   // Section 5.5 / Definition 5.6: with P(s3 | q3) knowledge, buckets 1
   // and 2 are relevant (q3 lives there), bucket 3 is irrelevant.
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(GenerateInvariants(t, index));
+  const auto invariants = GenerateInvariants(t, index);
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
   auto compiled = CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
 
-  auto relevant = BucketRelevance(t, index, system);
+  auto relevant = BucketRelevance(t, index, compiled.constraints);
   ASSERT_EQ(relevant.size(), 3u);
   EXPECT_TRUE(relevant[0]);
   EXPECT_TRUE(relevant[1]);
   EXPECT_FALSE(relevant[2]);
-  EXPECT_EQ(system.CountBySource(ConstraintSource::kBackground), 1u);
-  EXPECT_EQ(system.CountBySource(ConstraintSource::kQiInvariant), 9u);
+  const auto count_source = [](const std::vector<LinearConstraint>& rows,
+                               ConstraintSource source) {
+    return std::count_if(rows.begin(), rows.end(),
+                         [&](const auto& c) { return c.source == source; });
+  };
+  EXPECT_EQ(count_source(compiled.constraints, ConstraintSource::kBackground),
+            1);
+  EXPECT_EQ(count_source(invariants, ConstraintSource::kQiInvariant), 9);
 }
 
-TEST(ConstraintSystemTest, NoKnowledgeMeansAllIrrelevant) {
+TEST(BucketRelevanceTest, NoKnowledgeMeansAllIrrelevant) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(GenerateInvariants(t, index));
-  auto relevant = BucketRelevance(t, index, system);
+  auto relevant = BucketRelevance(t, index, {});
   ASSERT_EQ(relevant.size(), 3u);
   for (bool r : relevant) EXPECT_FALSE(r);
 }

@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "knowledge/knowledge_base.h"
@@ -30,6 +29,7 @@
 namespace pme {
 namespace {
 
+using constraints::LinearConstraint;
 using core::AnalysisOptions;
 using core::AnalyzeWithRules;
 using core::ExperimentPipeline;
@@ -419,26 +419,23 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   // its cached multiplier by signature. The q5 block is untouched.
   const auto table = testing::MakeFigure1Table();
   const auto index = constraints::TermIndex::Build(table);
-  const auto system_with = [&](double s1_given_q4) {
+  const auto knowledge_with = [&](double s1_given_q4) {
     knowledge::KnowledgeBase kb;
     kb.Add(knowledge::AbstractConditional(testing::kQ4, {testing::kS1},
                                           s1_given_q4));
     kb.Add(CapS3GivenQ4());
     kb.Add(knowledge::AbstractConditional(testing::kQ5, {testing::kS5}, 0.5));
-    constraints::ConstraintSystem system(index.num_variables());
-    system.AddAll(constraints::GenerateInvariants(table, index));
-    system.AddAll(
-        constraints::CompileKnowledge(kb, table, index).ValueOrDie()
-            .constraints);
-    return system;
+    return constraints::CompileKnowledge(kb, table, index)
+        .ValueOrDie()
+        .constraints;
   };
-  const constraints::ConstraintSystem seeded_system = system_with(0.5);
-  const constraints::ConstraintSystem toggled_system = system_with(0.51);
+  const auto seeded_knowledge = knowledge_with(0.5);
+  const auto toggled_knowledge = knowledge_with(0.51);
 
   SolutionCache cache;
   const maxent::SolverOptions options = CacheOptions(&cache, 1).solver_options;
   const auto seeded =
-      maxent::SolveDecomposed(table, index, seeded_system, options)
+      testing::SolveTable(table, index, seeded_knowledge, options)
           .ValueOrDie();
   ASSERT_EQ(seeded.component_outcomes.size(), 2u);
   ASSERT_FALSE(seeded.degraded);
@@ -447,10 +444,10 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   // The warm start the toggled block is offered: the cached multipliers
   // row for row (same rows, same stacked order), the toggled row at 0.
   maxent::BlockPlan seeded_plan =
-      maxent::BlockPlan::Build(table, index, seeded_system).ValueOrDie();
+      maxent::BlockPlan::Build(table, index, {}, seeded_knowledge);
   seeded_plan.ConsultCache(options);
   maxent::BlockPlan toggled_plan =
-      maxent::BlockPlan::Build(table, index, toggled_system).ValueOrDie();
+      maxent::BlockPlan::Build(table, index, {}, toggled_knowledge);
   toggled_plan.ConsultCache(options);
   const maxent::PlanBlock& before = seeded_plan.blocks()[0];
   const maxent::PlanBlock& after = toggled_plan.blocks()[0];
@@ -476,12 +473,12 @@ TEST_F(IncrementalPipelineTest, WarmStartCarriesEqualityAndInequalityRows) {
   EXPECT_EQ(after.warm_start, expected);
 
   const auto warm =
-      maxent::SolveDecomposed(table, index, toggled_system, options)
+      testing::SolveTable(table, index, toggled_knowledge, options)
           .ValueOrDie();
   SolutionCache fresh;
   const auto cold =
-      maxent::SolveDecomposed(table, index, toggled_system,
-                              CacheOptions(&fresh, 1).solver_options)
+      testing::SolveTable(table, index, toggled_knowledge,
+                          CacheOptions(&fresh, 1).solver_options)
           .ValueOrDie();
   ASSERT_EQ(warm.component_outcomes.size(), 2u);
   EXPECT_EQ(warm.component_outcomes[0].cache,
@@ -516,14 +513,18 @@ TEST(DualLambdaTest, PopulatedForEqualityAndInequalityProblems) {
   // their box, λ ≤ 0.
   const auto table = testing::MakeFigure1Table();
   const auto index = constraints::TermIndex::Build(table);
-  constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(table, index));
-  const auto equality = maxent::BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system =
+      constraints::GenerateInvariants(table, index);
+  const auto equality =
+      maxent::BuildProblem(index.num_variables(), system).ValueOrDie();
   knowledge::KnowledgeBase kb;
   kb.Add(CapS3GivenQ4());
-  system.AddAll(
-      constraints::CompileKnowledge(kb, table, index).ValueOrDie().constraints);
-  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
+  const auto compiled =
+      constraints::CompileKnowledge(kb, table, index).ValueOrDie();
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
+  const auto inequality =
+      maxent::BuildProblem(index.num_variables(), system).ValueOrDie();
   ASSERT_EQ(inequality.a.rows(), inequality.num_eq + 1);
 
   for (const auto* problem : {&equality, &inequality}) {

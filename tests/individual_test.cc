@@ -5,9 +5,13 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "anonymize/pseudonym.h"
 #include "core/individual_model.h"
+#include "core/privacy_maxent.h"
+#include "knowledge/knowledge_base.h"
 #include "tests/test_util.h"
 
 namespace pme::core {
@@ -15,6 +19,7 @@ namespace {
 
 using pme::testing::kQ1;
 using pme::testing::kQ2;
+using pme::testing::kQ3;
 using pme::testing::kQ5;
 using pme::testing::kS1;
 using pme::testing::kS2;
@@ -195,6 +200,53 @@ TEST_F(IndividualModelTest, RejectsDatasetModeConditional) {
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::MakeConditional({0}, {0}, kS2, 0.3));
   EXPECT_EQ(model_->AddKnowledge(kb).code(), StatusCode::kInvalidArgument);
+}
+
+// Pseudonyms are the tuple ids that turn each bag of same-QI records into
+// a set (Bertossi–Gottlob, bag semantics via set semantics), so on
+// abstract knowledge alone the expanded model's P*(s | q), averaged over
+// q's pseudonyms, is the session's posterior. Both solves stop at the
+// 1e-8 dual tolerance in joint units and a posterior divides by
+// P(q) = n_q / N, so with N = 10 they agree to 1e-7, not 1e-8.
+TEST(IndividualSessionParityTest, AbstractKnowledgeGivesTheSessionPosterior) {
+  const anonymize::BucketizedTable table = pme::testing::MakeFigure1Table();
+  const auto pseudonyms =
+      anonymize::PseudonymTable::Create(&table).ValueOrDie();
+  struct Statement {
+    uint32_t q;
+    uint32_t s;
+    double probability;
+  };
+  const std::vector<std::vector<Statement>> cases = {
+      {}, {{kQ3, kS3, 0.5}}, {{kQ3, kS3, 0.5}, {kQ1, kS1, 0.1}}};
+  for (const std::vector<Statement>& statements : cases) {
+    SCOPED_TRACE(std::to_string(statements.size()) + " statements");
+    knowledge::KnowledgeBase kb;
+    for (const Statement& st : statements) {
+      kb.Add(knowledge::AbstractConditional(st.q, {st.s}, st.probability));
+    }
+    IndividualModel model = IndividualModel::Build(&pseudonyms).ValueOrDie();
+    ASSERT_TRUE(model.AddKnowledge(kb).ok());
+    const auto expanded = model.Solve().ValueOrDie();
+    ASSERT_TRUE(expanded.converged);
+    const Analysis session = Analyze(table, kb).ValueOrDie();
+    ASSERT_TRUE(session.solver.converged);
+    for (uint32_t q = 0; q < table.num_qi_values(); ++q) {
+      const std::vector<uint32_t>& of_q = pseudonyms.PseudonymsOf(q);
+      std::vector<double> average(table.num_sa_values(), 0.0);
+      for (const uint32_t i : of_q) {
+        const std::vector<double> posterior =
+            model.PosteriorFor(i, expanded.p);
+        for (uint32_t s = 0; s < average.size(); ++s) {
+          average[s] += posterior[s] / static_cast<double>(of_q.size());
+        }
+      }
+      for (uint32_t s = 0; s < average.size(); ++s) {
+        EXPECT_NEAR(average[s], session.posterior.Conditional(q, s), 1e-7)
+            << "q" << q + 1 << " s" << s + 1;
+      }
+    }
+  }
 }
 
 }  // namespace

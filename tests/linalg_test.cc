@@ -38,9 +38,9 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
       {1.0, 0.0, 2.0}, {0.0, 3.0, 0.0}, {4.0, 5.0, 6.0}, {0.0, 0.0, 0.0}};
   SparseMatrix m = SparseMatrix::FromDense(dense);
   std::vector<double> x = {1.0, -1.0, 2.0};
-  std::vector<double> y;
-  m.Multiply(x, y);
-  ASSERT_EQ(y.size(), 4u);
+  const std::vector<double> zero(4, 0.0);
+  std::vector<double> y(4);
+  m.MultiplyMinusRows(x, zero, y, 0, 4);
   EXPECT_DOUBLE_EQ(y[0], 5.0);
   EXPECT_DOUBLE_EQ(y[1], -3.0);
   EXPECT_DOUBLE_EQ(y[2], 11.0);
@@ -52,9 +52,8 @@ TEST(SparseMatrixTest, TransposeMultiplyMatchesDense) {
                                             {5.0, 6.0}};
   SparseMatrix m = SparseMatrix::FromDense(dense);
   std::vector<double> x = {1.0, 0.5, -1.0};
-  std::vector<double> y;
-  m.TransposeMultiply(x, y);
-  ASSERT_EQ(y.size(), 2u);
+  std::vector<double> y(2);
+  m.TransposeMultiplySlice(x, y, m.SliceColumns(0, 2));
   EXPECT_DOUBLE_EQ(y[0], 1.0 + 1.5 - 5.0);
   EXPECT_DOUBLE_EQ(y[1], 2.0 + 2.0 - 6.0);
 }
@@ -74,8 +73,9 @@ TEST(SparseMatrixTest, RandomizedAgreementWithDense) {
     SparseMatrix m = SparseMatrix::FromDense(dense);
     std::vector<double> x(cols);
     for (auto& v : x) v = prng.NextDouble(-1.0, 1.0);
-    std::vector<double> y;
-    m.Multiply(x, y);
+    const std::vector<double> zero(rows, 0.0);
+    std::vector<double> y(rows);
+    m.MultiplyMinusRows(x, zero, y, 0, rows);
     for (size_t r = 0; r < rows; ++r) {
       double expect = 0.0;
       for (size_t c = 0; c < cols; ++c) expect += dense[r][c] * x[c];
@@ -91,8 +91,8 @@ uint64_t Bits(double v) {
 }
 
 // The team kernels: Aᵀx assembled from column slices and A·x − b
-// assembled from row ranges equal the whole-matrix kernels bit for bit,
-// for any cuts.
+// assembled from row ranges equal the passes over the whole range bit for
+// bit, for any cuts.
 TEST(SparseMatrixTest, SlicedProductsEqualTheWholeKernelsBitForBit) {
   Prng prng(7);
   for (int trial = 0; trial < 30; ++trial) {
@@ -119,8 +119,8 @@ TEST(SparseMatrixTest, SlicedProductsEqualTheWholeKernelsBitForBit) {
     for (double& v : b) v = prng.NextDouble(-1.0, 1.0);
 
     std::vector<double> whole_t(cols), whole_g(rows);
-    m.TransposeMultiplyInto(x, whole_t);
-    m.MultiplyMinusInto(p, b, whole_g);
+    m.TransposeMultiplySlice(x, whole_t, m.SliceColumns(0, cols));
+    m.MultiplyMinusRows(p, b, whole_g, 0, rows);
 
     // 1-4 members with random sorted cuts (empty slices included).
     const size_t members = 1 + prng.NextBounded(4);
@@ -146,6 +146,27 @@ TEST(SparseMatrixTest, SlicedProductsEqualTheWholeKernelsBitForBit) {
           << "trial " << trial << " row " << r;
     }
   }
+}
+
+// A slice holds exactly the rows that meet its columns: its vectors are
+// sized to them, not to the matrix's row count.
+TEST(SparseMatrixTest, ColumnSliceIsSizedToItsRows) {
+  // Row r has entries at columns 2r and 2r + 1 of a 100 x 200 matrix.
+  std::vector<Triplet> triplets;
+  for (uint32_t r = 0; r < 100; ++r) {
+    triplets.push_back({r, 2 * r, 1.0});
+    triplets.push_back({r, 2 * r + 1, 2.0});
+  }
+  const SparseMatrix m =
+      std::move(SparseMatrix::FromTriplets(100, 200, triplets)).value();
+  const SparseMatrix::ColumnSlice slice = m.SliceColumns(21, 30);
+  EXPECT_EQ(slice.rows, (std::vector<uint32_t>{10, 11, 12, 13, 14}));
+  EXPECT_EQ(slice.lo, (std::vector<size_t>{21, 22, 24, 26, 28}));
+  EXPECT_EQ(slice.hi, (std::vector<size_t>{22, 24, 26, 28, 30}));
+  EXPECT_EQ(slice.rows.capacity(), slice.rows.size());
+  EXPECT_EQ(slice.lo.capacity(), slice.lo.size());
+  EXPECT_EQ(slice.hi.capacity(), slice.hi.size());
+  EXPECT_TRUE(m.SliceColumns(200, 200).rows.empty());
 }
 
 TEST(SparseMatrixBuilderTest, BuildsRowsIncrementally) {

@@ -14,7 +14,6 @@
 #include "common/prng.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
 #include "maxent/block_plan.h"
@@ -32,7 +31,6 @@
 namespace pme::maxent {
 namespace {
 
-using constraints::ConstraintSystem;
 using constraints::LinearConstraint;
 using constraints::TermIndex;
 using knowledge::Relation;
@@ -42,6 +40,7 @@ using pme::testing::kQ3;
 using pme::testing::kS1;
 using pme::testing::kS2;
 using pme::testing::kS3;
+using pme::testing::SolveTable;
 
 LinearConstraint Eq(std::vector<uint32_t> vars, double rhs) {
   LinearConstraint c;
@@ -52,11 +51,11 @@ LinearConstraint Eq(std::vector<uint32_t> vars, double rhs) {
 }
 
 MaxEntProblem SimplexProblem(size_t n) {
-  ConstraintSystem system(n);
+  std::vector<LinearConstraint> system;
   std::vector<uint32_t> all(n);
   for (uint32_t i = 0; i < n; ++i) all[i] = i;
-  system.Add(Eq(all, 1.0));
-  return BuildProblem(system).ValueOrDie();
+  system.push_back(Eq(all, 1.0));
+  return BuildProblem(n, system).ValueOrDie();
 }
 
 // ------------------------------------------------------------------ Dual
@@ -160,28 +159,28 @@ TEST(DualFunctionTest, RowCurvatureIsTheHessianDiagonalOnUnitRows) {
   // (non-unit coefficients) and p5 ≤ 0.25. At the λ below p5 is near the
   // least normal double, so the last row's mass is gone and |b| = 0.25
   // floors its scale, and the p5 = 0 row has neither mass nor rhs.
-  ConstraintSystem system(6);
-  system.Add(Eq({0, 1, 2}, 0.3));
-  system.Add(Eq({5}, 0.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1, 2}, 0.3));
+  system.push_back(Eq({5}, 0.0));
   LinearConstraint ge;
   ge.vars = {2, 3};
   ge.coefs = {1.0, 1.0};
   ge.rel = Relation::kGe;
   ge.rhs = 0.1;
-  system.Add(ge);
+  system.push_back(ge);
   LinearConstraint mixed;
   mixed.vars = {1, 4};
   mixed.coefs = {0.5, 2.0};
   mixed.rel = Relation::kLe;
   mixed.rhs = 0.4;
-  system.Add(mixed);
+  system.push_back(mixed);
   LinearConstraint collapsed;
   collapsed.vars = {5};
   collapsed.coefs = {1.0};
   collapsed.rel = Relation::kLe;
   collapsed.rhs = 0.25;
-  system.Add(collapsed);
-  const MaxEntProblem problem = BuildProblem(system).ValueOrDie();
+  system.push_back(collapsed);
+  const MaxEntProblem problem = BuildProblem(6, system).ValueOrDie();
   ASSERT_EQ(problem.num_eq, 2u);
   ASSERT_EQ(problem.rhs, (std::vector<double>{0.3, 0.0, -0.1, 0.4, 0.25}));
 
@@ -214,10 +213,10 @@ TEST(DualFunctionTest, RowCurvatureIsTheHessianDiagonalOnUnitRows) {
 // -------------------------------------------------------------- Presolve
 
 TEST(PresolveTest, ZeroForcingEliminatesVariables) {
-  ConstraintSystem system(3);
-  system.Add(Eq({0, 1}, 0.0));  // forces p0 = p1 = 0
-  system.Add(Eq({0, 1, 2}, 0.4));
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 0.0));  // forces p0 = p1 = 0
+  system.push_back(Eq({0, 1, 2}, 0.4));
+  auto problem = BuildProblem(3, system).ValueOrDie();
   auto pre = Presolve(problem).ValueOrDie();
   EXPECT_EQ(pre.num_fixed, 3u);  // cascade pins p2 = 0.4 too
   EXPECT_EQ(pre.reduced.num_vars, 0u);
@@ -228,10 +227,10 @@ TEST(PresolveTest, ZeroForcingEliminatesVariables) {
 }
 
 TEST(PresolveTest, SingletonSubstitution) {
-  ConstraintSystem system(3);
-  system.Add(Eq({0}, 0.3));
-  system.Add(Eq({0, 1, 2}, 1.0));
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0}, 0.3));
+  system.push_back(Eq({0, 1, 2}, 1.0));
+  auto problem = BuildProblem(3, system).ValueOrDie();
   auto pre = Presolve(problem).ValueOrDie();
   EXPECT_EQ(pre.num_fixed, 1u);
   EXPECT_EQ(pre.reduced.num_vars, 2u);
@@ -240,32 +239,32 @@ TEST(PresolveTest, SingletonSubstitution) {
 }
 
 TEST(PresolveTest, DetectsInfeasibleConstant) {
-  ConstraintSystem system(2);
-  system.Add(Eq({0, 1}, 0.0));  // all zero
-  system.Add(Eq({0, 1}, 0.5));  // contradiction
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 0.0));  // all zero
+  system.push_back(Eq({0, 1}, 0.5));  // contradiction
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto pre = Presolve(problem);
   ASSERT_FALSE(pre.ok());
   EXPECT_EQ(pre.status().code(), StatusCode::kInfeasible);
 }
 
 TEST(PresolveTest, DetectsNegativePin) {
-  ConstraintSystem system(1);
-  system.Add(Eq({0}, -0.5));
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0}, -0.5));
+  auto problem = BuildProblem(1, system).ValueOrDie();
   EXPECT_EQ(Presolve(problem).status().code(), StatusCode::kInfeasible);
 }
 
 TEST(PresolveTest, InequalityZeroBoundForces) {
-  ConstraintSystem system(2);
+  std::vector<LinearConstraint> system;
   LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.0;  // p0 <= 0 with p0 >= 0 pins p0 = 0
-  system.Add(le);
-  system.Add(Eq({0, 1}, 0.5));
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(le);
+  system.push_back(Eq({0, 1}, 0.5));
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto pre = Presolve(problem).ValueOrDie();
   EXPECT_EQ(pre.num_fixed, 2u);
   auto full = pre.Restore({});
@@ -319,18 +318,18 @@ TEST(PresolveTest, RowMapsAndRenumberingAcrossEqAndIneq) {
 // presolve copies nothing, both maps are the identity, and the solve is
 // the same bits as one with presolve off.
 TEST(PresolveTest, NothingToReduceKeepsTheProblem) {
-  ConstraintSystem system(5);
-  system.Add(Eq({0, 1, 2}, 0.6));
-  system.Add(Eq({2, 3, 4}, 0.5));
-  system.Add(Eq({0, 1, 2, 3, 4}, 1.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1, 2}, 0.6));
+  system.push_back(Eq({2, 3, 4}, 0.5));
+  system.push_back(Eq({0, 1, 2, 3, 4}, 1.0));
   LinearConstraint le = Eq({1, 3}, 0.3);
   le.rel = Relation::kLe;
-  system.Add(le);
+  system.push_back(le);
   LinearConstraint ge = Eq({0, 4}, 0.2);  // -p0 - p4 <= -0.2
   ge.rel = Relation::kGe;
-  system.Add(ge);
-  const MaxEntProblem problem = BuildProblem(system).ValueOrDie();
-  const MaxEntProblem assembled = BuildProblem(system).ValueOrDie();
+  system.push_back(ge);
+  const MaxEntProblem problem = BuildProblem(5, system).ValueOrDie();
+  const MaxEntProblem assembled = BuildProblem(5, system).ValueOrDie();
 
   const PresolvedProblem pre = Presolve(problem).ValueOrDie();
   EXPECT_TRUE(pre.identity);
@@ -384,12 +383,12 @@ TEST(SolverTest, UniformOnSimplex) {
 TEST(SolverTest, TwoBlockMarginals) {
   // Variables arranged 2x2 with row sums {0.6, 0.4} and col sums
   // {0.7, 0.3}: maxent -> product distribution.
-  ConstraintSystem system(4);
-  system.Add(Eq({0, 1}, 0.6));
-  system.Add(Eq({2, 3}, 0.4));
-  system.Add(Eq({0, 2}, 0.7));
-  system.Add(Eq({1, 3}, 0.3));
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 0.6));
+  system.push_back(Eq({2, 3}, 0.4));
+  system.push_back(Eq({0, 2}, 0.7));
+  system.push_back(Eq({1, 3}, 0.3));
+  auto problem = BuildProblem(4, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.42, 1e-7);
   EXPECT_NEAR(result.p[1], 0.18, 1e-7);
@@ -399,15 +398,15 @@ TEST(SolverTest, TwoBlockMarginals) {
 
 TEST(SolverTest, InequalityBindsWhenActive) {
   // max H s.t. p0 + p1 = 1, p0 <= 0.2  -> p = (0.2, 0.8).
-  ConstraintSystem system(2);
-  system.Add(Eq({0, 1}, 1.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 1.0));
   LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.2;
-  system.Add(le);
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(le);
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.2, 1e-6);
   EXPECT_NEAR(result.p[1], 0.8, 1e-6);
@@ -418,20 +417,20 @@ TEST(SolverTest, OnlyUpperBoundRows) {
   // No equality row at all (num_eq == 0): the unconstrained optimum
   // p_i = e^-1 breaks both bounds, so both bind — p0 = 0.2 and
   // p1 = p2 = 0.25.
-  ConstraintSystem system(3);
+  std::vector<LinearConstraint> system;
   LinearConstraint le0;
   le0.vars = {0};
   le0.coefs = {1.0};
   le0.rel = Relation::kLe;
   le0.rhs = 0.2;
-  system.Add(le0);
+  system.push_back(le0);
   LinearConstraint le12;
   le12.vars = {1, 2};
   le12.coefs = {1.0, 1.0};
   le12.rel = Relation::kLe;
   le12.rhs = 0.5;
-  system.Add(le12);
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(le12);
+  auto problem = BuildProblem(3, system).ValueOrDie();
   ASSERT_EQ(problem.num_eq, 0u);
   auto result = Solve(problem).ValueOrDie();
   EXPECT_TRUE(result.converged);
@@ -444,15 +443,15 @@ TEST(SolverTest, OnlyUpperBoundRows) {
 
 TEST(SolverTest, InequalitySlackWhenInactive) {
   // p0 <= 0.9 does not bind: solution stays uniform.
-  ConstraintSystem system(2);
-  system.Add(Eq({0, 1}, 1.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 1.0));
   LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.9;
-  system.Add(le);
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(le);
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.5, 1e-6);
   EXPECT_NEAR(result.p[1], 0.5, 1e-6);
@@ -460,15 +459,15 @@ TEST(SolverTest, InequalitySlackWhenInactive) {
 
 TEST(SolverTest, GreaterEqualBindsFromBelow) {
   // p0 >= 0.8 forces mass onto p0.
-  ConstraintSystem system(2);
-  system.Add(Eq({0, 1}, 1.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 1.0));
   LinearConstraint ge;
   ge.vars = {0};
   ge.coefs = {1.0};
   ge.rel = Relation::kGe;
   ge.rhs = 0.8;
-  system.Add(ge);
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(ge);
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.8, 1e-6);
   EXPECT_NEAR(result.p[1], 0.2, 1e-6);
@@ -477,21 +476,21 @@ TEST(SolverTest, GreaterEqualBindsFromBelow) {
 TEST(SolverTest, VagueKnowledgeBand) {
   // Section 4.5: 0.3-eps <= P <= 0.3+eps around an unconstrained optimum
   // of 0.5 clamps to the upper edge 0.35.
-  ConstraintSystem system(2);
-  system.Add(Eq({0, 1}, 1.0));
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 1.0));
   LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = Relation::kLe;
   le.rhs = 0.35;
-  system.Add(le);
+  system.push_back(le);
   LinearConstraint ge;
   ge.vars = {0};
   ge.coefs = {1.0};
   ge.rel = Relation::kGe;
   ge.rhs = 0.25;
-  system.Add(ge);
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(ge);
+  auto problem = BuildProblem(2, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.35, 1e-6);
 }
@@ -504,15 +503,17 @@ TEST(SolverTest, Figure1KnowledgeAgreesWithItsInequalityBand) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
   auto build = [&](std::vector<Relation> rels) {
-    ConstraintSystem system(index.num_variables());
-    system.AddAll(constraints::GenerateInvariants(t, index));
+    std::vector<LinearConstraint> system =
+        constraints::GenerateInvariants(t, index);
     knowledge::KnowledgeBase kb;
     for (Relation rel : rels) {
       kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5, rel));
     }
-    system.AddAll(
-        constraints::CompileKnowledge(kb, t, index).ValueOrDie().constraints);
-    return BuildProblem(system).ValueOrDie();
+    const auto compiled =
+        constraints::CompileKnowledge(kb, t, index).ValueOrDie();
+    system.insert(system.end(), compiled.constraints.begin(),
+                  compiled.constraints.end());
+    return BuildProblem(index.num_variables(), system).ValueOrDie();
   };
 
   SolverOptions options;
@@ -544,8 +545,8 @@ MaxEntProblem MaloufSmallInstance(Relation positive_rel,
   auto pipeline = core::BuildPipeline(options).ValueOrDie();
   const auto& table = pipeline.bucketization.table;
   auto index = TermIndex::Build(table);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(table, index));
+  std::vector<LinearConstraint> system =
+      constraints::GenerateInvariants(table, index);
   const auto top = knowledge::TopK(pipeline.rules, 10, 10);
   knowledge::KnowledgeBase rules;
   rules.AddRules(top);
@@ -555,11 +556,13 @@ MaxEntProblem MaloufSmallInstance(Relation positive_rel,
     statement.rel = top[i].positive ? positive_rel : negative_rel;
     kb.Add(std::move(statement));
   }
-  system.AddAll(constraints::CompileKnowledge(
-                    kb, table, index, &pipeline.bucketization.qi_encoder)
-                    .ValueOrDie()
-                    .constraints);
-  return BuildProblem(system).ValueOrDie();
+  const auto compiled =
+      constraints::CompileKnowledge(kb, table, index,
+                                    &pipeline.bucketization.qi_encoder)
+          .ValueOrDie();
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
+  return BuildProblem(index.num_variables(), system).ValueOrDie();
 }
 
 TEST(SolverTest, MaloufSmallInstanceConverges) {
@@ -599,9 +602,9 @@ TEST(ConsistencyTest, NoKnowledgeMatchesClosedForm) {
   // P(q,b)·P(s,b)/P(b) — the uniform-portion rule of the prior work.
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  auto problem = BuildProblem(system).ValueOrDie();
+  auto problem = BuildProblem(index.num_variables(),
+                              constraints::GenerateInvariants(t, index))
+                     .ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   auto closed = ClosedFormNoKnowledge(t, index);
   for (size_t i = 0; i < closed.size(); ++i) {
@@ -639,14 +642,15 @@ TEST(DeductionTest, PaperSection31Example) {
   // other maps to s2."
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
+  std::vector<LinearConstraint> system =
+      constraints::GenerateInvariants(t, index);
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(kQ2, {kS1}, 0.0));
   kb.Add(knowledge::AbstractConditional(kQ3, {kS1, kS2}, 0.0));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
+  auto problem = BuildProblem(index.num_variables(), system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   const auto& p = result.p;
 
@@ -672,50 +676,33 @@ TEST(DeductionTest, PaperSection31Example) {
 TEST(DecomposedTest, MatchesFullSolve) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
+  std::vector<LinearConstraint> system =
+      constraints::GenerateInvariants(t, index);
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
 
-  auto problem = BuildProblem(system).ValueOrDie();
+  auto problem = BuildProblem(index.num_variables(), system).ValueOrDie();
   auto full = Solve(problem).ValueOrDie();
-  auto decomposed = SolveDecomposed(t, index, system).ValueOrDie();
+  auto decomposed = SolveTable(t, index, compiled.constraints).ValueOrDie();
   for (size_t i = 0; i < full.p.size(); ++i) {
     EXPECT_NEAR(decomposed.p[i], full.p[i], 1e-6) << index.TermName(i, t);
   }
   EXPECT_LT(decomposed.max_violation, 1e-7);
 
-  auto stats = AnalyzeDecomposition(t, index, system).ValueOrDie();
+  auto stats = AnalyzeDecomposition(
+      BlockPlan::Build(t, index, {}, compiled.constraints));
   EXPECT_EQ(stats.relevant_buckets, 2u);
   EXPECT_EQ(stats.irrelevant_buckets, 1u);
   EXPECT_EQ(stats.relevant_variables, 18u);
 }
 
-TEST(DecomposedTest, SystemWithoutTheTablesInvariantRowsIsRejected) {
-  // A system overload leaves the invariant rows to the table, so a system
-  // that does not hold exactly the table's is refused, not half-solved.
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  constraints::InvariantOptions concise;
-  concise.drop_redundant_row = true;
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index, concise));
-  EXPECT_EQ(BlockPlan::Build(t, index, system).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SolveDecomposed(t, index, system).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(AnalyzeDecomposition(t, index, system).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(DecomposedTest, NoKnowledgeIsPureClosedForm) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  auto result = SolveDecomposed(t, index, system).ValueOrDie();
+  auto result = SolveTable(t, index, {}).ValueOrDie();
   EXPECT_EQ(result.iterations, 0u);  // nothing iterative to solve
   auto closed = ClosedFormNoKnowledge(t, index);
   for (size_t i = 0; i < closed.size(); ++i) {
@@ -806,29 +793,19 @@ knowledge::KnowledgeBase Figure1Knowledge(double s1_given_q4) {
   return kb;
 }
 
-ConstraintSystem Figure1System(const anonymize::BucketizedTable& t,
-                               const TermIndex& index,
-                               const knowledge::KnowledgeBase& kb) {
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  system.AddAll(constraints::CompileKnowledge(kb, t, index)
-                    .ValueOrDie()
-                    .constraints);
-  return system;
+std::vector<LinearConstraint> Figure1Rows(const anonymize::BucketizedTable& t,
+                                          const TermIndex& index,
+                                          const knowledge::KnowledgeBase& kb) {
+  return constraints::CompileKnowledge(kb, t, index).ValueOrDie().constraints;
 }
 
 TEST(ClosedFormStartTest, Figure1BlocksStartAtTheClosedForm) {
   // Figure 1's b1 holds both a repeated QI value and a repeated SA value.
   const auto t = pme::testing::MakeFigure1Table();
   const auto index = TermIndex::Build(t);
-  const auto system = Figure1System(t, index, Figure1Knowledge(0.5));
+  const auto knowledge = Figure1Rows(t, index, Figure1Knowledge(0.5));
   const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
-  ExpectClosedFormStart(BlockPlan::Build(t, index, system).ValueOrDie(),
-                        prior);
-  const auto knowledge =
-      constraints::CompileKnowledge(Figure1Knowledge(0.5), t, index)
-          .ValueOrDie()
-          .constraints;
+  ExpectClosedFormStart(BlockPlan::Build(t, index, {}, knowledge), prior);
   ExpectClosedFormStart(
       BlockPlan::Build(t, index, {}, knowledge, /*one_block=*/true), prior);
 }
@@ -1039,9 +1016,9 @@ TEST(ClosedFormStartTest, PresolvedZeroKeepsAnExactStartOnTheRowsLeft) {
   // invariant row that lost no cell still holds there.
   const auto t = pme::testing::MakeFigure1Table();
   const auto index = TermIndex::Build(t);
-  const auto system = Figure1System(t, index, Figure1Knowledge(0.0));
+  const auto knowledge = Figure1Rows(t, index, Figure1Knowledge(0.0));
   const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
-  const BlockPlan plan = BlockPlan::Build(t, index, system).ValueOrDie();
+  const BlockPlan plan = BlockPlan::Build(t, index, {}, knowledge);
   const PlanBlock* block = nullptr;
   for (const PlanBlock& b : plan.blocks()) {
     if (b.num_rows() > (block == nullptr ? 0 : block->num_rows())) {
@@ -1097,18 +1074,16 @@ TEST(ClosedFormStartTest, WarmHitStartsAtTheCachedMultipliers) {
   const auto t = pme::testing::MakeFigure1Table();
   const auto index = TermIndex::Build(t);
   const std::vector<double> prior = ClosedFormNoKnowledge(t, index);
-  const auto seeded_system = Figure1System(t, index, Figure1Knowledge(0.5));
-  const auto toggled_system = Figure1System(t, index, Figure1Knowledge(0.51));
+  const auto seeded_rows = Figure1Rows(t, index, Figure1Knowledge(0.5));
+  const auto toggled_rows = Figure1Rows(t, index, Figure1Knowledge(0.51));
   SolutionCache cache;
   SolverOptions options;
   options.solution_cache = &cache;
-  ASSERT_TRUE(SolveDecomposed(t, index, seeded_system, options).ok());
+  ASSERT_TRUE(SolveTable(t, index, seeded_rows, options).ok());
 
-  BlockPlan seeded_plan =
-      BlockPlan::Build(t, index, seeded_system).ValueOrDie();
+  BlockPlan seeded_plan = BlockPlan::Build(t, index, {}, seeded_rows);
   seeded_plan.ConsultCache(options);
-  BlockPlan toggled_plan =
-      BlockPlan::Build(t, index, toggled_system).ValueOrDie();
+  BlockPlan toggled_plan = BlockPlan::Build(t, index, {}, toggled_rows);
   toggled_plan.ConsultCache(options);
   ASSERT_EQ(toggled_plan.cache_warm_hits(), 1u);
   size_t warm_blocks = 0;
@@ -1159,11 +1134,9 @@ TEST(CacheIsolationTest, SameLayoutWithOtherCountsNeitherHitsNorWarms) {
   }
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
-  const auto first_system = Figure1System(first_table, first_index, kb);
-  const auto second_system = Figure1System(second_table, second_index, kb);
-  ASSERT_EQ(first_system.size(), second_system.size());
-  const auto& first_rows = first_system.constraints();
-  const auto& second_rows = second_system.constraints();
+  const auto first_rows = Figure1Rows(first_table, first_index, kb);
+  const auto second_rows = Figure1Rows(second_table, second_index, kb);
+  ASSERT_EQ(first_rows.size(), second_rows.size());
   EXPECT_EQ(constraints::ConstraintRowSignature(first_rows.back()),
             constraints::ConstraintRowSignature(second_rows.back()));
 
@@ -1171,17 +1144,14 @@ TEST(CacheIsolationTest, SameLayoutWithOtherCountsNeitherHitsNorWarms) {
   SolverOptions options;
   options.solution_cache = &cache;
   ASSERT_EQ(options.cache_namespace, Hash128{});
-  ASSERT_TRUE(
-      SolveDecomposed(first_table, first_index, first_system, options).ok());
+  ASSERT_TRUE(SolveTable(first_table, first_index, first_rows, options).ok());
 
   // The first table's own plan hits; the second table's does not.
-  BlockPlan again =
-      BlockPlan::Build(first_table, first_index, first_system).ValueOrDie();
+  BlockPlan again = BlockPlan::Build(first_table, first_index, {}, first_rows);
   again.ConsultCache(options);
   EXPECT_EQ(again.cache_exact_hits(), again.blocks().size());
   BlockPlan other =
-      BlockPlan::Build(second_table, second_index, second_system)
-          .ValueOrDie();
+      BlockPlan::Build(second_table, second_index, {}, second_rows);
   other.ConsultCache(options);
   ASSERT_FALSE(other.blocks().empty());
   EXPECT_EQ(other.cache_exact_hits(), 0u);
@@ -1194,11 +1164,10 @@ TEST(CacheIsolationTest, SameLayoutWithOtherCountsNeitherHitsNorWarms) {
 
   // So its solve through the shared cache is a fresh solve.
   const auto shared =
-      SolveDecomposed(second_table, second_index, second_system, options)
+      SolveTable(second_table, second_index, second_rows, options)
           .ValueOrDie();
   const auto fresh =
-      SolveDecomposed(second_table, second_index, second_system, {})
-          .ValueOrDie();
+      SolveTable(second_table, second_index, second_rows).ValueOrDie();
   EXPECT_EQ(shared.cache_exact_hits, 0u);
   EXPECT_EQ(shared.cache_warm_hits, 0u);
   EXPECT_EQ(shared.iterations, fresh.iterations);
@@ -1222,8 +1191,8 @@ TEST(SolverTest, CacheModeNamesRoundTrip) {
 }
 
 TEST(SolverTest, EmptyProblemIsTriviallySolved) {
-  ConstraintSystem system(0);
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  auto problem = BuildProblem(0, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(result.p.empty());
@@ -1257,7 +1226,7 @@ TEST(SolverTest, RandomFeasibleSystemsConverge) {
       total += v;
     }
     for (auto& v : joint) v /= total;
-    ConstraintSystem system(rows * cols);
+    std::vector<LinearConstraint> system;
     for (size_t r = 0; r < rows; ++r) {
       std::vector<uint32_t> vars;
       double rhs = 0.0;
@@ -1265,7 +1234,7 @@ TEST(SolverTest, RandomFeasibleSystemsConverge) {
         vars.push_back(static_cast<uint32_t>(r * cols + c));
         rhs += joint[r * cols + c];
       }
-      system.Add(Eq(vars, rhs));
+      system.push_back(Eq(vars, rhs));
     }
     for (size_t c = 0; c < cols; ++c) {
       std::vector<uint32_t> vars;
@@ -1274,9 +1243,9 @@ TEST(SolverTest, RandomFeasibleSystemsConverge) {
         vars.push_back(static_cast<uint32_t>(r * cols + c));
         rhs += joint[r * cols + c];
       }
-      system.Add(Eq(vars, rhs));
+      system.push_back(Eq(vars, rhs));
     }
-    auto problem = BuildProblem(system).ValueOrDie();
+    auto problem = BuildProblem(rows * cols, system).ValueOrDie();
     auto result = Solve(problem).ValueOrDie();
     EXPECT_LT(result.max_violation, 1e-7);
     // MaxEnt with marginal constraints = independent product.

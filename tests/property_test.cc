@@ -12,7 +12,6 @@
 #include "common/prng.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "core/privacy_maxent.h"
@@ -103,9 +102,9 @@ TEST_P(TableProperty, SingleTermsAreNotInvariantsUnlessForced) {
 TEST_P(TableProperty, NoKnowledgeSolveMatchesClosedForm) {
   auto t = RandomTable(GetParam());
   auto index = TermIndex::Build(t);
-  constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  auto problem = maxent::BuildProblem(system).ValueOrDie();
+  auto problem = maxent::BuildProblem(index.num_variables(),
+                                      constraints::GenerateInvariants(t, index))
+                     .ValueOrDie();
   auto result = maxent::Solve(problem).ValueOrDie();
   auto closed = maxent::ClosedFormNoKnowledge(t, index);
   for (size_t i = 0; i < closed.size(); ++i) {
@@ -121,15 +120,16 @@ TEST_P(TableProperty, DroppedRedundantRowChangesNothing) {
   constraints::InvariantOptions full, concise;
   concise.drop_redundant_row = true;
 
-  constraints::ConstraintSystem sys_full(index.num_variables());
-  sys_full.AddAll(constraints::GenerateInvariants(t, index, full));
-  constraints::ConstraintSystem sys_concise(index.num_variables());
-  sys_concise.AddAll(constraints::GenerateInvariants(t, index, concise));
+  const auto sys_full = constraints::GenerateInvariants(t, index, full);
+  const auto sys_concise = constraints::GenerateInvariants(t, index, concise);
 
-  auto a = maxent::Solve(maxent::BuildProblem(sys_full).ValueOrDie())
+  auto a = maxent::Solve(maxent::BuildProblem(index.num_variables(), sys_full)
+                             .ValueOrDie())
                .ValueOrDie();
-  auto b = maxent::Solve(maxent::BuildProblem(sys_concise).ValueOrDie())
-               .ValueOrDie();
+  auto b =
+      maxent::Solve(maxent::BuildProblem(index.num_variables(), sys_concise)
+                        .ValueOrDie())
+          .ValueOrDie();
   for (size_t i = 0; i < a.p.size(); ++i) {
     EXPECT_NEAR(a.p[i], b.p[i], 1e-6);
   }

@@ -24,7 +24,7 @@
 #include "common/thread_pool.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
+#include "constraints/constraint.h"
 #include "constraints/term_index.h"
 #include "core/privacy_maxent.h"
 #include "data/csv.h"
@@ -45,12 +45,13 @@ namespace pme {
 namespace {
 
 using anonymize::BucketizedTable;
-using constraints::ConstraintSystem;
+using constraints::LinearConstraint;
 using constraints::TermIndex;
 using pme::testing::kQ4;
 using pme::testing::kQ5;
 using pme::testing::kS1;
 using pme::testing::kS5;
+using pme::testing::SolveTable;
 
 /// Deactivates every failpoint when a test exits, configured or not.
 struct ScopedFailpoints {
@@ -60,31 +61,29 @@ struct ScopedFailpoints {
   ~ScopedFailpoints() { failpoint::Reset(); }
 };
 
-ConstraintSystem InvariantSystem(const BucketizedTable& t,
-                                 const TermIndex& index) {
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(t, index));
-  return system;
-}
-
 void AddConditional(const BucketizedTable& t, const TermIndex& index,
-                    ConstraintSystem* system, uint32_t q, uint32_t s,
-                    double value,
+                    std::vector<LinearConstraint>* rows, uint32_t q,
+                    uint32_t s, double value,
                     knowledge::Relation rel = knowledge::Relation::kEq) {
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(q, {s}, value, rel));
   auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
-  system->AddAll(std::move(compiled.constraints));
+  rows->insert(rows->end(), compiled.constraints.begin(),
+               compiled.constraints.end());
 }
 
 /// Figure 1 with two independent coupled components (bucket 1 via q4,
-/// bucket 2 via q5) and bucket 0 on the closed form.
-maxent::MaxEntProblem TwoComponentProblem(const BucketizedTable& t,
-                                          const TermIndex& index,
-                                          ConstraintSystem* system) {
-  AddConditional(t, index, system, kQ4, kS1, 0.9);
-  AddConditional(t, index, system, kQ5, kS5, 0.8);
-  return maxent::BuildProblem(*system).ValueOrDie();
+/// bucket 2 via q5) and bucket 0 on the closed form. Appends the two
+/// knowledge rows to `knowledge`.
+maxent::MaxEntProblem TwoComponentProblem(
+    const BucketizedTable& t, const TermIndex& index,
+    std::vector<LinearConstraint>* knowledge) {
+  AddConditional(t, index, knowledge, kQ4, kS1, 0.9);
+  AddConditional(t, index, knowledge, kQ5, kS5, 0.8);
+  std::vector<LinearConstraint> rows =
+      constraints::GenerateInvariants(t, index);
+  rows.insert(rows.end(), knowledge->begin(), knowledge->end());
+  return maxent::BuildProblem(index.num_variables(), rows).ValueOrDie();
 }
 
 std::string ReadFileOrDie(const std::string& path) {
@@ -200,8 +199,8 @@ TEST(CancellationTest, CheckInterruptReportsCancelBeforeDeadline) {
 TEST(SolverInterruptTest, ExpiredDeadlineReturnsBestSoFarNotAnError) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   maxent::SolverOptions options;
   options.deadline = Deadline::AfterSeconds(0.0);
@@ -216,10 +215,12 @@ TEST(SolverInterruptTest, ExpiredDeadlineReturnsBestSoFarNotAnError) {
 TEST(SolverInterruptTest, CancelledTokenStopsEqualityAndInequalitySolves) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  const auto equality = maxent::BuildProblem(system).ValueOrDie();
+  auto system = constraints::GenerateInvariants(t, index);
+  const auto equality =
+      maxent::BuildProblem(index.num_variables(), system).ValueOrDie();
   AddConditional(t, index, &system, kQ4, kS1, 0.3, knowledge::Relation::kLe);
-  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
+  const auto inequality =
+      maxent::BuildProblem(index.num_variables(), system).ValueOrDie();
   ASSERT_GT(inequality.a.rows(), inequality.num_eq);
 
   CancellationSource source;
@@ -237,8 +238,8 @@ TEST(SolverInterruptTest, CancelledTokenStopsEqualityAndInequalitySolves) {
 TEST(SolverInterruptTest, WarmStartResumesAtTheSolution) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   auto cold = maxent::Solve(problem).ValueOrDie();
   ASSERT_TRUE(cold.converged);
@@ -257,8 +258,8 @@ TEST(SolverInterruptTest, WarmStartResumesAtTheSolution) {
 TEST(AcceptabilityTest, NanGradientFailpointLeavesAFiniteUnacceptablePoint) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   // The poisoned line search accepts no step: the solve returns its
   // start point, the λ = 0 primal — finite, but no distribution.
@@ -273,8 +274,8 @@ TEST(AcceptabilityTest, NanGradientFailpointLeavesAFiniteUnacceptablePoint) {
 TEST(AcceptabilityTest, CleanSolveIsAcceptableAndNotDegraded) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   auto result = maxent::Solve(problem);
   ASSERT_TRUE(result.ok());
@@ -284,33 +285,33 @@ TEST(AcceptabilityTest, CleanSolveIsAcceptableAndNotDegraded) {
 
 /// Rows p0 + p1 = 1 and p0 + p1 + p2 = 0.5: no nonnegative p satisfies
 /// both, and presolve cannot tell, so the minimizer runs and fails.
-ConstraintSystem UnsatisfiableSystem() {
-  ConstraintSystem system(3);
+std::vector<LinearConstraint> UnsatisfiableSystem() {
+  std::vector<LinearConstraint> system;
   constraints::LinearConstraint pair;
   pair.vars = {0, 1};
   pair.coefs = {1.0, 1.0};
   pair.rhs = 1.0;
-  system.Add(pair);
+  system.push_back(pair);
   constraints::LinearConstraint all;
   all.vars = {0, 1, 2};
   all.coefs = {1.0, 1.0, 1.0};
   all.rhs = 0.5;
-  system.Add(all);
+  system.push_back(all);
   return system;
 }
 
 TEST(AcceptabilityTest, UnsatisfiableProblemEndsFiniteAndUnacceptable) {
   // With and without a ≤ row: a failed solve is an Ok result whose
   // finite iterate IsAcceptable rejects, never an error Status.
-  ConstraintSystem system = UnsatisfiableSystem();
-  const auto equality = maxent::BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system = UnsatisfiableSystem();
+  const auto equality = maxent::BuildProblem(3, system).ValueOrDie();
   constraints::LinearConstraint le;
   le.vars = {0};
   le.coefs = {1.0};
   le.rel = knowledge::Relation::kLe;
   le.rhs = 0.4;
-  system.Add(le);
-  const auto inequality = maxent::BuildProblem(system).ValueOrDie();
+  system.push_back(le);
+  const auto inequality = maxent::BuildProblem(3, system).ValueOrDie();
   maxent::SolverOptions options;
   options.max_iterations = 2000;
 
@@ -328,11 +329,11 @@ TEST(AcceptabilityTest, UnsatisfiableProblemEndsFiniteAndUnacceptable) {
 TEST(DecomposedRobustnessTest, FaultIsolationKeepsUntouchedComponentsExact) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
 
-  auto clean = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  auto clean = SolveTable(t, index, knowledge).ValueOrDie();
   ASSERT_EQ(clean.components_solved, 2u);
 
   // Poison block 0 (bucket 1, q4) with a NaN gradient and spend block 1's
@@ -341,7 +342,7 @@ TEST(DecomposedRobustnessTest, FaultIsolationKeepsUntouchedComponentsExact) {
   ScopedFailpoints fp("lbfgs_nan@1,block_deadline@2");
   maxent::SolverOptions options;
   options.threads = 1;
-  auto faulted = maxent::SolveDecomposed(t, index, system, options);
+  auto faulted = SolveTable(t, index, knowledge, options);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
   const auto& result = faulted.value();
 
@@ -386,15 +387,15 @@ TEST(DecomposedRobustnessTest, FaultIsolationKeepsUntouchedComponentsExact) {
 TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
-  auto clean = maxent::SolveDecomposed(t, index, system).ValueOrDie();
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
+  AddConditional(t, index, &knowledge, kQ5, kS5, 0.8);
+  auto clean = SolveTable(t, index, knowledge).ValueOrDie();
 
   ScopedFailpoints fp("pool_task_throw@1");
   maxent::SolverOptions options;
   options.threads = 1;
-  auto result = maxent::SolveDecomposed(t, index, system, options);
+  auto result = SolveTable(t, index, knowledge, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().termination, StatusCode::kOk);
   EXPECT_TRUE(result.value().degraded);
@@ -414,14 +415,14 @@ TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
 TEST(DecomposedRobustnessTest, CancelledRunReturnsPartialAnswerMarked) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
+  std::vector<LinearConstraint> knowledge;
+  AddConditional(t, index, &knowledge, kQ4, kS1, 0.9);
 
   CancellationSource source;
   source.Cancel();
   maxent::SolverOptions options;
   options.cancel = source.token();
-  auto result = maxent::SolveDecomposed(t, index, system, options);
+  auto result = SolveTable(t, index, knowledge, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().termination, StatusCode::kCancelled);
   EXPECT_TRUE(result.value().degraded);
@@ -501,8 +502,8 @@ TEST(ThreadPoolRobustnessTest, ParallelForAttemptsEveryIndexDespiteThrow) {
 TEST(StallGuardTest, PlateauExitsLongBeforeTheIterationBudget) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   // A zero tolerance is unreachable in floating point, so at the default
   // settings only the stall guard can stop these solves short of the
@@ -521,14 +522,14 @@ TEST(SolveCountersTest, ClosedFormStartsAndStallExitsAreCounted) {
   const metrics::Registry& registry = metrics::Registry::Global();
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  auto problem = TwoComponentProblem(t, index, &system);
+  std::vector<LinearConstraint> knowledge;
+  auto problem = TwoComponentProblem(t, index, &knowledge);
 
   // Each block solved without a warm start starts at the closed form.
   uint64_t starts = registry.CounterValue("solve.closed_form_starts");
   uint64_t stalls = registry.CounterValue("solve.stall_exits");
   const auto decomposed =
-      maxent::SolveDecomposed(t, index, system).ValueOrDie();
+      SolveTable(t, index, knowledge).ValueOrDie();
   ASSERT_EQ(decomposed.component_outcomes.size(), 2u);
   EXPECT_TRUE(decomposed.converged);
   EXPECT_EQ(registry.CounterValue("solve.closed_form_starts") - starts, 2u);

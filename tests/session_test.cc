@@ -29,7 +29,6 @@
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
-#include "constraints/system.h"
 #include "core/analysis_session.h"
 #include "core/table_artifact.h"
 #include "knowledge/miner.h"
@@ -341,7 +340,7 @@ struct ReferenceBlock {
 std::vector<ReferenceBlock> ReferencePlan(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
+    const std::vector<constraints::LinearConstraint>& system,
     const constraints::ComponentAnalysis& analysis) {
   std::vector<int64_t> block_of(analysis.num_components(), -1);
   std::vector<ReferenceBlock> blocks;
@@ -371,7 +370,7 @@ std::vector<ReferenceBlock> ReferencePlan(
   }
   std::vector<std::vector<Hash128>> knowledge_sigs(blocks.size());
   for (const bool equalities : {true, false}) {
-    for (const auto& c : system.constraints()) {
+    for (const auto& c : system) {
       if ((c.rel == knowledge::Relation::kEq) != equalities) continue;
       int64_t block = -1;
       for (size_t i = 0; i < c.vars.size(); ++i) {
@@ -453,11 +452,11 @@ TEST_F(SessionTest, BlockPlanMatchesWholeSystemPartition) {
     options.solution_cache = &cache;
     plan.ConsultCache(options);
 
-    constraints::ConstraintSystem full(index.num_variables());
-    full.AddAll(constraints::GenerateInvariants(
-        artifact->table(), artifact->index(),
-        artifact->options().invariant_options));
-    full.AddAll(compiled.constraints);
+    std::vector<constraints::LinearConstraint> full =
+        constraints::GenerateInvariants(artifact->table(), artifact->index(),
+                                        artifact->options().invariant_options);
+    full.insert(full.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
     const auto analysis = constraints::ComponentAnalysis::Build(index, full);
     const std::vector<ReferenceBlock> reference =
         ReferencePlan(artifact->table(), index, full, analysis);
@@ -683,16 +682,19 @@ TEST_F(SessionTest, ConciseArtifactSessionMatchesItsWholeSystemSolve) {
   const auto invariants = constraints::GenerateInvariants(
       artifact->table(), artifact->index(), concise.invariant_options);
   EXPECT_EQ(analysis.num_invariant_constraints, invariants.size());
-  constraints::ConstraintSystem system(artifact->index().num_variables());
-  system.AddAll(invariants);
-  system.AddAll(constraints::CompileKnowledge(kb, artifact->table(),
-                                              artifact->index(),
-                                              artifact->qi_encoder())
-                    .ValueOrDie()
-                    .constraints);
-  const auto whole = maxent::Solve(maxent::BuildProblem(system).ValueOrDie(),
-                                   options.solver_options)
-                         .ValueOrDie();
+  std::vector<constraints::LinearConstraint> system = invariants;
+  const auto compiled =
+      constraints::CompileKnowledge(kb, artifact->table(), artifact->index(),
+                                    artifact->qi_encoder())
+          .ValueOrDie();
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
+  const auto whole =
+      maxent::Solve(
+          maxent::BuildProblem(artifact->index().num_variables(), system)
+              .ValueOrDie(),
+          options.solver_options)
+          .ValueOrDie();
   ASSERT_TRUE(whole.converged);
   const std::vector<double> joint = maxent::MaterializeJoint(analysis.solver);
   ASSERT_EQ(joint.size(), whole.p.size());
@@ -726,11 +728,11 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
       constraints::CompileKnowledge(kb, artifact->table(), index,
                                     artifact->qi_encoder())
           .ValueOrDie();
-  constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(constraints::GenerateInvariants(
-      artifact->table(), artifact->index(),
-      artifact->options().invariant_options));
-  system.AddAll(compiled.constraints);
+  std::vector<constraints::LinearConstraint> system =
+      constraints::GenerateInvariants(artifact->table(), artifact->index(),
+                                      artifact->options().invariant_options);
+  system.insert(system.end(), compiled.constraints.begin(),
+                compiled.constraints.end());
 
   const maxent::BlockPlan plan = maxent::BlockPlan::Build(
       artifact->table(), index, artifact->options().invariant_options,
@@ -744,7 +746,8 @@ TEST_F(SessionTest, WholeTablePlanIsTheWholeSystemProblem) {
   std::iota(all_vars.begin(), all_vars.end(), 0u);
   EXPECT_EQ(block.buckets, all_buckets);
   EXPECT_EQ(block.cols, all_vars);
-  const auto problem = maxent::BuildProblem(system).ValueOrDie();
+  const auto problem =
+      maxent::BuildProblem(index.num_variables(), system).ValueOrDie();
   const auto block_problem =
       maxent::AssembleBlock(plan, block).ValueOrDie();
   EXPECT_EQ(block_problem.num_eq, problem.num_eq);

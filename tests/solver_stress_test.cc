@@ -9,14 +9,13 @@
 
 #include "common/math_util.h"
 #include "common/prng.h"
-#include "constraints/system.h"
+#include "constraints/constraint.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
 
 namespace pme::maxent {
 namespace {
 
-using constraints::ConstraintSystem;
 using constraints::LinearConstraint;
 using knowledge::Relation;
 
@@ -50,7 +49,7 @@ GridProblem MakeGrid(size_t rows, size_t cols, Prng& prng) {
     total += v;
   }
   for (auto& v : g.truth) v /= total;
-  ConstraintSystem system(rows * cols);
+  std::vector<LinearConstraint> system;
   for (size_t r = 0; r < rows; ++r) {
     std::vector<uint32_t> vars;
     double rhs = 0.0;
@@ -58,7 +57,7 @@ GridProblem MakeGrid(size_t rows, size_t cols, Prng& prng) {
       vars.push_back(static_cast<uint32_t>(r * cols + c));
       rhs += g.truth[r * cols + c];
     }
-    system.Add(Eq(vars, rhs));
+    system.push_back(Eq(vars, rhs));
   }
   for (size_t c = 0; c < cols; ++c) {
     std::vector<uint32_t> vars;
@@ -67,9 +66,9 @@ GridProblem MakeGrid(size_t rows, size_t cols, Prng& prng) {
       vars.push_back(static_cast<uint32_t>(r * cols + c));
       rhs += g.truth[r * cols + c];
     }
-    system.Add(Eq(vars, rhs));
+    system.push_back(Eq(vars, rhs));
   }
-  g.problem = BuildProblem(system).ValueOrDie();
+  g.problem = BuildProblem(rows * cols, system).ValueOrDie();
   return g;
 }
 
@@ -95,7 +94,7 @@ TEST(SolverStressTest, DuplicateRowsAreHarmless) {
   auto grid = MakeGrid(3, 4, prng);
   auto baseline = Solve(grid.problem).ValueOrDie();
 
-  ConstraintSystem doubled(grid.problem.num_vars);
+  std::vector<LinearConstraint> doubled;
   // Reconstruct the same constraints twice.
   for (int round = 0; round < 2; ++round) {
     const auto& m = grid.problem.a;
@@ -106,10 +105,11 @@ TEST(SolverStressTest, DuplicateRowsAreHarmless) {
         c.coefs.push_back(m.values()[k]);
       }
       c.rhs = grid.problem.rhs[r];
-      doubled.Add(std::move(c));
+      doubled.push_back(std::move(c));
     }
   }
-  auto doubled_problem = BuildProblem(doubled).ValueOrDie();
+  auto doubled_problem =
+      BuildProblem(grid.problem.num_vars, doubled).ValueOrDie();
   auto result = Solve(doubled_problem).ValueOrDie();
   for (size_t i = 0; i < baseline.p.size(); ++i) {
     EXPECT_NEAR(result.p[i], baseline.p[i], 1e-6);
@@ -121,10 +121,10 @@ TEST(SolverStressTest, InequalityKktConditions) {
   // either the cap is slack and the solution is uniform, or it binds and
   // p0 = p1 = cap/2 with the rest uniform on the remaining mass.
   for (double cap : {0.05, 0.2, 0.5, 0.9}) {
-    ConstraintSystem system(5);
-    system.Add(Eq({0, 1, 2, 3, 4}, 1.0));
-    system.Add(Row({0, 1}, {1.0, 1.0}, Relation::kLe, cap));
-    auto problem = BuildProblem(system).ValueOrDie();
+    std::vector<LinearConstraint> system;
+    system.push_back(Eq({0, 1, 2, 3, 4}, 1.0));
+    system.push_back(Row({0, 1}, {1.0, 1.0}, Relation::kLe, cap));
+    auto problem = BuildProblem(5, system).ValueOrDie();
     auto result = Solve(problem).ValueOrDie();
     const double unconstrained_pair = 2.0 / 5.0;
     if (cap >= unconstrained_pair) {
@@ -141,12 +141,12 @@ TEST(SolverStressTest, InequalityKktConditions) {
 
 TEST(SolverStressTest, MixedEqualityInequalityWithZeroForcing) {
   // Zero-forced variables + active inequality + free block, all at once.
-  ConstraintSystem system(6);
-  system.Add(Eq({0, 1}, 0.0));                             // p0 = p1 = 0
-  system.Add(Eq({0, 1, 2, 3, 4, 5}, 1.0));                 // total mass
-  system.Add(Row({2}, {1.0}, Relation::kLe, 0.1));         // cap p2
-  system.Add(Row({3}, {1.0}, Relation::kGe, 0.4));         // floor p3
-  auto problem = BuildProblem(system).ValueOrDie();
+  std::vector<LinearConstraint> system;
+  system.push_back(Eq({0, 1}, 0.0));                             // p0 = p1 = 0
+  system.push_back(Eq({0, 1, 2, 3, 4, 5}, 1.0));                 // total mass
+  system.push_back(Row({2}, {1.0}, Relation::kLe, 0.1));         // cap p2
+  system.push_back(Row({3}, {1.0}, Relation::kGe, 0.4));         // floor p3
+  auto problem = BuildProblem(6, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_NEAR(result.p[0], 0.0, 1e-9);
   EXPECT_NEAR(result.p[1], 0.0, 1e-9);
@@ -213,11 +213,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ProductFormScaleTest,
 
 TEST(SolverStressTest, TinyRhsValuesStayStable) {
   // RHS magnitudes like 1/14210 (paper scale) must not break conditioning.
-  ConstraintSystem system(4);
+  std::vector<LinearConstraint> system;
   const double tiny = 1.0 / 14210.0;
-  system.Add(Eq({0, 1}, tiny));
-  system.Add(Eq({2, 3}, tiny * 3));
-  auto problem = BuildProblem(system).ValueOrDie();
+  system.push_back(Eq({0, 1}, tiny));
+  system.push_back(Eq({2, 3}, tiny * 3));
+  auto problem = BuildProblem(4, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.p[0], tiny / 2, 5e-9);
@@ -229,16 +229,16 @@ TEST(SolverStressTest, ManyBlocksScaleLinearly) {
   // solve must converge; this guards against accidental O(n^2) behavior
   // in assembly or the solver loop.
   const size_t blocks = 500;
-  ConstraintSystem system(blocks * 4);
+  std::vector<LinearConstraint> system;
   for (size_t b = 0; b < blocks; ++b) {
     const uint32_t base = static_cast<uint32_t>(b * 4);
     const double mass = 1.0 / blocks;
-    system.Add(Eq({base, base + 1}, mass * 0.6));
-    system.Add(Eq({base + 2, base + 3}, mass * 0.4));
-    system.Add(Eq({base, base + 2}, mass * 0.5));
-    system.Add(Eq({base + 1, base + 3}, mass * 0.5));
+    system.push_back(Eq({base, base + 1}, mass * 0.6));
+    system.push_back(Eq({base + 2, base + 3}, mass * 0.4));
+    system.push_back(Eq({base, base + 2}, mass * 0.5));
+    system.push_back(Eq({base + 1, base + 3}, mass * 0.5));
   }
-  auto problem = BuildProblem(system).ValueOrDie();
+  auto problem = BuildProblem(blocks * 4, system).ValueOrDie();
   auto result = Solve(problem).ValueOrDie();
   EXPECT_LT(result.max_violation, 1e-7);
 }

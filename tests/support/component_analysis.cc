@@ -4,13 +4,13 @@
 
 namespace pme::constraints {
 
-ComponentAnalysis ComponentAnalysis::Build(const TermIndex& index,
-                                           const ConstraintSystem& system) {
+ComponentAnalysis ComponentAnalysis::Build(
+    const TermIndex& index, const std::vector<LinearConstraint>& rows) {
   const size_t num_buckets = index.num_buckets();
   UnionFind uf(num_buckets);
   std::vector<bool> touched(num_buckets, false);  // by knowledge rows
 
-  for (const auto& c : system.constraints()) {
+  for (const auto& c : rows) {
     // Anything beyond the structural invariants (knowledge rows, but also
     // ad-hoc kOther rows) invalidates the closed form for its component.
     const bool is_knowledge = c.source != ConstraintSource::kQiInvariant &&

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "constraints/system.h"
+#include "constraints/constraint.h"
 #include "constraints/term_index.h"
 
 namespace pme::constraints {
@@ -42,11 +42,11 @@ class ComponentAnalysis {
     bool coupled = false;
   };
 
-  /// Builds the partition for `system` over `index`'s variable space.
+  /// Builds the partition for `rows` over `index`'s variable space.
   /// Components are numbered in order of their smallest bucket id, so
   /// the numbering is deterministic.
   static ComponentAnalysis Build(const TermIndex& index,
-                                 const ConstraintSystem& system);
+                                 const std::vector<LinearConstraint>& rows);
 
   const std::vector<Component>& components() const { return components_; }
   size_t num_components() const { return components_.size(); }

@@ -7,11 +7,19 @@
 #ifndef PME_TESTS_TEST_UTIL_H_
 #define PME_TESTS_TEST_UTIL_H_
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "anonymize/bucketized_table.h"
+#include "common/math_util.h"
 #include "common/span.h"
+#include "constraints/constraint.h"
+#include "constraints/term_index.h"
 #include "data/dataset.h"
+#include "maxent/block_plan.h"
+#include "maxent/closed_form.h"
+#include "maxent/decomposed.h"
 
 namespace pme::testing {
 
@@ -81,6 +89,30 @@ inline data::Dataset MakeFigure1Dataset() {
 /// Bucket assignment matching MakeFigure1Table for MakeFigure1Dataset.
 inline std::vector<uint32_t> Figure1Partition() {
   return {0, 0, 0, 0, 1, 1, 1, 2, 2, 2};
+}
+
+/// The table's problem with `knowledge` as its request rows, solved the
+/// way a request solves it: BlockPlan::Build (every invariant row kept),
+/// the cache consulted, every block solved over the closed form. The
+/// result carries the full joint in `p`.
+inline Result<maxent::SolverResult> SolveTable(
+    const anonymize::BucketizedTable& table,
+    const constraints::TermIndex& index,
+    const std::vector<constraints::LinearConstraint>& knowledge,
+    const maxent::SolverOptions& options = {}) {
+  maxent::BlockPlan plan =
+      maxent::BlockPlan::Build(table, index, {}, knowledge);
+  plan.ConsultCache(options);
+  auto prior = std::make_shared<const std::vector<double>>(
+      maxent::ClosedFormNoKnowledge(table, index));
+  const double prior_entropy = Entropy(*prior);
+  PME_ASSIGN_OR_RETURN(
+      maxent::SolverResult result,
+      maxent::SolveDecomposed(plan, std::move(prior), prior_entropy, options));
+  result.p = maxent::MaterializeJoint(result);
+  result.blocks.clear();
+  result.prior.reset();
+  return result;
 }
 
 }  // namespace pme::testing

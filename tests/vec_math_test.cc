@@ -1,7 +1,7 @@
 // Property tests for the vectorized kernel layer: AVX2 and scalar paths
 // must agree to <= 1e-12 relative error on randomized inputs including
 // the ±708 clamp boundaries, and the math_util wrappers built on the
-// kernels must handle the degenerate inputs (empty, all -inf, denormals).
+// kernels must handle the degenerate inputs (empty, zeros, denormals).
 
 #include <gtest/gtest.h>
 
@@ -104,17 +104,17 @@ TEST(VecMathTest, ForcedModesFallBackGracefully) {
 }
 
 TEST(VecMathTest, ExpKernelsMatchLibmWithin1e12) {
-  // Both dispatch paths vs a plain SafeExp reference — this bounds the
-  // AVX2 polynomial's error against libm directly.
+  // Every dispatch tier's in-place exp output vs a plain SafeExp
+  // reference — this bounds each polynomial's error against libm directly.
   SimdModeRestorer restore;
   const std::vector<double> xs = RandomExponents(101);
   std::vector<double> reference(xs.size());
   for (size_t i = 0; i < xs.size(); ++i) reference[i] = SafeExp(xs[i] - 1.0);
 
-  for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+  for (SimdMode mode : {SimdMode::kOff, SimdMode::kAvx2, SimdMode::kAuto}) {
     kernels::SetSimdMode(mode);
-    std::vector<double> y(xs.size());
-    kernels::ExpM1Shifted(ConstSpan(xs), Span(y));
+    std::vector<double> y = xs;
+    kernels::ExpM1SumInPlace(Span(y));
     double worst = 0.0;
     for (size_t i = 0; i < xs.size(); ++i) {
       worst = std::max(worst, RelErr(y[i], reference[i]));
@@ -126,11 +126,11 @@ TEST(VecMathTest, ExpKernelsMatchLibmWithin1e12) {
 TEST(VecMathTest, SimdAndScalarExpPathsAgreeWithin1e12) {
   SimdModeRestorer restore;
   const std::vector<double> xs = RandomExponents(202);
-  std::vector<double> scalar(xs.size()), simd(xs.size());
+  std::vector<double> scalar = xs, simd = xs;
   kernels::SetSimdMode(SimdMode::kOff);
-  kernels::ExpM1Shifted(ConstSpan(xs), Span(scalar));
+  kernels::ExpM1SumInPlace(Span(scalar));
   kernels::SetSimdMode(SimdMode::kAuto);
-  kernels::ExpM1Shifted(ConstSpan(xs), Span(simd));
+  kernels::ExpM1SumInPlace(Span(simd));
   double worst = 0.0;
   for (size_t i = 0; i < xs.size(); ++i) {
     worst = std::max(worst, RelErr(simd[i], scalar[i]));
@@ -147,31 +147,17 @@ TEST(VecMathTest, FusedExpSumMatchesSeparatePasses) {
 
   for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
     kernels::SetSimdMode(mode);
-    std::vector<double> stored(xs.size());
-    kernels::ExpM1Shifted(ConstSpan(xs), Span(stored));
     std::vector<double> inplace = xs;
     const double sum = kernels::ExpM1SumInPlace(Span(inplace));
     double expected_sum = 0.0;
     for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(inplace[i], stored[i]) << "mode=" << kernels::SimdModeName();
-      expected_sum += stored[i];
+      EXPECT_LE(RelErr(inplace[i], SafeExp(xs[i] - 1.0)), 1e-12)
+          << "mode=" << kernels::SimdModeName();
+      expected_sum += inplace[i];
     }
     EXPECT_LE(RelErr(sum, expected_sum), 1e-12)
         << "mode=" << kernels::SimdModeName();
   }
-}
-
-TEST(VecMathTest, SumExpShiftedAgreesAcrossPaths) {
-  SimdModeRestorer restore;
-  Prng prng(17);
-  std::vector<double> xs(2053);
-  for (auto& v : xs) v = prng.NextDouble(-700.0, 700.0);
-  const double shift = kernels::MaxVal(ConstSpan(xs));
-  kernels::SetSimdMode(SimdMode::kOff);
-  const double scalar = kernels::SumExpShifted(ConstSpan(xs), shift);
-  kernels::SetSimdMode(SimdMode::kAuto);
-  const double simd = kernels::SumExpShifted(ConstSpan(xs), shift);
-  EXPECT_LE(RelErr(simd, scalar), 1e-12);
 }
 
 TEST(VecMathTest, BlasKernelsAgreeAcrossPaths) {
@@ -185,9 +171,8 @@ TEST(VecMathTest, BlasKernelsAgreeAcrossPaths) {
 
     kernels::SetSimdMode(SimdMode::kOff);
     const double dot_s = kernels::Dot(a, b);
-    const double two_s = kernels::TwoNorm(a);
+    const double sq_s = kernels::SumSquares(a);
     const double inf_s = kernels::InfNorm(a);
-    const double max_s = kernels::MaxVal(a);
     std::vector<double> axpy_s = b;
     kernels::Axpy(0.37, a, axpy_s);
     std::vector<double> sadd_s(n);
@@ -197,9 +182,8 @@ TEST(VecMathTest, BlasKernelsAgreeAcrossPaths) {
 
     kernels::SetSimdMode(SimdMode::kAuto);
     EXPECT_LE(RelErr(kernels::Dot(a, b), dot_s), 1e-12) << n;
-    EXPECT_LE(RelErr(kernels::TwoNorm(a), two_s), 1e-12) << n;
+    EXPECT_LE(RelErr(kernels::SumSquares(a), sq_s), 1e-12) << n;
     EXPECT_EQ(kernels::InfNorm(a), inf_s) << n;
-    EXPECT_EQ(kernels::MaxVal(a), max_s) << n;
     std::vector<double> axpy_v = b;
     kernels::Axpy(0.37, a, axpy_v);
     std::vector<double> sadd_v(n);
@@ -410,20 +394,6 @@ TEST(VecMathTest, MaskedTailSweepsAllResidues) {
 
 // ------------------------------------------------- math_util edge cases
 
-TEST(VecMathTest, LogSumExpEdgeCases) {
-  EXPECT_EQ(LogSumExp({}), -kInf);
-  EXPECT_EQ(LogSumExp({-kInf, -kInf, -kInf}), -kInf);
-  EXPECT_NEAR(LogSumExp({0.0, 0.0}), std::log(2.0), 1e-12);
-  // A -inf entry among finite ones contributes (essentially) nothing.
-  EXPECT_NEAR(LogSumExp({0.0, -kInf, 0.0}), std::log(2.0), 1e-12);
-  // Denormal inputs: max is denormal, shifts are ~0, result is ln(n).
-  const double denorm = 5e-324;
-  EXPECT_NEAR(LogSumExp({denorm, denorm, denorm, denorm}), std::log(4.0),
-              1e-12);
-  // Large values must not overflow through the max-shift.
-  EXPECT_NEAR(LogSumExp({1000.0, 1000.0}), 1000.0 + std::log(2.0), 1e-9);
-}
-
 TEST(VecMathTest, EntropyEdgeCases) {
   EXPECT_EQ(Entropy({}), 0.0);
   EXPECT_EQ(Entropy({0.0, 0.0}), 0.0);        // 0 ln 0 = 0
@@ -436,18 +406,6 @@ TEST(VecMathTest, EntropyEdgeCases) {
   EXPECT_GE(h, 0.0);
   // Negative entries follow the <= 0 convention (contribute zero).
   EXPECT_EQ(Entropy({-0.5, 1.0}), 0.0);
-}
-
-TEST(VecMathTest, LogSumExpParityAcrossPaths) {
-  SimdModeRestorer restore;
-  Prng prng(31);
-  std::vector<double> xs(997);
-  for (auto& v : xs) v = prng.NextDouble(-600.0, 600.0);
-  kernels::SetSimdMode(SimdMode::kOff);
-  const double scalar = LogSumExp(xs);
-  kernels::SetSimdMode(SimdMode::kAuto);
-  const double simd = LogSumExp(xs);
-  EXPECT_LE(RelErr(simd, scalar), 1e-12);
 }
 
 }  // namespace
